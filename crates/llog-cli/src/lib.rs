@@ -416,10 +416,28 @@ pub fn cmd_stats(dir: &Path) -> Result<()> {
         EngineConfig::default(),
         RedoPolicy::RsiExposed,
     ) {
-        Ok((engine, _)) => println!(
-            "recovery (dry run): {}",
-            recovery_block(&engine.metrics().snapshot())
-        ),
+        Ok((mut engine, _)) => {
+            println!(
+                "recovery (dry run): {}",
+                recovery_block(&engine.metrics().snapshot())
+            );
+            // Installing the recovered tail, still on the clones, sizes its
+            // flush sets and counts the graph work of redo plus install.
+            match engine.install_all() {
+                Ok(()) => {
+                    let m = engine.metrics().snapshot();
+                    println!(
+                        "write graph (dry run): rw_nodes_visited={} install_vars_objects={} \
+                         install_notx_objects={} identity_writes={}",
+                        m.rw_nodes_visited,
+                        m.install_vars_objects,
+                        m.install_notx_objects,
+                        m.identity_writes
+                    );
+                }
+                Err(e) => println!("write graph (dry run): unavailable ({e})"),
+            }
+        }
         Err(e) => println!("recovery (dry run): unavailable ({e})"),
     }
     Ok(())
@@ -805,6 +823,10 @@ pub fn cmd_server_stats(addr: &str) -> Result<()> {
         s.log_bytes_logical,
         s.log_bytes_physical,
         s.ckpt_ops_converted
+    );
+    println!(
+        "write graph: rw_nodes_visited={} install_vars_objects={} install_notx_objects={}",
+        s.rw_nodes_visited, s.install_vars_objects, s.install_notx_objects
     );
     Ok(())
 }

@@ -411,9 +411,7 @@ impl Engine {
         }
         let kept = self.convertible_outputs(&op, &outputs);
         self.apply_outputs(&op, lsn, outputs);
-        if self.config.graph == GraphKind::RW {
-            self.rw.add_op(&op);
-        }
+        self.add_to_graph(&op);
         self.live_ops.insert(
             id,
             LiveOp {
@@ -426,6 +424,19 @@ impl Engine {
             self.full_history.push(op);
         }
         Ok((id, lsn))
+    }
+
+    /// `addop_rW`: enter an executed, replayed or adopted operation into the
+    /// write graph (`GraphKind::W` rebuilds its graph at install time).
+    fn add_to_graph(&mut self, op: &Operation) {
+        if self.config.graph == GraphKind::RW {
+            let before = self.rw.nodes_visited();
+            self.rw.add_op(op);
+            Metrics::bump(
+                &self.metrics.rw_nodes_visited,
+                self.rw.nodes_visited() - before,
+            );
+        }
     }
 
     /// Post-images worth retaining for checkpoint-time conversion: only
@@ -449,9 +460,7 @@ impl Engine {
             .apply(op.id, &op.transform, &inputs, op.writes.len())?;
         let kept = self.convertible_outputs(op, &outputs);
         self.apply_outputs(op, lsn, outputs);
-        if self.config.graph == GraphKind::RW {
-            self.rw.add_op(op);
-        }
+        self.add_to_graph(op);
         self.live_ops.insert(
             op.id,
             LiveOp {
@@ -475,9 +484,7 @@ impl Engine {
     pub(crate) fn adopt_replayed(&mut self, op: &Operation, lsn: Lsn, outputs: Vec<Value>) {
         let kept = self.convertible_outputs(op, &outputs);
         self.apply_outputs(op, lsn, outputs);
-        if self.config.graph == GraphKind::RW {
-            self.rw.add_op(op);
-        }
+        self.add_to_graph(op);
         self.live_ops.insert(
             op.id,
             LiveOp {
@@ -534,16 +541,20 @@ impl Engine {
     pub fn install_one(&mut self) -> Result<bool> {
         match self.config.graph {
             GraphKind::RW => {
-                let mut minimals = self.rw.minimal_nodes();
-                if minimals.is_empty() {
+                let Some(n) = self.oldest_minimal() else {
                     return Ok(false);
-                }
-                minimals.sort_by_key(|&n| self.rw.node(n).and_then(|nd| nd.ops().first().copied()));
-                self.install_rw_node(minimals[0])?;
+                };
+                self.install_rw_node(n)?;
                 Ok(true)
             }
             GraphKind::W => self.install_w_minimal(),
         }
+    }
+
+    /// Pick the minimal rW node whose earliest operation is oldest.
+    fn oldest_minimal(&self) -> Option<NodeId> {
+        Metrics::bump(&self.metrics.rw_nodes_visited, 1);
+        self.rw.oldest_minimal()
     }
 
     /// Install everything: drain the write graph (normal-shutdown path and
@@ -616,16 +627,9 @@ impl Engine {
             // minimal nodes (the graph is acyclic, so progress is
             // guaranteed).
             if !node.preds().is_empty() {
-                let mut minimals = self.rw.minimal_nodes();
-                minimals.sort_by_key(|&m| self.rw.node(m).and_then(|nd| nd.ops().first().copied()));
-                let m = minimals
-                    .into_iter()
-                    .find(|&m| m != current)
-                    .ok_or_else(|| {
-                        LlogError::CacheProtocol(
-                            "no installable predecessor for broken-up node".into(),
-                        )
-                    })?;
+                let m = self.oldest_minimal().ok_or_else(|| {
+                    LlogError::CacheProtocol("no installable predecessor for broken-up node".into())
+                })?;
                 self.install_rw_node(m)?;
                 current = self
                     .rw
@@ -672,6 +676,8 @@ impl Engine {
             .max()
             .ok_or_else(|| LlogError::CacheProtocol("installing unknown ops".into()))?;
         self.wal.force_through(max_lsn);
+        Metrics::bump(&self.metrics.install_vars_objects, vars.len() as u64);
+        Metrics::bump(&self.metrics.install_notx_objects, notx.len() as u64);
 
         // Flush vars.
         match vars.len() {

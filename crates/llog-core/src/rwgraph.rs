@@ -16,14 +16,22 @@
 //! Construction is incremental (`add_op` is the paper's `addop_rW`);
 //! cycles that arise are collapsed into multi-object nodes, which
 //! cache-manager identity writes can later break apart again (§4).
+//!
+//! Maintenance costs what an operation touches, not the size of the graph
+//! (DESIGN, "rW maintenance cost"): read-write edges come from an
+//! object → reader-nodes index, a new cycle is looked for only around the
+//! nodes that just gained an incoming edge, merges fold the lighter nodes
+//! into the heaviest, the installable nodes sit in a set ordered by first
+//! operation, and removal garbage-collects through the removed node's own
+//! operations and objects.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use llog_ops::Operation;
 use llog_types::{ObjectId, OpId};
 
-/// Stable handle for an `rW` node. Merges allocate fresh ids; stale ids
-/// simply stop resolving.
+/// Stable handle for an `rW` node. A merge keeps the id of its heaviest
+/// member; the ids of the others simply stop resolving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u64);
 
@@ -77,6 +85,11 @@ impl RwNode {
     pub fn lastw(&self, x: ObjectId) -> Option<OpId> {
         self.lastw.get(&x).copied()
     }
+
+    /// What a merge pays to move this node into another one.
+    fn weight(&self) -> usize {
+        self.ops.len() + self.reads.len() + self.writes.len() + self.preds.len() + self.succs.len()
+    }
 }
 
 /// The refined write graph.
@@ -91,10 +104,46 @@ pub struct RWGraph {
     op_node: BTreeMap<OpId, NodeId>,
     /// Latest uninstalled writer of each object.
     last_writer: BTreeMap<ObjectId, OpId>,
-    /// Readers of each live version: `(x, writer op) → reader ops`.
-    version_readers: BTreeMap<(ObjectId, OpId), BTreeSet<OpId>>,
-    /// Reverse index for GC: reader op → the `(x, writer)` versions it read.
-    reads_of_op: BTreeMap<OpId, Vec<(ObjectId, OpId)>>,
+    /// Readers of each live version: `writer op → x → reader ops`. Keyed
+    /// by writer so a removed node drops its versions by its own ops.
+    version_readers: BTreeMap<OpId, BTreeMap<ObjectId, BTreeSet<OpId>>>,
+    /// Reverse index for GC: reader op → the `(writer, x)` versions it read.
+    reads_of_op: BTreeMap<OpId, Vec<(OpId, ObjectId)>>,
+    /// `x → {n | x ∈ Reads(n)}`: the sources of read-write edges.
+    readers: BTreeMap<ObjectId, BTreeSet<NodeId>>,
+    /// Predecessor-free nodes, keyed by first operation: the oldest
+    /// installable node is the first entry.
+    ready: BTreeSet<(OpId, NodeId)>,
+    /// Nodes touched by reachability searches and reader lookups so far.
+    nodes_visited: u64,
+}
+
+/// One direction of a reachability search, advanced a node at a time.
+struct Reach {
+    seen: BTreeSet<NodeId>,
+    stack: Vec<NodeId>,
+}
+
+impl Reach {
+    fn from(start: NodeId) -> Reach {
+        Reach {
+            seen: BTreeSet::from([start]),
+            stack: vec![start],
+        }
+    }
+
+    /// Expand one node along `next`; false once the reach is exhausted.
+    fn step<I: IntoIterator<Item = NodeId>>(&mut self, next: impl FnOnce(NodeId) -> I) -> bool {
+        let Some(v) = self.stack.pop() else {
+            return false;
+        };
+        for w in next(v) {
+            if self.seen.insert(w) {
+                self.stack.push(w);
+            }
+        }
+        true
+    }
 }
 
 impl RWGraph {
@@ -113,7 +162,7 @@ impl RWGraph {
         self.nodes.is_empty()
     }
 
-    /// Access a node by id (None once merged or removed).
+    /// Access a node by id (None once merged away or removed).
     pub fn node(&self, id: NodeId) -> Option<&RwNode> {
         self.nodes.get(&id)
     }
@@ -133,13 +182,21 @@ impl RWGraph {
         self.var_home.get(&x).copied()
     }
 
-    /// Nodes with no predecessors: installable now.
+    /// Nodes with no predecessors: installable now. Oldest first operation
+    /// first, the order PurgeCache installs them in.
     pub fn minimal_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|(_, n)| n.preds.is_empty())
-            .map(|(&id, _)| id)
-            .collect()
+        self.ready.iter().map(|&(_, id)| id).collect()
+    }
+
+    /// The installable node whose first operation is oldest.
+    pub fn oldest_minimal(&self) -> Option<NodeId> {
+        self.ready.first().map(|&(_, id)| id)
+    }
+
+    /// Nodes touched so far by reachability searches and reader lookups:
+    /// the work `add_op` does beyond the operation's own objects.
+    pub fn nodes_visited(&self) -> u64 {
+        self.nodes_visited
     }
 
     /// Sizes of the atomic flush sets, descending (experiment E3).
@@ -156,20 +213,26 @@ impl RWGraph {
         id
     }
 
-    fn add_edge(&mut self, from: NodeId, to: NodeId) {
+    /// The `ready` entry of a node that has no predecessors.
+    fn ready_key(id: NodeId, node: &RwNode) -> (OpId, NodeId) {
+        (*node.ops.first().expect("live node has operations"), id)
+    }
+
+    /// Add `from → to`; true if the edge is new.
+    fn add_edge(&mut self, from: NodeId, to: NodeId) -> bool {
         if from == to {
-            return;
+            return false;
         }
         self.nodes
             .get_mut(&from)
             .expect("edge from dead node")
             .succs
             .insert(to);
-        self.nodes
-            .get_mut(&to)
-            .expect("edge to dead node")
-            .preds
-            .insert(from);
+        let node = self.nodes.get_mut(&to).expect("edge to dead node");
+        if node.preds.is_empty() {
+            self.ready.remove(&Self::ready_key(to, node));
+        }
+        node.preds.insert(from)
     }
 
     /// `addop_rW` (Figure 6): incorporate the next operation, in conflict
@@ -184,6 +247,7 @@ impl RWGraph {
             .iter()
             .filter_map(|x| self.var_home.get(x).copied())
             .collect();
+        let mut m_gained = merge.len() > 1;
         let m = self.merge_nodes(merge);
 
         // Add the operation to m.
@@ -196,24 +260,37 @@ impl RWGraph {
             for &x in &op.writes {
                 node.lastw.insert(x, op.id);
             }
+            if node.ops.len() == 1 {
+                // Fresh node: installable until an edge says otherwise.
+                self.ready.insert((op.id, m));
+            }
         }
         self.op_node.insert(op.id, m);
+        for &x in &op.reads {
+            self.readers.entry(x).or_default().insert(m);
+        }
 
         // 2. New read-write edges: earlier readers of what op writes must
         //    install before m.
-        let mut rw_edges = Vec::new();
-        for (&p, node) in &self.nodes {
-            if p != m && op.writes.iter().any(|x| node.reads.contains(x)) {
-                rw_edges.push(p);
-            }
-        }
+        let rw_edges: BTreeSet<NodeId> = op
+            .writes
+            .iter()
+            .filter_map(|x| self.readers.get(x))
+            .flatten()
+            .copied()
+            .filter(|&p| p != m)
+            .collect();
+        self.nodes_visited += rw_edges.len() as u64;
         for p in rw_edges {
-            self.add_edge(p, m);
+            m_gained |= self.add_edge(p, m);
         }
 
         // 3. Blind updates free the overwritten values: remove them from the
         //    other nodes' flush sets, with the ordering edges that keep this
-        //    sound.
+        //    sound. A new cycle needs a new edge, and those all end in m or
+        //    in a victim that gains an inverse write-read edge: the seeds of
+        //    step 7.
+        let mut seeds = Vec::new();
         let victims: BTreeSet<NodeId> = notexp
             .iter()
             .filter_map(|&x| self.var_home.get(&x).copied())
@@ -238,23 +315,29 @@ impl RWGraph {
                     node.vars.remove(x);
                 }
             }
-            self.add_edge(p, m);
+            m_gained |= self.add_edge(p, m);
             // Inverse write-read edges: q read Lastw(p, x) ⇒ q → p.
+            let mut readers: BTreeSet<NodeId> = BTreeSet::new();
             for &x in &removed {
                 let Some(writer) = self.nodes[&p].lastw(x) else {
                     continue;
                 };
-                let readers: Vec<OpId> = self
-                    .version_readers
-                    .get(&(x, writer))
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
-                for r in readers {
-                    if let Some(&q) = self.op_node.get(&r) {
-                        if q != p {
-                            self.add_edge(q, p);
-                        }
-                    }
+                let ops = self.version_readers.get(&writer).and_then(|v| v.get(&x));
+                readers.extend(
+                    ops.into_iter()
+                        .flatten()
+                        .filter_map(|r| self.op_node.get(r).copied())
+                        .filter(|&q| q != p),
+                );
+            }
+            if !readers.is_empty() {
+                self.nodes_visited += readers.len() as u64;
+                let mut p_gained = false;
+                for q in readers {
+                    p_gained |= self.add_edge(q, p);
+                }
+                if p_gained {
+                    seeds.push(p);
                 }
             }
         }
@@ -263,10 +346,12 @@ impl RWGraph {
         for &x in &op.reads {
             if let Some(&writer) = self.last_writer.get(&x) {
                 self.version_readers
-                    .entry((x, writer))
+                    .entry(writer)
+                    .or_default()
+                    .entry(x)
                     .or_default()
                     .insert(op.id);
-                self.reads_of_op.entry(op.id).or_default().push((x, writer));
+                self.reads_of_op.entry(op.id).or_default().push((writer, x));
             }
         }
 
@@ -276,92 +361,145 @@ impl RWGraph {
             self.var_home.insert(x, m);
         }
 
-        // 7. Collapse any cycle the new edges created.
-        self.collapse_cycles();
+        // 7. Collapse the cycles the new edges created. The graph was
+        //    acyclic before this call, so every cycle runs through a seed.
+        if m_gained {
+            seeds.push(m);
+        }
+        let mut collapsed: BTreeSet<NodeId> = BTreeSet::new();
+        for s in seeds {
+            if collapsed.contains(&s) {
+                continue;
+            }
+            if let Some(cycle) = self.cycle_through(s) {
+                collapsed.extend(cycle.iter().copied());
+                self.merge_nodes(cycle);
+            }
+        }
         self.op_node[&op.id]
     }
 
-    /// Merge a set of nodes into one fresh node, unioning all attributes and
-    /// rewiring edges. Returns the merged node (a fresh empty node if the
-    /// set is empty).
-    fn merge_nodes(&mut self, ids: BTreeSet<NodeId>) -> NodeId {
-        if ids.len() == 1 {
-            return ids.into_iter().next().unwrap();
-        }
-        let m = self.alloc();
+    /// Merge a set of nodes into its heaviest member, unioning all
+    /// attributes and rewiring edges, so a node that keeps absorbing small
+    /// ones is never copied. Returns the merged node (a fresh empty node if
+    /// the set is empty).
+    fn merge_nodes(&mut self, mut ids: BTreeSet<NodeId>) -> NodeId {
         if ids.is_empty() {
-            return m;
+            return self.alloc();
         }
-        let mut merged = RwNode::default();
-        let mut all_ops: Vec<OpId> = Vec::new();
+        let keep = *ids
+            .iter()
+            .max_by_key(|id| self.nodes[id].weight())
+            .expect("nonempty merge set");
+        if ids.len() == 1 {
+            return keep;
+        }
+        ids.remove(&keep);
+        let mut merged = self.nodes.remove(&keep).expect("merge of dead node");
+        if merged.preds.is_empty() {
+            self.ready.remove(&Self::ready_key(keep, &merged));
+        }
+        // `ops` stays sorted; only the part younger than the oldest absorbed
+        // operation is disturbed, usually a short tail.
+        let mut unsorted_from = merged.ops.len();
         for &id in &ids {
             let node = self.nodes.remove(&id).expect("merge of dead node");
-            all_ops.extend(node.ops.iter().copied());
+            if node.preds.is_empty() {
+                self.ready.remove(&Self::ready_key(id, &node));
+            }
+            for &op in &node.ops {
+                self.op_node.insert(op, keep);
+            }
+            for &x in &node.vars {
+                self.var_home.insert(x, keep);
+            }
+            for x in &node.reads {
+                let set = self.readers.get_mut(x).expect("reader index entry");
+                set.remove(&id);
+                set.insert(keep);
+            }
+            // Rewire the rest of the graph; edges inside the set vanish.
+            for &p in &node.preds {
+                if p != keep && !ids.contains(&p) {
+                    let succs = &mut self.nodes.get_mut(&p).expect("pred of merged node").succs;
+                    succs.remove(&id);
+                    succs.insert(keep);
+                    merged.preds.insert(p);
+                }
+            }
+            for &s in &node.succs {
+                if s != keep && !ids.contains(&s) {
+                    let preds = &mut self.nodes.get_mut(&s).expect("succ of merged node").preds;
+                    preds.remove(&id);
+                    preds.insert(keep);
+                    merged.succs.insert(s);
+                }
+            }
+            merged.preds.remove(&id);
+            merged.succs.remove(&id);
+            if let Some(first) = node.ops.first() {
+                unsorted_from = merged.ops[..unsorted_from].partition_point(|op| op < first);
+            }
+            merged.ops.extend(node.ops);
             merged.vars.extend(node.vars);
             merged.writes.extend(node.writes);
             merged.reads.extend(node.reads);
             for (x, w) in node.lastw {
-                match merged.lastw.get(&x) {
-                    Some(&prev) if prev >= w => {}
-                    _ => {
-                        merged.lastw.insert(x, w);
-                    }
-                }
+                let last = merged.lastw.entry(x).or_insert(w);
+                *last = (*last).max(w);
             }
-            merged.preds.extend(node.preds);
-            merged.succs.extend(node.succs);
         }
-        all_ops.sort();
-        merged.ops = all_ops;
-        // Drop self-references created by intra-set edges.
-        for id in &ids {
-            merged.preds.remove(id);
-            merged.succs.remove(id);
+        merged.ops[unsorted_from..].sort_unstable();
+        if merged.preds.is_empty() {
+            self.ready.insert(Self::ready_key(keep, &merged));
         }
-        merged.preds.remove(&m);
-        merged.succs.remove(&m);
-
-        // Rewire the rest of the graph.
-        let preds = merged.preds.clone();
-        let succs = merged.succs.clone();
-        for &op in &merged.ops {
-            self.op_node.insert(op, m);
-        }
-        for &x in &merged.vars {
-            self.var_home.insert(x, m);
-        }
-        self.nodes.insert(m, merged);
-        for p in preds {
-            let node = self.nodes.get_mut(&p).expect("pred of merged node");
-            for id in &ids {
-                node.succs.remove(id);
-            }
-            node.succs.insert(m);
-        }
-        for s in succs {
-            let node = self.nodes.get_mut(&s).expect("succ of merged node");
-            for id in &ids {
-                node.preds.remove(id);
-            }
-            node.preds.insert(m);
-        }
-        m
+        self.nodes.insert(keep, merged);
+        keep
     }
 
-    /// Collapse every strongly connected component with more than one node.
-    fn collapse_cycles(&mut self) {
-        loop {
-            let Some(cycle) = self.find_cycle_component() else {
-                return;
-            };
-            self.merge_nodes(cycle);
+    /// The strongly connected component of `s`, if it has more than one
+    /// node. Forward and backward reach from `s` advance in lockstep; the
+    /// side that runs dry first contains the component, which is then what
+    /// the other direction reaches from `s` inside it. The cost is bounded
+    /// by the smaller of the two reaches, and is O(1) for a node without
+    /// successors (every fresh blind writer) or without predecessors.
+    fn cycle_through(&mut self, s: NodeId) -> Option<BTreeSet<NodeId>> {
+        let RWGraph {
+            nodes,
+            nodes_visited,
+            ..
+        } = self;
+        let succs = |v: NodeId| nodes[&v].succs.iter().copied();
+        let preds = |v: NodeId| nodes[&v].preds.iter().copied();
+        *nodes_visited += 1;
+        if nodes[&s].succs.is_empty() || nodes[&s].preds.is_empty() {
+            return None;
         }
+        let (mut fwd, mut bwd) = (Reach::from(s), Reach::from(s));
+        let (bound, forward_ran_dry) = loop {
+            if !fwd.step(succs) {
+                break (fwd.seen, true);
+            }
+            *nodes_visited += 1;
+            if !bwd.step(preds) {
+                break (bwd.seen, false);
+            }
+            *nodes_visited += 1;
+        };
+        let mut component = Reach::from(s);
+        while component.step(|v| {
+            let next = if forward_ran_dry { preds(v) } else { succs(v) };
+            next.filter(|w| bound.contains(w))
+        }) {
+            *nodes_visited += 1;
+        }
+        (component.seen.len() > 1).then_some(component.seen)
     }
 
-    /// Find one SCC of size > 1, if any (simple iterative DFS-based search;
-    /// graphs are cache-sized).
+    /// Find one SCC of size > 1, if any, over the whole graph (Kosaraju:
+    /// order by finish time, then reverse reachability). Audit only:
+    /// `add_op` collapses cycles locally and never calls this.
     fn find_cycle_component(&self) -> Option<BTreeSet<NodeId>> {
-        // Kosaraju-style: order by finish time, then reverse reachability.
         let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
         let mut visited: BTreeSet<NodeId> = BTreeSet::new();
         let mut order: Vec<NodeId> = Vec::new();
@@ -417,43 +555,55 @@ impl RWGraph {
     pub fn remove_node(&mut self, id: NodeId) -> RwNode {
         let node = self.nodes.remove(&id).expect("remove of dead node");
         assert!(node.preds.is_empty(), "removing non-minimal rW node {id:?}");
+        self.ready.remove(&Self::ready_key(id, &node));
         for &s in &node.succs {
-            self.nodes
-                .get_mut(&s)
-                .expect("succ of removed node")
-                .preds
-                .remove(&id);
+            let succ = self.nodes.get_mut(&s).expect("succ of removed node");
+            succ.preds.remove(&id);
+            if succ.preds.is_empty() {
+                self.ready.insert(Self::ready_key(s, succ));
+            }
         }
         for &op in &node.ops {
             self.op_node.remove(&op);
             // GC version-read bookkeeping for this reader.
-            if let Some(reads) = self.reads_of_op.remove(&op) {
-                for key in reads {
-                    if let Some(set) = self.version_readers.get_mut(&key) {
-                        set.remove(&op);
-                        if set.is_empty() {
-                            self.version_readers.remove(&key);
-                        }
-                    }
+            for (writer, x) in self.reads_of_op.remove(&op).unwrap_or_default() {
+                if let Some(readers) = self
+                    .version_readers
+                    .get_mut(&writer)
+                    .and_then(|v| v.get_mut(&x))
+                {
+                    readers.remove(&op);
                 }
             }
+            // Versions written by installed ops can no longer trigger
+            // inverse edges (their node is gone).
+            self.version_readers.remove(&op);
         }
-        // Versions written by installed ops can no longer trigger inverse
-        // edges (their node is gone).
-        let dead_ops: BTreeSet<OpId> = node.ops.iter().copied().collect();
-        self.version_readers
-            .retain(|(_, w), _| !dead_ops.contains(w));
+        for x in &node.reads {
+            let set = self.readers.get_mut(x).expect("reader index entry");
+            set.remove(&id);
+            if set.is_empty() {
+                self.readers.remove(x);
+            }
+        }
         for &x in &node.vars {
             if self.var_home.get(&x) == Some(&id) {
                 self.var_home.remove(&x);
             }
         }
-        self.last_writer.retain(|_, w| !dead_ops.contains(w));
+        // The latest writer of x, if it is one of ours, is our Lastw(n, x).
+        for (x, w) in &node.lastw {
+            if self.last_writer.get(x) == Some(w) {
+                self.last_writer.remove(x);
+            }
+        }
         node
     }
 
     /// Debug/audit: assert internal consistency. Panics on violation.
     pub fn check_consistency(&self) {
+        let mut readers: BTreeMap<ObjectId, BTreeSet<NodeId>> = BTreeMap::new();
+        let mut ready = BTreeSet::new();
         for (&id, node) in &self.nodes {
             assert!(node.vars.is_subset(&node.writes), "vars ⊄ writes in {id:?}");
             for &x in &node.vars {
@@ -474,6 +624,26 @@ impl RWGraph {
             for &op in &node.ops {
                 assert_eq!(self.op_node.get(&op), Some(&id), "op_node stale");
             }
+            for &x in &node.reads {
+                readers.entry(x).or_default().insert(id);
+            }
+            if node.preds.is_empty() {
+                ready.insert(Self::ready_key(id, node));
+            }
+        }
+        assert_eq!(self.readers, readers, "reader index out of step");
+        assert_eq!(self.ready, ready, "ready set out of step");
+        for writer in self.version_readers.keys() {
+            assert!(
+                self.op_node.contains_key(writer),
+                "version of installed {writer:?} kept"
+            );
+        }
+        for writer in self.last_writer.values() {
+            assert!(
+                self.op_node.contains_key(writer),
+                "installed {writer:?} kept as last writer"
+            );
         }
         assert!(self.find_cycle_component().is_none(), "rW has a cycle");
     }

@@ -99,7 +99,7 @@ enum Role {
     /// One redo session per primary shard, index-aligned.
     Standby(Vec<RedoSession>),
     /// Promotion finished; the engine serves reads and writes.
-    Promoted(ShardedEngine),
+    Promoted(Box<ShardedEngine>),
     /// Transient placeholder while promotion or shutdown moves the state.
     Draining,
 }
@@ -722,6 +722,13 @@ fn stats_body(state: &Arc<State>) -> StatsBody {
             log_bytes_logical: 0,
             log_bytes_physical: 0,
             ckpt_ops_converted: 0,
+            // Continuous redo feeds the write graph; nothing installs here.
+            rw_nodes_visited: sessions
+                .iter()
+                .map(|s| s.engine().metrics().snapshot().rw_nodes_visited)
+                .sum(),
+            install_vars_objects: 0,
+            install_notx_objects: 0,
         },
         Role::Promoted(engine) => {
             let snap = engine.metrics_snapshot();
@@ -748,6 +755,9 @@ fn stats_body(state: &Arc<State>) -> StatsBody {
                 log_bytes_logical: snap.aggregate.log_bytes_logical,
                 log_bytes_physical: snap.aggregate.log_bytes_physical,
                 ckpt_ops_converted: snap.aggregate.ckpt_ops_converted,
+                rw_nodes_visited: snap.aggregate.rw_nodes_visited,
+                install_vars_objects: snap.aggregate.install_vars_objects,
+                install_notx_objects: snap.aggregate.install_notx_objects,
             }
         }
         Role::Draining => StatsBody::default(),
@@ -767,7 +777,7 @@ fn promote(state: &Arc<State>, source_dir: &str) -> Result<()> {
     };
     match promote_sessions(sessions, source_dir, &state.registry, state.config.policy) {
         Ok(engine) => {
-            *g = Role::Promoted(engine);
+            *g = Role::Promoted(Box::new(engine));
             // Tag stores happen under the role lock: a `Put` can only be
             // accepted after this lock releases, so the promoted tag is
             // visible to reads before any post-promotion write exists.

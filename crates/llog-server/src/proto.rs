@@ -220,6 +220,12 @@ pub struct StatsBody {
     pub log_bytes_physical: u64,
     /// Cold logical ops converted to physical form at checkpoints.
     pub ckpt_ops_converted: u64,
+    /// rW nodes touched by searches, reader lookups and minimal picks.
+    pub rw_nodes_visited: u64,
+    /// Σ|vars(n)| over installed nodes (objects flushed to install).
+    pub install_vars_objects: u64,
+    /// Σ|Notx(n)| over installed nodes (installed without a flush).
+    pub install_notx_objects: u64,
 }
 
 /// What the server answers. `req_id` always echoes the request's.
@@ -558,6 +564,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.put_u64_le(body.log_bytes_logical);
             out.put_u64_le(body.log_bytes_physical);
             out.put_u64_le(body.ckpt_ops_converted);
+            out.put_u64_le(body.rw_nodes_visited);
+            out.put_u64_le(body.install_vars_objects);
+            out.put_u64_le(body.install_notx_objects);
         }
         Response::Err {
             req_id,
@@ -630,7 +639,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
         },
         T_OK => Response::Ok { req_id },
         T_STATS_R => {
-            need(&buf, 4 + 8 * 18, "stats body")?;
+            need(&buf, 4 + 8 * 21, "stats body")?;
             Response::Stats {
                 req_id,
                 body: StatsBody {
@@ -653,6 +662,9 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
                     log_bytes_logical: buf.get_u64_le(),
                     log_bytes_physical: buf.get_u64_le(),
                     ckpt_ops_converted: buf.get_u64_le(),
+                    rw_nodes_visited: buf.get_u64_le(),
+                    install_vars_objects: buf.get_u64_le(),
+                    install_notx_objects: buf.get_u64_le(),
                 },
             }
         }
@@ -909,6 +921,9 @@ mod tests {
                     log_bytes_logical: 65_536,
                     log_bytes_physical: 20_480,
                     ckpt_ops_converted: 17,
+                    rw_nodes_visited: 5_000,
+                    install_vars_objects: 640,
+                    install_notx_objects: 31,
                 },
             },
             Response::Err {

@@ -587,6 +587,9 @@ fn execute_request(inner: &Arc<Inner>, shipping: &mut ShippingState, req: Reques
                     log_bytes_logical: snap.aggregate.log_bytes_logical,
                     log_bytes_physical: snap.aggregate.log_bytes_physical,
                     ckpt_ops_converted: snap.aggregate.ckpt_ops_converted,
+                    rw_nodes_visited: snap.aggregate.rw_nodes_visited,
+                    install_vars_objects: snap.aggregate.install_vars_objects,
+                    install_notx_objects: snap.aggregate.install_notx_objects,
                 },
             })
         }

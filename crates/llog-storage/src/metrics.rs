@@ -110,6 +110,13 @@ pub struct Metrics {
     pub log_bytes_physical: AtomicU64,
     /// Cold logical records converted to physical at checkpoint time.
     pub ckpt_ops_converted: AtomicU64,
+    /// rW nodes touched by reachability searches, reader lookups and
+    /// minimal-node picks: the graph work beyond an operation's own objects.
+    pub rw_nodes_visited: AtomicU64,
+    /// Σ|vars(n)| over installed nodes: objects flushed to install.
+    pub install_vars_objects: AtomicU64,
+    /// Σ|Notx(n)| over installed nodes: objects installed without a flush.
+    pub install_notx_objects: AtomicU64,
 }
 
 impl Metrics {
@@ -173,6 +180,9 @@ impl Metrics {
             log_bytes_logical: g(&self.log_bytes_logical),
             log_bytes_physical: g(&self.log_bytes_physical),
             ckpt_ops_converted: g(&self.ckpt_ops_converted),
+            rw_nodes_visited: g(&self.rw_nodes_visited),
+            install_vars_objects: g(&self.install_vars_objects),
+            install_notx_objects: g(&self.install_notx_objects),
         }
     }
 
@@ -231,6 +241,9 @@ impl Metrics {
             &self.log_bytes_logical,
             &self.log_bytes_physical,
             &self.ckpt_ops_converted,
+            &self.rw_nodes_visited,
+            &self.install_vars_objects,
+            &self.install_notx_objects,
         ] {
             c.store(0, Ordering::Relaxed);
         }
@@ -332,6 +345,12 @@ pub struct MetricsSnapshot {
     pub log_bytes_physical: u64,
     /// Cold logical records converted to physical at checkpoint time.
     pub ckpt_ops_converted: u64,
+    /// rW nodes touched by searches, reader lookups and minimal picks.
+    pub rw_nodes_visited: u64,
+    /// Σ|vars(n)| over installed nodes.
+    pub install_vars_objects: u64,
+    /// Σ|Notx(n)| over installed nodes.
+    pub install_notx_objects: u64,
 }
 
 impl MetricsSnapshot {
@@ -344,7 +363,7 @@ impl MetricsSnapshot {
     ///
     /// The single source of truth for serialization and aggregation, so a
     /// counter added to the struct cannot silently go missing from either.
-    pub fn fields(&self) -> [(&'static str, u64); 46] {
+    pub fn fields(&self) -> [(&'static str, u64); 49] {
         [
             ("obj_reads", self.obj_reads),
             ("obj_read_bytes", self.obj_read_bytes),
@@ -392,6 +411,9 @@ impl MetricsSnapshot {
             ("log_bytes_logical", self.log_bytes_logical),
             ("log_bytes_physical", self.log_bytes_physical),
             ("ckpt_ops_converted", self.ckpt_ops_converted),
+            ("rw_nodes_visited", self.rw_nodes_visited),
+            ("install_vars_objects", self.install_vars_objects),
+            ("install_notx_objects", self.install_notx_objects),
         ]
     }
 
@@ -508,6 +530,13 @@ impl MetricsSnapshot {
             ckpt_ops_converted: self
                 .ckpt_ops_converted
                 .saturating_add(other.ckpt_ops_converted),
+            rw_nodes_visited: self.rw_nodes_visited.saturating_add(other.rw_nodes_visited),
+            install_vars_objects: self
+                .install_vars_objects
+                .saturating_add(other.install_vars_objects),
+            install_notx_objects: self
+                .install_notx_objects
+                .saturating_add(other.install_notx_objects),
         }
     }
 
@@ -612,6 +641,15 @@ impl MetricsSnapshot {
             ckpt_ops_converted: self
                 .ckpt_ops_converted
                 .saturating_sub(earlier.ckpt_ops_converted),
+            rw_nodes_visited: self
+                .rw_nodes_visited
+                .saturating_sub(earlier.rw_nodes_visited),
+            install_vars_objects: self
+                .install_vars_objects
+                .saturating_sub(earlier.install_vars_objects),
+            install_notx_objects: self
+                .install_notx_objects
+                .saturating_sub(earlier.install_notx_objects),
         }
     }
 }
@@ -839,6 +877,31 @@ mod tests {
         assert_eq!(merged.log_records_logical, 60);
         assert_eq!(merged.log_bytes_physical, 18_000);
         assert_eq!(merged.ckpt_ops_converted, 10);
+        assert_eq!(s.since(&s), MetricsSnapshot::default());
+        m.reset();
+        assert_eq!(m.snapshot(), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn write_graph_counters_round_trip() {
+        let m = Metrics::new();
+        Metrics::bump(&m.rw_nodes_visited, 40);
+        Metrics::bump(&m.install_vars_objects, 7);
+        Metrics::bump(&m.install_notx_objects, 2);
+        let s = m.snapshot();
+        assert_eq!(s.rw_nodes_visited, 40);
+        let json = s.to_json();
+        for key in [
+            "rw_nodes_visited",
+            "install_vars_objects",
+            "install_notx_objects",
+        ] {
+            assert!(json.contains(&format!("\"{key}\":")), "missing {key}");
+        }
+        let merged = s.merged(&s);
+        assert_eq!(merged.rw_nodes_visited, 80);
+        assert_eq!(merged.install_vars_objects, 14);
+        assert_eq!(merged.install_notx_objects, 4);
         assert_eq!(s.since(&s), MetricsSnapshot::default());
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
