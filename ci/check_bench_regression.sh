@@ -23,22 +23,15 @@ pct="${REGRESSION_PCT:-30}"
 # The metric is the LAST `"key":number` occurrence in the (single-line)
 # JSON — for per-row metrics like e14's goodput that is the hardest row.
 table='
-BENCH_e11.json speedup_4x max
 BENCH_e12.json speedup_4c max
 BENCH_e13.json incr_ratio_1pct max
 BENCH_e14.json goodput max
 BENCH_e15.json drain_ms min
-BENCH_e16.json file_speedup max
-BENCH_e17.json snapshot_ratio max
 BENCH_e18.json recovery_speedup max
 '
 # (E18's volume_ratio has an absolute bar instead — report.ok() fails
 # the exp binary above 1.5 — so only the speedup headline is
 # baseline-gated here.)
-# (E17's mutex_ratio has an absolute bar instead — report.ok() fails the
-# exp binary above 0.6 — so it is not baseline-gated here: it measures
-# the deliberately-degraded strawman path, whose tiny fast-mode value
-# would make a percentage gate pure noise.)
 
 metric() {
     sed -n "s/.*\"$2\":\(-\{0,1\}[0-9][0-9.]*\).*/\1/p" "$1" | head -n 1

@@ -40,11 +40,6 @@ fn main() {
         println!("== {name} ==");
         println!("{table}");
     }
-    let p = llog_bench::e11_sharding::Params::from_env();
-    let e11 = llog_bench::e11_sharding::run(&p);
-    println!("== E11 — sharded engines + group commit ==");
-    println!("{}", llog_bench::e11_sharding::scaling_table(&e11));
-    println!("{}", llog_bench::e11_sharding::batch_table(&e11));
     let p12 = llog_bench::e12_recovery_speed::Params::from_env();
     let e12 = llog_bench::e12_recovery_speed::run(&p12);
     println!("== E12 — recovery modes + shared-pool sharded recovery ==");
@@ -55,14 +50,6 @@ fn main() {
     println!("== E13 — durability backends: incremental checkpoint + segment reclaim ==");
     println!("{}", llog_bench::e13_backend_cost::ckpt_table(&e13));
     println!("{}", llog_bench::e13_backend_cost::reclaim_table(&e13));
-    let p16 = llog_bench::e16_append_speed::Params::from_env();
-    let e16 = llog_bench::e16_append_speed::run(&p16);
-    println!("== E16 — hot-path log device: recycling + double buffer + coalescing ==");
-    println!("{}", llog_bench::e16_append_speed::table(&e16));
-    let p17 = llog_bench::e17_snapshot_reads::Params::from_env();
-    let e17 = llog_bench::e17_snapshot_reads::run(&p17);
-    println!("== E17 — MVCC snapshot reads: lock-free readers vs the engine mutex ==");
-    println!("{}", llog_bench::e17_snapshot_reads::table(&e17));
     let p18 = llog_bench::e18_hybrid_logging::Params::from_env();
     let e18 = llog_bench::e18_hybrid_logging::run(&p18);
     println!("== E18 — adaptive hybrid logging: recovery speed vs log volume ==");

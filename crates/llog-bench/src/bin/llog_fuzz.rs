@@ -1,8 +1,8 @@
 //! `llog-fuzz` — seeded crash-recovery fuzzer.
 //!
 //! Each iteration draws a 64-bit seed, generates a mixed workload (raw kv,
-//! sharded group-commit, persist round-trips, domain operations, or seeded
-//! traffic against a live `llog-server` TCP front end), injects
+//! sharded group-commit, domain operations, or seeded traffic against a
+//! live `llog-server` TCP front end), injects
 //! **one** fault from the [`llog_testkit::faults`] taxonomy at a seeded
 //! step (or, for the server mode, connection drops, half-written frames and
 //! garbage bytes at the codec boundary), crashes, recovers, and checks an
@@ -16,8 +16,6 @@
 //!   torn is ever acknowledged;
 //! - recovery is idempotent (crash the recovered engine, recover again,
 //!   same state);
-//! - no mangled persist image is ever silently accepted (CRC rejects
-//!   bit-rot; loads either fail or return the exact saved state);
 //! - sharded logs stay disjoint per the router;
 //! - differential mode oracle: every crashed image recovers to the same
 //!   store, dirty table, live-op set and [`RecoveryOutcome`] under
@@ -84,6 +82,10 @@ use llog_wal::ForceOutcome;
 
 const DEFAULT_ITERS: u64 = 100;
 
+/// The case families. Numbers are stable (CI and repro files pin them), so
+/// the retired mode 2 leaves a hole instead of renumbering its successors.
+const MODES: [usize; 8] = [0, 1, 3, 4, 5, 6, 7, 8];
+
 fn main() -> ExitCode {
     let mut iters: Option<u64> = env_u64("LLOG_FUZZ_ITERS");
     let mut seed: Option<u64> = env_u64("LLOG_FUZZ_SEED");
@@ -106,6 +108,14 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+    }
+
+    if let Some(m) = mode.filter(|m| !MODES.contains(m)) {
+        eprintln!(
+            "llog-fuzz: no mode {m} (modes are {MODES:?}; 2 was the monolithic \
+             save/load round-trip, deleted with that format)"
+        );
+        return ExitCode::FAILURE;
     }
 
     if replay {
@@ -158,8 +168,8 @@ fn print_help() {
          \n\
          --iters N   iterations to run (env LLOG_FUZZ_ITERS, default {DEFAULT_ITERS})\n\
          --seed S    base seed (env LLOG_FUZZ_SEED, default: wall clock)\n\
-         --mode M    pin the case family 0-8 (env LLOG_FUZZ_MODE; 0 kv,\n\
-        \x20            1 sharded, 2 persist, 3 domains, 4 mem-vs-file\n\
+         --mode M    pin the case family (env LLOG_FUZZ_MODE; 0 kv,\n\
+        \x20            1 sharded, 3 domains, 4 mem-vs-file\n\
         \x20            durability-backend differential on real files,\n\
         \x20            5 TCP server codec chaos: dropped/half-written/\n\
         \x20            garbage frames against a live llog-server,\n\
@@ -227,17 +237,17 @@ fn run_iteration(seed: u64, pin_mode: Option<usize>) -> Result<(), String> {
     };
     // `--mode M` pins the case family (CI runs a dedicated bounded pass of
     // the Mem↔File backend differential, mode 4, on real files in a
-    // tmpdir); unpinned runs draw the mode from the seed.
-    let modes = match pin_mode {
-        Some(m) => m.min(8)..m.min(8) + 1,
-        None => 0usize..9,
+    // tmpdir); unpinned runs draw the mode's slot in `MODES` from the seed.
+    let slots = match pin_mode.and_then(|m| MODES.iter().position(|&x| x == m)) {
+        Some(slot) => slot..slot + 1,
+        None => 0..MODES.len(),
     };
-    let strategy = (modes, 1usize..=40, 0u64..u64::MAX);
+    let strategy = (slots, 1usize..=40, 0u64..u64::MAX);
     let r = run_property_result(
         "llog-fuzz",
         &config,
         &strategy,
-        |(mode, n_ops, material)| run_case(mode, n_ops, material),
+        |(slot, n_ops, material)| run_case(MODES[slot], n_ops, material),
     );
     std::env::remove_var("LLOG_PROP_SEED");
     r
@@ -247,7 +257,6 @@ fn run_case(mode: usize, n_ops: usize, material: u64) -> Result<(), String> {
     match mode {
         0 => fuzz_kv_single(n_ops, material),
         1 => fuzz_sharded(n_ops, material),
-        2 => fuzz_persist(n_ops, material),
         3 => fuzz_domains(n_ops, material),
         4 => fuzz_backend_diff(n_ops, material),
         5 => fuzz_server(n_ops, material),
@@ -470,6 +479,15 @@ fn fuzz_kv_single(n_ops: usize, material: u64) -> Result<(), String> {
 // Mode 1: sharded engine, group-commit pipeline faults
 // ---------------------------------------------------------------------------
 
+/// Every failpoint the sharded commit pipeline consults: both force points
+/// and the shared sync inside the barrier, plus the installer.
+const PIPELINE_POINTS: [&str; 4] = [
+    failpoint::FLUSHER_FORCE,
+    failpoint::WAL_FORCE,
+    failpoint::SCHED_SYNC,
+    failpoint::INSTALL,
+];
+
 fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
     let mut rng = TestRng::seed_from_u64(material ^ 0x5AAD_ED00);
     let n_objects = rng.random_range(2u64..10);
@@ -482,41 +500,19 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
             max_delay: Duration::from_micros(200),
         })
     };
-    // Half the runs route forces through the coalescing barrier; only those
-    // runs may arm the barrier-sync failpoint (a run without a scheduler
-    // could never reach it).
-    let coalesce_window = if rng.ratio(0.5) {
-        Some(Duration::from_micros(rng.random_range(50u64..500)))
-    } else {
-        None
-    };
     let config = ShardedConfig {
         shards,
         engine: EngineConfig::default(),
         commit,
-        force_latency: Duration::ZERO,
         max_uninstalled: 64,
         install_high_water: rng.random_range(2usize..8),
-        persist_on_force: false,
-        coalesce_window,
-        // Half the runs maintain version chains alongside the faulted
-        // pipeline; recovery and the oracles must not notice either way.
-        snapshot_reads: rng.bool(),
     };
     let registry = TransformRegistry::with_builtins();
     let policy = pick_policy(&mut rng);
     let host = Arc::new(FaultHost::new());
     let engine = ShardedEngine::new_with_faults(config, &registry, Some(host.clone()));
 
-    let mut points = vec![
-        failpoint::FLUSHER_FORCE,
-        failpoint::WAL_FORCE,
-        failpoint::INSTALL,
-    ];
-    if coalesce_window.is_some() {
-        points.push(failpoint::SCHED_SYNC);
-    }
-    let plan = FaultPlan::draw(material ^ 0x10_57, n_ops, &points);
+    let plan = FaultPlan::draw(material ^ 0x10_57, n_ops, &PIPELINE_POINTS);
     let planned = &plan.faults[0];
 
     // Single-object writes only (cross-shard sets are rejected by design).
@@ -571,7 +567,7 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
     let ctx = || {
         format!(
             "sharded: shards={shards} n_ops={n_ops} policy={policy:?} \
-             coalesce={coalesce_window:?} plan=[{planned}] fired={:?}",
+             plan=[{planned}] fired={:?}",
             host.fired()
         )
     };
@@ -631,112 +627,6 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
         }
     }
     drop(rec);
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Mode 2: persist round-trips under save/load faults
-// ---------------------------------------------------------------------------
-
-fn fuzz_persist(n_ops: usize, material: u64) -> Result<(), String> {
-    use llog_storage::StableStore;
-    use llog_wal::Wal;
-
-    let mut rng = TestRng::seed_from_u64(material ^ 0x9E45_1570);
-    let n_objects = rng.random_range(2u64..6);
-    let ids: Vec<ObjectId> = (0..n_objects).map(ObjectId).collect();
-    let ops = Workload::new(
-        n_objects,
-        n_ops,
-        WorkloadKind::physiological_only(),
-        rng.next_u64(),
-    )
-    .generate();
-    let registry = TransformRegistry::with_builtins();
-    let config = EngineConfig::default();
-    let policy = pick_policy(&mut rng);
-    let mut engine = Engine::new(config, registry.clone());
-    for (i, spec) in ops.iter().enumerate() {
-        engine
-            .execute(
-                spec.kind,
-                spec.reads.clone(),
-                spec.writes.clone(),
-                spec.transform.clone(),
-            )
-            .map_err(|e| format!("persist: execute step {i} failed: {e}"))?;
-        if rng.ratio(0.3) {
-            engine
-                .install_one()
-                .map_err(|e| format!("persist: install failed: {e}"))?;
-        }
-    }
-    engine.wal_mut().force();
-    let want = snap(&engine, &ids);
-    let (store, wal) = engine.crash();
-
-    let host = FaultHost::new();
-    let plan = FaultPlan::draw(
-        material ^ 0xD15C,
-        2,
-        &[
-            failpoint::STORE_SAVE,
-            failpoint::STORE_LOAD,
-            failpoint::WAL_SAVE,
-            failpoint::WAL_LOAD,
-        ],
-    );
-    let planned = &plan.faults[0];
-    host.arm(&planned.point, planned.kind);
-
-    let dir = std::env::temp_dir().join(format!("llog-fuzz-{}-{material:x}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("persist: mkdir: {e}"))?;
-    let store_path = dir.join("store.img");
-    let wal_path = dir.join("wal.img");
-    let cleanup = || {
-        let _ = std::fs::remove_dir_all(&dir);
-    };
-
-    let ctx = || {
-        format!(
-            "persist: n_ops={n_ops} plan=[{planned}] fired={:?}",
-            host.fired()
-        )
-    };
-
-    // Saves may fail outright (io_error): that is a reported error, never a
-    // silent corruption.
-    let saved_store = store.save_to_with(&store_path, Some(&host)).is_ok();
-    let saved_wal = wal.save_to_with(&wal_path, Some(&host)).is_ok();
-
-    let loaded_store = if saved_store {
-        StableStore::load_from_with(&store_path, llog_storage::Metrics::new(), Some(&host)).ok()
-    } else {
-        None
-    };
-    let loaded_wal = if saved_wal {
-        Wal::load_from_with(&wal_path, llog_storage::Metrics::new(), Some(&host)).ok()
-    } else {
-        None
-    };
-    cleanup();
-
-    // The one invariant that matters: a mangled image is NEVER silently
-    // accepted. Any load that returns Ok must reproduce the exact saved
-    // state, fault or no fault.
-    if let (Some(s2), Some(w2)) = (loaded_store, loaded_wal) {
-        let (rec, _) = recover_modes(s2, w2, &registry, config, policy)
-            .map_err(|e| format!("{}: round-tripped images: {e}", ctx()))?;
-        verify_against_log(&rec, &registry).map_err(|e| format!("{}: oracle: {e}", ctx()))?;
-        let got = snap(&rec, &ids);
-        if got != want {
-            return Err(format!(
-                "{}: silent corruption: round-tripped state diverged from the \
-                 saved state",
-                ctx()
-            ));
-        }
-    }
     Ok(())
 }
 
@@ -1566,24 +1456,15 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
         shards,
         engine: EngineConfig::default(),
         commit,
-        force_latency: Duration::ZERO,
         max_uninstalled: 64,
         install_high_water: rng.random_range(2usize..8),
-        persist_on_force: false,
-        coalesce_window: None,
-        snapshot_reads: true,
     };
     let registry = TransformRegistry::with_builtins();
     let policy = pick_policy(&mut rng);
     let host = Arc::new(FaultHost::new());
     let engine = ShardedEngine::new_with_faults(config, &registry, Some(host.clone()));
 
-    let points = [
-        failpoint::FLUSHER_FORCE,
-        failpoint::WAL_FORCE,
-        failpoint::INSTALL,
-    ];
-    let plan = FaultPlan::draw(material ^ 0x70_57, n_ops, &points);
+    let plan = FaultPlan::draw(material ^ 0x70_57, n_ops, &PIPELINE_POINTS);
     let planned = &plan.faults[0];
     let ctx = || {
         format!(

@@ -15,56 +15,6 @@ use llog_storage::{Metrics, StableStore};
 use llog_types::{LlogError, Result};
 use llog_wal::{DurabilityBackend, LogRecord, Wal, LOG_SUBDIR};
 
-const STORE_FILE: &str = "store.llog";
-const WAL_FILE: &str = "wal.llog";
-
-/// Which durability backend a database directory uses (DESIGN §11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Monolithic image files (`store.llog` + `wal.llog`), rewritten whole
-    /// on every save — the historical layout, and the on-disk twin of the
-    /// in-memory device backend.
-    Mem,
-    /// Segmented device layout (`log/` + `store/` subdirectories):
-    /// append-only WAL segments with per-segment CRCs and incremental
-    /// checkpoint deltas, persisted through [`DurabilityBackend::file`].
-    File,
-}
-
-impl Backend {
-    /// Parse a `--backend` argument.
-    pub fn parse(s: &str) -> Result<Backend> {
-        match s {
-            "mem" => Ok(Backend::Mem),
-            "file" => Ok(Backend::File),
-            other => Err(LlogError::Codec {
-                reason: format!("unknown backend {other:?} (expected mem|file)"),
-            }),
-        }
-    }
-
-    /// Sniff which layout a database directory holds: the presence of the
-    /// segmented log's manifest marks a device-backed image.
-    pub fn detect(dir: &Path) -> Backend {
-        if dir
-            .join(LOG_SUBDIR)
-            .join(llog_storage::device::WAL_MANIFEST)
-            .is_file()
-        {
-            Backend::File
-        } else {
-            Backend::Mem
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Mem => "mem",
-            Backend::File => "file",
-        }
-    }
-}
-
 fn registry() -> TransformRegistry {
     let mut r = TransformRegistry::with_builtins();
     llog_domains::register_domain_transforms(&mut r);
@@ -77,59 +27,70 @@ fn io_err(e: std::io::Error) -> LlogError {
     }
 }
 
-/// Load `(store, wal)` from a database directory, auto-detecting the
-/// layout, with all I/O accounted into `metrics`.
-pub fn load_dir_with(dir: &Path, metrics: Arc<Metrics>) -> Result<(StableStore, Wal)> {
-    match Backend::detect(dir) {
-        Backend::File => {
-            let b = DurabilityBackend::file(dir, metrics.clone(), &DeviceConfig::default())?;
-            b.load(metrics)?.ok_or_else(|| LlogError::Codec {
-                reason: format!("{}: no device manifests to load", dir.display()),
-            })
-        }
-        Backend::Mem => {
-            let store = StableStore::load_from(&dir.join(STORE_FILE), metrics.clone())?;
-            let wal = Wal::load_from(&dir.join(WAL_FILE), metrics)?;
-            Ok((store, wal))
-        }
-    }
-}
-
-/// Load `(store, wal)` from a database directory (either layout).
-pub fn load_dir(dir: &Path) -> Result<(StableStore, Wal)> {
-    load_dir_with(dir, Metrics::new())
-}
-
-/// Save `(store, wal)` into a database directory under `backend`:
-/// monolithic image files, or an incremental persist through the
-/// segmented file devices (which resumes existing manifests, so repeated
-/// saves write only the dirty objects and the new log tail).
-pub fn save_dir_as(dir: &Path, store: &StableStore, wal: &Wal, backend: Backend) -> Result<()> {
-    std::fs::create_dir_all(dir).map_err(io_err)?;
-    match backend {
-        Backend::Mem => {
-            store.save_to(&dir.join(STORE_FILE))?;
-            wal.save_to(&dir.join(WAL_FILE))?;
-        }
-        Backend::File => {
-            let mut b = DurabilityBackend::file(dir, Metrics::new(), &DeviceConfig::default())?;
-            b.persist(store, wal, None)?;
+/// Refuse a database directory (or any `shard-N` under it) that still
+/// holds the pre-device monolithic image files. The format is gone and
+/// there is no migration: silently opening a fresh device layout next to
+/// the old files would strand their data.
+fn reject_monolithic(dir: &Path) -> Result<()> {
+    let shard_dirs =
+        (0..llog_server::boot::existing_shards(dir)).map(|i| dir.join(format!("shard-{i}")));
+    for d in std::iter::once(dir.to_path_buf()).chain(shard_dirs) {
+        if d.join("store.llog").is_file() || d.join("wal.llog").is_file() {
+            return Err(LlogError::Codec {
+                reason: format!(
+                    "{}: monolithic layout is no longer supported (store.llog/wal.llog found)",
+                    d.display()
+                ),
+            });
         }
     }
     Ok(())
 }
 
-/// Save `(store, wal)` back into a database directory, preserving
-/// whichever layout the directory already uses.
+/// Open the file backend rooted at an **existing** database directory
+/// (the read commands must not create one as a side effect).
+fn open_existing(dir: &Path, metrics: Arc<Metrics>) -> Result<DurabilityBackend> {
+    reject_monolithic(dir)?;
+    let manifest = dir
+        .join(LOG_SUBDIR)
+        .join(llog_storage::device::WAL_MANIFEST);
+    if !manifest.is_file() {
+        return Err(LlogError::Io {
+            point: manifest.display().to_string(),
+            reason: "no database here (log manifest missing)".into(),
+        });
+    }
+    DurabilityBackend::file(dir, metrics, &DeviceConfig::default())
+}
+
+/// Load `(store, wal)` from a database directory, with all I/O accounted
+/// into `metrics`.
+pub fn load_dir_with(dir: &Path, metrics: Arc<Metrics>) -> Result<(StableStore, Wal)> {
+    open_existing(dir, metrics.clone())?
+        .load(metrics)?
+        .ok_or_else(|| LlogError::Codec {
+            reason: format!("{}: no device manifests to load", dir.display()),
+        })
+}
+
+/// Load `(store, wal)` from a database directory.
+pub fn load_dir(dir: &Path) -> Result<(StableStore, Wal)> {
+    load_dir_with(dir, Metrics::new())
+}
+
+/// Save `(store, wal)` into a database directory: an incremental persist
+/// through the segmented file devices (which resumes existing manifests,
+/// so repeated saves write only the dirty objects and the new log tail).
 pub fn save_dir(dir: &Path, store: &StableStore, wal: &Wal) -> Result<()> {
-    let backend = Backend::detect(dir);
-    save_dir_as(dir, store, wal, backend)
+    let mut b = DurabilityBackend::file(dir, Metrics::new(), &DeviceConfig::default())?;
+    b.persist(store, wal, None)?;
+    Ok(())
 }
 
 /// `llogtool demo`: run a mixed workload, install some of it, crash, and
-/// save the resulting image (under `backend`) for the other commands to
-/// chew on.
-pub fn cmd_demo(dir: &Path, ops: usize, seed: u64, backend: Backend) -> Result<()> {
+/// save the resulting image for the other commands to chew on.
+pub fn cmd_demo(dir: &Path, ops: usize, seed: u64) -> Result<()> {
+    reject_monolithic(dir)?;
     let mut engine = Engine::new(EngineConfig::default(), registry());
     let specs = Workload::new(16, ops, WorkloadKind::app_mix(), seed).generate();
     let installs = run_workload(&mut engine, &specs, 7, 0)?;
@@ -137,15 +98,14 @@ pub fn cmd_demo(dir: &Path, ops: usize, seed: u64, backend: Backend) -> Result<(
     engine.wal_mut().force();
     let m = engine.metrics().snapshot();
     let (store, wal) = engine.crash();
-    save_dir_as(dir, &store, &wal, backend)?;
+    save_dir(dir, &store, &wal)?;
     println!(
         "ran {ops} ops (seed {seed}), {installs} installs, then crashed; \
-         log {} in {} records, {} stable objects → {} ({} backend)",
+         log {} in {} records, {} stable objects → {}",
         human_bytes(m.log_bytes),
         m.log_records,
         store.len(),
-        dir.display(),
-        backend.name()
+        dir.display()
     );
     Ok(())
 }
@@ -154,13 +114,8 @@ pub fn cmd_demo(dir: &Path, ops: usize, seed: u64, backend: Backend) -> Result<(
 /// with group commit, crash every shard at once, recover them in parallel,
 /// and save one database directory per shard (`<dir>/shard-N`, each of
 /// which the other commands accept).
-pub fn cmd_shard_demo(
-    dir: &Path,
-    shards: usize,
-    ops: usize,
-    seed: u64,
-    backend: Backend,
-) -> Result<()> {
+pub fn cmd_shard_demo(dir: &Path, shards: usize, ops: usize, seed: u64) -> Result<()> {
+    reject_monolithic(dir)?;
     let reg = registry();
     let config = ShardedConfig {
         shards,
@@ -212,7 +167,7 @@ pub fn cmd_shard_demo(
 
     let parts = engine.crash();
     for (i, (store, wal)) in parts.iter().enumerate() {
-        save_dir_as(&dir.join(format!("shard-{i}")), store, wal, backend)?;
+        save_dir(&dir.join(format!("shard-{i}")), store, wal)?;
     }
     println!(
         "crashed all shards; images saved → {}/shard-0..{}",
@@ -328,7 +283,6 @@ fn describe(rec: &LogRecord) -> String {
 /// `llogtool stats`: store and log statistics.
 pub fn cmd_stats(dir: &Path) -> Result<()> {
     let metrics = Metrics::new();
-    let backend = Backend::detect(dir);
     let (store, wal) = load_dir_with(dir, metrics.clone())?;
     let mut by_kind = std::collections::BTreeMap::<&str, (u64, u64)>::new();
     for item in wal.scan(wal.start_lsn()) {
@@ -377,10 +331,9 @@ pub fn cmd_stats(dir: &Path) -> Result<()> {
     );
     let snap = metrics.snapshot();
     println!(
-        "backend: {} (io_bytes_written={} io_fsyncs={} segments_rotated={} \
+        "backend: file (io_bytes_written={} io_fsyncs={} segments_rotated={} \
          segments_reclaimed={} segments_recycled={} ckpt_objects_written={} \
          ckpt_objects_skipped={})",
-        backend.name(),
         snap.io_bytes_written,
         snap.io_fsyncs,
         snap.segments_rotated,
@@ -530,17 +483,12 @@ pub fn cmd_media_recover(dir: &Path, file: &Path) -> Result<()> {
     let backup = Backup::load_from(file)?;
     let metrics = Metrics::new();
     // The stable store is gone; only the directory's surviving log matters.
-    // Under the file layout the log device survives independently of the
-    // store device, so we load just the WAL half of the backend.
-    let wal = match Backend::detect(dir) {
-        Backend::File => {
-            let b = DurabilityBackend::file(dir, metrics.clone(), &DeviceConfig::default())?;
-            Wal::load_from_device(b.log(), metrics)?.ok_or_else(|| LlogError::Codec {
-                reason: format!("{}: no log manifest to load", dir.display()),
-            })?
-        }
-        Backend::Mem => Wal::load_from(&dir.join(WAL_FILE), metrics)?,
-    };
+    // The log device survives independently of the store device, so we load
+    // just the WAL half of the backend.
+    let b = open_existing(dir, metrics.clone())?;
+    let wal = Wal::load_from_device(b.log(), metrics)?.ok_or_else(|| LlogError::Codec {
+        reason: format!("{}: no log manifest to load", dir.display()),
+    })?;
     let (mut engine, outcome) = media_recover(
         &backup,
         wal,
@@ -613,10 +561,11 @@ fn load_pair(seed: u64, i: u64) -> (llog_types::ObjectId, Vec<u8>) {
 /// run the TCP front end until a client sends `Shutdown`. Prints
 /// `listening on <addr>` once the socket is live (the smoke tests grep
 /// for it). Every acknowledged put is on the shard's log device before
-/// the ack leaves the process (`persist_on_force`), so a `SIGKILL` at any
-/// moment loses nothing acknowledged.
+/// the ack leaves the process, so a `SIGKILL` at any moment loses nothing
+/// acknowledged.
 pub fn cmd_serve(dir: &Path, shards: usize, addr: &str) -> Result<()> {
     use std::io::Write as _;
+    reject_monolithic(dir)?;
     let registry = registry();
     let engine = llog_server::boot::open_served(dir, shards, &registry)?;
     let shards = engine.shards();
@@ -883,43 +832,21 @@ mod tests {
     #[test]
     fn demo_then_verify_roundtrip() {
         let dir = TestDir::new("verify");
-        cmd_demo(&dir, 120, 7, Backend::Mem).unwrap();
+        cmd_demo(&dir, 120, 7).unwrap();
         cmd_verify(&dir).unwrap();
     }
 
     #[test]
-    fn demo_then_recover_then_stats_and_dump() {
+    fn demo_roundtrips_through_every_command() {
         let dir = TestDir::new("recover");
-        cmd_demo(&dir, 80, 9, Backend::Mem).unwrap();
-        cmd_dump(&dir).unwrap();
-        cmd_stats(&dir).unwrap();
-        cmd_recover(&dir, "rsi").unwrap();
-        // After recover+install, a second recovery finds nothing to redo.
-        let (store, wal) = load_dir(&dir).unwrap();
-        let (_, out) = recover(
-            store,
-            wal,
-            registry(),
-            EngineConfig::default(),
-            RedoPolicy::RsiExposed,
-        )
-        .unwrap();
-        assert_eq!(out.redone, 0);
-    }
-
-    #[test]
-    fn file_backend_demo_roundtrips_through_every_command() {
-        let dir = TestDir::new("filebackend");
-        cmd_demo(&dir, 80, 13, Backend::File).unwrap();
-        assert_eq!(Backend::detect(&dir), Backend::File);
+        cmd_demo(&dir, 80, 13).unwrap();
         assert!(dir.join(LOG_SUBDIR).join("wal-manifest.llog").is_file());
-        assert!(!dir.join(STORE_FILE).exists(), "no monolithic image files");
         cmd_dump(&dir).unwrap();
         cmd_stats(&dir).unwrap();
         cmd_verify(&dir).unwrap();
         cmd_recover(&dir, "rsi").unwrap();
-        // recover saved back in the *same* layout, incrementally.
-        assert_eq!(Backend::detect(&dir), Backend::File);
+        // recover saved back incrementally; after recover+install, a second
+        // recovery finds nothing to redo.
         let (store, wal) = load_dir(&dir).unwrap();
         let (_, out) = recover(
             store,
@@ -930,94 +857,80 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.redone, 0);
-    }
-
-    #[test]
-    fn mem_and_file_backends_recover_to_identical_stores() {
-        let mem_dir = TestDir::new("diff-mem");
-        let file_dir = TestDir::new("diff-file");
-        cmd_demo(&mem_dir, 90, 21, Backend::Mem).unwrap();
-        cmd_demo(&file_dir, 90, 21, Backend::File).unwrap();
-        let (ms, mw) = load_dir(&mem_dir).unwrap();
-        let (fs_, fw) = load_dir(&file_dir).unwrap();
-        assert_eq!(mw.forced_lsn(), fw.forced_lsn());
-        let msnap = ms.snapshot();
-        let fsnap = fs_.snapshot();
-        assert_eq!(msnap, fsnap, "same workload, same recovered store");
     }
 
     #[test]
     fn recover_with_vsi_policy_works() {
         let dir = TestDir::new("vsi");
-        cmd_demo(&dir, 60, 3, Backend::Mem).unwrap();
+        cmd_demo(&dir, 60, 3).unwrap();
         cmd_recover(&dir, "vsi").unwrap();
     }
 
     #[test]
     fn bad_policy_is_rejected() {
         let dir = TestDir::new("badpolicy");
-        cmd_demo(&dir, 10, 1, Backend::Mem).unwrap();
+        cmd_demo(&dir, 10, 1).unwrap();
         assert!(cmd_recover(&dir, "bogus").is_err());
-    }
-
-    #[test]
-    fn bad_backend_is_rejected() {
-        assert!(Backend::parse("floppy").is_err());
-        assert_eq!(Backend::parse("mem").unwrap(), Backend::Mem);
-        assert_eq!(Backend::parse("file").unwrap(), Backend::File);
     }
 
     #[test]
     fn backup_and_media_recover_roundtrip() {
         let dir = TestDir::new("media");
-        cmd_demo(&dir, 100, 11, Backend::Mem).unwrap();
-        let backup_file = dir.join("backup.llog");
-        cmd_backup(&dir, &backup_file).unwrap();
-        // Media failure: destroy the store file; the log survives.
-        std::fs::remove_file(dir.join("store.llog")).unwrap();
-        cmd_media_recover(&dir, &backup_file).unwrap();
-        // The restored image verifies against recovery again.
-        cmd_recover(&dir, "rsi").unwrap();
-    }
-
-    #[test]
-    fn backup_and_media_recover_roundtrip_file_backend() {
-        let dir = TestDir::new("media-file");
-        cmd_demo(&dir, 100, 11, Backend::File).unwrap();
+        cmd_demo(&dir, 100, 11).unwrap();
         let backup_file = dir.join("backup.llog");
         cmd_backup(&dir, &backup_file).unwrap();
         // Media failure: the store device dies wholesale; the segmented
         // log device survives independently.
         std::fs::remove_dir_all(dir.join(llog_wal::STORE_SUBDIR)).unwrap();
         cmd_media_recover(&dir, &backup_file).unwrap();
+        // The restored image verifies against recovery again.
         cmd_recover(&dir, "rsi").unwrap();
     }
 
     #[test]
     fn shard_demo_roundtrip_and_per_shard_dirs_are_real_databases() {
         let dir = TestDir::new("sharddemo");
-        cmd_shard_demo(&dir, 2, 40, 5, Backend::Mem).unwrap();
+        cmd_shard_demo(&dir, 2, 40, 5).unwrap();
         // Each shard directory is a full database the other commands accept.
         for i in 0..2 {
             let shard_dir = dir.join(format!("shard-{i}"));
-            assert!(shard_dir.join("store.llog").is_file());
             cmd_stats(&shard_dir).unwrap();
             cmd_verify(&shard_dir).unwrap();
             cmd_recover(&shard_dir, "rsi").unwrap();
         }
     }
 
+    /// The monolithic `store.llog`/`wal.llog` layout is gone, with no
+    /// migration: every command pointed at such a directory (or at a parent
+    /// of such shard directories) refuses with one line, and creates
+    /// nothing next to the old files.
     #[test]
-    fn shard_demo_file_backend_saves_device_layouts() {
-        let dir = TestDir::new("sharddemo-file");
-        cmd_shard_demo(&dir, 2, 40, 5, Backend::File).unwrap();
-        for i in 0..2 {
-            let shard_dir = dir.join(format!("shard-{i}"));
-            assert_eq!(Backend::detect(&shard_dir), Backend::File);
-            cmd_stats(&shard_dir).unwrap();
-            cmd_verify(&shard_dir).unwrap();
-            cmd_recover(&shard_dir, "rsi").unwrap();
+    fn monolithic_layout_is_rejected_by_every_command() {
+        let dir = TestDir::new("monolithic");
+        std::fs::write(dir.join("wal.llog"), b"old image").unwrap();
+        let sharded = TestDir::new("monolithic-sharded");
+        std::fs::create_dir(sharded.join("shard-0")).unwrap();
+        std::fs::write(sharded.join("shard-0").join("store.llog"), b"old image").unwrap();
+        let file = dir.join("backup.llog");
+        let results = [
+            ("demo", cmd_demo(&dir, 10, 1)),
+            ("shard-demo", cmd_shard_demo(&sharded, 1, 10, 1)),
+            ("dump", cmd_dump(&dir)),
+            ("stats", cmd_stats(&dir)),
+            ("recover", cmd_recover(&dir, "rsi")),
+            ("verify", cmd_verify(&dir)),
+            ("backup", cmd_backup(&dir, &file)),
+            ("serve", cmd_serve(&sharded, 1, "127.0.0.1:0")),
+        ];
+        for (cmd, r) in results {
+            let err = r.expect_err(cmd).to_string();
+            assert!(
+                err.contains("monolithic layout is no longer supported") && !err.contains('\n'),
+                "{cmd}: {err}"
+            );
         }
+        assert!(!dir.join(LOG_SUBDIR).exists());
+        assert!(!sharded.join("shard-0").join(LOG_SUBDIR).exists());
     }
 
     #[test]
@@ -1058,12 +971,9 @@ mod tests {
         );
         cmd_stop(&addr).unwrap();
         server.join().unwrap().unwrap();
-        // The served directory is a real file-backend database per shard.
+        // The served directory is a real database per shard.
         for i in 0..2 {
-            assert_eq!(
-                Backend::detect(&dir.join(format!("shard-{i}"))),
-                Backend::File
-            );
+            cmd_verify(&dir.join(format!("shard-{i}"))).unwrap();
         }
     }
 

@@ -1,16 +1,12 @@
 //! `llogtool` — run, inspect, recover and verify llog databases on disk.
 //!
-//! A database directory holds either two monolithic image files
-//! (`store.llog` + `wal.llog`, the `mem` backend layout) or the segmented
-//! device layout (`log/` + `store/` subdirectories, the `file` backend —
-//! append-only WAL segments, incremental checkpoint deltas). Commands
-//! auto-detect the layout; `--backend {mem,file}` picks it for the
-//! commands that create databases. Commands:
+//! A database directory holds the segmented device layout (`log/` +
+//! `store/` subdirectories — append-only WAL segments, incremental
+//! checkpoint deltas). Commands:
 //!
 //! ```text
-//! llogtool demo <dir> [ops] [seed] [--backend mem|file]
-//!                                    run a workload and crash mid-flight
-//! llogtool shard-demo <dir> [shards] [ops] [seed] [--backend mem|file]
+//! llogtool demo <dir> [ops] [seed]   run a workload and crash mid-flight
+//! llogtool shard-demo <dir> [shards] [ops] [seed]
 //!                                    sharded run + group commit + parallel recovery
 //! llogtool dump <dir>                print every stable log record
 //! llogtool stats <dir|addr>          store/log statistics + backend I/O counters
@@ -32,7 +28,6 @@ use std::process::ExitCode;
 use llog_cli::{
     cmd_backup, cmd_demo, cmd_dump, cmd_lag, cmd_load, cmd_media_recover, cmd_promote, cmd_recover,
     cmd_replicate, cmd_serve, cmd_server_stats, cmd_shard_demo, cmd_stats, cmd_stop, cmd_verify,
-    Backend,
 };
 
 fn usage() -> ExitCode {
@@ -57,38 +52,13 @@ fn usage() -> ExitCode {
          lag <addr>                       replication watermark/lag counters\n\
          load <addr> [ops=500] [seed=42] [conns=2]  seeded puts; exit 0 = all acked durable\n\
          check <addr> [ops=500] [seed=42] [conns=2] read the same pairs back, verify\n\
-         stop <addr>                      ask a running server to drain and exit\n\
-         \n\
-         demo/shard-demo also take --backend {{mem,file}}: mem = monolithic\n\
-         image files; file = segmented WAL + incremental checkpoint devices"
+         stop <addr>                      ask a running server to drain and exit"
     );
     ExitCode::from(2)
 }
 
-/// Strip a trailing/embedded `--backend <b>` pair out of `args`.
-fn take_backend(args: &mut Vec<String>) -> Result<Backend, llog_types::LlogError> {
-    if let Some(i) = args.iter().position(|a| a == "--backend") {
-        if i + 1 >= args.len() {
-            return Err(llog_types::LlogError::Codec {
-                reason: "--backend needs a value (mem|file)".into(),
-            });
-        }
-        let value = args.remove(i + 1);
-        args.remove(i);
-        return Backend::parse(&value);
-    }
-    Ok(Backend::Mem)
-}
-
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let backend = match take_backend(&mut args) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("llogtool: {e}");
-            return usage();
-        }
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, dir) = match (args.first(), args.get(1)) {
         (Some(c), Some(d)) => (c.as_str(), PathBuf::from(d)),
         _ => return usage(),
@@ -97,13 +67,13 @@ fn main() -> ExitCode {
         "demo" => {
             let ops = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(200);
             let seed = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(42);
-            cmd_demo(&dir, ops, seed, backend)
+            cmd_demo(&dir, ops, seed)
         }
         "shard-demo" => {
             let shards = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
             let ops = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(200);
             let seed = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(42);
-            cmd_shard_demo(&dir, shards, ops, seed, backend)
+            cmd_shard_demo(&dir, shards, ops, seed)
         }
         "dump" => cmd_dump(&dir),
         "stats" => match args.get(1).filter(|a| a.contains(':')) {

@@ -51,6 +51,5 @@ pub use recover::{recover, recover_with, RecoveryMode, RecoveryOptions, Recovery
 pub use redo::RedoPolicy;
 pub use replica::{RedoSession, ReplicaReader};
 pub use rwgraph::{NodeId, RWGraph};
-pub use shared::{InstallerHandle, SharedEngine};
 pub use snapshot::{Snapshot, SnapshotRegistry};
 pub use wgraph::WriteGraph;

@@ -1,28 +1,16 @@
-//! A thread-safe engine handle with a background installer.
+//! Lock and park/wake primitives shared by the engine's background workers.
 //!
-//! The paper notes that in new recovery domains "concurrency is often less
-//! of an issue" than in page-oriented databases — operations there are
-//! coarse. Accordingly the concurrency model here is coarse too: one lock
-//! around the whole engine, with a background cache-manager thread draining
-//! the write graph (the "second reason" for flushing in §3: shortening
-//! recovery by keeping the uninstalled set small).
-//!
-//! The installer parks on a [`WorkSignal`] when idle — it burns no CPU
-//! between operations — and is woken by [`SharedEngine::execute`]. The same
-//! primitive drives the per-shard installers and log flushers of
-//! `llog-engine`.
+//! The concurrency model is coarse: one lock around a whole engine (the
+//! paper notes that in new recovery domains "concurrency is often less of
+//! an issue" than in page-oriented databases — operations there are
+//! coarse), with background cache-manager threads draining the write graph
+//! (the "second reason" for flushing in §3: shortening recovery by keeping
+//! the uninstalled set small). Those workers — the per-shard installers and
+//! log flushers of `llog-engine` — park on a [`WorkSignal`] when idle, so
+//! they burn no CPU between operations.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use llog_ops::{OpKind, Transform, TransformRegistry};
-use llog_storage::StableStore;
-use llog_types::{Lsn, ObjectId, OpId, Result, Value};
-use llog_wal::Wal;
-
-use crate::cache::{Engine, EngineConfig};
 
 /// Lock a mutex, recovering the data from a poisoned lock.
 ///
@@ -114,385 +102,10 @@ impl WorkSignal {
     }
 }
 
-/// The shared parts behind every [`SharedEngine`] clone.
-struct Inner {
-    engine: Mutex<Engine>,
-    /// Wakes parked installers when new operations arrive (or on stop).
-    signal: WorkSignal,
-    /// Spawned installer threads, joined by [`SharedEngine::crash`].
-    installers: Mutex<Vec<InstallerSlot>>,
-}
-
-struct InstallerSlot {
-    stop: Arc<AtomicBool>,
-    thread: JoinHandle<()>,
-}
-
-/// A cloneable, thread-safe handle to an [`Engine`].
-#[derive(Clone)]
-pub struct SharedEngine {
-    inner: Arc<Inner>,
-}
-
-impl SharedEngine {
-    /// Create a new instance.
-    pub fn new(config: EngineConfig, registry: TransformRegistry) -> SharedEngine {
-        SharedEngine::from_engine(Engine::new(config, registry))
-    }
-
-    /// Wrap an existing engine (e.g. one returned by recovery).
-    pub fn from_engine(engine: Engine) -> SharedEngine {
-        SharedEngine {
-            inner: Arc::new(Inner {
-                engine: Mutex::new(engine),
-                signal: WorkSignal::new(),
-                installers: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// Run a closure with exclusive access to the engine.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> R {
-        f(&mut lock(&self.inner.engine))
-    }
-
-    /// Execute one operation under the lock and wake parked installers.
-    pub fn execute(
-        &self,
-        kind: OpKind,
-        reads: Vec<ObjectId>,
-        writes: Vec<ObjectId>,
-        transform: Transform,
-    ) -> Result<(OpId, Lsn)> {
-        let out = lock(&self.inner.engine).execute(kind, reads, writes, transform);
-        if out.is_ok() {
-            self.inner.signal.notify();
-        }
-        out
-    }
-
-    /// The engine's current view of an object.
-    pub fn read_value(&self, x: ObjectId) -> Value {
-        lock(&self.inner.engine).read_value(x)
-    }
-
-    /// Install at most one write-graph node; true if something installed.
-    pub fn install_one(&self) -> Result<bool> {
-        lock(&self.inner.engine).install_one()
-    }
-
-    /// Drain the write graph completely.
-    pub fn install_all(&self) -> Result<()> {
-        lock(&self.inner.engine).install_all()
-    }
-
-    /// Write a checkpoint (optionally truncating the log).
-    pub fn checkpoint(&self, truncate: bool) -> Result<Lsn> {
-        lock(&self.inner.engine).checkpoint(truncate)
-    }
-
-    /// Force the WAL to stable storage.
-    pub fn force_log(&self) {
-        lock(&self.inner.engine).wal_mut().force();
-    }
-
-    /// Uninstalled operation count (for pacing background work).
-    pub fn uninstalled_count(&self) -> usize {
-        lock(&self.inner.engine).uninstalled_count()
-    }
-
-    /// Stop and join every installer this handle's engine spawned. Their
-    /// engine clones are released in the process.
-    fn stop_installers(&self) {
-        let slots: Vec<InstallerSlot> = lock(&self.inner.installers).drain(..).collect();
-        for slot in &slots {
-            slot.stop.store(true, Ordering::SeqCst);
-        }
-        self.inner.signal.notify();
-        for slot in slots {
-            let _ = slot.thread.join();
-        }
-    }
-
-    /// Crash: stop-and-join any spawned installers (they hold engine clones
-    /// and would otherwise pin the engine forever), then extract the
-    /// surviving parts.
-    ///
-    /// # Errors
-    ///
-    /// Still fails — returning the handle unchanged — when *other
-    /// user-held* `SharedEngine` clones are alive: a crash cannot
-    /// confiscate an engine another thread may be about to use. Drop those
-    /// clones (or join the threads owning them) and retry.
-    pub fn crash(self) -> std::result::Result<(StableStore, Wal), SharedEngine> {
-        self.stop_installers();
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => Ok(inner
-                .engine
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .crash()),
-            Err(inner) => Err(SharedEngine { inner }),
-        }
-    }
-
-    /// Spawn a background installer that drains the write graph whenever
-    /// more than `high_water` operations are uninstalled, until
-    /// [`InstallerHandle::stop`] is called (or the engine [`crash`]es —
-    /// `crash` stops and joins spawned installers itself).
-    ///
-    /// The installer *parks* when idle: it waits on the engine's
-    /// [`WorkSignal`] and is woken by [`execute`](SharedEngine::execute),
-    /// burning no CPU between operations.
-    ///
-    /// [`crash`]: SharedEngine::crash
-    pub fn spawn_installer(&self, high_water: usize) -> InstallerHandle {
-        let engine = self.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let thread = std::thread::spawn(move || {
-            let inner = &engine.inner;
-            let mut seen = inner.signal.epoch();
-            loop {
-                if stop2.load(Ordering::SeqCst) || inner.signal.is_stopped() {
-                    return;
-                }
-                let worked = {
-                    let mut e = lock(&inner.engine);
-                    if e.uninstalled_count() > high_water {
-                        e.install_one().unwrap_or(false)
-                    } else {
-                        false
-                    }
-                };
-                if worked {
-                    continue;
-                }
-                // Idle: park until execute()/stop moves the signal. The
-                // epoch snapshot makes a concurrent notify impossible to
-                // miss.
-                let (epoch, stopped) = inner.signal.wait_past(seen);
-                seen = epoch;
-                if stopped || stop2.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-        });
-        lock(&self.inner.installers).push(InstallerSlot {
-            stop: stop.clone(),
-            thread,
-        });
-        InstallerHandle {
-            stop,
-            inner: Arc::downgrade(&self.inner),
-        }
-    }
-}
-
-/// Handle to a background installer thread; stops it on
-/// [`stop`](InstallerHandle::stop) or drop.
-///
-/// The handle holds only a *weak* reference to the engine, so forgetting to
-/// stop it never blocks [`SharedEngine::crash`]; conversely, stopping after
-/// a crash already joined the thread is a no-op.
-pub struct InstallerHandle {
-    stop: Arc<AtomicBool>,
-    inner: Weak<Inner>,
-}
-
-impl InstallerHandle {
-    /// Stop the background thread and join it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let Some(inner) = self.inner.upgrade() else {
-            return; // engine crashed: thread already joined
-        };
-        inner.signal.notify();
-        let slot = {
-            let mut slots = lock(&inner.installers);
-            slots
-                .iter()
-                .position(|s| Arc::ptr_eq(&s.stop, &self.stop))
-                .map(|i| slots.remove(i))
-        };
-        if let Some(slot) = slot {
-            let _ = slot.thread.join();
-        }
-    }
-}
-
-impl Drop for InstallerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recover::recover;
-    use crate::redo::RedoPolicy;
-    use llog_ops::builtin;
-
-    fn shared() -> SharedEngine {
-        SharedEngine::new(EngineConfig::default(), TransformRegistry::with_builtins())
-    }
-
-    fn physical(e: &SharedEngine, x: u64, v: &str) {
-        e.execute(
-            OpKind::Physical,
-            vec![],
-            vec![ObjectId(x)],
-            Transform::new(builtin::CONST, builtin::encode_values(&[Value::from(v)])),
-        )
-        .unwrap();
-    }
-
-    #[test]
-    fn concurrent_writers_and_recovery() {
-        let e = shared();
-        let threads: Vec<_> = (0..4u64)
-            .map(|t| {
-                let e = e.clone();
-                std::thread::spawn(move || {
-                    for i in 0..50u64 {
-                        // Disjoint object ranges per thread keep the final
-                        // values easy to assert.
-                        let x = t * 100 + i;
-                        e.execute(
-                            OpKind::Physical,
-                            vec![],
-                            vec![ObjectId(x)],
-                            Transform::new(
-                                builtin::CONST,
-                                builtin::encode_values(&[Value::from_slice(&x.to_le_bytes())]),
-                            ),
-                        )
-                        .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        e.force_log();
-        let (store, wal) = e.crash().ok().expect("sole handle");
-        let (mut rec, _) = recover(
-            store,
-            wal,
-            TransformRegistry::with_builtins(),
-            EngineConfig::default(),
-            RedoPolicy::RsiExposed,
-        )
-        .unwrap();
-        for t in 0..4u64 {
-            for i in 0..50u64 {
-                let x = t * 100 + i;
-                assert_eq!(
-                    rec.read_value(ObjectId(x)),
-                    Value::from_slice(&x.to_le_bytes())
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn background_installer_drains_the_graph() {
-        let e = shared();
-        let installer = e.spawn_installer(10);
-        for i in 0..200 {
-            physical(&e, i, "v");
-        }
-        // Wait for the installer to catch up.
-        for _ in 0..1000 {
-            if e.uninstalled_count() <= 10 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        installer.stop();
-        assert!(
-            e.uninstalled_count() <= 10,
-            "installer left {} ops",
-            e.uninstalled_count()
-        );
-        // Whatever remains installs cleanly and the state is intact.
-        e.install_all().unwrap();
-        assert_eq!(e.read_value(ObjectId(0)), Value::from("v"));
-    }
-
-    #[test]
-    fn parked_installer_wakes_for_late_work() {
-        // Regression test for the condvar rework: an installer that went
-        // idle (parked) must be woken by later execute() calls.
-        let e = shared();
-        let installer = e.spawn_installer(0);
-        // Let the installer reach its parked state with nothing to do.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        for i in 0..50 {
-            physical(&e, i, "late");
-        }
-        for _ in 0..1000 {
-            if e.uninstalled_count() == 0 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(
-            e.uninstalled_count(),
-            0,
-            "parked installer never woke for late work"
-        );
-        installer.stop();
-    }
-
-    #[test]
-    fn crash_with_outstanding_handle_is_rejected() {
-        let e = shared();
-        let extra = e.clone();
-        let e = match e.crash() {
-            Err(e) => e,
-            Ok(_) => panic!("crash must fail while another handle lives"),
-        };
-        drop(extra);
-        assert!(e.crash().is_ok());
-    }
-
-    #[test]
-    fn crash_joins_live_installers() {
-        // The old footgun: a spawned installer held an engine clone, so
-        // crash() failed unless the caller remembered to stop it first.
-        let e = shared();
-        let _installer = e.spawn_installer(10);
-        let _second = e.spawn_installer(20);
-        for i in 0..30 {
-            physical(&e, i, "v");
-        }
-        e.force_log();
-        let (store, _wal) = e
-            .crash()
-            .ok()
-            .expect("crash must stop-and-join spawned installers");
-        // Installer handles outlive the crash; stopping them is a no-op.
-        drop(_installer);
-        drop(_second);
-        drop(store);
-    }
-
-    #[test]
-    fn installer_stop_after_crash_is_noop() {
-        let e = shared();
-        let installer = e.spawn_installer(5);
-        physical(&e, 1, "v");
-        e.force_log();
-        assert!(e.crash().is_ok());
-        installer.stop(); // must not hang or panic
-    }
+    use std::sync::Arc;
 
     #[test]
     fn work_signal_epoch_prevents_lost_wakeups() {
@@ -504,11 +117,10 @@ mod tests {
         let (epoch, stopped) = sig.wait_past(seen);
         assert!(epoch > seen);
         assert!(!stopped);
-        // Stop wakes a parked waiter.
+        // Stop wakes a waiter.
         let sig2 = sig.clone();
         let t = std::thread::spawn(move || sig2.wait_past(sig2.epoch()));
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        sig.stop();
+        sig.stop(); // before or after the park: either way the waiter sees it
         let (_, stopped) = t.join().unwrap();
         assert!(stopped);
         assert!(sig.is_stopped());

@@ -18,9 +18,16 @@
 //! - **Group commit** ([`CommitPolicy::Group`]): `execute` appends the
 //!   operation to the shard's WAL under the shard lock but *durability*
 //!   waits on a [`CommitTicket`]. A dedicated log-flusher thread per shard
-//!   batches [`Wal::force`](llog_wal::Wal::force) calls on a size/time
-//!   policy and advances a durable-LSN watermark that wakes waiters via
-//!   condvar — many commits, one force.
+//!   batches forces on a size/time policy and advances a durable-LSN
+//!   watermark that wakes waiters via condvar — many commits, one force.
+//! - **One force barrier**: every force — flusher batches, `Sync` commits,
+//!   [`ShardedEngine::force_shard`], [`ShardedEngine::force_all`] — rides
+//!   one scheduler that gathers near-simultaneous requests from all shards
+//!   and covers them with a single device sync; with a backend attached
+//!   the log tail is staged on the device before anything is acknowledged.
+//! - **Snapshot reads**: each shard publishes immutable versions and
+//!   [`ShardedEngine::read_value_snapshot`] resolves reads at the durable
+//!   watermark without the engine mutex.
 //! - **Backpressure**: a bounded uninstalled window per shard; `execute`
 //!   parks instead of letting the write graph (and post-crash redo work)
 //!   grow without limit.

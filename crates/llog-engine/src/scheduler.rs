@@ -1,19 +1,21 @@
-//! Cross-shard fsync coalescing: one barrier for many near-simultaneous
-//! forces (DESIGN §14).
+//! The force barrier: the one place a shard's log is forced (DESIGN §14).
 //!
-//! Without coalescing, every shard's flusher (and every `Sync`-policy
-//! commit) pays its own device sync. Under load those forces arrive within
-//! microseconds of each other — N shards, N fsyncs, all for bytes that
-//! could have ridden one barrier. The [`ForceScheduler`] fixes that with a
-//! bounded gather window:
+//! Every force in this crate — flusher batches, `Sync`-policy commits,
+//! `force_shard`, `force_all`/`drain` — is a request to the
+//! [`ForceScheduler`]. Under load those requests arrive within microseconds
+//! of each other, so the scheduler gathers them for a bounded window and
+//! covers all of them with one sync barrier instead of one device sync per
+//! shard:
 //!
 //! 1. A force request enqueues and wakes the scheduler thread, which sleeps
-//!    the window (100–500 µs) so concurrent shards can pile in.
+//!    the gather window ([`GATHER_WINDOW`]) so concurrent shards can pile in.
 //! 2. **Phase A** — per shard, under its engine lock: consult the flusher
 //!    failpoint, [`Wal::begin_force_with`] (the double-buffer swap: the
-//!    volatile buffer moves to the in-flight slot), and — when
-//!    `persist_on_force` — stage the unsynced device write
-//!    ([`DurabilityBackend::stage_wal`]).
+//!    volatile buffer moves to the in-flight slot), and — when a backend is
+//!    attached — stage the unsynced device write
+//!    ([`DurabilityBackend::stage_wal`]), so an acknowledgement means "on
+//!    the device" and a `SIGKILL` of the process loses nothing acknowledged
+//!    (DESIGN §12).
 //! 3. **Phase B** — *no engine locks held*: one shared sync barrier covers
 //!    every staged device ([`DurabilityBackend::sync_log`]), accounted as a
 //!    single `io_fsyncs`. New appends proceed into the now-empty WAL
@@ -23,12 +25,12 @@
 //!    [`Wal::complete_force`] folds the in-flight slot into the stable
 //!    prefix and the requester is handed its [`ForceOutcome`].
 //!
-//! The outcome contract is exactly the uncoalesced one: `Forced` carries
-//! the LSN a watermark may advance to, `Torn` kills the shard with only the
-//! pre-fault durable prefix acknowledged, `Failed` leaves everything intact
-//! for retry. A barrier-sync failure ([`failpoint::SCHED_SYNC`]) fails
-//! *every* rider — sound, because nothing staged was acknowledged and the
-//! staged blobs are re-covered by the next barrier.
+//! The outcome contract: `Forced` carries the LSN a watermark may advance
+//! to, `Torn` kills the shard with only the pre-fault durable prefix
+//! acknowledged, `Failed` leaves everything intact for retry. A
+//! barrier-sync failure ([`failpoint::SCHED_SYNC`]) or a device that rejects
+//! the staged tail fails the rider — sound, because nothing staged was
+//! acknowledged and the staged blobs are re-covered by the next barrier.
 //!
 //! [`Wal::begin_force_with`]: llog_wal::Wal::begin_force_with
 //! [`Wal::complete_force`]: llog_wal::Wal::complete_force
@@ -46,9 +48,11 @@ use llog_wal::{BeginForce, ForceOutcome};
 
 use crate::shard::Shard;
 
-/// How one coalesced force resolved. `None` means the shard's engine was
-/// gone (crashed/taken) before the barrier reached it — the caller treats
-/// it like the legacy early-return on a dead shard.
+/// Gather window: how long a barrier waits for concurrent shards to pile in.
+const GATHER_WINDOW: Duration = Duration::from_micros(200);
+
+/// How one force resolved. `None` means the shard was dead or its engine
+/// gone (crashed/taken) before the barrier reached it.
 pub(crate) type SchedResult = Option<ForceOutcome>;
 
 /// One enqueued force request: the shard to force and the slot its outcome
@@ -102,23 +106,14 @@ enum Staged {
 /// from every shard for a bounded window and runs them through one shared
 /// sync barrier. See the module docs for the three-phase protocol.
 pub(crate) struct ForceScheduler {
-    /// Gather window: how long the barrier waits for concurrent shards.
-    window: Duration,
-    /// Simulated device latency, paid once per barrier (outside all locks).
-    force_latency: Duration,
     state: Mutex<SchedState>,
     cv: Condvar,
 }
 
 impl ForceScheduler {
     /// Create a scheduler and spawn its barrier thread.
-    pub fn spawn(
-        window: Duration,
-        force_latency: Duration,
-    ) -> (Arc<ForceScheduler>, std::thread::JoinHandle<()>) {
+    pub fn spawn() -> (Arc<ForceScheduler>, std::thread::JoinHandle<()>) {
         let sched = Arc::new(ForceScheduler {
-            window,
-            force_latency,
             state: Mutex::new(SchedState::default()),
             cv: Condvar::new(),
         });
@@ -127,23 +122,35 @@ impl ForceScheduler {
         (sched, handle)
     }
 
-    /// Force `shard` through the next coalesced barrier; blocks until the
-    /// barrier settles. Must be called with **no engine lock held** — the
-    /// barrier takes each rider's engine lock itself.
+    /// Force `shard` through the next barrier; blocks until the barrier
+    /// settles. Must be called with **no engine lock held** — the barrier
+    /// takes each rider's engine lock itself.
     pub fn force(&self, shard: &Arc<Shard>) -> SchedResult {
-        let slot = Arc::new(ReqSlot::default());
+        self.force_many(std::slice::from_ref(shard))
+            .pop()
+            .expect("one result per shard")
+    }
+
+    /// Force every shard in `shards` through **one** barrier: all requests
+    /// are enqueued under a single lock take before any is waited on, so the
+    /// barrier thread picks them up together. Results come back in `shards`
+    /// order. Same locking rule as [`ForceScheduler::force`].
+    pub fn force_many(&self, shards: &[Arc<Shard>]) -> Vec<SchedResult> {
+        let slots: Vec<Arc<ReqSlot>> = shards.iter().map(|_| Arc::default()).collect();
         {
             let mut st = lock(&self.state);
             if st.stop {
-                return None;
+                return vec![None; shards.len()];
             }
-            st.pending.push(PendingReq {
-                shard: shard.clone(),
-                slot: slot.clone(),
-            });
+            for (shard, slot) in shards.iter().zip(&slots) {
+                st.pending.push(PendingReq {
+                    shard: shard.clone(),
+                    slot: slot.clone(),
+                });
+            }
         }
         self.cv.notify_all();
-        slot.wait()
+        slots.iter().map(|slot| slot.wait()).collect()
     }
 
     /// Ask the barrier thread to exit. Requests already enqueued resolve
@@ -174,9 +181,7 @@ impl ForceScheduler {
             }
             // Bounded gather window: near-simultaneous forces from other
             // shards coalesce into this barrier.
-            if !self.window.is_zero() {
-                std::thread::sleep(self.window);
-            }
+            std::thread::sleep(GATHER_WINDOW);
             let batch = std::mem::take(&mut lock(&self.state).pending);
             if !batch.is_empty() {
                 self.run_barrier(batch);
@@ -184,7 +189,7 @@ impl ForceScheduler {
         }
     }
 
-    /// One coalesced barrier over `batch`. Engine locks are held only
+    /// One barrier over `batch`. Engine locks are held only
     /// per-shard in phases A and C, never across the sync in phase B.
     fn run_barrier(&self, batch: Vec<PendingReq>) {
         // Phase A: swap each rider's buffer into its in-flight slot and
@@ -222,11 +227,6 @@ impl ForceScheduler {
                         }
                     }
                 }
-            }
-            if sync_ok && !self.force_latency.is_zero() {
-                // One modelled device wait covers the whole barrier — the
-                // physical basis of the coalescing win.
-                std::thread::sleep(self.force_latency);
             }
         }
         let overlap_ns = overlap.elapsed().as_nanos() as u64;
@@ -273,9 +273,14 @@ impl ForceScheduler {
     }
 }
 
-/// Phase A for one rider, under its engine lock: flusher failpoint, the
-/// double-buffer swap, the unsynced device staging. Mirrors
-/// `force_through_faults` + `Shard::persist_forced` verdict-for-verdict.
+/// Phase A for one rider, under its engine lock: consult
+/// [`failpoint::FLUSHER_FORCE`] (a fault in the flusher itself, e.g. a
+/// group-commit batch torn mid-force), then [`Wal::begin_force_with`], which
+/// consults [`failpoint::WAL_FORCE`] (a fault in the device) — an armed fault
+/// matches exactly one of the two — then stage the unsynced device write.
+/// The only function in this crate that forces a shard's log.
+///
+/// [`Wal::begin_force_with`]: llog_wal::Wal::begin_force_with
 fn begin_one(req: &PendingReq) -> Staged {
     let shard = &req.shard;
     let mut g = shard.lock_engine();
@@ -318,24 +323,22 @@ fn begin_one(req: &PendingReq) -> Staged {
             Staged::Done(Some(outcome))
         }
         BeginForce::Begun(target) => {
-            let mut device = false;
-            if shard.persist_on_force {
-                // Engine→backend lock order, as everywhere.
-                if let Some(b) = lock(&shard.backend).as_mut() {
-                    match b.stage_wal(e.wal(), faults) {
-                        Ok(_) => device = true,
-                        Err(_) => {
-                            // The device rejected the tail: demote to a
-                            // retryable failure. The in-flight bytes fold
-                            // back into the stable prefix; a later force
-                            // re-stages the whole tail (same contract as
-                            // `Shard::persist_forced`).
-                            e.wal_mut().complete_force();
-                            return Staged::Done(Some(ForceOutcome::Failed));
-                        }
+            // Engine→backend lock order, as everywhere.
+            let device = match lock(&shard.backend).as_mut() {
+                None => false,
+                Some(b) => {
+                    if b.stage_wal(e.wal(), faults).is_err() {
+                        // The device rejected the tail: demote to a
+                        // retryable failure — nothing is acknowledged on the
+                        // strength of a force the device never saw. The
+                        // in-flight bytes fold back into the stable prefix;
+                        // a later force re-stages the whole tail.
+                        e.wal_mut().complete_force();
+                        return Staged::Done(Some(ForceOutcome::Failed));
                     }
+                    true
                 }
-            }
+            };
             Staged::Sync { target, device }
         }
     }

@@ -4,9 +4,10 @@
 //! The durability protocol is a classic group commit. `execute` appends
 //! the operation to the shard's WAL under the shard lock and records a
 //! *durability target* — the WAL end LSN right after the append. The
-//! shard's flusher thread batches `Wal::force` calls; after each force it
-//! advances the shard's durable-LSN watermark to the forced LSN and wakes
-//! every [`CommitTicket`] waiter whose target the watermark now covers.
+//! shard's flusher thread batches force requests to the
+//! [`ForceScheduler`](crate::scheduler::ForceScheduler) barrier; after each
+//! force it advances the shard's durable-LSN watermark to the forced LSN and
+//! wakes every [`CommitTicket`] waiter whose target the watermark now covers.
 //! An operation is **acknowledged** exactly when its ticket's target is at
 //! or below the watermark — and only acknowledged operations are promised
 //! to survive a crash.
@@ -20,11 +21,19 @@ use llog_core::shared::WorkSignal;
 use llog_core::snapshot::{Snapshot, SnapshotRegistry};
 use llog_core::Engine;
 use llog_storage::VersionStore;
-use llog_testkit::faults::{failpoint, FaultHost, ForceVerdict};
+use llog_testkit::faults::{failpoint, FaultHost};
 use llog_types::{Lsn, ObjectId, OpId, Value};
 use llog_wal::ForceOutcome;
 
 use crate::snapshot::GroupCommitSnapshot;
+
+#[cfg(test)]
+thread_local! {
+    /// Engine-mutex acquisitions made by the current thread, on any shard —
+    /// a census that background installers and flushers cannot perturb.
+    pub(crate) static LOCKS_BY_THIS_THREAD: std::cell::Cell<u64> =
+        const { std::cell::Cell::new(0) };
+}
 
 /// How a shard's background threads are asked to exit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,14 +99,15 @@ pub(crate) struct Shard {
     /// The engine, or `None` once crashed/shut down. `Option` lets
     /// `ShardedEngine::crash` *take* the engine even while outstanding
     /// [`CommitTicket`]s still hold `Arc<Shard>` clones. Take it through
-    /// [`Shard::lock_engine`], which counts acquisitions — the E17/fuzz
-    /// proof that snapshot reads never touch this mutex.
+    /// [`Shard::lock_engine`], which counts acquisitions — the proof that
+    /// snapshot reads never touch this mutex.
     pub engine: Mutex<Option<Engine>>,
     /// Times the engine mutex was acquired (every call site goes through
     /// [`Shard::lock_engine`]).
     engine_locks: AtomicU64,
-    /// MVCC version chains, once snapshot reads are enabled for the shard.
-    versions: Mutex<Option<Arc<VersionStore>>>,
+    /// MVCC version chains, seeded from the engine's state at construction;
+    /// every later update publishes into them.
+    pub(crate) versions: Arc<VersionStore>,
     /// Open snapshot SIs over those chains (the GC floor source).
     pub(crate) snapshots: Arc<SnapshotRegistry>,
     /// Group-commit state.
@@ -112,9 +122,9 @@ pub(crate) struct Shard {
     /// Raised by crash: parked ticket waiters wake and report
     /// not-durable instead of hanging on a watermark that will never
     /// advance. Also latched *under the engine lock* the instant a force
-    /// observes a torn/rotted write, so no concurrent force site (flusher,
-    /// checkpointer, sync commit) can touch the dead device afterwards and
-    /// advance the WAL's tail guard over the rotted bytes.
+    /// observes a torn/rotted write, so no later force (a barrier or a
+    /// checkpoint) can touch the dead device afterwards and advance the
+    /// WAL's tail guard over the rotted bytes.
     dead: AtomicBool,
     /// Backpressure epoch: bumped by the installer after every install so
     /// parked executors re-check the uninstalled window.
@@ -125,40 +135,33 @@ pub(crate) struct Shard {
     pub signal: WorkSignal,
     /// Commit-pipeline counters.
     pub counters: ShardCounters,
-    /// Fault-injection host consulted by the flusher, installer and
-    /// explicit force paths. `None` in production-shaped runs.
+    /// Fault-injection host consulted by the force barrier and the
+    /// installer. `None` in production-shaped runs.
     pub faults: Option<Arc<FaultHost>>,
-    /// Optional durability device pair (DESIGN §11): when attached, the
-    /// checkpoint coordinator persists the shard's store + log to it
-    /// incrementally after every checkpoint. Lock order: taken *after*
-    /// `engine` (never the reverse).
+    /// Optional durability device pair (DESIGN §11): when attached, every
+    /// force barrier stages the WAL tail on its log device *before* the
+    /// watermark advances (DESIGN §12), and the checkpoint coordinator
+    /// persists the shard's store + log to it incrementally after every
+    /// checkpoint. Lock order: taken *after* `engine` (never the reverse).
     pub backend: Mutex<Option<llog_wal::DurabilityBackend>>,
-    /// When set (and a backend is attached), every successful force also
-    /// persists the WAL tail to the backend's log device *before* the
-    /// watermark advances — so an acknowledgement means "on the device",
-    /// and a `SIGKILL` of the whole process loses nothing acknowledged
-    /// (DESIGN §12). A persist failure demotes the force to a retryable
-    /// failure: nothing is acknowledged on the strength of a force the
-    /// device never saw.
-    pub persist_on_force: bool,
 }
 
 impl Shard {
     /// Wrap `engine` as shard `index`. The watermark starts at the WAL's
     /// already-forced LSN so operations recovered from the log are born
     /// durable.
-    pub fn new(
-        index: usize,
-        engine: Engine,
-        faults: Option<Arc<FaultHost>>,
-        persist_on_force: bool,
-    ) -> Shard {
+    ///
+    /// The version chains are seeded from the engine's current state, which
+    /// covers both fresh engines and the recovery path (replayed effects
+    /// are in the store image or the cache overlay).
+    pub fn new(index: usize, mut engine: Engine, faults: Option<Arc<FaultHost>>) -> Shard {
         let forced = engine.wal().forced_lsn();
+        let versions = engine.enable_versions();
         Shard {
             index,
             engine: Mutex::new(Some(engine)),
             engine_locks: AtomicU64::new(0),
-            versions: Mutex::new(None),
+            versions,
             snapshots: SnapshotRegistry::new(),
             gc: Mutex::new(GcState::default()),
             gc_cv: Condvar::new(),
@@ -171,7 +174,6 @@ impl Shard {
             counters: ShardCounters::default(),
             faults,
             backend: Mutex::new(None),
-            persist_on_force,
         }
     }
 
@@ -182,6 +184,8 @@ impl Shard {
     /// mutex".
     pub fn lock_engine(&self) -> MutexGuard<'_, Option<Engine>> {
         self.engine_locks.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        LOCKS_BY_THIS_THREAD.with(|n| n.set(n.get() + 1));
         lock(&self.engine)
     }
 
@@ -190,51 +194,29 @@ impl Shard {
         self.engine_locks.load(Ordering::Relaxed)
     }
 
-    /// Enable MVCC snapshot reads: seed the version chains from the
-    /// engine's current state and publish every later update into them.
-    pub fn enable_versions(&self) {
-        let mut g = self.lock_engine();
-        if let Some(e) = g.as_mut() {
-            let vs = e.enable_versions();
-            *lock(&self.versions) = Some(vs);
-        }
-    }
-
-    /// The shard's version chains, if snapshot reads are enabled.
-    pub fn versions(&self) -> Option<Arc<VersionStore>> {
-        lock(&self.versions).clone()
-    }
-
     /// Momentary snapshot read: resolve `x` at the durable watermark via
     /// the version chains — no engine mutex. The watermark is sampled
     /// under the chains read lock (see `VersionStore::read_coherent`), so
-    /// the read can never race the retention GC. Returns `None` when
-    /// snapshot reads are not enabled.
-    pub fn read_snapshot(&self, x: ObjectId) -> Option<Value> {
-        let vs = self.versions()?;
-        Some(vs.read_coherent(x, || self.durable_lsn()).0)
+    /// the read can never race the retention GC.
+    pub fn read_snapshot(&self, x: ObjectId) -> Value {
+        self.versions.read_coherent(x, || self.durable_lsn()).0
     }
 
     /// Open a pinned snapshot at the current durable watermark. The SI is
     /// sampled while the registry lock is held, so a concurrent GC either
     /// sees the registration or computed its floor from an older (≤)
     /// durable value — never past this snapshot.
-    pub fn open_snapshot(&self) -> Option<Snapshot> {
-        let vs = self.versions()?;
-        Some(self.snapshots.open(vs, || self.durable_lsn()))
+    pub fn open_snapshot(&self) -> Snapshot {
+        self.snapshots
+            .open(self.versions.clone(), || self.durable_lsn())
     }
 
     /// Reclaim versions below `min(oldest open snapshot, durable)` and
     /// return how many were dropped. Wired into the checkpoint coordinator
     /// so retention stays bounded without a dedicated GC thread.
     pub fn gc_versions(&self) -> u64 {
-        match self.versions() {
-            Some(vs) => {
-                let floor = self.snapshots.floor_with(|| self.durable_lsn());
-                vs.gc(floor)
-            }
-            None => 0,
-        }
+        let floor = self.snapshots.floor_with(|| self.durable_lsn());
+        self.versions.gc(floor)
     }
 
     /// The current durable-LSN watermark.
@@ -307,10 +289,10 @@ impl Shard {
     }
 
     /// Publish one settled [`ForceOutcome`] for this shard — the shared
-    /// tail of every explicit force path (`force_now`, and the coalesced
-    /// scheduler's riders): advance the watermark on success, kill the
-    /// shard on a tear (acknowledging only the pre-fault prefix), report a
-    /// retryable failure as `false`.
+    /// tail of every force site (each a rider of the scheduler's barrier):
+    /// advance the watermark on success, kill the shard on a tear
+    /// (acknowledging only the pre-fault prefix, so parked ticket waiters
+    /// wake with `false`), report a retryable failure as `false`.
     pub fn settle_force(&self, outcome: ForceOutcome) -> bool {
         match outcome {
             ForceOutcome::Forced(lsn) => {
@@ -381,100 +363,17 @@ impl Shard {
             self.mark_dead();
         }
     }
-
-    /// Extend a just-completed force onto the device tier (see
-    /// [`Shard::persist_on_force`]). Call with the engine lock held — the
-    /// engine→backend lock order is the only one used anywhere. Returns
-    /// `false` when the device rejected the tail: the caller must demote
-    /// the force to a retryable failure instead of advancing the
-    /// watermark, because nothing is on the device yet.
-    pub fn persist_forced(&self, e: &Engine) -> bool {
-        if !self.persist_on_force {
-            return true;
-        }
-        match lock(&self.backend).as_mut() {
-            Some(b) => b.persist_wal(e.wal(), self.faults.as_deref()).is_ok(),
-            None => true,
-        }
-    }
-
-    /// Force the shard's WAL once and advance the watermark — the
-    /// single-force path used by checkpoints and explicit `force_shard`.
-    /// Returns `false` if the engine is gone, the force failed with an
-    /// injected I/O error, or an injected tear killed the shard.
-    pub fn force_now(&self) -> bool {
-        let outcome = {
-            let mut g = self.lock_engine();
-            let Some(e) = g.as_mut() else {
-                return false;
-            };
-            if self.is_dead() {
-                return false; // the device already died mid-force
-            }
-            let mut outcome = force_through_faults(e, self.faults.as_deref());
-            if matches!(outcome, ForceOutcome::Torn(_)) {
-                // Latch device death while the engine lock is still held:
-                // a concurrent force site must never slip in between the
-                // torn write and the kill and advance the WAL's tail
-                // guard over the rotted bytes.
-                self.latch_dead();
-            }
-            if matches!(outcome, ForceOutcome::Forced(_)) && !self.persist_forced(e) {
-                outcome = ForceOutcome::Failed;
-            }
-            outcome
-        };
-        self.settle_force(outcome)
-    }
 }
 
-/// Fault-aware force for a shard engine: consult the
-/// [`failpoint::FLUSHER_FORCE`] failpoint first (a fault in the flusher
-/// itself, e.g. a group-commit batch torn mid-force), then delegate to
-/// [`Wal::force_with`], which consults [`failpoint::WAL_FORCE`] (a fault in
-/// the device). An armed fault matches exactly one of the two points.
-///
-/// [`Wal::force_with`]: llog_wal::Wal::force_with
-pub(crate) fn force_through_faults(e: &mut Engine, faults: Option<&FaultHost>) -> ForceOutcome {
-    if let Some(h) = faults {
-        let buffered = e.wal().buffer_len();
-        if buffered > 0 {
-            match h.on_force(failpoint::FLUSHER_FORCE, buffered) {
-                ForceVerdict::Proceed => {}
-                ForceVerdict::TearAt(n) => {
-                    let durable = e.wal().forced_lsn();
-                    e.wal_mut().crash_torn(n);
-                    return ForceOutcome::Torn(durable);
-                }
-                ForceVerdict::FlipBit(bit) => {
-                    let durable = e.wal().forced_lsn();
-                    e.wal_mut().force();
-                    e.wal_mut().corrupt_stable_bit(durable, bit);
-                    return ForceOutcome::Torn(durable);
-                }
-                ForceVerdict::Fail => return ForceOutcome::Failed,
-            }
-        }
-    }
-    e.wal_mut().force_with(faults)
-}
-
-/// The per-shard log-flusher thread: batch `Wal::force` on a size/time
-/// policy, then publish durability.
-///
-/// `force_latency` models the stable device's synchronous write time; the
-/// sleep happens *outside* every lock, so concurrent shards overlap their
-/// device waits — the physical basis of multi-shard throughput scaling.
-/// With a [`ForceScheduler`] attached the force (and the latency) instead
-/// rides a coalesced cross-shard barrier.
+/// The per-shard log-flusher thread: batch force requests on a size/time
+/// policy, ride the [`ForceScheduler`] barrier, then publish durability.
 ///
 /// [`ForceScheduler`]: crate::scheduler::ForceScheduler
 pub(crate) fn flusher_loop(
     shard: &Arc<Shard>,
-    scheduler: Option<&Arc<crate::scheduler::ForceScheduler>>,
+    scheduler: &crate::scheduler::ForceScheduler,
     batch_ops: usize,
     max_delay: Duration,
-    force_latency: Duration,
 ) {
     let batch_ops = batch_ops.max(1);
     loop {
@@ -514,50 +413,24 @@ pub(crate) fn flusher_loop(
 
         // Phase 2: one force covers the whole batch (and anything that
         // slipped in after the pending count was captured — the force
-        // writes the entire buffered tail, so over-coverage is safe). With
-        // a scheduler the batch rides a coalesced cross-shard barrier (no
-        // engine lock held here — the barrier takes it per phase).
-        let outcome = if let Some(sched) = scheduler {
-            match sched.force(shard) {
-                Some(o) => o,
-                None => return, // crashed/torn down underneath us
-            }
-        } else {
-            let mut g = shard.lock_engine();
-            let Some(e) = g.as_mut() else {
-                return; // crashed underneath us
-            };
-            if shard.is_dead() {
-                return; // killed by a fault on another force path
-            }
-            let mut outcome = force_through_faults(e, shard.faults.as_deref());
-            if matches!(outcome, ForceOutcome::Torn(_)) {
-                // Latch death under the engine lock (see `Shard::dead`):
-                // after a torn batch no other force site may touch the
-                // device.
-                shard.latch_dead();
-            }
-            if matches!(outcome, ForceOutcome::Forced(_)) && !shard.persist_forced(e) {
-                // The in-process force landed but the device never saw the
-                // tail: demote to a retryable failure so the batch is
-                // re-enqueued and nothing is acknowledged (see
-                // `Shard::persist_on_force`).
-                outcome = ForceOutcome::Failed;
-            }
-            outcome
+        // writes the entire buffered tail, so over-coverage is safe). No
+        // engine lock is held here — the barrier takes it per phase.
+        let Some(outcome) = scheduler.force(shard) else {
+            return; // crashed/torn down underneath us
         };
-        let forced = match outcome {
-            ForceOutcome::Forced(lsn) => lsn,
-            ForceOutcome::Torn(durable) => {
-                // The device tore the batch mid-force: this is a crash of
-                // the shard. The watermark may advance only to the
-                // pre-fault durable prefix, so nothing in the torn batch
-                // is ever acknowledged; parked ticket waiters wake with
-                // `false`.
-                shard.advance_durable(durable);
-                shard.request_stop(StopMode::Abandon);
-                return;
+
+        // Phase 3: publish durability and account the batch.
+        shard.settle_force(outcome);
+        match outcome {
+            ForceOutcome::Forced(_) => {
+                let c = &shard.counters;
+                c.batches.fetch_add(1, Ordering::Relaxed);
+                c.batched_ops.fetch_add(batch as u64, Ordering::Relaxed);
+                c.max_batch.fetch_max(batch as u64, Ordering::Relaxed);
             }
+            // The device tore the batch mid-force: the shard is crashed
+            // and nothing in the torn batch is ever acknowledged.
+            ForceOutcome::Torn(_) => return,
             ForceOutcome::Failed => {
                 // Transient I/O error: the buffer is intact, nothing was
                 // acknowledged. Put the batch back and retry at the next
@@ -569,23 +442,8 @@ pub(crate) fn flusher_loop(
                 }
                 drop(gc);
                 shard.gc_cv.notify_all();
-                continue;
             }
-        };
-
-        // Phase 3: the device write is in flight; new appends may buffer
-        // meanwhile (no lock held). A scheduler already paid the modelled
-        // latency once for the whole barrier — the coalescing win.
-        if scheduler.is_none() && !force_latency.is_zero() {
-            std::thread::sleep(force_latency);
         }
-
-        // Phase 4: publish durability and account the batch.
-        shard.advance_durable(forced);
-        let c = &shard.counters;
-        c.batches.fetch_add(1, Ordering::Relaxed);
-        c.batched_ops.fetch_add(batch as u64, Ordering::Relaxed);
-        c.max_batch.fetch_max(batch as u64, Ordering::Relaxed);
     }
 }
 

@@ -43,9 +43,10 @@ impl Default for GroupCommitPolicy {
 /// How committed operations reach stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitPolicy {
-    /// Every `execute` forces the shard's log before returning; the
-    /// ticket comes back already durable. One force per operation — the
-    /// baseline group commit is measured against.
+    /// Every `execute` forces the shard's log (one ride of the force
+    /// barrier) before returning; the ticket comes back already durable.
+    /// One force per operation — the baseline group commit is measured
+    /// against.
     Sync,
     /// Appends return immediately with a pending [`CommitTicket`]; the
     /// shard's flusher thread batches forces per the policy.
@@ -61,10 +62,6 @@ pub struct ShardedConfig {
     pub engine: EngineConfig,
     /// Durability pipeline.
     pub commit: CommitPolicy,
-    /// Simulated stable-device latency per log force. Forces (sync or
-    /// batched) take at least this long before durability is published;
-    /// distinct shards overlap their waits. Zero disables the model.
-    pub force_latency: Duration,
     /// Backpressure: `execute` parks while a shard holds this many
     /// uninstalled operations (0 = unbounded). Bounds write-graph growth
     /// and post-crash redo work.
@@ -72,26 +69,6 @@ pub struct ShardedConfig {
     /// The per-shard background installer drains the write graph once it
     /// exceeds this many uninstalled operations.
     pub install_high_water: usize,
-    /// Persist the WAL tail to each shard's attached durability backend
-    /// after every successful force, *before* the durable watermark
-    /// advances (DESIGN §12). With this set, an acknowledged operation is
-    /// on the backend's log device — a `SIGKILL` of the whole process
-    /// loses nothing acknowledged. Only meaningful once backends are
-    /// attached ([`ShardedEngine::attach_backends`]); the server sets it.
-    pub persist_on_force: bool,
-    /// Cross-shard fsync coalescing: when set, every force (flusher batches
-    /// and `Sync` commits alike) rides a global scheduler that gathers
-    /// near-simultaneous forces from different shards for this bounded
-    /// window (100–500 µs is the useful range) and covers them with **one**
-    /// shared sync barrier; each shard's durable watermark then advances
-    /// from that barrier. `None` (the default) keeps the legacy
-    /// one-force-per-shard paths, byte-for-byte.
-    pub coalesce_window: Option<Duration>,
-    /// MVCC snapshot reads (DESIGN §15): each shard publishes immutable
-    /// versions and [`ShardedEngine::read_value_snapshot`] resolves reads
-    /// at the durable watermark without the engine mutex. Off, that method
-    /// falls back to the mutex read path — the E17 baseline.
-    pub snapshot_reads: bool,
 }
 
 impl Default for ShardedConfig {
@@ -100,12 +77,8 @@ impl Default for ShardedConfig {
             shards: 4,
             engine: EngineConfig::default(),
             commit: CommitPolicy::Group(GroupCommitPolicy::default()),
-            force_latency: Duration::ZERO,
             max_uninstalled: 1024,
             install_high_water: 64,
-            persist_on_force: false,
-            coalesce_window: None,
-            snapshot_reads: true,
         }
     }
 }
@@ -147,8 +120,8 @@ pub struct ShardedEngine {
     /// Fault-injection host shared with every shard's flusher/installer
     /// (`None` outside fault-injection runs).
     faults: Option<Arc<FaultHost>>,
-    /// Cross-shard force scheduler (`Some` iff `config.coalesce_window`).
-    scheduler: Option<Arc<ForceScheduler>>,
+    /// The force barrier every force in this engine rides.
+    scheduler: Arc<ForceScheduler>,
     /// The scheduler's barrier thread — joined *after* `threads`, because
     /// draining flushers still route their final forces through it.
     sched_thread: Mutex<Option<JoinHandle<()>>>,
@@ -161,7 +134,7 @@ impl ShardedEngine {
     }
 
     /// [`ShardedEngine::new`] with a fault-injection host wired into every
-    /// shard's flusher, installer and explicit force path. Arm a fault on
+    /// shard's force barrier and installer. Arm a fault on
     /// the host ([`FaultHost::arm`]) and the next matching failpoint
     /// consultation fires it — e.g. a group-commit batch torn mid-force.
     pub fn new_with_faults(
@@ -194,37 +167,16 @@ impl ShardedEngine {
         let shards: Vec<Arc<Shard>> = engines
             .into_iter()
             .enumerate()
-            .map(|(i, e)| Arc::new(Shard::new(i, e, faults.clone(), config.persist_on_force)))
+            .map(|(i, e)| Arc::new(Shard::new(i, e, faults.clone())))
             .collect();
-        if config.snapshot_reads {
-            // Seed each shard's version chains from its current state
-            // (covers both fresh engines and the recovery path — replayed
-            // effects are in the store image or the cache overlay).
-            for shard in &shards {
-                shard.enable_versions();
-            }
-        }
-        let (scheduler, sched_thread) = match config.coalesce_window {
-            Some(window) => {
-                let (s, h) = ForceScheduler::spawn(window, config.force_latency);
-                (Some(s), Some(h))
-            }
-            None => (None, None),
-        };
+        let (scheduler, sched_thread) = ForceScheduler::spawn();
         let mut threads = Vec::new();
         for shard in &shards {
             if let CommitPolicy::Group(policy) = config.commit {
                 let s = shard.clone();
                 let sched = scheduler.clone();
-                let latency = config.force_latency;
                 threads.push(std::thread::spawn(move || {
-                    flusher_loop(
-                        &s,
-                        sched.as_ref(),
-                        policy.batch_ops,
-                        policy.max_delay,
-                        latency,
-                    );
+                    flusher_loop(&s, &sched, policy.batch_ops, policy.max_delay);
                 }));
             }
             let s = shard.clone();
@@ -242,7 +194,7 @@ impl ShardedEngine {
             ctl: Arc::new(WorkSignal::new()),
             faults,
             scheduler,
-            sched_thread: Mutex::new(sched_thread),
+            sched_thread: Mutex::new(Some(sched_thread)),
         }
     }
 
@@ -290,9 +242,7 @@ impl ShardedEngine {
         let mut guard = loop {
             let g = shard.lock_engine();
             // A shard whose device died mid-force (torn/rotted write)
-            // rejects work even while its engine is still being collected:
-            // in particular the Sync-commit force below must never touch a
-            // dead WAL and advance its tail guard over rotted bytes.
+            // rejects work even while its engine is still being collected.
             if shard.is_dead() {
                 return Err(LlogError::CacheProtocol(format!("shard {idx} has crashed")));
             }
@@ -316,51 +266,20 @@ impl ShardedEngine {
             shard.wait_backpressure(seen, Duration::from_millis(1));
         };
 
-        let (op, lsn, target, sync_forced) = {
+        let (op, lsn, target) = {
             let e = guard.as_mut().expect("presence checked above");
             let (op, lsn) = e.execute(kind, reads, writes, transform)?;
-            let target = e.wal().end_lsn();
-            // A `Sync` commit with a coalescing scheduler defers its force
-            // until the guard is dropped: the scheduler takes the engine
-            // lock itself, per barrier phase, and near-simultaneous sync
-            // commits on different shards share one fsync.
-            let sync_forced = match self.config.commit {
-                CommitPolicy::Sync if self.scheduler.is_none() => {
-                    e.wal_mut().force();
-                    if !shard.persist_forced(e) {
-                        // The device rejected the tail: the watermark does
-                        // not advance and nothing is acknowledged; a later
-                        // force (or `force_shard`) re-persists the whole
-                        // tail (see `Shard::persist_on_force`).
-                        return Err(LlogError::Io {
-                            point: "persist_on_force".into(),
-                            reason: "backend rejected WAL tail on sync commit".into(),
-                        });
-                    }
-                    if !self.config.force_latency.is_zero() {
-                        // The device is busy with our force; commits on
-                        // this shard serialize behind it.
-                        std::thread::sleep(self.config.force_latency);
-                    }
-                    Some(e.wal().forced_lsn())
-                }
-                _ => None,
-            };
-            (op, lsn, target, sync_forced)
+            (op, lsn, e.wal().end_lsn())
         };
+        // The force barrier takes the engine lock itself, per phase.
         drop(guard);
 
-        match (self.config.commit, sync_forced) {
-            (_, Some(forced)) => {
-                shard.advance_durable(forced);
-                shard.counters.sync_commits.fetch_add(1, Ordering::Relaxed);
-            }
-            (CommitPolicy::Sync, None) => {
-                let sched = self
+        match self.config.commit {
+            CommitPolicy::Sync => {
+                // Near-simultaneous sync commits on different shards share
+                // one barrier (and one fsync).
+                let outcome = self
                     .scheduler
-                    .as_ref()
-                    .expect("deferred sync commit only exists with a scheduler");
-                let outcome = sched
                     .force(shard)
                     .ok_or_else(|| LlogError::CacheProtocol(format!("shard {idx} has crashed")))?;
                 if !shard.settle_force(outcome) {
@@ -368,13 +287,13 @@ impl ShardedEngine {
                     // acknowledged (the watermark did not advance past the
                     // durable prefix); a tear killed the shard.
                     return Err(LlogError::Io {
-                        point: "coalesced_force".into(),
+                        point: "force_barrier".into(),
                         reason: "barrier failed on sync commit".into(),
                     });
                 }
                 shard.counters.sync_commits.fetch_add(1, Ordering::Relaxed);
             }
-            (CommitPolicy::Group(_), None) => shard.enqueue_commit(),
+            CommitPolicy::Group(_) => shard.enqueue_commit(),
         }
         shard.signal.notify(); // new uninstalled work for the installer
 
@@ -405,19 +324,14 @@ impl ShardedEngine {
     /// version chains — **no engine mutex**, so the read runs concurrently
     /// with writers, group-commit forces and installs. Observes only
     /// acknowledged (durable) state; a just-executed, not-yet-forced write
-    /// is invisible until its batch forces. With
-    /// [`ShardedConfig::snapshot_reads`] off this falls back to the mutex
-    /// read path.
+    /// is invisible until its batch forces.
     pub fn read_value_snapshot(&self, x: ObjectId) -> Result<Value> {
         let idx = self.router.shard_of(x);
         let shard = &self.shards[idx];
         if shard.is_dead() {
             return Err(LlogError::CacheProtocol(format!("shard {idx} has crashed")));
         }
-        match shard.read_snapshot(x) {
-            Some(v) => Ok(v),
-            None => self.read_value(x),
-        }
+        Ok(shard.read_snapshot(x))
     }
 
     /// Read `x` no older than `floor`: wait (bounded by `timeout`) until
@@ -452,16 +366,13 @@ impl ShardedEngine {
 
     /// Open a pinned snapshot of shard `i` at its current durable
     /// watermark: a consistent cut that later writes and the retention GC
-    /// cannot disturb. Returns an error when snapshot reads are disabled
-    /// or the shard has crashed.
+    /// cannot disturb. Returns an error when the shard has crashed.
     pub fn open_snapshot(&self, i: usize) -> Result<Snapshot> {
         let shard = &self.shards[i];
         if shard.is_dead() {
             return Err(LlogError::CacheProtocol(format!("shard {i} has crashed")));
         }
-        shard.open_snapshot().ok_or_else(|| {
-            LlogError::CacheProtocol(format!("shard {i} has snapshot reads disabled"))
-        })
+        Ok(shard.open_snapshot())
     }
 
     /// Open a pinned snapshot of the shard owning `x` (see
@@ -471,8 +382,7 @@ impl ShardedEngine {
     }
 
     /// Total acquisitions of every shard's engine mutex — the census
-    /// behind "snapshot reads never take the engine lock" (E17 asserts a
-    /// read burst leaves this unchanged).
+    /// behind "snapshot reads never take the engine lock".
     pub fn engine_lock_count(&self) -> u64 {
         self.shards.iter().map(|s| s.engine_lock_count()).sum()
     }
@@ -487,28 +397,32 @@ impl ShardedEngine {
 
     /// Force shard `i`'s WAL and advance its watermark.
     pub fn force_shard(&self, i: usize) -> Result<()> {
-        let shard = &self.shards[i];
-        let ok = match &self.scheduler {
-            Some(sched) if !shard.is_dead() => match sched.force(shard) {
-                Some(outcome) => shard.settle_force(outcome),
-                None => false,
-            },
-            _ => shard.force_now(),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(LlogError::CacheProtocol(format!("shard {i} has crashed")))
-        }
+        self.force_shards(&self.shards[i..=i])
     }
 
     /// Force every shard's WAL (makes everything executed so far
-    /// durable).
+    /// durable). Every shard is enqueued before any is waited on, so the
+    /// whole engine rides **one** barrier — and a dead shard does not keep
+    /// the live ones from being forced.
     pub fn force_all(&self) -> Result<()> {
-        for i in 0..self.shards.len() {
-            self.force_shard(i)?;
+        self.force_shards(&self.shards)
+    }
+
+    /// One barrier over `shards`; every rider is settled, then the first
+    /// failure (if any) is reported.
+    fn force_shards(&self, shards: &[Arc<Shard>]) -> Result<()> {
+        let results = self.scheduler.force_many(shards);
+        let mut failed = None;
+        for (shard, result) in shards.iter().zip(results) {
+            let ok = result.is_some_and(|outcome| shard.settle_force(outcome));
+            if !ok && failed.is_none() {
+                failed = Some(shard.index);
+            }
         }
-        Ok(())
+        match failed {
+            None => Ok(()),
+            Some(i) => Err(LlogError::CacheProtocol(format!("shard {i} has crashed"))),
+        }
     }
 
     /// Drain the commit pipeline without tearing the engine down: force
@@ -572,10 +486,13 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Attach a durability backend to shard `i`: from now on, every
-    /// checkpoint of that shard also persists its store + log to the
-    /// device pair, incrementally (O(dirty) store deltas, tail-only log
-    /// appends, whole-segment truncation reclaim).
+    /// Attach a durability backend to shard `i`: from now on, every force
+    /// of that shard stages its WAL tail on the log device before the
+    /// durable watermark advances — an acknowledged operation is on the
+    /// device, so a `SIGKILL` of the whole process loses nothing
+    /// acknowledged (DESIGN §12) — and every checkpoint also persists its
+    /// store + log to the device pair, incrementally (O(dirty) store
+    /// deltas, tail-only log appends, whole-segment truncation reclaim).
     pub fn attach_backend(&self, i: usize, backend: DurabilityBackend) {
         *lock(&self.shards[i].backend) = Some(backend);
     }
@@ -757,9 +674,7 @@ impl ShardedEngine {
         }
         // Scheduler last: draining flushers route their final forces
         // through it, so it must stay alive until they have joined.
-        if let Some(sched) = &self.scheduler {
-            sched.stop();
-        }
+        self.scheduler.stop();
         if let Some(t) = lock(&self.sched_thread).take() {
             let _ = t.join();
         }
@@ -1285,83 +1200,184 @@ mod tests {
         }
     }
 
+    /// The one force contract, checked at every site that can ask for a
+    /// force and under every verdict the barrier can reach: nothing is
+    /// acknowledged past the pre-fault durable prefix, a tear latches the
+    /// shard dead before the site regains control, and a retryable failure
+    /// leaves everything intact so the next force acknowledges the lot.
     #[test]
-    fn torn_group_commit_batch_kills_shard_without_false_acks() {
+    fn every_force_site_upholds_the_barrier_contract_under_every_verdict() {
+        use llog_storage::device::DeviceConfig;
         use llog_testkit::faults::{failpoint, FaultKind};
-        let reg = registry();
-        // Manual flusher: it only fires when we ask it to via enqueue +
-        // max_delay expiry — here we use a small batch to trigger it.
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Group(GroupCommitPolicy {
-                batch_ops: 4,
-                // Long delay: the flusher only fires on a full batch, so the
-                // tear cannot race the doomed appends below.
-                max_delay: Duration::from_secs(3600),
-            }),
-            ..ShardedConfig::default()
-        };
-        let host = Arc::new(FaultHost::new());
-        let e = ShardedEngine::new_with_faults(cfg, &reg, Some(host.clone()));
-        // First batch forces cleanly.
-        let pre: Vec<CommitTicket> = (0..4u64).map(|i| put(&e, ObjectId(i), "pre")).collect();
-        for t in &pre {
-            assert!(t.wait());
-        }
-        // Arm a tear for the flusher's next force: the batch dies mid-write.
-        host.arm(
-            failpoint::FLUSHER_FORCE,
-            FaultKind::TornWrite { at_byte: 3 },
-        );
-        let doomed: Vec<CommitTicket> = (4..8u64).map(|i| put(&e, ObjectId(i), "doomed")).collect();
-        for t in &doomed {
-            assert!(
-                !t.wait(),
-                "a ticket in a torn batch must never report durable"
-            );
-            assert!(!t.is_durable());
-        }
-        assert_eq!(host.fired().len(), 1);
-        // The shard crashed; recovery sees the acked prefix, never the
-        // torn batch.
-        let parts = e.crash_torn(&[]);
-        let (rec, _) = recover_sharded(parts, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
-        for i in 0..4u64 {
-            assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("pre"));
-        }
-        for i in 4..8u64 {
-            assert_eq!(
-                rec.read_value(ObjectId(i)).unwrap(),
-                Value::empty(),
-                "torn-batch op {i} must not survive"
-            );
-        }
-    }
 
-    #[test]
-    fn failed_force_retries_and_acks_eventually() {
-        use llog_testkit::faults::{failpoint, FaultKind};
-        let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Group(GroupCommitPolicy {
-                batch_ops: 2,
-                max_delay: Duration::from_millis(2),
-            }),
-            ..ShardedConfig::default()
-        };
-        let host = Arc::new(FaultHost::new());
-        let e = ShardedEngine::new_with_faults(cfg, &reg, Some(host.clone()));
-        host.arm(failpoint::FLUSHER_FORCE, FaultKind::IoError);
-        let tickets: Vec<CommitTicket> = (0..4u64).map(|i| put(&e, ObjectId(i), "rt")).collect();
-        for t in &tickets {
-            assert!(t.wait(), "single-shot I/O error must be survived by retry");
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Site {
+            SyncCommit,
+            FlusherBatch,
+            ForceShard,
+            Drain,
         }
-        assert_eq!(host.fired().len(), 1);
-        let parts = e.crash();
-        let (rec, _) = recover_sharded(parts, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
-        for i in 0..4u64 {
-            assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("rt"));
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Class {
+            Proceed,
+            Retryable,
+            /// `clean`: the tear leaves less than one frame behind.
+            Tear {
+                clean: bool,
+            },
+        }
+        const FORCE_POINTS: [&str; 2] = [failpoint::FLUSHER_FORCE, failpoint::WAL_FORCE];
+        let mut verdicts: Vec<(Option<(&str, FaultKind)>, Class)> = vec![
+            (None, Class::Proceed),
+            (
+                Some((failpoint::SCHED_SYNC, FaultKind::IoError)),
+                Class::Retryable,
+            ),
+        ];
+        for point in FORCE_POINTS {
+            verdicts.push((Some((point, FaultKind::IoError)), Class::Retryable));
+            verdicts.push((
+                Some((point, FaultKind::TornWrite { at_byte: 3 })),
+                Class::Tear { clean: true },
+            ));
+            verdicts.push((
+                Some((point, FaultKind::BitFlip { offset: 77 })),
+                Class::Tear { clean: false },
+            ));
+        }
+
+        // One attempt at `site`: a put, then whatever the site does to make
+        // it durable. Returns the ticket (if `execute` handed one out) and
+        // whether the site reported success.
+        fn attempt(
+            e: &ShardedEngine,
+            site: Site,
+            x: ObjectId,
+            v: &str,
+        ) -> (Option<CommitTicket>, bool) {
+            let ticket = e.execute(
+                OpKind::Physical,
+                vec![],
+                vec![x],
+                Transform::new(builtin::CONST, builtin::encode_values(&[Value::from(v)])),
+            );
+            let Ok(ticket) = ticket else {
+                return (None, false);
+            };
+            let ok = match site {
+                Site::SyncCommit => true,
+                Site::FlusherBatch => ticket.wait(),
+                Site::ForceShard => e.force_shard(0).is_ok(),
+                Site::Drain => e.drain().is_ok(),
+            };
+            (Some(ticket), ok)
+        }
+
+        let reg = registry();
+        let (pre, doomed, retry) = (ObjectId(0), ObjectId(1), ObjectId(2));
+        for site in [
+            Site::SyncCommit,
+            Site::FlusherBatch,
+            Site::ForceShard,
+            Site::Drain,
+        ] {
+            for &(fault, class) in &verdicts {
+                let case = format!("{site:?} x {fault:?}");
+                let cfg = ShardedConfig {
+                    shards: 1,
+                    commit: match site {
+                        Site::SyncCommit => CommitPolicy::Sync,
+                        // The flusher fires on every op and never on a timer.
+                        Site::FlusherBatch => CommitPolicy::Group(GroupCommitPolicy {
+                            batch_ops: 1,
+                            max_delay: Duration::from_secs(3600),
+                        }),
+                        // Only the explicit force flushes.
+                        Site::ForceShard | Site::Drain => CommitPolicy::Group(GroupCommitPolicy {
+                            batch_ops: usize::MAX,
+                            max_delay: Duration::from_secs(3600),
+                        }),
+                    },
+                    ..ShardedConfig::default()
+                };
+                let host = Arc::new(FaultHost::new());
+                let e = ShardedEngine::new_with_faults(cfg, &reg, Some(host.clone()));
+                e.attach_backend(
+                    0,
+                    DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small()),
+                );
+
+                let (t, ok) = attempt(&e, site, pre, "pre");
+                assert!(ok && t.unwrap().is_durable(), "{case}: clean force");
+                let durable_before = e.durable_lsn(0);
+
+                if let Some((point, kind)) = fault {
+                    host.arm(point, kind);
+                }
+                let (ticket, ok) = attempt(&e, site, doomed, "doomed");
+                assert_eq!(host.fired().len(), usize::from(fault.is_some()), "{case}");
+                let acked = |t: &Option<CommitTicket>| t.as_ref().is_some_and(|t| t.is_durable());
+
+                match class {
+                    Class::Proceed => assert!(ok && acked(&ticket), "{case}"),
+                    Class::Retryable => {
+                        if site == Site::FlusherBatch {
+                            // The flusher re-enqueues the batch and retries
+                            // on its own; the ticket waits the retry out.
+                            assert!(ok && acked(&ticket), "{case}: flusher retry");
+                        } else {
+                            assert!(!ok && !acked(&ticket), "{case}: failure acked");
+                            assert_eq!(e.durable_lsn(0), durable_before, "{case}");
+                        }
+                        assert!(!e.shards[0].is_dead(), "{case}: a failure is not a tear");
+                        let (t, ok) = attempt(&e, site, retry, "retry");
+                        assert!(ok && acked(&t), "{case}: retry must ack");
+                        // The retry's force covered the whole tail.
+                        assert!(ticket.is_none() || acked(&ticket), "{case}");
+                    }
+                    Class::Tear { .. } => {
+                        assert!(!ok, "{case}: torn force reported success");
+                        if let Some(t) = &ticket {
+                            assert!(!t.wait() && !t.is_durable(), "{case}: torn op acked");
+                        }
+                        assert_eq!(e.durable_lsn(0), durable_before, "{case}");
+                        // Dead before the site regained control: nothing may
+                        // touch the log again.
+                        assert!(e.shards[0].is_dead(), "{case}: tear must latch death");
+                        let stable = |e: &ShardedEngine| {
+                            let g = e.shards[0].lock_engine();
+                            g.as_ref().unwrap().wal().stable_len()
+                        };
+                        let len = stable(&e);
+                        assert!(attempt(&e, site, retry, "late").0.is_none(), "{case}");
+                        assert!(e.force_shard(0).is_err(), "{case}");
+                        assert!(e.drain().is_err(), "{case}");
+                        assert!(e.checkpoint_shard(0, false).is_err(), "{case}");
+                        assert_eq!(stable(&e), len, "{case}: dead log was touched");
+                    }
+                }
+
+                let parts = e.crash_torn(&[]);
+                let (rec, _) = recover_sharded(parts, &reg, cfg, RedoPolicy::RsiExposed)
+                    .unwrap_or_else(|err| panic!("{case}: recovery failed: {err}"));
+                let read = |x| rec.read_value(x).unwrap();
+                assert_eq!(read(pre), Value::from("pre"), "{case}: acked op lost");
+                match class {
+                    Class::Proceed => assert_eq!(read(doomed), Value::from("doomed"), "{case}"),
+                    Class::Retryable => {
+                        assert_eq!(read(doomed), Value::from("doomed"), "{case}");
+                        assert_eq!(read(retry), Value::from("retry"), "{case}");
+                    }
+                    Class::Tear { clean } => {
+                        let got = read(doomed);
+                        assert!(
+                            got == Value::empty() || (!clean && got == Value::from("doomed")),
+                            "{case}: torn op recovered to {got:?}"
+                        );
+                        assert_eq!(read(retry), Value::empty(), "{case}");
+                    }
+                }
+            }
         }
     }
 
@@ -1613,34 +1629,22 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_sync_commits_survive_and_share_barriers() {
+    fn concurrent_sync_commits_are_durable_on_return_and_survive() {
         let reg = registry();
         let cfg = ShardedConfig {
             shards: 4,
             commit: CommitPolicy::Sync,
-            coalesce_window: Some(Duration::from_millis(20)),
             ..ShardedConfig::default()
         };
         let e = ShardedEngine::new(cfg, &reg);
-        // Four committer threads: their sync commits land inside each
-        // other's gather windows, so barriers carry more than one rider.
+        // Four committer threads: their sync commits ride the barrier
+        // while the others execute on their own shards.
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let e = &e;
                 s.spawn(move || {
                     for i in 0..8u64 {
-                        let x = ObjectId(t * 1000 + i);
-                        let ticket = e
-                            .execute(
-                                OpKind::Physical,
-                                vec![],
-                                vec![x],
-                                Transform::new(
-                                    builtin::CONST,
-                                    builtin::encode_values(&[Value::from("co")]),
-                                ),
-                            )
-                            .unwrap();
+                        let ticket = put(e, ObjectId(t * 1000 + i), "co");
                         assert!(ticket.is_durable(), "sync commits are durable on return");
                     }
                 });
@@ -1648,10 +1652,6 @@ mod tests {
         });
         let snap = e.metrics_snapshot();
         assert_eq!(snap.group_commit.sync_commits, 32);
-        assert!(
-            snap.aggregate.forces_coalesced > 0,
-            "concurrent sync commits under a 20ms window must share a barrier"
-        );
         let parts = e.crash();
         let (rec, _) = recover_sharded(parts, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
         for t in 0..4u64 {
@@ -1664,123 +1664,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn coalesced_barrier_failure_retries_without_false_acks() {
-        use llog_testkit::faults::{failpoint, FaultKind};
-        let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Group(GroupCommitPolicy {
-                batch_ops: 2,
-                max_delay: Duration::from_millis(2),
-            }),
-            coalesce_window: Some(Duration::from_millis(1)),
-            ..ShardedConfig::default()
-        };
-        let host = Arc::new(FaultHost::new());
-        let e = ShardedEngine::new_with_faults(cfg, &reg, Some(host.clone()));
-        // The shared sync barrier fails once: every rider fails, nothing is
-        // acknowledged, and the flusher's retry re-stages the whole tail.
-        host.arm(failpoint::SCHED_SYNC, FaultKind::IoError);
-        let tickets: Vec<CommitTicket> = (0..4u64).map(|i| put(&e, ObjectId(i), "bf")).collect();
-        for t in &tickets {
-            assert!(t.wait(), "single-shot barrier failure must be retried");
-        }
-        assert_eq!(host.fired().len(), 1);
-        let parts = e.crash();
-        let (rec, _) = recover_sharded(parts, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
-        for i in 0..4u64 {
-            assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("bf"));
-        }
-    }
-
-    #[test]
-    fn torn_coalesced_force_kills_shard_without_false_acks() {
-        use llog_testkit::faults::{failpoint, FaultKind};
-        let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Group(GroupCommitPolicy {
-                batch_ops: 4,
-                max_delay: Duration::from_secs(3600),
-            }),
-            coalesce_window: Some(Duration::from_millis(1)),
-            ..ShardedConfig::default()
-        };
-        let host = Arc::new(FaultHost::new());
-        let e = ShardedEngine::new_with_faults(cfg, &reg, Some(host.clone()));
-        let pre: Vec<CommitTicket> = (0..4u64).map(|i| put(&e, ObjectId(i), "pre")).collect();
-        for t in &pre {
-            assert!(t.wait());
-        }
-        // The tear fires inside the barrier's per-shard begin phase: the
-        // shard dies and no rider of the doomed batch ever acks.
-        host.arm(
-            failpoint::FLUSHER_FORCE,
-            FaultKind::TornWrite { at_byte: 3 },
-        );
-        let doomed: Vec<CommitTicket> = (4..8u64).map(|i| put(&e, ObjectId(i), "doomed")).collect();
-        for t in &doomed {
-            assert!(!t.wait(), "a ticket in a torn barrier must never ack");
-            assert!(!t.is_durable());
-        }
-        assert_eq!(host.fired().len(), 1);
-        let parts = e.crash_torn(&[]);
-        let (rec, _) = recover_sharded(parts, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
-        for i in 0..4u64 {
-            assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("pre"));
-        }
-        for i in 4..8u64 {
-            assert_eq!(
-                rec.read_value(ObjectId(i)).unwrap(),
-                Value::empty(),
-                "torn-barrier op {i} must not survive"
-            );
-        }
-    }
-
+    /// `force_all` enqueues every shard before it waits, so the whole
+    /// engine rides exactly one barrier — by construction, not by timing.
     #[test]
     fn coalesced_forces_share_one_device_fsync() {
         use llog_storage::device::DeviceConfig;
         let reg = registry();
         let cfg = ShardedConfig {
-            shards: 2,
+            shards: 4,
             commit: CommitPolicy::Group(GroupCommitPolicy {
                 batch_ops: usize::MAX, // only explicit forces flush
                 max_delay: Duration::from_secs(3600),
             }),
-            persist_on_force: true,
-            coalesce_window: Some(Duration::from_millis(50)),
             ..ShardedConfig::default()
         };
         let e = ShardedEngine::new(cfg, &reg);
         e.attach_backends(
-            (0..2)
+            (0..4)
                 .map(|_| DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small()))
                 .collect(),
         );
-        let r = e.router();
-        let a = ObjectId(0);
-        let b = (1..)
-            .map(ObjectId)
-            .find(|&x| r.shard_of(x) != r.shard_of(a))
-            .unwrap();
-        let ta = put(&e, a, "one");
-        let tb = put(&e, b, "two");
+        let tickets: Vec<CommitTicket> = (0..4)
+            .map(|s| put(&e, e.router().objects_for_shard(s, 1)[0], "one"))
+            .collect();
         let before = e.metrics_snapshot().aggregate;
-        // Near-simultaneous forces on both shards: the 50ms gather window
-        // folds them into one barrier with one shared device fsync.
-        std::thread::scope(|s| {
-            let e = &e;
-            s.spawn(move || e.force_shard(0).unwrap());
-            s.spawn(move || e.force_shard(1).unwrap());
-        });
-        assert!(ta.is_durable() && tb.is_durable());
+        e.force_all().unwrap();
+        assert!(tickets.iter().all(CommitTicket::is_durable));
         let after = e.metrics_snapshot().aggregate;
         assert_eq!(
             after.forces_coalesced - before.forces_coalesced,
-            1,
-            "two riders, one barrier"
+            3,
+            "four riders, one barrier"
         );
         assert_eq!(
             after.io_fsyncs - before.io_fsyncs,
@@ -1789,6 +1703,13 @@ mod tests {
         );
         assert!(after.double_buffer_overlap_ns > before.double_buffer_overlap_ns);
         drop(e);
+    }
+
+    /// Engine-mutex acquisitions made by the calling thread (see
+    /// [`LOCKS_BY_THIS_THREAD`]): unlike `engine_lock_count`, a background
+    /// installer waking up mid-test cannot move it.
+    fn locks_by_this_thread() -> u64 {
+        crate::shard::LOCKS_BY_THIS_THREAD.with(|n| n.get())
     }
 
     #[test]
@@ -1803,7 +1724,7 @@ mod tests {
         for i in 0..16u64 {
             assert!(put(&e, ObjectId(i), "mvcc").is_durable());
         }
-        let before = e.engine_lock_count();
+        let before = locks_by_this_thread();
         for _ in 0..8 {
             for i in 0..16u64 {
                 assert_eq!(
@@ -1813,13 +1734,14 @@ mod tests {
             }
         }
         assert_eq!(
-            e.engine_lock_count(),
+            locks_by_this_thread(),
             before,
             "the snapshot read path must not acquire any engine mutex"
         );
         // The mutex path, by contrast, counts one acquisition per read.
         e.read_value(ObjectId(0)).unwrap();
-        assert_eq!(e.engine_lock_count(), before + 1);
+        assert_eq!(locks_by_this_thread(), before + 1);
+        assert!(e.engine_lock_count() > 0, "the public census counts too");
         drop(e);
     }
 
@@ -1899,34 +1821,11 @@ mod tests {
         // With the pin gone, the next GC collapses the chain to the floor
         // survivor.
         e.checkpoint_shard(0, false).unwrap();
-        let vs = e.shards[0].versions().unwrap();
-        assert_eq!(vs.chain_len(x), 1);
+        assert_eq!(e.shards[0].versions.chain_len(x), 1);
         assert_eq!(e.read_value_snapshot(x).unwrap(), Value::from("v15"));
         let snap = e.metrics_snapshot().aggregate;
         assert!(snap.versions_gced > 0, "GC must have reclaimed versions");
         assert!(snap.snapshot_oldest_si > 0, "GC floor gauge must advance");
-        drop(e);
-    }
-
-    #[test]
-    fn snapshot_reads_disabled_falls_back_to_the_mutex_path() {
-        let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Sync,
-            snapshot_reads: false,
-            ..ShardedConfig::default()
-        };
-        let e = ShardedEngine::new(cfg, &reg);
-        let x = ObjectId(5);
-        assert!(put(&e, x, "flat").is_durable());
-        let before = e.engine_lock_count();
-        assert_eq!(e.read_value_snapshot(x).unwrap(), Value::from("flat"));
-        assert!(
-            e.engine_lock_count() > before,
-            "with snapshot_reads off the read must ride the engine mutex"
-        );
-        assert!(e.open_snapshot(0).is_err());
         drop(e);
     }
 
@@ -1944,7 +1843,7 @@ mod tests {
         }
         let parts = e.crash();
         let (rec, _) = recover_sharded(parts, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
-        let before = rec.engine_lock_count();
+        let before = locks_by_this_thread();
         for i in 0..32u64 {
             assert_eq!(
                 rec.read_value_snapshot(ObjectId(i)).unwrap(),
@@ -1952,7 +1851,7 @@ mod tests {
                 "recovered state must be visible to snapshot reads"
             );
         }
-        assert_eq!(rec.engine_lock_count(), before);
+        assert_eq!(locks_by_this_thread(), before);
         drop(rec);
     }
 

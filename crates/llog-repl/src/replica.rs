@@ -25,8 +25,8 @@
 //! a writable [`ShardedEngine`] from the session engines. With a
 //! non-empty `source_dir` — the crashed primary's data directory — each
 //! shard first catches up from the primary's on-disk log device: the
-//! primary persists forced bytes to the device *before* acknowledging
-//! (`persist_on_force`), so feeding the device log's tail through the
+//! primary stages forced bytes on the device *before* acknowledging
+//! (DESIGN §12), so feeding the device log's tail through the
 //! session guarantees every acknowledged write is replayed even if the
 //! primary was SIGKILLed mid-shipment. A shard whose device log was
 //! truncated past the session's stable end (the replica lagged a whole
@@ -43,7 +43,7 @@ use std::time::Duration;
 use llog_core::{
     recover_with, Engine, EngineConfig, RecoveryOptions, RedoPolicy, RedoSession, ReplicaReader,
 };
-use llog_engine::{ShardRouter, ShardedConfig, ShardedEngine};
+use llog_engine::{ShardRouter, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::proto::{
     decode_request, encode_response, read_frame, write_frame, ErrCode, Request, Response, StatsBody,
@@ -812,11 +812,11 @@ fn promote_sessions(
         }
         engines.push(session.promote()?);
     }
-    let config = ShardedConfig {
-        shards,
-        ..ShardedConfig::default()
-    };
-    Ok(ShardedEngine::from_engines(config, engines))
+    // The same configuration a booted primary serves with.
+    Ok(ShardedEngine::from_engines(
+        llog_server::boot::server_engine_config(shards),
+        engines,
+    ))
 }
 
 enum CatchUp {
@@ -1001,6 +1001,17 @@ mod tests {
         let lsn = rc.put(ObjectId(1000), b"post-failover").unwrap();
         assert!(lsn > Lsn::ZERO);
         assert_eq!(rc.get(ObjectId(1000)).unwrap(), b"post-failover".to_vec());
+        // That ack rode the force barrier (which bumps the overlap counter
+        // once per barrier), like a booted primary's: which force code
+        // acks a put does not depend on how the node became primary.
+        {
+            let role = lock(&replica.state.role);
+            let Role::Promoted(engine) = &*role else {
+                panic!("promotion must leave the replica promoted");
+            };
+            let m = engine.metrics_snapshot().aggregate;
+            assert!(m.double_buffer_overlap_ns > 0, "ack bypassed the barrier");
+        }
         // A second promote is refused.
         assert!(rc.promote("").is_err());
         replica.stop().unwrap();

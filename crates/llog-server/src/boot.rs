@@ -10,26 +10,20 @@
 use std::path::Path;
 
 use llog_core::RedoPolicy;
-use llog_engine::{
-    recover_sharded_from_backends, CommitPolicy, GroupCommitPolicy, ShardedConfig, ShardedEngine,
-};
+use llog_engine::{recover_sharded_from_backends, ShardedConfig, ShardedEngine};
 use llog_ops::TransformRegistry;
 use llog_storage::device::DeviceConfig;
 use llog_storage::Metrics;
 use llog_types::{LlogError, Result};
 use llog_wal::DurabilityBackend;
 
-/// Engine configuration for a served database: group commit (pipelined
-/// acks ride the flusher), `persist_on_force` (an acked operation is on
-/// the device — a process `SIGKILL` loses nothing acknowledged), and a
-/// coalescing window so near-simultaneous forces on different shards
-/// share one fsync barrier.
+/// Engine configuration for a served database: the engine's defaults —
+/// group commit (pipelined acks ride the flusher) through the force
+/// barrier, which stages the log tail on the attached device before
+/// acknowledging — at the given shard count.
 pub fn server_engine_config(shards: usize) -> ShardedConfig {
     ShardedConfig {
         shards,
-        commit: CommitPolicy::Group(GroupCommitPolicy::default()),
-        persist_on_force: true,
-        coalesce_window: Some(std::time::Duration::from_micros(200)),
         ..ShardedConfig::default()
     }
 }
@@ -86,6 +80,25 @@ pub fn open_served(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A served engine is the default engine: destructuring keeps this
+    /// test honest when `ShardedConfig` gains or loses a field.
+    #[test]
+    fn server_config_is_the_default_config_at_the_given_shard_count() {
+        let ShardedConfig {
+            shards,
+            engine,
+            commit,
+            max_uninstalled,
+            install_high_water,
+        } = server_engine_config(3);
+        let d = ShardedConfig::default();
+        assert_eq!(shards, 3);
+        assert_eq!(format!("{engine:?}"), format!("{:?}", d.engine));
+        assert_eq!(commit, d.commit);
+        assert_eq!(max_uninstalled, d.max_uninstalled);
+        assert_eq!(install_high_water, d.install_high_water);
+    }
 
     #[test]
     fn reopen_keeps_the_existing_shard_count() {

@@ -13,8 +13,8 @@
 //!   each [`CommitTicket`](llog_engine::CommitTicket) durable and writes
 //!   responses in request order). An `Ack` on the wire means the
 //!   operation is covered by its shard's durable watermark — and, with
-//!   [`boot::server_engine_config`]'s `persist_on_force`, on the backend
-//!   device, so a process `SIGKILL` loses nothing acknowledged.
+//!   [`boot::open_served`]'s backends attached, on the backend device, so
+//!   a process `SIGKILL` loses nothing acknowledged.
 //! - **Admission control** — the engine's uninstalled-window parking plus
 //!   a bounded per-connection completion queue; both surface to clients
 //!   as a stalled TCP window, not an error.

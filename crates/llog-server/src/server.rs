@@ -301,8 +301,7 @@ pub struct Server {
 impl Server {
     /// Bind `config.addr` and start serving `engine`. The engine should
     /// be configured with `CommitPolicy::Group` (pipelined acks ride the
-    /// flusher) and, for process-kill durability, attached backends plus
-    /// `persist_on_force`.
+    /// flusher) and, for process-kill durability, have backends attached.
     pub fn start(engine: ShardedEngine, config: ServerConfig) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr).map_err(|e| LlogError::Io {
             point: "server bind".into(),

@@ -1,13 +1,12 @@
-//! Durable on-disk image of the stable object store.
+//! Serialized image of the stable object store (replica attach manifests,
+//! media backups; the on-disk format is the device layout in [`crate::device`]).
 //!
 //! Layout: `magic "LLOGSTR1" | count u64 | count × (id u64, vsi u64,
 //! len u32, bytes) | crc32c u32` — crc over everything before it.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::Arc;
 
-use llog_testkit::faults::{failpoint, FaultHost, WriteVerdict};
 use llog_types::{crc32c, LlogError, Lsn, ObjectId, Result, Value};
 
 use crate::metrics::Metrics;
@@ -79,64 +78,6 @@ impl StableStore {
         store.restore(objects);
         Ok(store)
     }
-
-    /// Save to a file.
-    pub fn save_to(&self, path: &Path) -> Result<()> {
-        self.save_to_with(path, None)
-    }
-
-    /// Save to a file, consulting the [`failpoint::STORE_SAVE`] failpoint on
-    /// `faults` (when present): the image may be torn, bit-rotted, skipped
-    /// (delayed page write), deferred (reordered write) or fail outright.
-    pub fn save_to_with(&self, path: &Path, faults: Option<&FaultHost>) -> Result<()> {
-        let image = self.serialize();
-        let verdict = match faults {
-            Some(h) => h
-                .on_write(failpoint::STORE_SAVE, &image)
-                .map_err(|f| LlogError::Io {
-                    point: f.point,
-                    reason: f.reason,
-                })?,
-            None => WriteVerdict::Persist(image),
-        };
-        match verdict {
-            WriteVerdict::Persist(img) => std::fs::write(path, img).map_err(|e| LlogError::Io {
-                point: path.display().to_string(),
-                reason: e.to_string(),
-            }),
-            WriteVerdict::Skip => Ok(()), // lost write: old image (if any) stays
-        }
-    }
-
-    /// Load from a file.
-    pub fn load_from(path: &Path, metrics: Arc<Metrics>) -> Result<StableStore> {
-        StableStore::load_from_with(path, metrics, None)
-    }
-
-    /// Load from a file, consulting the [`failpoint::STORE_LOAD`] failpoint
-    /// on `faults` (when present): the read may error, or the returned image
-    /// may arrive bit-rotted or truncated (then rejected by the CRC check in
-    /// [`StableStore::deserialize`]).
-    pub fn load_from_with(
-        path: &Path,
-        metrics: Arc<Metrics>,
-        faults: Option<&FaultHost>,
-    ) -> Result<StableStore> {
-        let bytes = std::fs::read(path).map_err(|e| LlogError::Io {
-            point: path.display().to_string(),
-            reason: e.to_string(),
-        })?;
-        let bytes = match faults {
-            Some(h) => h
-                .on_read(failpoint::STORE_LOAD, &bytes)
-                .map_err(|f| LlogError::Io {
-                    point: f.point,
-                    reason: f.reason,
-                })?,
-            None => bytes,
-        };
-        StableStore::deserialize(&bytes, metrics)
-    }
 }
 
 #[cfg(test)]
@@ -175,66 +116,5 @@ mod tests {
             image[i] ^= 1;
         }
         assert!(StableStore::deserialize(&image[..image.len() - 8], Metrics::new()).is_err());
-    }
-
-    #[test]
-    fn file_save_load() {
-        let dir = std::env::temp_dir().join("llog-store-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.llog");
-        let s = sample();
-        s.save_to(&path).unwrap();
-        let s2 = StableStore::load_from(&path, Metrics::new()).unwrap();
-        assert_eq!(s.snapshot(), s2.snapshot());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_save_is_rejected_on_load() {
-        use llog_testkit::faults::FaultKind;
-        let dir = std::env::temp_dir().join("llog-store-test-faults");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store-torn.llog");
-        let s = sample();
-        let h = FaultHost::new();
-        h.arm(failpoint::STORE_SAVE, FaultKind::TornWrite { at_byte: 21 });
-        s.save_to_with(&path, Some(&h)).unwrap();
-        let err = StableStore::load_from(&path, Metrics::new()).unwrap_err();
-        assert!(matches!(err, LlogError::Codec { .. }), "got {err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bit_rot_on_load_is_rejected_by_crc() {
-        use llog_testkit::faults::FaultKind;
-        let dir = std::env::temp_dir().join("llog-store-test-faults");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store-rot.llog");
-        let s = sample();
-        s.save_to(&path).unwrap();
-        let h = FaultHost::new();
-        h.arm(failpoint::STORE_LOAD, FaultKind::BitFlip { offset: 777 });
-        let err = StableStore::load_from_with(&path, Metrics::new(), Some(&h)).unwrap_err();
-        assert!(matches!(err, LlogError::Codec { .. }), "got {err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn reordered_write_persists_stale_image() {
-        use llog_testkit::faults::FaultKind;
-        let dir = std::env::temp_dir().join("llog-store-test-faults");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store-reorder.llog");
-        let mut s = StableStore::new(Metrics::new());
-        s.write(ObjectId(1), Value::from("v1"), Lsn(10));
-        let h = FaultHost::new();
-        h.arm(failpoint::STORE_SAVE, FaultKind::ReorderedWrite);
-        s.save_to_with(&path, Some(&h)).unwrap(); // deferred: nothing on disk yet
-        assert!(!path.exists());
-        s.write(ObjectId(1), Value::from("v2"), Lsn(20));
-        s.save_to_with(&path, Some(&h)).unwrap(); // persists the stale v1 image
-        let s2 = StableStore::load_from(&path, Metrics::new()).unwrap();
-        assert_eq!(s2.read(ObjectId(1)).value.as_bytes(), b"v1");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic fault-injection substrate.
 //!
 //! A [`FaultHost`] is a thread-safe registry of *named failpoints*. Production
-//! code paths that can fail in the real world (file writes, fsyncs, reads,
+//! code paths that can fail in the real world (file writes, fsyncs,
 //! background installs) consult the host at well-known points; tests and the
 //! `llog-fuzz` binary arm exactly one fault per run and observe the fallout.
 //!
@@ -22,17 +22,9 @@ use std::sync::{Mutex, PoisonError};
 
 /// Canonical failpoint names threaded through the workspace.
 pub mod failpoint {
-    /// `StableStore::save_to_with` — serialising the object store image.
-    pub const STORE_SAVE: &str = "store.save";
-    /// `StableStore::load_from_with` — reading the object store image back.
-    pub const STORE_LOAD: &str = "store.load";
-    /// `Wal::save_to_with` — serialising the WAL image.
-    pub const WAL_SAVE: &str = "wal.save";
-    /// `Wal::load_from_with` — reading the WAL image back.
-    pub const WAL_LOAD: &str = "wal.load";
     /// `Wal::force_with` — the force (fsync) path itself.
     pub const WAL_FORCE: &str = "wal.force";
-    /// The sharded engine's group-commit flusher, just before it forces.
+    /// The sharded engine's force barrier, per shard, just before it forces.
     pub const FLUSHER_FORCE: &str = "flusher.force";
     /// The background installer, before installing one operation.
     pub const INSTALL: &str = "install";
@@ -44,23 +36,15 @@ pub mod failpoint {
     pub const DEV_STORE_DELTA: &str = "device.store.delta";
     /// Device layer: writing the store checkpoint-manifest chain.
     pub const DEV_STORE_MANIFEST: &str = "device.store.manifest";
-    /// The cross-shard force scheduler's shared fsync barrier (the single
-    /// device sync covering every shard coalesced into one barrier).
+    /// The sharded engine's shared fsync barrier (the single device sync
+    /// covering every shard gathered into one barrier).
     pub const SCHED_SYNC: &str = "scheduler.sync";
 
     /// All failpoints, in a stable order (used by `FaultPlan::draw`).
-    ///
-    /// [`SCHED_SYNC`] is deliberately absent: it only fires when the engine
-    /// runs with a coalescing window, so harnesses opt into it explicitly
-    /// (a plan drawn over `ALL` must never arm a point the run cannot
-    /// reach).
     pub const ALL: &[&str] = &[
-        STORE_SAVE,
-        STORE_LOAD,
-        WAL_SAVE,
-        WAL_LOAD,
         WAL_FORCE,
         FLUSHER_FORCE,
+        SCHED_SYNC,
         INSTALL,
         DEV_LOG_APPEND,
         DEV_LOG_MANIFEST,
@@ -104,9 +88,6 @@ pub enum FaultKind {
     /// The page write never reaches the disk (lost/delayed write): the old
     /// image stays. On a write verdict this means "skip the write".
     DelayedWrite,
-    /// Writes are reordered: this write is stashed, and the *next* write to
-    /// the same point persists the stashed (older) image instead.
-    ReorderedWrite,
 }
 
 impl FaultKind {
@@ -118,7 +99,6 @@ impl FaultKind {
             FaultKind::IoError => "io_error",
             FaultKind::BitFlip { .. } => "bit_flip",
             FaultKind::DelayedWrite => "delayed_write",
-            FaultKind::ReorderedWrite => "reordered_write",
         }
     }
 }
@@ -133,7 +113,6 @@ impl std::fmt::Display for FaultKind {
             FaultKind::IoError => write!(f, "io_error"),
             FaultKind::BitFlip { offset } => write!(f, "bit_flip{{offset={offset}}}"),
             FaultKind::DelayedWrite => write!(f, "delayed_write"),
-            FaultKind::ReorderedWrite => write!(f, "reordered_write"),
         }
     }
 }
@@ -167,7 +146,7 @@ pub struct FiredFault {
     pub kind: FaultKind,
 }
 
-/// Verdict for a whole-image write (`save_to`-style paths).
+/// Verdict for a whole-blob device write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WriteVerdict {
     /// Persist this (possibly mutated) image.
@@ -202,8 +181,6 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 pub struct FaultHost {
     armed: Mutex<Option<(String, FaultKind)>>,
     fired: Mutex<Vec<FiredFault>>,
-    /// Stash for `ReorderedWrite`: (point, old image).
-    deferred: Mutex<Option<(String, Vec<u8>)>>,
     consults: AtomicU64,
 }
 
@@ -260,18 +237,6 @@ impl FaultHost {
     /// Returns the verdict (possibly a mutated image) or an [`InjectedFault`]
     /// if the write should fail outright.
     pub fn on_write(&self, point: &str, image: &[u8]) -> Result<WriteVerdict, InjectedFault> {
-        // A previously stashed reordered write to this point persists the
-        // stashed OLD image instead of the new one (write reordering made
-        // visible at the next write).
-        {
-            let mut deferred = lock(&self.deferred);
-            if let Some((p, old)) = deferred.take() {
-                if p == point {
-                    return Ok(WriteVerdict::Persist(old));
-                }
-                *deferred = Some((p, old));
-            }
-        }
         let Some(kind) = self.take_if(point) else {
             return Ok(WriteVerdict::Persist(image.to_vec()));
         };
@@ -297,46 +262,6 @@ impl FaultHost {
                 Ok(WriteVerdict::Persist(out))
             }
             FaultKind::DelayedWrite => Ok(WriteVerdict::Skip),
-            FaultKind::ReorderedWrite => {
-                // Stash the OLD image? We only have the new one here; model
-                // reordering as: this write is deferred (skipped now) and will
-                // be the one persisted by the NEXT write to the same point.
-                *lock(&self.deferred) = Some((point.to_string(), image.to_vec()));
-                Ok(WriteVerdict::Skip)
-            }
-        }
-    }
-
-    /// Consult a read failpoint with the image just read.
-    pub fn on_read(&self, point: &str, image: &[u8]) -> Result<Vec<u8>, InjectedFault> {
-        let Some(kind) = self.take_if(point) else {
-            return Ok(image.to_vec());
-        };
-        match kind {
-            FaultKind::IoError => Err(InjectedFault {
-                point: point.to_string(),
-                reason: "injected read error".to_string(),
-            }),
-            FaultKind::BitFlip { offset } => {
-                let mut out = image.to_vec();
-                if !out.is_empty() {
-                    let bit = (offset as usize) % (out.len() * 8);
-                    out[bit / 8] ^= 1 << (bit % 8);
-                }
-                Ok(out)
-            }
-            FaultKind::TornWrite { at_byte }
-            | FaultKind::ShortFsync {
-                keep_bytes: at_byte,
-            } => {
-                // Reading back an image whose tail never made it to disk.
-                let n = (at_byte as usize).min(image.len());
-                Ok(image[..n].to_vec())
-            }
-            FaultKind::DelayedWrite | FaultKind::ReorderedWrite => {
-                // Not meaningful on the read path; treat as no-op.
-                Ok(image.to_vec())
-            }
         }
     }
 
@@ -355,9 +280,9 @@ impl FaultHost {
             }
             FaultKind::IoError => ForceVerdict::Fail,
             FaultKind::BitFlip { offset } => ForceVerdict::FlipBit(offset),
-            // A delayed/reordered log write that has not reached the platter
-            // when the machine dies is indistinguishable from a failed force.
-            FaultKind::DelayedWrite | FaultKind::ReorderedWrite => ForceVerdict::Fail,
+            // A delayed log write that has not reached the platter when the
+            // machine dies is indistinguishable from a failed force.
+            FaultKind::DelayedWrite => ForceVerdict::Fail,
         }
     }
 
@@ -443,8 +368,6 @@ impl FaultPlan {
     ///
     /// | point          | valid kinds                                          |
     /// |----------------|------------------------------------------------------|
-    /// | `*.save`       | torn, short_fsync, io_error, bit_flip, delayed, reordered |
-    /// | `*.load`       | io_error, bit_flip, torn                             |
     /// | `wal.force` / `flusher.force` | torn, short_fsync, io_error, bit_flip |
     /// | `device.*`     | torn, short_fsync, io_error, bit_flip, delayed       |
     /// | `install` / `scheduler.sync`  | io_error                              |
@@ -461,19 +384,6 @@ impl FaultPlan {
                 2 => FaultKind::IoError,
                 3 => FaultKind::BitFlip { offset: param },
                 _ => FaultKind::DelayedWrite,
-            },
-            failpoint::STORE_SAVE | failpoint::WAL_SAVE => match r % 6 {
-                0 => FaultKind::TornWrite { at_byte: param },
-                1 => FaultKind::ShortFsync { keep_bytes: param },
-                2 => FaultKind::IoError,
-                3 => FaultKind::BitFlip { offset: param },
-                4 => FaultKind::DelayedWrite,
-                _ => FaultKind::ReorderedWrite,
-            },
-            failpoint::STORE_LOAD | failpoint::WAL_LOAD => match r % 3 {
-                0 => FaultKind::IoError,
-                1 => FaultKind::BitFlip { offset: param },
-                _ => FaultKind::TornWrite { at_byte: param },
             },
             failpoint::WAL_FORCE | failpoint::FLUSHER_FORCE => match r % 4 {
                 0 => FaultKind::TornWrite { at_byte: param },
@@ -517,10 +427,6 @@ mod tests {
                 failpoint::DEVICE.contains(&f.point.as_str()),
                 "plan escaped the device restriction: {f}"
             );
-            assert!(
-                !matches!(f.kind, FaultKind::ReorderedWrite),
-                "reordered writes are not modelled at device points: {f}"
-            );
         }
     }
 
@@ -539,23 +445,29 @@ mod tests {
     #[test]
     fn host_only_fires_matching_point() {
         let h = FaultHost::new();
-        h.arm(failpoint::STORE_SAVE, FaultKind::IoError);
+        h.arm(failpoint::DEV_STORE_DELTA, FaultKind::IoError);
         assert_eq!(h.on_force(failpoint::WAL_FORCE, 8), ForceVerdict::Proceed);
         assert!(h.is_armed(), "non-matching consult must not consume");
-        assert!(h.on_write(failpoint::STORE_SAVE, b"abc").is_err());
+        assert!(h.on_write(failpoint::DEV_STORE_DELTA, b"abc").is_err());
         assert!(!h.is_armed());
     }
 
     #[test]
     fn torn_write_truncates_clamped() {
         let h = FaultHost::new();
-        h.arm(failpoint::STORE_SAVE, FaultKind::TornWrite { at_byte: 2 });
-        match h.on_write(failpoint::STORE_SAVE, b"abcdef").unwrap() {
+        h.arm(
+            failpoint::DEV_STORE_DELTA,
+            FaultKind::TornWrite { at_byte: 2 },
+        );
+        match h.on_write(failpoint::DEV_STORE_DELTA, b"abcdef").unwrap() {
             WriteVerdict::Persist(img) => assert_eq!(img, b"ab"),
             other => panic!("unexpected verdict {other:?}"),
         }
-        h.arm(failpoint::STORE_SAVE, FaultKind::TornWrite { at_byte: 999 });
-        match h.on_write(failpoint::STORE_SAVE, b"abc").unwrap() {
+        h.arm(
+            failpoint::DEV_STORE_DELTA,
+            FaultKind::TornWrite { at_byte: 999 },
+        );
+        match h.on_write(failpoint::DEV_STORE_DELTA, b"abc").unwrap() {
             WriteVerdict::Persist(img) => assert_eq!(img, b"abc"),
             other => panic!("unexpected verdict {other:?}"),
         }
@@ -564,9 +476,15 @@ mod tests {
     #[test]
     fn bit_flip_flips_exactly_one_bit() {
         let h = FaultHost::new();
-        h.arm(failpoint::STORE_LOAD, FaultKind::BitFlip { offset: 13 });
+        h.arm(
+            failpoint::DEV_STORE_DELTA,
+            FaultKind::BitFlip { offset: 13 },
+        );
         let img = vec![0u8; 4];
-        let out = h.on_read(failpoint::STORE_LOAD, &img).unwrap();
+        let WriteVerdict::Persist(out) = h.on_write(failpoint::DEV_STORE_DELTA, &img).unwrap()
+        else {
+            panic!("a bit flip still persists the image");
+        };
         let diff: u32 = img
             .iter()
             .zip(&out)
@@ -578,8 +496,8 @@ mod tests {
     #[test]
     fn bit_flip_empty_image_is_noop() {
         let h = FaultHost::new();
-        h.arm(failpoint::STORE_SAVE, FaultKind::BitFlip { offset: 7 });
-        match h.on_write(failpoint::STORE_SAVE, b"").unwrap() {
+        h.arm(failpoint::DEV_STORE_DELTA, FaultKind::BitFlip { offset: 7 });
+        match h.on_write(failpoint::DEV_STORE_DELTA, b"").unwrap() {
             WriteVerdict::Persist(img) => assert!(img.is_empty()),
             other => panic!("unexpected verdict {other:?}"),
         }
@@ -588,32 +506,11 @@ mod tests {
     #[test]
     fn delayed_write_skips() {
         let h = FaultHost::new();
-        h.arm(failpoint::WAL_SAVE, FaultKind::DelayedWrite);
+        h.arm(failpoint::DEV_LOG_MANIFEST, FaultKind::DelayedWrite);
         assert_eq!(
-            h.on_write(failpoint::WAL_SAVE, b"xyz").unwrap(),
+            h.on_write(failpoint::DEV_LOG_MANIFEST, b"xyz").unwrap(),
             WriteVerdict::Skip
         );
-    }
-
-    #[test]
-    fn reordered_write_persists_stale_image_on_next_write() {
-        let h = FaultHost::new();
-        h.arm(failpoint::STORE_SAVE, FaultKind::ReorderedWrite);
-        // First write (image v1) is deferred.
-        assert_eq!(
-            h.on_write(failpoint::STORE_SAVE, b"v1").unwrap(),
-            WriteVerdict::Skip
-        );
-        // Second write (image v2) persists the stale v1 instead.
-        match h.on_write(failpoint::STORE_SAVE, b"v2").unwrap() {
-            WriteVerdict::Persist(img) => assert_eq!(img, b"v1"),
-            other => panic!("unexpected verdict {other:?}"),
-        }
-        // Third write is back to normal.
-        match h.on_write(failpoint::STORE_SAVE, b"v3").unwrap() {
-            WriteVerdict::Persist(img) => assert_eq!(img, b"v3"),
-            other => panic!("unexpected verdict {other:?}"),
-        }
     }
 
     #[test]
@@ -642,7 +539,7 @@ mod tests {
         let h = FaultHost::new();
         assert_eq!(h.consults(), 0);
         let _ = h.on_force(failpoint::WAL_FORCE, 0);
-        let _ = h.on_write(failpoint::STORE_SAVE, b"");
+        let _ = h.on_write(failpoint::DEV_STORE_DELTA, b"");
         assert_eq!(h.consults(), 2);
     }
 }

@@ -1,7 +1,6 @@
 //! WAL persistence through a pluggable [`LogDevice`] (DESIGN §11).
 //!
-//! Unlike the monolithic [`Wal::save_to`] image — which re-serializes the
-//! whole forced prefix on every save — device persistence is incremental:
+//! Device persistence is incremental:
 //!
 //! - **Truncation reclaims whole segments.** When the in-memory WAL's base
 //!   has advanced past durable segments (a checkpoint truncated the log),
@@ -13,8 +12,8 @@
 //! - **The master record rides the manifest.** No separate fixed-location
 //!   write; the manifest update at the force barrier carries it.
 //!
-//! Loading rebuilds the WAL with a *sharper* torn-tail guard than the
-//! monolithic path: sealed segments were CRC-verified by
+//! Loading rebuilds the WAL with a *sharper* torn-tail guard than a
+//! [`Wal::deserialize`]d image: sealed segments were CRC-verified by
 //! [`LogDevice::load_parts`], so only the open segment can legitimately hold
 //! a torn tail — corruption below it is media rot and recovery refuses it.
 

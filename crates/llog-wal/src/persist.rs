@@ -1,15 +1,14 @@
-//! Durable on-disk image of the WAL.
+//! Serialized image of the WAL (the on-disk format is the segmented device
+//! layout; see [`Wal::persist_to`]).
 //!
 //! Layout: `magic "LLOGWAL1" | base u64 | master u64 (0 = none) | stable
 //! len u64 | stable bytes | crc32c u32` — crc over everything before it.
 //! Only the forced prefix is saved; the volatile buffer is, by definition,
 //! not durable.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use llog_storage::Metrics;
-use llog_testkit::faults::{failpoint, FaultHost, WriteVerdict};
 use llog_types::{crc32c, LlogError, Lsn, Result};
 
 use crate::wal::Wal;
@@ -62,64 +61,6 @@ impl Wal {
             body[32..].to_vec(),
             master,
         ))
-    }
-
-    /// Save to a file.
-    pub fn save_to(&self, path: &Path) -> Result<()> {
-        self.save_to_with(path, None)
-    }
-
-    /// Save to a file, consulting the [`failpoint::WAL_SAVE`] failpoint on
-    /// `faults` (when present): the image may be torn, bit-rotted, skipped
-    /// (delayed page write), deferred (reordered write) or fail outright.
-    pub fn save_to_with(&self, path: &Path, faults: Option<&FaultHost>) -> Result<()> {
-        let image = self.serialize();
-        let verdict = match faults {
-            Some(h) => h
-                .on_write(failpoint::WAL_SAVE, &image)
-                .map_err(|f| LlogError::Io {
-                    point: f.point,
-                    reason: f.reason,
-                })?,
-            None => WriteVerdict::Persist(image),
-        };
-        match verdict {
-            WriteVerdict::Persist(img) => std::fs::write(path, img).map_err(|e| LlogError::Io {
-                point: path.display().to_string(),
-                reason: e.to_string(),
-            }),
-            WriteVerdict::Skip => Ok(()), // lost write: old image (if any) stays
-        }
-    }
-
-    /// Load from a file.
-    pub fn load_from(path: &Path, metrics: Arc<Metrics>) -> Result<Wal> {
-        Wal::load_from_with(path, metrics, None)
-    }
-
-    /// Load from a file, consulting the [`failpoint::WAL_LOAD`] failpoint on
-    /// `faults` (when present): the read may error, or the returned image
-    /// may arrive bit-rotted or truncated (then rejected by the CRC check in
-    /// [`Wal::deserialize`]).
-    pub fn load_from_with(
-        path: &Path,
-        metrics: Arc<Metrics>,
-        faults: Option<&FaultHost>,
-    ) -> Result<Wal> {
-        let bytes = std::fs::read(path).map_err(|e| LlogError::Io {
-            point: path.display().to_string(),
-            reason: e.to_string(),
-        })?;
-        let bytes = match faults {
-            Some(h) => h
-                .on_read(failpoint::WAL_LOAD, &bytes)
-                .map_err(|f| LlogError::Io {
-                    point: f.point,
-                    reason: f.reason,
-                })?,
-            None => bytes,
-        };
-        Wal::deserialize(&bytes, metrics)
     }
 }
 
@@ -184,81 +125,5 @@ mod tests {
         let w2 = Wal::deserialize(&w.serialize(), Metrics::new()).unwrap();
         assert_eq!(w2.start_lsn(), b);
         assert_eq!(w2.scan(b).count(), 1);
-    }
-
-    #[test]
-    fn file_save_load() {
-        let dir = std::env::temp_dir().join("llog-wal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.llog");
-        let w = sample_wal();
-        w.save_to(&path).unwrap();
-        let w2 = Wal::load_from(&path, Metrics::new()).unwrap();
-        assert_eq!(w2.forced_lsn(), w.forced_lsn());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_save_is_rejected_on_load() {
-        use llog_testkit::faults::FaultKind;
-        let dir = std::env::temp_dir().join("llog-wal-test-faults");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-torn.llog");
-        let w = sample_wal();
-        let h = FaultHost::new();
-        h.arm(failpoint::WAL_SAVE, FaultKind::TornWrite { at_byte: 20 });
-        w.save_to_with(&path, Some(&h)).unwrap();
-        let err = Wal::load_from(&path, Metrics::new()).unwrap_err();
-        assert!(matches!(err, LlogError::Codec { .. }), "got {err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bit_rot_on_load_is_rejected_by_crc() {
-        use llog_testkit::faults::FaultKind;
-        let dir = std::env::temp_dir().join("llog-wal-test-faults");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-rot.llog");
-        let w = sample_wal();
-        w.save_to(&path).unwrap();
-        let h = FaultHost::new();
-        h.arm(failpoint::WAL_LOAD, FaultKind::BitFlip { offset: 12345 });
-        let err = Wal::load_from_with(&path, Metrics::new(), Some(&h)).unwrap_err();
-        assert!(matches!(err, LlogError::Codec { .. }), "got {err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn injected_io_error_surfaces_as_io() {
-        use llog_testkit::faults::FaultKind;
-        let dir = std::env::temp_dir().join("llog-wal-test-faults");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-ioerr.llog");
-        let w = sample_wal();
-        let h = FaultHost::new();
-        h.arm(failpoint::WAL_SAVE, FaultKind::IoError);
-        let err = w.save_to_with(&path, Some(&h)).unwrap_err();
-        assert!(matches!(err, LlogError::Io { .. }), "got {err}");
-    }
-
-    #[test]
-    fn delayed_write_keeps_old_image() {
-        use llog_testkit::faults::FaultKind;
-        let dir = std::env::temp_dir().join("llog-wal-test-faults");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-delayed.llog");
-        let mut w = Wal::new(Metrics::new());
-        w.append(&LogRecord::Op(Operation::logical(0, &[1], &[2])));
-        w.force();
-        w.save_to(&path).unwrap(); // old image: 1 record
-        let old_forced = w.forced_lsn();
-        w.append(&LogRecord::Op(Operation::logical(1, &[2], &[3])));
-        w.force();
-        let h = FaultHost::new();
-        h.arm(failpoint::WAL_SAVE, FaultKind::DelayedWrite);
-        w.save_to_with(&path, Some(&h)).unwrap(); // lost write
-        let w2 = Wal::load_from(&path, Metrics::new()).unwrap();
-        assert_eq!(w2.forced_lsn(), old_forced, "old image must remain");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,8 +1,9 @@
-//! Corrupt-image matrix for both persist formats.
+//! Corrupt-image matrix for the serialized images and the device layout.
 //!
 //! Every mangled image — truncated, CRC-flipped, magic-smashed, or lying
 //! about its own length — must be rejected with [`LlogError::Codec`]
-//! (or [`LlogError::Io`] for a missing file), and must **never** panic.
+//! (or [`LlogError::Io`] for an unusable directory), and must **never**
+//! panic.
 //! The length-lie cases recompute the trailing CRC so the image sails past
 //! the checksum and exercises the structural bounds checks behind it.
 
@@ -786,14 +787,21 @@ fn segmented_recycled_ghost_region_is_outside_the_trust_boundary() {
 
 #[test]
 fn missing_files_surface_as_io_not_panic() {
-    let dir = std::env::temp_dir().join("llog-corrupt-images-nope");
-    let path = dir.join("does-not-exist.img");
-    match StableStore::load_from(&path, Metrics::new()) {
+    let dir = SegDir::new("missing");
+    // A directory that does not exist yet attaches as an empty layout and
+    // loads as "nothing persisted" — never a fabricated database.
+    let b = DurabilityBackend::file(
+        &dir.path().join("does-not-exist"),
+        Metrics::new(),
+        &seg_cfg(SEG_BYTES),
+    )
+    .unwrap();
+    assert!(b.load(Metrics::new()).unwrap().is_none());
+    // A root that cannot be a directory (a file is in the way) is `Io`.
+    let blocked = dir.path().join("blocked");
+    std::fs::write(&blocked, b"not a directory").unwrap();
+    match DurabilityBackend::file(&blocked, Metrics::new(), &seg_cfg(SEG_BYTES)) {
         Err(LlogError::Io { .. }) => {}
-        other => panic!("store load of missing file: {other:?}"),
-    }
-    match Wal::load_from(&path, Metrics::new()) {
-        Err(LlogError::Io { .. }) => {}
-        other => panic!("wal load of missing file: {other:?}"),
+        other => panic!("attach under a plain file: {other:?}"),
     }
 }

@@ -1024,8 +1024,6 @@ fn crash_inside_coalesced_barrier_acks_nothing_past_the_shared_fsync() {
     let config = ShardedConfig {
         shards: 2,
         commit: manual_group(), // only explicit forces flush
-        persist_on_force: true,
-        coalesce_window: Some(Duration::from_millis(50)),
         ..ShardedConfig::default()
     };
     let host = Arc::new(FaultHost::new());
@@ -1048,17 +1046,12 @@ fn crash_inside_coalesced_barrier_acks_nothing_past_the_shared_fsync() {
     engine.force_all().unwrap();
     assert!(base_a.wait() && base_b.wait());
 
-    // One batch pending per shard; the shared barrier's fsync fails.
+    // One batch pending per shard; `force_all` puts both shards in one
+    // barrier by construction, and that barrier's fsync fails.
     let doomed_a = sput(&engine, a, "doomed-a").unwrap();
     let doomed_b = sput(&engine, b, "doomed-b").unwrap();
     host.arm(failpoint::SCHED_SYNC, FaultKind::IoError);
-    std::thread::scope(|s| {
-        let e = &engine;
-        let fa = s.spawn(move || e.force_shard(0));
-        let fb = s.spawn(move || e.force_shard(1));
-        assert!(fa.join().unwrap().is_err(), "rider of a dead barrier acked");
-        assert!(fb.join().unwrap().is_err(), "rider of a dead barrier acked");
-    });
+    assert!(engine.force_all().is_err(), "rider of a dead barrier acked");
     assert_eq!(
         host.fired().len(),
         1,
@@ -1096,7 +1089,6 @@ fn crash_between_double_buffer_swap_and_fsync_clips_torn_tail() {
     let config = ShardedConfig {
         shards: 1,
         commit: manual_group(),
-        coalesce_window: Some(Duration::from_millis(1)),
         ..ShardedConfig::default()
     };
     let host = Arc::new(FaultHost::new());

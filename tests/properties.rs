@@ -280,14 +280,10 @@ proptest! {
             shards,
             engine: EngineConfig::default(),
             commit: CommitPolicy::Sync,
-            force_latency: std::time::Duration::ZERO,
             // Never backpressure, never install: the stable image stays
             // initial, so the sealed log alone is a complete oracle.
             max_uninstalled: 4096,
             install_high_water: 4096,
-            persist_on_force: false,
-            coalesce_window: None,
-            snapshot_reads: true,
         };
         let engine = ShardedEngine::new(config, &registry);
         let policy = if policy_rsi { RedoPolicy::RsiExposed } else { RedoPolicy::Vsi };
