@@ -23,7 +23,6 @@ pct="${REGRESSION_PCT:-30}"
 # The metric is the LAST `"key":number` occurrence in the (single-line)
 # JSON — for per-row metrics like e14's goodput that is the hardest row.
 table='
-BENCH_e12.json speedup_4c max
 BENCH_e13.json incr_ratio_1pct max
 BENCH_e14.json goodput max
 BENCH_e15.json drain_ms min

@@ -40,11 +40,6 @@ fn main() {
         println!("== {name} ==");
         println!("{table}");
     }
-    let p12 = llog_bench::e12_recovery_speed::Params::from_env();
-    let e12 = llog_bench::e12_recovery_speed::run(&p12);
-    println!("== E12 — recovery modes + shared-pool sharded recovery ==");
-    println!("{}", llog_bench::e12_recovery_speed::modes_table(&e12));
-    println!("{}", llog_bench::e12_recovery_speed::sharded_table(&e12));
     let p13 = llog_bench::e13_backend_cost::Params::from_env();
     let e13 = llog_bench::e13_backend_cost::run(&p13);
     println!("== E13 — durability backends: incremental checkpoint + segment reclaim ==");

@@ -17,10 +17,10 @@
 //! - recovery is idempotent (crash the recovered engine, recover again,
 //!   same state);
 //! - sharded logs stay disjoint per the router;
-//! - differential mode oracle: every crashed image recovers to the same
-//!   store, dirty table, live-op set and [`RecoveryOutcome`] under
-//!   `RecoveryMode::Serial` and `RecoveryMode::Parallel` (and if one mode
-//!   rejects the image, so does the other);
+//! - differential recovery oracle: every crashed image recovers to the
+//!   same store, dirty table, live-op set and [`RecoveryOutcome`] through
+//!   `recover` and its reference `recover_two_pass` (and if one rejects
+//!   the image, so does the other);
 //! - replication divergence oracle (mode 6): under lost, duplicated and
 //!   reordered segment delivery, replica crashes mid-redo and promotion
 //!   at an arbitrary shipping cut, the promoted replica's visible state
@@ -37,7 +37,7 @@
 //!   under all three `LogPolicy` choices with identical fault plans and a
 //!   mid-run checkpoint (conversion records included) recovers to
 //!   byte-identical visible state at every clean crash cut, each policy
-//!   passing the serial/parallel mode oracle and idempotence on its own.
+//!   passing the two-pass differential oracle and idempotence on its own.
 //!
 //! Failures are shrunk by the testkit property harness and print a repro
 //! command:
@@ -56,10 +56,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use llog_core::{
-    recover, recover_with, Engine, EngineConfig, RecoveryMode, RecoveryOptions, RecoveryOutcome,
-    RedoPolicy,
-};
+use llog_core::{recover, recover_two_pass, Engine, EngineConfig, RecoveryOutcome, RedoPolicy};
 use llog_domains::app::{Application, WriteMode};
 use llog_domains::btree::BTree;
 use llog_domains::fs::FileSystem;
@@ -290,71 +287,51 @@ fn engine_fingerprint(e: &Engine) -> String {
     )
 }
 
-/// Differential mode oracle: recover clones of the crashed image under
-/// `Serial` and `Parallel` and demand byte-identical stores and equal
-/// [`RecoveryOutcome`]s. If one mode errors, the other must error too.
-fn check_mode_divergence(
+/// Differential recovery oracle: recover clones of the crashed image
+/// through [`recover`] and [`recover_two_pass`] and demand byte-identical
+/// stores and equal [`RecoveryOutcome`]s. If one errors, the other must too.
+fn check_two_pass_divergence(
     store: &llog_storage::StableStore,
     wal: &llog_wal::Wal,
     registry: &TransformRegistry,
     config: EngineConfig,
     policy: RedoPolicy,
 ) -> Result<(), String> {
-    let serial = recover_with(
-        store.clone(),
-        wal.clone(),
-        registry.clone(),
-        config,
-        policy,
-        RecoveryOptions::serial(),
-    );
-    let parallel = recover_with(
-        store.clone(),
-        wal.clone(),
-        registry.clone(),
-        config,
-        policy,
-        RecoveryOptions {
-            mode: RecoveryMode::Parallel,
-            workers: Some(3),
-            decode_batch: 4,
-            ..RecoveryOptions::default()
-        },
-    );
-    match (serial, parallel) {
-        (Ok((se, so)), Ok((pe, po))) => {
-            if so != po {
+    let pipeline = recover(store.clone(), wal.clone(), registry.clone(), config, policy);
+    let reference = recover_two_pass(store.clone(), wal.clone(), registry.clone(), config, policy);
+    match (pipeline, reference) {
+        (Ok((pe, po)), Ok((re, ro))) => {
+            if po != ro {
                 return Err(format!(
-                    "mode divergence: serial outcome {so:?} != parallel outcome {po:?}"
+                    "two-pass divergence: recover outcome {po:?} != two-pass outcome {ro:?}"
                 ));
             }
-            if engine_fingerprint(&se) != engine_fingerprint(&pe) {
+            if engine_fingerprint(&pe) != engine_fingerprint(&re) {
                 return Err(
-                    "mode divergence: serial and parallel recovered states differ".to_string(),
+                    "two-pass divergence: recover and two-pass recovered states differ".to_string(),
                 );
             }
             Ok(())
         }
         (Err(_), Err(_)) => Ok(()), // consistently unrecoverable
         (Ok(_), Err(e)) => Err(format!(
-            "mode divergence: serial recovered but parallel failed: {e}"
+            "two-pass divergence: recover succeeded but two-pass failed: {e}"
         )),
         (Err(e), Ok(_)) => Err(format!(
-            "mode divergence: parallel recovered but serial failed: {e}"
+            "two-pass divergence: two-pass succeeded but recover failed: {e}"
         )),
     }
 }
 
-/// [`check_mode_divergence`], then the default (single-pass) recovery of
-/// the original parts.
-fn recover_modes(
+/// [`check_two_pass_divergence`], then the recovery of the original parts.
+fn recover_both_ways(
     store: llog_storage::StableStore,
     wal: llog_wal::Wal,
     registry: &TransformRegistry,
     config: EngineConfig,
     policy: RedoPolicy,
 ) -> Result<(Engine, RecoveryOutcome), String> {
-    check_mode_divergence(&store, &wal, registry, config, policy)?;
+    check_two_pass_divergence(&store, &wal, registry, config, policy)?;
     recover(store, wal, registry.clone(), config, policy)
         .map_err(|e| format!("recovery failed: {e}"))
 }
@@ -447,7 +424,7 @@ fn fuzz_kv_single(n_ops: usize, material: u64) -> Result<(), String> {
         )
     };
 
-    let (rec, _) = recover_modes(store, wal, &registry, config, policy)
+    let (rec, _) = recover_both_ways(store, wal, &registry, config, policy)
         .map_err(|e| format!("{}: {e}", ctx()))?;
     verify_against_log(&rec, &registry).map_err(|e| format!("{}: oracle: {e}", ctx()))?;
 
@@ -467,7 +444,7 @@ fn fuzz_kv_single(n_ops: usize, material: u64) -> Result<(), String> {
     // Idempotence: crashing the recovered engine and recovering again must
     // be a fixed point.
     let (store2, wal2) = rec.crash();
-    let (rec2, _) = recover_modes(store2, wal2, &registry, config, policy)
+    let (rec2, _) = recover_both_ways(store2, wal2, &registry, config, policy)
         .map_err(|e| format!("{}: second recovery: {e}", ctx()))?;
     if snap(&rec2, &ids) != got {
         return Err(format!("{}: recovery is not idempotent", ctx()));
@@ -531,7 +508,10 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
             OpKind::Physical,
             vec![],
             vec![x],
-            Transform::new(builtin::CONST, builtin::encode_values(&[v.clone()])),
+            Transform::new(
+                builtin::CONST,
+                builtin::encode_values(std::slice::from_ref(&v)),
+            ),
         ) {
             Ok(t) => history.entry(x).or_default().push((v, Some(t))),
             // A shard killed by an injected fault rejects later work, and a
@@ -579,10 +559,10 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
         .collect::<Result<_, _>>()
         .map_err(|e| format!("{}: oracle replay failed: {e}", ctx()))?;
 
-    // Differential mode oracle per shard before the pool recovery
+    // Differential recovery oracle per shard before the pool recovery
     // consumes the parts.
     for (i, (store, wal)) in parts.iter().enumerate() {
-        check_mode_divergence(store, wal, &registry, config.engine, policy)
+        check_two_pass_divergence(store, wal, &registry, config.engine, policy)
             .map_err(|e| format!("{}: shard {i}: {e}", ctx()))?;
     }
 
@@ -955,9 +935,7 @@ fn fuzz_domains(n_ops: usize, material: u64) -> Result<(), String> {
         engine.wal_mut().force();
         true
     };
-    let (store, wal) = if torn {
-        engine.crash()
-    } else if clean {
+    let (store, wal) = if torn || clean {
         engine.crash()
     } else {
         engine.crash_torn(rng.random_range(0usize..2048))
@@ -971,7 +949,7 @@ fn fuzz_domains(n_ops: usize, material: u64) -> Result<(), String> {
         )
     };
 
-    let (mut rec, _) = recover_modes(store, wal, &registry, config, policy)
+    let (mut rec, _) = recover_both_ways(store, wal, &registry, config, policy)
         .map_err(|e| format!("{}: {e}", ctx()))?;
     verify_against_log(&rec, &registry).map_err(|e| format!("{}: oracle: {e}", ctx()))?;
 
@@ -1372,7 +1350,7 @@ fn fuzz_replication(n_ops: usize, material: u64) -> Result<(), String> {
     // verbatim the primary's stable prefix, so this IS the primary's state
     // at the watermark cut. (Sound because this mode never truncates the
     // log: replay-from-empty covers the manifest image's installs too. A
-    // `recover_with` oracle over the manifest image would be UNsound here:
+    // `recover` oracle over the manifest image would be UNsound here:
     // Install records past the manifest cut are not reflected in that
     // image, which is exactly why the session blind-applies and skips
     // cache-manager records.)
@@ -1570,7 +1548,10 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
                 OpKind::Physical,
                 vec![],
                 vec![x],
-                Transform::new(builtin::CONST, builtin::encode_values(&[v.clone()])),
+                Transform::new(
+                    builtin::CONST,
+                    builtin::encode_values(std::slice::from_ref(&v)),
+                ),
             ) {
                 Ok(t) => {
                     // Occasionally settle inline and demand read-your-acked-
@@ -1630,7 +1611,10 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
             OpKind::Physical,
             vec![],
             vec![x],
-            Transform::new(builtin::CONST, builtin::encode_values(&[v.clone()])),
+            Transform::new(
+                builtin::CONST,
+                builtin::encode_values(std::slice::from_ref(&v)),
+            ),
         ) {
             Ok(t) => history.entry(x).or_default().push((v, Ack::Pending(t))),
             Err(_) => history.entry(x).or_default().push((v, Ack::Never)),
@@ -1776,8 +1760,8 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
 /// mid-run checkpoint (exercising checkpoint-time conversion) and crash
 /// shape for each. Oracles:
 ///
-/// - per policy: serial/single-pass/parallel recoveries agree
-///   ([`recover_modes`]), the recovered state matches the stable-log
+/// - per policy: `recover` and `recover_two_pass` agree
+///   ([`recover_both_ways`]), the recovered state matches the stable-log
 ///   replay oracle, surfaces a workload prefix `k ≥ acked`, and recovery
 ///   is idempotent;
 /// - across policies: when the crash cut lands on the same operation
@@ -1902,7 +1886,7 @@ fn fuzz_hybrid(n_ops: usize, material: u64) -> Result<(), String> {
             )
         };
 
-        let (rec, _) = recover_modes(store, wal, &registry, config, redo_policy)
+        let (rec, _) = recover_both_ways(store, wal, &registry, config, redo_policy)
             .map_err(|e| format!("{}: {e}", ctx()))?;
         verify_against_log(&rec, &registry).map_err(|e| format!("{}: oracle: {e}", ctx()))?;
 
@@ -1922,7 +1906,7 @@ fn fuzz_hybrid(n_ops: usize, material: u64) -> Result<(), String> {
         // Idempotence per policy (the second pass also re-reads any
         // conversion records the first recovery consumed as hints).
         let (store2, wal2) = rec.crash();
-        let (rec2, _) = recover_modes(store2, wal2, &registry, config, redo_policy)
+        let (rec2, _) = recover_both_ways(store2, wal2, &registry, config, redo_policy)
             .map_err(|e| format!("{}: second recovery: {e}", ctx()))?;
         if snap(&rec2, &ids) != got {
             return Err(format!("{}: recovery is not idempotent", ctx()));

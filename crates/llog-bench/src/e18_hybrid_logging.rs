@@ -103,7 +103,7 @@ pub struct Params {
     pub objects: u64,
     /// Batches before the fuzzy checkpoint (each batch: 1 expensive op +
     /// `CHEAP_PER_BATCH` cheap ops). Enough to warm the replay-cost EWMA
-    /// past the adaptive model's `min_samples`.
+    /// past the adaptive model's warm-up sample count.
     pub warmup_batches: usize,
     /// Batches between the checkpoint and the crash — the redo work.
     pub main_batches: usize,

@@ -17,18 +17,17 @@
 //! | [`e8_media`] | §1 / media recovery: fuzzy backups |
 //! | [`e9_cache_pressure`] | §3: bounded cache, eviction and forced installs |
 //! | [`e10_amortization`] | §4: updates amortized per flush |
-//! | [`e12_recovery_speed`] | Figure 2 extended: single-pass + parallel redo |
 //! | [`e13_backend_cost`] | DESIGN §11: incremental checkpoints + segment reclaim vs monolithic images |
 //! | [`e14_server_load`] | DESIGN §12: open-loop load against the TCP front end |
 //! | [`e15_replication`] | DESIGN §13: replica lag under load + failover fidelity |
 //! | [`e18_hybrid_logging`] | DESIGN §16: adaptive logical/physical records + checkpoint conversion |
 //!
-//! Shard scaling and group commit, the hot-path log device and snapshot
-//! reads (formerly E11, E16, E17 over a simulated device sleep) are measured
-//! on a real device by the repository benchmark in `bench/`.
+//! Shard scaling and group commit, the hot-path log device, snapshot reads
+//! and recovery speed (formerly E11, E16, E17 over a simulated device sleep
+//! and E12 over a sleeping transform) are measured on a real device by the
+//! repository benchmark in `bench/`.
 
 pub mod e10_amortization;
-pub mod e12_recovery_speed;
 pub mod e13_backend_cost;
 pub mod e14_server_load;
 pub mod e15_replication;

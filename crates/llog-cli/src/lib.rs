@@ -611,7 +611,7 @@ pub fn cmd_serve(dir: &Path, shards: usize, addr: &str) -> Result<()> {
 /// oracle for the kill-mid-batch smoke test.
 pub fn cmd_load(addr: &str, ops: u64, seed: u64, conns: usize, check: bool) -> Result<()> {
     let conns = conns.clamp(1, 64) as u64;
-    let per_conn = ops / conns + u64::from(ops % conns != 0);
+    let per_conn = ops.div_ceil(conns);
     let total = std::sync::atomic::AtomicU64::new(0);
     // Mismatches collect here instead of aborting their connection, so
     // after the join we can report the *first* divergent key (lowest

@@ -476,11 +476,11 @@ impl Engine {
         Ok(())
     }
 
-    /// Adopt an operation whose outputs were already computed by a parallel
-    /// redo worker: exactly [`apply_logged`](Self::apply_logged) minus the
-    /// input reads and transform application. Called in global log order by
-    /// the recovery merge step, so the cache, dirty table, writer index and
-    /// write graph end up identical to a serial replay.
+    /// Adopt an operation whose outputs are already known (a checkpoint-time
+    /// conversion record carries them): exactly
+    /// [`apply_logged`](Self::apply_logged) minus the input reads and
+    /// transform application, so the cache, dirty table, writer index and
+    /// write graph end up identical to a re-execution.
     pub(crate) fn adopt_replayed(&mut self, op: &Operation, lsn: Lsn, outputs: Vec<Value>) {
         let kept = self.convertible_outputs(op, &outputs);
         self.apply_outputs(op, lsn, outputs);

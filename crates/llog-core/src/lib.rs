@@ -18,12 +18,9 @@
 //!   maintenance, checkpointing.
 //! - [`redo`]: the REDO tests — vSI-based and the generalized rSI +
 //!   exposed test (§5).
-//! - [`recover`](mod@recover): the single-pass recovery pipeline — fused
-//!   analysis/redo over one log scan, conflict-component partitioning and
-//!   dependency-scheduled parallel replay (Figure 2, extended).
-//! - [`partition`]: union–find conflict components over `readset ∪
-//!   writeset` (the §2 commutativity argument that makes parallel redo
-//!   sound).
+//! - [`recover`](mod@recover): the recovery pipeline — analysis and redo
+//!   over one log scan (Figure 2) — and [`recover_two_pass`], the two-scan
+//!   reference tests compare it against.
 //! - [`invariant`]: the `Inv(I)` audit used by tests (§3).
 //! - [`replica`]: continuous redo for warm standbys — an incremental
 //!   [`RedoSession`] over a shipped log, with a replayed-LSN watermark
@@ -34,7 +31,6 @@ pub mod exposed;
 pub mod igraph;
 pub mod invariant;
 pub mod media;
-pub mod partition;
 pub mod recover;
 pub mod redo;
 pub mod replica;
@@ -46,8 +42,7 @@ pub mod wgraph;
 pub use cache::{Engine, EngineConfig, FlushStrategy, GraphKind};
 pub use igraph::{EdgeKind, InstallGraph};
 pub use media::{media_recover, media_recover_archived, Backup, BackupMode};
-pub use partition::partition_ops;
-pub use recover::{recover, recover_with, RecoveryMode, RecoveryOptions, RecoveryOutcome};
+pub use recover::{recover, recover_two_pass, RecoveryOutcome};
 pub use redo::RedoPolicy;
 pub use replica::{RedoSession, ReplicaReader};
 pub use rwgraph::{NodeId, RWGraph};

@@ -1,5 +1,4 @@
-//! Recovery: the single-pass analysis/redo pipeline (`Recover`, Figure 2,
-//! extended with dependency-scheduled parallel redo).
+//! Recovery: the single-pass analysis/redo pipeline (`Recover`, Figure 2).
 //!
 //! Recovery reads the master record for the last stable checkpoint, rebuilds
 //! the dirty object table from checkpoint + installation + flush + operation
@@ -10,30 +9,20 @@
 //! a second crash) can follow seamlessly; that is what makes recovery
 //! idempotent (Theorem 2).
 //!
-//! Three execution strategies share one observable behaviour
-//! ([`RecoveryMode`]):
+//! There is one pipeline, [`recover`]: analysis retains decoded op records
+//! at or after the running min-dirty LSN in a ring, so the redo phase
+//! replays straight from memory and stable bytes are decoded exactly once.
+//! Where the ring under-covers (a checkpoint dirty table reaching behind the
+//! scan start, or pruning slack) a gap rescan re-decodes only the missing
+//! prefix `[redo_start, ring floor)`.
 //!
-//! - **Serial** — the legacy two-pass baseline: analysis scan, then a redo
-//!   scan that re-decodes from `redo_start`. Kept as the differential
-//!   oracle.
-//! - **SinglePass** (default) — analysis retains decoded op records at or
-//!   after the running min-dirty LSN in a bounded ring, so the redo phase
-//!   replays straight from memory; stable bytes are decoded exactly once.
-//!   If the ring under-covers (bounded capacity, or a checkpoint table
-//!   reaching behind the scan start), a gap rescan of only the missing
-//!   prefix restores correctness.
-//! - **Parallel** — single-pass, plus: frames are CRC-checked and decoded
-//!   on worker threads ([`Wal::scan_batched`]), and the retained ops are
-//!   partitioned into conflict components
-//!   ([`partition_ops`](crate::partition::partition_ops)) replayed
-//!   concurrently. Ops in different components touch disjoint `readset ∪
-//!   writeset`s, so by the installation-graph argument of §2 they commute;
-//!   log order is preserved *within* each component and the computed
-//!   outputs are merged into the engine in global log order.
+//! [`recover_two_pass`] is the reference the pipeline is tested against: the
+//! legacy analysis scan followed by a second scan from `redo_start`. It is
+//! the same code with an empty ring — the "gap" is then the whole redo
+//! range — so the analysis state machine, the REDO test and the replay loop
+//! exist once.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use llog_ops::{OpKind, Operation, TransformRegistry};
@@ -42,82 +31,7 @@ use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
 use llog_wal::{LogRecord, Wal};
 
 use crate::cache::{Engine, EngineConfig};
-use crate::partition::partition_ops;
 use crate::redo::{dead_records, should_redo, RedoContext, RedoPolicy};
-
-/// How the recovery pipeline executes (see the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RecoveryMode {
-    /// Two log passes, strictly serial replay. The differential oracle:
-    /// every other mode must produce an identical store and an equal
-    /// [`RecoveryOutcome`].
-    Serial,
-    /// One log pass (op records retained in the analysis ring), serial
-    /// replay.
-    #[default]
-    SinglePass,
-    /// One log pass with parallel frame decode, plus conflict-component
-    /// parallel replay on a scoped worker pool.
-    Parallel,
-}
-
-/// Tuning knobs for [`recover_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryOptions {
-    /// Execution strategy.
-    pub mode: RecoveryMode,
-    /// Maximum op records the analysis ring retains (`0` = unbounded).
-    /// Overflow falls back to a gap rescan of the dropped prefix — a pure
-    /// performance trade, never a correctness one.
-    pub ring_capacity: usize,
-    /// Worker threads for parallel decode and replay. `None` sizes the pool
-    /// by [`std::thread::available_parallelism`].
-    pub workers: Option<usize>,
-    /// Frames per decode chunk handed to [`Wal::scan_batched`].
-    pub decode_batch: usize,
-}
-
-impl Default for RecoveryOptions {
-    fn default() -> RecoveryOptions {
-        RecoveryOptions {
-            mode: RecoveryMode::SinglePass,
-            ring_capacity: 0,
-            workers: None,
-            decode_batch: 64,
-        }
-    }
-}
-
-impl RecoveryOptions {
-    /// The legacy two-pass serial pipeline (the differential oracle).
-    pub fn serial() -> RecoveryOptions {
-        RecoveryOptions {
-            mode: RecoveryMode::Serial,
-            ..RecoveryOptions::default()
-        }
-    }
-
-    /// Parallel pipeline with an explicit worker count.
-    pub fn parallel(workers: usize) -> RecoveryOptions {
-        RecoveryOptions {
-            mode: RecoveryMode::Parallel,
-            workers: Some(workers),
-            ..RecoveryOptions::default()
-        }
-    }
-}
-
-/// Resolve the effective worker count for an options struct.
-fn effective_workers(options: &RecoveryOptions) -> usize {
-    options
-        .workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-}
 
 /// What recovery did — the quantities experiments E5/E6 report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -158,34 +72,35 @@ struct Analysis {
 /// Recompute the running ring lower bound every this many retained ops.
 const PRUNE_INTERVAL: usize = 256;
 
+/// Redo hints from checkpoint-time conversion records, keyed by the LSN of
+/// the logical op they physicalize. A hint changes *how* a selected op is
+/// redone (adopt the recorded post-images instead of re-executing the
+/// transform), never *whether* it is redone — so hints cannot perturb the
+/// REDO test or replay order.
+type Hints = BTreeMap<Lsn, (Vec<ObjectId>, Vec<Value>)>;
+
 /// The analysis state machine, one [`step`](Analyzer::step) per log record.
 ///
 /// With `retain` set it also keeps the single-pass op ring: every decoded
-/// `Op` record is pushed; records provably below the final redo start
+/// `Op` record is pushed, and records provably below the final redo start
 /// (their LSN is under the running min-dirty LSN, and per-object rSIs only
-/// advance during a forward scan) are pruned periodically, and a bounded
-/// `cap` drops the oldest entries. `ring_from` is the ring's coverage
-/// floor: the ring holds **every** op record with LSN in
-/// `[ring_from, scan end)`, so the redo phase re-decodes, at most, the gap
-/// `[redo_start, ring_from)`.
+/// advance during a forward scan) are pruned periodically. `ring_from` is
+/// the ring's coverage floor: the ring holds **every** op record with LSN
+/// in `[ring_from, scan end)`, so the redo phase re-decodes, at most, the
+/// gap `[redo_start, ring_from)`. Without `retain` the ring covers nothing
+/// (`ring_from` is `Lsn::MAX`) and the gap is the whole redo range.
 struct Analyzer {
     a: Analysis,
     pending_ftxn: Vec<(ObjectId, Value, Lsn)>,
     retain: bool,
     prune: bool,
-    cap: usize,
     ring: VecDeque<(Lsn, Operation)>,
     ring_from: Lsn,
     /// LSN of every record the analysis scan decoded (ascending) — lets the
     /// redo phase report `redo_scanned` without a second scan.
     lsns: Vec<Lsn>,
     since_prune: usize,
-    /// Redo hints from checkpoint-time conversion records, keyed by the LSN
-    /// of the logical op they physicalize. A hint changes *how* a selected
-    /// op is redone (adopt the recorded post-images instead of re-executing
-    /// the transform), never *whether* it is redone — so hints cannot
-    /// perturb the REDO test or replay order.
-    hints: BTreeMap<Lsn, (Vec<ObjectId>, Vec<Value>)>,
+    hints: Hints,
 }
 
 impl Analyzer {
@@ -194,7 +109,6 @@ impl Analyzer {
         seeded_dirty: BTreeMap<ObjectId, Lsn>,
         retain: bool,
         prune: bool,
-        cap: usize,
     ) -> Analyzer {
         Analyzer {
             a: Analysis {
@@ -204,9 +118,8 @@ impl Analyzer {
             pending_ftxn: Vec::new(),
             retain,
             prune,
-            cap,
             ring: VecDeque::new(),
-            ring_from: scan_from,
+            ring_from: if retain { scan_from } else { Lsn::MAX },
             lsns: Vec::new(),
             since_prune: 0,
             hints: BTreeMap::new(),
@@ -233,14 +146,6 @@ impl Analyzer {
                 }
                 if self.retain {
                     self.ring.push_back((lsn, op));
-                    if self.cap > 0 && self.ring.len() > self.cap {
-                        // Bounded ring: drop the oldest; the gap rescan
-                        // re-decodes it if redo still needs it.
-                        self.ring.pop_front();
-                        if let Some((front, _)) = self.ring.front() {
-                            self.ring_from = self.ring_from.max(*front);
-                        }
-                    }
                     self.since_prune += 1;
                     if self.prune && self.since_prune >= PRUNE_INTERVAL {
                         self.since_prune = 0;
@@ -301,20 +206,36 @@ impl Analyzer {
     }
 }
 
-/// Run the analysis scan. `decode_workers > 1` decodes frames on worker
-/// threads via [`Wal::scan_batched`]; the state machine always consumes in
-/// log order on the calling thread.
+/// One forward scan of `[from, until)`, handing each record to `visit`.
 ///
 /// Corruption is classified with [`Wal::corruption_is_torn_tail`]: a torn
-/// tail (at or after the last force boundary) cleanly ends the scan, while
-/// mid-log corruption — damage inside a previously forced prefix — is a
-/// hard error.
-fn analyze_with(
+/// tail (at or after the last force boundary) cleanly ends the scan and
+/// returns `true`, while mid-log corruption — damage inside a previously
+/// forced prefix — is a hard error.
+fn scan_log(
     wal: &Wal,
-    policy: RedoPolicy,
-    options: &RecoveryOptions,
-    decode_workers: usize,
-) -> Result<Analyzer> {
+    from: Lsn,
+    until: Lsn,
+    mut visit: impl FnMut(Lsn, LogRecord),
+) -> Result<bool> {
+    for item in wal.scan(from) {
+        match item {
+            Ok((lsn, _)) if lsn >= until => break,
+            Ok((lsn, rec)) => visit(lsn, rec),
+            Err(LlogError::Corrupt { offset, reason }) => {
+                if wal.corruption_is_torn_tail(offset) {
+                    return Ok(true);
+                }
+                return Err(LlogError::Corrupt { offset, reason });
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(false)
+}
+
+/// Run the analysis scan from the master checkpoint (or the log start).
+fn analyze(wal: &Wal, policy: RedoPolicy, retain: bool) -> Result<Analyzer> {
     let mut scan_from = wal.start_lsn();
     let mut seeded = BTreeMap::new();
 
@@ -332,44 +253,11 @@ fn analyze_with(
         }
     }
 
-    let retain = options.mode != RecoveryMode::Serial;
     // Naive redo replays from the log start regardless of the dirty table,
     // so min-dirty pruning would only grow the gap rescan: keep everything.
     let prune = retain && policy != RedoPolicy::Naive;
-    let mut an = Analyzer::new(scan_from, seeded, retain, prune, options.ring_capacity);
-
-    if decode_workers > 1 {
-        let summary = wal.scan_batched(
-            scan_from,
-            options.decode_batch.max(1),
-            decode_workers,
-            &mut |lsn, rec| {
-                an.step(lsn, rec);
-                Ok(())
-            },
-        )?;
-        if let Some((offset, reason)) = summary.corrupt {
-            if wal.corruption_is_torn_tail(offset) {
-                an.a.torn_tail = true;
-            } else {
-                return Err(LlogError::Corrupt { offset, reason });
-            }
-        }
-    } else {
-        for item in wal.scan(scan_from) {
-            match item {
-                Ok((lsn, rec)) => an.step(lsn, rec),
-                Err(LlogError::Corrupt { offset, reason }) => {
-                    if wal.corruption_is_torn_tail(offset) {
-                        an.a.torn_tail = true;
-                        break;
-                    }
-                    return Err(LlogError::Corrupt { offset, reason });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
+    let mut an = Analyzer::new(scan_from, seeded, retain, prune);
+    an.a.torn_tail = scan_log(wal, scan_from, Lsn::MAX, |lsn, rec| an.step(lsn, rec))?;
 
     an.a.redo_start =
         an.a.dirty
@@ -380,182 +268,8 @@ fn analyze_with(
     Ok(an)
 }
 
-/// How the replay phase disposed of one retained op record. Carries the
-/// computed outputs so the merge step can adopt them without re-reading
-/// inputs or re-running the transform.
-enum Verdict {
-    /// Bypassed by the REDO test or dead-record analysis.
-    Skipped,
-    /// Trial execution voided (§5 cases 2b/2c).
-    Voided,
-    /// Re-executed; outputs ready to adopt.
-    Redone(Vec<Value>),
-    /// An uninstalled delete, applied (accounted separately from redone).
-    DeleteApplied(Vec<Value>),
-}
-
-/// A replay worker's view of an object: the component-local value/vSI if a
-/// prior op in this component wrote it, else faulted from the stable store
-/// (a counted read, like the serial cache fault).
-fn local_entry(
-    local: &mut BTreeMap<ObjectId, (Value, Lsn)>,
-    store: &StableStore,
-    x: ObjectId,
-) -> (Value, Lsn) {
-    if let Some(e) = local.get(&x) {
-        return e.clone();
-    }
-    let s = store.read(x);
-    local.insert(x, (s.value.clone(), s.vsi));
-    (s.value, s.vsi)
-}
-
-/// Replay one conflict component in log order against a local cache,
-/// mirroring the serial loop's REDO test, trial execution and error
-/// semantics exactly. Returns `(op index, verdict)` pairs.
-#[allow(clippy::too_many_arguments)]
-fn replay_component(
-    ops: &[(Lsn, Operation)],
-    comp: &[usize],
-    dead: &BTreeSet<Lsn>,
-    hints: &BTreeMap<Lsn, (Vec<ObjectId>, Vec<Value>)>,
-    ctx: &RedoContext<'_>,
-    policy: RedoPolicy,
-    store: &StableStore,
-    registry: &TransformRegistry,
-) -> Result<Vec<(usize, Verdict)>> {
-    let mut local: BTreeMap<ObjectId, (Value, Lsn)> = BTreeMap::new();
-    let mut out = Vec::with_capacity(comp.len());
-    for &i in comp {
-        let (lsn, op) = &ops[i];
-        let lsn = *lsn;
-        if dead.contains(&lsn) {
-            out.push((i, Verdict::Skipped));
-            continue;
-        }
-        let redo = should_redo(policy, op, lsn, ctx, |x| {
-            local_entry(&mut local, store, x).1
-        });
-        if !redo {
-            out.push((i, Verdict::Skipped));
-            continue;
-        }
-        // Conversion hint: adopt the recorded post-images without touching
-        // the transform registry — mirroring the serial loop exactly.
-        if op.kind != OpKind::Delete {
-            if let Some((writes, values)) = hints.get(&lsn) {
-                if *writes == op.writes {
-                    for (&x, v) in op.writes.iter().zip(values.iter()) {
-                        local.insert(x, (v.clone(), lsn));
-                    }
-                    out.push((i, Verdict::Redone(values.clone())));
-                    continue;
-                }
-            }
-        }
-        let inputs: Vec<Value> = op
-            .reads
-            .iter()
-            .map(|&x| local_entry(&mut local, store, x).0)
-            .collect();
-        match registry.apply(op.id, &op.transform, &inputs, op.writes.len()) {
-            Ok(outputs) => {
-                for (&x, v) in op.writes.iter().zip(outputs.iter()) {
-                    local.insert(x, (v.clone(), lsn));
-                }
-                let verdict = if op.kind == OpKind::Delete {
-                    Verdict::DeleteApplied(outputs)
-                } else {
-                    Verdict::Redone(outputs)
-                };
-                out.push((i, verdict));
-            }
-            // Trial execution (§5): the approximate REDO test may select an
-            // inapplicable op; void it — except deletes, whose failure the
-            // serial loop propagates.
-            Err(e) if op.kind == OpKind::Delete => return Err(e),
-            Err(
-                LlogError::NotApplicable { .. }
-                | LlogError::WritesetMismatch { .. }
-                | LlogError::Codec { .. },
-            ) => out.push((i, Verdict::Voided)),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(out)
-}
-
-/// Fan the conflict components out over `workers` scoped threads (largest
-/// components first) and collect one [`Verdict`] per op.
-#[allow(clippy::too_many_arguments)]
-fn replay_components(
-    ops: &[(Lsn, Operation)],
-    components: &[Vec<usize>],
-    dead: &BTreeSet<Lsn>,
-    hints: &BTreeMap<Lsn, (Vec<ObjectId>, Vec<Value>)>,
-    ctx: &RedoContext<'_>,
-    policy: RedoPolicy,
-    store: &StableStore,
-    registry: &TransformRegistry,
-    workers: usize,
-) -> Result<Vec<Verdict>> {
-    // Schedule the biggest components first: the longest serial chain
-    // bounds the critical path.
-    let mut order: Vec<usize> = (0..components.len()).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(components[c].len()));
-
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let results: Mutex<Vec<(usize, Verdict)>> = Mutex::new(Vec::with_capacity(ops.len()));
-    let failure: Mutex<Option<LlogError>> = Mutex::new(None);
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&c) = order.get(k) else { break };
-                    match replay_component(
-                        ops,
-                        &components[c],
-                        dead,
-                        hints,
-                        ctx,
-                        policy,
-                        store,
-                        registry,
-                    ) {
-                        Ok(vs) => results.lock().unwrap_or_else(|p| p.into_inner()).extend(vs),
-                        Err(e) => {
-                            stop.store(true, Ordering::Relaxed);
-                            failure
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .get_or_insert(e);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = failure.into_inner().unwrap_or_else(|p| p.into_inner()) {
-        return Err(e);
-    }
-    let mut verdicts: Vec<Option<Verdict>> = (0..ops.len()).map(|_| None).collect();
-    for (i, v) in results.into_inner().unwrap_or_else(|p| p.into_inner()) {
-        verdicts[i] = Some(v);
-    }
-    verdicts
-        .into_iter()
-        .map(|v| v.ok_or_else(|| LlogError::Unexplainable("redo verdict missing".into())))
-        .collect()
-}
-
-/// Recover the database `(store, wal)` after a crash with the default
-/// pipeline ([`RecoveryMode::SinglePass`]). Returns a ready [`Engine`]
-/// (cache, write graph and dirty table rebuilt) and the
+/// Recover the database `(store, wal)` after a crash. Returns a ready
+/// [`Engine`] (cache, write graph and dirty table rebuilt) and the
 /// [`RecoveryOutcome`].
 pub fn recover(
     store: StableStore,
@@ -564,38 +278,39 @@ pub fn recover(
     config: EngineConfig,
     policy: RedoPolicy,
 ) -> Result<(Engine, RecoveryOutcome)> {
-    recover_with(
-        store,
-        wal,
-        registry,
-        config,
-        policy,
-        RecoveryOptions::default(),
-    )
+    run(store, wal, registry, config, policy, true)
 }
 
-/// Recover with explicit pipeline [`RecoveryOptions`]. All modes produce
-/// an identical store, engine state and [`RecoveryOutcome`]; they differ
-/// only in how many times stable bytes are decoded and how much of the
-/// replay runs concurrently.
-pub fn recover_with(
+/// The legacy two-pass recovery: an analysis scan, then a second scan that
+/// re-decodes every record from `redo_start`. Not a production path — it is
+/// the differential oracle for tests and `llog-fuzz`: [`recover`] must
+/// produce a byte-identical store, the same engine state and an equal
+/// [`RecoveryOutcome`].
+pub fn recover_two_pass(
     store: StableStore,
     wal: Wal,
     registry: TransformRegistry,
     config: EngineConfig,
     policy: RedoPolicy,
-    options: RecoveryOptions,
+) -> Result<(Engine, RecoveryOutcome)> {
+    run(store, wal, registry, config, policy, false)
+}
+
+/// Analysis, op gathering and replay. `retain_ops` is the only difference
+/// between [`recover`] (replay from the analysis ring) and
+/// [`recover_two_pass`] (replay from a second log scan).
+fn run(
+    store: StableStore,
+    wal: Wal,
+    registry: TransformRegistry,
+    config: EngineConfig,
+    policy: RedoPolicy,
+    retain_ops: bool,
 ) -> Result<(Engine, RecoveryOutcome)> {
     let metrics = store.metrics().clone();
-    let workers = effective_workers(&options);
-    let decode_workers = if options.mode == RecoveryMode::Parallel {
-        workers
-    } else {
-        1
-    };
 
     let t_analysis = Instant::now();
-    let an = analyze_with(&wal, policy, &options, decode_workers)?;
+    let an = analyze(&wal, policy, retain_ops)?;
     Metrics::bump(
         &metrics.recovery_analysis_ns,
         t_analysis.elapsed().as_nanos() as u64,
@@ -637,82 +352,39 @@ pub fn recover_with(
     outcome.redo_start = redo_from;
 
     // ------------------------------------------------------------------
-    // Gather the op records to replay.
+    // Gather the op records to replay: re-decode the gap below the ring's
+    // coverage (a checkpoint dirty table reaching behind the scan start,
+    // pruning slack — or, for the two-pass reference, everything), then
+    // take the rest from the ring.
     // ------------------------------------------------------------------
     let mut op_records: Vec<(Lsn, Operation)> = Vec::new();
-    if options.mode == RecoveryMode::Serial {
-        // Legacy second pass: re-decode everything from redo_from.
-        for item in wal.scan(redo_from) {
-            match item {
-                Ok((lsn, LogRecord::Op(op))) => op_records.push((lsn, op)),
-                Ok((lsn, LogRecord::PhysicalResult(pr))) => {
-                    op_records.push((lsn, pr.to_operation()));
-                }
-                Ok((_, LogRecord::Converted(cv))) => {
+    if redo_from < ring_from {
+        let mut gap = 0u64;
+        scan_log(&wal, redo_from, ring_from, |lsn, rec| {
+            gap += 1;
+            match rec {
+                LogRecord::Op(op) => op_records.push((lsn, op)),
+                LogRecord::PhysicalResult(pr) => op_records.push((lsn, pr.to_operation())),
+                LogRecord::Converted(cv) => {
                     hints.insert(cv.at, (cv.writes, cv.values));
                 }
-                Ok(_) => {}
-                Err(LlogError::Corrupt { offset, reason }) => {
-                    if wal.corruption_is_torn_tail(offset) {
-                        break; // torn tail: end of log
-                    }
-                    return Err(LlogError::Corrupt { offset, reason });
-                }
-                Err(e) => return Err(e),
+                _ => {}
             }
-            outcome.redo_scanned += 1;
-        }
-        Metrics::bump(&metrics.recovery_records_decoded, outcome.redo_scanned);
-    } else {
-        // Single-pass: replay from the analysis ring; re-decode only the
-        // gap below its coverage (bounded-ring overflow, pruning slack, or
-        // a checkpoint dirty table reaching behind the scan start).
-        if redo_from < ring_from {
-            let mut gap = 0u64;
-            for item in wal.scan(redo_from) {
-                match item {
-                    Ok((lsn, rec)) => {
-                        if lsn >= ring_from {
-                            break;
-                        }
-                        gap += 1;
-                        match rec {
-                            LogRecord::Op(op) => op_records.push((lsn, op)),
-                            LogRecord::PhysicalResult(pr) => {
-                                op_records.push((lsn, pr.to_operation()));
-                            }
-                            LogRecord::Converted(cv) => {
-                                hints.insert(cv.at, (cv.writes, cv.values));
-                            }
-                            _ => {}
-                        }
-                    }
-                    Err(LlogError::Corrupt { offset, reason }) => {
-                        if wal.corruption_is_torn_tail(offset) {
-                            break;
-                        }
-                        return Err(LlogError::Corrupt { offset, reason });
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            outcome.redo_scanned += gap;
-            Metrics::bump(&metrics.recovery_records_decoded, gap);
-        }
-        let lo = redo_from.max(ring_from);
-        let mut reused = 0u64;
-        for (lsn, op) in ring {
-            if lsn >= lo {
-                op_records.push((lsn, op));
-                reused += 1;
-            }
-        }
-        Metrics::bump(&metrics.recovery_ring_reused, reused);
-        // redo_scanned parity with Serial: records the legacy second pass
-        // would have visited at/after the ring floor were all seen (and
-        // counted) by the analysis scan.
-        outcome.redo_scanned += (lsns.len() - lsns.partition_point(|&l| l < lo)) as u64;
+        })?;
+        outcome.redo_scanned += gap;
+        Metrics::bump(&metrics.recovery_records_decoded, gap);
     }
+    let lo = redo_from.max(ring_from);
+    let gap_ops = op_records.len();
+    op_records.extend(ring.into_iter().filter(|(lsn, _)| *lsn >= lo));
+    Metrics::bump(
+        &metrics.recovery_ring_reused,
+        (op_records.len() - gap_ops) as u64,
+    );
+    // redo_scanned parity with the two-pass reference: records its second
+    // pass would have visited at/after the ring floor were all seen (and
+    // counted) by the analysis scan.
+    outcome.redo_scanned += (lsns.len() - lsns.partition_point(|&l| l < lo)) as u64;
 
     // §5 transient-object optimization (RsiExposed only): records whose
     // effects no surviving state depends on are treated as installed.
@@ -741,102 +413,55 @@ pub fn recover_with(
     // ------------------------------------------------------------------
     // Replay.
     // ------------------------------------------------------------------
-    let mut engine;
-    if options.mode == RecoveryMode::Parallel {
-        let components = partition_ops(&op_records);
-        Metrics::bump(&metrics.recovery_components, components.len() as u64);
-        let pool = workers.min(components.len()).max(1);
-        Metrics::bump(&metrics.recovery_parallel_workers, pool as u64);
-        // Workers compute verdicts against component-local caches (the
-        // store is shared read-only); nothing is mutated until the merge.
-        let verdicts = replay_components(
-            &op_records,
-            &components,
-            &dead,
-            &hints,
-            &ctx,
-            policy,
-            &store,
-            &registry,
-            pool,
-        )?;
-        engine = Engine::with_parts(config, registry, store, wal, metrics.clone());
-        // Merge in global log order: adopting outputs in index order
-        // reproduces the serial dirty-table, writer-index and write-graph
-        // construction exactly.
-        for (i, verdict) in verdicts.into_iter().enumerate() {
-            let (lsn, op) = &op_records[i];
-            match verdict {
-                Verdict::Skipped => {
-                    outcome.skipped += 1;
-                    Metrics::bump(&metrics.skipped_ops, 1);
-                }
-                Verdict::Voided => {
-                    outcome.voided += 1;
-                    Metrics::bump(&metrics.voided_ops, 1);
-                }
-                Verdict::DeleteApplied(outputs) => {
-                    engine.adopt_replayed(op, *lsn, outputs);
-                    outcome.deletes_applied += 1;
-                }
-                Verdict::Redone(outputs) => {
-                    engine.adopt_replayed(op, *lsn, outputs);
-                    outcome.redone += 1;
-                    Metrics::bump(&metrics.redo_ops, 1);
-                }
+    let mut engine = Engine::with_parts(config, registry, store, wal, metrics.clone());
+    for (lsn, op) in &op_records {
+        let lsn = *lsn;
+        if dead.contains(&lsn) {
+            outcome.skipped += 1;
+            Metrics::bump(&metrics.skipped_ops, 1);
+            continue;
+        }
+        let redo = should_redo(policy, op, lsn, &ctx, |x| engine.current_vsi(x));
+        if !redo {
+            outcome.skipped += 1;
+            Metrics::bump(&metrics.skipped_ops, 1);
+            continue;
+        }
+        if op.kind == OpKind::Delete {
+            // Deletes re-attach cheaply; account them separately so the
+            // redo counts reflect re-executed *work*.
+            engine.apply_logged(op, lsn)?;
+            outcome.deletes_applied += 1;
+            continue;
+        }
+        // A checkpoint-time conversion record physicalized this op:
+        // adopt the recorded post-images blindly instead of re-running
+        // the transform. Determinism makes the adopted values identical
+        // to what re-execution would compute; a writeset mismatch
+        // (handcrafted log) falls back to ordinary re-execution.
+        if let Some((writes, values)) = hints.get(&lsn) {
+            if *writes == op.writes {
+                engine.adopt_replayed(op, lsn, values.clone());
+                outcome.redone += 1;
+                Metrics::bump(&metrics.redo_ops, 1);
+                continue;
             }
         }
-    } else {
-        engine = Engine::with_parts(config, registry, store, wal, metrics.clone());
-        for (lsn, op) in &op_records {
-            let lsn = *lsn;
-            if dead.contains(&lsn) {
-                outcome.skipped += 1;
-                Metrics::bump(&metrics.skipped_ops, 1);
-                continue;
+        // Trial execution (§5): an operation the approximate test
+        // selected may be inapplicable; errors void it rather than
+        // failing recovery.
+        match engine.apply_logged(op, lsn) {
+            Ok(()) => {
+                outcome.redone += 1;
+                Metrics::bump(&metrics.redo_ops, 1);
             }
-            let redo = should_redo(policy, op, lsn, &ctx, |x| engine.current_vsi(x));
-            if !redo {
-                outcome.skipped += 1;
-                Metrics::bump(&metrics.skipped_ops, 1);
-                continue;
+            Err(LlogError::NotApplicable { .. })
+            | Err(LlogError::WritesetMismatch { .. })
+            | Err(LlogError::Codec { .. }) => {
+                outcome.voided += 1;
+                Metrics::bump(&metrics.voided_ops, 1);
             }
-            if op.kind == OpKind::Delete {
-                // Deletes re-attach cheaply; account them separately so the
-                // redo counts reflect re-executed *work*.
-                engine.apply_logged(op, lsn)?;
-                outcome.deletes_applied += 1;
-                continue;
-            }
-            // A checkpoint-time conversion record physicalized this op:
-            // adopt the recorded post-images blindly instead of re-running
-            // the transform. Determinism makes the adopted values identical
-            // to what re-execution would compute; a writeset mismatch
-            // (handcrafted log) falls back to ordinary re-execution.
-            if let Some((writes, values)) = hints.get(&lsn) {
-                if *writes == op.writes {
-                    engine.adopt_replayed(op, lsn, values.clone());
-                    outcome.redone += 1;
-                    Metrics::bump(&metrics.redo_ops, 1);
-                    continue;
-                }
-            }
-            // Trial execution (§5): an operation the approximate test
-            // selected may be inapplicable; errors void it rather than
-            // failing recovery.
-            match engine.apply_logged(op, lsn) {
-                Ok(()) => {
-                    outcome.redone += 1;
-                    Metrics::bump(&metrics.redo_ops, 1);
-                }
-                Err(LlogError::NotApplicable { .. })
-                | Err(LlogError::WritesetMismatch { .. })
-                | Err(LlogError::Codec { .. }) => {
-                    outcome.voided += 1;
-                    Metrics::bump(&metrics.voided_ops, 1);
-                }
-                Err(e) => return Err(e),
-            }
+            Err(e) => return Err(e),
         }
     }
 
@@ -1172,143 +797,119 @@ mod tests {
         e.crash()
     }
 
+    type RecoverFn = fn(
+        StableStore,
+        Wal,
+        TransformRegistry,
+        EngineConfig,
+        RedoPolicy,
+    ) -> Result<(Engine, RecoveryOutcome)>;
+
+    /// The pipeline and its reference, in the order the differential tests
+    /// run them.
+    const BOTH: [(&str, RecoverFn); 2] = [("recover", recover), ("two_pass", recover_two_pass)];
+
+    /// Run `recover` and `recover_two_pass` over clones of one crash image,
+    /// assert outcome and state agree, and return the pipeline's result.
+    fn recover_both_ways(
+        store: &StableStore,
+        wal: &Wal,
+        config: EngineConfig,
+        policy: RedoPolicy,
+    ) -> (Engine, RecoveryOutcome) {
+        let [(e, o), (ref_e, ref_o)] = BOTH.map(|(_, f)| {
+            f(
+                store.clone(),
+                wal.clone(),
+                TransformRegistry::with_builtins(),
+                config,
+                policy,
+            )
+            .unwrap()
+        });
+        assert_eq!(o, ref_o, "{policy:?}: outcome diverged from two-pass");
+        assert_eq!(
+            engine_fingerprint(&e),
+            engine_fingerprint(&ref_e),
+            "{policy:?}: state diverged from two-pass"
+        );
+        (e, o)
+    }
+
     #[test]
-    fn all_modes_agree_with_the_serial_oracle() {
+    fn recover_agrees_with_the_two_pass_reference() {
         for policy in [RedoPolicy::Naive, RedoPolicy::Vsi, RedoPolicy::RsiExposed] {
             let (store, wal) = mixed_workload();
-            let run = |options: RecoveryOptions| {
-                recover_with(
-                    store.clone(),
-                    wal.clone(),
-                    TransformRegistry::with_builtins(),
-                    config(),
-                    policy,
-                    options,
-                )
-                .unwrap()
-            };
-            let (serial_e, serial_o) = run(RecoveryOptions::serial());
-            for options in [
-                RecoveryOptions::default(),
-                RecoveryOptions::parallel(1),
-                RecoveryOptions::parallel(3),
-                RecoveryOptions {
-                    mode: RecoveryMode::Parallel,
-                    workers: Some(4),
-                    decode_batch: 2,
-                    ring_capacity: 0,
-                },
-            ] {
-                let (e, o) = run(options);
-                assert_eq!(o, serial_o, "{policy:?} {options:?}: outcome diverged");
-                assert_eq!(
-                    engine_fingerprint(&e),
-                    engine_fingerprint(&serial_e),
-                    "{policy:?} {options:?}: state diverged"
-                );
-            }
+            recover_both_ways(&store, &wal, config(), policy);
         }
     }
 
     #[test]
-    fn bounded_ring_falls_back_to_gap_rescan() {
-        let (store, wal) = mixed_workload();
-        let run = |options: RecoveryOptions| {
-            recover_with(
-                store.clone(),
-                wal.clone(),
-                TransformRegistry::with_builtins(),
-                config(),
-                RedoPolicy::Vsi,
-                options,
-            )
-            .unwrap()
-        };
-        let (oracle_e, oracle_o) = run(RecoveryOptions::serial());
-        for cap in [1, 2, 3, 64] {
-            for mode in [RecoveryMode::SinglePass, RecoveryMode::Parallel] {
-                let options = RecoveryOptions {
-                    mode,
-                    ring_capacity: cap,
-                    workers: Some(2),
-                    ..RecoveryOptions::default()
-                };
-                let (e, o) = run(options);
-                assert_eq!(o, oracle_o, "cap={cap} {mode:?}");
-                assert_eq!(engine_fingerprint(&e), engine_fingerprint(&oracle_e));
-            }
-        }
+    fn checkpoint_table_behind_the_scan_start_takes_the_gap_rescan() {
+        // `checkpoint(false)` with uninstalled ops writes a dirty table whose
+        // rSIs lie below the checkpoint's own LSN. Analysis starts at the
+        // checkpoint, so the ring cannot cover `[redo_start, checkpoint)`:
+        // those ops must come from the gap rescan, the rest from the ring.
+        let (store, wal) = hybrid_workload(llog_ops::LogPolicy::Logical);
+        let cp_lsn = wal.master_checkpoint().expect("workload checkpoints");
+        let metrics = store.metrics().clone();
+        metrics.reset();
+        let (_, o) = recover(
+            store.clone(),
+            wal.clone(),
+            TransformRegistry::with_builtins(),
+            config(),
+            RedoPolicy::Vsi,
+        )
+        .unwrap();
+        let s = metrics.snapshot();
+        assert!(o.redo_start < cp_lsn, "dirty table must reach behind");
+        let replayed = o.redone + o.skipped + o.voided + o.deletes_applied;
+        assert!(s.recovery_ring_reused > 0, "the tail comes from the ring");
+        assert!(
+            s.recovery_ring_reused < replayed,
+            "ring {} covered all {replayed} replayed ops: no gap was taken",
+            s.recovery_ring_reused
+        );
+        assert!(
+            s.recovery_records_decoded > o.analysis_scanned,
+            "the gap is re-decoded"
+        );
+        recover_both_ways(&store, &wal, config(), RedoPolicy::Vsi);
     }
 
     #[test]
     fn single_pass_decodes_each_record_exactly_once() {
         let (store, wal) = mixed_workload();
         let metrics = store.metrics().clone();
-        for (mode, double) in [
-            (RecoveryMode::Serial, true),
-            (RecoveryMode::SinglePass, false),
-            (RecoveryMode::Parallel, false),
-        ] {
+        for ((_, f), decodes_twice) in BOTH.into_iter().zip([false, true]) {
             metrics.reset();
-            let (_, o) = recover_with(
+            let (_, o) = f(
                 store.clone(),
                 wal.clone(),
                 TransformRegistry::with_builtins(),
                 config(),
                 RedoPolicy::Vsi,
-                RecoveryOptions {
-                    mode,
-                    workers: Some(2),
-                    ..RecoveryOptions::default()
-                },
             )
             .unwrap();
-            let decoded = metrics.snapshot().recovery_records_decoded;
-            if double {
+            let s = metrics.snapshot();
+            assert!(s.recovery_analysis_ns > 0 && s.recovery_redo_ns > 0);
+            if decodes_twice {
                 assert_eq!(
-                    decoded,
+                    s.recovery_records_decoded,
                     o.analysis_scanned + o.redo_scanned,
-                    "serial decodes the redo range twice"
+                    "two-pass decodes the redo range twice"
                 );
                 assert!(o.redo_scanned > 0);
+                assert_eq!(s.recovery_ring_reused, 0);
             } else {
                 assert_eq!(
-                    decoded, o.analysis_scanned,
-                    "{mode:?} must decode each stable record exactly once"
+                    s.recovery_records_decoded, o.analysis_scanned,
+                    "recover must decode each stable record exactly once"
                 );
-                assert!(metrics.snapshot().recovery_ring_reused > 0);
+                assert!(s.recovery_ring_reused > 0);
             }
         }
-    }
-
-    #[test]
-    fn parallel_recovery_counts_components_and_workers() {
-        // Four fully disjoint chains → exactly four conflict components.
-        let mut e = fresh_engine();
-        for salt in 0..3 {
-            for x in 10..14 {
-                exec_logical(&mut e, &[x], &[x], salt * 31 + x);
-            }
-        }
-        e.wal_mut().force();
-        let (store, wal) = e.crash();
-        let metrics = store.metrics().clone();
-        metrics.reset();
-        let (_, o) = recover_with(
-            store,
-            wal,
-            TransformRegistry::with_builtins(),
-            config(),
-            RedoPolicy::Vsi,
-            RecoveryOptions::parallel(3),
-        )
-        .unwrap();
-        assert_eq!(o.redone, 12);
-        let s = metrics.snapshot();
-        assert_eq!(s.recovery_components, 4);
-        assert_eq!(s.recovery_parallel_workers, 3);
-        assert!(s.recovery_analysis_ns > 0);
-        assert!(s.recovery_redo_ns > 0);
     }
 
     #[test]
@@ -1322,25 +923,20 @@ mod tests {
         // Rot a bit inside the *first* force batch: far before the last
         // force boundary, so this is media damage, not a torn tail.
         wal.corrupt_stable_bit(Lsn(1), 12);
-        for options in [
-            RecoveryOptions::serial(),
-            RecoveryOptions::default(),
-            RecoveryOptions::parallel(2),
-        ] {
-            let r = recover_with(
+        for (name, f) in BOTH {
+            let r = f(
                 store.clone(),
                 wal.clone(),
                 TransformRegistry::with_builtins(),
                 config(),
                 RedoPolicy::Vsi,
-                options,
             );
             match r {
                 Err(LlogError::Corrupt { offset, .. }) => {
                     assert!(!wal.corruption_is_torn_tail(offset))
                 }
-                Err(other) => panic!("{options:?}: expected Corrupt error, got {other}"),
-                Ok((_, o)) => panic!("{options:?}: mid-log corruption accepted: {o:?}"),
+                Err(other) => panic!("{name}: expected Corrupt error, got {other}"),
+                Ok((_, o)) => panic!("{name}: mid-log corruption accepted: {o:?}"),
             }
         }
     }
@@ -1356,15 +952,7 @@ mod tests {
         let guard = wal.forced_lsn();
         // Rot inside the *last* batch: indistinguishable from a tear.
         wal.corrupt_stable_bit(Lsn(guard.0 - 3), 1);
-        let (mut recovered, o) = recover_with(
-            store,
-            wal,
-            TransformRegistry::with_builtins(),
-            config(),
-            RedoPolicy::Vsi,
-            RecoveryOptions::default(),
-        )
-        .unwrap();
+        let (mut recovered, o) = recover_parts(store, wal, RedoPolicy::Vsi);
         assert!(o.torn_tail);
         assert_eq!(recovered.read_value(X), Value::from("stable"));
     }
@@ -1404,7 +992,7 @@ mod tests {
     }
 
     #[test]
-    fn every_log_policy_recovers_identically_across_modes() {
+    fn every_log_policy_recovers_identically_both_ways() {
         let policies = [
             llog_ops::LogPolicy::Logical,
             llog_ops::LogPolicy::Physical,
@@ -1413,32 +1001,8 @@ mod tests {
         let mut visible: Vec<Vec<Value>> = Vec::new();
         for policy in policies {
             let (store, wal) = hybrid_workload(policy);
-            let run = |options: RecoveryOptions| {
-                recover_with(
-                    store.clone(),
-                    wal.clone(),
-                    TransformRegistry::with_builtins(),
-                    config(),
-                    RedoPolicy::Vsi,
-                    options,
-                )
-                .unwrap()
-            };
-            let (serial_e, serial_o) = run(RecoveryOptions::serial());
-            for options in [RecoveryOptions::default(), RecoveryOptions::parallel(3)] {
-                let (e, o) = run(options);
-                assert_eq!(o, serial_o, "{policy:?} {options:?}: outcome diverged");
-                assert_eq!(
-                    engine_fingerprint(&e),
-                    engine_fingerprint(&serial_e),
-                    "{policy:?} {options:?}: state diverged"
-                );
-            }
-            visible.push(
-                (0..8u64)
-                    .map(|i| serial_e.peek_value(ObjectId(i)))
-                    .collect(),
-            );
+            let (e, _) = recover_both_ways(&store, &wal, config(), RedoPolicy::Vsi);
+            visible.push((0..8u64).map(|i| e.peek_value(ObjectId(i))).collect());
         }
         // The log encodings differ per policy; the recovered visible state
         // must not.
@@ -1455,32 +1019,21 @@ mod tests {
         e.checkpoint(false).unwrap(); // converts both logical ops and forces
         let want: Vec<Value> = (0..4).map(|i| e.peek_value(ObjectId(i))).collect();
         let (store, wal) = e.crash();
-        for options in [
-            RecoveryOptions::serial(),
-            RecoveryOptions::default(),
-            RecoveryOptions::parallel(2),
-        ] {
+        for (name, f) in BOTH {
             // A fresh registry with an untouched cost ledger: any transform
             // re-execution during redo would show up in its apply counts.
             let fresh = TransformRegistry::with_builtins();
             let probe = fresh.clone();
-            let (recovered, o) = recover_with(
-                store.clone(),
-                wal.clone(),
-                fresh,
-                config(),
-                RedoPolicy::Vsi,
-                options,
-            )
-            .unwrap();
-            assert_eq!(o.redone, 3, "{options:?}");
+            let (recovered, o) =
+                f(store.clone(), wal.clone(), fresh, config(), RedoPolicy::Vsi).unwrap();
+            assert_eq!(o.redone, 3, "{name}");
             assert_eq!(
                 probe.apply_count(builtin::HASH_MIX),
                 0,
-                "{options:?}: a converted op was re-executed"
+                "{name}: a converted op was re-executed"
             );
             let got: Vec<Value> = (0..4).map(|i| recovered.peek_value(ObjectId(i))).collect();
-            assert_eq!(got, want, "{options:?}");
+            assert_eq!(got, want, "{name}");
         }
     }
 
@@ -1504,42 +1057,24 @@ mod tests {
         let (s0, w0) = build(false);
         let (plain, _) = recover_parts(s0, w0, RedoPolicy::Vsi);
         let (s1, w1) = build(true);
-        let run = |options: RecoveryOptions| {
-            recover_with(
-                s1.clone(),
-                w1.clone(),
-                TransformRegistry::with_builtins(),
-                adaptive_config(),
-                RedoPolicy::Vsi,
-                options,
-            )
-            .unwrap()
-        };
-        let (serial_e, serial_o) = run(RecoveryOptions::serial());
+        let (mut again, _) = recover_both_ways(&s1, &w1, adaptive_config(), RedoPolicy::Vsi);
         assert_eq!(
-            engine_fingerprint(&serial_e),
+            engine_fingerprint(&again),
             engine_fingerprint(&plain),
             "conversion hints changed the recovered state"
         );
-        for options in [RecoveryOptions::default(), RecoveryOptions::parallel(2)] {
-            let (e, o) = run(options);
-            assert_eq!(o, serial_o, "{options:?}");
-            assert_eq!(engine_fingerprint(&e), engine_fingerprint(&serial_e));
-        }
         // Re-emission after such a crash is idempotent: the recovered
         // engine checkpoints (re-converting the still-live ops), crashes,
         // and recovers to the same state again.
-        let (mut again, _) = run(RecoveryOptions::default());
         let fp_before: Vec<Value> = (0..4).map(|i| again.peek_value(ObjectId(i))).collect();
         again.checkpoint(false).unwrap();
         let (s2, w2) = again.crash();
-        let (final_e, _) = recover_with(
+        let (final_e, _) = recover(
             s2,
             w2,
             TransformRegistry::with_builtins(),
             adaptive_config(),
             RedoPolicy::Vsi,
-            RecoveryOptions::default(),
         )
         .unwrap();
         let fp_after: Vec<Value> = (0..4).map(|i| final_e.peek_value(ObjectId(i))).collect();

@@ -38,7 +38,7 @@ use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
 use llog_wal::{LogRecord, Wal};
 
 use crate::cache::{Engine, EngineConfig};
-use crate::recover::{recover_with, RecoveryOptions, RecoveryOutcome};
+use crate::recover::{recover, RecoveryOutcome};
 use crate::redo::RedoPolicy;
 use crate::snapshot::{Snapshot, SnapshotRegistry};
 
@@ -67,14 +67,7 @@ impl RedoSession {
         config: EngineConfig,
         policy: RedoPolicy,
     ) -> Result<(RedoSession, RecoveryOutcome)> {
-        let (mut engine, outcome) = recover_with(
-            store,
-            wal,
-            registry,
-            config,
-            policy,
-            RecoveryOptions::default(),
-        )?;
+        let (mut engine, outcome) = recover(store, wal, registry, config, policy)?;
         let watermark = engine.wal().contiguous_end(engine.wal().start_lsn());
         let versions = engine.enable_versions();
         Ok((

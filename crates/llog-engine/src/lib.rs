@@ -74,7 +74,7 @@ mod snapshot;
 pub use router::ShardRouter;
 pub use shard::CommitTicket;
 pub use sharded::{
-    recover_sharded, recover_sharded_from_backends, recover_sharded_with, CommitPolicy,
-    GroupCommitPolicy, ShardedConfig, ShardedEngine, ShipManifest,
+    recover_sharded, recover_sharded_from_backends, CommitPolicy, GroupCommitPolicy, ShardedConfig,
+    ShardedEngine, ShipManifest,
 };
 pub use snapshot::{GroupCommitSnapshot, ShardedSnapshot};

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use llog_core::shared::{lock, WorkSignal};
 use llog_core::snapshot::Snapshot;
-use llog_core::{recover_with, Engine, EngineConfig, RecoveryOptions, RecoveryOutcome, RedoPolicy};
+use llog_core::{recover, Engine, EngineConfig, RecoveryOutcome, RedoPolicy};
 use llog_ops::{OpKind, Transform, TransformRegistry};
 use llog_storage::{Metrics, MetricsSnapshot, StableStore};
 use llog_testkit::faults::FaultHost;
@@ -798,46 +798,20 @@ fn checkpoint_one(shard: &Shard, truncate: bool) -> Result<Lsn> {
 /// idle threads are spawned. Returns the recovered engine plus each
 /// shard's [`RecoveryOutcome`], in shard order.
 ///
-/// Each shard recovers with [`RecoveryOptions::default`] (the single-pass
-/// pipeline); use [`recover_sharded_with`] to pick a different
-/// [`RecoveryMode`](llog_core::RecoveryMode) or pool size.
+/// Each shard runs the one [`recover`] pipeline.
 pub fn recover_sharded(
-    parts: Vec<(StableStore, Wal)>,
-    registry: &TransformRegistry,
-    config: ShardedConfig,
-    policy: RedoPolicy,
-) -> Result<(ShardedEngine, Vec<RecoveryOutcome>)> {
-    recover_sharded_with(
-        parts,
-        registry,
-        config,
-        policy,
-        RecoveryOptions::default(),
-        None,
-    )
-}
-
-/// [`recover_sharded`] with explicit per-shard [`RecoveryOptions`] and an
-/// optional pool-size override (`None` = `available_parallelism`, clamped
-/// to the shard count either way).
-pub fn recover_sharded_with(
     parts: Vec<(StableStore, Wal)>,
     registry: &TransformRegistry,
     mut config: ShardedConfig,
     policy: RedoPolicy,
-    options: RecoveryOptions,
-    pool_threads: Option<usize>,
 ) -> Result<(ShardedEngine, Vec<RecoveryOutcome>)> {
     assert!(!parts.is_empty(), "need at least one shard to recover");
     config.shards = parts.len();
     let engine_config = config.engine;
     let n = parts.len();
-    let pool = pool_threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
+    let pool = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
         .clamp(1, n);
 
     // Work queue: each shard's parts sit in a slot claimed exactly once
@@ -863,8 +837,7 @@ pub fn recover_sharded_with(
                     let (store, wal) = lock(&slots[i])
                         .take()
                         .expect("each shard slot is claimed exactly once");
-                    let r =
-                        recover_with(store, wal, registry.clone(), engine_config, policy, options);
+                    let r = recover(store, wal, registry.clone(), engine_config, policy);
                     *lock(&result_slots[i]) = Some(r);
                 })
             })
@@ -1104,7 +1077,7 @@ mod tests {
         let (s0, _) = e.checkpoint_next().unwrap();
         let (s1, _) = e.checkpoint_next().unwrap();
         assert_ne!(s0, s1, "round-robin must rotate shards");
-        for i in 0..2 {
+        for (i, &before) in before.iter().enumerate() {
             let after = e.shards[i]
                 .lock_engine()
                 .as_ref()
@@ -1112,7 +1085,7 @@ mod tests {
                 .wal()
                 .stable_len();
             assert!(
-                after <= before[i],
+                after <= before,
                 "checkpoint truncation must not grow shard {i}'s log"
             );
         }
@@ -1408,10 +1381,12 @@ mod tests {
 
     #[test]
     fn shared_pool_recovers_more_shards_than_threads() {
-        use llog_core::{RecoveryMode, RecoveryOptions};
+        // More shards than the pool can have threads, whatever the machine:
+        // every slot must still be claimed and land in shard order.
+        let shards = std::thread::available_parallelism().map_or(1, |p| p.get()) + 3;
         let reg = registry();
         let cfg = ShardedConfig {
-            shards: 8,
+            shards,
             ..ShardedConfig::default()
         };
         let e = ShardedEngine::new(cfg, &reg);
@@ -1420,22 +1395,9 @@ mod tests {
         }
         e.force_all().unwrap();
         let parts = e.crash();
-        // Pool of 2 threads drains all 8 shard slots; serial mode inside
-        // each shard keeps the per-shard work single-threaded.
-        let (rec, outcomes) = recover_sharded_with(
-            parts,
-            &reg,
-            cfg,
-            RedoPolicy::RsiExposed,
-            RecoveryOptions {
-                mode: RecoveryMode::Serial,
-                ..RecoveryOptions::default()
-            },
-            Some(2),
-        )
-        .unwrap();
-        assert_eq!(rec.shards(), 8);
-        assert_eq!(outcomes.len(), 8);
+        let (rec, outcomes) = recover_sharded(parts, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
+        assert_eq!(rec.shards(), shards);
+        assert_eq!(outcomes.len(), shards);
         for i in 0..128u64 {
             assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("pool"));
         }

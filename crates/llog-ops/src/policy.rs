@@ -63,22 +63,20 @@ impl LogPolicy {
 /// logical_len)`: one extra logged byte is budgeted at `byte_cost_ns`
 /// nanoseconds of avoided redo work. When the physical encoding is no larger
 /// than the logical one the physical record is a free win and is always
-/// chosen. Until `min_samples` applications have been measured the model
+/// chosen. Until [`MIN_SAMPLES`] applications have been measured the model
 /// stays conservative and logs logical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Replay nanoseconds one extra logged byte is worth.
     pub byte_cost_ns: u64,
-    /// Measurements required before the EWMA is trusted.
-    pub min_samples: u64,
 }
+
+/// Measurements required before a transform's replay-cost EWMA is trusted.
+const MIN_SAMPLES: u64 = 4;
 
 impl Default for CostModel {
     fn default() -> Self {
-        CostModel {
-            byte_cost_ns: 32,
-            min_samples: 4,
-        }
+        CostModel { byte_cost_ns: 32 }
     }
 }
 
@@ -95,7 +93,7 @@ impl CostModel {
             return true;
         }
         let (ewma_ns, samples) = registry.replay_cost(fn_id);
-        if samples < self.min_samples {
+        if samples < MIN_SAMPLES {
             return false;
         }
         let extra = (physical_len - logical_len) as u64;
@@ -132,18 +130,14 @@ mod tests {
     #[test]
     fn adaptive_goes_physical_once_replay_cost_dominates() {
         let r = TransformRegistry::with_builtins();
-        let model = CostModel {
-            byte_cost_ns: 32,
-            min_samples: 4,
-        };
-        let p = LogPolicy::Adaptive(model);
+        let p = LogPolicy::Adaptive(CostModel { byte_cost_ns: 32 });
         // Seed a measured replay cost of 1ms: far above 32ns × 100 bytes.
-        for _ in 0..4 {
+        for _ in 0..MIN_SAMPLES {
             r.note_replay_cost(builtin::HASH_MIX, 1_000_000);
         }
         assert!(p.prefer_physical(&r, builtin::HASH_MIX, 40, 140));
         // A cheap transform with the same sizes stays logical.
-        for _ in 0..4 {
+        for _ in 0..MIN_SAMPLES {
             r.note_replay_cost(builtin::INCREMENT, 100);
         }
         assert!(!p.prefer_physical(&r, builtin::INCREMENT, 40, 140));

@@ -40,9 +40,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use llog_core::{
-    recover_with, Engine, EngineConfig, RecoveryOptions, RedoPolicy, RedoSession, ReplicaReader,
-};
+use llog_core::{recover, Engine, EngineConfig, RedoPolicy, RedoSession, ReplicaReader};
 use llog_engine::{ShardRouter, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::proto::{
@@ -58,15 +56,17 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Tuning for a [`Replica`].
+/// How long the poller sleeps when fully caught up.
+const POLL_INTERVAL: Duration = Duration::from_millis(2);
+/// How long the poller waits between attempts to reconnect to the primary.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Settings for a [`Replica`].
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// Address to bind the replica's own service socket
     /// (`"127.0.0.1:0"` picks a free port).
     pub addr: String,
-    /// How long the poller sleeps when fully caught up (and the unit of
-    /// its reconnect backoff).
-    pub poll_interval: Duration,
     /// Redo policy for attach-time recovery and session replay.
     pub policy: RedoPolicy,
 }
@@ -75,7 +75,6 @@ impl Default for ReplicaConfig {
     fn default() -> ReplicaConfig {
         ReplicaConfig {
             addr: "127.0.0.1:0".to_string(),
-            poll_interval: Duration::from_millis(2),
             policy: RedoPolicy::RsiExposed,
         }
     }
@@ -458,7 +457,7 @@ fn poller_loop(state: &Arc<State>, mut client: Client) {
             }
         }
         if !progressed {
-            std::thread::sleep(state.config.poll_interval);
+            std::thread::sleep(POLL_INTERVAL);
         }
     }
 }
@@ -476,7 +475,7 @@ fn reconnect(state: &Arc<State>) -> Option<Client> {
         if let Ok(c) = Client::connect(&state.primary) {
             return Some(c);
         }
-        std::thread::sleep(state.config.poll_interval.max(Duration::from_millis(20)));
+        std::thread::sleep(RECONNECT_BACKOFF);
     }
 }
 
@@ -851,13 +850,12 @@ fn device_catch_up(
         // The device log no longer reaches back to the session: recover
         // the device pair wholesale (it is self-sufficient by the
         // checkpoint-before-truncate discipline).
-        let (engine, _) = recover_with(
+        let (engine, _) = recover(
             dstore,
             dwal,
             registry.clone(),
             EngineConfig::default(),
             policy,
-            RecoveryOptions::default(),
         )?;
         return Ok(CatchUp::Replaced(Box::new(engine)));
     }

@@ -51,10 +51,6 @@ pub struct Metrics {
     pub recovery_analysis_ns: AtomicU64,
     /// Nanoseconds spent in the recovery redo pass.
     pub recovery_redo_ns: AtomicU64,
-    /// Conflict components discovered by the recovery partitioner.
-    pub recovery_components: AtomicU64,
-    /// Worker threads used by the last parallel redo pass.
-    pub recovery_parallel_workers: AtomicU64,
     /// Op records replayed straight from the analysis ring (no re-decode).
     pub recovery_ring_reused: AtomicU64,
     /// Log records decoded during recovery (analysis + any gap rescans).
@@ -154,8 +150,6 @@ impl Metrics {
             evictions: g(&self.evictions),
             recovery_analysis_ns: g(&self.recovery_analysis_ns),
             recovery_redo_ns: g(&self.recovery_redo_ns),
-            recovery_components: g(&self.recovery_components),
-            recovery_parallel_workers: g(&self.recovery_parallel_workers),
             recovery_ring_reused: g(&self.recovery_ring_reused),
             recovery_records_decoded: g(&self.recovery_records_decoded),
             io_bytes_written: g(&self.io_bytes_written),
@@ -215,8 +209,6 @@ impl Metrics {
             &self.evictions,
             &self.recovery_analysis_ns,
             &self.recovery_redo_ns,
-            &self.recovery_components,
-            &self.recovery_parallel_workers,
             &self.recovery_ring_reused,
             &self.recovery_records_decoded,
             &self.io_bytes_written,
@@ -293,10 +285,6 @@ pub struct MetricsSnapshot {
     pub recovery_analysis_ns: u64,
     /// Nanoseconds spent in the recovery redo pass.
     pub recovery_redo_ns: u64,
-    /// Conflict components discovered by the recovery partitioner.
-    pub recovery_components: u64,
-    /// Worker threads used by the last parallel redo pass.
-    pub recovery_parallel_workers: u64,
     /// Op records replayed straight from the analysis ring.
     pub recovery_ring_reused: u64,
     /// Log records decoded during recovery.
@@ -363,7 +351,7 @@ impl MetricsSnapshot {
     ///
     /// The single source of truth for serialization and aggregation, so a
     /// counter added to the struct cannot silently go missing from either.
-    pub fn fields(&self) -> [(&'static str, u64); 49] {
+    pub fn fields(&self) -> [(&'static str, u64); 47] {
         [
             ("obj_reads", self.obj_reads),
             ("obj_read_bytes", self.obj_read_bytes),
@@ -385,8 +373,6 @@ impl MetricsSnapshot {
             ("evictions", self.evictions),
             ("recovery_analysis_ns", self.recovery_analysis_ns),
             ("recovery_redo_ns", self.recovery_redo_ns),
-            ("recovery_components", self.recovery_components),
-            ("recovery_parallel_workers", self.recovery_parallel_workers),
             ("recovery_ring_reused", self.recovery_ring_reused),
             ("recovery_records_decoded", self.recovery_records_decoded),
             ("io_bytes_written", self.io_bytes_written),
@@ -464,12 +450,6 @@ impl MetricsSnapshot {
                 .recovery_analysis_ns
                 .saturating_add(other.recovery_analysis_ns),
             recovery_redo_ns: self.recovery_redo_ns.saturating_add(other.recovery_redo_ns),
-            recovery_components: self
-                .recovery_components
-                .saturating_add(other.recovery_components),
-            recovery_parallel_workers: self
-                .recovery_parallel_workers
-                .saturating_add(other.recovery_parallel_workers),
             recovery_ring_reused: self
                 .recovery_ring_reused
                 .saturating_add(other.recovery_ring_reused),
@@ -569,12 +549,6 @@ impl MetricsSnapshot {
             recovery_redo_ns: self
                 .recovery_redo_ns
                 .saturating_sub(earlier.recovery_redo_ns),
-            recovery_components: self
-                .recovery_components
-                .saturating_sub(earlier.recovery_components),
-            recovery_parallel_workers: self
-                .recovery_parallel_workers
-                .saturating_sub(earlier.recovery_parallel_workers),
             recovery_ring_reused: self
                 .recovery_ring_reused
                 .saturating_sub(earlier.recovery_ring_reused),
@@ -700,8 +674,10 @@ mod tests {
         // Identity: merging with default changes nothing.
         assert_eq!(sum.merged(&MetricsSnapshot::default()), sum);
         // Saturates rather than overflowing.
-        let mut max = MetricsSnapshot::default();
-        max.obj_writes = u64::MAX;
+        let max = MetricsSnapshot {
+            obj_writes: u64::MAX,
+            ..MetricsSnapshot::default()
+        };
         assert_eq!(max.merged(&sum).obj_writes, u64::MAX);
     }
 
@@ -710,19 +686,14 @@ mod tests {
         let m = Metrics::new();
         Metrics::bump(&m.recovery_analysis_ns, 1_000);
         Metrics::bump(&m.recovery_redo_ns, 2_000);
-        Metrics::bump(&m.recovery_components, 4);
-        Metrics::bump(&m.recovery_parallel_workers, 2);
         Metrics::bump(&m.recovery_ring_reused, 17);
         Metrics::bump(&m.recovery_records_decoded, 23);
         let s = m.snapshot();
-        assert_eq!(s.recovery_components, 4);
         assert_eq!(s.recovery_ring_reused, 17);
         let json = s.to_json();
         for key in [
             "recovery_analysis_ns",
             "recovery_redo_ns",
-            "recovery_components",
-            "recovery_parallel_workers",
             "recovery_ring_reused",
             "recovery_records_decoded",
         ] {

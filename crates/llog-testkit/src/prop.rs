@@ -651,6 +651,7 @@ pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU8, Ordering};
 
     #[test]
     fn generation_is_deterministic_per_seed() {
@@ -790,19 +791,32 @@ mod tests {
         assert!(!shrinks.contains(&(0, 0)), "one component at a time");
     }
 
+    /// Which `flip` values `macro_property` has drawn (bit 0 = false, 1 = true).
+    static FLIPS_DRAWN: AtomicU8 = AtomicU8::new(0);
+
     proptest! {
         #![proptest_config(Config::with_cases(32))]
 
-        /// The macro surface itself works end to end.
-        #[test]
-        fn macro_roundtrip(
+        fn macro_property(
             xs in vec(0u16..100, 1..10),
             flip in any::<bool>(),
             pick in prop_oneof![2 => Just(7u8), 1 => 0u8..5],
         ) {
             prop_assert!(xs.iter().all(|&x| x < 100));
-            prop_assert_eq!(flip || !flip, true);
+            FLIPS_DRAWN.fetch_or(1 << u8::from(flip), Ordering::Relaxed);
             prop_assert!(pick == 7 || pick < 5, "pick {pick}");
         }
+    }
+
+    /// The macro surface itself works end to end: every named argument is
+    /// bound to a drawn value, and the cases are not all the same draw.
+    #[test]
+    fn macro_roundtrip() {
+        macro_property();
+        assert_eq!(
+            FLIPS_DRAWN.load(Ordering::Relaxed),
+            0b11,
+            "32 cases of any::<bool>() must draw both values"
+        );
     }
 }

@@ -176,12 +176,21 @@ fn wal_over_long_declared_stable_len_is_rejected() {
 }
 
 /// Corruption classification during recovery: bit-rot *behind* the last
-/// force boundary is mid-log damage and must fail recovery loudly in every
-/// mode, while damage in the final force's byte range is indistinguishable
+/// force boundary is mid-log damage and must fail recovery loudly — in the
+/// pipeline and in its two-pass reference alike — while damage in the final force's byte range is indistinguishable
 /// from a torn tail and must be clipped, not fatal.
 #[test]
 fn mid_log_corruption_fails_recovery_torn_tail_is_clipped() {
-    use llog_core::{recover_with, RecoveryMode, RecoveryOptions, RedoPolicy};
+    use llog_core::{recover, recover_two_pass, RecoveryOutcome, RedoPolicy};
+
+    type RecoverFn = fn(
+        StableStore,
+        Wal,
+        TransformRegistry,
+        EngineConfig,
+        RedoPolicy,
+    ) -> llog_types::Result<(Engine, RecoveryOutcome)>;
+    let both: [(&str, RecoverFn); 2] = [("recover", recover), ("two_pass", recover_two_pass)];
 
     let write = |e: &mut Engine, x: u64, tag: &str| {
         e.execute(
@@ -207,40 +216,30 @@ fn mid_log_corruption_fails_recovery_torn_tail_is_clipped() {
         e.wal_mut().force(); // final boundary
         e
     };
-    let modes = [
-        RecoveryOptions::serial(),
-        RecoveryOptions::default(),
-        RecoveryOptions {
-            mode: RecoveryMode::Parallel,
-            workers: Some(2),
-            ..RecoveryOptions::default()
-        },
-    ];
 
     // Bit-rot in the first record (well before the last force): recovery
     // must refuse the image rather than silently clip half the log.
-    for options in modes {
+    for (name, f) in both {
         let mut e = build();
         let first = e.wal().start_lsn();
         e.wal_mut().corrupt_stable_bit(first, 12);
         let (store, wal) = e.crash();
-        match recover_with(
+        match f(
             store,
             wal,
             TransformRegistry::with_builtins(),
             EngineConfig::default(),
             RedoPolicy::RsiExposed,
-            options,
         ) {
             Err(LlogError::Corrupt { .. }) => {}
-            Ok(_) => panic!("{options:?}: mid-log corruption was silently clipped"),
-            Err(other) => panic!("{options:?}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("{name}: mid-log corruption was silently clipped"),
+            Err(other) => panic!("{name}: expected Corrupt, got {other}"),
         }
     }
 
     // Bit-rot inside the final force's range: looks exactly like a torn
     // tail, so recovery clips it and keeps everything durable before it.
-    for options in modes {
+    for (name, f) in both {
         let mut e = build();
         let boundary = {
             let mut b = e.wal().start_lsn();
@@ -257,18 +256,17 @@ fn mid_log_corruption_fails_recovery_torn_tail_is_clipped() {
         // range.
         e.wal_mut().corrupt_stable_bit(boundary, 5);
         let (store, wal) = e.crash();
-        let (rec, outcome) = recover_with(
+        let (rec, outcome) = f(
             store,
             wal,
             TransformRegistry::with_builtins(),
             EngineConfig::default(),
             RedoPolicy::RsiExposed,
-            options,
         )
-        .unwrap_or_else(|err| panic!("{options:?}: tail corruption must clip, got {err}"));
+        .unwrap_or_else(|err| panic!("{name}: tail corruption must clip, got {err}"));
         assert!(
             outcome.torn_tail,
-            "{options:?}: tail corruption must classify as torn"
+            "{name}: tail corruption must classify as torn"
         );
         assert_eq!(rec.peek_value(ObjectId(0)), Value::from("early".as_bytes()));
     }
@@ -599,7 +597,7 @@ fn segmented_store_manifest_lies_are_codec() {
 /// frame straddles the sealed/open boundary.
 #[test]
 fn segmented_torn_open_tail_clips_not_fatal() {
-    use llog_core::{recover_with, RecoveryOptions, RedoPolicy};
+    use llog_core::{recover, RedoPolicy};
 
     let recover_dir = |dir: &Path, what: &str| {
         let b = DurabilityBackend::file(dir, Metrics::new(), &seg_cfg(SEG_BYTES)).unwrap();
@@ -607,13 +605,12 @@ fn segmented_torn_open_tail_clips_not_fatal() {
             .load(Metrics::new())
             .unwrap_or_else(|e| panic!("{what}: load failed: {e}"))
             .expect("fixture persisted");
-        recover_with(
+        recover(
             store,
             wal,
             TransformRegistry::with_builtins(),
             EngineConfig::default(),
             RedoPolicy::RsiExposed,
-            RecoveryOptions::default(),
         )
         .unwrap_or_else(|e| panic!("{what}: open-tail damage must clip, got {e}"))
     };

@@ -430,11 +430,12 @@ fn sharded_crash_after_checkpoint_gc_cut() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential recovery-mode matrix: every crash image must recover to the
-// same state and outcome under Serial, SinglePass and Parallel modes.
+// Differential recovery matrix: every crash image must recover to the same
+// state and outcome through `recover` (the pipeline) and `recover_two_pass`
+// (its two-scan reference).
 // ---------------------------------------------------------------------------
 
-fn mode_fingerprint(e: &llog::core::Engine) -> String {
+fn state_fingerprint(e: &llog::core::Engine) -> String {
     format!(
         "{:?}|{:?}|{:?}",
         e.store().snapshot(),
@@ -443,48 +444,41 @@ fn mode_fingerprint(e: &llog::core::Engine) -> String {
     )
 }
 
-fn assert_modes_agree(
+/// Recover one crash image both ways, assert they agree, and hand back the
+/// pipeline's engine.
+fn recover_both_ways(
+    store: &llog::storage::StableStore,
+    wal: &llog::wal::Wal,
+    reg: &TransformRegistry,
+    policy: RedoPolicy,
+    ctx: &str,
+) -> llog::core::Engine {
+    let (re, ro) =
+        llog::core::recover_two_pass(store.clone(), wal.clone(), reg.clone(), rw_config(), policy)
+            .unwrap_or_else(|e| panic!("{ctx}: two-pass recovery failed: {e}"));
+    let (pe, po) =
+        llog::core::recover(store.clone(), wal.clone(), reg.clone(), rw_config(), policy)
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+    assert_eq!(po, ro, "{ctx}: outcome diverged from two-pass");
+    assert_eq!(
+        state_fingerprint(&pe),
+        state_fingerprint(&re),
+        "{ctx}: recovered state diverged from two-pass"
+    );
+    pe
+}
+
+/// Both ways agree on the crash image — and again on the image left by a
+/// crash that hits right after recovery, before anything is installed.
+fn assert_two_pass_agrees(
     store: &llog::storage::StableStore,
     wal: &llog::wal::Wal,
     reg: &TransformRegistry,
     policy: RedoPolicy,
     ctx: &str,
 ) {
-    use llog::core::{recover_with, RecoveryMode, RecoveryOptions};
-    let (se, so) = recover_with(
-        store.clone(),
-        wal.clone(),
-        reg.clone(),
-        rw_config(),
-        policy,
-        RecoveryOptions::serial(),
-    )
-    .unwrap_or_else(|e| panic!("{ctx}: serial recovery failed: {e}"));
-    for options in [
-        RecoveryOptions::default(),
-        RecoveryOptions {
-            mode: RecoveryMode::Parallel,
-            workers: Some(3),
-            decode_batch: 4,
-            ..RecoveryOptions::default()
-        },
-    ] {
-        let (pe, po) = recover_with(
-            store.clone(),
-            wal.clone(),
-            reg.clone(),
-            rw_config(),
-            policy,
-            options,
-        )
-        .unwrap_or_else(|e| panic!("{ctx} {options:?}: recovery failed: {e}"));
-        assert_eq!(po, so, "{ctx} {options:?}: outcome diverged from serial");
-        assert_eq!(
-            mode_fingerprint(&pe),
-            mode_fingerprint(&se),
-            "{ctx} {options:?}: recovered state diverged from serial"
-        );
-    }
+    let (s2, w2) = recover_both_ways(store, wal, reg, policy, ctx).crash();
+    recover_both_ways(&s2, &w2, reg, policy, &format!("{ctx}, crashed again"));
 }
 
 #[test]
@@ -497,7 +491,7 @@ fn recovery_modes_agree_on_every_crash_point() {
             llog::sim::run_workload(&mut engine, &ops[..cut], 3, 0).unwrap();
             engine.wal_mut().force();
             let (store, wal) = engine.crash();
-            assert_modes_agree(&store, &wal, &reg, policy, &format!("cut {cut} {policy:?}"));
+            assert_two_pass_agrees(&store, &wal, &reg, policy, &format!("cut {cut} {policy:?}"));
         }
     }
 }
@@ -514,7 +508,7 @@ fn recovery_modes_agree_on_torn_tails() {
         engine.wal_mut().force();
         llog::sim::run_workload(&mut engine, &ops[20..], 0, 0).unwrap();
         let (store, wal) = engine.crash_torn(torn);
-        assert_modes_agree(
+        assert_two_pass_agrees(
             &store,
             &wal,
             &reg,
@@ -529,7 +523,7 @@ fn recovery_modes_agree_on_torn_tails() {
 // conversion records and the checkpoint record itself must be harmless —
 // conversions are pure redo hints, so recovery with the conversions but
 // without the checkpoint (and every torn cut through the region) agrees
-// with the replay oracle across all recovery modes, and re-emitting the
+// with the replay oracle and the two-pass reference, and re-emitting the
 // conversions at the survivor's next checkpoint is idempotent.
 // ---------------------------------------------------------------------------
 
@@ -580,7 +574,7 @@ fn crash_between_conversion_records_and_the_checkpoint_record() {
     e.wal_mut().force();
     let (store, wal) = e.crash();
     for policy in [RedoPolicy::Vsi, RedoPolicy::RsiExposed] {
-        assert_modes_agree(
+        assert_two_pass_agrees(
             &store,
             &wal,
             &reg,
@@ -596,7 +590,7 @@ fn crash_between_conversion_records_and_the_checkpoint_record() {
     // the crash must be idempotent all the way through another recovery.
     rec.checkpoint(false).unwrap();
     let (s2, w2) = rec.crash();
-    assert_modes_agree(&s2, &w2, &reg, RedoPolicy::RsiExposed, "conv-reemit");
+    assert_two_pass_agrees(&s2, &w2, &reg, RedoPolicy::RsiExposed, "conv-reemit");
     let (rec2, _) =
         llog::core::recover(s2, w2, reg.clone(), config, RedoPolicy::RsiExposed).unwrap();
     llog::sim::verify_against_log(&rec2, &reg).unwrap();
@@ -608,7 +602,7 @@ fn crash_between_conversion_records_and_the_checkpoint_record() {
         let mut e = build();
         e.checkpoint(false).unwrap(); // conversions + cp record, forced
         let (store, wal) = e.crash_torn(torn);
-        assert_modes_agree(
+        assert_two_pass_agrees(
             &store,
             &wal,
             &reg,
@@ -668,7 +662,7 @@ impl Drop for BackendDir {
 
 #[test]
 fn wal_truncation_reclaims_device_space_and_recovery_agrees() {
-    use llog::core::{recover_with, RecoveryOptions};
+    use llog::core::recover;
     use llog_storage::device::DeviceConfig;
     use llog_storage::Metrics;
     use llog_wal::{DurabilityBackend, LOG_SUBDIR};
@@ -730,13 +724,12 @@ fn wal_truncation_reclaims_device_space_and_recovery_agrees() {
 
     // Crash. Recovery from the in-memory pair is the ground truth.
     let (store, wal) = engine.crash();
-    let (ge, go) = recover_with(
+    let (ge, go) = recover(
         store.clone(),
         wal.clone(),
         reg.clone(),
         rw_config(),
         RedoPolicy::RsiExposed,
-        RecoveryOptions::serial(),
     )
     .expect("in-memory recovery");
 
@@ -760,22 +753,15 @@ fn wal_truncation_reclaims_device_space_and_recovery_agrees() {
             "{name}: durable end diverged"
         );
         let image = dw.serialize();
-        let (de, doo) = recover_with(
-            ds,
-            dw,
-            reg.clone(),
-            rw_config(),
-            RedoPolicy::RsiExposed,
-            RecoveryOptions::serial(),
-        )
-        .unwrap_or_else(|e| panic!("{name}: device recovery failed: {e}"));
+        let (de, doo) = recover(ds, dw, reg.clone(), rw_config(), RedoPolicy::RsiExposed)
+            .unwrap_or_else(|e| panic!("{name}: device recovery failed: {e}"));
         // The retained prefix records are installed, so they must all fail
         // the REDO test: same redo work, same recovered state.
         assert_eq!(doo.redone, go.redone, "{name}: redo work diverged");
         assert_eq!(doo.torn_tail, go.torn_tail, "{name}: tear status diverged");
         assert_eq!(
-            mode_fingerprint(&de),
-            mode_fingerprint(&ge),
+            state_fingerprint(&de),
+            state_fingerprint(&ge),
             "{name}: recovered state diverged from in-memory recovery"
         );
         loaded.push((image, doo));
@@ -796,7 +782,7 @@ fn wal_truncation_reclaims_device_space_and_recovery_agrees() {
 /// outcome as the in-memory crash image, on both backends.
 #[test]
 fn post_truncation_recovery_equivalence_sweep() {
-    use llog::core::{recover_with, RecoveryOptions};
+    use llog::core::recover;
     use llog_storage::device::DeviceConfig;
     use llog_storage::Metrics;
     use llog_wal::DurabilityBackend;
@@ -820,30 +806,16 @@ fn post_truncation_recovery_equivalence_sweep() {
         file.persist(engine.store(), engine.wal(), None).unwrap();
 
         let (store, wal) = engine.crash();
-        let (ge, go) = recover_with(
-            store,
-            wal,
-            reg.clone(),
-            rw_config(),
-            RedoPolicy::RsiExposed,
-            RecoveryOptions::serial(),
-        )
-        .unwrap_or_else(|e| panic!("cut {cut}: in-memory recovery failed: {e}"));
+        let (ge, go) = recover(store, wal, reg.clone(), rw_config(), RedoPolicy::RsiExposed)
+            .unwrap_or_else(|e| panic!("cut {cut}: in-memory recovery failed: {e}"));
         for (name, backend) in [("mem", &mem), ("file", &file)] {
             let (ds, dw) = backend.load(Metrics::new()).unwrap().unwrap();
-            let (de, doo) = recover_with(
-                ds,
-                dw,
-                reg.clone(),
-                rw_config(),
-                RedoPolicy::RsiExposed,
-                RecoveryOptions::serial(),
-            )
-            .unwrap_or_else(|e| panic!("cut {cut} {name}: device recovery failed: {e}"));
+            let (de, doo) = recover(ds, dw, reg.clone(), rw_config(), RedoPolicy::RsiExposed)
+                .unwrap_or_else(|e| panic!("cut {cut} {name}: device recovery failed: {e}"));
             assert_eq!(doo, go, "cut {cut} {name}: outcome diverged");
             assert_eq!(
-                mode_fingerprint(&de),
-                mode_fingerprint(&ge),
+                state_fingerprint(&de),
+                state_fingerprint(&ge),
                 "cut {cut} {name}: state diverged"
             );
         }
@@ -901,7 +873,7 @@ fn ship_and_promote(
 
 #[test]
 fn failover_matrix_promoted_replica_keeps_acked_drops_unacked() {
-    use llog::core::{recover_with, RecoveryOptions};
+    use llog::core::recover;
     use llog::repl::visible_divergence;
 
     let reg = registry();
@@ -937,13 +909,12 @@ fn failover_matrix_promoted_replica_keeps_acked_drops_unacked() {
                 // The generalized differential oracle: the promoted
                 // replica is indistinguishable from real recovery of the
                 // same crash image.
-                let (oracle, _) = recover_with(
+                let (oracle, _) = recover(
                     pstore.clone(),
                     pwal.clone(),
                     reg.clone(),
                     EngineConfig::default(),
                     RedoPolicy::RsiExposed,
-                    RecoveryOptions::default(),
                 )
                 .unwrap();
                 if let Some(diff) = visible_divergence(&oracle, &replica) {
@@ -1128,7 +1099,7 @@ fn crash_between_double_buffer_swap_and_fsync_clips_torn_tail() {
 /// on both backends.
 #[test]
 fn recovery_over_recycled_segment_matches_in_memory_recovery() {
-    use llog::core::{recover_with, RecoveryOptions};
+    use llog::core::recover;
     use llog_storage::device::DeviceConfig;
     use llog_storage::Metrics;
     use llog_wal::DurabilityBackend;
@@ -1170,35 +1141,21 @@ fn recovery_over_recycled_segment_matches_in_memory_recovery() {
 
     // Ground truth: recovery from the in-memory crash image.
     let (store, wal) = engine.crash();
-    let (ge, go) = recover_with(
-        store,
-        wal,
-        reg.clone(),
-        rw_config(),
-        RedoPolicy::RsiExposed,
-        RecoveryOptions::serial(),
-    )
-    .expect("in-memory recovery");
+    let (ge, go) = recover(store, wal, reg.clone(), rw_config(), RedoPolicy::RsiExposed)
+        .expect("in-memory recovery");
 
     for (name, backend) in [("mem", &mem), ("file", &file)] {
         let (ds, dw) = backend
             .load(Metrics::new())
             .unwrap()
             .unwrap_or_else(|| panic!("{name}: nothing persisted"));
-        let (de, doo) = recover_with(
-            ds,
-            dw,
-            reg.clone(),
-            rw_config(),
-            RedoPolicy::RsiExposed,
-            RecoveryOptions::serial(),
-        )
-        .unwrap_or_else(|e| panic!("{name}: recovery over recycled segment failed: {e}"));
+        let (de, doo) = recover(ds, dw, reg.clone(), rw_config(), RedoPolicy::RsiExposed)
+            .unwrap_or_else(|e| panic!("{name}: recovery over recycled segment failed: {e}"));
         assert!(!doo.torn_tail, "{name}: ghosts misread as a torn tail");
         assert_eq!(doo.redone, go.redone, "{name}: redo work diverged");
         assert_eq!(
-            mode_fingerprint(&de),
-            mode_fingerprint(&ge),
+            state_fingerprint(&de),
+            state_fingerprint(&ge),
             "{name}: recovered state diverged over a recycled segment"
         );
     }

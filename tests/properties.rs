@@ -271,7 +271,7 @@ proptest! {
         extra in 1usize..16,
         policy_rsi in any::<bool>(),
     ) {
-        use llog::core::{recover_with, RecoveryOptions};
+        use llog::core::{recover, recover_two_pass};
         use llog::engine::{CommitPolicy, ShardedConfig, ShardedEngine};
 
         let registry = TransformRegistry::with_builtins();
@@ -335,23 +335,22 @@ proptest! {
         let parts = engine.crash();
         for (i, (store, mut wal)) in parts.into_iter().enumerate() {
             wal.seal_to(sis[i]).unwrap();
-            let (rec, _) = recover_with(
-                store,
-                wal,
-                registry.clone(),
-                config.engine,
-                policy,
-                RecoveryOptions::serial(),
-            )
-            .unwrap();
-            for x in (0..N_OBJECTS).filter(|&x| homes[x as usize] == i) {
-                prop_assert_eq!(
-                    rec.peek_value(ObjectId(x)),
-                    observed[x as usize].clone(),
-                    "object {} in shard {}: serial recovery sealed at {:?} \
-                     diverges from the snapshot read",
-                    x, i, sis[i]
-                );
+            // The pipeline and its two-pass reference must both land on
+            // the snapshot's view.
+            let both = [
+                recover(store.clone(), wal.clone(), registry.clone(), config.engine, policy),
+                recover_two_pass(store, wal, registry.clone(), config.engine, policy),
+            ];
+            for (rec, _) in both.into_iter().map(Result::unwrap) {
+                for x in (0..N_OBJECTS).filter(|&x| homes[x as usize] == i) {
+                    prop_assert_eq!(
+                        rec.peek_value(ObjectId(x)),
+                        observed[x as usize].clone(),
+                        "object {} in shard {}: serial recovery sealed at {:?} \
+                         diverges from the snapshot read",
+                        x, i, sis[i]
+                    );
+                }
             }
         }
     }
