@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use llog_ops::{table1, LogPolicy, OpKind, Operation, Transform, TransformRegistry};
-use llog_storage::{Metrics, ShadowStore, StableStore, VersionStore};
+use llog_storage::{Metrics, ShadowStore, StableStore, Version, VersionStore};
 use llog_types::{LlogError, Lsn, ObjectId, OpId, Result, Value};
 use llog_wal::{
     CheckpointRecord, ConvertedRecord, InstallRecord, LogRecord, PhysicalResultRecord, Wal,
@@ -238,16 +238,38 @@ impl Engine {
     /// recovery reconstructs exactly the versions a pre-crash reader could
     /// still need. From then on every executed, replayed or adopted update
     /// publishes its outputs as immutable versions keyed by its `lSI`.
+    ///
+    /// The store image is seeded in bulk ([`VersionStore::seed`]); the
+    /// overlay ([`cached_versions`](Self::cached_versions)) is published on
+    /// top, one version per cached object.
     pub fn enable_versions(&mut self) -> Arc<VersionStore> {
         let vs = VersionStore::new(self.metrics.clone());
-        for (&x, stored) in self.store.iter() {
-            vs.publish(x, stored.vsi, stored.value.clone(), false);
-        }
-        for (&x, e) in &self.cache {
-            vs.publish(x, e.vsi, e.value.clone(), e.deleted);
+        vs.seed(self.store.iter().map(|(&x, stored)| {
+            let version = Version {
+                si: stored.vsi,
+                value: stored.value.clone(),
+                tombstone: false,
+            };
+            (x, version)
+        }));
+        for (x, v) in self.cached_versions() {
+            vs.publish(x, v.si, v.value, v.tombstone);
         }
         self.versions = Some(vs.clone());
         vs
+    }
+
+    /// The cache overlay as versions: each cached object's value at its
+    /// `vSI`, a tombstone when deleted, in id order.
+    pub fn cached_versions(&self) -> impl Iterator<Item = (ObjectId, Version)> + '_ {
+        self.cache.iter().map(|(&x, e)| {
+            let version = Version {
+                si: e.vsi,
+                value: e.value.clone(),
+                tombstone: e.deleted,
+            };
+            (x, version)
+        })
     }
 
     /// The MVCC version store, if [`enable_versions`](Self::enable_versions)

@@ -105,8 +105,8 @@ pub(crate) struct Shard {
     /// Times the engine mutex was acquired (every call site goes through
     /// [`Shard::lock_engine`]).
     engine_locks: AtomicU64,
-    /// MVCC version chains, seeded from the engine's state at construction;
-    /// every later update publishes into them.
+    /// MVCC version chains, seeded from the engine's state before
+    /// construction; every later update publishes into them.
     pub(crate) versions: Arc<VersionStore>,
     /// Open snapshot SIs over those chains (the GC floor source).
     pub(crate) snapshots: Arc<SnapshotRegistry>,
@@ -151,12 +151,16 @@ impl Shard {
     /// already-forced LSN so operations recovered from the log are born
     /// durable.
     ///
-    /// The version chains are seeded from the engine's current state, which
-    /// covers both fresh engines and the recovery path (replayed effects
-    /// are in the store image or the cache overlay).
-    pub fn new(index: usize, mut engine: Engine, faults: Option<Arc<FaultHost>>) -> Shard {
+    /// `versions` are the engine's chains, already seeded from its state
+    /// ([`Engine::enable_versions`]) — on the recovery path by the worker
+    /// that recovered the shard, so nothing is seeded here.
+    pub fn new(
+        index: usize,
+        engine: Engine,
+        versions: Arc<VersionStore>,
+        faults: Option<Arc<FaultHost>>,
+    ) -> Shard {
         let forced = engine.wal().forced_lsn();
-        let versions = engine.enable_versions();
         Shard {
             index,
             engine: Mutex::new(Some(engine)),

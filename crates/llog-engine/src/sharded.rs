@@ -10,7 +10,7 @@ use llog_core::shared::{lock, WorkSignal};
 use llog_core::snapshot::Snapshot;
 use llog_core::{recover, Engine, EngineConfig, RecoveryOutcome, RedoPolicy};
 use llog_ops::{OpKind, Transform, TransformRegistry};
-use llog_storage::{Metrics, MetricsSnapshot, StableStore};
+use llog_storage::{Metrics, MetricsSnapshot, StableStore, VersionStore};
 use llog_testkit::faults::FaultHost;
 use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
 use llog_wal::{DurabilityBackend, Wal};
@@ -156,18 +156,36 @@ impl ShardedEngine {
     }
 
     /// [`ShardedEngine::from_engines`] with a fault-injection host (see
-    /// [`ShardedEngine::new_with_faults`]).
+    /// [`ShardedEngine::new_with_faults`]). Each engine's version chains
+    /// are seeded from its current state ([`Engine::enable_versions`]).
     pub fn from_engines_with_faults(
-        mut config: ShardedConfig,
+        config: ShardedConfig,
         engines: Vec<Engine>,
         faults: Option<Arc<FaultHost>>,
     ) -> ShardedEngine {
-        assert!(!engines.is_empty(), "need at least one shard");
-        config.shards = engines.len();
-        let shards: Vec<Arc<Shard>> = engines
+        let seeded = engines
+            .into_iter()
+            .map(|mut e| {
+                let versions = e.enable_versions();
+                (e, versions)
+            })
+            .collect();
+        ShardedEngine::from_seeded(config, seeded, faults)
+    }
+
+    /// Wrap engines whose version chains are already seeded — recovery
+    /// seeds each shard inside its worker pool, so nothing is seeded here.
+    fn from_seeded(
+        mut config: ShardedConfig,
+        seeded: Vec<(Engine, Arc<VersionStore>)>,
+        faults: Option<Arc<FaultHost>>,
+    ) -> ShardedEngine {
+        assert!(!seeded.is_empty(), "need at least one shard");
+        config.shards = seeded.len();
+        let shards: Vec<Arc<Shard>> = seeded
             .into_iter()
             .enumerate()
-            .map(|(i, e)| Arc::new(Shard::new(i, e, faults.clone())))
+            .map(|(i, (e, versions))| Arc::new(Shard::new(i, e, versions, faults.clone())))
             .collect();
         let (scheduler, sched_thread) = ForceScheduler::spawn();
         let mut threads = Vec::new();
@@ -789,82 +807,97 @@ fn checkpoint_one(shard: &Shard, truncate: bool) -> Result<Lsn> {
     Ok(lsn)
 }
 
-/// Recover every shard of a crashed [`ShardedEngine`], **in parallel** —
-/// a shared worker pool bounded by [`std::thread::available_parallelism`]
-/// claims shards off a queue, each scanning only its own log (the
-/// per-shard rW graphs share no edges, so shard recoveries are
-/// independent). With more shards than cores the pool stays fully busy
-/// without oversubscribing the machine; with fewer shards than cores no
-/// idle threads are spawned. Returns the recovered engine plus each
-/// shard's [`RecoveryOutcome`], in shard order.
-///
-/// Each shard runs the one [`recover`] pipeline.
-pub fn recover_sharded(
-    parts: Vec<(StableStore, Wal)>,
-    registry: &TransformRegistry,
-    mut config: ShardedConfig,
-    policy: RedoPolicy,
-) -> Result<(ShardedEngine, Vec<RecoveryOutcome>)> {
-    assert!(!parts.is_empty(), "need at least one shard to recover");
-    config.shards = parts.len();
-    let engine_config = config.engine;
-    let n = parts.len();
+/// Run `job` over `inputs` on the recovery pool: scoped workers, bounded by
+/// [`std::thread::available_parallelism`], claim inputs off an atomic
+/// cursor — with more shards than cores the pool stays fully busy without
+/// oversubscribing the machine; with fewer shards than cores no idle
+/// threads are spawned. Results keep input order; the first error in that
+/// order is returned once every worker has joined, and a panicking worker
+/// surfaces as an error, not a hang.
+fn in_recovery_pool<T: Send, R: Send>(
+    inputs: Vec<T>,
+    job: impl Fn(T) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    let n = inputs.len();
     let pool = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
-        .clamp(1, n);
-
-    // Work queue: each shard's parts sit in a slot claimed exactly once
-    // via the atomic cursor; results land in ordered slots so shard order
-    // survives out-of-order completion.
-    let slots: Vec<Mutex<Option<(StableStore, Wal)>>> =
-        parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    type ShardRecovery = Result<(Engine, RecoveryOutcome)>;
-    let result_slots: Vec<Mutex<Option<ShardRecovery>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
+        .clamp(1, n.max(1));
+    // Each input sits in a slot claimed exactly once via the cursor;
+    // results land in ordered slots so order survives out-of-order
+    // completion.
+    let slots: Vec<Mutex<Option<T>>> = inputs.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<Result<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..pool)
             .map(|_| {
-                let registry = registry.clone();
-                let (slots, result_slots, next) = (&slots, &result_slots, &next);
-                scope.spawn(move || loop {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         return;
                     }
-                    let (store, wal) = lock(&slots[i])
+                    let input = lock(&slots[i])
                         .take()
-                        .expect("each shard slot is claimed exactly once");
-                    let r = recover(store, wal, registry.clone(), engine_config, policy);
-                    *lock(&result_slots[i]) = Some(r);
+                        .expect("each slot is claimed exactly once");
+                    let r = job(input);
+                    *lock(&results[i]) = Some(r);
                 })
             })
             .collect();
         for h in handles {
-            // A panicking worker leaves its shard's result slot empty;
-            // the collection loop below turns that into an error.
+            // A panicking worker leaves its result slot empty; the
+            // collection below turns that into an error.
             let _ = h.join();
         }
     });
+    results
+        .into_iter()
+        .map(|slot| lock(&slot).take().ok_or_else(poisoned_recovery_thread)?)
+        .collect()
+}
 
-    let mut engines = Vec::with_capacity(n);
-    let mut outcomes = Vec::with_capacity(n);
-    for slot in result_slots {
-        let (e, o) = lock(&slot).take().ok_or_else(poisoned_recovery_thread)??;
-        engines.push(e);
-        outcomes.push(o);
-    }
-    Ok((ShardedEngine::from_engines(config, engines), outcomes))
+/// Recover one shard's parts through the one [`recover`] pipeline and seed
+/// its version chains — the pool's per-shard work after the load.
+fn recover_and_seed(
+    store: StableStore,
+    wal: Wal,
+    registry: &TransformRegistry,
+    config: EngineConfig,
+    policy: RedoPolicy,
+) -> Result<((Engine, Arc<VersionStore>), RecoveryOutcome)> {
+    let (mut engine, outcome) = recover(store, wal, registry.clone(), config, policy)?;
+    let versions = engine.enable_versions();
+    Ok(((engine, versions), outcome))
+}
+
+/// Recover every shard of a crashed [`ShardedEngine`], **in parallel** on
+/// the recovery pool: each worker recovers one shard through the one
+/// [`recover`] pipeline — scanning only its own log (the per-shard rW
+/// graphs share no edges, so shard recoveries are independent) — and
+/// seeds that shard's version chains. Returns the recovered engine plus
+/// each shard's [`RecoveryOutcome`], in shard order.
+pub fn recover_sharded(
+    parts: Vec<(StableStore, Wal)>,
+    registry: &TransformRegistry,
+    config: ShardedConfig,
+    policy: RedoPolicy,
+) -> Result<(ShardedEngine, Vec<RecoveryOutcome>)> {
+    assert!(!parts.is_empty(), "need at least one shard to recover");
+    let recovered = in_recovery_pool(parts, |(store, wal)| {
+        recover_and_seed(store, wal, registry, config.engine, policy)
+    })?;
+    let (seeded, outcomes) = recovered.into_iter().unzip();
+    Ok((ShardedEngine::from_seeded(config, seeded, None), outcomes))
 }
 
 fn poisoned_recovery_thread() -> LlogError {
     LlogError::Unexplainable("shard recovery thread panicked".into())
 }
 
-/// Reboot from the device tier: load every shard's persisted
-/// `(store, wal)` pair off its [`DurabilityBackend`] and recover them in
+/// Reboot from the device tier: each [`DurabilityBackend`] moves into the
+/// recovery pool, whose worker loads the shard's persisted `(store, wal)`
+/// pair, recovers it and seeds its version chains — so shards load in
 /// parallel. A backend that was never persisted to yields an empty shard
 /// (fresh store, fresh log). The backends are returned alongside so the
 /// caller can re-attach them ([`ShardedEngine::attach_backends`]) and keep
@@ -875,17 +908,25 @@ pub fn recover_sharded_from_backends(
     config: ShardedConfig,
     policy: RedoPolicy,
 ) -> Result<(ShardedEngine, Vec<RecoveryOutcome>, Vec<DurabilityBackend>)> {
-    let mut parts = Vec::with_capacity(backends.len());
-    for b in &backends {
+    assert!(!backends.is_empty(), "need at least one shard to recover");
+    let recovered = in_recovery_pool(backends, |backend| {
         let metrics = Metrics::new();
-        let pair = match b.load(metrics.clone())? {
+        let (store, wal) = match backend.load(metrics.clone())? {
             Some(pair) => pair,
             None => (StableStore::new(metrics.clone()), Wal::new(metrics)),
         };
-        parts.push(pair);
-    }
-    let (engine, outcomes) = recover_sharded(parts, registry, config, policy)?;
-    Ok((engine, outcomes, backends))
+        Ok((
+            recover_and_seed(store, wal, registry, config.engine, policy)?,
+            backend,
+        ))
+    })?;
+    let (recovered, backends): (Vec<_>, _) = recovered.into_iter().unzip();
+    let (seeded, outcomes) = recovered.into_iter().unzip();
+    Ok((
+        ShardedEngine::from_seeded(config, seeded, None),
+        outcomes,
+        backends,
+    ))
 }
 
 #[cfg(test)]
@@ -1463,6 +1504,115 @@ mod tests {
         for i in 10..20u64 {
             assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("dev2"));
         }
+    }
+
+    /// The pooled boot (load + recover + bulk seeding per shard inside the
+    /// recovery pool) against a reference built by hand per shard: `load`,
+    /// `recover`, then one `publish` per store object and per cache entry.
+    #[test]
+    fn pooled_boot_matches_per_shard_reference() {
+        use llog_storage::device::DeviceConfig;
+        let reg = registry();
+        let dir = std::env::temp_dir().join(format!(
+            "llog-pooled-boot-{}-{:x}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .subsec_nanos()
+        ));
+        let dev = DeviceConfig::small();
+        let open = |i: usize| {
+            DurabilityBackend::file(&dir.join(format!("shard-{i}")), Metrics::new(), &dev).unwrap()
+        };
+        let cfg = ShardedConfig {
+            shards: 3,
+            commit: CommitPolicy::Sync,
+            ..ShardedConfig::default()
+        };
+        let keys = 48u64;
+        let e = ShardedEngine::new(cfg, &reg);
+        e.attach_backends((0..3).map(open).collect());
+        let exec = |kind, x: u64, fn_id, params: Value| {
+            let reads = if kind == OpKind::Physiological {
+                vec![ObjectId(x)]
+            } else {
+                vec![]
+            };
+            e.execute(
+                kind,
+                reads,
+                vec![ObjectId(x)],
+                Transform::new(fn_id, params),
+            )
+            .unwrap();
+        };
+        for round in 0..4u64 {
+            for x in 0..keys {
+                match (x + round) % 5 {
+                    0 => exec(OpKind::Delete, x, builtin::DELETE, Value::empty()),
+                    1 | 2 => exec(OpKind::Physiological, x, builtin::APPEND, Value::from("+")),
+                    _ => exec(
+                        OpKind::Physical,
+                        x,
+                        builtin::CONST,
+                        builtin::encode_values(&[Value::from(format!("r{round}x{x}").as_str())]),
+                    ),
+                }
+            }
+            // Two checkpoints chain store deltas; the last two rounds stay a
+            // partly installed redo tail on the log devices.
+            if round < 2 {
+                e.install_all().unwrap();
+                e.checkpoint_all(false).unwrap();
+            }
+        }
+        e.persist_all().unwrap();
+        drop(e.crash());
+
+        let (pooled, outcomes, _) = recover_sharded_from_backends(
+            (0..3).map(open).collect(),
+            &reg,
+            cfg,
+            RedoPolicy::RsiExposed,
+        )
+        .unwrap();
+        let mut redone = 0;
+        for (i, outcome) in outcomes.iter().enumerate() {
+            let (store, wal) = open(i).load(Metrics::new()).unwrap().unwrap();
+            let (reference, want) =
+                recover(store, wal, reg.clone(), cfg.engine, RedoPolicy::RsiExposed).unwrap();
+            assert_eq!(*outcome, want, "shard {i} outcome");
+            redone += want.redone;
+            let versions = VersionStore::new(Metrics::new());
+            for (&x, stored) in reference.store().iter() {
+                versions.publish(x, stored.vsi, stored.value.clone(), false);
+            }
+            for (x, v) in reference.cached_versions() {
+                versions.publish(x, v.si, v.value, v.tombstone);
+            }
+            let shard = &pooled.shards[i];
+            let guard = shard.lock_engine();
+            let engine = guard.as_ref().unwrap();
+            assert_eq!(engine.store().snapshot(), reference.store().snapshot());
+            assert_eq!(shard.versions.retained(), versions.retained());
+            // Every durable SI: each record boundary of the recovered log.
+            let wal = reference.wal();
+            let mut sis: Vec<Lsn> = wal.scan(wal.start_lsn()).map(|r| r.unwrap().0).collect();
+            sis.extend([Lsn::ZERO, wal.forced_lsn()]);
+            for si in sis {
+                for x in (0..keys).map(ObjectId) {
+                    assert_eq!(
+                        shard.versions.read_at(x, si),
+                        versions.read_at(x, si),
+                        "shard {i}: {x} at {si}"
+                    );
+                }
+            }
+        }
+        assert!(redone > 0, "the fixture leaves a redo tail");
+        drop(pooled);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -39,6 +39,10 @@ pub fn existing_shards(dir: &Path) -> usize {
 /// shards, recovering whatever the devices hold. On reopen the existing
 /// shard count wins over the argument — re-partitioning a populated
 /// database would strand objects on shards that no longer own them.
+///
+/// Opening a shard's backend reads its manifests (and its log, once); the
+/// stores are loaded, recovered and version-seeded in parallel, one shard
+/// per recovery-pool worker ([`recover_sharded_from_backends`]).
 pub fn open_served(
     dir: &Path,
     shards: usize,

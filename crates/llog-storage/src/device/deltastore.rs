@@ -16,15 +16,21 @@
 //! When the chain grows past `DeviceConfig::compact_chain` deltas, the next
 //! checkpoint folds it into one full-image delta and deletes the old blobs.
 //!
+//! Read path: attaching reads the manifest only. The chain's bytes are read,
+//! checked and parsed in one place, [`StoreDevice::load_store`], which also
+//! primes the diff mirror from the image it returns; a checkpoint on a
+//! device whose chain was never loaded builds the mirror through the same
+//! reader first.
+//!
 //! Write ordering: the delta blob is written first, then the manifest; a
 //! crash between the two leaves an orphan delta the manifest never names.
 //! Compaction writes the new manifest *before* deleting folded deltas.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use llog_testkit::faults::{failpoint, FaultHost, WriteVerdict};
-use llog_types::{crc32c, LlogError, Lsn, ObjectId, Result, Value};
+use llog_types::{crc32c, crc32c_extend, LlogError, Lsn, ObjectId, Result, Value};
 
 use super::blob::{BlobStore, FileBlobs, MemBlobs};
 use super::DeviceConfig;
@@ -78,9 +84,12 @@ pub struct DeltaStore<B: BlobStore> {
     next_epoch: u64,
     chain: Vec<ChainEntry>,
     /// Mirror of the state the chain reconstructs, used to diff out the
-    /// dirty set. Rebuilt from the chain on attach.
-    mirror: BTreeMap<ObjectId, StoredObject>,
+    /// dirty set. `None` until the chain is first read: `load_store` primes
+    /// it, or the first checkpoint builds it through the same reader.
+    mirror: Mutex<Option<Objects>>,
 }
+
+type Objects = BTreeMap<ObjectId, StoredObject>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ChainEntry {
@@ -128,11 +137,13 @@ impl<B: BlobStore> DeltaStore<B> {
             kind,
             next_epoch: 1,
             chain: Vec::new(),
-            mirror: BTreeMap::new(),
+            mirror: Mutex::new(Some(Objects::new())),
         }
     }
 
-    /// Wrap existing blobs: resume from the manifest when present.
+    /// Wrap existing blobs: resume from the manifest when present. Reads the
+    /// manifest only; the chain's deltas are first read by `load_store` (or
+    /// by the first checkpoint, to build its diff mirror).
     pub fn attach(
         blobs: B,
         metrics: Arc<Metrics>,
@@ -140,16 +151,10 @@ impl<B: BlobStore> DeltaStore<B> {
         kind: &'static str,
     ) -> Result<DeltaStore<B>> {
         let mut d = DeltaStore::over(blobs, metrics, cfg, kind);
-        if let Some(raw) = d.blobs.get(STORE_MANIFEST)? {
-            let (next_epoch, chain) = parse_manifest(&raw)?;
-            let mut mirror = BTreeMap::new();
-            for entry in &chain {
-                let delta = d.read_delta(entry)?;
-                apply_delta(&mut mirror, &delta);
-            }
+        if let Some((next_epoch, chain)) = read_manifest(&d.blobs)? {
             d.next_epoch = next_epoch;
             d.chain = chain;
-            d.mirror = mirror;
+            d.mirror = Mutex::new(None);
         }
         Ok(d)
     }
@@ -163,31 +168,6 @@ impl<B: BlobStore> DeltaStore<B> {
             out.push((name, bytes));
         }
         Ok(out)
-    }
-
-    fn read_delta(&self, entry: &ChainEntry) -> Result<Vec<DeltaEntry>> {
-        let err = |reason: String| LlogError::Codec { reason };
-        let Some(raw) = self.blobs.get(&delta_name(entry.epoch))? else {
-            return Err(err(format!(
-                "store manifest: missing delta {}",
-                delta_name(entry.epoch)
-            )));
-        };
-        if raw.len() as u64 != entry.len {
-            return Err(err(format!(
-                "delta {}: length {} != manifest {}",
-                delta_name(entry.epoch),
-                raw.len(),
-                entry.len
-            )));
-        }
-        if crc32c(&raw) != entry.crc {
-            return Err(err(format!(
-                "delta {}: checksum mismatch",
-                delta_name(entry.epoch)
-            )));
-        }
-        parse_delta(&raw, entry.epoch)
     }
 
     fn manifest_image(&self) -> Vec<u8> {
@@ -232,6 +212,40 @@ impl<B: BlobStore> DeltaStore<B> {
     }
 }
 
+/// Read and parse the store manifest, or `None` when there is none.
+fn read_manifest<B: BlobStore>(blobs: &B) -> Result<Option<(u64, Vec<ChainEntry>)>> {
+    blobs
+        .get(STORE_MANIFEST)?
+        .map(|raw| parse_manifest(&raw))
+        .transpose()
+}
+
+/// Replay the chain the on-device manifest names into the image it
+/// reconstructs, or `None` when no manifest exists — the one reader of the
+/// chain's bytes. Missing, mis-sized or corrupt deltas are `Codec` errors.
+fn read_image<B: BlobStore>(blobs: &B) -> Result<Option<Objects>> {
+    let Some((_, chain)) = read_manifest(blobs)? else {
+        return Ok(None);
+    };
+    let mut objects = Objects::new();
+    for entry in &chain {
+        let name = delta_name(entry.epoch);
+        let err = |reason: String| LlogError::Codec { reason };
+        let Some(raw) = blobs.get(&name)? else {
+            return Err(err(format!("store manifest: missing delta {name}")));
+        };
+        if raw.len() as u64 != entry.len {
+            return Err(err(format!(
+                "delta {name}: length {} != manifest {}",
+                raw.len(),
+                entry.len
+            )));
+        }
+        apply_delta(&mut objects, &parse_delta(&raw, entry.epoch, entry.crc)?);
+    }
+    Ok(Some(objects))
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct DeltaEntry {
     id: ObjectId,
@@ -240,7 +254,7 @@ struct DeltaEntry {
     value: Value,
 }
 
-fn apply_delta(mirror: &mut BTreeMap<ObjectId, StoredObject>, delta: &[DeltaEntry]) {
+fn apply_delta(mirror: &mut Objects, delta: &[DeltaEntry]) {
     for e in delta {
         if e.tombstone {
             mirror.remove(&e.id);
@@ -256,7 +270,9 @@ fn apply_delta(mirror: &mut BTreeMap<ObjectId, StoredObject>, delta: &[DeltaEntr
     }
 }
 
-fn serialize_delta(epoch: u64, entries: &[DeltaEntry]) -> Vec<u8> {
+/// The delta blob for `entries`, plus the whole-blob CRC the manifest
+/// records (the body CRC extended over its own trailer — one pass).
+fn serialize_delta(epoch: u64, entries: &[DeltaEntry]) -> (Vec<u8>, u32) {
     let mut out = Vec::with_capacity(32);
     out.extend_from_slice(DELTA_MAGIC);
     out.extend_from_slice(&epoch.to_le_bytes());
@@ -268,20 +284,28 @@ fn serialize_delta(epoch: u64, entries: &[DeltaEntry]) -> Vec<u8> {
         out.extend_from_slice(&(e.value.len() as u32).to_le_bytes());
         out.extend_from_slice(e.value.as_bytes());
     }
-    let crc = crc32c(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    let body_crc = crc32c(&out);
+    let trailer = body_crc.to_le_bytes();
+    out.extend_from_slice(&trailer);
+    (out, crc32c_extend(body_crc, &trailer))
 }
 
-fn parse_delta(raw: &[u8], expect_epoch: u64) -> Result<Vec<DeltaEntry>> {
+/// Parse a delta blob, checking both of its checksums in one pass over the
+/// body: the trailer (body CRC) and the manifest's whole-blob `expect_crc`
+/// (the body CRC extended over the trailer).
+fn parse_delta(raw: &[u8], expect_epoch: u64, expect_crc: u32) -> Result<Vec<DeltaEntry>> {
     let err = |reason: String| LlogError::Codec {
         reason: format!("delta {}: {reason}", delta_name(expect_epoch)),
     };
     if raw.len() < 8 + 8 + 8 + 4 {
         return Err(err("too short".into()));
     }
-    let (body, crc_bytes) = raw.split_at(raw.len() - 4);
-    if crc32c(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
+    let (body, trailer) = raw.split_at(raw.len() - 4);
+    let body_crc = crc32c(body);
+    if crc32c_extend(body_crc, trailer) != expect_crc {
+        return Err(err("checksum mismatch against the store manifest".into()));
+    }
+    if body_crc != u32::from_le_bytes(trailer.try_into().unwrap()) {
         return Err(err("checksum mismatch".into()));
     }
     if &body[0..8] != DELTA_MAGIC {
@@ -388,8 +412,18 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
                 });
             }
         } else {
+            let slot = self
+                .mirror
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            if slot.is_none() {
+                // Never loaded since attach: build the mirror through the
+                // one chain reader, so the delta is what it always was.
+                *slot = Some(read_image(&self.blobs)?.unwrap_or_default());
+            }
+            let mirror = slot.as_ref().expect("built above");
             for (id, obj) in store.iter() {
-                match self.mirror.get(id) {
+                match mirror.get(id) {
                     Some(m) if m.vsi == obj.vsi && m.value == obj.value => skipped += 1,
                     _ => entries.push(DeltaEntry {
                         id: *id,
@@ -399,7 +433,7 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
                     }),
                 }
             }
-            for id in self.mirror.keys() {
+            for id in mirror.keys() {
                 if store.peek(*id).is_none() {
                     entries.push(DeltaEntry {
                         id: *id,
@@ -421,18 +455,18 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
             }
         }
         let epoch = self.next_epoch;
-        let image = serialize_delta(epoch, &entries);
-        let mut bytes_written = self.faulted_put(
-            &delta_name(epoch),
-            failpoint::DEV_STORE_DELTA,
-            image.clone(),
-            faults,
-        )?;
+        let (image, crc) = serialize_delta(epoch, &entries);
         let entry = ChainEntry {
             epoch,
             len: image.len() as u64,
-            crc: crc32c(&image),
+            crc,
         };
+        let mut bytes_written = self.faulted_put(
+            &delta_name(epoch),
+            failpoint::DEV_STORE_DELTA,
+            image,
+            faults,
+        )?;
         let old_chain = if compact {
             std::mem::take(&mut self.chain)
         } else {
@@ -455,7 +489,10 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
         if !old_chain.is_empty() {
             self.blobs.sync()?;
         }
-        self.mirror = store.snapshot();
+        *self
+            .mirror
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = Some(store.snapshot());
         let written = entries.len() as u64;
         Metrics::bump(&self.metrics.ckpt_objects_written, written);
         Metrics::bump(&self.metrics.ckpt_objects_skipped, skipped);
@@ -468,16 +505,17 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
     }
 
     fn load_store(&self, metrics: Arc<Metrics>) -> Result<Option<StableStore>> {
-        if self.blobs.get(STORE_MANIFEST)?.is_none() {
+        let Some(objects) = read_image(&self.blobs)? else {
             return Ok(None);
+        };
+        // Prime the diff mirror from the image just read (values are
+        // `Arc`-shared, so the clone copies no bytes). A checkpoint since
+        // attach already holds a newer mirror; keep it.
+        let mut mirror = self.mirror.lock().unwrap_or_else(PoisonError::into_inner);
+        if mirror.is_none() {
+            *mirror = Some(objects.clone());
         }
-        let raw = self.blobs.get(STORE_MANIFEST)?.unwrap();
-        let (_, chain) = parse_manifest(&raw)?;
-        let mut objects = BTreeMap::new();
-        for entry in &chain {
-            let delta = self.read_delta(entry)?;
-            apply_delta(&mut objects, &delta);
-        }
+        drop(mirror);
         let mut store = StableStore::new(metrics);
         store.restore(objects);
         Ok(Some(store))
@@ -576,6 +614,57 @@ mod tests {
         let loaded = d.load_store(Metrics::new()).unwrap().unwrap();
         assert_eq!(loaded.snapshot(), s.snapshot());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn attach_then_checkpoint_without_load_writes_the_same_delta() {
+        let mut s = store_of(&[(1, "a", 1), (2, "b", 2), (3, "c", 3)]);
+        let mut writer = MemStoreDevice::mem(Metrics::new(), &cfg(100));
+        writer.checkpoint(&s, None).unwrap();
+        let mut attached =
+            DeltaStore::attach(writer.blobs.clone(), Metrics::new(), &cfg(100), "mem").unwrap();
+        assert!(
+            attached.mirror.get_mut().unwrap().is_none(),
+            "attach read a delta"
+        );
+        s.write(ObjectId(2), Value::from("B"), Lsn(9));
+        s.remove(ObjectId(3));
+        s.write(ObjectId(4), Value::from("d"), Lsn(10));
+        let st = attached.checkpoint(&s, None).unwrap();
+        assert_eq!((st.objects_written, st.objects_skipped), (3, 1));
+        // Byte for byte what a device that read the whole chain at attach
+        // wrote for this checkpoint (captured from that implementation).
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let delta = attached.blobs.get(&delta_name(2)).unwrap().unwrap();
+        assert_eq!(
+            hex(&delta),
+            "4c4c4f47444c543102000000000000000300000000000000020000000000000000090000\
+             000000000001000000420300000000000000010000000000000000000000000400000000\
+             000000000a00000000000000010000006412ac1628"
+        );
+        let manifest = attached.blobs.get(STORE_MANIFEST).unwrap().unwrap();
+        assert_eq!(
+            hex(&manifest),
+            "4c4c4f47534d46310300000000000000020000000000000001000000000000005e000000\
+             00000000c74b674802000000000000005d00000000000000c74b674803cb602c"
+        );
+        // And what the writer, whose mirror never left memory, writes too.
+        writer.checkpoint(&s, None).unwrap();
+        assert_eq!(writer.dump_blobs().unwrap(), attached.dump_blobs().unwrap());
+    }
+
+    #[test]
+    fn load_primes_the_mirror() {
+        let s = store_of(&[(1, "a", 1), (2, "b", 2)]);
+        let mut writer = MemStoreDevice::mem(Metrics::new(), &cfg(100));
+        writer.checkpoint(&s, None).unwrap();
+        let mut d =
+            DeltaStore::attach(writer.blobs.clone(), Metrics::new(), &cfg(100), "mem").unwrap();
+        let loaded = d.load_store(Metrics::new()).unwrap().unwrap();
+        assert_eq!(d.mirror.get_mut().unwrap().as_ref(), Some(&s.snapshot()));
+        // A clean store then checkpoints for free.
+        let st = d.checkpoint(&loaded, None).unwrap();
+        assert_eq!((st.objects_written, st.objects_skipped), (0, 2));
     }
 
     #[test]

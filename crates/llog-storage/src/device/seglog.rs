@@ -33,7 +33,7 @@
 //! *before* they reach the blob layer, so both backends persist identical
 //! images under identical fault plans.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use llog_testkit::faults::{failpoint, FaultHost, WriteVerdict};
 use llog_types::{crc32c, frame_crc, LlogError, Lsn, Result};
@@ -177,6 +177,20 @@ pub struct SegLog<B: BlobStore> {
     /// Whether the open segment's blob carries the preallocated header, so
     /// appends know to write in place past it rather than append.
     open_headered: bool,
+    /// The parts `attach` read, handed to the first `load_parts` so a boot
+    /// reads every segment once. Dropped by the first write to the device,
+    /// after which `load_parts` reads the blobs again.
+    primed: Mutex<Option<LogParts>>,
+}
+
+/// One read of a device: the recovery parts plus the manifest and open-blob
+/// shape `attach` resumes from.
+struct Image {
+    parts: LogParts,
+    manifest: ManifestState,
+    /// The open segment blob's sniffed header: `None` when the blob is
+    /// absent, `Some(None)` for a legacy (unheadered) blob.
+    open_header: Option<Option<u64>>,
 }
 
 /// In-memory log device (the fuzz-fast deterministic backend).
@@ -227,6 +241,7 @@ impl<B: BlobStore> SegLog<B> {
             pool: Vec::new(),
             open_blob_ready: false,
             open_headered: false,
+            primed: Mutex::new(None),
         }
     }
 
@@ -246,36 +261,38 @@ impl<B: BlobStore> SegLog<B> {
             .into_iter()
             .filter(|n| n.starts_with("pool-"))
             .collect();
-        match d.load_parts()? {
-            Some(parts) => {
-                let state = parse_manifest(&d.blobs.get(WAL_MANIFEST)?.unwrap())?;
-                d.base = state.base;
-                d.master = state.master;
-                d.sealed = state.sealed;
-                d.open_start = state.open_start;
-                // `load_parts` normalizes a preallocated tail (clips zero
+        match d.read_image()? {
+            Some(Image {
+                parts,
+                manifest,
+                open_header,
+            }) => {
+                d.base = manifest.base;
+                d.master = manifest.master;
+                d.sealed = manifest.sealed;
+                d.open_start = manifest.open_start;
+                // `read_image` normalizes a preallocated tail (clips zero
                 // fill and stale recycled frames), so the in-memory mirror
                 // tracks only real frame bytes.
-                let off = (state.open_start.0 - state.base.0) as usize;
+                let off = (d.open_start.0 - d.base.0) as usize;
                 d.open = parts.bytes.get(off..).unwrap_or_default().to_vec();
-                match d.blobs.get(&segment_name(d.open_start))? {
-                    Some(blob) => match sniff_header(&blob) {
-                        Some(start) if start == d.open_start.0 => {
-                            d.open_headered = true;
-                            d.open_blob_ready = true;
-                        }
-                        // A stale header means a crash landed between the
-                        // recycle rename and the re-stamp: nothing from
-                        // this life was written, rebuild on next append.
-                        Some(_) => d.open_blob_ready = false,
-                        None => {
-                            d.open_headered = false;
-                            d.open_blob_ready = true;
-                        }
-                    },
+                match open_header {
+                    Some(Some(start)) if start == d.open_start.0 => {
+                        d.open_headered = true;
+                        d.open_blob_ready = true;
+                    }
+                    // A stale header means a crash landed between the
+                    // recycle rename and the re-stamp: nothing from this
+                    // life was written, rebuild on next append.
+                    Some(Some(_)) => d.open_blob_ready = false,
+                    Some(None) => {
+                        d.open_headered = false;
+                        d.open_blob_ready = true;
+                    }
                     None => d.open_blob_ready = false,
                 }
                 d.dirty_manifest = false;
+                d.primed = Mutex::new(Some(parts));
             }
             None => {
                 d.base = base;
@@ -315,7 +332,16 @@ impl<B: BlobStore> SegLog<B> {
         out
     }
 
+    /// Drop the parts `attach` primed: the device is about to change.
+    fn unprime(&mut self) {
+        *self
+            .primed
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = None;
+    }
+
     fn write_manifest(&mut self, faults: Option<&FaultHost>) -> Result<()> {
+        self.unprime();
         let image = self.manifest_image();
         let verdict = match faults {
             Some(h) => h
@@ -429,6 +455,7 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
     }
 
     fn append(&mut self, at: Lsn, bytes: &[u8], faults: Option<&FaultHost>) -> Result<u64> {
+        self.unprime();
         if self.wounded.is_some() {
             return Ok(0); // refuse writes past durable corruption
         }
@@ -509,6 +536,7 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
     }
 
     fn truncate_below(&mut self, lsn: Lsn, faults: Option<&FaultHost>) -> Result<u64> {
+        self.unprime();
         let mut dropped: Vec<SealedSeg> = Vec::new();
         while let Some(first) = self.sealed.first().copied() {
             if first.start.0 + first.len <= lsn.0 {
@@ -552,6 +580,7 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
     }
 
     fn reset(&mut self, base: Lsn, faults: Option<&FaultHost>) -> Result<()> {
+        self.unprime();
         // A reset retires segments just as a truncation reclaim does, so
         // park headered (preallocated) blobs for recycling up to the pool
         // cap instead of wasting them: a fully-truncating checkpoint (all
@@ -606,6 +635,23 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
     }
 
     fn load_parts(&self) -> Result<Option<LogParts>> {
+        let primed = self
+            .primed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        match primed {
+            Some(parts) => Ok(Some(parts)),
+            None => Ok(self.read_image()?.map(|img| img.parts)),
+        }
+    }
+}
+
+impl<B: BlobStore> SegLog<B> {
+    /// Read the device once: manifest, every sealed segment (length, CRC
+    /// and contiguity checked), then the open tail, normalized. `None` when
+    /// no manifest exists; violations are `Codec` errors.
+    fn read_image(&self) -> Result<Option<Image>> {
         let Some(raw) = self.blobs.get(WAL_MANIFEST)? else {
             return Ok(None);
         };
@@ -681,22 +727,19 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
         // at-or-after `tail_guard`); a preallocated tail is normalized here
         // — header stripped, then zero fill and stale recycled frames
         // clipped by walking address-bound frame CRCs.
-        let mut tail_headered = false;
-        if let Some(tail) = self.blobs.get(&segment_name(m.open_start))? {
-            match sniff_header(&tail) {
-                Some(start) => {
-                    tail_headered = true;
-                    // A header stamped with a different start is a
-                    // half-recycled blob (crash between the adoption rename
-                    // and the re-stamp): nothing from this life was written.
-                    if start == m.open_start.0 {
-                        bytes.extend_from_slice(&tail[SEG_HEADER..]);
-                    }
-                }
-                None => bytes.extend_from_slice(&tail),
+        let tail = self.blobs.get(&segment_name(m.open_start))?;
+        let open_header = tail.as_deref().map(sniff_header);
+        match (&tail, open_header) {
+            // A header stamped with a different start is a half-recycled
+            // blob (crash between the adoption rename and the re-stamp):
+            // nothing from this life was written.
+            (Some(tail), Some(Some(start))) if start == m.open_start.0 => {
+                bytes.extend_from_slice(&tail[SEG_HEADER..]);
             }
+            (Some(tail), Some(None)) => bytes.extend_from_slice(tail),
+            _ => {}
         }
-        if tail_headered {
+        if matches!(open_header, Some(Some(_))) {
             clip_preallocated_tail(m.base, m.master, m.open_start, &mut bytes);
         }
         if m.master != Lsn::ZERO && m.master < m.base {
@@ -705,11 +748,15 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
                 m.master.0, m.base.0
             )));
         }
-        Ok(Some(LogParts {
-            base: m.base,
-            master: m.master,
-            tail_guard: m.open_start,
-            bytes,
+        Ok(Some(Image {
+            parts: LogParts {
+                base: m.base,
+                master: m.master,
+                tail_guard: m.open_start,
+                bytes,
+            },
+            manifest: m,
+            open_header,
         }))
     }
 }
@@ -845,6 +892,27 @@ mod tests {
     fn fresh_device_loads_none() {
         let d = mem(8);
         assert!(d.load_parts().unwrap().is_none());
+    }
+
+    #[test]
+    fn attach_hands_its_read_to_the_first_load_only() {
+        let mut w = mem(4);
+        w.append(Lsn(1), &[7u8; 10], None).unwrap();
+        w.force(None).unwrap();
+        let want = w.load_parts().unwrap();
+        let attach = || SegLog::attach(w.blobs.clone(), Metrics::new(), &cfg(4), "mem", Lsn(1));
+        let mut d = attach().unwrap();
+        assert_eq!(d.load_parts().unwrap(), want);
+        assert!(
+            d.primed.get_mut().unwrap().is_none(),
+            "primed parts are taken"
+        );
+        assert_eq!(d.load_parts().unwrap(), want, "a second load reads again");
+        // A write drops the primed parts: the load sees the current bytes.
+        let mut d = attach().unwrap();
+        d.append(Lsn(11), &[8u8; 3], None).unwrap();
+        d.force(None).unwrap();
+        assert_eq!(d.load_parts().unwrap().unwrap().bytes.len(), 13);
     }
 
     #[test]

@@ -69,6 +69,19 @@ impl VersionStore {
         })
     }
 
+    /// Seed an empty store with one version per object from `image` in
+    /// ascending id order (a stable store's iteration order) — the bulk
+    /// form of one [`publish`](Self::publish) per object: one lock take,
+    /// the map built from the sorted run, the retained gauge set once.
+    pub fn seed(&self, image: impl IntoIterator<Item = (ObjectId, Version)>) {
+        let mut chains = self.chains.write().unwrap();
+        debug_assert!(chains.is_empty(), "seed fills an empty version store");
+        *chains = image.into_iter().map(|(x, v)| (x, vec![v])).collect();
+        let seeded = chains.len() as i64;
+        drop(chains);
+        self.note_retained(seeded);
+    }
+
     /// Publish the version of `x` produced by the update at `si`.
     ///
     /// SIs must arrive non-decreasing per object (log order guarantees this
@@ -344,6 +357,58 @@ mod tests {
         vs.publish(x, Lsn(5), val(51), false);
         assert_eq!(vs.chain_len(x), 1);
         assert_eq!(vs.read_at(x, Lsn(6)), (val(51), Lsn(5)));
+    }
+
+    #[test]
+    fn bulk_seed_equals_the_publish_loop() {
+        let version = |si: u64, v: u64, tombstone: bool| Version {
+            si: Lsn(si),
+            value: if tombstone { Value::empty() } else { val(v) },
+            tombstone,
+        };
+        // A store image (ascending ids, installed vSIs, one at Lsn::ZERO)
+        // and a cache overlay: a newer update, a re-publish at the stored
+        // SI, a delete of a stored object and a fresh delete.
+        let image: Vec<(ObjectId, Version)> = (1..=40u64)
+            .map(|i| (ObjectId(i * 3), version(i % 7, i, false)))
+            .collect();
+        let overlay = [
+            (ObjectId(3), version(50, 500, false)),
+            (ObjectId(6), version(2, 600, false)),
+            (ObjectId(9), version(60, 0, true)),
+            (ObjectId(10), version(61, 0, true)),
+            (ObjectId(12), version(62, 1200, false)),
+        ];
+        let (mb, ml) = (Metrics::new(), Metrics::new());
+        let (bulk, looped) = (VersionStore::new(mb.clone()), VersionStore::new(ml.clone()));
+        bulk.seed(image.iter().cloned());
+        for (x, v) in &image {
+            looped.publish(*x, v.si, v.value.clone(), v.tombstone);
+        }
+        for vs in [&bulk, &looped] {
+            for (x, v) in &overlay {
+                vs.publish(*x, v.si, v.value.clone(), v.tombstone);
+            }
+        }
+        assert_eq!(*bulk.chains.read().unwrap(), *looped.chains.read().unwrap());
+        assert_eq!(bulk.retained(), looped.retained());
+        assert_eq!(
+            bulk.retained(),
+            40 + 4,
+            "three new SIs on chains, one new chain"
+        );
+        assert_eq!(
+            mb.snapshot().versions_retained,
+            ml.snapshot().versions_retained
+        );
+        for x in (0..=125u64).map(ObjectId) {
+            for si in [0u64, 1, 3, 7, 51, 61, 62, 63, 99] {
+                assert_eq!(bulk.read_at(x, Lsn(si)), looped.read_at(x, Lsn(si)));
+            }
+        }
+        // Both retire the same versions at the same floor.
+        assert_eq!(bulk.gc(Lsn(63)), looped.gc(Lsn(63)));
+        assert_eq!(*bulk.chains.read().unwrap(), *looped.chains.read().unwrap());
     }
 
     #[test]

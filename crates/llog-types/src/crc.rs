@@ -53,6 +53,14 @@ pub fn crc32c(data: &[u8]) -> u32 {
     !crc32c_update(!0u32, data)
 }
 
+/// Continue a finished CRC-32C over more bytes: `crc32c_extend(crc32c(a),
+/// b) == crc32c(a ++ b)`. Lets a blob whose body CRC is already known
+/// (e.g. its trailer was just verified) get its whole-blob CRC without a
+/// second pass over the body.
+pub fn crc32c_extend(crc: u32, data: &[u8]) -> u32 {
+    !crc32c_update(!crc, data)
+}
+
 /// Compute the CRC-32C of a log frame's payload bound to the frame's
 /// address: the checksum covers `lsn` (little-endian) followed by the
 /// payload bytes.
@@ -164,5 +172,24 @@ mod tests {
         for start in 1..9 {
             assert_eq!(crc32c(&data[start..]), crc32c_bytewise(&data[start..]));
         }
+    }
+
+    #[test]
+    fn extend_over_every_split_equals_one_shot() {
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        let data: Vec<u8> = (0..300)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        let whole = crc32c(&data);
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32c_extend(crc32c(a), b), whole, "split at {split}");
+        }
+        assert_eq!(crc32c_extend(crc32c(b""), b""), 0);
     }
 }

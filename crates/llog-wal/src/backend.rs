@@ -14,11 +14,14 @@
 //!   the *device* store must honour before the device log may drop the
 //!   records that could re-install it.
 //! - [`DurabilityBackend::load`] is the reboot path: replay the store's
-//!   manifest chain, rebuild the WAL from the log segments. A crash between
-//!   the two persist steps leaves the device store *fresher* than the
-//!   device log, which recovery tolerates (the extra replay fails the REDO
-//!   test); the reverse — a log truncated past a store that was never made
-//!   durable — can not occur.
+//!   manifest chain, rebuild the WAL from the log segments. Opening a
+//!   backend reads the store manifest only and the log once; `load` reads
+//!   each delta once and reuses the log device's read, so a boot reads
+//!   every device byte once (DESIGN §11). A crash between the two persist
+//!   steps leaves the device store *fresher* than the device log, which
+//!   recovery tolerates (the extra replay fails the REDO test); the
+//!   reverse — a log truncated past a store that was never made durable —
+//!   can not occur.
 //!
 //! The file layout puts the two devices in `log/` and `store/`
 //! subdirectories of one backend root, so a database directory is
