@@ -275,7 +275,7 @@ fn run_lag_phase(p: &Params) -> LagPhase {
             let mut client = Client::connect(raddr).expect("connect lag sampler");
             while !stop_sampling.load(Ordering::Relaxed) {
                 if let Ok(body) = client.stats() {
-                    max_lag.fetch_max(body.repl_replay_lag_frames, Ordering::Relaxed);
+                    max_lag.fetch_max(body.aggregate.repl_replay_lag_frames, Ordering::Relaxed);
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -295,11 +295,11 @@ fn run_lag_phase(p: &Params) -> LagPhase {
     let mut replica_client = Client::connect(raddr).expect("connect replica");
     let (drained, final_watermark) = loop {
         let body = replica_client.stats().expect("replica stats");
-        if body.repl_replay_lag_frames == 0 && body.repl_watermark_lsn > 0 {
-            break (true, body.repl_watermark_lsn);
+        if body.aggregate.repl_replay_lag_frames == 0 && body.aggregate.repl_watermark_lsn > 0 {
+            break (true, body.aggregate.repl_watermark_lsn);
         }
         if start.elapsed() > budget {
-            break (false, body.repl_watermark_lsn);
+            break (false, body.aggregate.repl_watermark_lsn);
         }
         std::thread::sleep(Duration::from_millis(2));
     };
@@ -312,8 +312,8 @@ fn run_lag_phase(p: &Params) -> LagPhase {
         final_watermark,
         drain_ms,
         drained,
-        segments_shipped: pstats.repl_segments_shipped,
-        bytes_shipped: pstats.repl_bytes_shipped,
+        segments_shipped: pstats.aggregate.repl_segments_shipped,
+        bytes_shipped: pstats.aggregate.repl_bytes_shipped,
     };
     replica.stop().expect("stop replica");
     let engine = server.shutdown();

@@ -330,18 +330,13 @@ pub fn cmd_stats(dir: &Path) -> Result<()> {
         wal.master_checkpoint()
     );
     let snap = metrics.snapshot();
-    println!(
-        "backend: file (io_bytes_written={} io_fsyncs={} segments_rotated={} \
-         segments_reclaimed={} segments_recycled={} ckpt_objects_written={} \
-         ckpt_objects_skipped={})",
-        snap.io_bytes_written,
-        snap.io_fsyncs,
-        snap.segments_rotated,
-        snap.segments_reclaimed,
-        snap.segments_recycled,
-        snap.ckpt_objects_written,
-        snap.ckpt_objects_skipped
-    );
+    let fields = snap.fields();
+    let device = fields.iter().filter(|(name, _)| {
+        ["io_", "segments_", "ckpt_objects_"]
+            .iter()
+            .any(|p| name.starts_with(p))
+    });
+    println!("backend: file ({})", name_values(device));
     let tally = |k: &str| by_kind.get(k).copied().unwrap_or_default();
     let logical: (u64, u64) = by_kind
         .iter()
@@ -378,15 +373,13 @@ pub fn cmd_stats(dir: &Path) -> Result<()> {
             // flush sets and counts the graph work of redo plus install.
             match engine.install_all() {
                 Ok(()) => {
-                    let m = engine.metrics().snapshot();
-                    println!(
-                        "write graph (dry run): rw_nodes_visited={} install_vars_objects={} \
-                         install_notx_objects={} identity_writes={}",
-                        m.rw_nodes_visited,
-                        m.install_vars_objects,
-                        m.install_notx_objects,
-                        m.identity_writes
-                    );
+                    let fields = engine.metrics().snapshot().fields();
+                    let graph = fields.iter().filter(|(name, _)| {
+                        name.starts_with("rw_")
+                            || name.starts_with("install_")
+                            || *name == "identity_writes"
+                    });
+                    println!("write graph (dry run): {}", name_values(graph));
                 }
                 Err(e) => println!("write graph (dry run): unavailable ({e})"),
             }
@@ -575,7 +568,6 @@ pub fn cmd_serve(dir: &Path, shards: usize, addr: &str) -> Result<()> {
         engine,
         llog_server::ServerConfig {
             addr: addr.to_string(),
-            ..llog_server::ServerConfig::default()
         },
     )?;
     println!("llogtool serve: {shards} shard(s) at {}", dir.display());
@@ -687,7 +679,6 @@ pub fn cmd_replicate(dir: &Path, primary: &str, addr: &str) -> Result<()> {
         registry(),
         llog_repl::ReplicaConfig {
             addr: addr.to_string(),
-            ..llog_repl::ReplicaConfig::default()
         },
     )?;
     println!("llogtool replicate: standby of {primary}");
@@ -733,50 +724,41 @@ pub fn cmd_promote(addr: &str, from_dir: Option<&Path>) -> Result<()> {
     Ok(())
 }
 
-/// `llogtool lag <addr>`: print the replication watermark/lag counters of
-/// a server or replica, one `name=value` per field.
+/// `name=value` pairs, space-separated.
+fn name_values<'a>(fields: impl IntoIterator<Item = &'a (&'static str, u64)>) -> String {
+    fields
+        .into_iter()
+        .map(|(name, v)| format!("{name}={v}"))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// `llogtool lag <addr>`: print the replication watermark/lag counters
+/// (`repl_*`) of a server or replica, one `name=value` per counter.
 pub fn cmd_lag(addr: &str) -> Result<()> {
     let mut client = llog_server::Client::connect(addr)?;
-    let stats = client.stats()?;
-    println!(
-        "lag: repl_watermark_lsn={} repl_replay_lag_frames={} \
-         repl_segments_shipped={} repl_bytes_shipped={}",
-        stats.repl_watermark_lsn,
-        stats.repl_replay_lag_frames,
-        stats.repl_segments_shipped,
-        stats.repl_bytes_shipped
-    );
+    let fields = client.stats()?.aggregate.fields();
+    let repl = fields.iter().filter(|(name, _)| name.starts_with("repl_"));
+    println!("lag: {}", name_values(repl));
     Ok(())
 }
 
-/// `llogtool stats <addr>`: group-commit and force-barrier counters of a
-/// live server, one `name=value` line.
+/// The two lines `llogtool stats <addr>` prints: `server: shards=N` and
+/// the group-commit counters, then every aggregate counter.
+fn server_stats_lines(s: &llog_server::StatsBody) -> String {
+    format!(
+        "server: shards={} {}\nmetrics: {}",
+        s.shards,
+        name_values(&s.group_commit.fields()),
+        name_values(&s.aggregate.fields())
+    )
+}
+
+/// `llogtool stats <addr>`: every counter of a live server or replica as
+/// `name=value`.
 pub fn cmd_server_stats(addr: &str) -> Result<()> {
     let mut client = llog_server::Client::connect(addr)?;
-    let s = client.stats()?;
-    println!(
-        "server: shards={} batches={} batched_ops={} backpressure_waits={} \
-         forces_coalesced={} io_fsyncs={}",
-        s.shards, s.batches, s.batched_ops, s.backpressure_waits, s.forces_coalesced, s.io_fsyncs
-    );
-    println!(
-        "mvcc: reads_snapshot={} versions_retained={} versions_gced={} \
-         snapshot_oldest_si={}",
-        s.reads_snapshot, s.versions_retained, s.versions_gced, s.snapshot_oldest_si
-    );
-    println!(
-        "hybrid: log_records_logical={} log_records_physical={} \
-         log_bytes_logical={} log_bytes_physical={} ckpt_ops_converted={}",
-        s.log_records_logical,
-        s.log_records_physical,
-        s.log_bytes_logical,
-        s.log_bytes_physical,
-        s.ckpt_ops_converted
-    );
-    println!(
-        "write graph: rw_nodes_visited={} install_vars_objects={} install_notx_objects={}",
-        s.rw_nodes_visited, s.install_vars_objects, s.install_notx_objects
-    );
+    println!("{}", server_stats_lines(&client.stats()?));
     Ok(())
 }
 
@@ -993,6 +975,36 @@ mod tests {
                 dir.display()
             );
             std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+    }
+
+    /// `llogtool stats <addr>` names every counter once, and CI's `sed`
+    /// probes (`forces_coalesced=`, `io_fsyncs=`, ` batches=`) each find
+    /// exactly one value.
+    #[test]
+    fn server_stats_print_every_counter_once() {
+        let body = llog_server::StatsBody {
+            shards: 2,
+            ..Default::default()
+        };
+        let out = server_stats_lines(&body);
+        assert!(out.starts_with("server: shards=2 batches=0 "), "{out}");
+        let (gc, agg) = (body.group_commit.fields(), body.aggregate.fields());
+        let names = gc.iter().chain(&agg).map(|(n, _)| *n);
+        for name in names.chain(["shards"]) {
+            let key = format!("{name}=");
+            let hits = out
+                .split([' ', '\n'])
+                .filter(|w| w.starts_with(&key))
+                .count();
+            assert_eq!(hits, 1, "{name} in {out}");
+        }
+        for probe in ["forces_coalesced=", "io_fsyncs=", " batches="] {
+            assert_eq!(
+                out.lines().filter(|l| l.contains(probe)).count(),
+                1,
+                "{probe}"
+            );
         }
     }
 

@@ -25,7 +25,7 @@ use llog_testkit::faults::{failpoint, FaultHost};
 use llog_types::{Lsn, ObjectId, OpId, Value};
 use llog_wal::ForceOutcome;
 
-use crate::snapshot::GroupCommitSnapshot;
+use crate::snapshot::ShardCounters;
 
 #[cfg(test)]
 thread_local! {
@@ -56,40 +56,6 @@ pub(crate) struct GcState {
     /// Set once by shutdown/crash; the flusher honours it at the next
     /// wakeup.
     pub stop: Option<StopMode>,
-}
-
-/// Monotonic event counters for one shard's commit pipeline.
-#[derive(Debug, Default)]
-pub(crate) struct ShardCounters {
-    /// Batched forces performed by the flusher.
-    pub batches: AtomicU64,
-    /// Operations covered by those batched forces.
-    pub batched_ops: AtomicU64,
-    /// Largest single batch.
-    pub max_batch: AtomicU64,
-    /// Synchronous (one-op) commits under `CommitPolicy::Sync`.
-    pub sync_commits: AtomicU64,
-    /// Completed `CommitTicket::wait` calls.
-    pub waits: AtomicU64,
-    /// Total nanoseconds those waits spent blocked on durability.
-    pub flush_wait_ns: AtomicU64,
-    /// Times `execute` parked because the uninstalled window was full.
-    pub backpressure_waits: AtomicU64,
-}
-
-impl ShardCounters {
-    pub(crate) fn snapshot(&self) -> GroupCommitSnapshot {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        GroupCommitSnapshot {
-            batches: g(&self.batches),
-            batched_ops: g(&self.batched_ops),
-            max_batch: g(&self.max_batch),
-            sync_commits: g(&self.sync_commits),
-            waits: g(&self.waits),
-            flush_wait_ns: g(&self.flush_wait_ns),
-            backpressure_waits: g(&self.backpressure_waits),
-        }
-    }
 }
 
 /// One partition of the object space: an engine plus its commit pipeline.

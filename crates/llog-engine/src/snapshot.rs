@@ -4,24 +4,26 @@ use std::fmt::Write as _;
 
 use llog_storage::MetricsSnapshot;
 
-/// Point-in-time counters for the group-commit pipeline, summed across
-/// shards (or for one shard).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupCommitSnapshot {
+llog_storage::counters! {
+    /// Monotonic event counters for one shard's commit pipeline.
+    pub(crate) struct ShardCounters;
+    /// Point-in-time counters for the group-commit pipeline, summed across
+    /// shards (or for one shard).
+    pub struct GroupCommitSnapshot;
     /// Batched forces performed by shard flushers.
-    pub batches: u64,
+    batches: sum,
     /// Operations those batched forces covered.
-    pub batched_ops: u64,
+    batched_ops: sum,
     /// Largest single batch observed on any shard.
-    pub max_batch: u64,
+    max_batch: max,
     /// Synchronous one-op commits (under `CommitPolicy::Sync`).
-    pub sync_commits: u64,
+    sync_commits: sum,
     /// Completed `CommitTicket::wait` calls.
-    pub waits: u64,
+    waits: sum,
     /// Total nanoseconds ticket waiters spent blocked on durability.
-    pub flush_wait_ns: u64,
+    flush_wait_ns: sum,
     /// Times `execute` parked on a full uninstalled window.
-    pub backpressure_waits: u64,
+    backpressure_waits: sum,
 }
 
 impl GroupCommitSnapshot {
@@ -41,38 +43,6 @@ impl GroupCommitSnapshot {
         } else {
             self.flush_wait_ns as f64 / self.waits as f64
         }
-    }
-
-    /// Field-wise sum (`max_batch` takes the max), for cross-shard
-    /// aggregation.
-    pub fn merged(&self, other: &GroupCommitSnapshot) -> GroupCommitSnapshot {
-        GroupCommitSnapshot {
-            batches: self.batches + other.batches,
-            batched_ops: self.batched_ops + other.batched_ops,
-            max_batch: self.max_batch.max(other.max_batch),
-            sync_commits: self.sync_commits + other.sync_commits,
-            waits: self.waits + other.waits,
-            flush_wait_ns: self.flush_wait_ns + other.flush_wait_ns,
-            backpressure_waits: self.backpressure_waits + other.backpressure_waits,
-        }
-    }
-
-    /// One flat JSON object (fixed keys, no external serializer).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"batches\":{},\"batched_ops\":{},\"max_batch\":{},\
-             \"sync_commits\":{},\"waits\":{},\"flush_wait_ns\":{},\
-             \"backpressure_waits\":{},\"mean_batch\":{:.2},\"mean_wait_ns\":{:.1}}}",
-            self.batches,
-            self.batched_ops,
-            self.max_batch,
-            self.sync_commits,
-            self.waits,
-            self.flush_wait_ns,
-            self.backpressure_waits,
-            self.mean_batch(),
-            self.mean_wait_ns(),
-        )
     }
 }
 
@@ -94,13 +64,17 @@ impl ShardedSnapshot {
     /// One JSON document:
     /// `{"shards":N,"aggregate":{...},"group_commit":{...},"per_shard":[...]}`.
     pub fn to_json(&self) -> String {
+        let gc = &self.group_commit;
         let mut s = String::with_capacity(1024);
         let _ = write!(
             s,
-            "{{\"shards\":{},\"aggregate\":{},\"group_commit\":{},\"per_shard\":[",
+            "{{\"shards\":{},\"aggregate\":{},\"group_commit\":{},\"mean_batch\":{:.2},\
+             \"mean_wait_ns\":{:.1}}},\"per_shard\":[",
             self.shards,
             self.aggregate.to_json(),
-            self.group_commit.to_json(),
+            gc.to_json().trim_end_matches('}'),
+            gc.mean_batch(),
+            gc.mean_wait_ns(),
         );
         for (i, m) in self.per_shard.iter().enumerate() {
             if i > 0 {
@@ -119,24 +93,10 @@ mod tests {
 
     #[test]
     fn merged_sums_and_maxes() {
-        let a = GroupCommitSnapshot {
-            batches: 2,
-            batched_ops: 10,
-            max_batch: 6,
-            sync_commits: 1,
-            waits: 3,
-            flush_wait_ns: 300,
-            backpressure_waits: 1,
-        };
-        let b = GroupCommitSnapshot {
-            batches: 1,
-            batched_ops: 4,
-            max_batch: 4,
-            sync_commits: 0,
-            waits: 1,
-            flush_wait_ns: 100,
-            backpressure_waits: 0,
-        };
+        // batches, batched_ops, max_batch, sync_commits, waits,
+        // flush_wait_ns, backpressure_waits — in table order.
+        let a = GroupCommitSnapshot::from_values(&[2, 10, 6, 1, 3, 300, 1]).unwrap();
+        let b = GroupCommitSnapshot::from_values(&[1, 4, 4, 0, 1, 100, 0]).unwrap();
         let m = a.merged(&b);
         assert_eq!(m.batches, 3);
         assert_eq!(m.batched_ops, 14);
@@ -167,6 +127,11 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert_eq!(json.matches("\"log_forces\"").count(), 3, "agg + 2 shards");
+        assert!(json.contains(
+            "\"group_commit\":{\"batches\":0,\"batched_ops\":0,\"max_batch\":0,\"sync_commits\":0,\
+             \"waits\":0,\"flush_wait_ns\":0,\"backpressure_waits\":0,\"mean_batch\":0.00,\
+             \"mean_wait_ns\":0.0},\"per_shard\""
+        ));
         assert!(json.ends_with("]}"));
     }
 }

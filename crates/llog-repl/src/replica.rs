@@ -35,20 +35,20 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use llog_core::{recover, Engine, EngineConfig, RedoPolicy, RedoSession, ReplicaReader};
-use llog_engine::{ShardRouter, ShardedEngine};
+use llog_engine::{GroupCommitSnapshot, ShardRouter, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::proto::{
     decode_request, encode_response, read_frame, write_frame, ErrCode, Request, Response, StatsBody,
 };
 use llog_server::Client;
 use llog_storage::device::DeviceConfig;
-use llog_storage::{Metrics, StableStore};
+use llog_storage::{Metrics, MetricsSnapshot, StableStore};
 use llog_types::{LlogError, Lsn, Result, Value};
 use llog_wal::{DurabilityBackend, Wal};
 
@@ -61,35 +61,34 @@ const POLL_INTERVAL: Duration = Duration::from_millis(2);
 /// How long the poller waits between attempts to reconnect to the primary.
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(20);
 
-/// Settings for a [`Replica`].
+/// Deployment settings for a [`Replica`].
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// Address to bind the replica's own service socket
     /// (`"127.0.0.1:0"` picks a free port).
     pub addr: String,
-    /// Redo policy for attach-time recovery and session replay.
-    pub policy: RedoPolicy,
 }
 
 impl Default for ReplicaConfig {
     fn default() -> ReplicaConfig {
         ReplicaConfig {
             addr: "127.0.0.1:0".to_string(),
-            policy: RedoPolicy::RsiExposed,
         }
     }
 }
 
-/// Monotonic shipping counters (the receive side of the primary's
-/// `repl_*` metrics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplicaCounters {
+llog_storage::counters! {
+    /// The receive side of the primary's `repl_*` metrics.
+    struct Received;
+    /// Monotonic shipping counters (the receive side of the primary's
+    /// `repl_*` metrics).
+    pub struct ReplicaCounters;
     /// Non-empty segment chunks received and applied.
-    pub chunks_received: u64,
+    chunks_received: sum,
     /// Stable log bytes received.
-    pub bytes_received: u64,
+    bytes_received: sum,
     /// Times the replica fell behind a truncation and re-attached.
-    pub reattaches: u64,
+    reattaches: sum,
 }
 
 /// The replica's role: a standby replaying shipped log, or a promoted
@@ -125,13 +124,10 @@ struct State {
     readers: Mutex<Vec<ReplicaReader>>,
     router: ShardRouter,
     registry: TransformRegistry,
-    config: ReplicaConfig,
     primary: String,
     stop: AtomicBool,
     shutdown_requested: AtomicBool,
-    chunks_received: AtomicU64,
-    bytes_received: AtomicU64,
-    reattaches: AtomicU64,
+    received: Received,
 }
 
 /// A warm-standby replica of one primary server (see the module docs).
@@ -153,11 +149,11 @@ impl Replica {
     ) -> Result<Replica> {
         let mut client = Client::connect(primary_addr)?;
         // Shard 0's manifest tells us the fleet size.
-        let first = attach_shard(&mut client, 0, &registry, &config)?;
+        let first = attach_shard(&mut client, 0, &registry)?;
         let shards = first.1;
         let mut sessions = vec![first.0];
         for i in 1..shards {
-            sessions.push(attach_shard(&mut client, i as u32, &registry, &config)?.0);
+            sessions.push(attach_shard(&mut client, i as u32, &registry)?.0);
         }
 
         let listener = TcpListener::bind(&config.addr).map_err(|e| LlogError::Io {
@@ -176,13 +172,10 @@ impl Replica {
             readers: Mutex::new(readers),
             router: ShardRouter::new(shards),
             registry,
-            config,
             primary: primary_addr.to_string(),
             stop: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
-            chunks_received: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            reattaches: AtomicU64::new(0),
+            received: Received::default(),
         });
 
         let mut threads = Vec::new();
@@ -213,11 +206,7 @@ impl Replica {
 
     /// Shipping counters.
     pub fn counters(&self) -> ReplicaCounters {
-        ReplicaCounters {
-            chunks_received: self.state.chunks_received.load(Ordering::Relaxed),
-            bytes_received: self.state.bytes_received.load(Ordering::Relaxed),
-            reattaches: self.state.reattaches.load(Ordering::Relaxed),
-        }
+        self.state.received.snapshot()
     }
 
     /// Per-shard replayed-LSN watermarks (promoted replicas report their
@@ -259,7 +248,6 @@ fn attach_shard(
     client: &mut Client,
     shard: u32,
     registry: &TransformRegistry,
-    config: &ReplicaConfig,
 ) -> Result<(RedoSession, usize)> {
     // A truncation can race the prefix fetch; each retry starts from a
     // fresh manifest, and the log can only be truncated finitely often
@@ -340,7 +328,7 @@ fn attach_shard(
             wal,
             registry.clone(),
             EngineConfig::default(),
-            config.policy,
+            RedoPolicy::RsiExposed,
         )?;
         return Ok((session, shards as usize));
     }
@@ -387,8 +375,9 @@ fn poller_loop(state: &Arc<State>, mut client: Client) {
             };
             match resp {
                 Response::SegmentChunk { at, bytes, .. } if !bytes.is_empty() => {
-                    state.chunks_received.fetch_add(1, Ordering::Relaxed);
-                    state
+                    let received = &state.received;
+                    received.chunks_received.fetch_add(1, Ordering::Relaxed);
+                    received
                         .bytes_received
                         .fetch_add(bytes.len() as u64, Ordering::Relaxed);
                     let extended = {
@@ -411,9 +400,9 @@ fn poller_loop(state: &Arc<State>, mut client: Client) {
                         // diverge. Rebuild the shard from a fresh
                         // manifest instead.
                         Err(_) => {
-                            state.reattaches.fetch_add(1, Ordering::Relaxed);
+                            state.received.reattaches.fetch_add(1, Ordering::Relaxed);
                             if let Ok((session, _)) =
-                                attach_shard(&mut client, i as u32, &state.registry, &state.config)
+                                attach_shard(&mut client, i as u32, &state.registry)
                             {
                                 let mut g = lock(&state.role);
                                 let Role::Standby(sessions) = &mut *g else {
@@ -430,8 +419,8 @@ fn poller_loop(state: &Arc<State>, mut client: Client) {
                 Response::SealManifest { .. } => {
                     // Fell behind a checkpoint truncation: rebuild this
                     // shard's session from a fresh manifest.
-                    state.reattaches.fetch_add(1, Ordering::Relaxed);
-                    match attach_shard(&mut client, i as u32, &state.registry, &state.config) {
+                    state.received.reattaches.fetch_add(1, Ordering::Relaxed);
+                    match attach_shard(&mut client, i as u32, &state.registry) {
                         Ok((session, _)) => {
                             let mut g = lock(&state.role);
                             let Role::Standby(sessions) = &mut *g else {
@@ -649,7 +638,7 @@ fn respond(state: &Arc<State>, req: Request) -> Response {
         },
         Request::Stats { req_id } => Response::Stats {
             req_id,
-            body: stats_body(state),
+            body: Box::new(stats_body(state)),
         },
         Request::Promote { req_id, source_dir } => match promote(state, &source_dir) {
             Ok(()) => Response::Ok { req_id },
@@ -677,90 +666,49 @@ fn err(req_id: u64, code: ErrCode, message: String) -> Response {
     }
 }
 
+/// A standby reports its redo sessions' ledgers merged; a promoted replica
+/// its engine's. Either way the four `repl_*` counters are the replica's
+/// own: what it received, and how far it has replayed.
 fn stats_body(state: &Arc<State>) -> StatsBody {
-    let chunks = state.chunks_received.load(Ordering::Relaxed);
-    let bytes = state.bytes_received.load(Ordering::Relaxed);
-    match &*lock(&state.role) {
-        Role::Standby(sessions) => StatsBody {
-            shards: sessions.len() as u32,
-            batches: 0,
-            batched_ops: 0,
-            backpressure_waits: 0,
-            repl_segments_shipped: chunks,
-            repl_bytes_shipped: bytes,
+    let received = state.received.snapshot();
+    let (mut body, lag_frames, watermark) = match &*lock(&state.role) {
+        Role::Standby(sessions) => (
+            StatsBody {
+                shards: sessions.len() as u32,
+                group_commit: GroupCommitSnapshot::default(),
+                aggregate: sessions.iter().fold(MetricsSnapshot::default(), |acc, s| {
+                    acc.merged(&s.engine().metrics().snapshot())
+                }),
+            },
             // Frames held above the watermark (a partial tail frame
             // awaiting completion counts zero).
-            repl_replay_lag_frames: sessions
+            sessions
                 .iter()
                 .map(|s| s.engine().wal().frames_from(s.watermark()))
                 .sum(),
-            repl_watermark_lsn: sessions.iter().map(|s| s.watermark().0).max().unwrap_or(0),
-            forces_coalesced: 0,
-            io_fsyncs: 0,
-            reads_snapshot: sessions
-                .iter()
-                .map(|s| s.engine().metrics().snapshot().reads_snapshot)
-                .sum(),
-            versions_retained: sessions
-                .iter()
-                .map(|s| s.engine().metrics().snapshot().versions_retained)
-                .sum(),
-            versions_gced: sessions
-                .iter()
-                .map(|s| s.engine().metrics().snapshot().versions_gced)
-                .sum(),
-            snapshot_oldest_si: sessions
-                .iter()
-                .map(|s| s.engine().metrics().snapshot().snapshot_oldest_si)
-                .max()
-                .unwrap_or(0),
-            // A standby never logs: its WAL grows by shipped bytes, not
-            // by `execute`, so the hybrid-logging counters stay zero.
-            log_records_logical: 0,
-            log_records_physical: 0,
-            log_bytes_logical: 0,
-            log_bytes_physical: 0,
-            ckpt_ops_converted: 0,
-            // Continuous redo feeds the write graph; nothing installs here.
-            rw_nodes_visited: sessions
-                .iter()
-                .map(|s| s.engine().metrics().snapshot().rw_nodes_visited)
-                .sum(),
-            install_vars_objects: 0,
-            install_notx_objects: 0,
-        },
+            sessions.iter().map(|s| s.watermark().0).max().unwrap_or(0),
+        ),
         Role::Promoted(engine) => {
             let snap = engine.metrics_snapshot();
-            StatsBody {
-                shards: snap.shards as u32,
-                batches: snap.group_commit.batches,
-                batched_ops: snap.group_commit.batched_ops,
-                backpressure_waits: snap.group_commit.backpressure_waits,
-                repl_segments_shipped: chunks,
-                repl_bytes_shipped: bytes,
-                repl_replay_lag_frames: 0,
-                repl_watermark_lsn: (0..engine.shards())
-                    .map(|i| engine.durable_lsn(i).0)
-                    .max()
-                    .unwrap_or(0),
-                forces_coalesced: snap.aggregate.forces_coalesced,
-                io_fsyncs: snap.aggregate.io_fsyncs,
-                reads_snapshot: snap.aggregate.reads_snapshot,
-                versions_retained: snap.aggregate.versions_retained,
-                versions_gced: snap.aggregate.versions_gced,
-                snapshot_oldest_si: snap.aggregate.snapshot_oldest_si,
-                log_records_logical: snap.aggregate.log_records_logical,
-                log_records_physical: snap.aggregate.log_records_physical,
-                log_bytes_logical: snap.aggregate.log_bytes_logical,
-                log_bytes_physical: snap.aggregate.log_bytes_physical,
-                ckpt_ops_converted: snap.aggregate.ckpt_ops_converted,
-                rw_nodes_visited: snap.aggregate.rw_nodes_visited,
-                install_vars_objects: snap.aggregate.install_vars_objects,
-                install_notx_objects: snap.aggregate.install_notx_objects,
-            }
+            let durable = (0..engine.shards()).map(|i| engine.durable_lsn(i).0);
+            (
+                StatsBody {
+                    shards: snap.shards as u32,
+                    group_commit: snap.group_commit,
+                    aggregate: snap.aggregate,
+                },
+                0,
+                durable.max().unwrap_or(0),
+            )
         }
-        Role::Draining => StatsBody::default(),
-    }
+        Role::Draining => return StatsBody::default(),
+    };
+    let a = &mut body.aggregate;
+    a.repl_segments_shipped = received.chunks_received;
+    a.repl_bytes_shipped = received.bytes_received;
+    a.repl_replay_lag_frames = lag_frames;
+    a.repl_watermark_lsn = watermark;
+    body
 }
 
 /// Promote this replica to primary (module docs: catch-up rules).
@@ -774,7 +722,7 @@ fn promote(state: &Arc<State>, source_dir: &str) -> Result<()> {
     let Role::Standby(sessions) = std::mem::replace(&mut *g, Role::Draining) else {
         unreachable!("matched Standby above");
     };
-    match promote_sessions(sessions, source_dir, &state.registry, state.config.policy) {
+    match promote_sessions(sessions, source_dir, &state.registry) {
         Ok(engine) => {
             *g = Role::Promoted(Box::new(engine));
             // Tag stores happen under the role lock: a `Put` can only be
@@ -795,13 +743,12 @@ fn promote_sessions(
     sessions: Vec<RedoSession>,
     source_dir: &str,
     registry: &TransformRegistry,
-    policy: RedoPolicy,
 ) -> Result<ShardedEngine> {
     let shards = sessions.len();
     let mut engines = Vec::with_capacity(shards);
     for (i, mut session) in sessions.into_iter().enumerate() {
         if !source_dir.is_empty() {
-            match device_catch_up(&mut session, Path::new(source_dir), i, registry, policy)? {
+            match device_catch_up(&mut session, Path::new(source_dir), i, registry)? {
                 CatchUp::Fed => {}
                 CatchUp::Replaced(engine) => {
                     engines.push(*engine);
@@ -835,7 +782,6 @@ fn device_catch_up(
     source_dir: &Path,
     shard: usize,
     registry: &TransformRegistry,
-    policy: RedoPolicy,
 ) -> Result<CatchUp> {
     let dir = source_dir.join(format!("shard-{shard}"));
     if !dir.is_dir() {
@@ -855,7 +801,7 @@ fn device_catch_up(
             dwal,
             registry.clone(),
             EngineConfig::default(),
-            policy,
+            RedoPolicy::RsiExposed,
         )?;
         return Ok(CatchUp::Replaced(Box::new(engine)));
     }
@@ -876,6 +822,28 @@ mod tests {
         let registry = TransformRegistry::with_builtins();
         let engine = ShardedEngine::new(boot::server_engine_config(shards), &registry);
         Server::start(engine, ServerConfig::default()).unwrap()
+    }
+
+    /// Each named counter of `wire` lies between its values in `before`
+    /// and `after`, two direct reads taken around the Stats request.
+    fn assert_bracketed(
+        names: &[&str],
+        before: &MetricsSnapshot,
+        wire: &MetricsSnapshot,
+        after: &MetricsSnapshot,
+    ) {
+        for name in names {
+            let i = MetricsSnapshot::COUNTERS
+                .iter()
+                .position(|(n, _)| n == name)
+                .unwrap();
+            let (b, w, a) = (
+                before.fields()[i].1,
+                wire.fields()[i].1,
+                after.fields()[i].1,
+            );
+            assert!(b.min(a) <= w && w <= b.max(a), "{name}: {b} <= {w} <= {a}");
+        }
     }
 
     fn wait_watermarks(replica: &Replica, want: &[Lsn]) {
@@ -947,11 +915,50 @@ mod tests {
         assert!(rc.put(ObjectId(99), b"nope").is_err());
         // Primary's shipping metrics moved.
         let stats = c.stats().unwrap();
-        assert!(stats.repl_segments_shipped > 0);
-        assert!(stats.repl_bytes_shipped > 0);
-        // Replica's stats expose its watermark.
+        assert!(stats.aggregate.repl_segments_shipped > 0);
+        assert!(stats.aggregate.repl_bytes_shipped > 0);
+
+        // A standby's Stats carries its sessions' ledgers merged, plus its
+        // own `repl_*` counters. The wire values are bracketed by direct
+        // reads taken before and after the request.
+        let merged_sessions = || match &*lock(&replica.state.role) {
+            Role::Standby(sessions) => {
+                sessions.iter().fold(MetricsSnapshot::default(), |acc, s| {
+                    acc.merged(&s.engine().metrics().snapshot())
+                })
+            }
+            _ => panic!("the replica is still a standby"),
+        };
+        let before = merged_sessions();
         let rstats = rc.stats().unwrap();
-        assert!(rstats.repl_watermark_lsn > 0);
+        let after = merged_sessions();
+        assert_eq!(rstats.shards, 2);
+        assert_eq!(rstats.group_commit, GroupCommitSnapshot::default());
+        let standby = [
+            "reads_snapshot",
+            "versions_retained",
+            "versions_gced",
+            "snapshot_oldest_si",
+            "rw_nodes_visited",
+        ];
+        assert_bracketed(&standby, &before, &rstats.aggregate, &after);
+        assert!(
+            rstats.aggregate.reads_snapshot >= 32,
+            "the standby served 32+ reads"
+        );
+        assert!(
+            rstats.aggregate.versions_retained >= 32,
+            "every object has a version"
+        );
+        let received = replica.counters();
+        assert!(rstats.aggregate.repl_segments_shipped > 0);
+        assert!(rstats.aggregate.repl_segments_shipped <= received.chunks_received);
+        assert!(rstats.aggregate.repl_bytes_shipped <= received.bytes_received);
+        assert!(rstats.aggregate.repl_watermark_lsn > 0);
+        let watermarks = replica.watermarks();
+        assert!(watermarks
+            .iter()
+            .any(|w| w.0 == rstats.aggregate.repl_watermark_lsn));
 
         replica.stop().unwrap();
         server.shutdown();
@@ -1002,14 +1009,53 @@ mod tests {
         // That ack rode the force barrier (which bumps the overlap counter
         // once per barrier), like a booted primary's: which force code
         // acks a put does not depend on how the node became primary.
-        {
+        let promoted = || {
             let role = lock(&replica.state.role);
             let Role::Promoted(engine) = &*role else {
                 panic!("promotion must leave the replica promoted");
             };
-            let m = engine.metrics_snapshot().aggregate;
-            assert!(m.double_buffer_overlap_ns > 0, "ack bypassed the barrier");
-        }
+            let durable = (0..engine.shards()).map(|i| engine.durable_lsn(i).0).max();
+            (engine.metrics_snapshot(), durable.unwrap_or(0))
+        };
+        let (before, _) = promoted();
+        assert!(
+            before.aggregate.double_buffer_overlap_ns > 0,
+            "ack bypassed the barrier"
+        );
+        // A promoted replica's Stats carries the engine's aggregate and
+        // group-commit counters; its `repl_*` counters stay its own.
+        let rstats = rc.stats().unwrap();
+        let (after, durable) = promoted();
+        let engine_counters = [
+            "log_records",
+            "log_bytes",
+            "io_fsyncs",
+            "double_buffer_overlap_ns",
+            "reads_snapshot",
+            "redo_ops",
+        ];
+        assert_bracketed(
+            &engine_counters,
+            &before.aggregate,
+            &rstats.aggregate,
+            &after.aggregate,
+        );
+        assert!(rstats.aggregate.log_bytes > 0 && rstats.aggregate.reads_snapshot > 0);
+        let waits = (
+            before.group_commit.waits,
+            rstats.group_commit.waits,
+            after.group_commit.waits,
+        );
+        assert!(
+            waits.0 <= waits.1 && waits.1 <= waits.2 && waits.1 > 0,
+            "{waits:?}"
+        );
+        assert_eq!(rstats.aggregate.repl_replay_lag_frames, 0);
+        assert_eq!(rstats.aggregate.repl_watermark_lsn, durable);
+        assert_eq!(
+            rstats.aggregate.repl_bytes_shipped,
+            replica.counters().bytes_received
+        );
         // A second promote is refused.
         assert!(rc.promote("").is_err());
         replica.stop().unwrap();

@@ -149,7 +149,7 @@ impl Client {
     pub fn stats(&mut self) -> Result<StatsBody> {
         let req_id = self.fresh_req_id();
         match self.call(&Request::Stats { req_id })? {
-            Response::Stats { body, .. } => Ok(body),
+            Response::Stats { body, .. } => Ok(*body),
             other => Err(unexpected("stats", other)),
         }
     }

@@ -82,8 +82,16 @@ mod tests {
         let stats = c.stats().unwrap();
         assert_eq!(stats.shards, 4);
         assert!(
-            stats.log_records_logical >= 32,
+            stats.aggregate.log_records_logical >= 32,
             "every put lands in the hybrid-logging counters"
+        );
+        assert!(
+            stats.aggregate.log_bytes > 0,
+            "the whole ledger crosses the wire"
+        );
+        assert!(
+            stats.group_commit.waits >= 32,
+            "every ack waited its ticket"
         );
         drop(c);
         let engine = server.shutdown();
@@ -170,7 +178,7 @@ mod tests {
         }
         let stats = c.stats().unwrap();
         assert_eq!(
-            stats.reads_snapshot, n,
+            stats.aggregate.reads_snapshot, n,
             "every get must have been served via the snapshot path"
         );
         drop(c);

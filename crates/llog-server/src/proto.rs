@@ -27,6 +27,8 @@
 
 use std::io::{ErrorKind, Read, Write};
 
+use llog_engine::GroupCommitSnapshot;
+use llog_storage::MetricsSnapshot;
 use llog_types::{crc32c, ByteReader, ByteWriter, LlogError, Lsn, ObjectId, Result};
 
 /// Frame magic: `"LLOG"` read as a little-endian `u32`.
@@ -175,57 +177,19 @@ impl ErrCode {
     }
 }
 
-/// Group-commit counters reported by [`Response::Stats`].
+/// The counters reported by [`Response::Stats`]: a server's (or
+/// replica's) whole cost picture. On the wire each snapshot is a
+/// count-prefixed run of `u64`s in its table's order, so a counter added to
+/// either table crosses the wire with no codec change.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsBody {
     /// Number of shards serving.
     pub shards: u32,
-    /// Batched forces performed by shard flushers.
-    pub batches: u64,
-    /// Operations those batched forces covered.
-    pub batched_ops: u64,
-    /// Times `execute` parked on a full uninstalled window.
-    pub backpressure_waits: u64,
-    /// Log-shipping chunks served to replicas.
-    pub repl_segments_shipped: u64,
-    /// Stable log bytes shipped to replicas.
-    pub repl_bytes_shipped: u64,
-    /// Complete frames between the reported replica watermark and the
-    /// stable end (max across shards).
-    pub repl_replay_lag_frames: u64,
-    /// Last replayed-LSN watermark reported by a replica (max across
-    /// shards; on a replica server, its own watermark).
-    pub repl_watermark_lsn: u64,
-    /// Forces that rode another shard's fsync barrier instead of paying
-    /// their own (cross-shard coalescing).
-    pub forces_coalesced: u64,
-    /// Device fsync barriers actually issued.
-    pub io_fsyncs: u64,
-    /// Reads served through the lock-free MVCC snapshot path.
-    pub reads_snapshot: u64,
-    /// Versions currently retained across all shards' version chains.
-    pub versions_retained: u64,
-    /// Versions reclaimed by the retention GC.
-    pub versions_gced: u64,
-    /// The GC floor: oldest SI any snapshot can still resolve (max across
-    /// shards — per-shard LSNs, like the replica watermark).
-    pub snapshot_oldest_si: u64,
-    /// Operations logged as logical `Op` records (hybrid logging).
-    pub log_records_logical: u64,
-    /// Operations logged as physical-result records (hybrid logging).
-    pub log_records_physical: u64,
-    /// Log bytes spent on logical records.
-    pub log_bytes_logical: u64,
-    /// Log bytes spent on physical-result + conversion records.
-    pub log_bytes_physical: u64,
-    /// Cold logical ops converted to physical form at checkpoints.
-    pub ckpt_ops_converted: u64,
-    /// rW nodes touched by searches, reader lookups and minimal picks.
-    pub rw_nodes_visited: u64,
-    /// Σ|vars(n)| over installed nodes (objects flushed to install).
-    pub install_vars_objects: u64,
-    /// Σ|Notx(n)| over installed nodes (installed without a flush).
-    pub install_notx_objects: u64,
+    /// Group-commit pipeline counters summed across shards.
+    pub group_commit: GroupCommitSnapshot,
+    /// Per-shard storage/log ledgers merged (on a standby: its redo
+    /// sessions' ledgers, with its own `repl_*` counters).
+    pub aggregate: MetricsSnapshot,
 }
 
 /// What the server answers. `req_id` always echoes the request's.
@@ -254,8 +218,8 @@ pub enum Response {
     Stats {
         /// Echoed correlation id.
         req_id: u64,
-        /// Counter values.
-        body: StatsBody,
+        /// Counter values (boxed: the body dwarfs every other response).
+        body: Box<StatsBody>,
     },
     /// The request failed; nothing was acknowledged.
     Err {
@@ -369,6 +333,35 @@ fn get_bytes(buf: &mut &[u8], what: &str) -> Result<Vec<u8>> {
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.put_u32_le(bytes.len() as u32);
     out.put_slice(bytes);
+}
+
+/// A counter snapshot on the wire: a `u32` count, then the values in table
+/// order.
+fn put_counters(out: &mut Vec<u8>, fields: &[(&str, u64)]) {
+    out.put_u32_le(fields.len() as u32);
+    for (_, value) in fields {
+        out.put_u64_le(*value);
+    }
+}
+
+/// Read a [`put_counters`] run into a snapshot of a `len`-counter table.
+/// A count that is not `len` is a `Codec` error: the peer's table differs.
+fn get_counters<T>(
+    buf: &mut &[u8],
+    what: &str,
+    len: usize,
+    from_values: fn(&[u64]) -> Option<T>,
+) -> Result<T> {
+    need(buf, 4, what)?;
+    let count = buf.get_u32_le() as usize;
+    if count != len {
+        return Err(codec_err(&format!(
+            "{what}: {count} counter(s), this build has {len}"
+        )));
+    }
+    need(buf, 8 * count, what)?;
+    let values: Vec<u64> = (0..count).map(|_| buf.get_u64_le()).collect();
+    from_values(&values).ok_or_else(|| codec_err(what))
 }
 
 /// Encode a request payload (no frame header).
@@ -546,27 +539,8 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.put_u8(T_STATS_R);
             out.put_u64_le(*req_id);
             out.put_u32_le(body.shards);
-            out.put_u64_le(body.batches);
-            out.put_u64_le(body.batched_ops);
-            out.put_u64_le(body.backpressure_waits);
-            out.put_u64_le(body.repl_segments_shipped);
-            out.put_u64_le(body.repl_bytes_shipped);
-            out.put_u64_le(body.repl_replay_lag_frames);
-            out.put_u64_le(body.repl_watermark_lsn);
-            out.put_u64_le(body.forces_coalesced);
-            out.put_u64_le(body.io_fsyncs);
-            out.put_u64_le(body.reads_snapshot);
-            out.put_u64_le(body.versions_retained);
-            out.put_u64_le(body.versions_gced);
-            out.put_u64_le(body.snapshot_oldest_si);
-            out.put_u64_le(body.log_records_logical);
-            out.put_u64_le(body.log_records_physical);
-            out.put_u64_le(body.log_bytes_logical);
-            out.put_u64_le(body.log_bytes_physical);
-            out.put_u64_le(body.ckpt_ops_converted);
-            out.put_u64_le(body.rw_nodes_visited);
-            out.put_u64_le(body.install_vars_objects);
-            out.put_u64_le(body.install_notx_objects);
+            put_counters(&mut out, &body.group_commit.fields());
+            put_counters(&mut out, &body.aggregate.fields());
         }
         Response::Err {
             req_id,
@@ -639,33 +613,27 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
         },
         T_OK => Response::Ok { req_id },
         T_STATS_R => {
-            need(&buf, 4 + 8 * 21, "stats body")?;
+            need(&buf, 4, "stats shard count")?;
+            let shards = buf.get_u32_le();
+            let group_commit = get_counters(
+                &mut buf,
+                "stats group-commit counters",
+                GroupCommitSnapshot::LEN,
+                GroupCommitSnapshot::from_values,
+            )?;
+            let aggregate = get_counters(
+                &mut buf,
+                "stats aggregate counters",
+                MetricsSnapshot::LEN,
+                MetricsSnapshot::from_values,
+            )?;
             Response::Stats {
                 req_id,
-                body: StatsBody {
-                    shards: buf.get_u32_le(),
-                    batches: buf.get_u64_le(),
-                    batched_ops: buf.get_u64_le(),
-                    backpressure_waits: buf.get_u64_le(),
-                    repl_segments_shipped: buf.get_u64_le(),
-                    repl_bytes_shipped: buf.get_u64_le(),
-                    repl_replay_lag_frames: buf.get_u64_le(),
-                    repl_watermark_lsn: buf.get_u64_le(),
-                    forces_coalesced: buf.get_u64_le(),
-                    io_fsyncs: buf.get_u64_le(),
-                    reads_snapshot: buf.get_u64_le(),
-                    versions_retained: buf.get_u64_le(),
-                    versions_gced: buf.get_u64_le(),
-                    snapshot_oldest_si: buf.get_u64_le(),
-                    log_records_logical: buf.get_u64_le(),
-                    log_records_physical: buf.get_u64_le(),
-                    log_bytes_logical: buf.get_u64_le(),
-                    log_bytes_physical: buf.get_u64_le(),
-                    ckpt_ops_converted: buf.get_u64_le(),
-                    rw_nodes_visited: buf.get_u64_le(),
-                    install_vars_objects: buf.get_u64_le(),
-                    install_notx_objects: buf.get_u64_le(),
-                },
+                body: Box::new(StatsBody {
+                    shards,
+                    group_commit,
+                    aggregate,
+                }),
             }
         }
         T_ERR => {
@@ -884,6 +852,21 @@ mod tests {
         ]
     }
 
+    /// A Stats body in which every counter of both tables holds a distinct
+    /// value: the group-commit table holds 1, 2, …, the aggregate table
+    /// continues from there.
+    fn distinct_stats() -> StatsBody {
+        let gc: Vec<u64> = (1..=GroupCommitSnapshot::LEN as u64).collect();
+        let agg: Vec<u64> = (0..MetricsSnapshot::LEN as u64)
+            .map(|i| gc.len() as u64 + 1 + i)
+            .collect();
+        StatsBody {
+            shards: 4,
+            group_commit: GroupCommitSnapshot::from_values(&gc).unwrap(),
+            aggregate: MetricsSnapshot::from_values(&agg).unwrap(),
+        }
+    }
+
     fn sample_responses() -> Vec<Response> {
         vec![
             Response::Ack {
@@ -901,30 +884,7 @@ mod tests {
             Response::Ok { req_id: 10 },
             Response::Stats {
                 req_id: 11,
-                body: StatsBody {
-                    shards: 4,
-                    batches: 100,
-                    batched_ops: 1000,
-                    backpressure_waits: 3,
-                    repl_segments_shipped: 12,
-                    repl_bytes_shipped: 4096,
-                    repl_replay_lag_frames: 2,
-                    repl_watermark_lsn: 888,
-                    forces_coalesced: 42,
-                    io_fsyncs: 58,
-                    reads_snapshot: 71,
-                    versions_retained: 19,
-                    versions_gced: 260,
-                    snapshot_oldest_si: 888,
-                    log_records_logical: 900,
-                    log_records_physical: 100,
-                    log_bytes_logical: 65_536,
-                    log_bytes_physical: 20_480,
-                    ckpt_ops_converted: 17,
-                    rw_nodes_visited: 5_000,
-                    install_vars_objects: 640,
-                    install_notx_objects: 31,
-                },
+                body: Box::new(distinct_stats()),
             },
             Response::Err {
                 req_id: 12,
@@ -983,6 +943,79 @@ mod tests {
         for resp in sample_responses() {
             let enc = encode_response(&resp);
             assert_eq!(decode_response(&enc).unwrap(), resp);
+        }
+    }
+
+    /// The Stats payload is `shards`, then each table as a `u32` count and
+    /// its values in table order: with every counter distinct, a swap
+    /// anywhere (within a table or between the two) shows.
+    #[test]
+    fn stats_body_crosses_the_wire_in_table_order() {
+        let body = distinct_stats();
+        let enc = encode_response(&Response::Stats {
+            req_id: 5,
+            body: Box::new(body),
+        });
+        let (gc, agg) = (GroupCommitSnapshot::LEN as u64, MetricsSnapshot::LEN as u64);
+        let mut want = enc[..1 + 8].to_vec();
+        want.put_u32_le(4);
+        want.put_u32_le(gc as u32);
+        (1..=gc).for_each(|v| want.put_u64_le(v));
+        want.put_u32_le(agg as u32);
+        (gc + 1..=gc + agg).for_each(|v| want.put_u64_le(v));
+        assert_eq!(enc, want);
+        match decode_response(&enc).unwrap() {
+            Response::Stats {
+                req_id: 5,
+                body: back,
+            } => assert_eq!(*back, body),
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    /// Every truncation of a Stats payload, and a table whose count is
+    /// not this build's, decode to `Codec` — never a panic, never a
+    /// short table padded with zeros.
+    #[test]
+    fn stats_body_truncations_and_wrong_counts_are_codec_errors() {
+        let enc = encode_response(&Response::Stats {
+            req_id: 5,
+            body: Box::new(distinct_stats()),
+        });
+        for cut in 0..enc.len() {
+            assert!(
+                matches!(decode_response(&enc[..cut]), Err(LlogError::Codec { .. })),
+                "prefix of {cut} bytes"
+            );
+        }
+        let gc_count = 1 + 8 + 4;
+        let agg_count = gc_count + 4 + 8 * GroupCommitSnapshot::LEN;
+        for at in [gc_count, agg_count] {
+            // One counter short: the count and the bytes agree, the table
+            // length does not.
+            let mut short = enc.clone();
+            let n = u32::from_le_bytes(short[at..at + 4].try_into().unwrap());
+            short[at..at + 4].copy_from_slice(&(n - 1).to_le_bytes());
+            short.drain(at + 4..at + 12);
+            assert!(matches!(
+                decode_response(&short),
+                Err(LlogError::Codec { .. })
+            ));
+            // One counter long.
+            let mut long = enc.clone();
+            long[at..at + 4].copy_from_slice(&(n + 1).to_le_bytes());
+            long.splice(at + 4..at + 4, [7u8; 8]);
+            assert!(matches!(
+                decode_response(&long),
+                Err(LlogError::Codec { .. })
+            ));
+            // A count far past the payload.
+            let mut huge = enc.clone();
+            huge[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(matches!(
+                decode_response(&huge),
+                Err(LlogError::Codec { .. })
+            ));
         }
     }
 

@@ -36,7 +36,7 @@
 //!
 //! 1. the engine's own uninstalled-window parking — `execute` blocks the
 //!    reader while the target shard is over `max_uninstalled`;
-//! 2. the per-connection completion queue ([`ServerConfig::queue_depth`])
+//! 2. the per-connection completion queue (`QUEUE_DEPTH`)
 //!    — a reader whose writer has fallen behind blocks on the full queue
 //!    and stops draining the socket, so the kernel's receive buffer fills
 //!    and the client's sends stall.
@@ -119,49 +119,42 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Tuning for a [`Server`].
+/// Per-connection completion-queue bound: at most this many responses may
+/// be in flight before the reader stops draining the socket.
+const QUEUE_DEPTH: usize = 256;
+
+/// How often a parked response writer re-checks the server's stop/abort
+/// flags while waiting a ticket durable.
+const TICKET_POLL: Duration = Duration::from_millis(50);
+
+/// Deployment settings for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Address to bind (`"127.0.0.1:0"` picks a free port).
     pub addr: String,
-    /// Per-connection completion-queue bound: at most this many responses
-    /// may be in flight before the reader stops draining the socket.
-    pub queue_depth: usize,
-    /// How often a parked response writer re-checks the server's
-    /// stop/abort flags while waiting a ticket durable.
-    pub ticket_poll: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            queue_depth: 256,
-            ticket_poll: Duration::from_millis(50),
         }
     }
 }
 
-/// Monotonic counters for observability and the chaos oracle.
-#[derive(Debug, Default)]
-struct Counters {
-    accepted: AtomicU64,
-    requests: AtomicU64,
-    protocol_errors: AtomicU64,
-    dropped_conns: AtomicU64,
-}
-
-/// Snapshot of a server's connection/request counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCounters {
+llog_storage::counters! {
+    /// Monotonic counters for observability and the chaos oracle.
+    struct Counters;
+    /// Snapshot of a server's connection/request counters.
+    pub struct ServerCounters;
     /// Connections accepted.
-    pub accepted: u64,
+    accepted: sum,
     /// Requests decoded and executed.
-    pub requests: u64,
+    requests: sum,
     /// Connections closed on a `Codec` violation (bad magic/crc/tag).
-    pub protocol_errors: u64,
+    protocol_errors: sum,
     /// Connections that died mid-frame (`Io`).
-    pub dropped_conns: u64,
+    dropped_conns: sum,
 }
 
 /// One completion, queued in request order.
@@ -263,7 +256,6 @@ impl ConnQueue {
 
 struct Inner {
     engine: ShardedEngine,
-    config: ServerConfig,
     /// Stop accepting connections and work; drain in flight.
     stopping: AtomicBool,
     /// Abandon in flight (crash path): writers drop queued completions.
@@ -313,7 +305,6 @@ impl Server {
         })?;
         let inner = Arc::new(Inner {
             engine,
-            config,
             stopping: AtomicBool::new(false),
             aborting: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
@@ -345,13 +336,7 @@ impl Server {
 
     /// Connection/request counters so far.
     pub fn counters(&self) -> ServerCounters {
-        let c = &self.inner.counters;
-        ServerCounters {
-            accepted: c.accepted.load(Ordering::Relaxed),
-            requests: c.requests.load(Ordering::Relaxed),
-            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-            dropped_conns: c.dropped_conns.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
     }
 
     /// Graceful drain: stop accepting, half-close every connection, force
@@ -431,7 +416,7 @@ fn acceptor_loop(listener: &TcpListener, inner: &Arc<Inner>) {
         if let Ok(clone) = stream.try_clone() {
             lock(&inner.conns).push(clone);
         }
-        let queue = Arc::new(ConnQueue::new(inner.config.queue_depth));
+        let queue = Arc::new(ConnQueue::new(QUEUE_DEPTH));
         let reader = {
             let inner = inner.clone();
             let queue = queue.clone();
@@ -566,30 +551,11 @@ fn execute_request(inner: &Arc<Inner>, shipping: &mut ShippingState, req: Reques
             let snap = inner.engine.metrics_snapshot();
             Pending::Ready(Response::Stats {
                 req_id,
-                body: StatsBody {
+                body: Box::new(StatsBody {
                     shards: snap.shards as u32,
-                    batches: snap.group_commit.batches,
-                    batched_ops: snap.group_commit.batched_ops,
-                    backpressure_waits: snap.group_commit.backpressure_waits,
-                    repl_segments_shipped: snap.aggregate.repl_segments_shipped,
-                    repl_bytes_shipped: snap.aggregate.repl_bytes_shipped,
-                    repl_replay_lag_frames: snap.aggregate.repl_replay_lag_frames,
-                    repl_watermark_lsn: snap.aggregate.repl_watermark_lsn,
-                    forces_coalesced: snap.aggregate.forces_coalesced,
-                    io_fsyncs: snap.aggregate.io_fsyncs,
-                    reads_snapshot: snap.aggregate.reads_snapshot,
-                    versions_retained: snap.aggregate.versions_retained,
-                    versions_gced: snap.aggregate.versions_gced,
-                    snapshot_oldest_si: snap.aggregate.snapshot_oldest_si,
-                    log_records_logical: snap.aggregate.log_records_logical,
-                    log_records_physical: snap.aggregate.log_records_physical,
-                    log_bytes_logical: snap.aggregate.log_bytes_logical,
-                    log_bytes_physical: snap.aggregate.log_bytes_physical,
-                    ckpt_ops_converted: snap.aggregate.ckpt_ops_converted,
-                    rw_nodes_visited: snap.aggregate.rw_nodes_visited,
-                    install_vars_objects: snap.aggregate.install_vars_objects,
-                    install_notx_objects: snap.aggregate.install_notx_objects,
-                },
+                    group_commit: snap.group_commit,
+                    aggregate: snap.aggregate,
+                }),
             })
         }
         Request::Ping { req_id } => Pending::Ready(Response::Ok { req_id }),
@@ -796,7 +762,7 @@ fn writer_loop(inner: &Arc<Inner>, queue: &ConnQueue, stream: TcpStream) {
             Pending::Ticket { req_id, ticket } => loop {
                 // Poll-wait so an abort can reclaim this thread even if
                 // the shard's watermark never reaches the ticket.
-                match ticket.wait_timeout(inner.config.ticket_poll) {
+                match ticket.wait_timeout(TICKET_POLL) {
                     Some(true) => {
                         if let Some(s) = &session {
                             s.note_ack(ticket.shard(), ticket.lsn());

@@ -12,13 +12,13 @@
 //! intentions) is owned by other crates and simply dropped.
 
 pub mod device;
-mod metrics;
+pub mod metrics;
 mod mvcc;
 mod persist;
 mod shadow;
 mod store;
 
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{Merge, Metrics, MetricsSnapshot};
 pub use mvcc::{Version, VersionStore};
 pub use shadow::ShadowStore;
 pub use store::{StableStore, StoredObject};

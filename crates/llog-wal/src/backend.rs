@@ -126,11 +126,19 @@ impl DurabilityBackend {
     }
 
     /// Persist only the WAL tail (no store checkpoint) — the group-commit
-    /// force hook. Making the log device *fresher* than the store device is
-    /// always safe (the extra records replay at recovery; the reverse order
-    /// is what [`DurabilityBackend::persist`] exists to prevent), so a
-    /// flusher may call this after every force to extend durability to the
-    /// device tier without paying the checkpoint.
+    /// force hook, so a flusher may extend durability to the device tier
+    /// after every force without paying the checkpoint.
+    ///
+    /// A log device *fresher* than the store device is safe for operation
+    /// records: recovery replays them (the reverse order is what
+    /// [`DurabilityBackend::persist`] exists to prevent). It is **not**
+    /// safe for `Install` and `Flush` records. They vouch for store state —
+    /// `vars(n)` written, an object clean at some vSI — that reaches the
+    /// store device only at the next [`DurabilityBackend::persist`]; after
+    /// a crash in between, analysis trusts them and redo skips operations
+    /// whose effects the recovered store does not hold. This is the open
+    /// acked-write loss on the served path; this method does not prevent
+    /// it.
     pub fn persist_wal(&mut self, wal: &Wal, faults: Option<&FaultHost>) -> Result<Lsn> {
         wal.persist_to(self.log.as_mut(), faults)
     }
