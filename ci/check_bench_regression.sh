@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
 # CI perf-regression gate: compare each experiment JSON produced by the
-# bench-smoke job (fast mode) against the committed fast-mode baselines
-# in ci/bench_baselines/, and fail when a headline metric regresses by
-# more than REGRESSION_PCT percent (default 30 — tolerant of the noise a
-# shared CI runner adds to fast-mode runs; the headline metrics are
-# dimensionless ratios where possible for the same reason).
+# experiments-fast job (E14/E15/E18 in fast mode) against the committed
+# fast-mode baselines in ci/bench_baselines/, and fail when a headline
+# metric regresses by more than REGRESSION_PCT percent (default 30 —
+# tolerant of the noise a shared CI runner adds to fast-mode runs; the
+# headline metrics are dimensionless ratios where possible for the same
+# reason).
 #
 # Usage: ci/check_bench_regression.sh [results-dir]
 #   results-dir: where the fresh BENCH_*.json files are (default: repo root)
+#
+# Every row of the table below must have a fresh result: a missing JSON is
+# an error, so deleting its row is the only way to stop gating an
+# experiment.
 #
 # Re-baselining after a *deliberate* perf change: regenerate fast-mode
 # JSONs locally and copy them into ci/bench_baselines/, or run this
@@ -23,7 +28,6 @@ pct="${REGRESSION_PCT:-30}"
 # The metric is the LAST `"key":number` occurrence in the (single-line)
 # JSON — for per-row metrics like e14's goodput that is the hardest row.
 table='
-BENCH_e13.json incr_ratio_1pct max
 BENCH_e14.json goodput max
 BENCH_e15.json drain_ms min
 BENCH_e18.json recovery_speedup max
@@ -42,7 +46,8 @@ while read -r file key dir; do
     cur="$results/$file"
     base="ci/bench_baselines/$file"
     if [ ! -f "$cur" ]; then
-        echo "SKIP $file: no fresh result at $cur" >&2
+        echo "ERROR: $file: no fresh result at $cur" >&2
+        fail=1
         continue
     fi
     if [ "${LLOG_BENCH_REBASELINE:-0}" = "1" ]; then

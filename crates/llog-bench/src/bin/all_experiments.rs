@@ -40,11 +40,6 @@ fn main() {
         println!("== {name} ==");
         println!("{table}");
     }
-    let p13 = llog_bench::e13_backend_cost::Params::from_env();
-    let e13 = llog_bench::e13_backend_cost::run(&p13);
-    println!("== E13 — durability backends: incremental checkpoint + segment reclaim ==");
-    println!("{}", llog_bench::e13_backend_cost::ckpt_table(&e13));
-    println!("{}", llog_bench::e13_backend_cost::reclaim_table(&e13));
     let p18 = llog_bench::e18_hybrid_logging::Params::from_env();
     let e18 = llog_bench::e18_hybrid_logging::run(&p18);
     println!("== E18 — adaptive hybrid logging: recovery speed vs log volume ==");

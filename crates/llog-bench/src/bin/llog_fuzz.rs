@@ -480,7 +480,6 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
     };
     let config = ShardedConfig {
         shards,
-        engine: EngineConfig::default(),
         commit,
         max_uninstalled: 64,
         install_high_water: rng.random_range(2usize..8),
@@ -563,7 +562,7 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
     // Differential recovery oracle per shard before the pool recovery
     // consumes the parts.
     for (i, (store, wal)) in parts.iter().enumerate() {
-        check_two_pass_divergence(store, wal, &registry, config.engine, policy)
+        check_two_pass_divergence(store, wal, &registry, EngineConfig::default(), policy)
             .map_err(|e| format!("{}: shard {i}: {e}", ctx()))?;
     }
 
@@ -1433,7 +1432,6 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
     };
     let config = ShardedConfig {
         shards,
-        engine: EngineConfig::default(),
         commit,
         max_uninstalled: 64,
         install_high_water: rng.random_range(2usize..8),

@@ -17,7 +17,6 @@
 //! | [`e8_media`] | §1 / media recovery: fuzzy backups |
 //! | [`e9_cache_pressure`] | §3: bounded cache, eviction and forced installs |
 //! | [`e10_amortization`] | §4: updates amortized per flush |
-//! | [`e13_backend_cost`] | DESIGN §11: incremental checkpoints + segment reclaim vs monolithic images |
 //! | [`e14_server_load`] | DESIGN §12: open-loop load against the TCP front end |
 //! | [`e15_replication`] | DESIGN §13: replica lag under load + failover fidelity |
 //! | [`e18_hybrid_logging`] | DESIGN §16: adaptive logical/physical records + checkpoint conversion |
@@ -28,7 +27,6 @@
 //! repository benchmark in `bench/`.
 
 pub mod e10_amortization;
-pub mod e13_backend_cost;
 pub mod e14_server_load;
 pub mod e15_replication;
 pub mod e18_hybrid_logging;

@@ -53,13 +53,14 @@ pub enum CommitPolicy {
     Group(GroupCommitPolicy),
 }
 
-/// Configuration for a [`ShardedEngine`].
+/// Configuration for a [`ShardedEngine`]. Every shard is built and
+/// recovered with [`EngineConfig::default()`]: the paper's strawmen
+/// (`GraphKind::W`, flush transactions, shadows) stay at the core
+/// [`Engine`] boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
     /// Number of shards (independent engines + WALs).
     pub shards: usize,
-    /// Per-shard engine configuration.
-    pub engine: EngineConfig,
     /// Durability pipeline.
     pub commit: CommitPolicy,
     /// Backpressure: `execute` parks while a shard holds this many
@@ -75,7 +76,6 @@ impl Default for ShardedConfig {
     fn default() -> Self {
         ShardedConfig {
             shards: 4,
-            engine: EngineConfig::default(),
             commit: CommitPolicy::Group(GroupCommitPolicy::default()),
             max_uninstalled: 1024,
             install_high_water: 64,
@@ -144,7 +144,7 @@ impl ShardedEngine {
     ) -> ShardedEngine {
         assert!(config.shards >= 1, "need at least one shard");
         let engines = (0..config.shards)
-            .map(|_| Engine::new(config.engine, registry.clone()))
+            .map(|_| Engine::new(EngineConfig::default(), registry.clone()))
             .collect();
         ShardedEngine::from_engines_with_faults(config, engines, faults)
     }
@@ -863,10 +863,15 @@ fn recover_and_seed(
     store: StableStore,
     wal: Wal,
     registry: &TransformRegistry,
-    config: EngineConfig,
     policy: RedoPolicy,
 ) -> Result<((Engine, Arc<VersionStore>), RecoveryOutcome)> {
-    let (mut engine, outcome) = recover(store, wal, registry.clone(), config, policy)?;
+    let (mut engine, outcome) = recover(
+        store,
+        wal,
+        registry.clone(),
+        EngineConfig::default(),
+        policy,
+    )?;
     let versions = engine.enable_versions();
     Ok(((engine, versions), outcome))
 }
@@ -877,6 +882,11 @@ fn recover_and_seed(
 /// graphs share no edges, so shard recoveries are independent) — and
 /// seeds that shard's version chains. Returns the recovered engine plus
 /// each shard's [`RecoveryOutcome`], in shard order.
+///
+/// Every production caller passes [`RedoPolicy::RsiExposed`]; `policy`
+/// stays a parameter only because the repository benchmark's by-hand boot
+/// (`bench/src/served.rs`) passes it, which also lets `llog-fuzz` recover
+/// sharded crashes under the other REDO tests.
 pub fn recover_sharded(
     parts: Vec<(StableStore, Wal)>,
     registry: &TransformRegistry,
@@ -885,7 +895,7 @@ pub fn recover_sharded(
 ) -> Result<(ShardedEngine, Vec<RecoveryOutcome>)> {
     assert!(!parts.is_empty(), "need at least one shard to recover");
     let recovered = in_recovery_pool(parts, |(store, wal)| {
-        recover_and_seed(store, wal, registry, config.engine, policy)
+        recover_and_seed(store, wal, registry, policy)
     })?;
     let (seeded, outcomes) = recovered.into_iter().unzip();
     Ok((ShardedEngine::from_seeded(config, seeded, None), outcomes))
@@ -901,12 +911,12 @@ fn poisoned_recovery_thread() -> LlogError {
 /// parallel. A backend that was never persisted to yields an empty shard
 /// (fresh store, fresh log). The backends are returned alongside so the
 /// caller can re-attach them ([`ShardedEngine::attach_backends`]) and keep
-/// checkpointing incrementally onto the same devices.
+/// checkpointing incrementally onto the same devices. Redo uses the
+/// paper's test, [`RedoPolicy::RsiExposed`].
 pub fn recover_sharded_from_backends(
     backends: Vec<DurabilityBackend>,
     registry: &TransformRegistry,
     config: ShardedConfig,
-    policy: RedoPolicy,
 ) -> Result<(ShardedEngine, Vec<RecoveryOutcome>, Vec<DurabilityBackend>)> {
     assert!(!backends.is_empty(), "need at least one shard to recover");
     let recovered = in_recovery_pool(backends, |backend| {
@@ -916,7 +926,7 @@ pub fn recover_sharded_from_backends(
             None => (StableStore::new(metrics.clone()), Wal::new(metrics)),
         };
         Ok((
-            recover_and_seed(store, wal, registry, config.engine, policy)?,
+            recover_and_seed(store, wal, registry, RedoPolicy::RsiExposed)?,
             backend,
         ))
     })?;
@@ -1496,7 +1506,7 @@ mod tests {
         assert_eq!(backends.len(), 2);
         drop(e.crash());
         let (rec, outcomes, _backends) =
-            recover_sharded_from_backends(backends, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
+            recover_sharded_from_backends(backends, &reg, cfg).unwrap();
         assert_eq!(outcomes.len(), 2);
         for i in 0..10u64 {
             assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("dev1"));
@@ -1570,18 +1580,19 @@ mod tests {
         e.persist_all().unwrap();
         drop(e.crash());
 
-        let (pooled, outcomes, _) = recover_sharded_from_backends(
-            (0..3).map(open).collect(),
-            &reg,
-            cfg,
-            RedoPolicy::RsiExposed,
-        )
-        .unwrap();
+        let (pooled, outcomes, _) =
+            recover_sharded_from_backends((0..3).map(open).collect(), &reg, cfg).unwrap();
         let mut redone = 0;
         for (i, outcome) in outcomes.iter().enumerate() {
             let (store, wal) = open(i).load(Metrics::new()).unwrap().unwrap();
-            let (reference, want) =
-                recover(store, wal, reg.clone(), cfg.engine, RedoPolicy::RsiExposed).unwrap();
+            let (reference, want) = recover(
+                store,
+                wal,
+                reg.clone(),
+                EngineConfig::default(),
+                RedoPolicy::RsiExposed,
+            )
+            .unwrap();
             assert_eq!(*outcome, want, "shard {i} outcome");
             redone += want.redone;
             let versions = VersionStore::new(Metrics::new());
@@ -1670,8 +1681,7 @@ mod tests {
         e.persist_all().unwrap();
         let backends: Vec<DurabilityBackend> = e.take_backends().into_iter().flatten().collect();
         drop(e.crash());
-        let (rec, _, _) =
-            recover_sharded_from_backends(backends, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
+        let (rec, _, _) = recover_sharded_from_backends(backends, &reg, cfg).unwrap();
         for i in 0..6u64 {
             assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("tail"));
         }

@@ -9,7 +9,6 @@
 
 use std::path::Path;
 
-use llog_core::RedoPolicy;
 use llog_engine::{recover_sharded_from_backends, ShardedConfig, ShardedEngine};
 use llog_ops::TransformRegistry;
 use llog_storage::device::DeviceConfig;
@@ -65,12 +64,8 @@ pub fn open_served(
             &cfg,
         )?);
     }
-    let (engine, outcomes, backends) = recover_sharded_from_backends(
-        backends,
-        registry,
-        server_engine_config(shards),
-        RedoPolicy::RsiExposed,
-    )?;
+    let (engine, outcomes, backends) =
+        recover_sharded_from_backends(backends, registry, server_engine_config(shards))?;
     if outcomes.len() != shards {
         return Err(LlogError::Unexplainable(format!(
             "recovered {} shards, expected {shards}",
@@ -91,14 +86,12 @@ mod tests {
     fn server_config_is_the_default_config_at_the_given_shard_count() {
         let ShardedConfig {
             shards,
-            engine,
             commit,
             max_uninstalled,
             install_high_water,
         } = server_engine_config(3);
         let d = ShardedConfig::default();
         assert_eq!(shards, 3);
-        assert_eq!(format!("{engine:?}"), format!("{:?}", d.engine));
         assert_eq!(commit, d.commit);
         assert_eq!(max_uninstalled, d.max_uninstalled);
         assert_eq!(install_high_water, d.install_high_water);

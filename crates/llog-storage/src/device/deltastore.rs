@@ -563,6 +563,37 @@ mod tests {
         let m = d.metrics.snapshot();
         assert_eq!(m.ckpt_objects_written, 5);
         assert_eq!(m.ckpt_objects_skipped, 3);
+
+        // At scale: 400 objects x 64 B with 1 % dirty, spread over the id
+        // space. The delta is O(dirty): at most a tenth of the full image.
+        let (objects, dirty) = (400u64, 4u64);
+        let value = |i: u64, generation: u8| {
+            let mut v = vec![generation; 64];
+            v[..8].copy_from_slice(&i.to_le_bytes());
+            Value::from_slice(&v)
+        };
+        let mut d = MemStoreDevice::mem(Metrics::new(), &cfg(100));
+        let mut s = StableStore::new(Metrics::new());
+        for i in 0..objects {
+            s.write(ObjectId(i), value(i, 0), Lsn(i + 1));
+        }
+        d.checkpoint(&s, None).unwrap();
+        for k in 0..dirty {
+            let x = k * objects / dirty;
+            s.write(ObjectId(x), value(x, 1), Lsn(objects + k + 1));
+        }
+        let st = d.checkpoint(&s, None).unwrap();
+        assert_eq!(
+            (st.objects_written, st.objects_skipped),
+            (dirty, objects - dirty),
+            "exactly the dirty objects are written, the clean ones skipped"
+        );
+        let full = s.serialize().len() as u64;
+        assert!(
+            st.bytes_written * 10 <= full,
+            "1 %-dirty delta is {} bytes against a {full}-byte full image",
+            st.bytes_written
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Serialized image of the stable object store (replica attach manifests,
-//! media backups; the on-disk format is the device layout in [`crate::device`]).
+//! Serialized image of the stable object store: the replica-attach wire
+//! format. The on-disk format is the device layout in [`crate::device`].
 //!
 //! Layout: `magic "LLOGSTR1" | count u64 | count × (id u64, vsi u64,
 //! len u32, bytes) | crc32c u32` — crc over everything before it.

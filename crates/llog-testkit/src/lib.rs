@@ -1,9 +1,9 @@
 #![warn(missing_docs)]
-//! # llog-testkit — hermetic randomness, property tests, and micro-benches
+//! # llog-testkit — hermetic randomness, property tests, and fault injection
 //!
 //! The llog workspace builds and tests **offline** (`cargo build --offline
-//! --locked` with an empty crates.io cache). This crate supplies the three
-//! pieces of test infrastructure that used to come from crates.io:
+//! --locked` with an empty crates.io cache). This crate supplies the test
+//! infrastructure that would otherwise come from crates.io:
 //!
 //! - [`rng`]: a deterministic [SplitMix64](rng::SplitMix64)-seeded
 //!   [xoshiro256**](rng::TestRng) PRNG with the small `Rng` surface the
@@ -14,9 +14,6 @@
 //!   and failure-seed reporting — with a [`proptest!`]-compatible macro
 //!   surface (`prop_oneof!`, `prop_assert!`, `prop_assert_eq!`, `vec`,
 //!   `any`, `Just`, `.prop_map`).
-//! - [`bench`]: a tiny statistics-aware micro-bench runner (warmup, N
-//!   timed iterations, median/p95 wall-clock, JSON output) standing in for
-//!   Criterion in `crates/llog-bench/benches/*`.
 //! - [`faults`]: a deterministic fault-injection substrate — a seeded
 //!   [`FaultPlan`](faults::FaultPlan) plus a thread-safe single-shot
 //!   [`FaultHost`](faults::FaultHost) with named failpoints (torn write,
@@ -32,12 +29,10 @@
 //! and print the failing seed + shrunk counterexample on failure;
 //! re-running with `LLOG_PROP_SEED=<seed>` replays the exact failure.
 
-pub mod bench;
 pub mod faults;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{BenchGroup, BenchStats};
 pub use faults::{
     failpoint, FaultHost, FaultKind, FaultPlan, FiredFault, ForceVerdict, InjectedFault,
     PlannedFault, WriteVerdict,

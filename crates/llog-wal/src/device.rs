@@ -12,8 +12,8 @@
 //! - **The master record rides the manifest.** No separate fixed-location
 //!   write; the manifest update at the force barrier carries it.
 //!
-//! Loading rebuilds the WAL with a *sharper* torn-tail guard than a
-//! [`Wal::deserialize`]d image: sealed segments were CRC-verified by
+//! Loading rebuilds the WAL with a *sharper* torn-tail guard than a shipped
+//! log ([`Wal::from_shipped`]): sealed segments were CRC-verified by
 //! [`LogDevice::load_parts`], so only the open segment can legitimately hold
 //! a torn tail — corruption below it is media rot and recovery refuses it.
 
@@ -223,35 +223,46 @@ mod tests {
         let mut dev = MemLogDevice::mem(
             metrics.clone(),
             &DeviceConfig {
-                segment_bytes: 32,
+                segment_bytes: 512,
                 ..DeviceConfig::default()
             },
             Lsn(1),
         );
         let mut boundaries = Vec::new();
-        for i in 0..10 {
+        for i in 0..128 {
             boundaries.push(w.append(&op_record(i)));
         }
         w.force();
         w.persist_to(&mut dev, None).unwrap();
         assert!(metrics.snapshot().segments_rotated >= 2);
-        // Truncate most of the log, then persist: whole segments drop.
-        w.truncate_to(boundaries[8]).unwrap();
+        // A checkpoint truncated the log to its last eighth, so the
+        // survivors outweigh one manifest; persist: whole segments drop.
+        let keep_from = boundaries[128 - 16 - 1];
+        w.truncate_to(keep_from).unwrap();
+        let before = metrics.snapshot();
         w.persist_to(&mut dev, None).unwrap();
-        let m = metrics.snapshot();
+        let m = metrics.snapshot().since(&before);
         assert!(
             m.segments_reclaimed >= 1,
             "expected reclaimed segments, got {m:?}"
         );
-        assert!(dev.start() <= Lsn(boundaries[8].0));
-        // The device still loads and replays cleanly from its (segment-
-        // aligned) base.
+        // Reclaim moves no data: it writes a manifest, at least 4x fewer
+        // bytes than rewriting the surviving log would.
+        let survivors = w.stable_len() as u64;
+        assert!(
+            m.io_bytes_written * 4 <= survivors,
+            "reclaim wrote {} bytes for a {survivors}-byte surviving log",
+            m.io_bytes_written
+        );
+        assert!(dev.start() <= keep_from);
+        // The device still loads; its segment-aligned base may sit mid-frame
+        // below the truncation point, which replays cleanly.
         let w2 = Wal::load_from_device(&dev, Metrics::new())
             .unwrap()
             .unwrap();
-        let recs: Vec<_> = w2.scan(w2.start_lsn()).collect::<Result<Vec<_>>>().unwrap();
+        let recs: Vec<_> = w2.scan(keep_from).collect::<Result<Vec<_>>>().unwrap();
         assert!(!recs.is_empty());
-        assert_eq!(recs.last().unwrap().0, boundaries[9]);
+        assert_eq!(recs.last().unwrap().0, boundaries[127]);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 mod archive;
 mod backend;
 mod device;
-mod persist;
 mod record;
 mod wal;
 

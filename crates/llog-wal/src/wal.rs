@@ -99,9 +99,10 @@ pub struct Wal {
     /// surface as an error. Corruption at or after it may legitimately be
     /// the half-written last batch of a crashed force.
     ///
-    /// Not persisted: a WAL image loaded from disk starts with the
-    /// conservative guard `start_lsn()` (any corruption in a restored image
-    /// classifies as torn tail, matching the pre-guard behaviour).
+    /// Not persisted: a log loaded from a device starts at the open
+    /// segment's first frame boundary ([`Wal::load_from_device`]), and a
+    /// shipped log at `start_lsn()` (any corruption in it classifies as
+    /// torn tail).
     tail_guard: Lsn,
 }
 
@@ -421,22 +422,10 @@ impl Wal {
         &self.stable
     }
 
-    /// Rebuild a WAL from its durable parts (persistence).
-    pub(crate) fn from_durable_parts(
-        metrics: Arc<Metrics>,
-        base: u64,
-        stable: Vec<u8>,
-        master_checkpoint: Option<Lsn>,
-    ) -> Wal {
-        // Conservative: a monolithic restored image carries no force
-        // history, so any corruption in it classifies as a torn tail.
-        Wal::from_durable_parts_guarded(metrics, base, stable, master_checkpoint, Lsn(base))
-    }
-
     /// Rebuild a WAL from its durable parts with an explicit torn-tail
-    /// guard. A segmented log device *does* carry force history: every
-    /// sealed segment was CRC-verified at load, so the guard advances to the
-    /// open segment's start and corruption below it surfaces as `Corrupt`
+    /// guard. A segmented log device carries force history: every sealed
+    /// segment was CRC-verified at load, so the guard advances to the open
+    /// segment's start and corruption below it surfaces as `Corrupt`
     /// instead of being clipped.
     pub(crate) fn from_durable_parts_guarded(
         metrics: Arc<Metrics>,
@@ -1026,16 +1015,18 @@ mod tests {
     }
 
     #[test]
-    fn tail_guard_resets_conservatively_across_persistence() {
+    fn tail_guard_resets_conservatively_across_shipping() {
         let mut w = wal();
         w.append(&op_record(0));
         w.force();
         w.append(&op_record(1));
         w.force();
         assert!(!w.corruption_is_torn_tail(1));
-        let restored = Wal::deserialize(&w.serialize(), Metrics::new()).unwrap();
-        // The image carries no force history: everything classifies torn.
-        assert!(restored.corruption_is_torn_tail(1));
+        let mut shipped = Wal::from_shipped(Metrics::new(), w.start_lsn().0, None);
+        let bytes = w.ship_tail(w.start_lsn(), usize::MAX).unwrap().to_vec();
+        shipped.extend_stable(w.start_lsn(), &bytes).unwrap();
+        // Shipped bytes carry no force history: everything classifies torn.
+        assert!(shipped.corruption_is_torn_tail(1));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! - [`domains`]: application recovery, file systems, B-trees
 //! - [`sim`]: workload generation, crash injection and the recovery oracle
 //! - [`testkit`]: deterministic PRNG, seeded property-test harness and
-//!   micro-bench runner (the workspace has zero external dependencies)
+//!   fault injection (the workspace has zero external dependencies)
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system map.
 //!

@@ -1,4 +1,5 @@
-//! Corrupt-image matrix for the serialized images and the device layout.
+//! Corrupt-image matrix for the serialized store image (the replica-attach
+//! wire format) and the segmented device layout.
 //!
 //! Every mangled image — truncated, CRC-flipped, magic-smashed, or lying
 //! about its own length — must be rejected with [`LlogError::Codec`]
@@ -57,13 +58,12 @@ fn store_load(bytes: &[u8]) -> Result<(), LlogError> {
     StableStore::deserialize(bytes, Metrics::new()).map(|_| ())
 }
 
-fn wal_load(bytes: &[u8]) -> Result<(), LlogError> {
-    Wal::deserialize(bytes, Metrics::new()).map(|_| ())
-}
-
-fn matrix(name: &str, image: &[u8], load: fn(&[u8]) -> Result<(), LlogError>) {
+#[test]
+fn store_image_matrix() {
+    let (store, _) = sample_parts();
+    let image = &store.serialize()[..];
     // Baseline: the untouched image must load.
-    load(image).unwrap_or_else(|e| panic!("{name}: pristine image rejected: {e}"));
+    store_load(image).unwrap_or_else(|e| panic!("store: pristine image rejected: {e}"));
 
     // 1. Truncation at every interesting boundary (including empty).
     for keep in [
@@ -76,8 +76,8 @@ fn matrix(name: &str, image: &[u8], load: fn(&[u8]) -> Result<(), LlogError>) {
         image.len() - 1,
     ] {
         assert_codec(
-            load(&image[..keep]),
-            &format!("{name}: truncated to {keep}"),
+            store_load(&image[..keep]),
+            &format!("store: truncated to {keep}"),
         );
     }
 
@@ -85,7 +85,7 @@ fn matrix(name: &str, image: &[u8], load: fn(&[u8]) -> Result<(), LlogError>) {
     for i in image.len() - 4..image.len() {
         let mut m = image.to_vec();
         m[i] ^= 0xFF;
-        assert_codec(load(&m), &format!("{name}: CRC byte {i} flipped"));
+        assert_codec(store_load(&m), &format!("store: CRC byte {i} flipped"));
     }
 
     // 3. Bad magic, resealed so the CRC gate passes and the magic check
@@ -93,33 +93,21 @@ fn matrix(name: &str, image: &[u8], load: fn(&[u8]) -> Result<(), LlogError>) {
     let mut m = image.to_vec();
     m[..8].copy_from_slice(b"NOTMAGIC");
     reseal(&mut m);
-    assert_codec(load(&m), &format!("{name}: bad magic"));
+    assert_codec(store_load(&m), "store: bad magic");
 
     // 4. Single-bit rot anywhere in the body is caught by the CRC.
     for at in [8, 9, 16, 20, image.len() / 2, image.len() - 5] {
         let at = at.min(image.len() - 1);
         let mut m = image.to_vec();
         m[at] ^= 0x01;
-        assert_codec(load(&m), &format!("{name}: bit rot at byte {at}"));
+        assert_codec(store_load(&m), &format!("store: bit rot at byte {at}"));
     }
 
     // 5. Garbage of assorted sizes.
     for len in [0usize, 3, 19, 64, 1024] {
         let junk: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-        assert_codec(load(&junk), &format!("{name}: {len} junk bytes"));
+        assert_codec(store_load(&junk), &format!("store: {len} junk bytes"));
     }
-}
-
-#[test]
-fn store_image_matrix() {
-    let (store, _) = sample_parts();
-    matrix("store", &store.serialize(), store_load);
-}
-
-#[test]
-fn wal_image_matrix() {
-    let (_, wal) = sample_parts();
-    matrix("wal", &wal.serialize(), wal_load);
 }
 
 #[test]
@@ -149,30 +137,6 @@ fn store_under_long_declared_count_leaves_trailing_bytes() {
     image[8..16].copy_from_slice(&(count - 1).to_le_bytes());
     reseal(&mut image);
     assert_codec(store_load(&image), "store: count - 1");
-}
-
-#[test]
-fn wal_over_long_declared_stable_len_is_rejected() {
-    let (_, wal) = sample_parts();
-    for lie in [u64::MAX, 1 << 32] {
-        let mut image = wal.serialize();
-        // stable_len lives at bytes 24..32.
-        image[24..32].copy_from_slice(&lie.to_le_bytes());
-        reseal(&mut image);
-        assert_codec(wal_load(&image), &format!("wal: stable_len = {lie}"));
-    }
-    // Off-by-one in both directions.
-    let real = {
-        let image = wal.serialize();
-        u64::from_le_bytes(image[24..32].try_into().unwrap())
-    };
-    assert!(real > 0, "sample wal should have stable bytes");
-    for lie in [real + 1, real - 1] {
-        let mut image = wal.serialize();
-        image[24..32].copy_from_slice(&lie.to_le_bytes());
-        reseal(&mut image);
-        assert_codec(wal_load(&image), &format!("wal: stable_len = {lie}"));
-    }
 }
 
 /// Corruption classification during recovery: bit-rot *behind* the last

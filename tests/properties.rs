@@ -278,7 +278,6 @@ proptest! {
         let shards = 1 + (seed as usize % 3);
         let config = ShardedConfig {
             shards,
-            engine: EngineConfig::default(),
             commit: CommitPolicy::Sync,
             // Never backpressure, never install: the stable image stays
             // initial, so the sealed log alone is a complete oracle.
@@ -338,8 +337,8 @@ proptest! {
             // The pipeline and its two-pass reference must both land on
             // the snapshot's view.
             let both = [
-                recover(store.clone(), wal.clone(), registry.clone(), config.engine, policy),
-                recover_two_pass(store, wal, registry.clone(), config.engine, policy),
+                recover(store.clone(), wal.clone(), registry.clone(), EngineConfig::default(), policy),
+                recover_two_pass(store, wal, registry.clone(), EngineConfig::default(), policy),
             ];
             for (rec, _) in both.into_iter().map(Result::unwrap) {
                 for x in (0..N_OBJECTS).filter(|&x| homes[x as usize] == i) {
