@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI perf-regression gate: compare each experiment JSON produced by the
-# experiments-fast job (E14/E15/E18 in fast mode) against the committed
+# experiments-fast job (E14/E15 in fast mode) against the committed
 # fast-mode baselines in ci/bench_baselines/, and fail when a headline
 # metric regresses by more than REGRESSION_PCT percent (default 30 —
 # tolerant of the noise a shared CI runner adds to fast-mode runs; the
@@ -30,11 +30,7 @@ pct="${REGRESSION_PCT:-30}"
 table='
 BENCH_e14.json goodput max
 BENCH_e15.json drain_ms min
-BENCH_e18.json recovery_speedup max
 '
-# (E18's volume_ratio has an absolute bar instead — report.ok() fails
-# the exp binary above 1.5 — so only the speedup headline is
-# baseline-gated here.)
 
 metric() {
     sed -n "s/.*\"$2\":\(-\{0,1\}[0-9][0-9.]*\).*/\1/p" "$1" | head -n 1

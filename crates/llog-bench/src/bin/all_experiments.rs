@@ -40,10 +40,6 @@ fn main() {
         println!("== {name} ==");
         println!("{table}");
     }
-    let p18 = llog_bench::e18_hybrid_logging::Params::from_env();
-    let e18 = llog_bench::e18_hybrid_logging::run(&p18);
-    println!("== E18 — adaptive hybrid logging: recovery speed vs log volume ==");
-    println!("{}", llog_bench::e18_hybrid_logging::table(&e18));
     let ok = (1..=5u64).all(llog_bench::e6_checkpointing::idempotency_check);
     println!(
         "Theorem 2 idempotency: {}",

@@ -32,13 +32,7 @@
 //!   faulted writers never observe torn values, never travel backwards in
 //!   time, never miss an acknowledged-durable write, pinned snapshots read
 //!   stable bytes across churn + retention GC, and after a crash the
-//!   snapshot read path agrees with the stable-log replay oracle;
-//! - hybrid-logging differential (mode 8): the same seeded workload run
-//!   under all three `LogPolicy` choices with identical fault plans and a
-//!   mid-run checkpoint (conversion records included) recovers to
-//!   byte-identical visible state wherever two policies' clean crash cuts
-//!   fall after the same operation, each policy passing the two-pass
-//!   differential oracle and idempotence on its own.
+//!   snapshot read path agrees with the stable-log replay oracle.
 //!
 //! Failures are shrunk by the testkit property harness and print a repro
 //! command:
@@ -65,7 +59,7 @@ use llog_domains::register_domain_transforms;
 use llog_engine::{
     recover_sharded, CommitPolicy, CommitTicket, GroupCommitPolicy, ShardedConfig, ShardedEngine,
 };
-use llog_ops::{builtin, CostModel, LogPolicy, OpKind, Transform, TransformRegistry};
+use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::{proto, Client, Request, Server, ServerConfig};
 use llog_sim::{replay_stable_log, verify_against_log, OpSpec, Workload, WorkloadKind};
 use llog_testkit::faults::{failpoint, FaultHost, FaultKind, FaultPlan};
@@ -81,8 +75,8 @@ use llog_wal::ForceOutcome;
 const DEFAULT_ITERS: u64 = 100;
 
 /// The case families. Numbers are stable (CI and repro files pin them), so
-/// the retired mode 2 leaves a hole instead of renumbering its successors.
-const MODES: [usize; 8] = [0, 1, 3, 4, 5, 6, 7, 8];
+/// the retired modes 2 and 8 leave holes instead of renumbering.
+const MODES: [usize; 7] = [0, 1, 3, 4, 5, 6, 7];
 
 fn main() -> ExitCode {
     let mut iters: Option<u64> = env_u64("LLOG_FUZZ_ITERS");
@@ -111,7 +105,8 @@ fn main() -> ExitCode {
     if let Some(m) = mode.filter(|m| !MODES.contains(m)) {
         eprintln!(
             "llog-fuzz: no mode {m} (modes are {MODES:?}; 2 was the monolithic \
-             save/load round-trip, deleted with that format)"
+             save/load round-trip, deleted with that format; 8 was the \
+             hybrid-logging policy differential, deleted with hybrid logging)"
         );
         return ExitCode::FAILURE;
     }
@@ -176,11 +171,7 @@ fn print_help() {
         \x20            at a random cut, divergence oracle,\n\
         \x20            7 MVCC snapshot readers racing faulted writers:\n\
         \x20            torn/time-travel/unexposed-read oracles, GC-pin\n\
-        \x20            stability, crash + snapshot-path recovery check,\n\
-        \x20            8 hybrid-logging policy differential: one seeded\n\
-        \x20            workload under Logical/Physical/Adaptive with the\n\
-        \x20            same faults, checkpoint-time conversion, identical\n\
-        \x20            visible state at every clean crash cut)\n\
+        \x20            stability, crash + snapshot-path recovery check)\n\
          --replay    replay a single failing iteration seed and exit\n\
          \n\
          On failure the minimal shrunk counterexample is written to\n\
@@ -259,8 +250,7 @@ fn run_case(mode: usize, n_ops: usize, material: u64) -> Result<(), String> {
         4 => fuzz_backend_diff(n_ops, material),
         5 => fuzz_server(n_ops, material),
         6 => fuzz_replication(n_ops, material),
-        7 => fuzz_snapshot(n_ops, material),
-        _ => fuzz_hybrid(n_ops, material),
+        _ => fuzz_snapshot(n_ops, material),
     }
 }
 
@@ -738,8 +728,9 @@ fn fuzz_backend_diff(n_ops: usize, material: u64) -> Result<(), String> {
         if (i + 1) % persist_every == 0 {
             engine.wal_mut().force();
             // Store checkpoint first, then the log (the backend ordering).
-            let m_ck = mem_store.checkpoint(engine.store(), Some(&mem_host));
-            let f_ck = file_store.checkpoint(engine.store(), Some(&file_host));
+            let through = engine.wal().end_lsn();
+            let m_ck = mem_store.checkpoint(engine.store(), through, Some(&mem_host));
+            let f_ck = file_store.checkpoint(engine.store(), through, Some(&file_host));
             if m_ck.is_ok() != f_ck.is_ok() {
                 cleanup();
                 return Err(format!(
@@ -1747,218 +1738,4 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
     }
     drop(rec);
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Mode 8: hybrid-logging policy differential under faults
-// ---------------------------------------------------------------------------
-
-/// One seeded workload replayed under all three [`LogPolicy`] choices —
-/// pure logical, pure physical-result, and the adaptive cost model — with
-/// the *same* WAL-force fault plan, force/install cadence, optional
-/// mid-run checkpoint (exercising checkpoint-time conversion) and crash
-/// shape for each. Oracles:
-///
-/// - per policy: `recover` and `recover_two_pass` agree
-///   ([`recover_both_ways`]), the recovered state matches the stable-log
-///   replay oracle, surfaces a workload prefix `k ≥ acked`, and recovery
-///   is idempotent;
-/// - across policies: when two policies' surviving logs end after the same
-///   operation (a clean cut — no torn force, no byte-positioned tail clip —
-///   covering the same count of executed operations), their recovered
-///   **visible state is byte-identical** — the log encodings differ, the
-///   recovered truth must not. The cut is read off the surviving log, not
-///   off the recovered state: a WAL-protocol force inside `install_one`
-///   can carry one policy's log past another's (different records, other
-///   write graph, other node installed), and those cuts are not the same
-///   operation.
-fn fuzz_hybrid(n_ops: usize, material: u64) -> Result<(), String> {
-    let mut rng = TestRng::seed_from_u64(material ^ 0x4B1D_0000);
-    let n_objects = rng.random_range(2u64..8);
-    let ids: Vec<ObjectId> = (0..n_objects).map(ObjectId).collect();
-    let kind = if rng.bool() {
-        WorkloadKind::app_mix()
-    } else {
-        WorkloadKind::physiological_only()
-    };
-    let ops = Workload::new(n_objects, n_ops, kind, rng.next_u64()).generate();
-    let redo_policy = pick_policy(&mut rng);
-    let plan = FaultPlan::draw(material ^ 0x4B1D_FA17, n_ops, &[failpoint::WAL_FORCE]);
-    let planned = &plan.faults[0];
-    let force_every = rng.random_range(1usize..5);
-    let install_every = rng.random_range(0usize..4);
-    // A mid-run checkpoint makes the adaptive run emit conversion records
-    // for its cold logical ops — the crash may land between those records
-    // and the checkpoint record (they force together, but the end-of-run
-    // torn clip can split them).
-    let ckpt_at = if n_ops > 1 && rng.bool() {
-        Some(rng.random_range(1..n_ops))
-    } else {
-        None
-    };
-    // Half the runs pre-load ruinous replay costs so the adaptive policy
-    // actually flips to physical for cheap-to-encode transforms.
-    let seed_costs = rng.bool();
-    let end_choice = rng.random_range(0u32..3);
-    let torn_cut = rng.random_range(0usize..4096);
-
-    let policies = [
-        LogPolicy::Logical,
-        LogPolicy::Physical,
-        LogPolicy::Adaptive(CostModel::default()),
-    ];
-    let mut comparable_states: Vec<(LogPolicy, usize, Vec<Value>)> = Vec::new();
-    for policy in policies {
-        let registry = TransformRegistry::with_builtins();
-        if seed_costs {
-            for _ in 0..8 {
-                registry.note_replay_cost(builtin::HASH_MIX, 50_000_000);
-            }
-        }
-        let config = EngineConfig {
-            log_policy: policy,
-            ..EngineConfig::default()
-        };
-        let mut engine = Engine::new(config, registry.clone());
-        let host = FaultHost::new();
-
-        let mut snapshots = vec![snap(&engine, &ids)];
-        let mut targets: Vec<Lsn> = Vec::with_capacity(ops.len());
-        let mut good_forced = engine.wal().forced_lsn();
-        let mut torn = false;
-        for (i, spec) in ops.iter().enumerate() {
-            if i == planned.step {
-                host.arm(&planned.point, planned.kind);
-            }
-            engine
-                .execute(
-                    spec.kind,
-                    spec.reads.clone(),
-                    spec.writes.clone(),
-                    spec.transform.clone(),
-                )
-                .map_err(|e| format!("hybrid {policy:?}: execute step {i} failed: {e}"))?;
-            targets.push(engine.wal().end_lsn());
-            snapshots.push(snap(&engine, &ids));
-            if install_every > 0 && (i + 1) % install_every == 0 {
-                engine
-                    .install_one()
-                    .map_err(|e| format!("hybrid {policy:?}: install at step {i} failed: {e}"))?;
-            }
-            if ckpt_at == Some(i) {
-                engine.checkpoint(false).map_err(|e| {
-                    format!("hybrid {policy:?}: checkpoint at step {i} failed: {e}")
-                })?;
-                // checkpoint() forces (without the fault host): everything
-                // appended so far — conversions included — is durable.
-                good_forced = engine.wal().forced_lsn();
-            }
-            if (i + 1) % force_every == 0 {
-                match engine.wal_mut().force_with(Some(&host)) {
-                    ForceOutcome::Forced(l) => good_forced = l,
-                    ForceOutcome::Torn(durable) => {
-                        good_forced = durable;
-                        torn = true;
-                        break;
-                    }
-                    ForceOutcome::Failed => {}
-                }
-            }
-        }
-
-        let (store, wal) = if torn {
-            engine.crash()
-        } else {
-            match end_choice {
-                0 => {
-                    if let ForceOutcome::Forced(l) = engine.wal_mut().force_with(None) {
-                        good_forced = l;
-                    }
-                    engine.crash()
-                }
-                1 => engine.crash(), // power failure: unforced buffer lost
-                _ => engine.crash_torn(torn_cut),
-            }
-        };
-        let acked = targets.iter().filter(|t| **t <= good_forced).count();
-        // Operations whose records the surviving log holds whole.
-        let cut = targets.iter().filter(|t| **t <= wal.forced_lsn()).count();
-        let ctx = || {
-            format!(
-                "hybrid: policy={policy:?} n_objects={n_objects} n_ops={n_ops} \
-                 redo={redo_policy:?} ckpt_at={ckpt_at:?} seed_costs={seed_costs} \
-                 plan=[{planned}] fired={:?} acked={acked}",
-                host.fired()
-            )
-        };
-
-        let (rec, _) = recover_both_ways(store, wal, &registry, config, redo_policy)
-            .map_err(|e| format!("{}: {e}", ctx()))?;
-        verify_against_log(&rec, &registry).map_err(|e| format!("{}: oracle: {e}", ctx()))?;
-
-        let got = snap(&rec, &ids);
-        let k = snapshots
-            .iter()
-            .rposition(|s| *s == got)
-            .ok_or_else(|| format!("{}: recovered state matches no workload prefix", ctx()))?;
-        if k < acked {
-            return Err(format!(
-                "{}: acked-durable violated: {acked} ops acknowledged but \
-                 recovery surfaced prefix {k}",
-                ctx()
-            ));
-        }
-
-        // Idempotence per policy (the second pass also re-reads any
-        // conversion records the first recovery consumed as hints).
-        let (store2, wal2) = rec.crash();
-        let (rec2, _) = recover_both_ways(store2, wal2, &registry, config, redo_policy)
-            .map_err(|e| format!("{}: second recovery: {e}", ctx()))?;
-        if snap(&rec2, &ids) != got {
-            return Err(format!("{}: recovery is not idempotent", ctx()));
-        }
-
-        // A torn force or a byte-positioned tail clip cuts each policy's
-        // differently-sized log at a different operation; only clean
-        // op-boundary cuts are comparable across policies.
-        if !torn && end_choice != 2 {
-            comparable_states.push((policy, cut, got));
-        }
-    }
-
-    for (i, (p0, cut0, s0)) in comparable_states.iter().enumerate() {
-        for (p, cut, s) in &comparable_states[i + 1..] {
-            if cut == cut0 && s != s0 {
-                return Err(format!(
-                    "hybrid: policy divergence at a clean crash cut after {cut} \
-                     ops: {p0:?} recovered {s0:?} but {p:?} recovered {s:?} \
-                     (n_ops={n_ops} ckpt_at={ckpt_at:?} seed_costs={seed_costs})"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Seeds that tripped mode 8's cross-policy check on a false positive:
-    /// `install_one`'s WAL-protocol force carried the `Logical` run's log
-    /// past the other two policies' cut, and the check compared states at
-    /// different operations. One test, so the `LLOG_PROP_SEED` variable
-    /// `run_iteration` sets is never raced.
-    #[test]
-    fn mode8_cross_policy_false_positive_seeds_pass() {
-        for (seed, mode) in [
-            (2_840_986_013_776_994_600, None),
-            (5_292_580_334_274_787_743, Some(8)),
-            (3_980_598_000_218_139_604, Some(8)),
-        ] {
-            if let Err(report) = run_iteration(seed, mode) {
-                panic!("seed {seed} (mode {mode:?}):\n{report}");
-            }
-        }
-    }
 }

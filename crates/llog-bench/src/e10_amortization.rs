@@ -9,7 +9,7 @@
 //! per object-flush and stable-write bytes per update.
 
 use llog_core::{Engine, EngineConfig, FlushStrategy, GraphKind};
-use llog_ops::{builtin, LogPolicy, OpKind, Transform, TransformRegistry};
+use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_sim::{Table, Workload, WorkloadKind};
 use llog_types::{ObjectId, Value};
 
@@ -39,7 +39,6 @@ pub fn run_one(install_every: usize, skew: f64, seed: u64) -> Row {
             graph: GraphKind::RW,
             flush: FlushStrategy::IdentityWrites,
             audit: false,
-            log_policy: LogPolicy::Logical,
         },
         TransformRegistry::with_builtins(),
     );

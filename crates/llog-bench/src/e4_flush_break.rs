@@ -6,7 +6,7 @@
 //! logs all k), log forces, and quiesce events.
 
 use llog_core::{Engine, EngineConfig, FlushStrategy, GraphKind};
-use llog_ops::{builtin, LogPolicy, OpKind, Transform, TransformRegistry};
+use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_sim::{human_bytes, Table};
 use llog_storage::MetricsSnapshot;
 use llog_types::{ObjectId, Value};
@@ -31,7 +31,6 @@ pub fn run_one(k: usize, size: usize, strategy: FlushStrategy) -> Row {
             graph: GraphKind::RW,
             flush: strategy,
             audit: false,
-            log_policy: LogPolicy::Logical,
         },
         TransformRegistry::with_builtins(),
     );

@@ -11,7 +11,7 @@
 
 use llog_core::{Engine, EngineConfig, FlushStrategy, GraphKind};
 use llog_domains::app::{Application, WriteMode};
-use llog_ops::{builtin, LogPolicy, OpKind, Transform, TransformRegistry};
+use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_sim::{human_bytes, Table};
 use llog_storage::MetricsSnapshot;
 use llog_types::{ObjectId, Value};
@@ -72,19 +72,16 @@ pub fn run(iters: usize, input_size: usize) -> Vec<Row> {
         graph: GraphKind::RW,
         flush: FlushStrategy::IdentityWrites,
         audit: false,
-        log_policy: LogPolicy::Logical,
     };
     let rw_ft = EngineConfig {
         graph: GraphKind::RW,
         flush: FlushStrategy::FlushTxn,
         audit: false,
-        log_policy: LogPolicy::Logical,
     };
     let w_ft = EngineConfig {
         graph: GraphKind::W,
         flush: FlushStrategy::FlushTxn,
         audit: false,
-        log_policy: LogPolicy::Logical,
     };
     vec![
         Row {

@@ -11,7 +11,7 @@
 //! under pressure, the flush-transaction design also pays quiesces.
 
 use llog_core::{Engine, EngineConfig, FlushStrategy, GraphKind};
-use llog_ops::{LogPolicy, TransformRegistry};
+use llog_ops::TransformRegistry;
 use llog_sim::{human_bytes, Table, Workload, WorkloadKind};
 use llog_storage::MetricsSnapshot;
 
@@ -28,7 +28,6 @@ pub fn run_one(capacity: Option<usize>, strategy: FlushStrategy, seed: u64) -> R
             graph: GraphKind::RW,
             flush: strategy,
             audit: false,
-            log_policy: LogPolicy::Logical,
         },
         TransformRegistry::with_builtins(),
     );

@@ -19,7 +19,6 @@
 //! | [`e10_amortization`] | §4: updates amortized per flush |
 //! | [`e14_server_load`] | DESIGN §12: open-loop load against the TCP front end |
 //! | [`e15_replication`] | DESIGN §13: replica lag under load + failover fidelity |
-//! | [`e18_hybrid_logging`] | DESIGN §16: adaptive logical/physical records + checkpoint conversion |
 //!
 //! Shard scaling and group commit, the hot-path log device, snapshot reads
 //! and recovery speed (formerly E11, E16, E17 over a simulated device sleep
@@ -29,7 +28,6 @@
 pub mod e10_amortization;
 pub mod e14_server_load;
 pub mod e15_replication;
-pub mod e18_hybrid_logging;
 pub mod e1_logging_cost;
 pub mod e2_domain_logging;
 pub mod e3_flushsets;
@@ -41,7 +39,6 @@ pub mod e8_media;
 pub mod e9_cache_pressure;
 
 use llog_core::{EngineConfig, FlushStrategy, GraphKind};
-use llog_ops::LogPolicy;
 
 /// The default engine configuration experiments start from.
 pub fn default_config() -> EngineConfig {
@@ -49,6 +46,5 @@ pub fn default_config() -> EngineConfig {
         graph: GraphKind::RW,
         flush: FlushStrategy::IdentityWrites,
         audit: false,
-        log_policy: LogPolicy::Logical,
     }
 }

@@ -263,20 +263,6 @@ fn describe(rec: &LogRecord) -> String {
             cp.dirty.len(),
             cp.redo_start
         ),
-        LogRecord::PhysicalResult(pr) => format!(
-            "PHYSRES  {:?} writes={:?} origin_fn={:?} values={}B",
-            pr.id,
-            pr.writes,
-            pr.origin_fn,
-            pr.values.iter().map(|v| v.len()).sum::<usize>()
-        ),
-        LogRecord::Converted(cv) => format!(
-            "CONVERT  at={} {:?} writes={:?} values={}B",
-            cv.at,
-            cv.id,
-            cv.writes,
-            cv.values.iter().map(|v| v.len()).sum::<usize>()
-        ),
     }
 }
 
@@ -304,8 +290,6 @@ pub fn cmd_stats(dir: &Path) -> Result<()> {
             | LogRecord::FlushTxnValue { .. }
             | LogRecord::FlushTxnCommit => ("flush-txn", rec.encode().len() as u64),
             LogRecord::Checkpoint(_) => ("checkpoint", rec.encode().len() as u64),
-            LogRecord::PhysicalResult(_) => ("op/physical-result", rec.encode().len() as u64),
-            LogRecord::Converted(_) => ("converted", rec.encode().len() as u64),
         };
         let e = by_kind.entry(name).or_default();
         e.0 += 1;
@@ -337,23 +321,6 @@ pub fn cmd_stats(dir: &Path) -> Result<()> {
             .any(|p| name.starts_with(p))
     });
     println!("backend: file ({})", name_values(device));
-    let tally = |k: &str| by_kind.get(k).copied().unwrap_or_default();
-    let logical: (u64, u64) = by_kind
-        .iter()
-        .filter(|(k, _)| k.starts_with("op/") && **k != "op/physical-result")
-        .fold((0, 0), |a, (_, v)| (a.0 + v.0, a.1 + v.1));
-    let (pr_n, pr_b) = tally("op/physical-result");
-    let (cv_n, cv_b) = tally("converted");
-    println!(
-        "hybrid logging: logical_records={} ({}) physical_result_records={} ({}) \
-         converted_records={} ({})",
-        logical.0,
-        human_bytes(logical.1),
-        pr_n,
-        human_bytes(pr_b),
-        cv_n,
-        human_bytes(cv_b)
-    );
     println!("metrics: {}", snap.to_json());
     // Dry recovery of the loaded image (clones; nothing is written back)
     // to surface the single-pass pipeline's timing/counter block.

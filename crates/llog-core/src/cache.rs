@@ -15,12 +15,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use llog_ops::{table1, LogPolicy, OpKind, Operation, Transform, TransformRegistry};
+use llog_ops::{table1, OpKind, Operation, Transform, TransformRegistry};
 use llog_storage::{Metrics, ShadowStore, StableStore, Version, VersionStore};
 use llog_types::{LlogError, Lsn, ObjectId, OpId, Result, Value};
-use llog_wal::{
-    CheckpointRecord, ConvertedRecord, InstallRecord, LogRecord, PhysicalResultRecord, Wal,
-};
+use llog_wal::{CheckpointRecord, InstallRecord, LogRecord, Wal};
 
 use crate::media::{Backup, BackupInProgress, BackupMode};
 use crate::rwgraph::{NodeId, RWGraph};
@@ -64,11 +62,6 @@ pub struct EngineConfig {
     /// Retain the full history and installed set so tests can run the
     /// explainability oracle against the live engine.
     pub audit: bool,
-    /// How each executed operation is logged: always logical (the paper's
-    /// baseline and the default), always physical-result, or an adaptive
-    /// per-op break-even decision. Adaptive mode also converts cold logical
-    /// records to physical at checkpoint time.
-    pub log_policy: LogPolicy,
 }
 
 impl Default for EngineConfig {
@@ -77,7 +70,6 @@ impl Default for EngineConfig {
             graph: GraphKind::RW,
             flush: FlushStrategy::IdentityWrites,
             audit: false,
-            log_policy: LogPolicy::Logical,
         }
     }
 }
@@ -98,10 +90,6 @@ struct CacheEntry {
 struct LiveOp {
     op: Operation,
     lsn: Lsn,
-    /// Post-images, retained only for operations a checkpoint may still
-    /// convert to physical (logical records under an adaptive policy).
-    /// Values are `Arc`-backed, so this shares rather than copies bytes.
-    outputs: Option<Vec<Value>>,
 }
 
 /// The recovery engine: stable store + WAL + volatile cache + write graph.
@@ -132,10 +120,6 @@ pub struct Engine {
     /// MVCC version chains for lock-free snapshot reads, once enabled.
     /// Every update that lands in the cache is also published here.
     versions: Option<Arc<VersionStore>>,
-    /// Live operations already covered by a checkpoint-time conversion
-    /// record (avoids re-emitting across checkpoints; entries retire with
-    /// their operations).
-    converted: BTreeSet<OpId>,
     // Audit state (only populated when config.audit).
     full_history: Vec<Operation>,
     installed_ops: BTreeSet<OpId>,
@@ -179,7 +163,6 @@ impl Engine {
             clock: 0,
             backup: None,
             versions: None,
-            converted: BTreeSet::new(),
             full_history: Vec::new(),
             installed_ops: BTreeSet::new(),
         }
@@ -236,7 +219,7 @@ impl Engine {
     /// first (each object at its installed `vSI`), then the cache overlay
     /// (uninstalled updates at their `lSI`s) — so calling this right after
     /// recovery reconstructs exactly the versions a pre-crash reader could
-    /// still need. From then on every executed, replayed or adopted update
+    /// still need. From then on every executed or replayed update
     /// publishes its outputs as immutable versions keyed by its `lSI`.
     ///
     /// The store image is seeded in bulk ([`VersionStore::seed`]); the
@@ -379,14 +362,6 @@ impl Engine {
     /// Execute a new operation: read its inputs, apply its transform, log it
     /// (buffered), update the cache and the write graph. Returns the
     /// operation id and its lSI.
-    ///
-    /// Hybrid logging happens here: the configured [`LogPolicy`] decides per
-    /// operation whether to log the logical description or a
-    /// [`PhysicalResultRecord`] carrying the post-images just computed. When
-    /// the physical form is chosen, the engine registers the *physicalized*
-    /// op (empty readset, `CONST` transform) in its volatile state, so the
-    /// write graph, rSI machinery and a post-crash recovery all see exactly
-    /// the same blind-write operation.
     pub fn execute(
         &mut self,
         kind: OpKind,
@@ -402,36 +377,7 @@ impl Engine {
             .apply(op.id, &op.transform, &inputs, op.writes.len())?;
         // Inputs validated; the op is now part of the history.
         self.next_op += 1;
-        let log_physical = kind != OpKind::Delete && !op.carries_values() && {
-            self.config.log_policy.prefer_physical(
-                &self.registry,
-                op.transform.fn_id,
-                op.log_payload_len(),
-                physical_payload_len(&op.writes, &outputs),
-            )
-        };
-        let (op, lsn) = if log_physical {
-            let pr = PhysicalResultRecord {
-                id,
-                origin_fn: op.transform.fn_id,
-                writes: op.writes.clone(),
-                values: outputs.clone(),
-            };
-            let lsn = self.wal.append(&LogRecord::PhysicalResult(pr.clone()));
-            (pr.to_operation(), lsn)
-        } else {
-            let lsn = self.wal.append(&LogRecord::Op(op.clone()));
-            (op, lsn)
-        };
-        let record_bytes = self.wal.end_lsn().0.saturating_sub(lsn.0);
-        if log_physical {
-            Metrics::bump(&self.metrics.log_records_physical, 1);
-            Metrics::bump(&self.metrics.log_bytes_physical, record_bytes);
-        } else {
-            Metrics::bump(&self.metrics.log_records_logical, 1);
-            Metrics::bump(&self.metrics.log_bytes_logical, record_bytes);
-        }
-        let kept = self.convertible_outputs(&op, &outputs);
+        let lsn = self.wal.append(&LogRecord::Op(op.clone()));
         self.apply_outputs(&op, lsn, outputs);
         self.add_to_graph(&op);
         self.live_ops.insert(
@@ -439,7 +385,6 @@ impl Engine {
             LiveOp {
                 op: op.clone(),
                 lsn,
-                outputs: kept,
             },
         );
         if self.config.audit {
@@ -448,7 +393,7 @@ impl Engine {
         Ok((id, lsn))
     }
 
-    /// `addop_rW`: enter an executed, replayed or adopted operation into the
+    /// `addop_rW`: enter an executed or replayed operation into the
     /// write graph (`GraphKind::W` rebuilds its graph at install time).
     fn add_to_graph(&mut self, op: &Operation) {
         if self.config.graph == GraphKind::RW {
@@ -461,16 +406,6 @@ impl Engine {
         }
     }
 
-    /// Post-images worth retaining for checkpoint-time conversion: only
-    /// value-free records (logical/physiological) under a converting policy
-    /// need them — physical records already carry their values in the log.
-    fn convertible_outputs(&self, op: &Operation, outputs: &[Value]) -> Option<Vec<Value>> {
-        (self.config.log_policy.converts_at_checkpoint()
-            && op.kind != OpKind::Delete
-            && !op.carries_values())
-        .then(|| outputs.to_vec())
-    }
-
     /// Re-attach a logged operation during recovery: same cache effects as
     /// [`execute`](Self::execute) but nothing is appended to the log and the
     /// original lSI is kept. The caller has already decided (via the REDO
@@ -480,7 +415,6 @@ impl Engine {
         let outputs = self
             .registry
             .apply(op.id, &op.transform, &inputs, op.writes.len())?;
-        let kept = self.convertible_outputs(op, &outputs);
         self.apply_outputs(op, lsn, outputs);
         self.add_to_graph(op);
         self.live_ops.insert(
@@ -488,7 +422,6 @@ impl Engine {
             LiveOp {
                 op: op.clone(),
                 lsn,
-                outputs: kept,
             },
         );
         self.next_op = self.next_op.max(op.id.0 + 1);
@@ -496,29 +429,6 @@ impl Engine {
             self.full_history.push(op.clone());
         }
         Ok(())
-    }
-
-    /// Adopt an operation whose outputs are already known (a checkpoint-time
-    /// conversion record carries them): exactly
-    /// [`apply_logged`](Self::apply_logged) minus the input reads and
-    /// transform application, so the cache, dirty table, writer index and
-    /// write graph end up identical to a re-execution.
-    pub(crate) fn adopt_replayed(&mut self, op: &Operation, lsn: Lsn, outputs: Vec<Value>) {
-        let kept = self.convertible_outputs(op, &outputs);
-        self.apply_outputs(op, lsn, outputs);
-        self.add_to_graph(op);
-        self.live_ops.insert(
-            op.id,
-            LiveOp {
-                op: op.clone(),
-                lsn,
-                outputs: kept,
-            },
-        );
-        self.next_op = self.next_op.max(op.id.0 + 1);
-        if self.config.audit {
-            self.full_history.push(op.clone());
-        }
     }
 
     fn apply_outputs(&mut self, op: &Operation, lsn: Lsn, outputs: Vec<Value>) {
@@ -711,7 +621,6 @@ impl Engine {
         // Retire the operations before computing new rSIs.
         for id in ops {
             let live = self.live_ops.remove(id).expect("live op");
-            self.converted.remove(id);
             for &x in &live.op.writes {
                 if let Some(map) = self.writers.get_mut(&x) {
                     map.remove(&live.lsn);
@@ -886,58 +795,9 @@ impl Engine {
     // Checkpointing
     // ------------------------------------------------------------------
 
-    /// Emit checkpoint-time conversion records for cold logical operations
-    /// (ROADMAP item 2). Every live (uninstalled) logical op sits at or
-    /// after the min-dirty LSN by construction; for each one not yet
-    /// covered, an identity-write-style [`ConvertedRecord`] with its cached
-    /// post-images is appended, so a redo below the next checkpoint installs
-    /// values instead of re-executing the transform. Only policies with
-    /// conversion enabled (adaptive) emit anything. Returns the number of
-    /// operations converted.
-    ///
-    /// Crash-safety: conversion records are pure redo *hints* — they change
-    /// how a selected redo is performed, never whether or in what order. A
-    /// crash that keeps the conversions but loses the checkpoint record (or
-    /// vice versa) therefore recovers to the same state as if conversion had
-    /// never happened, and re-emitting after such a crash is idempotent.
-    pub fn convert_cold_ops(&mut self) -> u64 {
-        if !self.config.log_policy.converts_at_checkpoint() {
-            return 0;
-        }
-        let pending: Vec<ConvertedRecord> = self
-            .live_ops
-            .values()
-            .filter(|l| !self.converted.contains(&l.op.id))
-            .filter_map(|l| {
-                l.outputs.as_ref().map(|outs| ConvertedRecord {
-                    at: l.lsn,
-                    id: l.op.id,
-                    writes: l.op.writes.clone(),
-                    values: outs.clone(),
-                })
-            })
-            .collect();
-        let n = pending.len() as u64;
-        for rec in pending {
-            self.converted.insert(rec.id);
-            let at = self.wal.append(&LogRecord::Converted(rec));
-            let bytes = self.wal.end_lsn().0.saturating_sub(at.0);
-            Metrics::bump(&self.metrics.log_bytes_physical, bytes);
-        }
-        Metrics::bump(&self.metrics.ckpt_ops_converted, n);
-        n
-    }
-
     /// Write a fuzzy checkpoint: log the dirty object table and force. If
     /// `truncate`, also discard the log prefix before the redo-scan start
     /// point (only installed operations are dropped).
-    ///
-    /// Under a converting policy, conversion records for cold logical ops
-    /// are appended *before* the checkpoint record (and forced with it):
-    /// every hint a recovery starting at this checkpoint's `redo_start`
-    /// could use is then at or above `redo_start` and below the checkpoint
-    /// record, where both the serial pass and the single-pass gap rescan
-    /// will see it.
     pub fn checkpoint(&mut self, truncate: bool) -> Result<Lsn> {
         let redo_start = self
             .dirty_rsi
@@ -945,7 +805,6 @@ impl Engine {
             .copied()
             .min()
             .unwrap_or_else(|| self.wal.end_lsn());
-        self.convert_cold_ops();
         let cp = CheckpointRecord {
             dirty: self.dirty_rsi.iter().map(|(&x, &rsi)| (x, rsi)).collect(),
             redo_start,
@@ -1126,17 +985,6 @@ impl Engine {
     }
 }
 
-/// Payload bytes a physical-result record would spend for this writeset:
-/// object ids, fn id, value-list framing and the post-images themselves —
-/// the physical-side quantity the cost model weighs against
-/// [`Operation::log_payload_len`].
-fn physical_payload_len(writes: &[ObjectId], outputs: &[Value]) -> usize {
-    writes.len() * ObjectId::ENCODED_LEN
-        + 2 // origin fn id
-        + 4 // value count
-        + outputs.iter().map(|v| 4 + v.len()).sum::<usize>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1152,7 +1000,6 @@ mod tests {
                 graph: GraphKind::RW,
                 flush,
                 audit: true,
-                ..Default::default()
             },
             TransformRegistry::with_builtins(),
         )
@@ -1405,7 +1252,6 @@ mod tests {
                 graph: GraphKind::W,
                 flush: FlushStrategy::FlushTxn,
                 audit: true,
-                ..Default::default()
             },
             TransformRegistry::with_builtins(),
         );
@@ -1512,149 +1358,5 @@ mod tests {
         e.audit_all().unwrap();
         e.install_all().unwrap();
         e.audit_all().unwrap();
-    }
-
-    // ------------------------------------------------------------------
-    // Hybrid logging (LogPolicy) tests
-    // ------------------------------------------------------------------
-
-    fn policy_engine(policy: LogPolicy) -> Engine {
-        Engine::new(
-            EngineConfig {
-                audit: true,
-                log_policy: policy,
-                ..Default::default()
-            },
-            TransformRegistry::with_builtins(),
-        )
-    }
-
-    fn count_records(e: &mut Engine) -> BTreeMap<&'static str, usize> {
-        e.wal_mut().force();
-        let mut by = BTreeMap::new();
-        for item in e.wal().scan(e.wal().start_lsn()) {
-            let name = match item.unwrap().1 {
-                LogRecord::Op(_) => "op",
-                LogRecord::PhysicalResult(_) => "physres",
-                LogRecord::Converted(_) => "converted",
-                LogRecord::Checkpoint(_) => "checkpoint",
-                _ => "other",
-            };
-            *by.entry(name).or_insert(0) += 1;
-        }
-        by
-    }
-
-    #[test]
-    fn physical_policy_logs_physical_result_records() {
-        let mut log = policy_engine(LogPolicy::Logical);
-        let mut phy = policy_engine(LogPolicy::Physical);
-        for e in [&mut log, &mut phy] {
-            exec_logical(e, &[1], &[1], 7);
-            exec_logical(e, &[1, 2], &[2], 8);
-        }
-        // Same visible state either way; only the log encoding differs.
-        for x in [X, Y] {
-            assert_eq!(log.peek_value(x), phy.peek_value(x));
-        }
-        assert_eq!(count_records(&mut log).get("op"), Some(&2));
-        assert_eq!(count_records(&mut phy).get("physres"), Some(&2));
-        let (ls, ps) = (log.metrics().snapshot(), phy.metrics().snapshot());
-        assert_eq!((ls.log_records_logical, ls.log_records_physical), (2, 0));
-        assert_eq!((ps.log_records_logical, ps.log_records_physical), (0, 2));
-        assert!(ps.log_bytes_physical > 0 && ls.log_bytes_logical > 0);
-    }
-
-    #[test]
-    fn adaptive_policy_flips_to_physical_once_replay_cost_dominates() {
-        let mut e = policy_engine(LogPolicy::Adaptive(llog_ops::CostModel::default()));
-        // A fat object: HASH_MIX output is input-sized, so its physical
-        // record costs ~256 bytes against a ~30-byte logical record.
-        exec_physical(&mut e, 1, &"seed".repeat(64));
-        // Cold model: the byte economics win, the record stays logical.
-        exec_logical(&mut e, &[1], &[1], 1);
-        assert_eq!(e.metrics().snapshot().log_records_physical, 0);
-        // Make HASH_MIX look ruinously expensive to replay.
-        for _ in 0..8 {
-            e.registry().note_replay_cost(builtin::HASH_MIX, 50_000_000);
-        }
-        exec_logical(&mut e, &[1], &[1], 2);
-        let s = e.metrics().snapshot();
-        assert_eq!(s.log_records_physical, 1);
-    }
-
-    #[test]
-    fn adaptive_policy_prefers_physical_when_it_is_also_smaller() {
-        // 8-byte post-image vs a 30-byte logical record: physical wins on
-        // bytes alone, no warm-up needed.
-        let mut e = policy_engine(LogPolicy::Adaptive(llog_ops::CostModel::default()));
-        exec_logical(&mut e, &[1], &[1], 1);
-        assert_eq!(e.metrics().snapshot().log_records_physical, 1);
-    }
-
-    #[test]
-    fn physical_records_register_the_blind_twin_in_volatile_state() {
-        // The runtime op must be the same blind CONST write recovery will
-        // synthesize: no read edges, carries values.
-        let mut e = policy_engine(LogPolicy::Physical);
-        exec_logical(&mut e, &[1], &[2], 3);
-        let h = e.audit_history();
-        assert_eq!(h.len(), 1);
-        assert!(h[0].reads.is_empty());
-        assert_eq!(h[0].kind, OpKind::Physical);
-        assert!(h[0].carries_values());
-        // Blind write: installing it never needs an identity write of its
-        // (nonexistent) readset, and audit explainability still holds.
-        e.install_all().unwrap();
-        assert!(e.audit_explainable().unwrap());
-    }
-
-    #[test]
-    fn checkpoint_converts_cold_logical_ops_exactly_once() {
-        let mut e = policy_engine(LogPolicy::Adaptive(llog_ops::CostModel::default()));
-        // Fat objects keep the per-op decision logical (see above); the
-        // CONST seeds themselves already carry values, so only the two
-        // logical ops are conversion candidates.
-        exec_physical(&mut e, 1, &"x".repeat(200));
-        exec_physical(&mut e, 2, &"y".repeat(200));
-        exec_logical(&mut e, &[1], &[1], 1);
-        exec_logical(&mut e, &[1, 2], &[2], 2);
-        e.checkpoint(false).unwrap();
-        let s = e.metrics().snapshot();
-        assert_eq!(s.ckpt_ops_converted, 2);
-        let by = count_records(&mut e);
-        assert_eq!(by.get("converted"), Some(&2));
-        // Still live, but already covered: a second checkpoint emits none.
-        e.checkpoint(false).unwrap();
-        assert_eq!(e.metrics().snapshot().ckpt_ops_converted, 2);
-        assert_eq!(count_records(&mut e).get("converted"), Some(&2));
-        // Conversion hints sit below their checkpoint record in the log.
-        let mut saw_cp = false;
-        for item in e.wal().scan(e.wal().start_lsn()) {
-            match item.unwrap().1 {
-                LogRecord::Checkpoint(_) => saw_cp = true,
-                LogRecord::Converted(_) => {
-                    assert!(!saw_cp, "conversions must precede their checkpoint")
-                }
-                _ => {}
-            }
-        }
-        // Installation retires the conversion bookkeeping with the op.
-        e.install_all().unwrap();
-        exec_logical(&mut e, &[1], &[1], 9);
-        e.checkpoint(false).unwrap();
-        assert_eq!(e.metrics().snapshot().ckpt_ops_converted, 3);
-    }
-
-    #[test]
-    fn non_converting_policies_emit_no_conversions() {
-        for policy in [LogPolicy::Logical, LogPolicy::Physical] {
-            let mut e = policy_engine(policy);
-            exec_logical(&mut e, &[1], &[1], 1);
-            e.checkpoint(false).unwrap();
-            assert_eq!(e.convert_cold_ops(), 0);
-            assert_eq!(e.metrics().snapshot().ckpt_ops_converted, 0);
-            assert_eq!(count_records(&mut e).get("converted"), None);
-        }
     }
 }

@@ -375,11 +375,6 @@ fn media_roll_forward(
     let mut pending_ftxn: Vec<(llog_types::ObjectId, llog_types::Value, Lsn)> = Vec::new();
     let mut max_op_id: Option<u64> = None;
     for (lsn, rec) in records {
-        // Physical-result records roll forward as the blind ops they are.
-        let rec = match rec {
-            llog_wal::LogRecord::PhysicalResult(pr) => llog_wal::LogRecord::Op(pr.to_operation()),
-            other => other,
-        };
         match rec {
             llog_wal::LogRecord::Op(op) => {
                 max_op_id = Some(max_op_id.map_or(op.id.0, |m| m.max(op.id.0)));
@@ -413,10 +408,6 @@ fn media_roll_forward(
                     }
                 }
             }
-            // Conversion records are redo hints for the crash-recovery
-            // pipeline; media roll-forward replays every surviving op from
-            // the archived log anyway, so they carry nothing to do here.
-            llog_wal::LogRecord::Converted(_) => {}
             _ => {}
         }
     }
@@ -441,7 +432,6 @@ mod tests {
             graph: GraphKind::RW,
             flush: FlushStrategy::IdentityWrites,
             audit: false,
-            ..Default::default()
         }
     }
 

@@ -72,13 +72,6 @@ struct Analysis {
 /// Recompute the running ring lower bound every this many retained ops.
 const PRUNE_INTERVAL: usize = 256;
 
-/// Redo hints from checkpoint-time conversion records, keyed by the LSN of
-/// the logical op they physicalize. A hint changes *how* a selected op is
-/// redone (adopt the recorded post-images instead of re-executing the
-/// transform), never *whether* it is redone — so hints cannot perturb the
-/// REDO test or replay order.
-type Hints = BTreeMap<Lsn, (Vec<ObjectId>, Vec<Value>)>;
-
 /// The analysis state machine, one [`step`](Analyzer::step) per log record.
 ///
 /// With `retain` set it also keeps the single-pass op ring: every decoded
@@ -89,6 +82,11 @@ type Hints = BTreeMap<Lsn, (Vec<ObjectId>, Vec<Value>)>;
 /// in `[ring_from, scan end)`, so the redo phase re-decodes, at most, the
 /// gap `[redo_start, ring_from)`. Without `retain` the ring covers nothing
 /// (`ring_from` is `Lsn::MAX`) and the gap is the whole redo range.
+///
+/// `Install` and `Flush` records at or above `trust_below` — the store's
+/// [`installed_through`](StableStore::installed_through) bound — are
+/// ignored: they vouch for store writes the recovered store never received,
+/// so the operations they cover must stay dirty and be redone.
 struct Analyzer {
     a: Analysis,
     pending_ftxn: Vec<(ObjectId, Value, Lsn)>,
@@ -100,7 +98,7 @@ struct Analyzer {
     /// redo phase report `redo_scanned` without a second scan.
     lsns: Vec<Lsn>,
     since_prune: usize,
-    hints: Hints,
+    trust_below: Lsn,
 }
 
 impl Analyzer {
@@ -109,6 +107,7 @@ impl Analyzer {
         seeded_dirty: BTreeMap<ObjectId, Lsn>,
         retain: bool,
         prune: bool,
+        trust_below: Lsn,
     ) -> Analyzer {
         Analyzer {
             a: Analysis {
@@ -122,7 +121,7 @@ impl Analyzer {
             ring_from: if retain { scan_from } else { Lsn::MAX },
             lsns: Vec::new(),
             since_prune: 0,
-            hints: BTreeMap::new(),
+            trust_below,
         }
     }
 
@@ -131,13 +130,6 @@ impl Analyzer {
         if self.retain {
             self.lsns.push(lsn);
         }
-        // A physical-result record is, to analysis and redo, exactly a blind
-        // physical op whose values are known: normalize it up front so the
-        // dirty-table / ring logic below has a single op shape.
-        let rec = match rec {
-            LogRecord::PhysicalResult(pr) => LogRecord::Op(pr.to_operation()),
-            other => other,
-        };
         match rec {
             LogRecord::Op(op) => {
                 self.a.max_op_id = Some(self.a.max_op_id.map_or(op.id.0, |m| m.max(op.id.0)));
@@ -153,6 +145,7 @@ impl Analyzer {
                     }
                 }
             }
+            LogRecord::Install(_) | LogRecord::Flush { .. } if lsn >= self.trust_below => {}
             LogRecord::Install(ir) => {
                 for (x, rsi) in ir.vars.into_iter().chain(ir.notx) {
                     if rsi == Lsn::MAX {
@@ -180,11 +173,6 @@ impl Analyzer {
                     self.a.dirty.entry(x).or_insert(rsi);
                 }
             }
-            LogRecord::Converted(cv) => {
-                self.hints.insert(cv.at, (cv.writes, cv.values));
-            }
-            // Normalized above.
-            LogRecord::PhysicalResult(_) => unreachable!(),
         }
     }
 
@@ -235,7 +223,7 @@ fn scan_log(
 }
 
 /// Run the analysis scan from the master checkpoint (or the log start).
-fn analyze(wal: &Wal, policy: RedoPolicy, retain: bool) -> Result<Analyzer> {
+fn analyze(wal: &Wal, policy: RedoPolicy, retain: bool, trust_below: Lsn) -> Result<Analyzer> {
     let mut scan_from = wal.start_lsn();
     let mut seeded = BTreeMap::new();
 
@@ -256,7 +244,7 @@ fn analyze(wal: &Wal, policy: RedoPolicy, retain: bool) -> Result<Analyzer> {
     // Naive redo replays from the log start regardless of the dirty table,
     // so min-dirty pruning would only grow the gap rescan: keep everything.
     let prune = retain && policy != RedoPolicy::Naive;
-    let mut an = Analyzer::new(scan_from, seeded, retain, prune);
+    let mut an = Analyzer::new(scan_from, seeded, retain, prune, trust_below);
     an.a.torn_tail = scan_log(wal, scan_from, Lsn::MAX, |lsn, rec| an.step(lsn, rec))?;
 
     an.a.redo_start =
@@ -310,7 +298,7 @@ fn run(
     let metrics = store.metrics().clone();
 
     let t_analysis = Instant::now();
-    let an = analyze(&wal, policy, retain_ops)?;
+    let an = analyze(&wal, policy, retain_ops, store.installed_through())?;
     Metrics::bump(
         &metrics.recovery_analysis_ns,
         t_analysis.elapsed().as_nanos() as u64,
@@ -321,7 +309,6 @@ fn run(
         ring,
         ring_from,
         lsns,
-        mut hints,
         ..
     } = an;
 
@@ -334,6 +321,9 @@ fn run(
 
     let t_redo = Instant::now();
     let mut store = store;
+    // From here on the store is the live engine's: every install it takes
+    // lands in it, so nothing the log says about it is untrusted any more.
+    store.set_installed_through(Lsn::MAX);
     // Complete committed flush transactions whose in-place writes may not
     // have finished. Guard on vSI so an old transaction never regresses a
     // newer stable value.
@@ -362,13 +352,8 @@ fn run(
         let mut gap = 0u64;
         scan_log(&wal, redo_from, ring_from, |lsn, rec| {
             gap += 1;
-            match rec {
-                LogRecord::Op(op) => op_records.push((lsn, op)),
-                LogRecord::PhysicalResult(pr) => op_records.push((lsn, pr.to_operation())),
-                LogRecord::Converted(cv) => {
-                    hints.insert(cv.at, (cv.writes, cv.values));
-                }
-                _ => {}
+            if let LogRecord::Op(op) = rec {
+                op_records.push((lsn, op));
             }
         })?;
         outcome.redo_scanned += gap;
@@ -434,19 +419,6 @@ fn run(
             outcome.deletes_applied += 1;
             continue;
         }
-        // A checkpoint-time conversion record physicalized this op:
-        // adopt the recorded post-images blindly instead of re-running
-        // the transform. Determinism makes the adopted values identical
-        // to what re-execution would compute; a writeset mismatch
-        // (handcrafted log) falls back to ordinary re-execution.
-        if let Some((writes, values)) = hints.get(&lsn) {
-            if *writes == op.writes {
-                engine.adopt_replayed(op, lsn, values.clone());
-                outcome.redone += 1;
-                Metrics::bump(&metrics.redo_ops, 1);
-                continue;
-            }
-        }
         // Trial execution (§5): an operation the approximate test
         // selected may be inapplicable; errors void it rather than
         // failing recovery.
@@ -490,7 +462,6 @@ mod tests {
             graph: GraphKind::RW,
             flush: FlushStrategy::IdentityWrites,
             audit: false,
-            log_policy: llog_ops::LogPolicy::Logical,
         }
     }
 
@@ -844,13 +815,33 @@ mod tests {
         }
     }
 
+    /// Uninstalled ops under a `checkpoint(false)`, and a live tail past
+    /// it — crashed with an unforced loss.
+    fn checkpointed_workload() -> (StableStore, Wal) {
+        let mut e = fresh_engine();
+        exec_physical(&mut e, 1, &"x".repeat(120));
+        exec_physical(&mut e, 2, "small");
+        for salt in 0..3 {
+            exec_logical(&mut e, &[1], &[1], salt);
+            exec_logical(&mut e, &[1, 2], &[2], salt + 10);
+            exec_logical(&mut e, &[3], &[3], salt + 20);
+        }
+        e.install_one().unwrap();
+        e.checkpoint(false).unwrap();
+        exec_logical(&mut e, &[2], &[4], 77);
+        exec_physical(&mut e, 5, "p");
+        e.wal_mut().force();
+        exec_logical(&mut e, &[4], &[4], 99); // unforced: lost
+        e.crash()
+    }
+
     #[test]
     fn checkpoint_table_behind_the_scan_start_takes_the_gap_rescan() {
         // `checkpoint(false)` with uninstalled ops writes a dirty table whose
         // rSIs lie below the checkpoint's own LSN. Analysis starts at the
         // checkpoint, so the ring cannot cover `[redo_start, checkpoint)`:
         // those ops must come from the gap rescan, the rest from the ring.
-        let (store, wal) = hybrid_workload(llog_ops::LogPolicy::Logical);
+        let (store, wal) = checkpointed_workload();
         let cp_lsn = wal.master_checkpoint().expect("workload checkpoints");
         let metrics = store.metrics().clone();
         metrics.reset();
@@ -957,128 +948,35 @@ mod tests {
         assert_eq!(recovered.read_value(X), Value::from("stable"));
     }
 
-    fn adaptive_config() -> EngineConfig {
-        EngineConfig {
-            log_policy: llog_ops::LogPolicy::Adaptive(llog_ops::CostModel::default()),
-            ..config()
-        }
-    }
-
-    /// A workload with fat objects (keeps the adaptive per-op choice
-    /// logical), a checkpoint (emits conversion records under the adaptive
-    /// policy), and a live tail past it — crashed with an unforced loss.
-    fn hybrid_workload(policy: llog_ops::LogPolicy) -> (StableStore, Wal) {
-        let mut e = Engine::new(
-            EngineConfig {
-                log_policy: policy,
-                ..config()
-            },
-            TransformRegistry::with_builtins(),
-        );
-        exec_physical(&mut e, 1, &"x".repeat(120));
-        exec_physical(&mut e, 2, "small");
-        for salt in 0..3 {
-            exec_logical(&mut e, &[1], &[1], salt);
-            exec_logical(&mut e, &[1, 2], &[2], salt + 10);
-            exec_logical(&mut e, &[3], &[3], salt + 20);
-        }
-        e.install_one().unwrap();
-        e.checkpoint(false).unwrap();
-        exec_logical(&mut e, &[2], &[4], 77);
-        exec_physical(&mut e, 5, "p");
+    #[test]
+    fn installs_above_the_store_bound_are_not_trusted() {
+        let mut e = fresh_engine();
+        exec_physical(&mut e, 1, "v1");
         e.wal_mut().force();
-        exec_logical(&mut e, &[4], &[4], 99); // unforced: lost
-        e.crash()
-    }
-
-    #[test]
-    fn every_log_policy_recovers_identically_both_ways() {
-        let policies = [
-            llog_ops::LogPolicy::Logical,
-            llog_ops::LogPolicy::Physical,
-            llog_ops::LogPolicy::Adaptive(llog_ops::CostModel::default()),
-        ];
-        let mut visible: Vec<Vec<Value>> = Vec::new();
-        for policy in policies {
-            let (store, wal) = hybrid_workload(policy);
-            let (e, _) = recover_both_ways(&store, &wal, config(), RedoPolicy::Vsi);
-            visible.push((0..8u64).map(|i| e.peek_value(ObjectId(i))).collect());
-        }
-        // The log encodings differ per policy; the recovered visible state
-        // must not.
-        assert_eq!(visible[0], visible[1], "physical diverged from logical");
-        assert_eq!(visible[0], visible[2], "adaptive diverged from logical");
-    }
-
-    #[test]
-    fn converted_hints_skip_reexecution_below_the_checkpoint() {
-        let mut e = Engine::new(adaptive_config(), TransformRegistry::with_builtins());
-        exec_physical(&mut e, 1, &"x".repeat(150));
-        exec_logical(&mut e, &[1], &[1], 1);
-        exec_logical(&mut e, &[1], &[2], 2);
-        e.checkpoint(false).unwrap(); // converts both logical ops and forces
-        let want: Vec<Value> = (0..4).map(|i| e.peek_value(ObjectId(i))).collect();
-        let (store, wal) = e.crash();
+        // The store as its device last saw it: before the install below.
+        let mut device_store = e.store().clone();
+        device_store.set_installed_through(e.wal().end_lsn());
+        e.install_all().unwrap();
+        e.wal_mut().force();
+        let (_, wal) = e.crash();
         for (name, f) in BOTH {
-            // A fresh registry with an untouched cost ledger: any transform
-            // re-execution during redo would show up in its apply counts.
-            let fresh = TransformRegistry::with_builtins();
-            let probe = fresh.clone();
-            let (recovered, o) =
-                f(store.clone(), wal.clone(), fresh, config(), RedoPolicy::Vsi).unwrap();
-            assert_eq!(o.redone, 3, "{name}");
-            assert_eq!(
-                probe.apply_count(builtin::HASH_MIX),
-                0,
-                "{name}: a converted op was re-executed"
-            );
-            let got: Vec<Value> = (0..4).map(|i| recovered.peek_value(ObjectId(i))).collect();
-            assert_eq!(got, want, "{name}");
+            let (mut r, o) = f(
+                device_store.clone(),
+                wal.clone(),
+                TransformRegistry::with_builtins(),
+                config(),
+                RedoPolicy::Vsi,
+            )
+            .unwrap();
+            assert_eq!(o.redone, 1, "{name}");
+            assert_eq!(r.read_value(X), Value::from("v1"), "{name}");
+            assert_eq!(r.store().installed_through(), Lsn::MAX, "{name}");
         }
-    }
-
-    #[test]
-    fn crash_between_conversions_and_checkpoint_is_harmless() {
-        // Conversion records are pure redo hints: a crash that keeps them
-        // but loses the checkpoint record recovers to exactly the state of
-        // a log that never converted.
-        let build = |convert: bool| {
-            let mut e = Engine::new(adaptive_config(), TransformRegistry::with_builtins());
-            exec_physical(&mut e, 1, &"x".repeat(150));
-            exec_logical(&mut e, &[1], &[1], 1);
-            exec_logical(&mut e, &[1], &[2], 2);
-            e.wal_mut().force();
-            if convert {
-                assert_eq!(e.convert_cold_ops(), 2);
-                e.wal_mut().force(); // conversions durable, checkpoint lost
-            }
-            e.crash()
-        };
-        let (s0, w0) = build(false);
-        let (plain, _) = recover_parts(s0, w0, RedoPolicy::Vsi);
-        let (s1, w1) = build(true);
-        let (mut again, _) = recover_both_ways(&s1, &w1, adaptive_config(), RedoPolicy::Vsi);
-        assert_eq!(
-            engine_fingerprint(&again),
-            engine_fingerprint(&plain),
-            "conversion hints changed the recovered state"
-        );
-        // Re-emission after such a crash is idempotent: the recovered
-        // engine checkpoints (re-converting the still-live ops), crashes,
-        // and recovers to the same state again.
-        let fp_before: Vec<Value> = (0..4).map(|i| again.peek_value(ObjectId(i))).collect();
-        again.checkpoint(false).unwrap();
-        let (s2, w2) = again.crash();
-        let (final_e, _) = recover(
-            s2,
-            w2,
-            TransformRegistry::with_builtins(),
-            adaptive_config(),
-            RedoPolicy::Vsi,
-        )
-        .unwrap();
-        let fp_after: Vec<Value> = (0..4).map(|i| final_e.peek_value(ObjectId(i))).collect();
-        assert_eq!(fp_after, fp_before);
+        // Trusting the Install and Flush records loses the write.
+        device_store.set_installed_through(Lsn::MAX);
+        let (mut r, o) = recover_parts(device_store, wal, RedoPolicy::Vsi);
+        assert_eq!(o.redone, 0);
+        assert!(r.read_value(X).is_empty());
     }
 
     #[test]

@@ -158,19 +158,7 @@ impl RedoSession {
         let tail = stop.unwrap_or(end);
         let mut applied = 0;
         for (k, (lsn, rec)) in recs.iter().enumerate() {
-            // A shipped physical-result record replays as the blind op it
-            // is. Conversion records are crash-recovery redo hints and carry
-            // no new state: the watermark still advances over them.
-            let synthesized;
-            let op = match rec {
-                LogRecord::Op(op) => Some(op),
-                LogRecord::PhysicalResult(pr) => {
-                    synthesized = pr.to_operation();
-                    Some(&synthesized)
-                }
-                _ => None,
-            };
-            if let Some(op) = op {
+            if let LogRecord::Op(op) = rec {
                 if let Err(e) = self.engine.apply_logged(op, *lsn) {
                     // Records before this frame are applied. Pin the
                     // watermark at the failed frame's start so the
@@ -250,7 +238,6 @@ mod tests {
             graph: GraphKind::RW,
             flush: FlushStrategy::IdentityWrites,
             audit: true,
-            ..Default::default()
         }
     }
 
@@ -523,86 +510,5 @@ mod tests {
         assert_eq!(session.watermark(), failed_frame);
         assert_eq!(session.read(ObjectId(1)), Value::from_slice(b"known"));
         assert!(session.read(ObjectId(3)).is_empty());
-    }
-
-    /// A hybrid-logging primary ships physical-result and conversion
-    /// records; the standby replays the former as blind ops and advances
-    /// its watermark over the latter, staying byte-identical throughout.
-    #[test]
-    fn shipped_hybrid_records_replay_identically_on_the_standby() {
-        let adaptive = EngineConfig {
-            log_policy: llog_ops::LogPolicy::Adaptive(llog_ops::CostModel::default()),
-            ..config()
-        };
-        let mut primary = Engine::new(adaptive, TransformRegistry::with_builtins());
-        put(&mut primary, 1, "fat".repeat(50).as_bytes());
-        primary.wal_mut().force();
-        let attach_cut = primary.wal().forced_lsn();
-
-        let metrics = Metrics::new();
-        let mut wal = Wal::from_shipped(metrics.clone(), primary.wal().start_lsn().0, None);
-        let prefix = primary
-            .wal()
-            .ship_tail(primary.wal().start_lsn(), usize::MAX)
-            .unwrap()
-            .to_vec();
-        wal.extend_stable(primary.wal().start_lsn(), &prefix)
-            .unwrap();
-        let (mut session, _) = RedoSession::begin(
-            StableStore::new(metrics),
-            wal,
-            TransformRegistry::with_builtins(),
-            config(),
-            RedoPolicy::Vsi,
-        )
-        .unwrap();
-
-        // Live tail: logical ops on the fat object (logged logical), a
-        // small op the adaptive policy logs as a physical result, then a
-        // checkpoint that emits conversion records for the cold logical
-        // ops.
-        for salt in 0..3 {
-            primary
-                .execute(
-                    OpKind::Logical,
-                    vec![ObjectId(1)],
-                    vec![ObjectId(1)],
-                    Transform::new(
-                        builtin::HASH_MIX,
-                        Value::from_slice(&(salt as u64).to_le_bytes()),
-                    ),
-                )
-                .unwrap();
-        }
-        primary
-            .execute(
-                OpKind::Logical,
-                vec![],
-                vec![ObjectId(2)],
-                Transform::new(builtin::HASH_MIX, Value::from_slice(&7u64.to_le_bytes())),
-            )
-            .unwrap();
-        primary.checkpoint(false).unwrap();
-        assert!(
-            primary.metrics().snapshot().ckpt_ops_converted > 0,
-            "workload must exercise conversion"
-        );
-        put(&mut primary, 3, b"after-checkpoint");
-        primary.wal_mut().force();
-
-        let tail = primary
-            .wal()
-            .ship_tail(attach_cut, usize::MAX)
-            .unwrap()
-            .to_vec();
-        session.extend(attach_cut, &tail).unwrap();
-        assert_eq!(session.watermark(), primary.wal().forced_lsn());
-        for i in 0..4 {
-            assert_eq!(
-                session.read(ObjectId(i)),
-                primary.peek_value(ObjectId(i)),
-                "object {i} diverged"
-            );
-        }
     }
 }

@@ -132,7 +132,6 @@ mod tests {
                 graph: GraphKind::RW,
                 flush: FlushStrategy::IdentityWrites,
                 audit: true,
-                ..Default::default()
             },
             TransformRegistry::with_builtins(),
         )
@@ -206,7 +205,6 @@ mod tests {
                 graph: GraphKind::RW,
                 flush: FlushStrategy::IdentityWrites,
                 audit: false,
-                ..Default::default()
             },
             RedoPolicy::RsiExposed,
         )

@@ -879,7 +879,6 @@ mod tests {
                 graph: GraphKind::RW,
                 flush: FlushStrategy::IdentityWrites,
                 audit: false,
-                ..Default::default()
             },
             registry(),
         )

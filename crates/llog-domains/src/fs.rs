@@ -197,7 +197,6 @@ mod tests {
                 graph: GraphKind::RW,
                 flush: FlushStrategy::IdentityWrites,
                 audit: true,
-                ..Default::default()
             },
             TransformRegistry::with_builtins(),
         )

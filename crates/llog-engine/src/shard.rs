@@ -90,7 +90,9 @@ pub(crate) struct Shard {
     /// advance. Also latched *under the engine lock* the instant a force
     /// observes a torn/rotted write, so no later force (a barrier or a
     /// checkpoint) can touch the dead device afterwards and advance the
-    /// WAL's tail guard over the rotted bytes.
+    /// WAL's tail guard over the rotted bytes — and when a checkpoint's
+    /// store persist fails, so no later force carries its truncation and
+    /// master to the log device.
     dead: AtomicBool,
     /// Backpressure epoch: bumped by the installer after every install so
     /// parked executors re-check the uninstalled window.

@@ -795,8 +795,19 @@ fn checkpoint_one(shard: &Shard, truncate: bool) -> Result<Lsn> {
     // and the log device appends only the new tail and reclaims whole
     // segments the truncation dropped. Backend lock is taken *after* the
     // engine lock (the only order used anywhere).
-    if let Some(b) = lock(&shard.backend).as_mut() {
-        b.persist(e.store(), e.wal(), shard.faults.as_deref())?;
+    let persisted = lock(&shard.backend).as_mut().map_or(Ok(()), |b| {
+        b.persist(e.store(), e.wal(), shard.faults.as_deref())
+            .map(drop)
+    });
+    if let Err(err) = persisted {
+        // The in-memory log is already truncated and its master moved to
+        // the new checkpoint; the next force would carry both to the log
+        // device, past a store device that never got this checkpoint.
+        // Latch death under the engine lock, as a torn force does.
+        shard.latch_dead();
+        drop(g);
+        shard.request_stop(StopMode::Abandon);
+        return Err(err);
     }
     let forced = e.wal().forced_lsn();
     drop(g);
@@ -1684,6 +1695,66 @@ mod tests {
         let (rec, _, _) = recover_sharded_from_backends(backends, &reg, cfg).unwrap();
         for i in 0..6u64 {
             assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("tail"));
+        }
+    }
+
+    /// A checkpoint whose store persist fails has already truncated the
+    /// in-memory log; if the shard kept forcing, the log device would drop
+    /// records the store device never absorbed. The shard latches dead
+    /// instead, and the device pair still recovers every acked put.
+    #[test]
+    fn failed_store_persist_at_checkpoint_latches_the_shard_dead() {
+        use llog_storage::device::DeviceConfig;
+        use llog_testkit::faults::{failpoint, FaultKind};
+        let reg = registry();
+        let cfg = ShardedConfig {
+            shards: 2,
+            commit: CommitPolicy::Sync,
+            ..ShardedConfig::default()
+        };
+        let host = Arc::new(FaultHost::new());
+        let e = ShardedEngine::new_with_faults(cfg, &reg, Some(host.clone()));
+        for i in 0..2 {
+            e.attach_backend(
+                i,
+                DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small()),
+            );
+        }
+        e.persist_all().unwrap();
+        let keys: Vec<ObjectId> = (0..16u64).map(ObjectId).collect();
+        for &x in &keys {
+            assert!(put(&e, x, "acked").is_durable());
+        }
+        e.install_all().unwrap();
+        // Shard 0 checkpoints first and takes the single-shot fault.
+        host.arm(failpoint::DEV_STORE_DELTA, FaultKind::IoError);
+        assert!(e.checkpoint_all(true).is_err());
+        let on = |shard: usize| {
+            *keys
+                .iter()
+                .find(|&&x| e.router().shard_of(x) == shard)
+                .unwrap()
+        };
+        let (dead, live) = (on(0), on(1));
+        let put_to = |x: ObjectId| {
+            e.execute(
+                OpKind::Physical,
+                vec![],
+                vec![x],
+                Transform::new(
+                    builtin::CONST,
+                    builtin::encode_values(&[Value::from("late")]),
+                ),
+            )
+        };
+        assert!(put_to(dead).is_err(), "the dead shard takes no more puts");
+        assert!(put_to(live).unwrap().is_durable(), "the other shard serves");
+        let backends: Vec<DurabilityBackend> = e.take_backends().into_iter().flatten().collect();
+        drop(e.crash());
+        let (rec, _, _) = recover_sharded_from_backends(backends, &reg, cfg).unwrap();
+        for &x in &keys {
+            let want = if x == live { "late" } else { "acked" };
+            assert_eq!(rec.read_value(x).unwrap(), Value::from(want), "{x:?}");
         }
     }
 

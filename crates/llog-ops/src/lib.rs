@@ -19,12 +19,10 @@
 
 mod history;
 mod op;
-mod policy;
 pub mod table1;
 mod transform;
 
 pub use history::{History, Replayer};
 pub use llog_types::{FnId, Lsn, ObjectId, OpId, Si, Value};
 pub use op::{OpKind, Operation};
-pub use policy::{CostModel, LogPolicy};
 pub use transform::{builtin, Transform, TransformFn, TransformRegistry};

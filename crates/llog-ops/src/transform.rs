@@ -8,9 +8,7 @@
 //! routines with the engine.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use llog_types::{FnId, LlogError, ObjectId, OpId, Result, Value};
 
@@ -72,37 +70,6 @@ impl Transform {
 #[derive(Clone)]
 pub struct TransformRegistry {
     map: HashMap<FnId, Arc<dyn TransformFn>>,
-    costs: Arc<CostLedger>,
-}
-
-/// Replay-cost accounting: an EWMA of apply nanoseconds and an apply count
-/// per [`FnId`]. One flat slot per possible id (ids are `u16`) keeps the hot
-/// path lock-free; cells are shared across registry clones, so every shard
-/// of an engine feeds — and reads — the same measurements.
-struct CostLedger {
-    ewma_ns: Vec<AtomicU64>,
-    samples: Vec<AtomicU64>,
-}
-
-const COST_SLOTS: usize = 1 << 16;
-
-impl CostLedger {
-    fn new() -> CostLedger {
-        CostLedger {
-            ewma_ns: (0..COST_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-            samples: (0..COST_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Fold one measurement in with α = 1/8. The update is racy across
-    /// threads by design: this is advisory statistics, not an invariant.
-    fn note(&self, id: FnId, ns: u64) {
-        let i = id.0 as usize;
-        self.samples[i].fetch_add(1, Ordering::Relaxed);
-        let old = self.ewma_ns[i].load(Ordering::Relaxed);
-        let new = if old == 0 { ns } else { old - old / 8 + ns / 8 };
-        self.ewma_ns[i].store(new, Ordering::Relaxed);
-    }
 }
 
 impl Default for TransformRegistry {
@@ -116,7 +83,6 @@ impl TransformRegistry {
     pub fn empty() -> TransformRegistry {
         TransformRegistry {
             map: HashMap::new(),
-            costs: Arc::new(CostLedger::new()),
         }
     }
 
@@ -138,10 +104,6 @@ impl TransformRegistry {
     }
 
     /// Apply `t` for operation `op`, validating the output arity.
-    ///
-    /// Every call is timed into the replay-cost EWMA for `t.fn_id` — this is
-    /// the single choke point both execution and redo go through, so the
-    /// ledger measures exactly the work a re-execution would repeat.
     pub fn apply(
         &self,
         op: OpId,
@@ -150,10 +112,7 @@ impl TransformRegistry {
         n_outputs: usize,
     ) -> Result<Vec<Value>> {
         let f = self.get(t.fn_id)?;
-        let start = Instant::now();
-        let res = f.apply(t.params.as_bytes(), inputs, n_outputs);
-        self.costs.note(t.fn_id, start.elapsed().as_nanos() as u64);
-        let out = res?;
+        let out = f.apply(t.params.as_bytes(), inputs, n_outputs)?;
         if out.len() != n_outputs {
             return Err(LlogError::WritesetMismatch {
                 op,
@@ -162,32 +121,6 @@ impl TransformRegistry {
             });
         }
         Ok(out)
-    }
-
-    /// The measured replay cost of `id`: `(ewma_ns, samples)`. `samples`
-    /// counts every timed [`apply`](Self::apply) (plus explicit
-    /// [`note_replay_cost`](Self::note_replay_cost) seeds); the EWMA is 0
-    /// until the first measurement lands.
-    pub fn replay_cost(&self, id: FnId) -> (u64, u64) {
-        let i = id.0 as usize;
-        (
-            self.costs.ewma_ns[i].load(Ordering::Relaxed),
-            self.costs.samples[i].load(Ordering::Relaxed),
-        )
-    }
-
-    /// How many times `id` has been applied through this registry (shared
-    /// across clones). Recovery benchmarks use the delta on a fresh registry
-    /// to prove redo skipped re-execution.
-    pub fn apply_count(&self, id: FnId) -> u64 {
-        self.costs.samples[id.0 as usize].load(Ordering::Relaxed)
-    }
-
-    /// Fold an externally measured (or synthetic) replay cost into the
-    /// ledger. Tests use this to drive adaptive-policy decisions
-    /// deterministically instead of depending on wall-clock timings.
-    pub fn note_replay_cost(&self, id: FnId, ns: u64) {
-        self.costs.note(id, ns);
     }
 }
 
@@ -634,38 +567,6 @@ mod tests {
         let t = Transform::new(DELETE, Value::empty());
         let out = reg().apply(OpId(0), &t, &[], 1).unwrap();
         assert!(out[0].is_empty());
-    }
-
-    #[test]
-    fn apply_feeds_the_replay_cost_ledger() {
-        let r = reg();
-        assert_eq!(r.apply_count(HASH_MIX), 0);
-        let t = Transform::new(HASH_MIX, v("salt"));
-        for _ in 0..5 {
-            r.apply(OpId(0), &t, &[v("abc")], 1).unwrap();
-        }
-        let (_, samples) = r.replay_cost(HASH_MIX);
-        assert_eq!(samples, 5);
-        assert_eq!(r.apply_count(HASH_MIX), 5);
-        // Other ids are untouched.
-        assert_eq!(r.apply_count(INCREMENT), 0);
-        // Clones share the ledger (one engine's shards feed one EWMA).
-        let clone = r.clone();
-        clone.apply(OpId(1), &t, &[v("xyz")], 1).unwrap();
-        assert_eq!(r.apply_count(HASH_MIX), 6);
-    }
-
-    #[test]
-    fn synthetic_costs_move_the_ewma() {
-        let r = reg();
-        r.note_replay_cost(HASH_MIX, 1_000_000);
-        let (ewma, samples) = r.replay_cost(HASH_MIX);
-        assert_eq!(samples, 1);
-        assert_eq!(ewma, 1_000_000);
-        // Subsequent samples fold in at α = 1/8.
-        r.note_replay_cost(HASH_MIX, 0);
-        let (ewma, _) = r.replay_cost(HASH_MIX);
-        assert_eq!(ewma, 875_000);
     }
 
     #[test]

@@ -82,8 +82,8 @@ mod tests {
         let stats = c.stats().unwrap();
         assert_eq!(stats.shards, 4);
         assert!(
-            stats.aggregate.log_records_logical >= 32,
-            "every put lands in the hybrid-logging counters"
+            stats.aggregate.log_records >= 32,
+            "every put lands in the log counters"
         );
         assert!(
             stats.aggregate.log_bytes > 0,

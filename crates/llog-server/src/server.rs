@@ -88,7 +88,7 @@ struct ShippingState {
     captures: HashMap<u32, ShipManifest>,
 }
 
-/// Per-session, per-shard read floors (DESIGN §16): the LSN of the
+/// Per-session, per-shard read floors (DESIGN §12): the LSN of the
 /// session's last acked `Put` on each shard. Keyed by the client-chosen
 /// session id in [`Inner::sessions`], so the floors outlive any one
 /// connection — a client that reconnects and re-binds its session id gets

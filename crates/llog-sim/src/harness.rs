@@ -74,11 +74,6 @@ pub fn replay_stable_log(
     for item in wal.scan(wal.start_lsn()) {
         match item {
             Ok((_, LogRecord::Op(op))) => r.apply(&op, registry)?,
-            // A physical-result record is its op's blind twin: replay the
-            // recorded post-images. Conversion records need no replay here
-            // — they only hint how the original op (already replayed
-            // above) may be redone, never what it computes.
-            Ok((_, LogRecord::PhysicalResult(pr))) => r.apply(&pr.to_operation(), registry)?,
             Ok(_) => {}
             Err(LlogError::Corrupt { .. }) => break, // torn tail
             Err(e) => return Err(e),
@@ -158,7 +153,6 @@ mod tests {
             graph: GraphKind::RW,
             flush: FlushStrategy::IdentityWrites,
             audit: false,
-            ..Default::default()
         }
     }
 
@@ -251,7 +245,6 @@ mod tests {
                 graph: GraphKind::RW,
                 flush,
                 audit: false,
-                ..Default::default()
             };
             run_crash_recover_verify(
                 cfg,
@@ -272,7 +265,6 @@ mod tests {
             graph: GraphKind::W,
             flush: FlushStrategy::FlushTxn,
             audit: false,
-            ..Default::default()
         };
         run_crash_recover_verify(
             cfg,

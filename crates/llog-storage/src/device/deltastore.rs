@@ -7,12 +7,17 @@
 //!   vsi u64, len u32, bytes) | crc32c u32`. `flags & 1` marks a tombstone
 //!   (object removed since the previous checkpoint; vsi/len are zero).
 //! - `store-manifest.llog` — the chain:
-//!   `"LLOGSMF1" | next_epoch u64 | chain_len u64 | chain × (epoch u64,
-//!   len u64, crc u32) | crc32c u32`.
+//!   `"LLOGSMF1" | next_epoch u64 | installed_through u64 | chain_len u64 |
+//!   chain × (epoch u64, len u64, crc u32) | crc32c u32`.
+//!   `installed_through` is the log end at the checkpoint: every `Install`
+//!   and `Flush` record below it has its effects in the chain, and recovery
+//!   trusts none at or above it.
 //!
 //! A checkpoint writes only objects *dirtied since the last checkpoint*
 //! (diffed against an in-memory mirror of the persisted state) plus
-//! tombstones — O(dirty), not O(store). Loading replays the chain in order.
+//! tombstones — O(dirty), not O(store). A checkpoint with nothing dirty
+//! writes nothing, unless its `installed_through` moved: then it rewrites the
+//! manifest alone. Loading replays the chain in order.
 //! When the chain grows past `DeviceConfig::compact_chain` deltas, the next
 //! checkpoint folds it into one full-image delta and deletes the old blobs.
 //!
@@ -65,10 +70,17 @@ pub trait StoreDevice: Send + std::fmt::Debug {
     /// Backend name (`"mem"` or `"file"`), for stats and CLI output.
     fn kind(&self) -> &'static str;
     /// Incrementally checkpoint `store`: persist objects changed since the
-    /// last checkpoint (plus tombstones) and extend the manifest chain.
-    fn checkpoint(&mut self, store: &StableStore, faults: Option<&FaultHost>) -> Result<CkptStats>;
-    /// Replay the manifest chain into a fresh store, or `None` when no
-    /// manifest exists. Missing/corrupt deltas are `Codec` errors.
+    /// last checkpoint (plus tombstones), extend the manifest chain and
+    /// record `installed_through`, the log end `store` was captured at.
+    fn checkpoint(
+        &mut self,
+        store: &StableStore,
+        installed_through: Lsn,
+        faults: Option<&FaultHost>,
+    ) -> Result<CkptStats>;
+    /// Replay the manifest chain into a fresh store carrying the manifest's
+    /// `installed_through`, or `None` when no manifest exists.
+    /// Missing/corrupt deltas are `Codec` errors.
     fn load_store(&self, metrics: Arc<Metrics>) -> Result<Option<StableStore>>;
     /// Number of deltas currently in the manifest chain.
     fn chain_len(&self) -> usize;
@@ -82,6 +94,7 @@ pub struct DeltaStore<B: BlobStore> {
     compact_chain: usize,
     kind: &'static str,
     next_epoch: u64,
+    installed_through: Lsn,
     chain: Vec<ChainEntry>,
     /// Mirror of the state the chain reconstructs, used to diff out the
     /// dirty set. `None` until the chain is first read: `load_store` primes
@@ -136,6 +149,7 @@ impl<B: BlobStore> DeltaStore<B> {
             compact_chain: cfg.compact_chain.max(1),
             kind,
             next_epoch: 1,
+            installed_through: Lsn::ZERO,
             chain: Vec::new(),
             mirror: Mutex::new(Some(Objects::new())),
         }
@@ -151,9 +165,10 @@ impl<B: BlobStore> DeltaStore<B> {
         kind: &'static str,
     ) -> Result<DeltaStore<B>> {
         let mut d = DeltaStore::over(blobs, metrics, cfg, kind);
-        if let Some((next_epoch, chain)) = read_manifest(&d.blobs)? {
-            d.next_epoch = next_epoch;
-            d.chain = chain;
+        if let Some(m) = read_manifest(&d.blobs)? {
+            d.next_epoch = m.next_epoch;
+            d.installed_through = m.installed_through;
+            d.chain = m.chain;
             d.mirror = Mutex::new(None);
         }
         Ok(d)
@@ -171,9 +186,10 @@ impl<B: BlobStore> DeltaStore<B> {
     }
 
     fn manifest_image(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.chain.len() * 20);
+        let mut out = Vec::with_capacity(40 + self.chain.len() * 20);
         out.extend_from_slice(MANIFEST_MAGIC);
         out.extend_from_slice(&self.next_epoch.to_le_bytes());
+        out.extend_from_slice(&self.installed_through.0.to_le_bytes());
         out.extend_from_slice(&(self.chain.len() as u64).to_le_bytes());
         for e in &self.chain {
             out.extend_from_slice(&e.epoch.to_le_bytes());
@@ -183,6 +199,19 @@ impl<B: BlobStore> DeltaStore<B> {
         let crc = crc32c(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
+    }
+
+    /// Write the manifest and sync; returns bytes persisted.
+    fn put_manifest(&mut self, faults: Option<&FaultHost>) -> Result<u64> {
+        let n = self.faulted_put(
+            STORE_MANIFEST,
+            failpoint::DEV_STORE_MANIFEST,
+            self.manifest_image(),
+            faults,
+        )?;
+        self.blobs.sync()?;
+        Metrics::bump(&self.metrics.io_fsyncs, 1);
+        Ok(n)
     }
 
     /// Write `image` through the failpoint `point`; returns bytes persisted.
@@ -212,8 +241,15 @@ impl<B: BlobStore> DeltaStore<B> {
     }
 }
 
+/// A parsed store manifest.
+struct Manifest {
+    next_epoch: u64,
+    installed_through: Lsn,
+    chain: Vec<ChainEntry>,
+}
+
 /// Read and parse the store manifest, or `None` when there is none.
-fn read_manifest<B: BlobStore>(blobs: &B) -> Result<Option<(u64, Vec<ChainEntry>)>> {
+fn read_manifest<B: BlobStore>(blobs: &B) -> Result<Option<Manifest>> {
     blobs
         .get(STORE_MANIFEST)?
         .map(|raw| parse_manifest(&raw))
@@ -221,14 +257,15 @@ fn read_manifest<B: BlobStore>(blobs: &B) -> Result<Option<(u64, Vec<ChainEntry>
 }
 
 /// Replay the chain the on-device manifest names into the image it
-/// reconstructs, or `None` when no manifest exists — the one reader of the
-/// chain's bytes. Missing, mis-sized or corrupt deltas are `Codec` errors.
-fn read_image<B: BlobStore>(blobs: &B) -> Result<Option<Objects>> {
-    let Some((_, chain)) = read_manifest(blobs)? else {
+/// reconstructs, with the manifest's `installed_through`, or `None` when no
+/// manifest exists — the one reader of the chain's bytes. Missing, mis-sized
+/// or corrupt deltas are `Codec` errors.
+fn read_image<B: BlobStore>(blobs: &B) -> Result<Option<(Objects, Lsn)>> {
+    let Some(manifest) = read_manifest(blobs)? else {
         return Ok(None);
     };
     let mut objects = Objects::new();
-    for entry in &chain {
+    for entry in &manifest.chain {
         let name = delta_name(entry.epoch);
         let err = |reason: String| LlogError::Codec { reason };
         let Some(raw) = blobs.get(&name)? else {
@@ -243,7 +280,7 @@ fn read_image<B: BlobStore>(blobs: &B) -> Result<Option<Objects>> {
         }
         apply_delta(&mut objects, &parse_delta(&raw, entry.epoch, entry.crc)?);
     }
-    Ok(Some(objects))
+    Ok(Some((objects, manifest.installed_through)))
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -349,11 +386,11 @@ fn parse_delta(raw: &[u8], expect_epoch: u64, expect_crc: u32) -> Result<Vec<Del
     Ok(entries)
 }
 
-fn parse_manifest(raw: &[u8]) -> Result<(u64, Vec<ChainEntry>)> {
+fn parse_manifest(raw: &[u8]) -> Result<Manifest> {
     let err = |reason: &str| LlogError::Codec {
         reason: format!("store manifest: {reason}"),
     };
-    if raw.len() < 8 + 8 + 8 + 4 {
+    if raw.len() < 8 + 8 + 8 + 8 + 4 {
         return Err(err("too short"));
     }
     let (body, crc_bytes) = raw.split_at(raw.len() - 4);
@@ -364,12 +401,13 @@ fn parse_manifest(raw: &[u8]) -> Result<(u64, Vec<ChainEntry>)> {
         return Err(err("bad magic"));
     }
     let next_epoch = u64::from_le_bytes(body[8..16].try_into().unwrap());
-    let count = u64::from_le_bytes(body[16..24].try_into().unwrap()) as usize;
-    if body.len() != 24 + count * 20 {
+    let installed_through = Lsn(u64::from_le_bytes(body[16..24].try_into().unwrap()));
+    let count = u64::from_le_bytes(body[24..32].try_into().unwrap()) as usize;
+    if body.len() != 32 + count * 20 {
         return Err(err("chain table size mismatch"));
     }
     let mut chain = Vec::with_capacity(count);
-    let mut at = 24;
+    let mut at = 32;
     let mut prev_epoch = 0u64;
     for _ in 0..count {
         let epoch = u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
@@ -385,7 +423,11 @@ fn parse_manifest(raw: &[u8]) -> Result<(u64, Vec<ChainEntry>)> {
         chain.push(ChainEntry { epoch, len, crc });
         at += 20;
     }
-    Ok((next_epoch, chain))
+    Ok(Manifest {
+        next_epoch,
+        installed_through,
+        chain,
+    })
 }
 
 impl<B: BlobStore> StoreDevice for DeltaStore<B> {
@@ -397,7 +439,12 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
         self.chain.len()
     }
 
-    fn checkpoint(&mut self, store: &StableStore, faults: Option<&FaultHost>) -> Result<CkptStats> {
+    fn checkpoint(
+        &mut self,
+        store: &StableStore,
+        installed_through: Lsn,
+        faults: Option<&FaultHost>,
+    ) -> Result<CkptStats> {
         let compact = self.chain.len() >= self.compact_chain;
         let mut entries: Vec<DeltaEntry> = Vec::new();
         let mut skipped = 0u64;
@@ -419,7 +466,7 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
             if slot.is_none() {
                 // Never loaded since attach: build the mirror through the
                 // one chain reader, so the delta is what it always was.
-                *slot = Some(read_image(&self.blobs)?.unwrap_or_default());
+                *slot = Some(read_image(&self.blobs)?.unwrap_or_default().0);
             }
             let mirror = slot.as_ref().expect("built above");
             for (id, obj) in store.iter() {
@@ -446,12 +493,18 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
             entries.sort_by_key(|e| e.id);
             if entries.is_empty() {
                 // Nothing dirty: the chain on disk already reconstructs
-                // `store` exactly. O(0) durability cost.
+                // `store` exactly. O(0) durability cost, plus the manifest
+                // when the bound moved.
                 Metrics::bump(&self.metrics.ckpt_objects_skipped, skipped);
-                return Ok(CkptStats {
+                let mut stats = CkptStats {
                     objects_skipped: skipped,
                     ..CkptStats::default()
-                });
+                };
+                if installed_through != self.installed_through {
+                    self.installed_through = installed_through;
+                    stats.bytes_written = self.put_manifest(faults)?;
+                }
+                return Ok(stats);
             }
         }
         let epoch = self.next_epoch;
@@ -474,14 +527,8 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
         };
         self.chain.push(entry);
         self.next_epoch += 1;
-        bytes_written += self.faulted_put(
-            STORE_MANIFEST,
-            failpoint::DEV_STORE_MANIFEST,
-            self.manifest_image(),
-            faults,
-        )?;
-        self.blobs.sync()?;
-        Metrics::bump(&self.metrics.io_fsyncs, 1);
+        self.installed_through = installed_through;
+        bytes_written += self.put_manifest(faults)?;
         // New manifest durable: folded deltas are unreachable, delete them.
         for e in &old_chain {
             self.blobs.delete(&delta_name(e.epoch))?;
@@ -505,7 +552,7 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
     }
 
     fn load_store(&self, metrics: Arc<Metrics>) -> Result<Option<StableStore>> {
-        let Some(objects) = read_image(&self.blobs)? else {
+        let Some((objects, installed_through)) = read_image(&self.blobs)? else {
             return Ok(None);
         };
         // Prime the diff mirror from the image just read (values are
@@ -518,6 +565,7 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
         drop(mirror);
         let mut store = StableStore::new(metrics);
         store.restore(objects);
+        store.set_installed_through(installed_through);
         Ok(Some(store))
     }
 }
@@ -526,6 +574,9 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
 mod tests {
     use super::*;
     use llog_testkit::faults::FaultKind;
+
+    /// The log end every test checkpoint records as its bound.
+    const END: Lsn = Lsn(100);
 
     fn cfg(compact: usize) -> DeviceConfig {
         DeviceConfig {
@@ -546,15 +597,15 @@ mod tests {
     fn incremental_checkpoint_writes_only_dirty() {
         let mut d = MemStoreDevice::mem(Metrics::new(), &cfg(100));
         let mut s = store_of(&[(1, "a", 1), (2, "b", 2), (3, "c", 3)]);
-        let st = d.checkpoint(&s, None).unwrap();
+        let st = d.checkpoint(&s, END, None).unwrap();
         assert_eq!((st.objects_written, st.objects_skipped), (3, 0));
         // One object dirtied, one removed: delta has exactly those two.
         s.write(ObjectId(2), Value::from("B"), Lsn(9));
         s.remove(ObjectId(3));
-        let st = d.checkpoint(&s, None).unwrap();
+        let st = d.checkpoint(&s, END, None).unwrap();
         assert_eq!((st.objects_written, st.objects_skipped), (2, 1));
         // Clean store: zero-cost checkpoint.
-        let st = d.checkpoint(&s, None).unwrap();
+        let st = d.checkpoint(&s, END, None).unwrap();
         assert_eq!((st.objects_written, st.bytes_written), (0, 0));
         assert_eq!(st.objects_skipped, 2);
         // Replaying the chain reconstructs the store exactly.
@@ -577,12 +628,12 @@ mod tests {
         for i in 0..objects {
             s.write(ObjectId(i), value(i, 0), Lsn(i + 1));
         }
-        d.checkpoint(&s, None).unwrap();
+        d.checkpoint(&s, END, None).unwrap();
         for k in 0..dirty {
             let x = k * objects / dirty;
             s.write(ObjectId(x), value(x, 1), Lsn(objects + k + 1));
         }
-        let st = d.checkpoint(&s, None).unwrap();
+        let st = d.checkpoint(&s, END, None).unwrap();
         assert_eq!(
             (st.objects_written, st.objects_skipped),
             (dirty, objects - dirty),
@@ -608,7 +659,7 @@ mod tests {
         let mut s = StableStore::new(Metrics::new());
         for i in 1..=4u64 {
             s.write(ObjectId(i), Value::from("v"), Lsn(i));
-            let st = d.checkpoint(&s, None).unwrap();
+            let st = d.checkpoint(&s, END, None).unwrap();
             assert_eq!(st.compacted, i == 4, "fold on the 4th (chain hit 3)");
         }
         assert_eq!(d.chain_len(), 1, "chain folded to one full image");
@@ -636,11 +687,11 @@ mod tests {
         let s = store_of(&[(1, "a", 1), (2, "b", 2)]);
         {
             let mut d = FileStoreDevice::file(&dir, Metrics::new(), &cfg(100)).unwrap();
-            d.checkpoint(&s, None).unwrap();
+            d.checkpoint(&s, END, None).unwrap();
         }
         // Reopen: the mirror is rebuilt, so a clean store checkpoints for free.
         let mut d = FileStoreDevice::file(&dir, Metrics::new(), &cfg(100)).unwrap();
-        let st = d.checkpoint(&s, None).unwrap();
+        let st = d.checkpoint(&s, END, None).unwrap();
         assert_eq!((st.objects_written, st.objects_skipped), (0, 2));
         let loaded = d.load_store(Metrics::new()).unwrap().unwrap();
         assert_eq!(loaded.snapshot(), s.snapshot());
@@ -651,7 +702,7 @@ mod tests {
     fn attach_then_checkpoint_without_load_writes_the_same_delta() {
         let mut s = store_of(&[(1, "a", 1), (2, "b", 2), (3, "c", 3)]);
         let mut writer = MemStoreDevice::mem(Metrics::new(), &cfg(100));
-        writer.checkpoint(&s, None).unwrap();
+        writer.checkpoint(&s, END, None).unwrap();
         let mut attached =
             DeltaStore::attach(writer.blobs.clone(), Metrics::new(), &cfg(100), "mem").unwrap();
         assert!(
@@ -661,7 +712,7 @@ mod tests {
         s.write(ObjectId(2), Value::from("B"), Lsn(9));
         s.remove(ObjectId(3));
         s.write(ObjectId(4), Value::from("d"), Lsn(10));
-        let st = attached.checkpoint(&s, None).unwrap();
+        let st = attached.checkpoint(&s, END, None).unwrap();
         assert_eq!((st.objects_written, st.objects_skipped), (3, 1));
         // Byte for byte what a device that read the whole chain at attach
         // wrote for this checkpoint (captured from that implementation).
@@ -673,28 +724,53 @@ mod tests {
              000000000001000000420300000000000000010000000000000000000000000400000000\
              000000000a00000000000000010000006412ac1628"
         );
+        // The manifest: the same chain, with `installed_through` (END, 0x64)
+        // after `next_epoch`.
         let manifest = attached.blobs.get(STORE_MANIFEST).unwrap().unwrap();
         assert_eq!(
             hex(&manifest),
-            "4c4c4f47534d46310300000000000000020000000000000001000000000000005e000000\
-             00000000c74b674802000000000000005d00000000000000c74b674803cb602c"
+            "4c4c4f47534d46310300000000000000640000000000000002000000000000000100000000\
+             0000005e00000000000000c74b674802000000000000005d00000000000000c74b674893f6b572"
         );
         // And what the writer, whose mirror never left memory, writes too.
-        writer.checkpoint(&s, None).unwrap();
+        writer.checkpoint(&s, END, None).unwrap();
         assert_eq!(writer.dump_blobs().unwrap(), attached.dump_blobs().unwrap());
+    }
+
+    #[test]
+    fn installed_through_survives_attach_and_load_store() {
+        let s = store_of(&[(1, "a", 1)]);
+        let mut writer = MemStoreDevice::mem(Metrics::new(), &cfg(100));
+        writer.checkpoint(&s, Lsn(40), None).unwrap();
+        let attached =
+            DeltaStore::attach(writer.blobs.clone(), Metrics::new(), &cfg(100), "mem").unwrap();
+        assert_eq!(attached.installed_through, Lsn(40));
+        let loaded = attached.load_store(Metrics::new()).unwrap().unwrap();
+        assert_eq!(loaded.installed_through(), Lsn(40));
+        // Nothing dirty but the bound moved: the manifest alone is
+        // rewritten, and the chain does not grow.
+        let st = writer.checkpoint(&s, Lsn(41), None).unwrap();
+        assert_eq!(st.objects_written, 0);
+        assert!(st.bytes_written > 0);
+        assert_eq!(writer.chain_len(), 1);
+        let loaded = writer.load_store(Metrics::new()).unwrap().unwrap();
+        assert_eq!(loaded.installed_through(), Lsn(41));
+        // Same bound, nothing dirty: nothing is written.
+        let st = writer.checkpoint(&s, Lsn(41), None).unwrap();
+        assert_eq!(st.bytes_written, 0);
     }
 
     #[test]
     fn load_primes_the_mirror() {
         let s = store_of(&[(1, "a", 1), (2, "b", 2)]);
         let mut writer = MemStoreDevice::mem(Metrics::new(), &cfg(100));
-        writer.checkpoint(&s, None).unwrap();
+        writer.checkpoint(&s, END, None).unwrap();
         let mut d =
             DeltaStore::attach(writer.blobs.clone(), Metrics::new(), &cfg(100), "mem").unwrap();
         let loaded = d.load_store(Metrics::new()).unwrap().unwrap();
         assert_eq!(d.mirror.get_mut().unwrap().as_ref(), Some(&s.snapshot()));
         // A clean store then checkpoints for free.
-        let st = d.checkpoint(&loaded, None).unwrap();
+        let st = d.checkpoint(&loaded, END, None).unwrap();
         assert_eq!((st.objects_written, st.objects_skipped), (0, 2));
     }
 
@@ -707,7 +783,7 @@ mod tests {
             failpoint::DEV_STORE_DELTA,
             FaultKind::TornWrite { at_byte: 17 },
         );
-        d.checkpoint(&s, Some(&h)).unwrap();
+        d.checkpoint(&s, END, Some(&h)).unwrap();
         let err = d.load_store(Metrics::new()).unwrap_err();
         assert!(matches!(err, LlogError::Codec { .. }), "got {err}");
     }
@@ -716,11 +792,11 @@ mod tests {
     fn delayed_manifest_keeps_previous_chain_loadable() {
         let mut d = MemStoreDevice::mem(Metrics::new(), &cfg(100));
         let mut s = store_of(&[(1, "a", 1)]);
-        d.checkpoint(&s, None).unwrap();
+        d.checkpoint(&s, END, None).unwrap();
         s.write(ObjectId(1), Value::from("z"), Lsn(5));
         let h = FaultHost::new();
         h.arm(failpoint::DEV_STORE_MANIFEST, FaultKind::DelayedWrite);
-        d.checkpoint(&s, Some(&h)).unwrap();
+        d.checkpoint(&s, END, Some(&h)).unwrap();
         // The stale manifest still reconstructs the first checkpoint.
         let loaded = d.load_store(Metrics::new()).unwrap().unwrap();
         assert_eq!(loaded.peek(ObjectId(1)).unwrap().value.as_bytes(), b"a");
@@ -730,14 +806,14 @@ mod tests {
     fn duplicated_chain_epoch_is_codec() {
         let mut d = MemStoreDevice::mem(Metrics::new(), &cfg(100));
         let s = store_of(&[(1, "a", 1)]);
-        d.checkpoint(&s, None).unwrap();
+        d.checkpoint(&s, END, None).unwrap();
         // Forge a manifest listing epoch 1 twice.
         let raw = d.blobs.get(STORE_MANIFEST).unwrap().unwrap();
-        let (_, chain) = parse_manifest(&raw).unwrap();
-        let e = chain[0];
+        let e = parse_manifest(&raw).unwrap().chain[0];
         let mut out = Vec::new();
         out.extend_from_slice(MANIFEST_MAGIC);
         out.extend_from_slice(&3u64.to_le_bytes()); // next_epoch
+        out.extend_from_slice(&END.0.to_le_bytes()); // installed_through
         out.extend_from_slice(&2u64.to_le_bytes()); // chain_len
         for _ in 0..2 {
             out.extend_from_slice(&e.epoch.to_le_bytes());

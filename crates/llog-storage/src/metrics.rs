@@ -230,16 +230,6 @@ counters! {
     versions_gced: sum,
     /// Gauge: the SI floor of the last GC pass (a per-shard LSN).
     snapshot_oldest_si: max,
-    /// Operations logged as logical `Op` records (hybrid logging).
-    log_records_logical: sum,
-    /// Operations logged as physical-result records (hybrid logging).
-    log_records_physical: sum,
-    /// Log bytes (framing + payload) spent on logical op records.
-    log_bytes_logical: sum,
-    /// Log bytes (framing + payload) spent on physical-result records.
-    log_bytes_physical: sum,
-    /// Cold logical records converted to physical at checkpoint time.
-    ckpt_ops_converted: sum,
     /// rW nodes touched by reachability searches, reader lookups and minimal-node picks.
     rw_nodes_visited: sum,
     /// Σ|vars(n)| over installed nodes: objects flushed to install.
@@ -362,13 +352,12 @@ mod tests {
             segments_reclaimed segments_recycled forces_coalesced double_buffer_overlap_ns \
             ckpt_objects_written ckpt_objects_skipped repl_segments_shipped repl_bytes_shipped \
             repl_replay_lag_frames repl_watermark_lsn reads_snapshot versions_retained \
-            versions_gced snapshot_oldest_si log_records_logical log_records_physical \
-            log_bytes_logical log_bytes_physical ckpt_ops_converted rw_nodes_visited \
-            install_vars_objects install_notx_objects";
+            versions_gced snapshot_oldest_si rw_nodes_visited install_vars_objects \
+            install_notx_objects";
         let pinned: Vec<&str> = pinned.split_whitespace().collect();
         let keys: Vec<&str> = MetricsSnapshot::COUNTERS.iter().map(|(n, _)| *n).collect();
         assert_eq!(keys, pinned);
-        assert_eq!(MetricsSnapshot::LEN, 47);
+        assert_eq!(MetricsSnapshot::LEN, 42);
         let json = MetricsSnapshot::default().to_json();
         let expected: Vec<String> = pinned.iter().map(|k| format!("\"{k}\":0")).collect();
         assert_eq!(json, format!("{{{}}}", expected.join(",")));

@@ -28,6 +28,7 @@ pub struct StoredObject {
 pub struct StableStore {
     objects: BTreeMap<ObjectId, StoredObject>,
     metrics: Arc<Metrics>,
+    installed_through: Lsn,
 }
 
 impl StableStore {
@@ -36,7 +37,22 @@ impl StableStore {
         StableStore {
             objects: BTreeMap::new(),
             metrics,
+            installed_through: Lsn::MAX,
         }
+    }
+
+    /// The log address below which every `Install` and `Flush` record's
+    /// effects are in this store. A store loaded from a device carries the
+    /// bound its last persist recorded, and recovery ignores those records
+    /// at or above it; an in-memory store holds every install it took, so
+    /// its bound is `Lsn::MAX`.
+    pub fn installed_through(&self) -> Lsn {
+        self.installed_through
+    }
+
+    /// Set the [`installed_through`](Self::installed_through) bound.
+    pub fn set_installed_through(&mut self, lsn: Lsn) {
+        self.installed_through = lsn;
     }
 
     /// The cost ledger this store reports into.

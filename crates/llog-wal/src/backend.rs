@@ -22,6 +22,12 @@
 //!   recovery tolerates (the extra replay fails the REDO test); the
 //!   reverse — a log truncated past a store that was never made durable —
 //!   can not occur.
+//! - The store device is only as fresh as the last `persist`, while the
+//!   log device gets every force. `Install` and `Flush` records vouch for
+//!   store writes, so the store manifest records `installed_through`: the
+//!   log end at the instant the persisted store was captured. Recovery
+//!   ignores `Install`/`Flush` records at or above it and redoes the
+//!   operations they covered. A device with no store manifest trusts none.
 //!
 //! The file layout puts the two devices in `log/` and `store/`
 //! subdirectories of one backend root, so a database directory is
@@ -114,13 +120,16 @@ impl DurabilityBackend {
 
     /// Persist `(store, wal)` incrementally: store checkpoint first (see
     /// the module docs for why), then the WAL tail + truncation reclaim.
+    /// The store's `installed_through` bound is `wal.end_lsn()`, so the
+    /// caller must hand in a `store` and `wal` captured together (under one
+    /// engine lock).
     pub fn persist(
         &mut self,
         store: &StableStore,
         wal: &Wal,
         faults: Option<&FaultHost>,
     ) -> Result<PersistOutcome> {
-        let ckpt = self.store.checkpoint(store, faults)?;
+        let ckpt = self.store.checkpoint(store, wal.end_lsn(), faults)?;
         let durable = wal.persist_to(self.log.as_mut(), faults)?;
         Ok(PersistOutcome { durable, ckpt })
     }
@@ -129,16 +138,18 @@ impl DurabilityBackend {
     /// force hook, so a flusher may extend durability to the device tier
     /// after every force without paying the checkpoint.
     ///
-    /// A log device *fresher* than the store device is safe for operation
-    /// records: recovery replays them (the reverse order is what
-    /// [`DurabilityBackend::persist`] exists to prevent). It is **not**
-    /// safe for `Install` and `Flush` records. They vouch for store state —
-    /// `vars(n)` written, an object clean at some vSI — that reaches the
-    /// store device only at the next [`DurabilityBackend::persist`]; after
-    /// a crash in between, analysis trusts them and redo skips operations
-    /// whose effects the recovered store does not hold. This is the open
-    /// acked-write loss on the served path; this method does not prevent
-    /// it.
+    /// A log device *fresher* than the store device is safe. Operation
+    /// records are replayed. `Install` and `Flush` records vouch for store
+    /// state — `vars(n)` written, an object clean at some vSI — that reaches
+    /// the store device only at the next [`DurabilityBackend::persist`];
+    /// the ones at or above the store's `installed_through` are ignored by
+    /// recovery, which redoes the operations they covered instead.
+    ///
+    /// What is **not** safe is the reverse: a log device whose truncation
+    /// or master checkpoint ran ahead of the store device. Only `persist`
+    /// may advance those, and it writes the store first. A caller whose
+    /// `persist` failed after the in-memory log was truncated must stop
+    /// forcing this backend.
     pub fn persist_wal(&mut self, wal: &Wal, faults: Option<&FaultHost>) -> Result<Lsn> {
         wal.persist_to(self.log.as_mut(), faults)
     }
@@ -161,8 +172,8 @@ impl DurabilityBackend {
 
     /// Reboot: load the persisted pair, or `None` when *neither* device
     /// holds a manifest (nothing was ever persisted). A missing store
-    /// manifest with a present log means the store was empty at every
-    /// checkpoint (empty deltas write nothing) — it loads empty; the
+    /// manifest with a present log means no `persist` ever completed — the
+    /// store loads empty and trusts no `Install`/`Flush` record; the
     /// reverse means the crash hit between the two persist steps and the
     /// log device never got its manifest — the WAL loads fresh.
     pub fn load(&self, metrics: Arc<Metrics>) -> Result<Option<(StableStore, Wal)>> {
@@ -171,10 +182,12 @@ impl DurabilityBackend {
         if store.is_none() && wal.is_none() {
             return Ok(None);
         }
-        Ok(Some((
-            store.unwrap_or_else(|| StableStore::new(metrics.clone())),
-            wal.unwrap_or_else(|| Wal::new(metrics)),
-        )))
+        let store = store.unwrap_or_else(|| {
+            let mut empty = StableStore::new(metrics.clone());
+            empty.set_installed_through(Lsn::ZERO);
+            empty
+        });
+        Ok(Some((store, wal.unwrap_or_else(|| Wal::new(metrics)))))
     }
 }
 
@@ -256,7 +269,34 @@ mod tests {
     }
 
     #[test]
-    fn empty_store_persists_log_only_and_loads_empty() {
+    fn installed_through_is_the_log_end_at_persist() {
+        let (store, mut wal) = populated();
+        let mut b = DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small());
+        b.persist(&store, &wal, None).unwrap();
+        let bound = wal.end_lsn();
+        wal.append(&LogRecord::Flush {
+            obj: ObjectId(1),
+            vsi: Lsn(10),
+        });
+        wal.force();
+        b.persist_wal(&wal, None).unwrap();
+        let (s2, w2) = b.load(Metrics::new()).unwrap().unwrap();
+        assert_eq!(s2.installed_through(), bound);
+        assert!(w2.end_lsn() > bound, "the Flush record is past the bound");
+    }
+
+    #[test]
+    fn log_without_store_manifest_trusts_no_install() {
+        let (_, wal) = populated();
+        let mut b = DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small());
+        b.persist_wal(&wal, None).unwrap();
+        let (s2, _) = b.load(Metrics::new()).unwrap().unwrap();
+        assert!(s2.is_empty());
+        assert_eq!(s2.installed_through(), Lsn::ZERO);
+    }
+
+    #[test]
+    fn empty_store_persists_and_loads_empty() {
         let m = Metrics::new();
         let store = StableStore::new(m.clone());
         let mut wal = Wal::new(m);

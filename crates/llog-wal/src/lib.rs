@@ -22,7 +22,5 @@ mod wal;
 
 pub use archive::LogArchive;
 pub use backend::{DurabilityBackend, PersistOutcome, LOG_SUBDIR, STORE_SUBDIR};
-pub use record::{
-    CheckpointRecord, ConvertedRecord, InstallRecord, LogRecord, PhysicalResultRecord,
-};
+pub use record::{CheckpointRecord, InstallRecord, LogRecord};
 pub use wal::{BeginForce, ForceOutcome, Wal, WalScan};

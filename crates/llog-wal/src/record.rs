@@ -4,7 +4,7 @@
 //! torn tails; the scan stops at the first frame that fails bounds or
 //! checksum validation.
 
-use llog_ops::{builtin, OpKind, Operation, Transform};
+use llog_ops::{OpKind, Operation, Transform};
 use llog_types::{ByteReader, ByteWriter, FnId, LlogError, Lsn, ObjectId, OpId, Result, Value};
 
 /// §5 installation record: node `n` of the write graph was installed by
@@ -30,70 +30,11 @@ pub struct CheckpointRecord {
     pub redo_start: Lsn,
 }
 
-/// Hybrid logging: the physical-result form of an operation. Instead of the
-/// logical description (function id + params + readset), the record carries
-/// the writeset ids and the post-images the transform produced at execute
-/// time — redo is a blind install, never a re-execution. The encoding is
-/// versioned (a leading version byte under the tag) so the format can evolve
-/// without burning a tag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhysicalResultRecord {
-    /// The operation's id (conflict-order position, as for `Op` records).
-    pub id: OpId,
-    /// The transform the operation originally ran — kept for diagnostics and
-    /// cost accounting; replay never invokes it.
-    pub origin_fn: FnId,
-    /// `writeset(Op)` in output order.
-    pub writes: Vec<ObjectId>,
-    /// Post-images, positionally matching `writes`.
-    pub values: Vec<Value>,
-}
-
-impl PhysicalResultRecord {
-    /// The equivalent blind-write operation: empty readset, `CONST`
-    /// transform carrying the post-images. Recovery, the partitioner and
-    /// standby replay all run this through the ordinary operation machinery
-    /// — a physical result is just a blind write whose values are known.
-    pub fn to_operation(&self) -> Operation {
-        Operation::new(
-            self.id,
-            OpKind::Physical,
-            vec![],
-            self.writes.clone(),
-            Transform::new(builtin::CONST, builtin::encode_values(&self.values)),
-        )
-    }
-}
-
-/// Checkpoint-time conversion of a cold logical record (ROADMAP item 2): the
-/// post-images of the still-uninstalled operation logged at LSN `at`,
-/// captured from the cache in identity-write style (§4 — the values are
-/// logged without being changed). During redo these act as *hints*: when the
-/// REDO test selects the op at `at`, replay installs these values instead of
-/// re-executing its transform. Order and REDO decisions are untouched, which
-/// is what makes conversion crash-safe — a conversion record with or without
-/// its checkpoint record changes only how a redo is performed, never whether.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConvertedRecord {
-    /// LSN of the logical `Op` record this conversion covers.
-    pub at: Lsn,
-    /// That operation's id (diagnostics / dedup).
-    pub id: OpId,
-    /// `writeset(Op)` in output order.
-    pub writes: Vec<ObjectId>,
-    /// Post-images, positionally matching `writes`.
-    pub values: Vec<Value>,
-}
-
 /// Every record kind the recovery stack writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// An operation; its lSI is the record's LSN.
     Op(Operation),
-    /// An operation logged by result rather than by description.
-    PhysicalResult(PhysicalResultRecord),
-    /// A checkpoint-time conversion of a cold logical record (redo hint).
-    Converted(ConvertedRecord),
     /// Installation of a write-graph node (§5).
     Install(InstallRecord),
     /// A completed single-object flush (physiological-style flush logging;
@@ -133,11 +74,6 @@ const TAG_FT_BEGIN: u8 = 4;
 const TAG_FT_VALUE: u8 = 5;
 const TAG_FT_COMMIT: u8 = 6;
 const TAG_CHECKPOINT: u8 = 7;
-const TAG_PHYSICAL_RESULT: u8 = 8;
-const TAG_CONVERTED: u8 = 9;
-
-/// Current encoding version of the hybrid-logging records (tags 8 and 9).
-const HYBRID_VERSION: u8 = 1;
 
 const KIND_LOGICAL: u8 = 0;
 const KIND_PHYSIOLOGICAL: u8 = 1;
@@ -190,28 +126,6 @@ impl LogRecord {
                 out.put_u16_le(op.transform.fn_id.0);
                 out.put_u32_le(op.transform.params.len() as u32);
                 out.put_slice(op.transform.params.as_bytes());
-            }
-            LogRecord::PhysicalResult(pr) => {
-                out.put_u8(TAG_PHYSICAL_RESULT);
-                out.put_u8(HYBRID_VERSION);
-                out.put_u64_le(pr.id.0);
-                out.put_u16_le(pr.origin_fn.0);
-                out.put_u16_le(pr.writes.len() as u16);
-                for x in &pr.writes {
-                    out.put_u64_le(x.0);
-                }
-                put_value_list(&mut out, &pr.values);
-            }
-            LogRecord::Converted(cv) => {
-                out.put_u8(TAG_CONVERTED);
-                out.put_u8(HYBRID_VERSION);
-                out.put_u64_le(cv.at.0);
-                out.put_u64_le(cv.id.0);
-                out.put_u16_le(cv.writes.len() as u16);
-                for x in &cv.writes {
-                    out.put_u64_le(x.0);
-                }
-                put_value_list(&mut out, &cv.values);
             }
             LogRecord::Install(ir) => {
                 out.put_u8(TAG_INSTALL);
@@ -292,68 +206,6 @@ impl LogRecord {
                     transform: Transform::new(fn_id, params),
                 }))
             }
-            TAG_PHYSICAL_RESULT => {
-                if buf.remaining() < 1 + 8 + 2 + 2 {
-                    return Err(err("physical-result header truncated"));
-                }
-                let version = buf.get_u8();
-                if version != HYBRID_VERSION {
-                    return Err(LlogError::Codec {
-                        reason: format!("unsupported physical-result version {version}"),
-                    });
-                }
-                let id = OpId(buf.get_u64_le());
-                let origin_fn = FnId(buf.get_u16_le());
-                let n_writes = buf.get_u16_le() as usize;
-                if buf.remaining() < n_writes * 8 {
-                    return Err(err("physical-result writeset truncated"));
-                }
-                let mut writes = Vec::with_capacity(n_writes);
-                for _ in 0..n_writes {
-                    writes.push(ObjectId(buf.get_u64_le()));
-                }
-                let values = get_value_list(&mut buf)?;
-                if values.len() != writes.len() {
-                    return Err(err("physical-result value/writeset arity mismatch"));
-                }
-                Ok(LogRecord::PhysicalResult(PhysicalResultRecord {
-                    id,
-                    origin_fn,
-                    writes,
-                    values,
-                }))
-            }
-            TAG_CONVERTED => {
-                if buf.remaining() < 1 + 8 + 8 + 2 {
-                    return Err(err("converted header truncated"));
-                }
-                let version = buf.get_u8();
-                if version != HYBRID_VERSION {
-                    return Err(LlogError::Codec {
-                        reason: format!("unsupported converted-record version {version}"),
-                    });
-                }
-                let at = Lsn(buf.get_u64_le());
-                let id = OpId(buf.get_u64_le());
-                let n_writes = buf.get_u16_le() as usize;
-                if buf.remaining() < n_writes * 8 {
-                    return Err(err("converted writeset truncated"));
-                }
-                let mut writes = Vec::with_capacity(n_writes);
-                for _ in 0..n_writes {
-                    writes.push(ObjectId(buf.get_u64_le()));
-                }
-                let values = get_value_list(&mut buf)?;
-                if values.len() != writes.len() {
-                    return Err(err("converted value/writeset arity mismatch"));
-                }
-                Ok(LogRecord::Converted(ConvertedRecord {
-                    at,
-                    id,
-                    writes,
-                    values,
-                }))
-            }
             TAG_INSTALL => {
                 let vars = get_obj_lsn_list(&mut buf)?;
                 let notx = get_obj_lsn_list(&mut buf)?;
@@ -419,41 +271,6 @@ fn put_obj_lsn_list(out: &mut Vec<u8>, list: &[(ObjectId, Lsn)]) {
         out.put_u64_le(x.0);
         out.put_u64_le(lsn.0);
     }
-}
-
-fn put_value_list(out: &mut Vec<u8>, values: &[Value]) {
-    out.put_u32_le(values.len() as u32);
-    for v in values {
-        out.put_u32_le(v.len() as u32);
-        out.put_slice(v.as_bytes());
-    }
-}
-
-fn get_value_list(buf: &mut &[u8]) -> Result<Vec<Value>> {
-    if buf.remaining() < 4 {
-        return Err(LlogError::Codec {
-            reason: "value list header truncated".into(),
-        });
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut values = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        if buf.remaining() < 4 {
-            return Err(LlogError::Codec {
-                reason: "value list length truncated".into(),
-            });
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len {
-            return Err(LlogError::Codec {
-                reason: "value list body truncated".into(),
-            });
-        }
-        let rest = *buf;
-        values.push(Value::from_slice(&rest[..len]));
-        *buf = &rest[len..];
-    }
-    Ok(values)
 }
 
 fn get_obj_lsn_list(buf: &mut &[u8]) -> Result<Vec<(ObjectId, Lsn)>> {
@@ -530,99 +347,12 @@ mod tests {
         roundtrip(LogRecord::Checkpoint(CheckpointRecord::default()));
     }
 
-    fn sample_physical_result() -> PhysicalResultRecord {
-        PhysicalResultRecord {
-            id: OpId(12),
-            origin_fn: FnId(6),
-            writes: vec![ObjectId(3), ObjectId(9)],
-            values: vec![Value::from("abc"), Value::filled(0xAB, 64)],
-        }
-    }
-
-    fn sample_converted() -> ConvertedRecord {
-        ConvertedRecord {
-            at: Lsn(400),
-            id: OpId(13),
-            writes: vec![ObjectId(7)],
-            values: vec![Value::from("post-image")],
-        }
-    }
-
-    #[test]
-    fn hybrid_records_roundtrip() {
-        roundtrip(LogRecord::PhysicalResult(sample_physical_result()));
-        roundtrip(LogRecord::Converted(sample_converted()));
-        roundtrip(LogRecord::PhysicalResult(PhysicalResultRecord {
-            id: OpId(1),
-            origin_fn: FnId(0),
-            writes: vec![ObjectId(1)],
-            values: vec![Value::empty()],
-        }));
-    }
-
-    #[test]
-    fn hybrid_records_reject_every_truncation() {
-        for full in [
-            LogRecord::PhysicalResult(sample_physical_result()).encode(),
-            LogRecord::Converted(sample_converted()).encode(),
-        ] {
-            for cut in 0..full.len() {
-                assert!(
-                    LogRecord::decode(&full[..cut]).is_err(),
-                    "truncation at {cut} accepted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hybrid_records_reject_future_versions() {
-        for rec in [
-            LogRecord::PhysicalResult(sample_physical_result()),
-            LogRecord::Converted(sample_converted()),
-        ] {
-            let mut bytes = rec.encode();
-            bytes[1] = 2; // bump the version byte under the tag
-            assert!(LogRecord::decode(&bytes).is_err());
-        }
-    }
-
-    #[test]
-    fn hybrid_records_reject_arity_mismatch() {
-        let mut pr = sample_physical_result();
-        pr.values.pop();
-        let bytes = LogRecord::PhysicalResult(pr).encode();
-        assert!(LogRecord::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn physical_result_becomes_a_blind_const_op() {
-        let pr = sample_physical_result();
-        let op = pr.to_operation();
-        assert_eq!(op.id, pr.id);
-        assert_eq!(op.kind, OpKind::Physical);
-        assert!(op.reads.is_empty());
-        assert_eq!(op.writes, pr.writes);
-        assert!(op.carries_values());
-        // The CONST transform reproduces exactly the logged post-images.
-        let reg = llog_ops::TransformRegistry::with_builtins();
-        let out = reg
-            .apply(op.id, &op.transform, &[], op.writes.len())
-            .unwrap();
-        assert_eq!(out, pr.values);
-    }
-
-    #[test]
-    fn physical_result_is_leaner_than_the_equivalent_const_op() {
-        let pr = sample_physical_result();
-        let as_record = LogRecord::PhysicalResult(pr.clone()).encode();
-        let as_op = LogRecord::Op(pr.to_operation()).encode();
-        assert!(as_record.len() < as_op.len());
-    }
-
     #[test]
     fn decode_rejects_unknown_tag() {
-        assert!(LogRecord::decode(&[99]).is_err());
+        // 8 and 9 were the retired hybrid-logging records.
+        for tag in [0, 8, 9, 99] {
+            assert!(LogRecord::decode(&[tag, 1, 0, 0, 0]).is_err(), "tag {tag}");
+        }
         assert!(LogRecord::decode(&[]).is_err());
     }
 

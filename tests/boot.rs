@@ -3,7 +3,8 @@
 //! A reboot reads every store and log byte once: attaching a device reads
 //! manifests (and the log's segments, which `load` then reuses), `load` is
 //! the one reader of the store's delta chain. A shard whose image is rotten
-//! fails the whole boot with `Codec`, cleanly.
+//! fails the whole boot with `Codec`, cleanly. A boot does not trust
+//! `Install`/`Flush` records the store device never saw.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -229,4 +230,52 @@ fn rotten_delta_on_one_of_three_shards_fails_boot_with_codec() {
         Err(LlogError::Codec { reason }) => assert!(reason.contains("checksum"), "{reason}"),
         other => panic!("expected Codec for a rotten delta, got {other:?}"),
     }
+}
+
+/// Acked puts survive a kill whose log device holds `Install` and `Flush`
+/// records the store device never absorbed: the store device keeps the one
+/// `persist_all` below, while every force after `install_all` carries those
+/// records to the log device. Boot must redo what they claim installed.
+#[test]
+fn acked_puts_survive_installs_the_store_device_never_saw() {
+    const N: u64 = 2_000;
+    let d = TempDir::new("installed-through");
+    let reg = TransformRegistry::with_builtins();
+    let value = |i: u64| Value::from(format!("v{i}").as_str());
+    let e = open_served(d.path(), 2, &reg).unwrap();
+    e.persist_all().unwrap();
+    let put = |i: u64| {
+        let t = e
+            .execute(
+                OpKind::Physical,
+                vec![],
+                vec![ObjectId(i)],
+                Transform::new(builtin::CONST, builtin::encode_values(&[value(i)])),
+            )
+            .unwrap();
+        assert!(t.wait(), "put {i} acked");
+    };
+    for i in 0..N {
+        put(i);
+    }
+    e.install_all().unwrap();
+    // One more waited put per shard: its force carries that shard's
+    // Install/Flush records to the log device.
+    for shard in 0..2 {
+        put((N..)
+            .find(|&i| e.router().shard_of(ObjectId(i)) == shard)
+            .unwrap());
+    }
+    drop(e); // no persist: the store devices hold only the first one
+
+    let e = open_served(d.path(), 2, &reg).unwrap();
+    let lost: Vec<u64> = (0..N)
+        .filter(|&i| e.read_value(ObjectId(i)).unwrap() != value(i))
+        .collect();
+    assert!(
+        lost.is_empty(),
+        "{} acked puts lost, first {:?}",
+        lost.len(),
+        lost.first()
+    );
 }

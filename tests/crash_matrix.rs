@@ -21,7 +21,6 @@ fn rw_config() -> EngineConfig {
         graph: GraphKind::RW,
         flush: FlushStrategy::IdentityWrites,
         audit: false,
-        ..Default::default()
     }
 }
 
@@ -63,7 +62,6 @@ fn every_crash_point_recovers_with_flush_txns() {
         graph: GraphKind::RW,
         flush: FlushStrategy::FlushTxn,
         audit: false,
-        ..Default::default()
     };
     let ops = Workload::new(7, 40, WorkloadKind::app_mix(), 1003).generate();
     for cut in 0..=ops.len() {
@@ -85,7 +83,6 @@ fn every_crash_point_recovers_with_shadow_flushes() {
         graph: GraphKind::RW,
         flush: FlushStrategy::Shadow,
         audit: false,
-        ..Default::default()
     };
     let ops = Workload::new(7, 40, WorkloadKind::app_mix(), 1004).generate();
     for cut in 0..=ops.len() {
@@ -107,7 +104,6 @@ fn every_crash_point_recovers_under_w_graph() {
         graph: GraphKind::W,
         flush: FlushStrategy::FlushTxn,
         audit: false,
-        ..Default::default()
     };
     let ops = Workload::new(7, 40, WorkloadKind::app_mix(), 1005).generate();
     for cut in 0..=ops.len() {
@@ -515,103 +511,6 @@ fn recovery_modes_agree_on_torn_tails() {
             RedoPolicy::RsiExposed,
             &format!("torn {torn}"),
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hybrid logging (DESIGN §16): a crash landing between checkpoint-time
-// conversion records and the checkpoint record itself must be harmless —
-// conversions are pure redo hints, so recovery with the conversions but
-// without the checkpoint (and every torn cut through the region) agrees
-// with the replay oracle and the two-pass reference, and re-emitting the
-// conversions at the survivor's next checkpoint is idempotent.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn crash_between_conversion_records_and_the_checkpoint_record() {
-    use llog::ops::{CostModel, LogPolicy};
-    let reg = registry();
-    let config = EngineConfig {
-        graph: GraphKind::RW,
-        flush: FlushStrategy::IdentityWrites,
-        audit: false,
-        log_policy: LogPolicy::Adaptive(CostModel::default()),
-    };
-    // Deterministic prefix: a fat seed keeps HASH_MIX logical under the
-    // cost model (its input-sized post-image dwarfs the logical record),
-    // so checkpoint-time conversion has work to do.
-    let build = || {
-        let mut e = llog::core::Engine::new(config, reg.clone());
-        e.execute(
-            OpKind::Physical,
-            vec![],
-            vec![ObjectId(1)],
-            Transform::new(
-                builtin::CONST,
-                builtin::encode_values(&[Value::from("x".repeat(200).as_str())]),
-            ),
-        )
-        .unwrap();
-        for salt in 0..3u64 {
-            e.execute(
-                OpKind::Logical,
-                vec![ObjectId(1)],
-                vec![ObjectId(1 + salt % 2)],
-                Transform::new(builtin::HASH_MIX, Value::from_slice(&salt.to_le_bytes())),
-            )
-            .unwrap();
-        }
-        e
-    };
-
-    // Cut A: the conversions reach the stable log, the checkpoint record
-    // does not — the exact window between `convert_cold_ops` and the
-    // checkpoint append.
-    let mut e = build();
-    e.wal_mut().force();
-    let converted = e.convert_cold_ops();
-    assert!(converted > 0, "nothing converted; the scenario is vacuous");
-    e.wal_mut().force();
-    let (store, wal) = e.crash();
-    for policy in [RedoPolicy::Vsi, RedoPolicy::RsiExposed] {
-        assert_two_pass_agrees(
-            &store,
-            &wal,
-            &reg,
-            policy,
-            &format!("conv-no-cp {policy:?}"),
-        );
-    }
-    let (mut rec, _) =
-        llog::core::recover(store, wal, reg.clone(), config, RedoPolicy::RsiExposed).unwrap();
-    llog::sim::verify_against_log(&rec, &reg).unwrap();
-
-    // The survivor checkpoints for real: re-emitting the conversions after
-    // the crash must be idempotent all the way through another recovery.
-    rec.checkpoint(false).unwrap();
-    let (s2, w2) = rec.crash();
-    assert_two_pass_agrees(&s2, &w2, &reg, RedoPolicy::RsiExposed, "conv-reemit");
-    let (rec2, _) =
-        llog::core::recover(s2, w2, reg.clone(), config, RedoPolicy::RsiExposed).unwrap();
-    llog::sim::verify_against_log(&rec2, &reg).unwrap();
-
-    // Cut B: torn-tail sweep through the conversion + checkpoint region —
-    // every byte offset that can split the conversions from the
-    // checkpoint record (or tear a conversion record itself).
-    for torn in (0..600).step_by(7) {
-        let mut e = build();
-        e.checkpoint(false).unwrap(); // conversions + cp record, forced
-        let (store, wal) = e.crash_torn(torn);
-        assert_two_pass_agrees(
-            &store,
-            &wal,
-            &reg,
-            RedoPolicy::RsiExposed,
-            &format!("conv-torn {torn}"),
-        );
-        let (rec, _) =
-            llog::core::recover(store, wal, reg.clone(), config, RedoPolicy::RsiExposed).unwrap();
-        llog::sim::verify_against_log(&rec, &reg).unwrap();
     }
 }
 

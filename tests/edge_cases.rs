@@ -205,7 +205,6 @@ fn w_mode_with_identity_strategy_errors_on_multi_sets() {
             graph: GraphKind::W,
             flush: FlushStrategy::IdentityWrites,
             audit: false,
-            ..Default::default()
         },
         TransformRegistry::with_builtins(),
     );

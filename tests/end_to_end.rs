@@ -21,7 +21,6 @@ fn config() -> EngineConfig {
         graph: GraphKind::RW,
         flush: FlushStrategy::IdentityWrites,
         audit: false,
-        ..Default::default()
     }
 }
 

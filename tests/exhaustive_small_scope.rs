@@ -119,7 +119,6 @@ fn run_case(
         graph: GraphKind::RW,
         flush,
         audit: false,
-        ..Default::default()
     };
     let mut e = Engine::new(cfg, registry.clone());
     // Seed the source object so logical reads have material.

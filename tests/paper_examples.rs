@@ -17,7 +17,6 @@ fn engine() -> Engine {
             graph: GraphKind::RW,
             flush: FlushStrategy::IdentityWrites,
             audit: true,
-            ..Default::default()
         },
         TransformRegistry::with_builtins(),
     )
@@ -171,7 +170,6 @@ fn section4_cycle_costs_atomic_flush_under_w() {
             graph: GraphKind::W,
             flush: FlushStrategy::FlushTxn,
             audit: true,
-            ..Default::default()
         },
         TransformRegistry::with_builtins(),
     );

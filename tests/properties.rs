@@ -153,7 +153,6 @@ proptest! {
             graph: GraphKind::RW,
             flush: FlushStrategy::IdentityWrites,
             audit: false,
-            ..Default::default()
         };
         run_crash_recover_verify(
             cfg, &registry, &ops, install_every, CrashPoint::AfterOp(cut), policy,
