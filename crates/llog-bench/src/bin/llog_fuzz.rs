@@ -690,6 +690,9 @@ fn fuzz_backend_diff(n_ops: usize, material: u64) -> Result<(), String> {
     let planned = &plan.faults[0];
     let persist_every = rng.random_range(1usize..5);
     let checkpoint_every = rng.random_range(3usize..8);
+    // Store checkpoints that wrote objects before the fault was armed, and
+    // the longest chain they built: past its first image, a store gets deltas.
+    let (mut ckpt_writes, mut longest_chain) = (0usize, 0usize);
 
     let ctx = || {
         format!(
@@ -738,6 +741,10 @@ fn fuzz_backend_diff(n_ops: usize, material: u64) -> Result<(), String> {
                     ctx()
                 ));
             }
+            if i < planned.step {
+                ckpt_writes += usize::from(m_ck.is_ok_and(|st| st.objects_written > 0));
+                longest_chain = longest_chain.max(mem_store.chain_len());
+            }
             let m_p = engine.wal().persist_to(&mut mem_log, Some(&mem_host));
             let f_p = engine.wal().persist_to(&mut file_log, Some(&file_host));
             match (&m_p, &f_p) {
@@ -777,6 +784,13 @@ fn fuzz_backend_diff(n_ops: usize, material: u64) -> Result<(), String> {
         }
     }
     drop(engine);
+    if ckpt_writes >= 2 && longest_chain < 2 {
+        cleanup();
+        return Err(format!(
+            "{}: {ckpt_writes} store checkpoints wrote only full images",
+            ctx()
+        ));
+    }
 
     // Reboot both backends: loads must agree (both refuse, or both produce
     // the same image), and recovery from the device images must agree on
@@ -1202,7 +1216,7 @@ fn fuzz_replication(n_ops: usize, material: u64) -> Result<(), String> {
     run(&mut engine, &ops[..split], &mut rng)?;
     engine.wal_mut().force();
     let (mstore, mwal) = engine.crash();
-    let manifest_bytes = mstore.serialize();
+    let manifest_bytes = llog_storage::device::encode_image(mstore.iter());
     let base = mwal.start_lsn();
     let manifest_cut = mwal.contiguous_end(base);
     let master = mwal.master_checkpoint();
@@ -1233,12 +1247,15 @@ fn fuzz_replication(n_ops: usize, material: u64) -> Result<(), String> {
         )
     };
 
-    // Attach exactly the way `llog-repl` does: deserialize the manifest
+    // Attach exactly the way `llog-repl` does: decode the manifest's store
     // image, ship the log up to the manifest's durable cut into a fresh
     // shipped wal, and run real recovery over that prefix.
     let attach = || -> Result<RedoSession, String> {
-        let store = StableStore::deserialize(&manifest_bytes, Metrics::new())
-            .map_err(|e| format!("{}: attach image rejected: {e}", ctx()))?;
+        let mut store = StableStore::new(Metrics::new());
+        store.restore(
+            llog_storage::device::decode_image(&manifest_bytes)
+                .map_err(|e| format!("{}: attach image rejected: {e}", ctx()))?,
+        );
         let mut wal = Wal::from_shipped(Metrics::new(), base.0, master);
         if manifest_cut > base {
             let prefix = pwal

@@ -27,9 +27,10 @@
 use std::collections::BTreeMap;
 
 use llog_ops::TransformRegistry;
+use llog_storage::device::{decode_image, encode_image};
 use llog_storage::{Metrics, StableStore, StoredObject};
 use llog_types::{LlogError, Lsn, ObjectId, Result};
-use llog_wal::Wal;
+use llog_wal::{LogArchive, Wal};
 
 use crate::cache::{Engine, EngineConfig};
 use crate::recover::RecoveryOutcome;
@@ -169,12 +170,16 @@ impl BackupInProgress {
     }
 }
 
-const BACKUP_MAGIC: &[u8; 8] = b"LLOGBAK1";
+/// Backup archive: `"LLOGBAK2" | mode u8 | start_lsn u64 | redo_start u64 |
+/// crc32c u32` over the header, then the objects as one standalone store
+/// image ([`encode_image`]), which carries its own checksum.
+const BACKUP_MAGIC: &[u8; 8] = b"LLOGBAK2";
+const BACKUP_HEADER: usize = 8 + 1 + 8 + 8;
 
 impl Backup {
     /// Serialize the backup for archival.
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut out = Vec::with_capacity(BACKUP_HEADER + 4);
         out.extend_from_slice(BACKUP_MAGIC);
         out.push(match self.mode {
             BackupMode::Naive => 0,
@@ -182,15 +187,9 @@ impl Backup {
         });
         out.extend_from_slice(&self.start_lsn.0.to_le_bytes());
         out.extend_from_slice(&self.redo_start.0.to_le_bytes());
-        out.extend_from_slice(&(self.objects.len() as u64).to_le_bytes());
-        for (x, obj) in &self.objects {
-            out.extend_from_slice(&x.0.to_le_bytes());
-            out.extend_from_slice(&obj.vsi.0.to_le_bytes());
-            out.extend_from_slice(&(obj.value.len() as u32).to_le_bytes());
-            out.extend_from_slice(obj.value.as_bytes());
-        }
         let crc = llog_types::crc32c(&out);
         out.extend_from_slice(&crc.to_le_bytes());
+        out.extend_from_slice(&encode_image(&self.objects));
         out
     }
 
@@ -199,56 +198,27 @@ impl Backup {
         let err = |reason: &str| LlogError::Codec {
             reason: format!("backup image: {reason}"),
         };
-        if bytes.len() < 8 + 1 + 8 + 8 + 8 + 4 {
+        if bytes.len() < BACKUP_HEADER + 4 {
             return Err(err("too short"));
         }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        if llog_types::crc32c(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
+        let (header, rest) = bytes.split_at(BACKUP_HEADER);
+        let (crc_bytes, image) = rest.split_at(4);
+        if llog_types::crc32c(header) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
             return Err(err("checksum mismatch"));
         }
-        if &body[0..8] != BACKUP_MAGIC {
+        if &header[0..8] != BACKUP_MAGIC {
             return Err(err("bad magic"));
         }
-        let mode = match body[8] {
+        let mode = match header[8] {
             0 => BackupMode::Naive,
             1 => BackupMode::Snapshot,
             m => return Err(err(&format!("unknown mode {m}"))),
         };
-        let start_lsn = Lsn(u64::from_le_bytes(body[9..17].try_into().unwrap()));
-        let redo_start = Lsn(u64::from_le_bytes(body[17..25].try_into().unwrap()));
-        let count = u64::from_le_bytes(body[25..33].try_into().unwrap()) as usize;
-        let mut at = 33;
-        let mut objects = BTreeMap::new();
-        for _ in 0..count {
-            if body.len() < at + 20 {
-                return Err(err("truncated entry"));
-            }
-            let id = ObjectId(u64::from_le_bytes(body[at..at + 8].try_into().unwrap()));
-            let vsi = Lsn(u64::from_le_bytes(
-                body[at + 8..at + 16].try_into().unwrap(),
-            ));
-            let len = u32::from_le_bytes(body[at + 16..at + 20].try_into().unwrap()) as usize;
-            at += 20;
-            if body.len() < at + len {
-                return Err(err("truncated value"));
-            }
-            objects.insert(
-                id,
-                StoredObject {
-                    value: llog_types::Value::from_slice(&body[at..at + len]),
-                    vsi,
-                },
-            );
-            at += len;
-        }
-        if at != body.len() {
-            return Err(err("trailing bytes"));
-        }
         Ok(Backup {
             mode,
-            start_lsn,
-            redo_start,
-            objects,
+            start_lsn: Lsn(u64::from_le_bytes(header[9..17].try_into().unwrap())),
+            redo_start: Lsn(u64::from_le_bytes(header[17..25].try_into().unwrap())),
+            objects: decode_image(image)?,
         })
     }
 
@@ -285,48 +255,19 @@ pub fn media_recover(
     config: EngineConfig,
     policy: RedoPolicy,
 ) -> Result<(Engine, RecoveryOutcome)> {
-    // The policy parameter is accepted for interface symmetry; every policy
-    // other than Naive behaves as the vSI test here (the rSI machinery has
-    // nothing sound to say about a restored backup).
-    if wal.start_lsn() > backup.redo_start {
-        return Err(LlogError::LsnOutOfRange {
-            lsn: backup.redo_start,
-            start: wal.start_lsn(),
-            end: wal.forced_lsn(),
-        });
-    }
-    let metrics = wal.metrics().clone();
-    let mut store = StableStore::new(metrics.clone());
-    store.restore(backup.objects.clone());
-    let mut engine = Engine::with_parts(config, registry, store, wal, metrics);
-    let mut outcome = RecoveryOutcome {
-        redo_start: backup.redo_start,
-        ..RecoveryOutcome::default()
-    };
-
-    // Collect the record stream first (the scan borrows the WAL).
-    let mut records = Vec::new();
-    for item in engine.wal().scan(backup.redo_start) {
-        match item {
-            Ok(x) => records.push(x),
-            Err(LlogError::Corrupt { .. }) => {
-                outcome.torn_tail = true;
-                break;
-            }
-            Err(e) => return Err(e),
-        }
-        outcome.redo_scanned += 1;
-    }
-    media_roll_forward(&mut engine, records, &mut outcome, policy)?;
-    Ok((engine, outcome))
+    media_recover_archived(backup, &LogArchive::new(), wal, registry, config, policy)
 }
 
 /// Media recovery when the live log has been checkpoint-truncated: stitch
-/// the [`LogArchive`](llog_wal::LogArchive)'s retained segments together
+/// the [`LogArchive`]'s retained segments together
 /// with the surviving live log and roll the backup forward across both.
+///
+/// The policy parameter is accepted for interface symmetry; every policy
+/// other than Naive behaves as the vSI test here (the rSI machinery has
+/// nothing sound to say about a restored backup).
 pub fn media_recover_archived(
     backup: &Backup,
-    archive: &llog_wal::LogArchive,
+    archive: &LogArchive,
     wal: Wal,
     registry: TransformRegistry,
     config: EngineConfig,
@@ -661,15 +602,17 @@ mod tests {
         assert_eq!(restored.start_lsn, backup.start_lsn);
         assert_eq!(restored.redo_start, backup.redo_start);
         assert_eq!(restored.objects, backup.objects);
-        // Corruption detected.
+        // Corruption detected, in the header and in the store image.
         let mut image = backup.serialize();
-        image[10] ^= 0xFF;
-        assert!(Backup::deserialize(&image).is_err());
+        for at in [10, image.len() - 10] {
+            image[at] ^= 0xFF;
+            assert!(Backup::deserialize(&image).is_err(), "byte {at}");
+            image[at] ^= 0xFF;
+        }
     }
 
     #[test]
     fn archived_media_recovery_reaches_past_truncation() {
-        use llog_wal::LogArchive;
         let mut e = engine();
         physical(&mut e, X, "x0");
         physical(&mut e, Y, "y0");
@@ -731,7 +674,6 @@ mod tests {
 
     #[test]
     fn archived_recovery_rejects_missing_prefix() {
-        use llog_wal::LogArchive;
         let mut e = engine();
         physical(&mut e, X, "x0");
         e.begin_backup(BackupMode::Snapshot).unwrap();

@@ -47,7 +47,7 @@ use llog_server::proto::{
     decode_request, encode_response, read_frame, write_frame, ErrCode, Request, Response, StatsBody,
 };
 use llog_server::Client;
-use llog_storage::device::DeviceConfig;
+use llog_storage::device::{decode_image, DeviceConfig};
 use llog_storage::{Metrics, MetricsSnapshot, StableStore};
 use llog_types::{LlogError, Lsn, Result, Value};
 use llog_wal::{DurabilityBackend, Wal};
@@ -297,7 +297,8 @@ fn attach_shard(
             }
         }
         let metrics = Metrics::new();
-        let store = StableStore::deserialize(&store_image, metrics.clone())?;
+        let mut store = StableStore::new(metrics.clone());
+        store.restore(decode_image(&store_image)?);
         let mut wal = Wal::from_shipped(metrics, base.0, (master != Lsn::ZERO).then_some(master));
         let mut at = base;
         let mut truncated = false;

@@ -270,12 +270,12 @@ pub enum Response {
         durable: Lsn,
         /// Master checkpoint pointer (0 = none).
         master: Lsn,
-        /// Byte offset of `store` within the full serialized image.
+        /// Byte offset of `store` within the full store image.
         store_off: u64,
-        /// Total length of the full serialized image.
+        /// Total length of the full store image.
         store_total: u64,
-        /// One chunk of the serialized stable store
-        /// (`StableStore::serialize`), starting at `store_off`.
+        /// One chunk of the stable store's image
+        /// (`llog_storage::device::encode_image`), starting at `store_off`.
         store: Vec<u8>,
     },
 }
@@ -914,7 +914,7 @@ mod tests {
                 master: Lsn(0),
                 store_off: 0,
                 store_total: 14,
-                store: b"LLOGSTR1-image".to_vec(),
+                store: b"LLOGDLT1-image".to_vec(),
             },
             Response::SealManifest {
                 req_id: 16,

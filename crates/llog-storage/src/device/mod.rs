@@ -6,8 +6,10 @@
 //!   manifest written at the force barrier, and whole-segment truncation
 //!   reclaim ([`seglog`]).
 //! - [`StoreDevice`] — incremental object checkpoints: per-checkpoint delta
-//!   pages diffed against the last persisted state, chained by a manifest,
-//!   folded when the chain grows long ([`deltastore`]).
+//!   pages holding the ids the [`StableStore`](crate::StableStore) changed
+//!   since the image it last matched, chained by a manifest, folded when the
+//!   chain grows long ([`deltastore`]). The delta layout is also the
+//!   standalone store-image codec ([`encode_image`], [`decode_image`]).
 //!
 //! Each trait has two implementations built over the same generic core:
 //! `Mem*` (a [`MemBlobs`] map — deterministic, fuzz-fast) and `File*`
@@ -23,7 +25,8 @@ mod seglog;
 
 pub use blob::{BlobStore, FileBlobs, MemBlobs};
 pub use deltastore::{
-    delta_name, CkptStats, DeltaStore, FileStoreDevice, MemStoreDevice, StoreDevice, STORE_MANIFEST,
+    decode_image, delta_name, encode_image, CkptStats, DeltaStore, FileStoreDevice, MemStoreDevice,
+    StoreDevice, STORE_MANIFEST,
 };
 pub use seglog::{
     segment_name, FileLogDevice, LogDevice, LogParts, MemLogDevice, SegLog, SEG_HEADER,

@@ -14,7 +14,6 @@
 pub mod device;
 pub mod metrics;
 mod mvcc;
-mod persist;
 mod shadow;
 mod store;
 

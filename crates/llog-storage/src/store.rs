@@ -1,7 +1,8 @@
 //! The stable object store.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use llog_types::{Lsn, ObjectId, Value};
 
@@ -24,11 +25,53 @@ pub struct StoredObject {
 /// deliberately *absent* here — that is the whole subject of the paper's §4;
 /// callers needing it must go through [`ShadowStore`](crate::ShadowStore) or
 /// a logged flush transaction, both of which pay visibly in the metrics.
+///
+/// The store keeps its own change set against the store-device image it
+/// last matched (loaded from, or checkpointed into): see [`crate::device`].
+/// A store that matches no image (new, [`restore`](Self::restore)d) tracks
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct StableStore {
     objects: BTreeMap<ObjectId, StoredObject>,
     metrics: Arc<Metrics>,
     installed_through: Lsn,
+    changes: Changes,
+}
+
+/// The name of a store-device image. It is content-addressed (the device's
+/// chain: epochs, lengths and CRCs), so two devices holding the same chain
+/// give the same name.
+pub(crate) type ImageName = Box<[u8]>;
+
+/// What changed since a device image, and which image the store matches.
+#[derive(Debug, Clone, Default)]
+struct Changes {
+    /// The image `ids` are relative to; `None` tracks nothing.
+    base: Option<ImageName>,
+    /// Ids written or removed since `base`, each with whether `base` held
+    /// it. An id created and removed again since `base` is dropped, so the
+    /// set never outgrows the store plus the image.
+    ids: BTreeMap<ObjectId, bool>,
+    /// The image the last checkpoint (through `&StableStore`) or load left
+    /// the store matching, until the next write, which reaches it through
+    /// `&mut self` without the lock. `base` and `ids` are kept until then,
+    /// so a second device still at `base` gets the same delta.
+    settled: Settled,
+}
+
+#[derive(Debug, Default)]
+struct Settled(Mutex<Option<ImageName>>);
+
+impl Settled {
+    fn lock(&self) -> MutexGuard<'_, Option<ImageName>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Settled {
+    fn clone(&self) -> Settled {
+        Settled(Mutex::new(self.lock().clone()))
+    }
 }
 
 impl StableStore {
@@ -38,6 +81,7 @@ impl StableStore {
             objects: BTreeMap::new(),
             metrics,
             installed_through: Lsn::MAX,
+            changes: Changes::default(),
         }
     }
 
@@ -89,14 +133,15 @@ impl StableStore {
     pub fn write(&mut self, x: ObjectId, value: Value, vsi: Lsn) {
         Metrics::bump(&self.metrics.obj_writes, 1);
         Metrics::bump(&self.metrics.obj_write_bytes, value.len() as u64);
-        self.objects.insert(x, StoredObject { value, vsi });
+        self.insert_unmetered(x, StoredObject { value, vsi });
     }
 
     /// Remove a deleted object from the stable state (one device I/O — the
     /// allocation-map update).
     pub fn remove(&mut self, x: ObjectId) {
         Metrics::bump(&self.metrics.obj_writes, 1);
-        self.objects.remove(&x);
+        let held = self.objects.remove(&x).is_some();
+        self.note(x, held, false);
     }
 
     /// Number of objects present.
@@ -120,14 +165,67 @@ impl StableStore {
         self.objects.clone()
     }
 
-    /// Install a snapshot (media-recovery restore path).
+    /// Install a snapshot (media-recovery restore path). The result matches
+    /// no store-device image.
     pub fn restore(&mut self, snapshot: BTreeMap<ObjectId, StoredObject>) {
         self.objects = snapshot;
+        self.changes = Changes::default();
     }
 
-    /// Insert without metering (shadow commit / restore internals).
+    /// Insert without metering (shadow commit internals).
     pub(crate) fn insert_unmetered(&mut self, x: ObjectId, obj: StoredObject) {
-        self.objects.insert(x, obj);
+        let held = self.objects.insert(x, obj).is_some();
+        self.note(x, held, true);
+    }
+
+    /// Record that `x` changed: `held` is whether the store had it before,
+    /// `present` whether it has it now. The first change after a settle
+    /// rebases the set on the settled image.
+    fn note(&mut self, x: ObjectId, held: bool, present: bool) {
+        let c = &mut self.changes;
+        let settled = c
+            .settled
+            .0
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(image) = settled.take() {
+            c.base = Some(image);
+            c.ids.clear();
+        }
+        if c.base.is_none() {
+            return;
+        }
+        // Until its first change `x` is as the image has it, so `held`
+        // is also whether the image holds it.
+        match c.ids.entry(x) {
+            Entry::Vacant(v) if held || present => {
+                v.insert(held);
+            }
+            Entry::Occupied(o) if !*o.get() && !present => {
+                o.remove();
+            }
+            _ => {}
+        }
+    }
+
+    /// The ids changed since the device image `image`, sorted, each with
+    /// whether `image` held it; empty when the store matches `image`, and
+    /// `None` when the store's changes are not relative to `image` (the
+    /// device then needs a full image).
+    pub(crate) fn changes_since(&self, image: &[u8]) -> Option<Vec<(ObjectId, bool)>> {
+        let c = &self.changes;
+        if c.settled.lock().as_deref() == Some(image) {
+            Some(Vec::new())
+        } else if c.base.as_deref() == Some(image) {
+            Some(c.ids.iter().map(|(x, held)| (*x, *held)).collect())
+        } else {
+            None
+        }
+    }
+
+    /// Record that the store matches the device image `image`.
+    pub(crate) fn settle(&self, image: ImageName) {
+        *self.changes.settled.lock() = Some(image);
     }
 }
 

@@ -1,5 +1,6 @@
-//! Corrupt-image matrix for the serialized store image (the replica-attach
-//! wire format) and the segmented device layout.
+//! Corrupt-image matrix for the standalone store image (the device's delta
+//! layout, as replica attach and backups use it) and the segmented device
+//! layout.
 //!
 //! Every mangled image — truncated, CRC-flipped, magic-smashed, or lying
 //! about its own length — must be rejected with [`LlogError::Codec`]
@@ -12,7 +13,9 @@ use std::path::{Path, PathBuf};
 
 use llog_core::{Engine, EngineConfig};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_storage::device::{segment_name, DeviceConfig, STORE_MANIFEST, WAL_MANIFEST};
+use llog_storage::device::{
+    decode_image, encode_image, segment_name, DeviceConfig, STORE_MANIFEST, WAL_MANIFEST,
+};
 use llog_storage::{Metrics, StableStore};
 use llog_types::{crc32c, LlogError, Lsn, ObjectId, Value};
 use llog_wal::{DurabilityBackend, Wal, LOG_SUBDIR, STORE_SUBDIR};
@@ -55,15 +58,19 @@ fn assert_codec(r: Result<(), LlogError>, what: &str) {
 }
 
 fn store_load(bytes: &[u8]) -> Result<(), LlogError> {
-    StableStore::deserialize(bytes, Metrics::new()).map(|_| ())
+    decode_image(bytes).map(|_| ())
 }
 
 #[test]
 fn store_image_matrix() {
-    let (store, _) = sample_parts();
-    let image = &store.serialize()[..];
-    // Baseline: the untouched image must load.
-    store_load(image).unwrap_or_else(|e| panic!("store: pristine image rejected: {e}"));
+    let (mut store, _) = sample_parts();
+    // Edge entries: an empty value, the largest id, a multi-sector value.
+    store.write(ObjectId(7), Value::empty(), Lsn(20));
+    store.write(ObjectId(u64::MAX), Value::filled(7, 300), Lsn(30));
+    let image = &encode_image(store.iter())[..];
+    // Baseline: the untouched image (and an empty store's) round-trips.
+    assert_eq!(decode_image(image).unwrap(), store.snapshot());
+    assert!(decode_image(&encode_image([])).unwrap().is_empty());
 
     // 1. Truncation at every interesting boundary (including empty).
     for keep in [
@@ -71,6 +78,8 @@ fn store_image_matrix() {
         1,
         7,
         8,
+        16,
+        24,
         image.len() / 2,
         image.len().saturating_sub(5),
         image.len() - 1,
@@ -95,8 +104,14 @@ fn store_image_matrix() {
     reseal(&mut m);
     assert_codec(store_load(&m), "store: bad magic");
 
+    //    Likewise a chain epoch where a standalone image has epoch 0.
+    let mut m = image.to_vec();
+    m[8..16].copy_from_slice(&1u64.to_le_bytes());
+    reseal(&mut m);
+    assert_codec(store_load(&m), "store: chain epoch");
+
     // 4. Single-bit rot anywhere in the body is caught by the CRC.
-    for at in [8, 9, 16, 20, image.len() / 2, image.len() - 5] {
+    for at in [8, 9, 16, 24, 32, image.len() / 2, image.len() - 5] {
         let at = at.min(image.len() - 1);
         let mut m = image.to_vec();
         m[at] ^= 0x01;
@@ -104,7 +119,7 @@ fn store_image_matrix() {
     }
 
     // 5. Garbage of assorted sizes.
-    for len in [0usize, 3, 19, 64, 1024] {
+    for len in [0usize, 3, 19, 27, 64, 1024] {
         let junk: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
         assert_codec(store_load(&junk), &format!("store: {len} junk bytes"));
     }
@@ -113,17 +128,17 @@ fn store_image_matrix() {
 #[test]
 fn store_over_long_declared_count_is_rejected() {
     let (store, _) = sample_parts();
-    let mut image = store.serialize();
-    // count lives at bytes 8..16; claim far more entries than exist. With
-    // the CRC resealed this must trip the per-entry bounds check, not the
-    // checksum.
-    image[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+    let mut image = encode_image(store.iter());
+    // count lives at bytes 16..24 (after magic and epoch); claim far more
+    // entries than exist. With the CRC resealed this must trip the
+    // per-entry bounds check, not the checksum.
+    image[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
     reseal(&mut image);
     assert_codec(store_load(&image), "store: count = u64::MAX");
 
-    let mut image = store.serialize();
-    let count = u64::from_le_bytes(image[8..16].try_into().unwrap());
-    image[8..16].copy_from_slice(&(count + 1).to_le_bytes());
+    let mut image = encode_image(store.iter());
+    let count = u64::from_le_bytes(image[16..24].try_into().unwrap());
+    image[16..24].copy_from_slice(&(count + 1).to_le_bytes());
     reseal(&mut image);
     assert_codec(store_load(&image), "store: count + 1");
 }
@@ -131,10 +146,10 @@ fn store_over_long_declared_count_is_rejected() {
 #[test]
 fn store_under_long_declared_count_leaves_trailing_bytes() {
     let (store, _) = sample_parts();
-    let mut image = store.serialize();
-    let count = u64::from_le_bytes(image[8..16].try_into().unwrap());
+    let mut image = encode_image(store.iter());
+    let count = u64::from_le_bytes(image[16..24].try_into().unwrap());
     assert!(count >= 1);
-    image[8..16].copy_from_slice(&(count - 1).to_le_bytes());
+    image[16..24].copy_from_slice(&(count - 1).to_le_bytes());
     reseal(&mut image);
     assert_codec(store_load(&image), "store: count - 1");
 }
