@@ -56,9 +56,7 @@ use llog_domains::app::{Application, WriteMode};
 use llog_domains::btree::BTree;
 use llog_domains::fs::FileSystem;
 use llog_domains::register_domain_transforms;
-use llog_engine::{
-    recover_sharded, CommitPolicy, CommitTicket, GroupCommitPolicy, ShardedConfig, ShardedEngine,
-};
+use llog_engine::{recover_sharded, CommitPolicy, CommitTicket, ShardedConfig, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::{proto, Client, Request, Server, ServerConfig};
 use llog_sim::{replay_stable_log, verify_against_log, OpSpec, Workload, WorkloadKind};
@@ -117,7 +115,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         };
         // The workload and fault plan are fully determined by the seed, but
-        // the sharded mode runs real flusher/installer threads whose
+        // the sharded mode runs real barrier/installer threads whose
         // schedule decides which group-commit batch the fault lands in.
         // Re-running the same seed a few times derandomizes the schedule.
         let attempts = iters.unwrap_or(100);
@@ -463,10 +461,7 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
     let commit = if rng.ratio(0.25) {
         CommitPolicy::Sync
     } else {
-        CommitPolicy::Group(GroupCommitPolicy {
-            batch_ops: rng.random_range(1usize..6),
-            max_delay: Duration::from_micros(200),
-        })
+        CommitPolicy::Group
     };
     let config = ShardedConfig {
         shards,
@@ -1433,10 +1428,7 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
     let commit = if rng.ratio(0.3) {
         CommitPolicy::Sync
     } else {
-        CommitPolicy::Group(GroupCommitPolicy {
-            batch_ops: rng.random_range(1usize..6),
-            max_delay: Duration::from_micros(200),
-        })
+        CommitPolicy::Group
     };
     let config = ShardedConfig {
         shards,

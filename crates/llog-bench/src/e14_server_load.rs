@@ -15,7 +15,7 @@
 //!
 //! - **latency**: p99 at 1× under a budget (the fast-mode budget is
 //!   generous — CI machines are noisy — but catches order-of-magnitude
-//!   regressions like a lost flusher wakeup or an accidental per-op
+//!   regressions like a lost barrier wakeup or an accidental per-op
 //!   fsync);
 //! - **goodput under overload**: at 2× the offered rate, acknowledged
 //!   throughput must still clear the 1× target — admission control must

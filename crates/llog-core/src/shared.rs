@@ -5,9 +5,9 @@
 //! an issue" than in page-oriented databases — operations there are
 //! coarse), with background cache-manager threads draining the write graph
 //! (the "second reason" for flushing in §3: shortening recovery by keeping
-//! the uninstalled set small). Those workers — the per-shard installers and
-//! log flushers of `llog-engine` — park on a [`WorkSignal`] when idle, so
-//! they burn no CPU between operations.
+//! the uninstalled set small). Those workers — the per-shard installers of
+//! `llog-engine` — park on a [`WorkSignal`] when idle, so they burn no CPU
+//! between operations.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -21,7 +21,7 @@ pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A park/wake primitive for background workers (installers, log flushers).
+/// A park/wake primitive for background workers (installers).
 ///
 /// Producers call [`notify`](WorkSignal::notify) after publishing work;
 /// workers snapshot the [`epoch`](WorkSignal::epoch), look for work, and if

@@ -98,8 +98,8 @@ impl SnapshotRegistry {
 /// Holding the handle pins every version at or above the snapshot's
 /// resolution set: GC cannot advance its floor past `si()` until the handle
 /// drops. Reads take only the version store's chains read lock — never the
-/// engine mutex — so they run concurrently with writers, the group-commit
-/// flusher and the installer.
+/// engine mutex — so they run concurrently with writers, the force barrier
+/// and the installer.
 #[derive(Debug)]
 pub struct Snapshot {
     si: Lsn,

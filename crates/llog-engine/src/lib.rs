@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! # llog-engine — sharded execution with a group-commit durability pipeline
+//! # llog-engine — sharded execution with group commit on demand
 //!
 //! The paper's recovery machinery — the refined write graph **rW**, the
 //! dirty-object table, the REDO test — is all *per-engine* state: nothing
@@ -17,14 +17,16 @@
 //!   edge between engines would otherwise be unrepresentable).
 //! - **Group commit** ([`CommitPolicy::Group`]): `execute` appends the
 //!   operation to the shard's WAL under the shard lock but *durability*
-//!   waits on a [`CommitTicket`]. A dedicated log-flusher thread per shard
-//!   batches forces on a size/time policy and advances a durable-LSN
-//!   watermark that wakes waiters via condvar — many commits, one force.
-//! - **One force barrier**: every force — flusher batches, `Sync` commits,
+//!   waits on a [`CommitTicket`]. A waiter asks the force barrier for a
+//!   force; the barrier advances a durable-LSN watermark that wakes waiters
+//!   via condvar, and whatever was appended while it synced rides the next
+//!   one — many commits, one force, no timer.
+//! - **One force barrier**: every force — ticket waits, `Sync` commits,
 //!   [`ShardedEngine::force_shard`], [`ShardedEngine::force_all`] — rides
-//!   one scheduler that gathers near-simultaneous requests from all shards
-//!   and covers them with a single device sync; with a backend attached
-//!   the log tail is staged on the device before anything is acknowledged.
+//!   one scheduler thread that covers every shard asked for with a single
+//!   device sync; with a backend attached the log tail is staged on the
+//!   device, and the watermark advances only to what the device reports
+//!   durable.
 //! - **Snapshot reads**: each shard publishes immutable versions and
 //!   [`ShardedEngine::read_value_snapshot`] resolves reads at the durable
 //!   watermark without the engine mutex.
@@ -59,7 +61,7 @@
 //!         Transform::new(builtin::CONST, builtin::encode_values(&[Value::from("v")])),
 //!     )
 //!     .unwrap();
-//! assert!(ticket.wait()); // blocks until the shard's flusher forces the batch
+//! assert!(ticket.wait()); // asks the force barrier for a force and blocks on it
 //! assert!(ticket.is_durable());
 //! let parts = engine.crash(); // acknowledged commits survive recovery
 //! assert_eq!(parts.len(), 4);
@@ -74,7 +76,7 @@ mod snapshot;
 pub use router::ShardRouter;
 pub use shard::CommitTicket;
 pub use sharded::{
-    recover_sharded, recover_sharded_from_backends, CommitPolicy, GroupCommitPolicy, ShardedConfig,
-    ShardedEngine, ShipManifest,
+    recover_sharded, recover_sharded_from_backends, CommitPolicy, ShardedConfig, ShardedEngine,
+    ShipManifest,
 };
 pub use snapshot::{GroupCommitSnapshot, ShardedSnapshot};

@@ -1,21 +1,21 @@
-//! The force barrier: the one place a shard's log is forced (DESIGN §14).
+//! The force barrier: the only committer (DESIGN §14).
 //!
-//! Every force in this crate — flusher batches, `Sync`-policy commits,
-//! `force_shard`, `force_all`/`drain` — is a request to the
-//! [`ForceScheduler`]. Under load those requests arrive within microseconds
-//! of each other, so the scheduler gathers them for a bounded window and
-//! covers all of them with one sync barrier instead of one device sync per
-//! shard:
+//! Every force in this crate — a ticket waiter's demand, `Sync`-policy
+//! commits, `force_shard`, `force_all`/`drain` — rides the
+//! [`ForceScheduler`], and nothing forces on a timer:
 //!
-//! 1. A force request enqueues and wakes the scheduler thread, which sleeps
-//!    the gather window ([`GATHER_WINDOW`]) so concurrent shards can pile in.
-//! 2. **Phase A** — per shard, under its engine lock: consult the flusher
+//! 1. **Demand.** A waiter short of its target *wants* its shard
+//!    ([`ForceScheduler::want`]); an explicit force enqueues a request and
+//!    parks on its reply. Either wakes the barrier thread, which takes
+//!    everything queued as one barrier and runs barriers back to back while
+//!    anything is queued — whatever is appended during one barrier's sync
+//!    rides the next (self-clocking group commit).
+//! 2. **Phase A** — per shard, under its engine lock: consult the rider
 //!    failpoint, [`Wal::begin_force_with`] (the double-buffer swap: the
 //!    volatile buffer moves to the in-flight slot), and — when a backend is
 //!    attached — stage the unsynced device write
-//!    ([`DurabilityBackend::stage_wal`]), so an acknowledgement means "on
-//!    the device" and a `SIGKILL` of the process loses nothing acknowledged
-//!    (DESIGN §12).
+//!    ([`DurabilityBackend::stage_wal`]), keeping the durable end the log
+//!    device reports for it.
 //! 3. **Phase B** — *no engine locks held*: one shared sync barrier covers
 //!    every staged device ([`DurabilityBackend::sync_log`]), accounted as a
 //!    single `io_fsyncs`. New appends proceed into the now-empty WAL
@@ -23,22 +23,28 @@
 //!    `double_buffer_overlap_ns`.
 //! 4. **Phase C** — per shard, engine lock again:
 //!    [`Wal::complete_force`] folds the in-flight slot into the stable
-//!    prefix and the requester is handed its [`ForceOutcome`].
+//!    prefix; the scheduler publishes the rider's watermark itself, then
+//!    hands each requester its [`ForceOutcome`].
 //!
-//! The outcome contract: `Forced` carries the LSN a watermark may advance
-//! to, `Torn` kills the shard with only the pre-fault durable prefix
-//! acknowledged, `Failed` leaves everything intact for retry. A
-//! barrier-sync failure ([`failpoint::SCHED_SYNC`]) or a device that rejects
-//! the staged tail fails the rider — sound, because nothing staged was
-//! acknowledged and the staged blobs are re-covered by the next barrier.
+//! The watermark published is what Phase A staged: the log device's
+//! durable end (without a backend, the end of the swapped batch), never the
+//! WAL's stable end at Phase C — an installer's `force_through` may have
+//! folded later bytes into it, in memory, during the sync. `Forced` carries
+//! that LSN; `Torn` kills the shard with only the pre-fault durable prefix
+//! acknowledged, as does a device that keeps less than it was handed;
+//! `Failed` (a [`failpoint::SCHED_SYNC`] fault, a device that rejects the
+//! tail) acknowledges nothing, and a failed rider that a waiter wanted is
+//! queued again, so the retry needs no timer.
 //!
 //! [`Wal::begin_force_with`]: llog_wal::Wal::begin_force_with
 //! [`Wal::complete_force`]: llog_wal::Wal::complete_force
 //! [`DurabilityBackend::stage_wal`]: llog_wal::DurabilityBackend::stage_wal
 //! [`DurabilityBackend::sync_log`]: llog_wal::DurabilityBackend::sync_log
 
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use llog_core::shared::lock;
 use llog_storage::Metrics;
@@ -48,63 +54,87 @@ use llog_wal::{BeginForce, ForceOutcome};
 
 use crate::shard::Shard;
 
-/// Gather window: how long a barrier waits for concurrent shards to pile in.
-const GATHER_WINDOW: Duration = Duration::from_micros(200);
-
 /// How one force resolved. `None` means the shard was dead or its engine
 /// gone (crashed/taken) before the barrier reached it.
 pub(crate) type SchedResult = Option<ForceOutcome>;
 
-/// One enqueued force request: the shard to force and the slot its outcome
-/// lands in.
-struct PendingReq {
+/// One queued ask for a barrier: an explicit force, whose caller parks on
+/// the other end of `reply`, or a waiter's want of `shard` durable through
+/// `want`. Dropping an unanswered `reply` resolves its caller as `None`.
+struct Request {
     shard: Arc<Shard>,
-    slot: Arc<ReqSlot>,
-}
-
-/// Parking slot for one requester.
-#[derive(Default)]
-struct ReqSlot {
-    out: Mutex<Option<SchedResult>>,
-    cv: Condvar,
-}
-
-impl ReqSlot {
-    fn resolve(&self, result: SchedResult) {
-        *lock(&self.out) = Some(result);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> SchedResult {
-        let mut out = lock(&self.out);
-        loop {
-            match out.take() {
-                Some(r) => return r,
-                None => out = self.cv.wait(out).unwrap_or_else(PoisonError::into_inner),
-            }
-        }
-    }
+    reply: Option<Sender<SchedResult>>,
+    want: Lsn,
 }
 
 #[derive(Default)]
 struct SchedState {
-    pending: Vec<PendingReq>,
+    queue: Vec<Request>,
     stop: bool,
+}
+
+/// One shard in a barrier: the replies of every explicit force for it and
+/// the highest target a waiter wants (`Lsn::ZERO` if none).
+struct Rider {
+    shard: Arc<Shard>,
+    replies: Vec<Sender<SchedResult>>,
+    want: Lsn,
+}
+
+/// One rider per shard asked for. A want the previous barrier already
+/// covered needs no ride.
+fn gather(queue: Vec<Request>) -> Vec<Rider> {
+    let mut riders: Vec<Rider> = Vec::new();
+    for req in queue {
+        if req.reply.is_none() && req.shard.durable_lsn() >= req.want {
+            continue;
+        }
+        let at = riders
+            .iter()
+            .position(|r| Arc::ptr_eq(&r.shard, &req.shard));
+        let rider = match at {
+            Some(at) => &mut riders[at],
+            None => {
+                riders.push(Rider {
+                    shard: req.shard,
+                    replies: Vec::new(),
+                    want: Lsn::ZERO,
+                });
+                riders.last_mut().expect("just pushed")
+            }
+        };
+        rider.want = rider.want.max(req.want);
+        rider.replies.extend(req.reply);
+    }
+    riders
 }
 
 /// What Phase A left behind for one rider.
 enum Staged {
-    /// Begun: the in-flight slot holds the batch; `device` says whether an
-    /// unsynced device write is riding the barrier.
-    Sync { target: Lsn, device: bool },
+    /// Begun: the in-flight slot holds the batch up to `target`; `device`
+    /// is the durable end the log device reported for the staged write
+    /// (`None` without a backend); `ops` counts the group-commit
+    /// operations the batch covers.
+    Sync {
+        target: Lsn,
+        device: Option<Lsn>,
+        ops: u64,
+    },
     /// Already resolved (fault verdict, dead/gone shard): nothing to sync or
     /// complete.
     Done(SchedResult),
 }
 
-/// The global force scheduler: a dedicated thread gathers force requests
-/// from every shard for a bounded window and runs them through one shared
-/// sync barrier. See the module docs for the three-phase protocol.
+impl Staged {
+    /// Does an unsynced device write ride the barrier?
+    fn on_device(&self) -> bool {
+        matches!(self, Staged::Sync { device, .. } if device.is_some())
+    }
+}
+
+/// The global force scheduler: a dedicated thread runs force barriers on
+/// demand, each covering every shard asked for since the last one with one
+/// shared sync. See the module docs for the protocol.
 pub(crate) struct ForceScheduler {
     state: Mutex<SchedState>,
     cv: Condvar,
@@ -122,40 +152,58 @@ impl ForceScheduler {
         (sched, handle)
     }
 
-    /// Force `shard` through the next barrier; blocks until the barrier
-    /// settles. Must be called with **no engine lock held** — the barrier
-    /// takes each rider's engine lock itself.
-    pub fn force(&self, shard: &Arc<Shard>) -> SchedResult {
-        self.force_many(std::slice::from_ref(shard))
-            .pop()
-            .expect("one result per shard")
-    }
-
     /// Force every shard in `shards` through **one** barrier: all requests
     /// are enqueued under a single lock take before any is waited on, so the
-    /// barrier thread picks them up together. Results come back in `shards`
-    /// order. Same locking rule as [`ForceScheduler::force`].
+    /// barrier thread picks them up together. Blocks until the barrier
+    /// settles and has published every rider's watermark; results come back
+    /// in `shards` order. Must be called with **no engine lock held** — the
+    /// barrier takes each rider's engine lock itself.
     pub fn force_many(&self, shards: &[Arc<Shard>]) -> Vec<SchedResult> {
-        let slots: Vec<Arc<ReqSlot>> = shards.iter().map(|_| Arc::default()).collect();
+        let mut replies = Vec::with_capacity(shards.len());
         {
             let mut st = lock(&self.state);
             if st.stop {
                 return vec![None; shards.len()];
             }
-            for (shard, slot) in shards.iter().zip(&slots) {
-                st.pending.push(PendingReq {
+            for shard in shards {
+                let (tx, rx) = channel();
+                st.queue.push(Request {
                     shard: shard.clone(),
-                    slot: slot.clone(),
+                    reply: Some(tx),
+                    want: Lsn::ZERO,
                 });
+                replies.push(rx);
             }
         }
         self.cv.notify_all();
-        slots.iter().map(|slot| slot.wait()).collect()
+        replies.iter().map(|rx| rx.recv().ok().flatten()).collect()
+    }
+
+    /// A waiter needs `shard` durable through `target`: queue a want for
+    /// the next barrier and wake the barrier thread. Returns at once; the
+    /// waiter parks on the shard's watermark. Refused after
+    /// [`ForceScheduler::stop`].
+    pub fn want(&self, shard: &Arc<Shard>, target: Lsn) {
+        let mut st = lock(&self.state);
+        let queued = st
+            .queue
+            .iter()
+            .any(|r| Arc::ptr_eq(&r.shard, shard) && r.reply.is_none() && r.want >= target);
+        if st.stop || queued {
+            return;
+        }
+        st.queue.push(Request {
+            shard: shard.clone(),
+            reply: None,
+            want: target,
+        });
+        drop(st);
+        self.cv.notify_all();
     }
 
     /// Ask the barrier thread to exit. Requests already enqueued resolve
-    /// (as `None` — their shards are being torn down); new requests are
-    /// refused. Idempotent.
+    /// (as `None` — their shards are being torn down); new requests and
+    /// wants are refused. Idempotent.
     pub fn stop(&self) {
         lock(&self.state).stop = true;
         self.cv.notify_all();
@@ -163,126 +211,150 @@ impl ForceScheduler {
 
     fn run(&self) {
         loop {
-            {
+            let queue = {
                 let mut st = lock(&self.state);
-                loop {
-                    if st.stop {
-                        // Tear-down: wake anything still parked.
-                        for req in st.pending.drain(..) {
-                            req.slot.resolve(None);
-                        }
-                        return;
-                    }
-                    if !st.pending.is_empty() {
-                        break;
-                    }
+                while !st.stop && st.queue.is_empty() {
                     st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
                 }
-            }
-            // Bounded gather window: near-simultaneous forces from other
-            // shards coalesce into this barrier.
-            std::thread::sleep(GATHER_WINDOW);
-            let batch = std::mem::take(&mut lock(&self.state).pending);
-            if !batch.is_empty() {
-                self.run_barrier(batch);
-            }
+                if st.stop {
+                    // Tear-down: dropping the queue wakes anything parked.
+                    st.queue.clear();
+                    return;
+                }
+                std::mem::take(&mut st.queue)
+            };
+            let retry = self.run_barrier(gather(queue));
+            lock(&self.state).queue.extend(retry);
         }
     }
 
-    /// One barrier over `batch`. Engine locks are held only
-    /// per-shard in phases A and C, never across the sync in phase B.
-    fn run_barrier(&self, batch: Vec<PendingReq>) {
+    /// One barrier over `riders`; returns the wants whose rider failed, for
+    /// the next barrier to retry. Engine locks are held only per-shard in
+    /// phases A and C, never across the sync in phase B.
+    fn run_barrier(&self, riders: Vec<Rider>) -> Vec<Request> {
         // Phase A: swap each rider's buffer into its in-flight slot and
         // stage the unsynced device write.
-        let mut staged: Vec<Staged> = batch.iter().map(begin_one).collect();
-        let riders = staged
-            .iter()
-            .filter(|s| matches!(s, Staged::Sync { .. }))
-            .count();
-        let devices = staged
-            .iter()
-            .filter(|s| matches!(s, Staged::Sync { device: true, .. }))
-            .count();
+        let staged: Vec<Staged> = riders.iter().map(|r| begin_one(&r.shard)).collect();
 
         // Phase B: the shared barrier — no engine locks held, so appends on
         // every rider proceed into the now-empty WAL buffers while the
         // devices sync. This window is the double-buffer overlap.
         let overlap = Instant::now();
-        let mut sync_ok = true;
-        if riders > 0 {
-            if let Some(h) = batch.iter().find_map(|req| req.shard.faults.as_deref()) {
-                if h.on_sync(failpoint::SCHED_SYNC) {
-                    sync_ok = false;
-                }
-            }
-            if sync_ok && devices > 0 {
-                for (req, s) in batch.iter().zip(&staged) {
-                    if !matches!(s, Staged::Sync { device: true, .. }) {
-                        continue;
-                    }
-                    if let Some(b) = lock(&req.shard.backend).as_mut() {
-                        if b.sync_log().is_err() {
-                            sync_ok = false;
-                            break;
-                        }
-                    }
+        let syncing = staged.iter().any(|s| matches!(s, Staged::Sync { .. }));
+        let faults = riders.iter().find_map(|r| r.shard.faults.as_deref());
+        let mut sync_ok = !(syncing && faults.is_some_and(|h| h.on_sync(failpoint::SCHED_SYNC)));
+        let mut devices = 0;
+        for (r, s) in riders.iter().zip(&staged) {
+            if sync_ok && s.on_device() {
+                devices += 1;
+                if let Some(b) = lock(&r.shard.backend).as_mut() {
+                    sync_ok = b.sync_log().is_ok();
                 }
             }
         }
         let overlap_ns = overlap.elapsed().as_nanos() as u64;
 
-        // Phase C: fold each rider's in-flight slot into its stable prefix
-        // and resolve the requester. Barrier-wide accounting lands on the
-        // first rider's ledger (the per-shard ledgers are summed anyway).
+        // Phase C: fold each rider's in-flight slot into its stable prefix,
+        // publish its watermark and resolve its requesters. Barrier-wide
+        // accounting lands on the first rider's ledger (the per-shard
+        // ledgers are summed anyway).
         let mut accounted = false;
-        for (req, s) in batch.iter().zip(staged.drain(..)) {
-            let result = match s {
-                Staged::Done(r) => r,
-                Staged::Sync { target, .. } => {
-                    let mut g = req.shard.lock_engine();
-                    match g.as_mut() {
-                        None => None,
-                        Some(e) => {
-                            e.wal_mut().complete_force();
-                            if !accounted {
-                                let m = e.metrics();
-                                if batch.len() > 1 {
-                                    Metrics::bump(&m.forces_coalesced, batch.len() as u64 - 1);
-                                }
-                                Metrics::bump(&m.double_buffer_overlap_ns, overlap_ns);
-                                if sync_ok && devices > 0 {
-                                    Metrics::bump(&m.io_fsyncs, 1);
-                                }
-                                accounted = true;
+        let mut retry = Vec::new();
+        for (r, s) in riders.iter().zip(staged) {
+            let shard = &r.shard;
+            let (result, ops) = match s {
+                Staged::Done(result) => (result, 0),
+                Staged::Sync {
+                    target,
+                    device,
+                    ops,
+                } => {
+                    let mut g = shard.lock_engine();
+                    // A shard that died during the sync (a crash, or a
+                    // checkpoint's failed persist) acknowledges nothing
+                    // more: its in-flight batch stays volatile.
+                    let live = g.as_mut().filter(|_| !shard.is_dead());
+                    let result = live.map(|e| {
+                        e.wal_mut().complete_force();
+                        if !accounted {
+                            let m = e.metrics();
+                            Metrics::bump(&m.forces_coalesced, riders.len() as u64 - 1);
+                            Metrics::bump(&m.double_buffer_overlap_ns, overlap_ns);
+                            if sync_ok && devices > 0 {
+                                Metrics::bump(&m.io_fsyncs, 1);
                             }
-                            if sync_ok {
-                                Some(ForceOutcome::Forced(e.wal().forced_lsn().max(target)))
-                            } else {
-                                // The barrier failed: the in-flight bytes
-                                // folded back into the (in-memory) stable
-                                // prefix but the watermark must not move —
-                                // the next force re-stages the whole tail.
-                                Some(ForceOutcome::Failed)
+                            accounted = true;
+                        }
+                        match device {
+                            // The barrier failed: the in-flight bytes folded
+                            // back into the (in-memory) stable prefix but the
+                            // watermark must not move — the next force
+                            // re-stages the whole tail.
+                            _ if !sync_ok => ForceOutcome::Failed,
+                            None => ForceOutcome::Forced(target),
+                            Some(end) if end >= target => ForceOutcome::Forced(end),
+                            Some(end) => {
+                                // The device kept less than it was handed:
+                                // latch death under the engine lock, as a
+                                // torn force does.
+                                shard.latch_dead();
+                                ForceOutcome::Torn(end)
                             }
                         }
-                    }
+                    });
+                    (result, ops)
                 }
             };
-            req.slot.resolve(result);
+            match result {
+                Some(ForceOutcome::Forced(lsn)) => {
+                    // Counted before the publish wakes the batch's waiters.
+                    if ops > 0 {
+                        let c = &shard.counters;
+                        c.batches.fetch_add(1, Ordering::Relaxed);
+                        c.batched_ops.fetch_add(ops, Ordering::Relaxed);
+                        c.max_batch.fetch_max(ops, Ordering::Relaxed);
+                    }
+                    shard.advance_durable(lsn);
+                }
+                Some(ForceOutcome::Torn(lsn)) => {
+                    // The shard is crashed. The watermark advances at most
+                    // to the pre-fault durable prefix — nothing torn is
+                    // ever acknowledged.
+                    shard.advance_durable(lsn);
+                    shard.kill();
+                }
+                Some(ForceOutcome::Failed) => {
+                    // Nothing was acknowledged: the batch counts when a
+                    // later barrier carries it, and a wanted rider rides
+                    // the next barrier.
+                    shard.unforced_ops.fetch_add(ops, Ordering::Relaxed);
+                    if r.want > Lsn::ZERO {
+                        retry.push(Request {
+                            shard: shard.clone(),
+                            reply: None,
+                            want: r.want,
+                        });
+                    }
+                }
+                None => {}
+            }
+            for reply in &r.replies {
+                let _ = reply.send(result);
+            }
         }
+        retry
     }
 }
 
 /// Phase A for one rider, under its engine lock: consult
-/// [`failpoint::FLUSHER_FORCE`] (a fault in the flusher itself, e.g. a
+/// [`failpoint::FLUSHER_FORCE`] (a fault in the barrier itself, e.g. a
 /// group-commit batch torn mid-force), then [`Wal::begin_force_with`], which
 /// consults [`failpoint::WAL_FORCE`] (a fault in the device) — an armed fault
 /// matches exactly one of the two — then stage the unsynced device write.
 /// The only function in this crate that forces a shard's log.
 ///
 /// [`Wal::begin_force_with`]: llog_wal::Wal::begin_force_with
-fn begin_one(req: &PendingReq) -> Staged {
-    let shard = &req.shard;
+fn begin_one(shard: &Shard) -> Staged {
     let mut g = shard.lock_engine();
     let Some(e) = g.as_mut() else {
         return Staged::Done(None);
@@ -325,9 +397,10 @@ fn begin_one(req: &PendingReq) -> Staged {
         BeginForce::Begun(target) => {
             // Engine→backend lock order, as everywhere.
             let device = match lock(&shard.backend).as_mut() {
-                None => false,
-                Some(b) => {
-                    if b.stage_wal(e.wal(), faults).is_err() {
+                None => None,
+                Some(b) => match b.stage_wal(e.wal(), faults) {
+                    Ok(end) => Some(end),
+                    Err(_) => {
                         // The device rejected the tail: demote to a
                         // retryable failure — nothing is acknowledged on the
                         // strength of a force the device never saw. The
@@ -336,10 +409,13 @@ fn begin_one(req: &PendingReq) -> Staged {
                         e.wal_mut().complete_force();
                         return Staged::Done(Some(ForceOutcome::Failed));
                     }
-                    true
-                }
+                },
             };
-            Staged::Sync { target, device }
+            Staged::Sync {
+                target,
+                device,
+                ops: shard.unforced_ops.swap(0, Ordering::Relaxed),
+            }
         }
     }
 }

@@ -1,16 +1,18 @@
-//! One shard: an engine, its group-commit state, and its durability
+//! One shard: an engine, its background installer, and its durability
 //! watermark.
 //!
-//! The durability protocol is a classic group commit. `execute` appends
+//! The durability protocol is group commit on demand. `execute` appends
 //! the operation to the shard's WAL under the shard lock and records a
-//! *durability target* — the WAL end LSN right after the append. The
-//! shard's flusher thread batches force requests to the
-//! [`ForceScheduler`](crate::scheduler::ForceScheduler) barrier; after each
-//! force it advances the shard's durable-LSN watermark to the forced LSN and
-//! wakes every [`CommitTicket`] waiter whose target the watermark now covers.
-//! An operation is **acknowledged** exactly when its ticket's target is at
-//! or below the watermark — and only acknowledged operations are promised
-//! to survive a crash.
+//! *durability target* — the WAL end LSN right after the append. A
+//! [`CommitTicket`] waiter whose target the watermark has not reached asks
+//! the [`ForceScheduler`](crate::scheduler::ForceScheduler) barrier for a
+//! force and parks; the barrier advances the shard's durable-LSN watermark
+//! to the LSN the log device reported durable and wakes every waiter whose
+//! target it now covers. An operation is **acknowledged** exactly when its
+//! ticket's target is at or below the watermark — and only acknowledged
+//! operations are promised to survive a crash. An operation nobody waits
+//! for becomes durable with the next barrier someone asks for, or at a
+//! checkpoint.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -23,39 +25,16 @@ use llog_core::Engine;
 use llog_storage::VersionStore;
 use llog_testkit::faults::{failpoint, FaultHost};
 use llog_types::{Lsn, ObjectId, OpId, Value};
-use llog_wal::ForceOutcome;
 
+use crate::scheduler::ForceScheduler;
 use crate::snapshot::ShardCounters;
 
 #[cfg(test)]
 thread_local! {
     /// Engine-mutex acquisitions made by the current thread, on any shard —
-    /// a census that background installers and flushers cannot perturb.
+    /// a census that the installers and the force barrier cannot perturb.
     pub(crate) static LOCKS_BY_THIS_THREAD: std::cell::Cell<u64> =
         const { std::cell::Cell::new(0) };
-}
-
-/// How a shard's background threads are asked to exit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StopMode {
-    /// Orderly shutdown: the flusher forces any leftover batch (and
-    /// advances the watermark over it) before exiting.
-    Drain,
-    /// Simulated crash: exit immediately; pending operations stay
-    /// unforced, exactly as a power failure would leave them.
-    Abandon,
-}
-
-/// Group-commit bookkeeping, guarded by `Shard::gc`.
-#[derive(Debug, Default)]
-pub(crate) struct GcState {
-    /// Operations appended but not yet covered by a force.
-    pub pending: usize,
-    /// Arrival time of the oldest pending operation (drives `max_delay`).
-    pub oldest: Option<Instant>,
-    /// Set once by shutdown/crash; the flusher honours it at the next
-    /// wakeup.
-    pub stop: Option<StopMode>,
 }
 
 /// One partition of the object space: an engine plus its commit pipeline.
@@ -76,10 +55,12 @@ pub(crate) struct Shard {
     pub(crate) versions: Arc<VersionStore>,
     /// Open snapshot SIs over those chains (the GC floor source).
     pub(crate) snapshots: Arc<SnapshotRegistry>,
-    /// Group-commit state.
-    pub gc: Mutex<GcState>,
-    /// Wakes the flusher when pending work (or a stop request) appears.
-    pub gc_cv: Condvar,
+    /// The force barrier this shard's waiters ask for forces.
+    sched: Arc<ForceScheduler>,
+    /// Group-commit operations appended since the last barrier swapped
+    /// this shard's buffer; bumped under the engine lock, taken by the
+    /// barrier's Phase A under the same lock.
+    pub unforced_ops: AtomicU64,
     /// Durable-LSN watermark: every LSN strictly below it is on stable
     /// storage.
     durable: Mutex<Lsn>,
@@ -127,6 +108,7 @@ impl Shard {
         engine: Engine,
         versions: Arc<VersionStore>,
         faults: Option<Arc<FaultHost>>,
+        sched: Arc<ForceScheduler>,
     ) -> Shard {
         let forced = engine.wal().forced_lsn();
         Shard {
@@ -135,8 +117,8 @@ impl Shard {
             engine_locks: AtomicU64::new(0),
             versions,
             snapshots: SnapshotRegistry::new(),
-            gc: Mutex::new(GcState::default()),
-            gc_cv: Condvar::new(),
+            sched,
+            unforced_ops: AtomicU64::new(0),
             durable: Mutex::new(forced),
             durable_cv: Condvar::new(),
             dead: AtomicBool::new(false),
@@ -196,27 +178,33 @@ impl Shard {
         *lock(&self.durable)
     }
 
-    /// Block until the durable watermark covers `to`: `Some(true)` once
-    /// covered, `Some(false)` if the shard died first, `None` on timeout
-    /// (the caller may poll again). Read-your-writes sessions park here
-    /// before serving a floor-constrained read; the wait rides the same
-    /// condvar as [`CommitTicket::wait`](crate::CommitTicket::wait).
-    pub fn wait_durable(&self, to: Lsn, timeout: Duration) -> Option<bool> {
-        let start = Instant::now();
+    /// Block until the durable watermark covers `to`, asking the force
+    /// barrier for a force while it does not: `Some(true)` once covered,
+    /// `Some(false)` if the shard died first, `None` once `timeout` (if
+    /// any) elapsed — the caller may poll again. Ticket waits and
+    /// read-your-writes sessions park here.
+    pub fn wait_durable(self: &Arc<Self>, to: Lsn, timeout: Option<Duration>) -> Option<bool> {
+        let deadline = timeout.map(|t| Instant::now() + t);
         let mut d = lock(&self.durable);
         while *d < to {
             if self.is_dead() {
                 return Some(false);
             }
-            let elapsed = start.elapsed();
-            if elapsed >= timeout {
-                return None;
-            }
-            let (g, _) = self
-                .durable_cv
-                .wait_timeout(d, timeout - elapsed)
-                .unwrap_or_else(PoisonError::into_inner);
-            d = g;
+            // Under the watermark lock: the barrier publishes under it, so
+            // it cannot publish between this want and the park below.
+            self.sched.want(self, to);
+            let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            d = match left {
+                Some(left) if left.is_zero() => return None,
+                Some(left) => {
+                    let waited = self.durable_cv.wait_timeout(d, left);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self
+                    .durable_cv
+                    .wait(d)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
         }
         Some(true)
     }
@@ -230,10 +218,12 @@ impl Shard {
         }
     }
 
-    /// Mark the shard dead (crashed) and wake everything that could be
-    /// parked on it. Holding each lock while notifying makes the wakeups
-    /// race-free against waiters between their check and their park.
-    pub fn mark_dead(&self) {
+    /// Crash the shard: stop its installer, mark it dead and wake
+    /// everything that could be parked on it. Holding each lock while
+    /// notifying makes the wakeups race-free against waiters between their
+    /// check and their park. Idempotent.
+    pub fn kill(&self) {
+        self.signal.stop();
         {
             let _d = lock(&self.durable);
             self.dead.store(true, Ordering::SeqCst);
@@ -250,37 +240,14 @@ impl Shard {
         self.dead.load(Ordering::SeqCst)
     }
 
-    /// Latch device death without the full [`Shard::mark_dead`] wakeups —
+    /// Latch device death without the full [`Shard::kill`] wakeups —
     /// called **under the engine lock** the instant a force observes a
     /// torn/rotted write, so no concurrent force site can slip in before
     /// the shard is torn down and advance the WAL's tail guard over the
-    /// rotted bytes. The caller follows up with
-    /// [`Shard::request_stop`]`(Abandon)` once the lock is released.
+    /// rotted bytes. The caller follows up with [`Shard::kill`] once the
+    /// lock is released.
     pub fn latch_dead(&self) {
         self.dead.store(true, Ordering::SeqCst);
-    }
-
-    /// Publish one settled [`ForceOutcome`] for this shard — the shared
-    /// tail of every force site (each a rider of the scheduler's barrier):
-    /// advance the watermark on success, kill the shard on a tear
-    /// (acknowledging only the pre-fault prefix, so parked ticket waiters
-    /// wake with `false`), report a retryable failure as `false`.
-    pub fn settle_force(&self, outcome: ForceOutcome) -> bool {
-        match outcome {
-            ForceOutcome::Forced(lsn) => {
-                self.advance_durable(lsn);
-                true
-            }
-            ForceOutcome::Torn(lsn) => {
-                // The device tore the write: the shard is crashed. The
-                // watermark advances at most to the pre-fault durable
-                // prefix — nothing torn is ever acknowledged.
-                self.advance_durable(lsn);
-                self.request_stop(StopMode::Abandon);
-                false
-            }
-            ForceOutcome::Failed => false,
-        }
     }
 
     /// Current backpressure epoch (snapshot before parking).
@@ -307,115 +274,6 @@ impl Shard {
             .bp_cv
             .wait_timeout(e, timeout)
             .unwrap_or_else(PoisonError::into_inner);
-    }
-
-    /// Register one appended-but-unforced operation and wake the flusher.
-    pub fn enqueue_commit(&self) {
-        let mut gc = lock(&self.gc);
-        gc.pending += 1;
-        if gc.oldest.is_none() {
-            gc.oldest = Some(Instant::now());
-        }
-        drop(gc);
-        self.gc_cv.notify_all();
-    }
-
-    /// Ask the flusher (and installer) to exit.
-    pub fn request_stop(&self, mode: StopMode) {
-        {
-            let mut gc = lock(&self.gc);
-            // A crash must not be downgraded to a drain.
-            if gc.stop != Some(StopMode::Abandon) {
-                gc.stop = Some(mode);
-            }
-        }
-        self.gc_cv.notify_all();
-        self.signal.stop();
-        if mode == StopMode::Abandon {
-            self.mark_dead();
-        }
-    }
-}
-
-/// The per-shard log-flusher thread: batch force requests on a size/time
-/// policy, ride the [`ForceScheduler`] barrier, then publish durability.
-///
-/// [`ForceScheduler`]: crate::scheduler::ForceScheduler
-pub(crate) fn flusher_loop(
-    shard: &Arc<Shard>,
-    scheduler: &crate::scheduler::ForceScheduler,
-    batch_ops: usize,
-    max_delay: Duration,
-) {
-    let batch_ops = batch_ops.max(1);
-    loop {
-        // Phase 1: wait for a trigger (batch full, oldest op too old, or
-        // stop).
-        let batch = {
-            let mut gc = lock(&shard.gc);
-            loop {
-                match gc.stop {
-                    Some(StopMode::Abandon) => return,
-                    Some(StopMode::Drain) if gc.pending == 0 => return,
-                    Some(StopMode::Drain) => break,
-                    None => {}
-                }
-                if gc.pending >= batch_ops {
-                    break;
-                }
-                if gc.pending > 0 {
-                    let waited = gc.oldest.map(|t| t.elapsed()).unwrap_or_default();
-                    if waited >= max_delay {
-                        break;
-                    }
-                    let (g, _) = shard
-                        .gc_cv
-                        .wait_timeout(gc, max_delay - waited)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    gc = g;
-                } else {
-                    gc = shard.gc_cv.wait(gc).unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-            let n = gc.pending;
-            gc.pending = 0;
-            gc.oldest = None;
-            n
-        };
-
-        // Phase 2: one force covers the whole batch (and anything that
-        // slipped in after the pending count was captured — the force
-        // writes the entire buffered tail, so over-coverage is safe). No
-        // engine lock is held here — the barrier takes it per phase.
-        let Some(outcome) = scheduler.force(shard) else {
-            return; // crashed/torn down underneath us
-        };
-
-        // Phase 3: publish durability and account the batch.
-        shard.settle_force(outcome);
-        match outcome {
-            ForceOutcome::Forced(_) => {
-                let c = &shard.counters;
-                c.batches.fetch_add(1, Ordering::Relaxed);
-                c.batched_ops.fetch_add(batch as u64, Ordering::Relaxed);
-                c.max_batch.fetch_max(batch as u64, Ordering::Relaxed);
-            }
-            // The device tore the batch mid-force: the shard is crashed
-            // and nothing in the torn batch is ever acknowledged.
-            ForceOutcome::Torn(_) => return,
-            ForceOutcome::Failed => {
-                // Transient I/O error: the buffer is intact, nothing was
-                // acknowledged. Put the batch back and retry at the next
-                // trigger.
-                let mut gc = lock(&shard.gc);
-                gc.pending += batch;
-                if gc.oldest.is_none() {
-                    gc.oldest = Some(Instant::now());
-                }
-                drop(gc);
-                shard.gc_cv.notify_all();
-            }
-        }
     }
 }
 
@@ -475,10 +333,12 @@ pub(crate) fn installer_loop(shard: &Shard, high_water: usize) {
 /// operation is on stable storage (under [`CommitPolicy::Group`]). The
 /// caller may:
 ///
-/// - [`wait`](CommitTicket::wait) — block until the shard's flusher has
-///   forced the operation's log record (group commit), or
-/// - [`is_durable`](CommitTicket::is_durable) — poll the watermark, e.g.
-///   to batch application-level acknowledgements.
+/// - [`wait`](CommitTicket::wait) — ask the force barrier for a force and
+///   block until it has made the operation's log record durable (group
+///   commit: every ticket waiting on the same barrier shares it), or
+/// - [`is_durable`](CommitTicket::is_durable) — poll the watermark
+///   without asking for a force, e.g. to batch application-level
+///   acknowledgements behind one waited ticket.
 ///
 /// Only a ticket whose target the durable watermark covers is
 /// *acknowledged*; everything else may legitimately vanish in a crash.
@@ -487,7 +347,6 @@ pub(crate) fn installer_loop(shard: &Shard, high_water: usize) {
 /// [`CommitPolicy::Group`]: crate::CommitPolicy::Group
 pub struct CommitTicket {
     pub(crate) shard: Arc<Shard>,
-    pub(crate) shard_index: usize,
     pub(crate) op: OpId,
     pub(crate) lsn: Lsn,
     pub(crate) target: Lsn,
@@ -506,7 +365,7 @@ impl CommitTicket {
 
     /// The shard the operation ran on.
     pub fn shard(&self) -> usize {
-        self.shard_index
+        self.shard.index
     }
 
     /// The durability target: the operation is stable once the shard's
@@ -520,29 +379,12 @@ impl CommitTicket {
         self.shard.durable_lsn() >= self.target
     }
 
-    /// Block until the operation is durable. Returns `true` once the
-    /// watermark covers it, `false` if the shard crashed first — a
-    /// `false` ticket was **never acknowledged** and makes no survival
-    /// promise.
+    /// Block until the operation is durable, asking the force barrier for
+    /// a force if it is not. Returns `true` once the watermark covers it,
+    /// `false` if the shard crashed first — a `false` ticket was **never
+    /// acknowledged** and makes no survival promise.
     pub fn wait(&self) -> bool {
-        let start = Instant::now();
-        let mut d = lock(&self.shard.durable);
-        while *d < self.target {
-            if self.shard.is_dead() {
-                return false;
-            }
-            d = self
-                .shard
-                .durable_cv
-                .wait(d)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(d);
-        let c = &self.shard.counters;
-        c.waits.fetch_add(1, Ordering::Relaxed);
-        c.flush_wait_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        true
+        self.wait_for(None) == Some(true)
     }
 
     /// Like [`CommitTicket::wait`], but give up after `timeout`:
@@ -551,36 +393,26 @@ impl CommitTicket {
     /// server's response writer park on a ticket while staying responsive
     /// to its own shutdown flag.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<bool> {
+        self.wait_for(Some(timeout))
+    }
+
+    fn wait_for(&self, timeout: Option<Duration>) -> Option<bool> {
         let start = Instant::now();
-        let mut d = lock(&self.shard.durable);
-        while *d < self.target {
-            if self.shard.is_dead() {
-                return Some(false);
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= timeout {
-                return None;
-            }
-            let (g, _) = self
-                .shard
-                .durable_cv
-                .wait_timeout(d, timeout - elapsed)
-                .unwrap_or_else(PoisonError::into_inner);
-            d = g;
+        let out = self.shard.wait_durable(self.target, timeout);
+        if out == Some(true) {
+            let c = &self.shard.counters;
+            c.waits.fetch_add(1, Ordering::Relaxed);
+            c.flush_wait_ns
+                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
-        drop(d);
-        let c = &self.shard.counters;
-        c.waits.fetch_add(1, Ordering::Relaxed);
-        c.flush_wait_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Some(true)
+        out
     }
 }
 
 impl std::fmt::Debug for CommitTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CommitTicket")
-            .field("shard", &self.shard_index)
+            .field("shard", &self.shard.index)
             .field("op", &self.op)
             .field("lsn", &self.lsn)
             .field("target", &self.target)

@@ -1,5 +1,5 @@
 //! The sharded engine: N hash-partitioned recovery engines behind one
-//! handle, with a group-commit durability pipeline per shard.
+//! handle, committed through one on-demand force barrier.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -13,32 +13,12 @@ use llog_ops::{OpKind, Transform, TransformRegistry};
 use llog_storage::{Metrics, MetricsSnapshot, StableStore, VersionStore};
 use llog_testkit::faults::FaultHost;
 use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
-use llog_wal::{DurabilityBackend, Wal};
+use llog_wal::{DurabilityBackend, ForceOutcome, Wal};
 
 use crate::router::ShardRouter;
 use crate::scheduler::ForceScheduler;
-use crate::shard::{flusher_loop, installer_loop, CommitTicket, Shard, StopMode};
+use crate::shard::{installer_loop, CommitTicket, Shard};
 use crate::snapshot::{GroupCommitSnapshot, ShardedSnapshot};
-
-/// When the per-shard flusher forces the log under
-/// [`CommitPolicy::Group`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitPolicy {
-    /// Force as soon as this many operations are pending.
-    pub batch_ops: usize,
-    /// ... or as soon as the oldest pending operation has waited this
-    /// long, whichever comes first.
-    pub max_delay: Duration,
-}
-
-impl Default for GroupCommitPolicy {
-    fn default() -> Self {
-        GroupCommitPolicy {
-            batch_ops: 8,
-            max_delay: Duration::from_micros(500),
-        }
-    }
-}
 
 /// How committed operations reach stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,9 +28,10 @@ pub enum CommitPolicy {
     /// One force per operation — the baseline group commit is measured
     /// against.
     Sync,
-    /// Appends return immediately with a pending [`CommitTicket`]; the
-    /// shard's flusher thread batches forces per the policy.
-    Group(GroupCommitPolicy),
+    /// Appends return immediately with a pending [`CommitTicket`]; a
+    /// waiter on it asks the force barrier for a force, which covers every
+    /// operation appended before it started — one force for many commits.
+    Group,
 }
 
 /// Configuration for a [`ShardedEngine`]. Every shard is built and
@@ -76,7 +57,7 @@ impl Default for ShardedConfig {
     fn default() -> Self {
         ShardedConfig {
             shards: 4,
-            commit: CommitPolicy::Group(GroupCommitPolicy::default()),
+            commit: CommitPolicy::Group,
             max_uninstalled: 1024,
             install_high_water: 64,
         }
@@ -102,7 +83,7 @@ pub struct ShipManifest {
 }
 
 /// N hash-partitioned [`Engine`]s behind one handle: shard-local
-/// execution, per-shard group commit, backpressure, parallel crash and
+/// execution, group commit on demand, backpressure, parallel crash and
 /// recovery. See the crate docs for the full picture.
 ///
 /// The handle is not `Clone`; share it across threads by reference
@@ -112,19 +93,18 @@ pub struct ShardedEngine {
     config: ShardedConfig,
     router: ShardRouter,
     shards: Vec<Arc<Shard>>,
-    /// Flushers + installers + checkpointer, joined on halt.
+    /// Installers + checkpointer, joined on halt.
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Round-robin cursor for the checkpoint coordinator.
     rr: Arc<AtomicUsize>,
     /// Stops the checkpoint coordinator.
     ctl: Arc<WorkSignal>,
-    /// Fault-injection host shared with every shard's flusher/installer
-    /// (`None` outside fault-injection runs).
+    /// Fault-injection host shared with every shard's force barrier and
+    /// installer (`None` outside fault-injection runs).
     faults: Option<Arc<FaultHost>>,
     /// The force barrier every force in this engine rides.
     scheduler: Arc<ForceScheduler>,
-    /// The scheduler's barrier thread — joined *after* `threads`, because
-    /// draining flushers still route their final forces through it.
+    /// The scheduler's barrier thread, joined last on halt.
     sched_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -183,21 +163,22 @@ impl ShardedEngine {
     ) -> ShardedEngine {
         assert!(!seeded.is_empty(), "need at least one shard");
         config.shards = seeded.len();
+        let (scheduler, sched_thread) = ForceScheduler::spawn();
         let shards: Vec<Arc<Shard>> = seeded
             .into_iter()
             .enumerate()
-            .map(|(i, (e, versions))| Arc::new(Shard::new(i, e, versions, faults.clone())))
+            .map(|(i, (e, versions))| {
+                Arc::new(Shard::new(
+                    i,
+                    e,
+                    versions,
+                    faults.clone(),
+                    scheduler.clone(),
+                ))
+            })
             .collect();
-        let (scheduler, sched_thread) = ForceScheduler::spawn();
         let mut threads = Vec::new();
         for shard in &shards {
-            if let CommitPolicy::Group(policy) = config.commit {
-                let s = shard.clone();
-                let sched = scheduler.clone();
-                threads.push(std::thread::spawn(move || {
-                    flusher_loop(&s, &sched, policy.batch_ops, policy.max_delay);
-                }));
-            }
             let s = shard.clone();
             let high_water = config.install_high_water;
             threads.push(std::thread::spawn(move || {
@@ -242,9 +223,9 @@ impl ShardedEngine {
     /// Routes by the operation's read/write sets (cross-shard sets are
     /// rejected — see [`ShardRouter::shard_of_op`]), applies backpressure
     /// if the shard's uninstalled window is full, runs the operation
-    /// under the shard lock, and registers it with the durability
-    /// pipeline. The returned [`CommitTicket`] says when (and whether)
-    /// the operation became durable.
+    /// under the shard lock, and (under [`CommitPolicy::Sync`]) forces it.
+    /// The returned [`CommitTicket`] says when (and whether) the operation
+    /// became durable; waiting on it asks for the force.
     pub fn execute(
         &self,
         kind: OpKind,
@@ -290,35 +271,33 @@ impl ShardedEngine {
             let (op, lsn) = e.execute(kind, reads, writes, transform)?;
             (op, lsn, e.wal().end_lsn())
         };
+        if self.config.commit == CommitPolicy::Group {
+            // Counted under the engine lock, where the barrier takes it.
+            shard.unforced_ops.fetch_add(1, Ordering::Relaxed);
+        }
         // The force barrier takes the engine lock itself, per phase.
         drop(guard);
 
-        match self.config.commit {
-            CommitPolicy::Sync => {
-                // Near-simultaneous sync commits on different shards share
-                // one barrier (and one fsync).
-                let outcome = self
-                    .scheduler
-                    .force(shard)
-                    .ok_or_else(|| LlogError::CacheProtocol(format!("shard {idx} has crashed")))?;
-                if !shard.settle_force(outcome) {
-                    // Barrier failure or a torn device write: nothing was
-                    // acknowledged (the watermark did not advance past the
-                    // durable prefix); a tear killed the shard.
-                    return Err(LlogError::Io {
-                        point: "force_barrier".into(),
-                        reason: "barrier failed on sync commit".into(),
-                    });
-                }
-                shard.counters.sync_commits.fetch_add(1, Ordering::Relaxed);
+        if self.config.commit == CommitPolicy::Sync {
+            // Near-simultaneous sync commits on different shards share one
+            // barrier (and one fsync).
+            let outcome = self.scheduler.force_many(std::slice::from_ref(shard))[0]
+                .ok_or_else(|| LlogError::CacheProtocol(format!("shard {idx} has crashed")))?;
+            if !matches!(outcome, ForceOutcome::Forced(_)) {
+                // Barrier failure or a torn device write: nothing was
+                // acknowledged (the watermark did not advance past the
+                // durable prefix); a tear killed the shard.
+                return Err(LlogError::Io {
+                    point: "force_barrier".into(),
+                    reason: "barrier failed on sync commit".into(),
+                });
             }
-            CommitPolicy::Group(_) => shard.enqueue_commit(),
+            shard.counters.sync_commits.fetch_add(1, Ordering::Relaxed);
         }
         shard.signal.notify(); // new uninstalled work for the installer
 
         Ok(CommitTicket {
             shard: shard.clone(),
-            shard_index: idx,
             op,
             lsn,
             target,
@@ -327,7 +306,7 @@ impl ShardedEngine {
 
     /// The owning shard's current view of object `x`, read under the
     /// engine mutex — sees uncommitted (not-yet-durable) state and
-    /// contends with writers, the flusher and the installer. Prefer
+    /// contends with writers, the force barrier and the installer. Prefer
     /// [`read_value_snapshot`](Self::read_value_snapshot) for read-mostly
     /// traffic.
     pub fn read_value(&self, x: ObjectId) -> Result<Value> {
@@ -343,7 +322,7 @@ impl ShardedEngine {
     /// version chains — **no engine mutex**, so the read runs concurrently
     /// with writers, group-commit forces and installs. Observes only
     /// acknowledged (durable) state; a just-executed, not-yet-forced write
-    /// is invisible until its batch forces.
+    /// is invisible until a barrier forces it.
     pub fn read_value_snapshot(&self, x: ObjectId) -> Result<Value> {
         let idx = self.router.shard_of(x);
         let shard = &self.shards[idx];
@@ -353,8 +332,9 @@ impl ShardedEngine {
         Ok(shard.read_snapshot(x))
     }
 
-    /// Read `x` no older than `floor`: wait (bounded by `timeout`) until
-    /// the owning shard's durable watermark covers `floor`, then read at
+    /// Read `x` no older than `floor`: wait (bounded by `timeout`, asking
+    /// the force barrier for a force) until the owning shard's durable
+    /// watermark covers `floor`, then read at
     /// the watermark. This is the read-your-writes primitive behind server
     /// sessions — a client that was acked a Put at LSN `floor` never sees
     /// an older value, even through a reconnect. A floor of [`Lsn::ZERO`]
@@ -368,7 +348,7 @@ impl ShardedEngine {
         let idx = self.router.shard_of(x);
         let shard = &self.shards[idx];
         if floor > Lsn::ZERO {
-            match shard.wait_durable(floor, timeout) {
+            match shard.wait_durable(floor, Some(timeout)) {
                 Some(true) => {}
                 Some(false) => {
                     return Err(LlogError::CacheProtocol(format!("shard {idx} has crashed")))
@@ -427,20 +407,20 @@ impl ShardedEngine {
         self.force_shards(&self.shards)
     }
 
-    /// One barrier over `shards`; every rider is settled, then the first
-    /// failure (if any) is reported.
+    /// One barrier over `shards` (which publishes every rider's
+    /// watermark); the first failure, if any, is reported.
     fn force_shards(&self, shards: &[Arc<Shard>]) -> Result<()> {
         let results = self.scheduler.force_many(shards);
-        let mut failed = None;
-        for (shard, result) in shards.iter().zip(results) {
-            let ok = result.is_some_and(|outcome| shard.settle_force(outcome));
-            if !ok && failed.is_none() {
-                failed = Some(shard.index);
-            }
-        }
-        match failed {
+        match shards
+            .iter()
+            .zip(results)
+            .find(|(_, result)| !matches!(result, Some(ForceOutcome::Forced(_))))
+        {
             None => Ok(()),
-            Some(i) => Err(LlogError::CacheProtocol(format!("shard {i} has crashed"))),
+            Some((shard, _)) => Err(LlogError::CacheProtocol(format!(
+                "shard {} has crashed",
+                shard.index
+            ))),
         }
     }
 
@@ -681,18 +661,17 @@ impl ShardedEngine {
         }
     }
 
-    /// Stop and join every background thread (flushers honour `mode`).
-    fn halt(&self, mode: StopMode) {
+    /// Kill every shard — nothing unforced is forced, and parked waiters
+    /// wake — then stop and join every background thread. Idempotent.
+    fn halt(&self) {
         self.ctl.stop();
         for s in &self.shards {
-            s.request_stop(mode);
+            s.kill();
         }
         let handles: Vec<JoinHandle<()>> = lock(&self.threads).drain(..).collect();
         for t in handles {
             let _ = t.join();
         }
-        // Scheduler last: draining flushers route their final forces
-        // through it, so it must stay alive until they have joined.
         self.scheduler.stop();
         if let Some(t) = lock(&self.sched_thread).take() {
             let _ = t.join();
@@ -700,13 +679,13 @@ impl ShardedEngine {
     }
 
     /// Crash every shard simultaneously: background threads are abandoned
-    /// (pending group-commit batches are **not** forced — exactly what a
+    /// (operations no barrier carried are **not** forced — exactly what a
     /// power failure does to unacknowledged operations) and each shard's
     /// surviving `(store, wal)` parts are extracted, in shard order.
     /// Outstanding [`CommitTicket`]s remain valid for `is_durable`
     /// queries; parked `wait`ers wake and report `false`.
     pub fn crash(self) -> Vec<(StableStore, Wal)> {
-        self.halt(StopMode::Abandon);
+        self.halt();
         self.take_engines().into_iter().map(Engine::crash).collect()
     }
 
@@ -723,7 +702,7 @@ impl ShardedEngine {
         // Snapshot device death *before* halting: the halt below marks
         // every shard dead as part of crashing.
         let dead: Vec<bool> = self.shards.iter().map(|s| s.is_dead()).collect();
-        self.halt(StopMode::Abandon);
+        self.halt();
         self.take_engines()
             .into_iter()
             .enumerate()
@@ -738,11 +717,13 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Orderly shutdown: flushers drain their pending batches, write
-    /// graphs are fully installed, and every shard's parts come back
-    /// clean.
+    /// Orderly shutdown: [`drain`](Self::drain), then halt; write graphs
+    /// are fully installed, and every shard's parts come back clean. A
+    /// shard the drain could not force (a dead one) still hands back its
+    /// parts: `Engine::shutdown` decides the result.
     pub fn shutdown(self) -> Result<Vec<(StableStore, Wal)>> {
-        self.halt(StopMode::Drain);
+        let _ = self.drain();
+        self.halt();
         self.take_engines()
             .into_iter()
             .map(Engine::shutdown)
@@ -765,54 +746,63 @@ impl Drop for ShardedEngine {
     fn drop(&mut self) {
         // Idempotent: crash/shutdown already halted and drained the
         // thread list; a bare drop stops the background threads here.
-        self.halt(StopMode::Abandon);
+        self.halt();
     }
 }
 
-/// Checkpoint one shard and advance its watermark (the checkpoint's
-/// record is forced as part of [`Engine::checkpoint`]).
+/// Checkpoint one shard and advance its watermark over the checkpoint's
+/// force (part of [`Engine::checkpoint`]) — with a backend attached, only
+/// as far as the log device reports durable.
 fn checkpoint_one(shard: &Shard, truncate: bool) -> Result<Lsn> {
+    let crashed = || LlogError::CacheProtocol(format!("shard {} has crashed", shard.index));
     let mut g = shard.lock_engine();
     let Some(e) = g.as_mut() else {
-        return Err(LlogError::CacheProtocol(format!(
-            "shard {} has crashed",
-            shard.index
-        )));
+        return Err(crashed());
     };
     // `Engine::checkpoint` forces the WAL internally; a shard whose
     // device died mid-force (torn/rotted write) must not be forced again,
     // or the tail guard would advance over the rotted bytes. Checked
     // under the engine lock, where death is latched.
     if shard.is_dead() {
-        return Err(LlogError::CacheProtocol(format!(
-            "shard {} has crashed",
-            shard.index
-        )));
+        return Err(crashed());
     }
     let lsn = e.checkpoint(truncate)?;
+    let forced = e.wal().forced_lsn();
     // With a device backend attached, every checkpoint also persists the
     // shard's store + log to the device tier — incrementally: the store
     // checkpoint writes only objects dirtied since the last one (O(dirty)),
     // and the log device appends only the new tail and reclaims whole
     // segments the truncation dropped. Backend lock is taken *after* the
     // engine lock (the only order used anywhere).
-    let persisted = lock(&shard.backend).as_mut().map_or(Ok(()), |b| {
-        b.persist(e.store(), e.wal(), shard.faults.as_deref())
-            .map(drop)
-    });
-    if let Err(err) = persisted {
-        // The in-memory log is already truncated and its master moved to
-        // the new checkpoint; the next force would carry both to the log
-        // device, past a store device that never got this checkpoint.
-        // Latch death under the engine lock, as a torn force does.
-        shard.latch_dead();
-        drop(g);
-        shard.request_stop(StopMode::Abandon);
-        return Err(err);
-    }
-    let forced = e.wal().forced_lsn();
+    let persisted = match lock(&shard.backend).as_mut() {
+        None => Ok(forced),
+        Some(b) => b
+            .persist(e.store(), e.wal(), shard.faults.as_deref())
+            .and_then(|out| match out.durable {
+                durable if durable >= forced => Ok(durable),
+                durable => Err(LlogError::Io {
+                    point: "checkpoint".into(),
+                    reason: format!("log device durable through {durable} of {forced}"),
+                }),
+            }),
+    };
+    let durable = match persisted {
+        Ok(durable) => durable,
+        Err(err) => {
+            // A failed store persist left the in-memory log truncated and
+            // its master moved to the new checkpoint, which the next force
+            // would carry to the log device past a store device that never
+            // got it; a torn or rotted log append left the device short of
+            // the forced end. Either way the shard dies, latched under the
+            // engine lock as a torn force is.
+            shard.latch_dead();
+            drop(g);
+            shard.kill();
+            return Err(err);
+        }
+    };
     drop(g);
-    shard.advance_durable(forced);
+    shard.advance_durable(durable);
     // Retention GC rides the checkpoint cadence: reclaim versions below
     // min(oldest open snapshot, the durable cut just advanced).
     shard.gc_versions();
@@ -955,6 +945,7 @@ pub fn recover_sharded_from_backends(
 mod tests {
     use super::*;
     use llog_ops::builtin;
+    use llog_storage::device::DeviceConfig;
 
     fn registry() -> TransformRegistry {
         TransformRegistry::with_builtins()
@@ -970,17 +961,113 @@ mod tests {
         .unwrap()
     }
 
+    /// Shut or open; a log device's `sync` parks while it is shut, so a
+    /// test can hold a force barrier inside its Phase B.
+    #[derive(Debug, Default)]
+    struct Gate {
+        /// `(shut, syncs parked)`.
+        state: Mutex<(bool, usize)>,
+        cv: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn set(&self, shut: bool) {
+            lock(&self.state).0 = shut;
+            self.cv.notify_all();
+        }
+
+        /// Block until a sync is parked at the shut gate.
+        fn wait_parked(&self) {
+            let mut st = lock(&self.state);
+            while st.1 == 0 {
+                st = self.cv.wait(st).unwrap();
+            }
+        }
+
+        fn park(&self) {
+            let mut st = lock(&self.state);
+            st.1 += 1;
+            self.cv.notify_all();
+            while st.0 {
+                st = self.cv.wait(st).unwrap();
+            }
+            st.1 -= 1;
+        }
+    }
+
+    /// In-memory log blobs whose `sync` parks at a [`Gate`].
+    #[derive(Debug)]
+    struct GatedBlobs {
+        inner: llog_storage::device::MemBlobs,
+        gate: Arc<Gate>,
+    }
+
+    impl llog_storage::device::BlobStore for GatedBlobs {
+        fn put(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+            self.inner.put(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+            self.inner.append(name, bytes)
+        }
+        fn write_at(&mut self, name: &str, offset: u64, bytes: &[u8]) -> Result<()> {
+            self.inner.write_at(name, offset, bytes)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn get(&self, name: &str) -> Result<Option<Vec<u8>>> {
+            self.inner.get(name)
+        }
+        fn delete(&mut self, name: &str) -> Result<()> {
+            self.inner.delete(name)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.gate.park();
+            self.inner.sync()
+        }
+        fn list(&self) -> Result<Vec<String>> {
+            self.inner.list()
+        }
+    }
+
+    fn config(shards: usize, commit: CommitPolicy) -> ShardedConfig {
+        ShardedConfig {
+            shards,
+            commit,
+            ..ShardedConfig::default()
+        }
+    }
+
+    /// One group-commit shard, wired to `faults`.
+    fn one_shard(faults: Option<Arc<FaultHost>>) -> ShardedEngine {
+        ShardedEngine::new_with_faults(config(1, CommitPolicy::Group), &registry(), faults)
+    }
+
+    fn mem_backend() -> DurabilityBackend {
+        DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small())
+    }
+
+    /// A mem backend whose log device syncs through `gate` (open until the
+    /// test shuts it).
+    fn gated_backend(gate: &Arc<Gate>) -> DurabilityBackend {
+        use llog_storage::device::{MemBlobs, MemStoreDevice, SegLog};
+        let (m, cfg) = (Metrics::new(), DeviceConfig::small());
+        let blobs = GatedBlobs {
+            inner: MemBlobs::new(),
+            gate: gate.clone(),
+        };
+        let log = SegLog::attach(blobs, m.clone(), &cfg, "gated", Lsn(1)).unwrap();
+        DurabilityBackend::over(Box::new(log), Box::new(MemStoreDevice::mem(m, &cfg)))
+    }
+
     #[test]
     fn group_commit_acknowledges_and_survives() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 4,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(4, CommitPolicy::Group);
         let e = ShardedEngine::new(cfg, &reg);
         let tickets: Vec<CommitTicket> = (0..64u64).map(|i| put(&e, ObjectId(i), "gc")).collect();
         for t in &tickets {
-            assert!(t.wait(), "flusher must eventually force every batch");
+            assert!(t.wait(), "a waiter's barrier must force its op");
             assert!(t.is_durable());
         }
         let snap = e.metrics_snapshot();
@@ -999,11 +1086,7 @@ mod tests {
     #[test]
     fn sync_policy_forces_per_op() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(1, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..10u64 {
             let t = put(&e, ObjectId(i), "sync");
@@ -1018,42 +1101,37 @@ mod tests {
 
     #[test]
     fn group_commit_forces_fewer_than_ops() {
-        let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Group(GroupCommitPolicy {
-                batch_ops: 8,
-                max_delay: Duration::from_millis(50),
-            }),
-            ..ShardedConfig::default()
-        };
-        let e = ShardedEngine::new(cfg, &reg);
-        // 8 committer threads, each op waits for its ticket: pending
-        // commits pile up while the flusher works, so batches form.
+        let e = one_shard(None);
+        let gate = Arc::new(Gate::default());
+        e.attach_backend(0, gated_backend(&gate));
+        // Hold one waiter's barrier in its sync; everything the 8
+        // committers append meanwhile rides the next barrier together.
+        gate.set(true);
+        let first = put(&e, ObjectId(999), "a");
         std::thread::scope(|s| {
+            let held = s.spawn(|| first.wait());
+            gate.wait_parked();
+            let (appended, piled_up) = std::sync::mpsc::channel();
             for t in 0..8u64 {
-                let e = &e;
+                let (e, appended) = (&e, appended.clone());
                 s.spawn(move || {
                     for i in 0..16u64 {
-                        let x = ObjectId(t * 1000 + i);
-                        let ticket = e
-                            .execute(
-                                OpKind::Physical,
-                                vec![],
-                                vec![x],
-                                Transform::new(
-                                    builtin::CONST,
-                                    builtin::encode_values(&[Value::from("b")]),
-                                ),
-                            )
-                            .unwrap();
+                        let ticket = put(e, ObjectId(t * 1000 + i), "b");
+                        if i == 0 {
+                            appended.send(()).unwrap();
+                        }
                         assert!(ticket.wait());
                     }
                 });
             }
+            for _ in 0..8 {
+                piled_up.recv().unwrap();
+            }
+            gate.set(false);
+            assert!(held.join().unwrap());
         });
         let snap = e.metrics_snapshot();
-        let ops = 8 * 16;
+        let ops = 1 + 8 * 16;
         assert_eq!(snap.group_commit.batched_ops, ops);
         assert!(
             snap.aggregate.log_forces < ops,
@@ -1061,7 +1139,30 @@ mod tests {
             snap.aggregate.log_forces,
             ops
         );
-        assert!(snap.group_commit.max_batch >= 2);
+        assert!(
+            snap.group_commit.max_batch >= 8,
+            "the ops appended during the held sync share one barrier"
+        );
+        drop(e);
+    }
+
+    /// Nothing forces on a timer: unwaited operations stay volatile until
+    /// one waiter asks, and that one force covers them all.
+    #[test]
+    fn unwaited_ops_stay_volatile_until_a_waiter_asks() {
+        let e = one_shard(None);
+        let tickets: Vec<CommitTicket> = (0..10u64).map(|i| put(&e, ObjectId(i), "v")).collect();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(tickets.iter().all(|t| !t.is_durable()));
+        assert_eq!(e.metrics_snapshot().aggregate.log_forces, 0);
+        assert!(tickets[9].wait());
+        assert!(tickets.iter().all(CommitTicket::is_durable));
+        let snap = e.metrics_snapshot();
+        assert_eq!(snap.aggregate.log_forces, 1, "one force for the lot");
+        assert_eq!(
+            (snap.group_commit.batches, snap.group_commit.batched_ops),
+            (1, 10)
+        );
         drop(e);
     }
 
@@ -1118,10 +1219,7 @@ mod tests {
     #[test]
     fn checkpoint_coordinator_truncates_round_robin() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 2,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(2, CommitPolicy::Group);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..64u64 {
             put(&e, ObjectId(i), "ck").wait();
@@ -1163,10 +1261,7 @@ mod tests {
     #[test]
     fn spawned_checkpointer_runs_and_stops() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 2,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(2, CommitPolicy::Group);
         let e = ShardedEngine::new(cfg, &reg);
         e.spawn_checkpointer(Duration::from_millis(1));
         for i in 0..128u64 {
@@ -1187,24 +1282,26 @@ mod tests {
     #[test]
     fn crash_wakes_parked_ticket_waiters() {
         let reg = registry();
-        // A flusher that will never trigger on its own: huge batch, huge
-        // delay.
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Group(GroupCommitPolicy {
-                batch_ops: usize::MAX,
-                max_delay: Duration::from_secs(3600),
-            }),
-            ..ShardedConfig::default()
-        };
+        let cfg = config(1, CommitPolicy::Group);
         let e = ShardedEngine::new(cfg, &reg);
+        let gate = Arc::new(Gate::default());
+        e.attach_backend(0, gated_backend(&gate));
+        gate.set(true);
         let ticket = put(&e, ObjectId(1), "unacked");
         assert!(!ticket.is_durable());
-        let waiter = std::thread::spawn(move || ticket.wait());
-        std::thread::sleep(Duration::from_millis(5));
+        // The waiter's barrier parks in its sync; the crash must wake the
+        // waiter anyway, which then lets the barrier finish.
+        let opener = gate.clone();
+        let waiter = std::thread::spawn(move || {
+            let ok = ticket.wait();
+            opener.set(false);
+            (ok, ticket.is_durable())
+        });
+        gate.wait_parked();
         let parts = e.crash();
-        assert!(
-            !waiter.join().unwrap(),
+        assert_eq!(
+            waiter.join().unwrap(),
+            (false, false),
             "a crash must wake waiters with `false`, not hang them"
         );
         // The unacknowledged op is indeed gone.
@@ -1215,14 +1312,7 @@ mod tests {
     #[test]
     fn shutdown_drains_pending_batches() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 2,
-            commit: CommitPolicy::Group(GroupCommitPolicy {
-                batch_ops: usize::MAX, // only the drain can flush these
-                max_delay: Duration::from_secs(3600),
-            }),
-            ..ShardedConfig::default()
-        };
+        let cfg = config(2, CommitPolicy::Group);
         let e = ShardedEngine::new(cfg, &reg);
         let tickets: Vec<CommitTicket> =
             (0..16u64).map(|i| put(&e, ObjectId(i), "drain")).collect();
@@ -1243,13 +1333,12 @@ mod tests {
     /// leaves everything intact so the next force acknowledges the lot.
     #[test]
     fn every_force_site_upholds_the_barrier_contract_under_every_verdict() {
-        use llog_storage::device::DeviceConfig;
         use llog_testkit::faults::{failpoint, FaultKind};
 
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum Site {
             SyncCommit,
-            FlusherBatch,
+            Waiter,
             ForceShard,
             Drain,
         }
@@ -1302,7 +1391,7 @@ mod tests {
             };
             let ok = match site {
                 Site::SyncCommit => true,
-                Site::FlusherBatch => ticket.wait(),
+                Site::Waiter => ticket.wait(),
                 Site::ForceShard => e.force_shard(0).is_ok(),
                 Site::Drain => e.drain().is_ok(),
             };
@@ -1313,35 +1402,20 @@ mod tests {
         let (pre, doomed, retry) = (ObjectId(0), ObjectId(1), ObjectId(2));
         for site in [
             Site::SyncCommit,
-            Site::FlusherBatch,
+            Site::Waiter,
             Site::ForceShard,
             Site::Drain,
         ] {
             for &(fault, class) in &verdicts {
                 let case = format!("{site:?} x {fault:?}");
-                let cfg = ShardedConfig {
-                    shards: 1,
-                    commit: match site {
-                        Site::SyncCommit => CommitPolicy::Sync,
-                        // The flusher fires on every op and never on a timer.
-                        Site::FlusherBatch => CommitPolicy::Group(GroupCommitPolicy {
-                            batch_ops: 1,
-                            max_delay: Duration::from_secs(3600),
-                        }),
-                        // Only the explicit force flushes.
-                        Site::ForceShard | Site::Drain => CommitPolicy::Group(GroupCommitPolicy {
-                            batch_ops: usize::MAX,
-                            max_delay: Duration::from_secs(3600),
-                        }),
-                    },
-                    ..ShardedConfig::default()
+                let commit = match site {
+                    Site::SyncCommit => CommitPolicy::Sync,
+                    Site::Waiter | Site::ForceShard | Site::Drain => CommitPolicy::Group,
                 };
+                let cfg = config(1, commit);
                 let host = Arc::new(FaultHost::new());
                 let e = ShardedEngine::new_with_faults(cfg, &reg, Some(host.clone()));
-                e.attach_backend(
-                    0,
-                    DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small()),
-                );
+                e.attach_backend(0, mem_backend());
 
                 let (t, ok) = attempt(&e, site, pre, "pre");
                 assert!(ok && t.unwrap().is_durable(), "{case}: clean force");
@@ -1357,10 +1431,10 @@ mod tests {
                 match class {
                     Class::Proceed => assert!(ok && acked(&ticket), "{case}"),
                     Class::Retryable => {
-                        if site == Site::FlusherBatch {
-                            // The flusher re-enqueues the batch and retries
-                            // on its own; the ticket waits the retry out.
-                            assert!(ok && acked(&ticket), "{case}: flusher retry");
+                        if site == Site::Waiter {
+                            // The barrier queues the waiter's want again and
+                            // retries on its own; the ticket waits it out.
+                            assert!(ok && acked(&ticket), "{case}: barrier retry");
                         } else {
                             assert!(!ok && !acked(&ticket), "{case}: failure acked");
                             assert_eq!(e.durable_lsn(0), durable_before, "{case}");
@@ -1368,8 +1442,16 @@ mod tests {
                         assert!(!e.shards[0].is_dead(), "{case}: a failure is not a tear");
                         let (t, ok) = attempt(&e, site, retry, "retry");
                         assert!(ok && acked(&t), "{case}: retry must ack");
-                        // The retry's force covered the whole tail.
+                        // The retry's force covered the whole tail, and a
+                        // failed barrier's batch is counted once, when it
+                        // finally rides.
                         assert!(ticket.is_none() || acked(&ticket), "{case}");
+                        let batched = e.metrics_snapshot().group_commit.batched_ops;
+                        assert_eq!(
+                            batched,
+                            3 * u64::from(commit == CommitPolicy::Group),
+                            "{case}"
+                        );
                     }
                     Class::Tear { .. } => {
                         assert!(!ok, "{case}: torn force reported success");
@@ -1469,10 +1551,7 @@ mod tests {
     #[test]
     fn parallel_recovery_matches_shard_count_and_state() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 8,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(8, CommitPolicy::Group);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..200u64 {
             put(&e, ObjectId(i), "par");
@@ -1492,19 +1571,10 @@ mod tests {
 
     #[test]
     fn device_backed_checkpoints_survive_reboot_from_devices() {
-        use llog_storage::device::DeviceConfig;
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 2,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(2, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
-        e.attach_backends(
-            (0..2)
-                .map(|_| DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small()))
-                .collect(),
-        );
+        e.attach_backends((0..2).map(|_| mem_backend()).collect());
         for i in 0..10u64 {
             put(&e, ObjectId(i), "dev1");
         }
@@ -1533,7 +1603,6 @@ mod tests {
     /// `recover`, then one `publish` per store object and per cache entry.
     #[test]
     fn pooled_boot_matches_per_shard_reference() {
-        use llog_storage::device::DeviceConfig;
         let reg = registry();
         let dir = std::env::temp_dir().join(format!(
             "llog-pooled-boot-{}-{:x}",
@@ -1547,11 +1616,7 @@ mod tests {
         let open = |i: usize| {
             DurabilityBackend::file(&dir.join(format!("shard-{i}")), Metrics::new(), &dev).unwrap()
         };
-        let cfg = ShardedConfig {
-            shards: 3,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(3, CommitPolicy::Sync);
         let keys = 48u64;
         let e = ShardedEngine::new(cfg, &reg);
         e.attach_backends((0..3).map(open).collect());
@@ -1640,13 +1705,8 @@ mod tests {
 
     #[test]
     fn device_checkpoints_cost_o_dirty_not_o_store() {
-        use llog_storage::device::DeviceConfig;
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(1, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
         let dev_metrics = Metrics::new();
         e.attach_backend(
@@ -1673,18 +1733,10 @@ mod tests {
 
     #[test]
     fn persist_all_makes_unforgotten_tail_device_durable() {
-        use llog_storage::device::DeviceConfig;
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(1, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
-        e.attach_backend(
-            0,
-            DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small()),
-        );
+        e.attach_backend(0, mem_backend());
         for i in 0..6u64 {
             put(&e, ObjectId(i), "tail");
         }
@@ -1705,21 +1757,13 @@ mod tests {
     /// instead, and the device pair still recovers every acked put.
     #[test]
     fn failed_store_persist_at_checkpoint_latches_the_shard_dead() {
-        use llog_storage::device::DeviceConfig;
         use llog_testkit::faults::{failpoint, FaultKind};
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 2,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(2, CommitPolicy::Sync);
         let host = Arc::new(FaultHost::new());
         let e = ShardedEngine::new_with_faults(cfg, &reg, Some(host.clone()));
         for i in 0..2 {
-            e.attach_backend(
-                i,
-                DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small()),
-            );
+            e.attach_backend(i, mem_backend());
         }
         e.persist_all().unwrap();
         let keys: Vec<ObjectId> = (0..16u64).map(ObjectId).collect();
@@ -1759,6 +1803,35 @@ mod tests {
         }
     }
 
+    /// A checkpoint advances the watermark only as far as the log device
+    /// reports durable: a torn device append leaves every unwaited put
+    /// unacknowledged and the shard dead, never acked off the device.
+    #[test]
+    fn checkpoint_publishes_what_the_log_device_kept() {
+        use llog_testkit::faults::{failpoint, FaultKind};
+        let host = Arc::new(FaultHost::new());
+        let e = one_shard(Some(host.clone()));
+        e.attach_backend(0, mem_backend());
+        let tickets: Vec<CommitTicket> = (0..20u64).map(|i| put(&e, ObjectId(i), "v")).collect();
+        host.arm(
+            failpoint::DEV_LOG_APPEND,
+            FaultKind::TornWrite { at_byte: 10 },
+        );
+        let checkpointed = e.checkpoint_shard(0, false);
+        assert_eq!(host.fired().len(), 1);
+        let acked = tickets.iter().filter(|t| t.is_durable()).count();
+        assert_eq!(acked, 0, "puts acked off the device");
+        assert!(checkpointed.is_err());
+        assert!(e.shards[0].is_dead(), "a torn log device kills the shard");
+        let device_end = e.take_backends()[0].as_ref().unwrap().log().durable_end();
+        assert!(
+            e.durable_lsn(0) <= device_end,
+            "watermark {} past the device's durable end {device_end}",
+            e.durable_lsn(0)
+        );
+        drop(e);
+    }
+
     /// Walking the backlog in tiny chunks leaves the cursor mid-frame on
     /// every call; the durable cut must come from the log's own frame
     /// walk, so each chunk still makes progress and the reassembled bytes
@@ -1766,11 +1839,7 @@ mod tests {
     #[test]
     fn ship_chunk_progresses_from_mid_frame_cursors() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(1, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..8u64 {
             put(&e, ObjectId(i), "a-payload-long-enough-to-span-chunks");
@@ -1801,11 +1870,7 @@ mod tests {
     #[test]
     fn below_base_watermark_reports_full_backlog_lag() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(1, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..4u64 {
             put(&e, ObjectId(i), "old");
@@ -1825,11 +1890,7 @@ mod tests {
     #[test]
     fn concurrent_sync_commits_are_durable_on_return_and_survive() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 4,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(4, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
         // Four committer threads: their sync commits ride the barrier
         // while the others execute on their own shards.
@@ -1862,22 +1923,10 @@ mod tests {
     /// engine rides exactly one barrier — by construction, not by timing.
     #[test]
     fn coalesced_forces_share_one_device_fsync() {
-        use llog_storage::device::DeviceConfig;
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 4,
-            commit: CommitPolicy::Group(GroupCommitPolicy {
-                batch_ops: usize::MAX, // only explicit forces flush
-                max_delay: Duration::from_secs(3600),
-            }),
-            ..ShardedConfig::default()
-        };
+        let cfg = config(4, CommitPolicy::Group);
         let e = ShardedEngine::new(cfg, &reg);
-        e.attach_backends(
-            (0..4)
-                .map(|_| DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small()))
-                .collect(),
-        );
+        e.attach_backends((0..4).map(|_| mem_backend()).collect());
         let tickets: Vec<CommitTicket> = (0..4)
             .map(|s| put(&e, e.router().objects_for_shard(s, 1)[0], "one"))
             .collect();
@@ -1909,11 +1958,7 @@ mod tests {
     #[test]
     fn snapshot_reads_never_take_the_engine_mutex() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 2,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(2, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..16u64 {
             assert!(put(&e, ObjectId(i), "mvcc").is_durable());
@@ -1942,11 +1987,7 @@ mod tests {
     #[test]
     fn snapshot_reads_complete_while_a_writer_holds_the_engine_lock() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(1, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
         let x = ObjectId(7);
         assert!(put(&e, x, "held").is_durable());
@@ -1964,20 +2005,13 @@ mod tests {
     #[test]
     fn snapshot_reads_observe_only_durable_state() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Group(GroupCommitPolicy {
-                batch_ops: 1024, // never trips on its own
-                max_delay: Duration::from_secs(3600),
-            }),
-            ..ShardedConfig::default()
-        };
+        let cfg = config(1, CommitPolicy::Group);
         let e = ShardedEngine::new(cfg, &reg);
         let x = ObjectId(3);
         let t1 = put(&e, x, "v1");
         e.force_all().unwrap();
         assert!(t1.wait());
-        // v2 executes but its batch never forces: the mutex path sees it
+        // v2 executes but nobody asks for a force: the mutex path sees it
         // (uncommitted read), the snapshot path must not.
         let t2 = put(&e, x, "v2");
         assert!(!t2.is_durable());
@@ -1992,11 +2026,7 @@ mod tests {
     #[test]
     fn checkpoint_gc_bounds_retention_and_respects_open_snapshots() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(1, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
         let x = ObjectId(1);
         for i in 0..8 {
@@ -2026,11 +2056,7 @@ mod tests {
     #[test]
     fn snapshot_reads_survive_recovery() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 2,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(2, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..32u64 {
             assert!(put(&e, ObjectId(i), "pre").is_durable());
@@ -2052,16 +2078,9 @@ mod tests {
     #[test]
     fn floor_constrained_read_waits_for_the_acked_write() {
         let reg = registry();
-        // Slow flusher: a fresh put is not durable on return, so a plain
-        // snapshot read races the force while the floored read must wait.
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Group(GroupCommitPolicy {
-                batch_ops: 1024,
-                max_delay: Duration::from_millis(40),
-            }),
-            ..ShardedConfig::default()
-        };
+        // A fresh put is not durable until someone asks for a force: the
+        // floored read must ask for one and wait.
+        let cfg = config(1, CommitPolicy::Group);
         let e = ShardedEngine::new(cfg, &reg);
         assert!(put(&e, ObjectId(1), "old").wait());
 
@@ -2072,7 +2091,7 @@ mod tests {
             .read_value_snapshot_at_least(ObjectId(1), t.target(), Duration::from_secs(10))
             .unwrap();
         assert_eq!(v, Value::from("new"));
-        assert!(t.is_durable(), "floored read implies the batch forced");
+        assert!(t.is_durable(), "floored read implies the op forced");
 
         // Floor ZERO degenerates to a plain snapshot read.
         let v0 = e
@@ -2085,11 +2104,7 @@ mod tests {
     #[test]
     fn floor_beyond_any_write_times_out() {
         let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            commit: CommitPolicy::Sync,
-            ..ShardedConfig::default()
-        };
+        let cfg = config(1, CommitPolicy::Sync);
         let e = ShardedEngine::new(cfg, &reg);
         let t = put(&e, ObjectId(7), "v");
         assert!(t.is_durable());

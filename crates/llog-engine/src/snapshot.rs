@@ -10,9 +10,10 @@ llog_storage::counters! {
     /// Point-in-time counters for the group-commit pipeline, summed across
     /// shards (or for one shard).
     pub struct GroupCommitSnapshot;
-    /// Batched forces performed by shard flushers.
+    /// Group-commit batches: force-barrier rides that made at least one
+    /// `CommitPolicy::Group` operation durable.
     batches: sum,
-    /// Operations those batched forces covered.
+    /// Operations those batches covered.
     batched_ops: sum,
     /// Largest single batch observed on any shard.
     max_batch: max,

@@ -17,9 +17,9 @@ use llog_types::{LlogError, Result};
 use llog_wal::DurabilityBackend;
 
 /// Engine configuration for a served database: the engine's defaults —
-/// group commit (pipelined acks ride the flusher) through the force
-/// barrier, which stages the log tail on the attached device before
-/// acknowledging — at the given shard count.
+/// group commit on demand (pipelined acks ride one force barrier), which
+/// stages the log tail on the attached device and acknowledges only what
+/// the device reports durable — at the given shard count.
 pub fn server_engine_config(shards: usize) -> ShardedConfig {
     ShardedConfig {
         shards,

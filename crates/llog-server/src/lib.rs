@@ -255,7 +255,7 @@ mod tests {
             c.put(ObjectId(i), b"durable").unwrap(); // acked ⇒ forced
         }
         drop(c);
-        let engine = server.abort(); // cut connections, abandon flushers
+        let engine = server.abort(); // cut connections, drop queued acks
         let parts = engine.crash();
         let cfg = boot::server_engine_config(3);
         let (rec, _) =

@@ -7,8 +7,8 @@
 //! threads:
 //!
 //! - a **reader** that decodes frames, executes each request against the
-//!   [`ShardedEngine`] immediately (so the shard's group-commit flusher
-//!   sees the append right away), and enqueues the *completion* — a
+//!   [`ShardedEngine`] immediately (so the append rides the next force
+//!   barrier anyone asks for), and enqueues the *completion* — a
 //!   [`CommitTicket`] for puts, a deferred snapshot read for gets, a ready
 //!   [`Response`] for everything else — on a bounded in-order queue;
 //! - a **writer** that pops completions in order, waits each ticket
@@ -292,8 +292,10 @@ pub struct Server {
 
 impl Server {
     /// Bind `config.addr` and start serving `engine`. The engine should
-    /// be configured with `CommitPolicy::Group` (pipelined acks ride the
-    /// flusher) and, for process-kill durability, have backends attached.
+    /// be configured with `CommitPolicy::Group` (each connection's writer
+    /// waits its oldest ticket, which asks the force barrier for a force;
+    /// the puts pipelined behind it ride the same barrier or the next)
+    /// and, for process-kill durability, have backends attached.
     pub fn start(engine: ShardedEngine, config: ServerConfig) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr).map_err(|e| LlogError::Io {
             point: "server bind".into(),
@@ -350,8 +352,8 @@ impl Server {
         for s in lock(&self.inner.conns).iter() {
             let _ = s.shutdown(NetShutdown::Read);
         }
-        // Resolve queued tickets now instead of waiting out the flusher's
-        // max_delay on every connection in turn.
+        // Resolve every queued ticket with one barrier instead of one
+        // force per connection's writer in turn.
         let _ = self.inner.engine.drain();
         self.join_all();
         self.take_engine()
@@ -443,8 +445,9 @@ fn acceptor_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 }
 
 /// Decode and execute until EOF/error. Every request is executed *here*,
-/// in arrival order, so the shard's flusher sees appends immediately and
-/// batches across the whole pipeline window.
+/// in arrival order, so every put appended before the writer's next wait
+/// rides that wait's force barrier — one force across the whole pipeline
+/// window.
 fn reader_loop(inner: &Arc<Inner>, queue: &ConnQueue, stream: TcpStream) {
     let mut r = BufReader::new(stream);
     let mut shipping = ShippingState::default();
@@ -535,8 +538,8 @@ fn execute_request(inner: &Arc<Inner>, shipping: &mut ShippingState, req: Reques
             }
         }
         // Gets are deferred to the writer thread (see [`Pending::Snapshot`]):
-        // the reader stays free to pump puts into the flusher's batch
-        // window, and the read runs on the lock-free snapshot path after
+        // the reader stays free to pump puts into the next barrier's
+        // batch, and the read runs on the lock-free snapshot path after
         // this connection's earlier tickets have gone durable.
         Request::Get { req_id, object } => Pending::Snapshot { req_id, object },
         Request::Flush { req_id } => match inner.engine.force_all() {

@@ -37,7 +37,7 @@ pub mod failpoint {
     /// Device layer: writing the store checkpoint-manifest chain.
     pub const DEV_STORE_MANIFEST: &str = "device.store.manifest";
     /// The sharded engine's shared fsync barrier (the single device sync
-    /// covering every shard gathered into one barrier).
+    /// covering every shard that rides one barrier).
     pub const SCHED_SYNC: &str = "scheduler.sync";
 
     /// All failpoints, in a stable order (used by `FaultPlan::draw`).
@@ -176,7 +176,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 ///
 /// Arm at most one `(point, kind)` pair; the first code path that consults a
 /// matching point consumes it. All mutation goes through a mutex so the host
-/// can be shared across flusher/installer threads via `Arc`.
+/// can be shared across barrier/installer threads via `Arc`.
 #[derive(Debug, Default)]
 pub struct FaultHost {
     armed: Mutex<Option<(String, FaultKind)>>,

@@ -27,8 +27,8 @@ pub enum BeginForce {
 /// Result of a fault-aware force ([`Wal::force_with`]).
 ///
 /// The carried LSN is always the **known-good durable prefix**: callers (the
-/// group-commit flusher in particular) may advance their durable watermark to
-/// it and no further. After a tear the torn bytes are physically in the
+/// sharded engine's force barrier in particular) may advance their durable
+/// watermark to it and no further. After a tear the torn bytes are physically in the
 /// stable image (the scan stops at them), but nothing past the pre-fault
 /// prefix may be acknowledged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

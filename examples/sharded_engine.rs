@@ -27,9 +27,9 @@ fn main() {
 
     // Two committers per shard, each owning four of the shard's objects
     // (the router hands out ids that hash there). `execute` returns a
-    // ticket and `wait` blocks until the shard's flusher has forced a
-    // batch covering the op — two waiters per shard means the flusher
-    // gets real batches to amortize.
+    // ticket and `wait` asks the force barrier for a force and blocks until
+    // one covers the op — with eight committers, whatever the others append
+    // while a barrier runs rides the next one, so forces amortize.
     let per_committer: Vec<Vec<ObjectId>> = (0..engine.shards())
         .flat_map(|s| {
             let objs = engine.router().objects_for_shard(s, 8);
@@ -75,8 +75,8 @@ fn main() {
         "group commit must force fewer times than it commits"
     );
 
-    // Power failure: every shard crashes at once. Whatever the flushers
-    // had not yet forced is gone — but every acknowledged ticket's op was
+    // Power failure: every shard crashes at once. Whatever no barrier had
+    // yet forced is gone — but every acknowledged ticket's op was
     // covered by a force, so nothing acknowledged can be lost.
     let parts = engine.crash();
     println!(

@@ -4,16 +4,18 @@
 //! manifests (and the log's segments, which `load` then reuses), `load` is
 //! the one reader of the store's delta chain. A shard whose image is rotten
 //! fails the whole boot with `Codec`, cleanly. A boot does not trust
-//! `Install`/`Flush` records the store device never saw.
+//! `Install`/`Flush` records the store device never saw, and no force
+//! acknowledges log bytes the log device never synced.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use llog_core::{Engine, EngineConfig};
+use llog_engine::{CommitTicket, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_server::boot::open_served;
+use llog_server::boot::{open_served, server_engine_config};
 use llog_storage::device::{BlobStore, DeltaStore, DeviceConfig, FileBlobs, MemBlobs, SegLog};
 use llog_storage::Metrics;
 use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
@@ -41,11 +43,12 @@ impl Drop for TempDir {
 }
 
 /// A blob store shared between the writer and the rebooted reader, counting
-/// every `get` per blob name.
+/// every `get` per blob name. Its `sync` goes through a [`Gate`].
 #[derive(Debug)]
 struct Counting<B> {
     inner: Arc<Mutex<B>>,
     gets: Arc<Mutex<BTreeMap<String, usize>>>,
+    gate: Arc<Gate>,
 }
 
 impl<B> Clone for Counting<B> {
@@ -53,7 +56,44 @@ impl<B> Clone for Counting<B> {
         Counting {
             inner: self.inner.clone(),
             gets: self.gets.clone(),
+            gate: self.gate.clone(),
         }
+    }
+}
+
+/// How many more `sync` calls may pass (`None`: all of them); the rest
+/// park until the test lets them through.
+#[derive(Debug, Default)]
+struct Gate {
+    /// `(passes left, syncs parked)`.
+    state: Mutex<(Option<usize>, usize)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn set(&self, passes: Option<usize>) {
+        self.state.lock().unwrap().0 = passes;
+        self.cv.notify_all();
+    }
+
+    fn wait_parked(&self) {
+        let mut st = self.state.lock().unwrap();
+        while st.1 == 0 {
+            st = self.cv.wait(st).unwrap();
+        }
+    }
+
+    fn pass(&self) {
+        let mut st = self.state.lock().unwrap();
+        st.1 += 1;
+        self.cv.notify_all();
+        while st.0 == Some(0) {
+            st = self.cv.wait(st).unwrap();
+        }
+        if let Some(n) = st.0.as_mut() {
+            *n -= 1;
+        }
+        st.1 -= 1;
     }
 }
 
@@ -62,6 +102,7 @@ impl<B: BlobStore> Counting<B> {
         Counting {
             inner: Arc::new(Mutex::new(inner)),
             gets: Arc::default(),
+            gate: Arc::default(),
         }
     }
 
@@ -96,6 +137,7 @@ impl<B: BlobStore> BlobStore for Counting<B> {
         self.inner.lock().unwrap().delete(name)
     }
     fn sync(&mut self) -> Result<()> {
+        self.gate.pass();
         self.inner.lock().unwrap().sync()
     }
     fn list(&self) -> Result<Vec<String>> {
@@ -278,4 +320,46 @@ fn acked_puts_survive_installs_the_store_device_never_saw() {
         lost.len(),
         lost.first()
     );
+}
+
+/// A barrier acknowledges only what it staged and synced. While one
+/// waiter's barrier is parked in its device sync, K more puts are appended
+/// and `install_all` forces them into the WAL's stable prefix in memory
+/// (the WAL protocol's force before install). The log device never saw
+/// those bytes, so when the held sync returns, none of the K may be acked.
+#[test]
+fn a_barrier_acks_only_what_it_synced() {
+    const K: u64 = 20;
+    let e = ShardedEngine::new(server_engine_config(1), &TransformRegistry::with_builtins());
+    let log = Counting::new(MemBlobs::new());
+    let store = Counting::new(MemBlobs::new());
+    e.attach_backend(0, backend_over(&log, &store, &DeviceConfig::small()));
+    let gate = &log.gate;
+    let put = |i| {
+        let v = builtin::encode_values(&[Value::from("v")]);
+        e.execute(
+            OpKind::Physical,
+            vec![],
+            vec![ObjectId(i)],
+            Transform::new(builtin::CONST, v),
+        )
+        .unwrap()
+    };
+    assert!(put(0).wait(), "a clean barrier acks");
+
+    gate.set(Some(0));
+    let held = put(1);
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| held.wait());
+        gate.wait_parked();
+        let later: Vec<CommitTicket> = (2..2 + K).map(put).collect();
+        e.install_all().unwrap();
+        // Let the held sync return, and no later one.
+        gate.set(Some(1));
+        assert!(waiter.join().unwrap(), "the held barrier acks its own put");
+        let acked = later.iter().filter(|t| t.is_durable()).count();
+        gate.set(None);
+        assert_eq!(acked, 0, "puts acked past what the barrier synced");
+        assert!(later.last().unwrap().wait(), "the next barrier acks them");
+    });
 }

@@ -2,12 +2,8 @@
 //! configurations, crash after *every* operation count (and at torn-tail
 //! byte offsets) and verify recovery against the replay oracle.
 
-use std::time::Duration;
-
 use llog::core::{EngineConfig, FlushStrategy, GraphKind, RedoPolicy};
-use llog::engine::{
-    recover_sharded, CommitPolicy, CommitTicket, GroupCommitPolicy, ShardedConfig, ShardedEngine,
-};
+use llog::engine::{recover_sharded, CommitTicket, ShardedConfig, ShardedEngine};
 use llog::ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog::sim::{run_crash_recover_verify, CrashPoint, Workload, WorkloadKind};
 use llog::types::{ObjectId, Value};
@@ -158,15 +154,6 @@ fn physiological_only_matrix() {
 // behind one `ShardedEngine` handle with a group-commit pipeline.
 // ---------------------------------------------------------------------------
 
-/// A group-commit policy whose flusher never fires on its own, so the test
-/// controls exactly which operations become durable (via `force_all`).
-fn manual_group() -> CommitPolicy {
-    CommitPolicy::Group(GroupCommitPolicy {
-        batch_ops: usize::MAX,
-        max_delay: Duration::from_secs(3600),
-    })
-}
-
 fn shard_objects(e: &ShardedEngine, per: usize) -> Vec<Vec<ObjectId>> {
     (0..e.shards())
         .map(|s| e.router().objects_for_shard(s, per))
@@ -213,7 +200,6 @@ fn sharded_crash_acked_commits_survive_unacked_do_not() {
     let reg = registry();
     let config = ShardedConfig {
         shards: 4,
-        commit: manual_group(),
         ..ShardedConfig::default()
     };
     let engine = ShardedEngine::new(config, &reg);
@@ -227,7 +213,7 @@ fn sharded_crash_acked_commits_survive_unacked_do_not() {
     }
     let expected = snapshot_values(&engine, &objs);
 
-    // Phase B: 20 more ops, never forced — the flusher cannot fire.
+    // Phase B: 20 more ops, never forced — nobody waits on them.
     let unacked = run_sharded_ops(&engine, &objs, 20, "unacked");
     for t in &unacked {
         assert!(!t.is_durable(), "unforced op must not claim durability");
@@ -260,7 +246,6 @@ fn sharded_crash_mid_batch_force_leaves_torn_tails() {
     let reg = registry();
     let config = ShardedConfig {
         shards: 4,
-        commit: manual_group(),
         ..ShardedConfig::default()
     };
     let engine = ShardedEngine::new(config, &reg);
@@ -300,7 +285,6 @@ fn sharded_crash_with_one_shard_checkpointed() {
     let reg = registry();
     let config = ShardedConfig {
         shards: 4,
-        commit: manual_group(),
         ..ShardedConfig::default()
     };
     let engine = ShardedEngine::new(config, &reg);
@@ -352,7 +336,6 @@ fn sharded_crash_after_checkpoint_gc_cut() {
     let reg = registry();
     let config = ShardedConfig {
         shards: 3,
-        commit: manual_group(),
         ..ShardedConfig::default()
     };
     let engine = ShardedEngine::new(config, &reg);
@@ -818,7 +801,6 @@ fn failover_matrix_promoted_replica_keeps_acked_drops_unacked() {
     let reg = registry();
     let config = ShardedConfig {
         shards: 2,
-        commit: manual_group(),
         ..ShardedConfig::default()
     };
     let chunk_sizes = [7usize, 23, 64, 257, usize::MAX];
@@ -933,7 +915,6 @@ fn crash_inside_coalesced_barrier_acks_nothing_past_the_shared_fsync() {
     let reg = registry();
     let config = ShardedConfig {
         shards: 2,
-        commit: manual_group(), // only explicit forces flush
         ..ShardedConfig::default()
     };
     let host = Arc::new(FaultHost::new());
@@ -998,7 +979,6 @@ fn crash_between_double_buffer_swap_and_fsync_clips_torn_tail() {
     let reg = registry();
     let config = ShardedConfig {
         shards: 1,
-        commit: manual_group(),
         ..ShardedConfig::default()
     };
     let host = Arc::new(FaultHost::new());
