@@ -458,10 +458,13 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
     let mut rng = TestRng::seed_from_u64(material ^ 0x5AAD_ED00);
     let n_objects = rng.random_range(2u64..10);
     let shards = rng.random_range(1usize..4);
-    let commit = if rng.ratio(0.25) {
-        CommitPolicy::Sync
+    // Under group commit the op loop waits a ticket inline about once every
+    // `wait_every` ops. Each wait asks for a barrier, so an armed pipeline
+    // fault lands on a batch mid-workload, not on the one settle barrier.
+    let (commit, wait_every) = if rng.ratio(0.25) {
+        (CommitPolicy::Sync, 1)
     } else {
-        CommitPolicy::Group
+        (CommitPolicy::Group, rng.random_range(1u32..6))
     };
     let config = ShardedConfig {
         shards,
@@ -498,7 +501,12 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
                 builtin::encode_values(std::slice::from_ref(&v)),
             ),
         ) {
-            Ok(t) => history.entry(x).or_default().push((v, Some(t))),
+            Ok(t) => {
+                if rng.ratio(1.0 / f64::from(wait_every)) {
+                    t.wait();
+                }
+                history.entry(x).or_default().push((v, Some(t)));
+            }
             // A shard killed by an injected fault rejects later work, and a
             // failed coalesced barrier fails its sync commits — correct
             // behaviour, not a violation; the write stays in the history as

@@ -23,18 +23,16 @@
 //!    `double_buffer_overlap_ns`.
 //! 4. **Phase C** — per shard, engine lock again:
 //!    [`Wal::complete_force`] folds the in-flight slot into the stable
-//!    prefix; the scheduler publishes the rider's watermark itself, then
-//!    hands each requester its [`ForceOutcome`].
+//!    prefix; the scheduler publishes the watermark Phase A staged (the log
+//!    device's durable end; without a backend, the end of the swapped
+//!    batch), never `forced_lsn()`, into which an installer's
+//!    `force_through` may have folded later bytes during the sync.
 //!
-//! The watermark published is what Phase A staged: the log device's
-//! durable end (without a backend, the end of the swapped batch), never the
-//! WAL's stable end at Phase C — an installer's `force_through` may have
-//! folded later bytes into it, in memory, during the sync. `Forced` carries
-//! that LSN; `Torn` kills the shard with only the pre-fault durable prefix
-//! acknowledged, as does a device that keeps less than it was handed;
+//! `Torn` kills the shard with only the pre-fault durable prefix
+//! acknowledged, as does a device that keeps less than it was handed.
 //! `Failed` (a [`failpoint::SCHED_SYNC`] fault, a device that rejects the
-//! tail) acknowledges nothing, and a failed rider that a waiter wanted is
-//! queued again, so the retry needs no timer.
+//! tail) acknowledges nothing and wakes the shard's waiters; each one still
+//! parked wants again, so the retry needs no timer.
 //!
 //! [`Wal::begin_force_with`]: llog_wal::Wal::begin_force_with
 //! [`Wal::complete_force`]: llog_wal::Wal::complete_force
@@ -73,12 +71,10 @@ struct SchedState {
     stop: bool,
 }
 
-/// One shard in a barrier: the replies of every explicit force for it and
-/// the highest target a waiter wants (`Lsn::ZERO` if none).
+/// One shard in a barrier, with the replies of every explicit force for it.
 struct Rider {
     shard: Arc<Shard>,
     replies: Vec<Sender<SchedResult>>,
-    want: Lsn,
 }
 
 /// One rider per shard asked for. A want the previous barrier already
@@ -89,22 +85,16 @@ fn gather(queue: Vec<Request>) -> Vec<Rider> {
         if req.reply.is_none() && req.shard.durable_lsn() >= req.want {
             continue;
         }
-        let at = riders
-            .iter()
-            .position(|r| Arc::ptr_eq(&r.shard, &req.shard));
-        let rider = match at {
-            Some(at) => &mut riders[at],
-            None => {
-                riders.push(Rider {
-                    shard: req.shard,
-                    replies: Vec::new(),
-                    want: Lsn::ZERO,
-                });
-                riders.last_mut().expect("just pushed")
-            }
-        };
-        rider.want = rider.want.max(req.want);
-        rider.replies.extend(req.reply);
+        let home = riders
+            .iter_mut()
+            .find(|r| Arc::ptr_eq(&r.shard, &req.shard));
+        match home {
+            Some(rider) => rider.replies.extend(req.reply),
+            None => riders.push(Rider {
+                shard: req.shard,
+                replies: req.reply.into_iter().collect(),
+            }),
+        }
     }
     riders
 }
@@ -123,13 +113,6 @@ enum Staged {
     /// Already resolved (fault verdict, dead/gone shard): nothing to sync or
     /// complete.
     Done(SchedResult),
-}
-
-impl Staged {
-    /// Does an unsynced device write ride the barrier?
-    fn on_device(&self) -> bool {
-        matches!(self, Staged::Sync { device, .. } if device.is_some())
-    }
 }
 
 /// The global force scheduler: a dedicated thread runs force barriers on
@@ -223,15 +206,13 @@ impl ForceScheduler {
                 }
                 std::mem::take(&mut st.queue)
             };
-            let retry = self.run_barrier(gather(queue));
-            lock(&self.state).queue.extend(retry);
+            self.run_barrier(gather(queue));
         }
     }
 
-    /// One barrier over `riders`; returns the wants whose rider failed, for
-    /// the next barrier to retry. Engine locks are held only per-shard in
+    /// One barrier over `riders`. Engine locks are held only per-shard in
     /// phases A and C, never across the sync in phase B.
-    fn run_barrier(&self, riders: Vec<Rider>) -> Vec<Request> {
+    fn run_barrier(&self, riders: Vec<Rider>) {
         // Phase A: swap each rider's buffer into its in-flight slot and
         // stage the unsynced device write.
         let staged: Vec<Staged> = riders.iter().map(|r| begin_one(&r.shard)).collect();
@@ -245,7 +226,14 @@ impl ForceScheduler {
         let mut sync_ok = !(syncing && faults.is_some_and(|h| h.on_sync(failpoint::SCHED_SYNC)));
         let mut devices = 0;
         for (r, s) in riders.iter().zip(&staged) {
-            if sync_ok && s.on_device() {
+            let on_device = matches!(
+                s,
+                Staged::Sync {
+                    device: Some(_),
+                    ..
+                }
+            );
+            if sync_ok && on_device {
                 devices += 1;
                 if let Some(b) = lock(&r.shard.backend).as_mut() {
                     sync_ok = b.sync_log().is_ok();
@@ -259,7 +247,6 @@ impl ForceScheduler {
         // accounting lands on the first rider's ledger (the per-shard
         // ledgers are summed anyway).
         let mut accounted = false;
-        let mut retry = Vec::new();
         for (r, s) in riders.iter().zip(staged) {
             let shard = &r.shard;
             let (result, ops) = match s {
@@ -325,16 +312,10 @@ impl ForceScheduler {
                 }
                 Some(ForceOutcome::Failed) => {
                     // Nothing was acknowledged: the batch counts when a
-                    // later barrier carries it, and a wanted rider rides
-                    // the next barrier.
+                    // later barrier carries it, and every waiter still
+                    // parked on the shard wants the retry itself.
                     shard.unforced_ops.fetch_add(ops, Ordering::Relaxed);
-                    if r.want > Lsn::ZERO {
-                        retry.push(Request {
-                            shard: shard.clone(),
-                            reply: None,
-                            want: r.want,
-                        });
-                    }
+                    shard.wake_waiters();
                 }
                 None => {}
             }
@@ -342,7 +323,6 @@ impl ForceScheduler {
                 let _ = reply.send(result);
             }
         }
-        retry
     }
 }
 

@@ -218,6 +218,13 @@ impl Shard {
         }
     }
 
+    /// Wake every ticket waiter without moving the watermark: a barrier
+    /// failed, and each waiter still parked wants the retry.
+    pub fn wake_waiters(&self) {
+        let _d = lock(&self.durable);
+        self.durable_cv.notify_all();
+    }
+
     /// Crash the shard: stop its installer, mark it dead and wake
     /// everything that could be parked on it. Holding each lock while
     /// notifying makes the wakeups race-free against waiters between their

@@ -99,9 +99,6 @@ pub struct ShardedEngine {
     rr: Arc<AtomicUsize>,
     /// Stops the checkpoint coordinator.
     ctl: Arc<WorkSignal>,
-    /// Fault-injection host shared with every shard's force barrier and
-    /// installer (`None` outside fault-injection runs).
-    faults: Option<Arc<FaultHost>>,
     /// The force barrier every force in this engine rides.
     scheduler: Arc<ForceScheduler>,
     /// The scheduler's barrier thread, joined last on halt.
@@ -167,15 +164,7 @@ impl ShardedEngine {
         let shards: Vec<Arc<Shard>> = seeded
             .into_iter()
             .enumerate()
-            .map(|(i, (e, versions))| {
-                Arc::new(Shard::new(
-                    i,
-                    e,
-                    versions,
-                    faults.clone(),
-                    scheduler.clone(),
-                ))
-            })
+            .map(|(i, (e, v))| Arc::new(Shard::new(i, e, v, faults.clone(), scheduler.clone())))
             .collect();
         let mut threads = Vec::new();
         for shard in &shards {
@@ -192,15 +181,9 @@ impl ShardedEngine {
             threads: Mutex::new(threads),
             rr: Arc::new(AtomicUsize::new(0)),
             ctl: Arc::new(WorkSignal::new()),
-            faults,
             scheduler,
             sched_thread: Mutex::new(Some(sched_thread)),
         }
-    }
-
-    /// The fault-injection host, if one was wired in at construction.
-    pub fn fault_host(&self) -> Option<&Arc<FaultHost>> {
-        self.faults.as_ref()
     }
 
     /// The engine's configuration (with `shards` reflecting reality).
@@ -946,6 +929,7 @@ mod tests {
     use super::*;
     use llog_ops::builtin;
     use llog_storage::device::DeviceConfig;
+    use llog_testkit::SyncGate;
 
     fn registry() -> TransformRegistry {
         TransformRegistry::with_builtins()
@@ -961,45 +945,11 @@ mod tests {
         .unwrap()
     }
 
-    /// Shut or open; a log device's `sync` parks while it is shut, so a
-    /// test can hold a force barrier inside its Phase B.
-    #[derive(Debug, Default)]
-    struct Gate {
-        /// `(shut, syncs parked)`.
-        state: Mutex<(bool, usize)>,
-        cv: std::sync::Condvar,
-    }
-
-    impl Gate {
-        fn set(&self, shut: bool) {
-            lock(&self.state).0 = shut;
-            self.cv.notify_all();
-        }
-
-        /// Block until a sync is parked at the shut gate.
-        fn wait_parked(&self) {
-            let mut st = lock(&self.state);
-            while st.1 == 0 {
-                st = self.cv.wait(st).unwrap();
-            }
-        }
-
-        fn park(&self) {
-            let mut st = lock(&self.state);
-            st.1 += 1;
-            self.cv.notify_all();
-            while st.0 {
-                st = self.cv.wait(st).unwrap();
-            }
-            st.1 -= 1;
-        }
-    }
-
-    /// In-memory log blobs whose `sync` parks at a [`Gate`].
+    /// In-memory log blobs whose `sync` goes through a [`SyncGate`].
     #[derive(Debug)]
     struct GatedBlobs {
         inner: llog_storage::device::MemBlobs,
-        gate: Arc<Gate>,
+        gate: Arc<SyncGate>,
     }
 
     impl llog_storage::device::BlobStore for GatedBlobs {
@@ -1022,7 +972,10 @@ mod tests {
             self.inner.delete(name)
         }
         fn sync(&mut self) -> Result<()> {
-            self.gate.park();
+            self.gate.pass().map_err(|f| LlogError::Io {
+                point: f.point,
+                reason: f.reason,
+            })?;
             self.inner.sync()
         }
         fn list(&self) -> Result<Vec<String>> {
@@ -1047,9 +1000,8 @@ mod tests {
         DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small())
     }
 
-    /// A mem backend whose log device syncs through `gate` (open until the
-    /// test shuts it).
-    fn gated_backend(gate: &Arc<Gate>) -> DurabilityBackend {
+    /// A mem backend whose log device syncs through `gate`.
+    fn gated_backend(gate: &Arc<SyncGate>) -> DurabilityBackend {
         use llog_storage::device::{MemBlobs, MemStoreDevice, SegLog};
         let (m, cfg) = (Metrics::new(), DeviceConfig::small());
         let blobs = GatedBlobs {
@@ -1102,11 +1054,11 @@ mod tests {
     #[test]
     fn group_commit_forces_fewer_than_ops() {
         let e = one_shard(None);
-        let gate = Arc::new(Gate::default());
+        let gate = Arc::new(SyncGate::default());
         e.attach_backend(0, gated_backend(&gate));
         // Hold one waiter's barrier in its sync; everything the 8
         // committers append meanwhile rides the next barrier together.
-        gate.set(true);
+        gate.set(Some(0));
         let first = put(&e, ObjectId(999), "a");
         std::thread::scope(|s| {
             let held = s.spawn(|| first.wait());
@@ -1127,7 +1079,7 @@ mod tests {
             for _ in 0..8 {
                 piled_up.recv().unwrap();
             }
-            gate.set(false);
+            gate.set(None);
             assert!(held.join().unwrap());
         });
         let snap = e.metrics_snapshot();
@@ -1284,9 +1236,9 @@ mod tests {
         let reg = registry();
         let cfg = config(1, CommitPolicy::Group);
         let e = ShardedEngine::new(cfg, &reg);
-        let gate = Arc::new(Gate::default());
+        let gate = Arc::new(SyncGate::default());
         e.attach_backend(0, gated_backend(&gate));
-        gate.set(true);
+        gate.set(Some(0));
         let ticket = put(&e, ObjectId(1), "unacked");
         assert!(!ticket.is_durable());
         // The waiter's barrier parks in its sync; the crash must wake the
@@ -1294,7 +1246,7 @@ mod tests {
         let opener = gate.clone();
         let waiter = std::thread::spawn(move || {
             let ok = ticket.wait();
-            opener.set(false);
+            opener.set(None);
             (ok, ticket.is_durable())
         });
         gate.wait_parked();
@@ -1432,8 +1384,8 @@ mod tests {
                     Class::Proceed => assert!(ok && acked(&ticket), "{case}"),
                     Class::Retryable => {
                         if site == Site::Waiter {
-                            // The barrier queues the waiter's want again and
-                            // retries on its own; the ticket waits it out.
+                            // The failed barrier wakes the waiter, which
+                            // wants again; the ticket waits out the retry.
                             assert!(ok && acked(&ticket), "{case}: barrier retry");
                         } else {
                             assert!(!ok && !acked(&ticket), "{case}: failure acked");
@@ -1801,6 +1753,29 @@ mod tests {
             let want = if x == live { "late" } else { "acked" };
             assert_eq!(rec.read_value(x).unwrap(), Value::from(want), "{x:?}");
         }
+    }
+
+    /// A log device whose sync keeps failing is retried only while someone
+    /// waits: each failed barrier wakes the waiter, which wants again, and
+    /// once it gives up the barrier thread goes idle.
+    #[test]
+    fn a_failing_device_is_retried_only_while_a_waiter_waits() {
+        let e = one_shard(None);
+        let gate = Arc::new(SyncGate::default());
+        e.attach_backend(0, gated_backend(&gate));
+        gate.set_failing(true);
+        let t = put(&e, ObjectId(1), "v");
+        assert_eq!(t.wait_timeout(Duration::from_millis(20)), None);
+        assert!(gate.seen() > 0, "the waiter's barrier reached the device");
+        // An explicit force queues behind any want still in flight.
+        assert!(e.force_shard(0).is_err());
+        let seen = gate.seen();
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(gate.seen(), seen, "a want nobody waits for was retried");
+        assert!(!t.is_durable() && !e.shards[0].is_dead());
+        // The device heals: the next waiter's barrier acks the put.
+        gate.set_failing(false);
+        assert!(t.wait());
     }
 
     /// A checkpoint advances the watermark only as far as the log device

@@ -18,7 +18,7 @@
 //! (`LlogError::Io` in the workspace crates).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Canonical failpoint names threaded through the workspace.
 pub mod failpoint {
@@ -393,6 +393,79 @@ impl FaultPlan {
             },
             _ => FaultKind::IoError,
         }
+    }
+}
+
+/// A hand-operated device `sync` (a slow, hung or broken disk). A test
+/// wraps a log device's blob store so that its `sync` calls
+/// [`SyncGate::pass`]; the gate then lets syncs through, parks them (a
+/// force barrier held inside its sync), or fails them until told otherwise
+/// (an I/O error that stays armed).
+#[derive(Debug, Default)]
+pub struct SyncGate {
+    state: Mutex<GateState>,
+    cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct GateState {
+    /// How many more syncs may pass (`None`: all of them).
+    passes: Option<usize>,
+    /// Syncs parked at the gate now.
+    parked: usize,
+    /// Syncs that have reached the gate so far.
+    seen: u64,
+    /// Fail every sync that passes.
+    failing: bool,
+}
+
+impl SyncGate {
+    /// Let `passes` more syncs through (`None`: all of them); the rest
+    /// park until a later call lets them go.
+    pub fn set(&self, passes: Option<usize>) {
+        lock(&self.state).passes = passes;
+        self.cv.notify_all();
+    }
+
+    /// Fail (or stop failing) every sync that passes the gate.
+    pub fn set_failing(&self, failing: bool) {
+        lock(&self.state).failing = failing;
+    }
+
+    /// Block until a sync is parked at the gate.
+    pub fn wait_parked(&self) {
+        let mut st = lock(&self.state);
+        while st.parked == 0 {
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Syncs that have reached the gate so far.
+    pub fn seen(&self) -> u64 {
+        lock(&self.state).seen
+    }
+
+    /// Called by the wrapped `sync`: park while no pass is left, then
+    /// report whether the sync succeeds.
+    pub fn pass(&self) -> Result<(), InjectedFault> {
+        let mut st = lock(&self.state);
+        st.seen += 1;
+        st.parked += 1;
+        self.cv.notify_all();
+        while st.passes == Some(0) {
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        if let Some(n) = st.passes.as_mut() {
+            *n -= 1;
+        }
+        st.parked -= 1;
+        if st.failing {
+            return Err(InjectedFault {
+                point: "sync".to_string(),
+                reason: "the sync gate fails every sync".to_string(),
+            });
+        }
+        Ok(())
     }
 }
 

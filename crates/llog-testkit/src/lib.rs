@@ -19,7 +19,9 @@
 //!   [`FaultHost`](faults::FaultHost) with named failpoints (torn write,
 //!   short fsync, I/O error, bit flip, delayed/reordered page write) that
 //!   the storage, WAL, and engine crates consult on their persistence
-//!   paths. Same seed ⇒ identical fault schedule.
+//!   paths. Same seed ⇒ identical fault schedule. A
+//!   [`SyncGate`](faults::SyncGate) parks or fails a wrapped device
+//!   `sync` by hand.
 //!
 //! ## Deterministic seeding policy
 //!
@@ -35,7 +37,7 @@ pub mod rng;
 
 pub use faults::{
     failpoint, FaultHost, FaultKind, FaultPlan, FiredFault, ForceVerdict, InjectedFault,
-    PlannedFault, WriteVerdict,
+    PlannedFault, SyncGate, WriteVerdict,
 };
 pub use prop::{Config, Just, Strategy, StrategyExt};
 pub use rng::TestRng;

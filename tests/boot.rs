@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use llog_core::{Engine, EngineConfig};
@@ -18,6 +18,7 @@ use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::boot::{open_served, server_engine_config};
 use llog_storage::device::{BlobStore, DeltaStore, DeviceConfig, FileBlobs, MemBlobs, SegLog};
 use llog_storage::Metrics;
+use llog_testkit::SyncGate;
 use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
 use llog_wal::{DurabilityBackend, STORE_SUBDIR};
 
@@ -43,12 +44,12 @@ impl Drop for TempDir {
 }
 
 /// A blob store shared between the writer and the rebooted reader, counting
-/// every `get` per blob name. Its `sync` goes through a [`Gate`].
+/// every `get` per blob name. Its `sync` goes through a [`SyncGate`].
 #[derive(Debug)]
 struct Counting<B> {
     inner: Arc<Mutex<B>>,
     gets: Arc<Mutex<BTreeMap<String, usize>>>,
-    gate: Arc<Gate>,
+    gate: Arc<SyncGate>,
 }
 
 impl<B> Clone for Counting<B> {
@@ -58,42 +59,6 @@ impl<B> Clone for Counting<B> {
             gets: self.gets.clone(),
             gate: self.gate.clone(),
         }
-    }
-}
-
-/// How many more `sync` calls may pass (`None`: all of them); the rest
-/// park until the test lets them through.
-#[derive(Debug, Default)]
-struct Gate {
-    /// `(passes left, syncs parked)`.
-    state: Mutex<(Option<usize>, usize)>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn set(&self, passes: Option<usize>) {
-        self.state.lock().unwrap().0 = passes;
-        self.cv.notify_all();
-    }
-
-    fn wait_parked(&self) {
-        let mut st = self.state.lock().unwrap();
-        while st.1 == 0 {
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    fn pass(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.1 += 1;
-        self.cv.notify_all();
-        while st.0 == Some(0) {
-            st = self.cv.wait(st).unwrap();
-        }
-        if let Some(n) = st.0.as_mut() {
-            *n -= 1;
-        }
-        st.1 -= 1;
     }
 }
 
@@ -137,7 +102,10 @@ impl<B: BlobStore> BlobStore for Counting<B> {
         self.inner.lock().unwrap().delete(name)
     }
     fn sync(&mut self) -> Result<()> {
-        self.gate.pass();
+        self.gate.pass().map_err(|f| LlogError::Io {
+            point: f.point,
+            reason: f.reason,
+        })?;
         self.inner.lock().unwrap().sync()
     }
     fn list(&self) -> Result<Vec<String>> {
