@@ -44,7 +44,7 @@
 //! Environment: `LLOG_FUZZ_SEED` (base seed), `LLOG_FUZZ_ITERS`
 //! (iteration count). Flags `--seed`/`--iters` override the environment.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -58,7 +58,7 @@ use llog_domains::fs::FileSystem;
 use llog_domains::register_domain_transforms;
 use llog_engine::{recover_sharded, CommitPolicy, CommitTicket, ShardedConfig, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_server::{proto, Client, Request, Server, ServerConfig};
+use llog_server::{proto, Client, Request, Response, Server, ServerConfig};
 use llog_sim::{replay_stable_log, verify_against_log, OpSpec, Workload, WorkloadKind};
 use llog_testkit::faults::{failpoint, FaultHost, FaultKind, FaultPlan};
 use llog_testkit::prop::{run_property_result, Config};
@@ -163,7 +163,8 @@ fn print_help() {
         \x20            1 sharded, 3 domains, 4 mem-vs-file\n\
         \x20            durability-backend differential on real files,\n\
         \x20            5 TCP server codec chaos: dropped/half-written/\n\
-        \x20            garbage frames against a live llog-server,\n\
+        \x20            garbage frames against a live llog-server while\n\
+        \x20            a pipelined connection reads its own writes,\n\
         \x20            6 log-shipping replication chaos: lost/duplicated/\n\
         \x20            reordered chunks, replica crash mid-redo, promote\n\
         \x20            at a random cut, divergence oracle,\n\
@@ -638,6 +639,19 @@ fn blobs_equal(
     Ok(())
 }
 
+/// Both backends returned the same durable LSN, or both failed.
+fn lsn_verdicts_agree(
+    what: &str,
+    m: &Result<Lsn, LlogError>,
+    f: &Result<Lsn, LlogError>,
+) -> Result<(), String> {
+    match (m, f) {
+        (Ok(a), Ok(b)) if a != b => Err(format!("{what}: durable LSNs diverged: mem={a} file={b}")),
+        (Ok(_), Ok(_)) | (Err(_), Err(_)) => Ok(()),
+        _ => Err(format!("{what}: verdicts diverged: mem={m:?} file={f:?}")),
+    }
+}
+
 /// Drive one engine workload while persisting to a Mem and a File backend
 /// under identically-armed device-fault plans; demand byte-identical blob
 /// state after every persist (crash cut) and identical recovery from both
@@ -733,39 +747,39 @@ fn fuzz_backend_diff(n_ops: usize, material: u64) -> Result<(), String> {
         }
         if (i + 1) % persist_every == 0 {
             engine.wal_mut().force();
-            // Store checkpoint first, then the log (the backend ordering).
-            let through = engine.wal().end_lsn();
-            let m_ck = mem_store.checkpoint(engine.store(), through, Some(&mem_host));
-            let f_ck = file_store.checkpoint(engine.store(), through, Some(&file_host));
-            if m_ck.is_ok() != f_ck.is_ok() {
+            // The backend's WAL-protocol order: the log tail, then the store
+            // checkpoint, then the log's master and truncation — each step
+            // only after the one before it succeeded on the device.
+            let through = engine.wal().forced_lsn();
+            let m_tail = engine.wal().persist_tail_to(&mut mem_log, Some(&mem_host));
+            let f_tail = engine
+                .wal()
+                .persist_tail_to(&mut file_log, Some(&file_host));
+            let mut agreed = lsn_verdicts_agree("log tail", &m_tail, &f_tail);
+            if agreed.is_ok() && m_tail.is_ok_and(|d| d >= through) {
+                let m_ck = mem_store.checkpoint(engine.store(), through, Some(&mem_host));
+                let f_ck = file_store.checkpoint(engine.store(), through, Some(&file_host));
+                if m_ck.is_ok() != f_ck.is_ok() {
+                    cleanup();
+                    return Err(format!(
+                        "{}: store checkpoint verdicts diverged: mem={m_ck:?} file={f_ck:?}",
+                        ctx()
+                    ));
+                }
+                if i < planned.step {
+                    ckpt_writes +=
+                        usize::from(m_ck.as_ref().is_ok_and(|st| st.objects_written > 0));
+                    longest_chain = longest_chain.max(mem_store.chain_len());
+                }
+                if m_ck.is_ok() {
+                    let m_p = engine.wal().persist_to(&mut mem_log, Some(&mem_host));
+                    let f_p = engine.wal().persist_to(&mut file_log, Some(&file_host));
+                    agreed = lsn_verdicts_agree("log persist", &m_p, &f_p);
+                }
+            }
+            if let Err(e) = agreed {
                 cleanup();
-                return Err(format!(
-                    "{}: store checkpoint verdicts diverged: mem={m_ck:?} file={f_ck:?}",
-                    ctx()
-                ));
-            }
-            if i < planned.step {
-                ckpt_writes += usize::from(m_ck.is_ok_and(|st| st.objects_written > 0));
-                longest_chain = longest_chain.max(mem_store.chain_len());
-            }
-            let m_p = engine.wal().persist_to(&mut mem_log, Some(&mem_host));
-            let f_p = engine.wal().persist_to(&mut file_log, Some(&file_host));
-            match (&m_p, &f_p) {
-                (Ok(a), Ok(b)) if a != b => {
-                    cleanup();
-                    return Err(format!(
-                        "{}: durable LSNs diverged: mem={a} file={b}",
-                        ctx()
-                    ));
-                }
-                (Ok(_), Ok(_)) | (Err(_), Err(_)) => {}
-                _ => {
-                    cleanup();
-                    return Err(format!(
-                        "{}: log persist verdicts diverged: mem={m_p:?} file={f_p:?}",
-                        ctx()
-                    ));
-                }
+                return Err(format!("{}: {e}", ctx()));
             }
             // Crash cut: the durable blob state must be byte-identical.
             let check = || -> Result<(), String> {
@@ -994,24 +1008,84 @@ fn fuzz_domains(n_ops: usize, material: u64) -> Result<(), String> {
 // Mode 5: TCP server codec chaos
 // ---------------------------------------------------------------------------
 
+/// One request in flight on the well-behaved connection of mode 5.
+#[derive(Debug)]
+enum Sent {
+    /// A put of `history[x][idx]`.
+    Put { x: ObjectId, idx: usize },
+    /// A get sent after `floor` puts to `x`.
+    Get { x: ObjectId, floor: usize },
+}
+
+/// Every value mode 5's well-behaved connection put, per object, in send
+/// order (values are unique).
+type History = BTreeMap<ObjectId, Vec<Vec<u8>>>;
+
+/// Values `x` may hold once its puts from index `from` on could have
+/// landed; `None` also allows the never-written empty value.
+fn allowed(history: &History, x: ObjectId, from: Option<usize>) -> Vec<Vec<u8>> {
+    let puts = history.get(&x).map_or(&[][..], Vec::as_slice);
+    let mut ok = puts[from.unwrap_or(0)..].to_vec();
+    if from.is_none() {
+        ok.push(Vec::new());
+    }
+    ok
+}
+
+/// Read the response to the oldest request in flight: it must carry that
+/// request's `req_id`, an ack records the put as the object's last acked
+/// one, and a get must see its own connection's writes.
+fn settle_oldest(
+    client: &mut Client,
+    inflight: &mut VecDeque<(u64, Sent)>,
+    history: &History,
+    acked: &mut BTreeMap<ObjectId, usize>,
+) -> Result<(), String> {
+    let (want, sent) = inflight.pop_front().expect("a request in flight");
+    let resp = client
+        .recv()
+        .map_err(|e| format!("recv req {want}: {e}"))?
+        .ok_or_else(|| format!("connection closed with req {want} in flight"))?;
+    match (&sent, resp) {
+        (Sent::Put { x, idx }, Response::Ack { req_id, .. }) if req_id == want => {
+            acked.insert(*x, *idx);
+        }
+        (Sent::Get { x, floor }, Response::Value { req_id, value }) if req_id == want => {
+            // The writer waited every earlier ticket durable before the read
+            // resolved: it sees the last put sent before it, or a later one.
+            if !allowed(history, *x, floor.checked_sub(1)).contains(&value) {
+                return Err(format!(
+                    "get {x} returned {value:?}, older than the last of {floor} puts sent before it"
+                ));
+            }
+        }
+        (_, resp) => return Err(format!("req {want} ({sent:?}) answered with {resp:?}")),
+    }
+    Ok(())
+}
+
 /// Drive seeded traffic against a live [`Server`] while injecting chaos at
 /// the codec boundary: connections dropped mid-frame, single-bit-flipped
-/// frames, and plain garbage bytes. Every `Put` on the well-behaved
-/// connection is waited on synchronously, so its ack is a durability
-/// promise. Invariants:
+/// frames, and plain garbage bytes. The well-behaved connection pipelines
+/// up to a per-run window (1..=16) of requests, so the writer coalesces
+/// runs of responses into one socket write while chaos and the abort hit
+/// it. Invariants:
 ///
+/// - responses come back in `req_id` order, and a get reads its own
+///   connection's writes (the last put sent before it, or a later one);
 /// - bad connections never take the server down — a fresh connection still
 ///   answers a ping afterwards, and each one is recorded as a protocol
 ///   error or a dropped connection;
-/// - acked-durable across a hard abort: `Server::abort` + `crash()` +
-///   recovery must surface the **exact** last acknowledged value of every
-///   object (nothing unacked was ever executed, so equality is exact);
+/// - acked-durable across a hard abort with the window still in flight:
+///   `Server::abort` + `crash()` + recovery must surface each object's last
+///   acknowledged value or a put sent after it, never an older one;
 /// - double-recovery idempotence: crashing the recovered engine and
 ///   recovering again yields the identical exposed state.
 fn fuzz_server(n_ops: usize, material: u64) -> Result<(), String> {
     let mut rng = TestRng::seed_from_u64(material ^ 0x5E4F_E400);
     let n_objects = rng.random_range(2u64..10);
     let shards = rng.random_range(1usize..4);
+    let window = rng.random_range(1u64..17) as usize;
     let registry = TransformRegistry::with_builtins();
     let sconfig = llog_server::boot::server_engine_config(shards);
     let engine = ShardedEngine::new(sconfig, &registry);
@@ -1019,19 +1093,26 @@ fn fuzz_server(n_ops: usize, material: u64) -> Result<(), String> {
         .map_err(|e| format!("server: start: {e}"))?;
     let addr = server.local_addr();
 
-    let ctx = |what: &str| format!("server: shards={shards} n_ops={n_ops}: {what}");
+    let ctx = |what: &str| format!("server: shards={shards} window={window} n_ops={n_ops}: {what}");
 
     let mut client = Client::connect(addr).map_err(|e| ctx(&format!("connect: {e}")))?;
-    // Last acknowledged value per object. The well-behaved connection waits
-    // for every ack before the next request, and chaos frames never decode,
-    // so this is the complete write history the recovery must reproduce.
-    let mut acked: BTreeMap<ObjectId, Vec<u8>> = BTreeMap::new();
+    // Chaos frames never decode, so the well-behaved connection's puts are
+    // the complete write history; `acked` holds each object's last acked
+    // index into it.
+    let mut history = History::new();
+    let mut acked: BTreeMap<ObjectId, usize> = BTreeMap::new();
+    let mut inflight: VecDeque<(u64, Sent)> = VecDeque::new();
     let mut expected_bad = 0u64;
 
     for i in 0..n_ops {
         // Occasionally recycle the polite connection (clean EOF at a frame
-        // boundary — must not count as a drop or an error).
+        // boundary — must not count as a drop or an error) once its
+        // window has drained.
         if rng.ratio(0.08) {
+            while !inflight.is_empty() {
+                settle_oldest(&mut client, &mut inflight, &history, &mut acked)
+                    .map_err(|e| ctx(&e))?;
+            }
             client = Client::connect(addr).map_err(|e| ctx(&format!("reconnect: {e}")))?;
         }
         if rng.ratio(0.2) {
@@ -1071,24 +1152,36 @@ fn fuzz_server(n_ops: usize, material: u64) -> Result<(), String> {
             continue;
         }
         let x = ObjectId(rng.random_range(0..n_objects));
-        if rng.ratio(0.15) {
-            // Read-your-writes on the acked connection.
-            let got = client.get(x).map_err(|e| ctx(&format!("get {x}: {e}")))?;
-            if let Some(want) = acked.get(&x) {
-                if &got != want {
-                    return Err(ctx(&format!(
-                        "get {x} after ack returned {got:?}, last acked {want:?}"
-                    )));
-                }
-            }
+        let req_id = client.fresh_req_id();
+        let puts = history.entry(x).or_default();
+        let (req, sent) = if rng.ratio(0.15) {
+            let floor = puts.len();
+            (Request::Get { req_id, object: x }, Sent::Get { x, floor })
         } else {
-            let v = format!("srv{i}-{}", rng.next_u32()).into_bytes();
-            client
-                .put(x, &v)
-                .map_err(|e| ctx(&format!("put {x}: {e}")))?;
-            acked.insert(x, v);
+            let value = format!("srv{i}-{}", rng.next_u32()).into_bytes();
+            puts.push(value.clone());
+            let idx = puts.len() - 1;
+            (
+                Request::Put {
+                    req_id,
+                    object: x,
+                    value,
+                },
+                Sent::Put { x, idx },
+            )
+        };
+        client
+            .send(&req)
+            .map_err(|e| ctx(&format!("send {sent:?}: {e}")))?;
+        inflight.push_back((req_id, sent));
+        if inflight.len() >= window {
+            settle_oldest(&mut client, &mut inflight, &history, &mut acked).map_err(|e| ctx(&e))?;
         }
     }
+    // The last window stays in flight into the abort below.
+    client
+        .flush_stream()
+        .map_err(|e| ctx(&format!("flush the last window: {e}")))?;
 
     // The server must still accept and serve fresh connections after every
     // mangled one.
@@ -1112,22 +1205,24 @@ fn fuzz_server(n_ops: usize, material: u64) -> Result<(), String> {
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    drop(client);
     drop(probe);
 
     // Hard abort (the SIGKILL path: no drain, queued responses dropped),
-    // then crash and recover. Everything acked must be there, exactly.
+    // then crash and recover. Every object holds its last acked value or
+    // a put sent after it.
     let engine = server.abort();
+    drop(client);
     let parts = engine.crash();
     let (rec, _) = recover_sharded(parts, &registry, sconfig, RedoPolicy::RsiExposed)
         .map_err(|e| ctx(&format!("recovery failed: {e}")))?;
-    for (x, want) in &acked {
+    for &x in history.keys() {
         let got = rec
-            .read_value(*x)
+            .read_value(x)
             .map_err(|e| ctx(&format!("read {x} after recovery: {e}")))?;
-        if got != Value::from(want.as_slice()) {
+        if !allowed(&history, x, acked.get(&x).copied()).contains(&got.as_bytes().to_vec()) {
             return Err(ctx(&format!(
-                "acked-durable violated on {x}: recovered {got:?}, last acked {want:?}"
+                "acked-durable violated on {x}: recovered {got:?}, last acked put #{:?}",
+                acked.get(&x)
             )));
         }
     }

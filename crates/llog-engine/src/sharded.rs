@@ -749,42 +749,43 @@ fn checkpoint_one(shard: &Shard, truncate: bool) -> Result<Lsn> {
     if shard.is_dead() {
         return Err(crashed());
     }
-    let lsn = e.checkpoint(truncate)?;
-    let forced = e.wal().forced_lsn();
     // With a device backend attached, every checkpoint also persists the
     // shard's store + log to the device tier — incrementally: the store
     // checkpoint writes only objects dirtied since the last one (O(dirty)),
     // and the log device appends only the new tail and reclaims whole
     // segments the truncation dropped. Backend lock is taken *after* the
     // engine lock (the only order used anywhere).
-    let persisted = match lock(&shard.backend).as_mut() {
-        None => Ok(forced),
-        Some(b) => b
-            .persist(e.store(), e.wal(), shard.faults.as_deref())
-            .and_then(|out| match out.durable {
-                durable if durable >= forced => Ok(durable),
-                durable => Err(LlogError::Io {
-                    point: "checkpoint".into(),
-                    reason: format!("log device durable through {durable} of {forced}"),
-                }),
-            }),
+    let mut backend = lock(&shard.backend);
+    let faults = shard.faults.as_deref();
+    let persisted = match backend.as_mut() {
+        None => e
+            .checkpoint(truncate)
+            .map(|lsn| (lsn, e.wal().forced_lsn())),
+        // WAL protocol: the log device takes every record forced so far
+        // (the installer forces in memory) before the checkpoint may
+        // truncate it away, so the store checkpoint never holds an install
+        // whose record only memory had.
+        Some(b) => b.persist_wal(e.wal(), faults).and_then(|_| {
+            let lsn = e.checkpoint(truncate)?;
+            Ok((lsn, b.persist(e.store(), e.wal(), faults)?.durable))
+        }),
     };
-    let durable = match persisted {
-        Ok(durable) => durable,
+    let (lsn, durable) = match persisted {
+        Ok(done) => done,
         Err(err) => {
-            // A failed store persist left the in-memory log truncated and
-            // its master moved to the new checkpoint, which the next force
+            // A failed persist left the in-memory log truncated and its
+            // master moved to the new checkpoint, which the next force
             // would carry to the log device past a store device that never
             // got it; a torn or rotted log append left the device short of
             // the forced end. Either way the shard dies, latched under the
             // engine lock as a torn force is.
             shard.latch_dead();
-            drop(g);
+            drop((backend, g));
             shard.kill();
             return Err(err);
         }
     };
-    drop(g);
+    drop((backend, g));
     shard.advance_durable(durable);
     // Retention GC rides the checkpoint cadence: reclaim versions below
     // min(oldest open snapshot, the durable cut just advanced).
@@ -897,7 +898,9 @@ fn poisoned_recovery_thread() -> LlogError {
 /// (fresh store, fresh log). The backends are returned alongside so the
 /// caller can re-attach them ([`ShardedEngine::attach_backends`]) and keep
 /// checkpointing incrementally onto the same devices. Redo uses the
-/// paper's test, [`RedoPolicy::RsiExposed`].
+/// paper's test, [`RedoPolicy::RsiExposed`]. A shard whose recovered log
+/// would resume below its store's `installed_through` is `Unexplainable`:
+/// the boot never reuses an LSN the store device already vouches for.
 pub fn recover_sharded_from_backends(
     backends: Vec<DurabilityBackend>,
     registry: &TransformRegistry,
@@ -906,14 +909,28 @@ pub fn recover_sharded_from_backends(
     assert!(!backends.is_empty(), "need at least one shard to recover");
     let recovered = in_recovery_pool(backends, |backend| {
         let metrics = Metrics::new();
-        let (store, wal) = match backend.load(metrics.clone())? {
-            Some(pair) => pair,
-            None => (StableStore::new(metrics.clone()), Wal::new(metrics)),
+        let (store, wal, vouched) = match backend.load(metrics.clone())? {
+            Some((store, wal)) => {
+                let vouched = store.installed_through();
+                (store, wal, vouched)
+            }
+            None => (
+                StableStore::new(metrics.clone()),
+                Wal::new(metrics),
+                Lsn::ZERO,
+            ),
         };
-        Ok((
-            recover_and_seed(store, wal, registry, RedoPolicy::RsiExposed)?,
-            backend,
-        ))
+        let recovered = recover_and_seed(store, wal, registry, RedoPolicy::RsiExposed)?;
+        // The store holds installs below `vouched`. A log that resumes below
+        // it would hand a new operation an LSN the store already vouches
+        // for, and the REDO test would skip that operation at the next boot.
+        let resume = recovered.0 .0.wal().end_lsn();
+        if resume < vouched {
+            return Err(LlogError::Unexplainable(format!(
+                "store installed through {vouched}, but the log device resumes at {resume}"
+            )));
+        }
+        Ok((recovered, backend))
     })?;
     let (recovered, backends): (Vec<_>, _) = recovered.into_iter().unzip();
     let (seeded, outcomes) = recovered.into_iter().unzip();

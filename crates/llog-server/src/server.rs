@@ -12,9 +12,12 @@
 //!   [`CommitTicket`] for puts, a deferred snapshot read for gets, a ready
 //!   [`Response`] for everything else — on a bounded in-order queue;
 //! - a **writer** that pops completions in order, waits each ticket
-//!   durable, and writes the response frame. Responses therefore come back
-//!   in request order, and an `Ack` is written only after the shard's
-//!   durable watermark covers the operation.
+//!   durable, and buffers the response frame. Responses therefore come
+//!   back in request order, and an `Ack` is written only after the shard's
+//!   durable watermark covers the operation. The writer flushes the socket
+//!   only where it could park — an empty queue, a ticket not yet durable,
+//!   a session read whose floor is not yet covered — so a run of ready
+//!   responses shares one write.
 //!
 //! ## Reads ride out of band, answers stay in order
 //!
@@ -155,6 +158,9 @@ llog_storage::counters! {
     protocol_errors: sum,
     /// Connections that died mid-frame (`Io`).
     dropped_conns: sum,
+    /// Socket flushes that carried at least one response:
+    /// `requests / response_writes` is how many responses share a write.
+    response_writes: sum,
 }
 
 /// One completion, queued in request order.
@@ -225,6 +231,15 @@ impl ConnQueue {
         drop(s);
         self.not_empty.notify_one();
         true
+    }
+
+    /// The next completion if one is queued, without blocking.
+    fn try_pop(&self) -> Option<Pending> {
+        let item = lock(&self.state).items.pop_front();
+        if item.is_some() {
+            self.not_full.notify_one();
+        }
+        item
     }
 
     /// Pop the next completion; `None` once drained *and* closed.
@@ -725,13 +740,67 @@ fn manifest_chunk(
     resp
 }
 
+/// A connection's response stream. Frames collect in the buffer and reach
+/// the socket only at [`Responses::flush`], which the writer calls right
+/// before it could park (DESIGN §12): a run of ready responses shares one
+/// socket write, and no ready response waits behind a parked one.
+struct Responses<'a> {
+    w: BufWriter<TcpStream>,
+    /// Frames buffered since the last flush.
+    unflushed: bool,
+    counters: &'a Counters,
+}
+
+impl Responses<'_> {
+    fn send(&mut self, resp: &Response) -> Result<()> {
+        write_frame(&mut self.w, &encode_response(resp))?;
+        self.unflushed = true;
+        Ok(())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.unflushed {
+            self.w.flush()?;
+            self.unflushed = false;
+            self.counters
+                .response_writes
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// The crash path: drop every buffered response unwritten.
+    fn discard(self) {
+        let _ = self.w.into_parts();
+    }
+}
+
 /// Pop completions in order, wait tickets durable, write response frames.
+/// The socket is flushed only where the writer could park: on an empty
+/// queue, before a ticket that is not durable yet, and before a session
+/// read whose floor the watermark does not cover yet.
 fn writer_loop(inner: &Arc<Inner>, queue: &ConnQueue, stream: TcpStream) {
-    let mut w = BufWriter::new(stream);
+    let mut out = Responses {
+        w: BufWriter::new(stream),
+        unflushed: false,
+        counters: &inner.counters,
+    };
     // The session this connection is bound to (via `Request::Session`):
     // acked puts raise its per-shard floors, gets wait them covered.
     let mut session: Option<Arc<SessionFloors>> = None;
-    while let Some(pending) = queue.pop() {
+    loop {
+        let pending = match queue.try_pop() {
+            Some(pending) => pending,
+            None => {
+                if out.flush().is_err() {
+                    return; // peer gone; reader will notice on its next read
+                }
+                match queue.pop() {
+                    Some(pending) => pending,
+                    None => break,
+                }
+            }
+        };
         let resp = match pending {
             Pending::Ready(resp) => resp,
             Pending::Bind { req_id, floors } => {
@@ -743,10 +812,11 @@ fn writer_loop(inner: &Arc<Inner>, queue: &ConnQueue, stream: TcpStream) {
                 // shard's durable watermark to cover the session's floor:
                 // read-your-writes even when the floor-raising ack went to
                 // a previous connection of the same session.
-                let floor = session
-                    .as_ref()
-                    .map(|s| s.floor(inner.engine.router().shard_of(object)))
-                    .unwrap_or(Lsn::ZERO);
+                let shard = inner.engine.router().shard_of(object);
+                let floor = session.as_ref().map_or(Lsn::ZERO, |s| s.floor(shard));
+                if inner.engine.durable_lsn(shard) < floor && out.flush().is_err() {
+                    return;
+                }
                 match inner
                     .engine
                     .read_value_snapshot_at_least(object, floor, SESSION_READ_TIMEOUT)
@@ -762,40 +832,275 @@ fn writer_loop(inner: &Arc<Inner>, queue: &ConnQueue, stream: TcpStream) {
                     },
                 }
             }
-            Pending::Ticket { req_id, ticket } => loop {
-                // Poll-wait so an abort can reclaim this thread even if
-                // the shard's watermark never reaches the ticket.
-                match ticket.wait_timeout(TICKET_POLL) {
-                    Some(true) => {
-                        if let Some(s) = &session {
-                            s.note_ack(ticket.shard(), ticket.lsn());
+            Pending::Ticket { req_id, ticket } => {
+                if !ticket.is_durable() && out.flush().is_err() {
+                    return;
+                }
+                loop {
+                    // Poll-wait so an abort can reclaim this thread even if
+                    // the shard's watermark never reaches the ticket.
+                    match ticket.wait_timeout(TICKET_POLL) {
+                        Some(true) => {
+                            if let Some(s) = &session {
+                                s.note_ack(ticket.shard(), ticket.lsn());
+                            }
+                            break Response::Ack {
+                                req_id,
+                                lsn: ticket.lsn(),
+                            };
                         }
-                        break Response::Ack {
-                            req_id,
-                            lsn: ticket.lsn(),
-                        };
-                    }
-                    Some(false) => {
-                        break Response::Err {
-                            req_id,
-                            code: ErrCode::ShardDead,
-                            message: format!("shard {} crashed", ticket.shard()),
+                        Some(false) => {
+                            break Response::Err {
+                                req_id,
+                                code: ErrCode::ShardDead,
+                                message: format!("shard {} crashed", ticket.shard()),
+                            }
                         }
-                    }
-                    None => {
-                        if inner.aborting.load(Ordering::SeqCst) {
-                            return; // crash path: drop unacknowledged work
+                        None => {
+                            if inner.aborting.load(Ordering::SeqCst) {
+                                return out.discard(); // crash path: drop unacknowledged work
+                            }
                         }
                     }
                 }
-            },
+            }
         };
         if inner.aborting.load(Ordering::SeqCst) {
+            return out.discard();
+        }
+        if out.send(&resp).is_err() {
             return;
         }
-        if write_frame(&mut w, &encode_response(&resp)).is_err() || w.flush().is_err() {
-            return; // peer gone; reader will notice on its next read
+    }
+    let _ = out.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{boot, Client};
+    use llog_ops::TransformRegistry;
+    use llog_storage::device::{BlobStore, DeviceConfig, MemBlobs, MemStoreDevice, SegLog};
+    use llog_storage::Metrics;
+    use llog_testkit::SyncGate;
+    use llog_wal::DurabilityBackend;
+
+    /// In-memory log blobs whose `sync` goes through a [`SyncGate`].
+    #[derive(Debug)]
+    struct GatedBlobs {
+        inner: MemBlobs,
+        gate: Arc<SyncGate>,
+    }
+
+    impl BlobStore for GatedBlobs {
+        fn put(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+            self.inner.put(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+            self.inner.append(name, bytes)
+        }
+        fn write_at(&mut self, name: &str, offset: u64, bytes: &[u8]) -> Result<()> {
+            self.inner.write_at(name, offset, bytes)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn get(&self, name: &str) -> Result<Option<Vec<u8>>> {
+            self.inner.get(name)
+        }
+        fn delete(&mut self, name: &str) -> Result<()> {
+            self.inner.delete(name)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.gate.pass().map_err(|f| LlogError::Io {
+                point: f.point,
+                reason: f.reason,
+            })?;
+            self.inner.sync()
+        }
+        fn list(&self) -> Result<Vec<String>> {
+            self.inner.list()
         }
     }
-    let _ = w.flush();
+
+    /// A two-shard server whose shard `i` syncs its log device through
+    /// gate `i`, plus one object owned by each shard.
+    fn gated_server() -> (Server, [Arc<SyncGate>; 2], [ObjectId; 2]) {
+        let engine = ShardedEngine::new(
+            boot::server_engine_config(2),
+            &TransformRegistry::with_builtins(),
+        );
+        let gates = [Arc::new(SyncGate::default()), Arc::new(SyncGate::default())];
+        for (i, gate) in gates.iter().enumerate() {
+            let (m, cfg) = (Metrics::new(), DeviceConfig::small());
+            let blobs = GatedBlobs {
+                inner: MemBlobs::new(),
+                gate: gate.clone(),
+            };
+            let log = SegLog::attach(blobs, m.clone(), &cfg, "gated", Lsn(1)).unwrap();
+            let store = MemStoreDevice::mem(m, &cfg);
+            engine.attach_backend(i, DurabilityBackend::over(Box::new(log), Box::new(store)));
+        }
+        let owned_by = |shard| {
+            (0..)
+                .map(ObjectId)
+                .find(|&x| engine.router().shard_of(x) == shard)
+                .unwrap()
+        };
+        let objects = [owned_by(0), owned_by(1)];
+        let server = Server::start(engine, ServerConfig::default()).unwrap();
+        (server, gates, objects)
+    }
+
+    /// Pipeline `reqs` on `c` and return once the server has queued them
+    /// all: its reader executes in order, so a trailing `Ping` counted
+    /// means everything before it is queued.
+    fn pipeline_all(server: &Server, c: &mut Client, reqs: Vec<Request>) -> Vec<u64> {
+        let target = server.counters().requests + reqs.len() as u64 + 1;
+        let mut ids = Vec::new();
+        for mut req in reqs.into_iter().chain([Request::Ping { req_id: 0 }]) {
+            let id = c.fresh_req_id();
+            match &mut req {
+                Request::Put { req_id, .. }
+                | Request::Get { req_id, .. }
+                | Request::Ping { req_id } => *req_id = id,
+                other => panic!("unexpected request {other:?}"),
+            }
+            c.send(&req).unwrap();
+            ids.push(id);
+        }
+        c.flush_stream().unwrap();
+        while server.counters().requests < target {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        ids
+    }
+
+    fn put(object: ObjectId, value: &[u8]) -> Request {
+        Request::Put {
+            req_id: 0,
+            object,
+            value: value.to_vec(),
+        }
+    }
+
+    fn get(object: ObjectId) -> Request {
+        Request::Get { req_id: 0, object }
+    }
+
+    /// The next response, which must arrive within 5 s.
+    fn recv_soon(c: &mut Client) -> Response {
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let resp = c.recv().expect("a ready response arrives").unwrap();
+        c.set_read_timeout(None).unwrap();
+        resp
+    }
+
+    #[test]
+    fn a_ready_response_is_not_held_behind_a_parked_ticket() {
+        let (server, gates, [x0, x1]) = gated_server();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        for gate in &gates {
+            gate.set(Some(0));
+        }
+        // The writer parks on x1's barrier while the reader queues the
+        // rest, so it meets the get's value and x0's ticket back to back.
+        let ids = pipeline_all(
+            &server,
+            &mut c,
+            vec![put(x1, b"one"), get(x1), put(x0, b"zero")],
+        );
+        gates[1].set(None);
+        assert!(matches!(recv_soon(&mut c), Response::Ack { req_id, .. } if req_id == ids[0]));
+        match recv_soon(&mut c) {
+            Response::Value { req_id, value } => {
+                assert_eq!((req_id, &value[..]), (ids[1], &b"one"[..]))
+            }
+            other => panic!("expected the value, got {other:?}"),
+        }
+        gates[0].wait_parked();
+        gates[0].set(None);
+        assert!(
+            matches!(c.recv().unwrap().unwrap(), Response::Ack { req_id, .. } if req_id == ids[2])
+        );
+        assert!(matches!(c.recv().unwrap().unwrap(), Response::Ok { req_id } if req_id == ids[3]));
+        drop(c);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_ready_response_is_not_held_behind_an_uncovered_session_floor() {
+        let (server, gates, [x0, x1]) = gated_server();
+        let mut writer = Client::connect(server.local_addr()).unwrap();
+        let mut reader = Client::connect(server.local_addr()).unwrap();
+        reader.bind_session(9).unwrap();
+        // Nothing is pending on shard 0, so a floor just past its watermark
+        // stays uncovered until the writer's next put there.
+        let floor = Lsn(server.inner.engine.durable_lsn(0).0 + 1);
+        server.inner.session_floors(9).note_ack(0, floor);
+        gates[1].set(Some(0));
+        let ids = pipeline_all(
+            &server,
+            &mut reader,
+            vec![put(x1, b"one"), get(x1), get(x0)],
+        );
+        gates[1].set(None);
+        assert!(matches!(recv_soon(&mut reader), Response::Ack { req_id, .. } if req_id == ids[0]));
+        match recv_soon(&mut reader) {
+            Response::Value { req_id, value } => {
+                assert_eq!((req_id, &value[..]), (ids[1], &b"one"[..]))
+            }
+            other => panic!("expected the value, got {other:?}"),
+        }
+        writer.put(x0, b"covers").unwrap();
+        match reader.recv().unwrap().unwrap() {
+            Response::Value { req_id, value } => {
+                assert_eq!((req_id, &value[..]), (ids[2], &b"covers"[..]))
+            }
+            other => panic!("expected the floored value, got {other:?}"),
+        }
+        assert!(
+            matches!(reader.recv().unwrap().unwrap(), Response::Ok { req_id } if req_id == ids[3])
+        );
+        drop((writer, reader));
+        server.shutdown();
+    }
+
+    #[test]
+    fn pipelined_responses_share_socket_writes() {
+        const N: u64 = 64;
+        let (server, gates, [x0, x1]) = gated_server();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        let writes_before = server.counters().response_writes;
+        // Hold the first put's barrier until every request is queued, so
+        // the writer meets runs of ready responses.
+        gates[0].set(Some(0));
+        let reqs = (0..N).map(|i| {
+            let object = if i % 4 == 0 { x0 } else { x1 };
+            if i % 2 == 0 {
+                put(object, &[i as u8])
+            } else {
+                get(object)
+            }
+        });
+        let ids = pipeline_all(&server, &mut c, reqs.collect());
+        gates[0].set(None);
+        for (i, &id) in ids.iter().enumerate() {
+            let req_id = match c.recv().unwrap().unwrap() {
+                Response::Ack { req_id, .. } if i % 2 == 0 && i < N as usize => req_id,
+                Response::Value { req_id, .. } if i % 2 == 1 => req_id,
+                Response::Ok { req_id } if i == N as usize => req_id,
+                other => panic!("response {i}: {other:?}"),
+            };
+            assert_eq!(req_id, id, "in-order completion");
+        }
+        let writes = server.counters().response_writes - writes_before;
+        assert!(
+            writes <= N,
+            "{} responses took {writes} socket writes",
+            N + 1
+        );
+        drop(c);
+        server.shutdown();
+    }
 }

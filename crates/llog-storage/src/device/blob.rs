@@ -11,7 +11,8 @@
 //! store), so an armed [`llog_testkit::faults::FaultHost`] produces the same
 //! mutated bytes in both backends.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 
 use llog_types::{LlogError, Result};
@@ -118,8 +119,13 @@ impl BlobStore for MemBlobs {
 #[derive(Debug)]
 pub struct FileBlobs {
     root: PathBuf,
-    /// Paths written since the last sync (each gets a `sync_all`).
-    pending_sync: Vec<PathBuf>,
+    /// Blobs written since the last sync (each gets a `sync_all`).
+    pending_sync: Vec<String>,
+    /// Write handles of blobs written in place (`write_at`, `append`) since
+    /// they were materialized; `put`, `rename` and `delete` drop theirs. A
+    /// sync keeps only the handles it covered a write to, so the open log
+    /// segment is opened once per rotation while a sealed one closes.
+    handles: HashMap<String, File>,
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> LlogError {
@@ -136,6 +142,7 @@ impl FileBlobs {
         Ok(FileBlobs {
             root: root.to_path_buf(),
             pending_sync: Vec::new(),
+            handles: HashMap::new(),
         })
     }
 
@@ -147,62 +154,65 @@ impl FileBlobs {
     fn path_of(&self, name: &str) -> PathBuf {
         self.root.join(name)
     }
+
+    fn note_write(&mut self, name: &str) {
+        if !self.pending_sync.iter().any(|p| p == name) {
+            self.pending_sync.push(name.to_string());
+        }
+    }
+
+    /// `name`'s write handle, opening (and creating) the file on first use.
+    fn handle(&mut self, name: &str) -> Result<&File> {
+        if !self.handles.contains_key(name) {
+            let path = self.path_of(name);
+            let f = std::fs::OpenOptions::new()
+                .create(true)
+                .write(true)
+                .truncate(false) // in-place overwrite: bytes past a write survive
+                .open(&path)
+                .map_err(|e| io_err(&path, e))?;
+            self.handles.insert(name.to_string(), f);
+        }
+        Ok(&self.handles[name])
+    }
 }
 
 impl BlobStore for FileBlobs {
     fn put(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+        self.handles.remove(name);
         let path = self.path_of(name);
         std::fs::write(&path, bytes).map_err(|e| io_err(&path, e))?;
-        if !self.pending_sync.contains(&path) {
-            self.pending_sync.push(path);
-        }
+        self.note_write(name);
         Ok(())
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-        use std::io::Write as _;
-        let path = self.path_of(name);
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err(&path, e))?;
-        f.write_all(bytes).map_err(|e| io_err(&path, e))?;
-        if !self.pending_sync.contains(&path) {
-            self.pending_sync.push(path);
-        }
-        Ok(())
+        use std::io::{Seek as _, SeekFrom, Write as _};
+        self.note_write(name);
+        let mut f = self.handle(name)?;
+        f.seek(SeekFrom::End(0))
+            .and_then(|_| f.write_all(bytes))
+            .map_err(|e| io_err(&self.path_of(name), e))
     }
 
     fn write_at(&mut self, name: &str, offset: u64, bytes: &[u8]) -> Result<()> {
-        use std::io::{Seek as _, SeekFrom, Write as _};
-        let path = self.path_of(name);
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(false) // in-place overwrite: bytes past the write survive
-            .open(&path)
-            .map_err(|e| io_err(&path, e))?;
-        f.seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err(&path, e))?;
-        f.write_all(bytes).map_err(|e| io_err(&path, e))?;
-        if !self.pending_sync.contains(&path) {
-            self.pending_sync.push(path);
-        }
-        Ok(())
+        use std::os::unix::fs::FileExt as _;
+        self.note_write(name);
+        self.handle(name)?
+            .write_all_at(bytes, offset)
+            .map_err(|e| io_err(&self.path_of(name), e))
     }
 
     fn rename(&mut self, from: &str, to: &str) -> Result<()> {
+        self.handles.remove(from);
+        self.handles.remove(to);
         let from_path = self.path_of(from);
-        let to_path = self.path_of(to);
-        std::fs::rename(&from_path, &to_path).map_err(|e| io_err(&from_path, e))?;
-        // A pending barrier on the old path must follow the blob to its new
+        std::fs::rename(&from_path, self.path_of(to)).map_err(|e| io_err(&from_path, e))?;
+        // A pending barrier on the old name must follow the blob to its new
         // name, and the renamed file gets a sync so the rename is durable
         // at the next barrier.
-        self.pending_sync.retain(|p| *p != from_path);
-        if !self.pending_sync.contains(&to_path) {
-            self.pending_sync.push(to_path);
-        }
+        self.pending_sync.retain(|p| p != from);
+        self.note_write(to);
         Ok(())
     }
 
@@ -216,6 +226,7 @@ impl BlobStore for FileBlobs {
     }
 
     fn delete(&mut self, name: &str) -> Result<()> {
+        self.handles.remove(name);
         let path = self.path_of(name);
         match std::fs::remove_file(&path) {
             Ok(()) => Ok(()),
@@ -225,14 +236,21 @@ impl BlobStore for FileBlobs {
     }
 
     fn sync(&mut self) -> Result<()> {
-        for path in std::mem::take(&mut self.pending_sync) {
-            match std::fs::File::open(&path) {
-                Ok(f) => f.sync_all().map_err(|e| io_err(&path, e))?,
-                // Written then deleted before the barrier (segment reclaim).
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(io_err(&path, e)),
-            }
+        let pending = std::mem::take(&mut self.pending_sync);
+        for name in &pending {
+            let path = self.path_of(name);
+            let synced = match self.handles.get(name) {
+                Some(f) => f.sync_all(),
+                None => match File::open(&path) {
+                    Ok(f) => f.sync_all(),
+                    // Written then deleted before the barrier (segment reclaim).
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+                    Err(e) => Err(e),
+                },
+            };
+            synced.map_err(|e| io_err(&path, e))?;
         }
+        self.handles.retain(|name, _| pending.contains(name));
         Ok(())
     }
 
@@ -325,6 +343,33 @@ mod tests {
         b.put("gone", b"bytes").unwrap();
         b.delete("gone").unwrap();
         b.sync().unwrap(); // must not error on the deleted pending path
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_blobs_keep_only_the_handles_a_sync_covered() {
+        let dir = std::env::temp_dir().join(format!(
+            "llog-fileblobs-handles-{}-{:x}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .subsec_nanos()
+        ));
+        let mut b = FileBlobs::open(&dir).unwrap();
+        b.write_at("seg-1", 0, b"one").unwrap();
+        b.sync().unwrap();
+        b.append("seg-1", b"+").unwrap();
+        b.sync().unwrap();
+        assert!(b.handles.contains_key("seg-1"), "written again: kept");
+        b.write_at("seg-2", 0, b"two").unwrap();
+        b.sync().unwrap();
+        let open: Vec<&String> = b.handles.keys().collect();
+        assert_eq!(open, ["seg-2"], "seg-1 saw no write since the last sync");
+        b.put("seg-2", b"whole").unwrap();
+        assert!(b.handles.is_empty(), "put drops the handle");
+        assert_eq!(b.get("seg-1").unwrap().unwrap(), b"one+");
+        assert_eq!(b.get("seg-2").unwrap().unwrap(), b"whole");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

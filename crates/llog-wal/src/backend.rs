@@ -6,27 +6,26 @@
 //! pluggable device tier — in-memory blobs for fuzzing, real files with
 //! real fsync for deployments — with *incremental* cost:
 //!
-//! - [`DurabilityBackend::persist`] checkpoints the store **first** (delta
-//!   pages of the ids the store changed since the device's image,
-//!   O(dirty)), then persists the WAL (tail append + whole-segment
-//!   truncation reclaim). The order matters: the log device only truncates
-//!   below the WAL's base, and the engine advanced that base at checkpoint
-//!   time on the promise that everything below it is installed — a promise
-//!   the *device* store must honour before the device log may drop the
-//!   records that could re-install it.
+//! - [`DurabilityBackend::persist`] runs in WAL-protocol order: (1) append
+//!   and sync the log tail through the forced end, leaving the log
+//!   device's master and base as they were; (2) checkpoint the store
+//!   (delta pages of the ids the store changed since the device's image,
+//!   O(dirty)) with `installed_through` at the log device's end; (3) write the
+//!   master and truncate the log device below the WAL's base. The store
+//!   never holds an install whose record the log device lacks, and the log
+//!   device drops the records that could re-install an object only once
+//!   the store device holds it — the engine advanced the base at
+//!   checkpoint time on that promise. A crash between any two steps leaves
+//!   a pair that recovers to the acknowledged state.
 //! - [`DurabilityBackend::load`] is the reboot path: replay the store's
 //!   manifest chain, rebuild the WAL from the log segments. Opening a
 //!   backend reads the store manifest only and the log once; `load` reads
 //!   each delta once and reuses the log device's read, so a boot reads
-//!   every device byte once (DESIGN §11). A crash between the two persist
-//!   steps leaves the device store *fresher* than the device log, which
-//!   recovery tolerates (the extra replay fails the REDO test); the
-//!   reverse — a log truncated past a store that was never made durable —
-//!   can not occur.
+//!   every device byte once (DESIGN §11).
 //! - The store device is only as fresh as the last `persist`, while the
 //!   log device gets every force. `Install` and `Flush` records vouch for
 //!   store writes, so the store manifest records `installed_through`: the
-//!   log end at the instant the persisted store was captured. Recovery
+//!   log device's end once it holds the WAL captured with the store. Recovery
 //!   ignores `Install`/`Flush` records at or above it and redoes the
 //!   operations they covered. A device with no store manifest trusts none.
 //!
@@ -43,7 +42,7 @@ use llog_storage::device::{
 };
 use llog_storage::{Metrics, StableStore};
 use llog_testkit::faults::FaultHost;
-use llog_types::{Lsn, Result};
+use llog_types::{LlogError, Lsn, Result};
 
 use crate::wal::Wal;
 
@@ -119,40 +118,46 @@ impl DurabilityBackend {
         self.store.as_ref()
     }
 
-    /// Persist `(store, wal)` incrementally: store checkpoint first (see
-    /// the module docs for why), then the WAL tail + truncation reclaim.
-    /// The store's `installed_through` bound is `wal.end_lsn()`, so the
-    /// caller must hand in a `store` and `wal` captured together (under one
-    /// engine lock).
+    /// Persist `(store, wal)` incrementally in WAL-protocol order (see the
+    /// module docs): log tail, store checkpoint, then the log device's
+    /// master and truncation. The store's `installed_through` bound is the
+    /// log device's end after the first step, so the caller must hand in a
+    /// `store` and `wal` captured together (under one engine lock), and
+    /// must not truncate an operation record from memory before the log
+    /// device holds it. A log device left short of the forced end fails
+    /// the call before the store is touched.
     pub fn persist(
         &mut self,
         store: &StableStore,
         wal: &Wal,
         faults: Option<&FaultHost>,
     ) -> Result<PersistOutcome> {
-        let ckpt = self.store.checkpoint(store, wal.end_lsn(), faults)?;
+        let forced = wal.forced_lsn();
+        let synced = self.persist_wal(wal, faults)?;
+        if (wal.start_lsn()..forced).contains(&synced) {
+            return Err(LlogError::Io {
+                point: "persist".into(),
+                reason: format!("log device durable through {synced} of {forced}"),
+            });
+        }
+        let ckpt = self.store.checkpoint(store, synced.min(forced), faults)?;
         let durable = wal.persist_to(self.log.as_mut(), faults)?;
         Ok(PersistOutcome { durable, ckpt })
     }
 
-    /// Persist only the WAL tail (no store checkpoint) — the group-commit
-    /// force hook, so a flusher may extend durability to the device tier
-    /// after every force without paying the checkpoint.
+    /// Persist only the WAL tail: append and sync it through the forced
+    /// end, with the log device's master and base unchanged.
     ///
     /// A log device *fresher* than the store device is safe. Operation
     /// records are replayed. `Install` and `Flush` records vouch for store
     /// state — `vars(n)` written, an object clean at some vSI — that reaches
     /// the store device only at the next [`DurabilityBackend::persist`];
     /// the ones at or above the store's `installed_through` are ignored by
-    /// recovery, which redoes the operations they covered instead.
-    ///
-    /// What is **not** safe is the reverse: a log device whose truncation
-    /// or master checkpoint ran ahead of the store device. Only `persist`
-    /// may advance those, and it writes the store first. A caller whose
-    /// `persist` failed after the in-memory log was truncated must stop
-    /// forcing this backend.
+    /// recovery, which redoes the operations they covered instead. Only
+    /// `persist` moves the master or truncates, once the store device
+    /// holds what they rely on.
     pub fn persist_wal(&mut self, wal: &Wal, faults: Option<&FaultHost>) -> Result<Lsn> {
-        wal.persist_to(self.log.as_mut(), faults)
+        wal.persist_tail_to(self.log.as_mut(), faults)
     }
 
     /// Stage the WAL tail — stable prefix plus the in-flight double-buffered
@@ -174,9 +179,7 @@ impl DurabilityBackend {
     /// Reboot: load the persisted pair, or `None` when *neither* device
     /// holds a manifest (nothing was ever persisted). A missing store
     /// manifest with a present log means no `persist` ever completed — the
-    /// store loads empty and trusts no `Install`/`Flush` record; the
-    /// reverse means the crash hit between the two persist steps and the
-    /// log device never got its manifest — the WAL loads fresh.
+    /// store loads empty and trusts no `Install`/`Flush` record.
     pub fn load(&self, metrics: Arc<Metrics>) -> Result<Option<(StableStore, Wal)>> {
         let store = self.store.load_store(metrics.clone())?;
         let wal = Wal::load_from_device(self.log.as_ref(), metrics.clone())?;
@@ -256,29 +259,30 @@ mod tests {
     }
 
     #[test]
-    fn crash_between_store_and_log_persist_loads_fresh_wal() {
-        // An IoError on the log manifest aborts persist after the store
-        // checkpoint landed: load() then sees a fresher store than log.
+    fn a_failed_log_tail_leaves_the_store_device_untouched() {
+        // An IoError on the log manifest fails persist's first step: the
+        // store checkpoint never runs, so nothing was persisted at all.
         let (store, wal) = populated();
         let mut b = DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small());
         let h = FaultHost::new();
         h.arm(failpoint::DEV_LOG_MANIFEST, FaultKind::IoError);
         assert!(b.persist(&store, &wal, Some(&h)).is_err());
-        let (s2, w2) = b.load(Metrics::new()).unwrap().unwrap();
-        assert_eq!(s2.len(), 2, "store checkpoint survived");
-        assert_eq!(w2.forced_lsn(), Lsn(1), "log manifest never landed");
+        assert!(b.load(Metrics::new()).unwrap().is_none());
     }
 
     #[test]
-    fn installed_through_is_the_log_end_at_persist() {
+    fn installed_through_is_the_forced_end_at_persist() {
         let (store, mut wal) = populated();
         let mut b = DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small());
-        b.persist(&store, &wal, None).unwrap();
-        let bound = wal.end_lsn();
+        // An unforced record is not on the log device after persist, so
+        // the store may not vouch through it.
         wal.append(&LogRecord::Flush {
             obj: ObjectId(1),
             vsi: Lsn(10),
         });
+        b.persist(&store, &wal, None).unwrap();
+        let bound = wal.forced_lsn();
+        assert!(bound < wal.end_lsn());
         wal.force();
         b.persist_wal(&wal, None).unwrap();
         let (s2, w2) = b.load(Metrics::new()).unwrap().unwrap();

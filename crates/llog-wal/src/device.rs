@@ -59,6 +59,27 @@ impl Wal {
         Ok(dev.durable_end())
     }
 
+    /// Append the forced prefix's new tail to `dev` and sync it, leaving
+    /// the device's base and master as they are: the first step of a
+    /// WAL-protocol persist, before the store device may take a checkpoint
+    /// that relies on those records. A device whose end lies below this
+    /// WAL's base (a truncating checkpoint dropped bytes it never got)
+    /// takes nothing: only [`Wal::persist_to`] may restart it at the base.
+    /// Returns the device's durable LSN.
+    pub fn persist_tail_to(
+        &self,
+        dev: &mut dyn LogDevice,
+        faults: Option<&FaultHost>,
+    ) -> Result<Lsn> {
+        let (base, forced) = (self.start_lsn(), self.forced_lsn());
+        if dev.end() >= base && dev.end() < forced {
+            let offset = (dev.end().0 - base.0) as usize;
+            dev.append(dev.end(), &self.stable_bytes()[offset..], faults)?;
+        }
+        dev.force(faults)?;
+        Ok(dev.durable_end())
+    }
+
     /// Stage the forced prefix **plus the in-flight double-buffered batch**
     /// onto `dev` without syncing: truncation-reclaim, tail append up to the
     /// end of the in-flight slot, master update, manifest-if-stale — but the

@@ -4,8 +4,9 @@
 //! manifests (and the log's segments, which `load` then reuses), `load` is
 //! the one reader of the store's delta chain. A shard whose image is rotten
 //! fails the whole boot with `Codec`, cleanly. A boot does not trust
-//! `Install`/`Flush` records the store device never saw, and no force
-//! acknowledges log bytes the log device never synced.
+//! `Install`/`Flush` records the store device never saw, no force
+//! acknowledges log bytes the log device never synced, and no store
+//! checkpoint holds an install whose record the log device lacks.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -13,11 +14,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use llog_core::{Engine, EngineConfig};
-use llog_engine::{CommitTicket, ShardedEngine};
+use llog_engine::{recover_sharded_from_backends, CommitTicket, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::boot::{open_served, server_engine_config};
 use llog_storage::device::{BlobStore, DeltaStore, DeviceConfig, FileBlobs, MemBlobs, SegLog};
 use llog_storage::Metrics;
+use llog_testkit::faults::{failpoint, FaultHost, FaultKind};
 use llog_testkit::SyncGate;
 use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
 use llog_wal::{DurabilityBackend, STORE_SUBDIR};
@@ -122,6 +124,18 @@ fn backend_over<B: BlobStore + 'static>(
     let log = SegLog::attach(log.clone(), m.clone(), cfg, "counting", Lsn(1)).unwrap();
     let store = DeltaStore::attach(store.clone(), m, cfg, "counting").unwrap();
     DurabilityBackend::over(Box::new(log), Box::new(store))
+}
+
+/// Execute a blind write of `v` to `x`.
+fn put(e: &ShardedEngine, x: ObjectId, v: &str) -> CommitTicket {
+    let v = builtin::encode_values(&[Value::from(v)]);
+    e.execute(
+        OpKind::Physical,
+        vec![],
+        vec![x],
+        Transform::new(builtin::CONST, v),
+    )
+    .unwrap()
 }
 
 /// Persist three checkpoint rounds through counting blobs, reboot over the
@@ -303,24 +317,14 @@ fn a_barrier_acks_only_what_it_synced() {
     let store = Counting::new(MemBlobs::new());
     e.attach_backend(0, backend_over(&log, &store, &DeviceConfig::small()));
     let gate = &log.gate;
-    let put = |i| {
-        let v = builtin::encode_values(&[Value::from("v")]);
-        e.execute(
-            OpKind::Physical,
-            vec![],
-            vec![ObjectId(i)],
-            Transform::new(builtin::CONST, v),
-        )
-        .unwrap()
-    };
-    assert!(put(0).wait(), "a clean barrier acks");
+    assert!(put(&e, ObjectId(0), "v").wait(), "a clean barrier acks");
 
     gate.set(Some(0));
-    let held = put(1);
+    let held = put(&e, ObjectId(1), "v");
     std::thread::scope(|s| {
         let waiter = s.spawn(|| held.wait());
         gate.wait_parked();
-        let later: Vec<CommitTicket> = (2..2 + K).map(put).collect();
+        let later: Vec<CommitTicket> = (2..2 + K).map(|i| put(&e, ObjectId(i), "v")).collect();
         e.install_all().unwrap();
         // Let the held sync return, and no later one.
         gate.set(Some(1));
@@ -330,4 +334,75 @@ fn a_barrier_acks_only_what_it_synced() {
         assert_eq!(acked, 0, "puts acked past what the barrier synced");
         assert!(later.last().unwrap().wait(), "the next barrier acks them");
     });
+}
+
+/// A store checkpoint never runs ahead of the log device. An unacked put
+/// is installed, and the checkpoint that would persist it fails on the log
+/// append. The store device must not hold it after a reboot, and the next
+/// acked put must not reuse its LSN and lose its REDO test to it.
+#[test]
+fn a_store_checkpoint_never_outruns_the_log_device() {
+    let reg = TransformRegistry::with_builtins();
+    let cfg = DeviceConfig::small();
+    let (log, store) = (
+        Counting::new(MemBlobs::new()),
+        Counting::new(MemBlobs::new()),
+    );
+    let x = ObjectId(7);
+    let reboot = || {
+        let backend = backend_over(&log, &store, &cfg);
+        let (e, _, backends) =
+            recover_sharded_from_backends(vec![backend], &reg, server_engine_config(1)).unwrap();
+        e.attach_backends(backends);
+        e
+    };
+
+    let faults = Arc::new(FaultHost::new());
+    let e = ShardedEngine::new_with_faults(server_engine_config(1), &reg, Some(faults.clone()));
+    e.attach_backend(0, backend_over(&log, &store, &cfg));
+    assert!(put(&e, x, "a").wait(), "a is acked");
+    let b = put(&e, x, "b");
+    e.install_all().unwrap();
+    faults.arm(failpoint::DEV_LOG_APPEND, FaultKind::IoError);
+    assert!(e.checkpoint_shard(0, false).is_err());
+    assert!(!b.wait(), "b's shard died before b was acked");
+    drop(e);
+
+    let e = reboot();
+    let after_failed_checkpoint = e.read_value(x).unwrap();
+    assert!(put(&e, x, "c").wait(), "c is acked");
+    drop(e);
+    let after_acked_c = reboot().read_value(x).unwrap();
+    assert_eq!(
+        (after_failed_checkpoint, after_acked_c),
+        (Value::from("a"), Value::from("c")),
+        "x after the failed checkpoint, then after the acked c"
+    );
+}
+
+/// A boot refuses a store device that vouches for installs past where its
+/// log device lets the log resume (here: a log device that lost its
+/// segments), rather than handing new operations reused LSNs.
+#[test]
+fn a_boot_refuses_a_store_past_its_log_device() {
+    let reg = TransformRegistry::with_builtins();
+    let cfg = DeviceConfig::small();
+    let store = Counting::new(MemBlobs::new());
+    let e = ShardedEngine::new(server_engine_config(1), &reg);
+    e.attach_backend(
+        0,
+        backend_over(&Counting::new(MemBlobs::new()), &store, &cfg),
+    );
+    assert!(put(&e, ObjectId(1), "v").wait());
+    e.install_all().unwrap();
+    e.checkpoint_shard(0, false).unwrap();
+    drop(e);
+
+    let blank_log = Counting::new(MemBlobs::new());
+    let backend = backend_over(&blank_log, &store, &cfg);
+    match recover_sharded_from_backends(vec![backend], &reg, server_engine_config(1)) {
+        Err(LlogError::Unexplainable(msg)) => assert!(msg.contains("installed through"), "{msg}"),
+        Err(other) => panic!("expected Unexplainable, got {other}"),
+        Ok(_) => panic!("booted a store its log device cannot explain"),
+    }
 }
