@@ -56,7 +56,7 @@ use llog_domains::app::{Application, WriteMode};
 use llog_domains::btree::BTree;
 use llog_domains::fs::FileSystem;
 use llog_domains::register_domain_transforms;
-use llog_engine::{recover_sharded, CommitPolicy, CommitTicket, ShardedConfig, ShardedEngine};
+use llog_engine::{recover_sharded, CommitTicket, ShardedConfig, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::{proto, Client, Request, Response, Server, ServerConfig};
 use llog_sim::{replay_stable_log, verify_against_log, OpSpec, Workload, WorkloadKind};
@@ -459,17 +459,17 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
     let mut rng = TestRng::seed_from_u64(material ^ 0x5AAD_ED00);
     let n_objects = rng.random_range(2u64..10);
     let shards = rng.random_range(1usize..4);
-    // Under group commit the op loop waits a ticket inline about once every
-    // `wait_every` ops. Each wait asks for a barrier, so an armed pipeline
-    // fault lands on a batch mid-workload, not on the one settle barrier.
-    let (commit, wait_every) = if rng.ratio(0.25) {
-        (CommitPolicy::Sync, 1)
+    // The op loop waits a ticket inline about once every `wait_every` ops
+    // (every op, one force per op, a quarter of the time). Each wait asks
+    // for a barrier, so an armed pipeline fault lands on a batch
+    // mid-workload, not on the one settle barrier.
+    let wait_every = if rng.ratio(0.25) {
+        1
     } else {
-        (CommitPolicy::Group, rng.random_range(1u32..6))
+        rng.random_range(1u32..6)
     };
     let config = ShardedConfig {
         shards,
-        commit,
         max_uninstalled: 64,
         install_high_water: rng.random_range(2usize..8),
     };
@@ -483,9 +483,8 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
 
     // Single-object writes only (cross-shard sets are rejected by design).
     // writes[x] is the ordered history of values written to x, paired with
-    // its commit ticket (`None` = execute errored: the commit outcome is
-    // unknown — a failed sync force leaves the op in the WAL unacked, so it
-    // may legitimately surface after recovery).
+    // its commit ticket (`None` = execute errored on a dead shard: never
+    // acknowledged).
     let mut history: BTreeMap<ObjectId, Vec<(Value, Option<CommitTicket>)>> = BTreeMap::new();
     for i in 0..n_ops {
         if i == planned.step {
@@ -508,10 +507,9 @@ fn fuzz_sharded(n_ops: usize, material: u64) -> Result<(), String> {
                 }
                 history.entry(x).or_default().push((v, Some(t)));
             }
-            // A shard killed by an injected fault rejects later work, and a
-            // failed coalesced barrier fails its sync commits — correct
-            // behaviour, not a violation; the write stays in the history as
-            // never-acknowledged.
+            // A shard killed by an injected fault rejects later work —
+            // correct behaviour, not a violation; the write stays in the
+            // history as never-acknowledged.
             Err(_) => history.entry(x).or_default().push((v, None)),
         }
     }
@@ -1528,14 +1526,10 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
     let mut rng = TestRng::seed_from_u64(material ^ 0x54AD_0007);
     let n_objects = rng.random_range(2u64..8);
     let shards = rng.random_range(1usize..4);
-    let commit = if rng.ratio(0.3) {
-        CommitPolicy::Sync
-    } else {
-        CommitPolicy::Group
-    };
+    // 30% of runs wait every write inline: one force per op.
+    let wait_each = rng.ratio(0.3);
     let config = ShardedConfig {
         shards,
-        commit,
         max_uninstalled: 64,
         install_high_water: rng.random_range(2usize..8),
     };
@@ -1656,6 +1650,9 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
                 ),
             ) {
                 Ok(t) => {
+                    if wait_each {
+                        t.wait();
+                    }
                     // Occasionally settle inline and demand read-your-acked-
                     // writes: once `seq` is acknowledged durable, a snapshot
                     // read may never resolve anything older.

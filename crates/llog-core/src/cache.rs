@@ -52,6 +52,18 @@ pub enum FlushStrategy {
     Forbid,
 }
 
+/// What one [`Engine::install_one_below`] step did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InstallStep {
+    /// Nothing is left to install.
+    Idle,
+    /// One write-graph node was installed.
+    Installed,
+    /// The next node holds an operation at this LSN, which the stable log
+    /// has not passed yet: nothing was installed or logged.
+    NeedsStable(Lsn),
+}
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -467,19 +479,28 @@ impl Engine {
     // Installation (PurgeCache, Figure 4)
     // ------------------------------------------------------------------
 
-    /// Install one minimal write-graph node; returns false if there was
-    /// nothing to install. Deterministically picks the minimal node whose
-    /// earliest operation is oldest.
+    /// Install the minimal write-graph node whose earliest operation is
+    /// oldest, forcing the in-memory log (this engine's stable log) as the
+    /// WAL protocol needs; false if there was nothing to install.
     pub fn install_one(&mut self) -> Result<bool> {
-        match self.config.graph {
-            GraphKind::RW => {
-                let Some(n) = self.oldest_minimal() else {
-                    return Ok(false);
-                };
-                self.install_rw_node(n)?;
-                Ok(true)
+        loop {
+            match self.install_one_below(self.wal.forced_lsn())? {
+                InstallStep::NeedsStable(_) => self.wal.force(),
+                step => return Ok(step == InstallStep::Installed),
             }
-            GraphKind::W => self.install_w_minimal(),
+        }
+    }
+
+    /// [`Engine::install_one`] with the WAL protocol as a precondition, not
+    /// a force: the node installs only if its operations lie below
+    /// `stable`, the caller's end of stable log.
+    pub fn install_one_below(&mut self, stable: Lsn) -> Result<InstallStep> {
+        match self.config.graph {
+            GraphKind::RW => match self.oldest_minimal() {
+                None => Ok(InstallStep::Idle),
+                Some(n) => self.install_rw_node_below(n, stable),
+            },
+            GraphKind::W => self.install_w_minimal(stable),
         }
     }
 
@@ -496,15 +517,29 @@ impl Engine {
         Ok(())
     }
 
-    /// Install a specific rW node (must be minimal when called).
+    /// Install a specific rW node (must be minimal when called), forcing
+    /// the in-memory log as the WAL protocol needs.
+    pub fn install_rw_node(&mut self, mut n: NodeId) -> Result<()> {
+        let rep_op = self.rw.node(n).and_then(|nd| nd.ops().first().copied());
+        while self.install_rw_node_below(n, self.wal.forced_lsn())? != InstallStep::Installed {
+            self.wal.force();
+            // A breakup may have merged the node into a fresh one.
+            n = rep_op.and_then(|op| self.rw.node_of_op(op)).unwrap_or(n);
+        }
+        Ok(())
+    }
+
+    /// Install rW node `n` (must be minimal) if its operations lie below
+    /// `stable`; never [`InstallStep::Idle`].
     ///
     /// With the identity-write strategy, breaking up the flush set can make
     /// the node non-minimal again: turning `Lastw(n,x)` unexposed surfaces
     /// *inverse write-read* predecessors — nodes that read that version and
     /// must install first. Those predecessors are installed (recursively)
     /// before `n`; the recursion terminates because every step installs a
-    /// node of an acyclic graph.
-    pub fn install_rw_node(&mut self, n: NodeId) -> Result<()> {
+    /// node of an acyclic graph. `stable` is checked before every step, so
+    /// no identity write is logged for a node that cannot install yet.
+    fn install_rw_node_below(&mut self, n: NodeId, stable: Lsn) -> Result<InstallStep> {
         let node = self
             .rw
             .node(n)
@@ -525,6 +560,9 @@ impl Engine {
                 .rw
                 .node(current)
                 .ok_or_else(|| LlogError::CacheProtocol("node lost during breakup".into()))?;
+            if let Some(lsn) = self.unstable_op(node.ops(), stable) {
+                return Ok(InstallStep::NeedsStable(lsn));
+            }
             let vars: Vec<ObjectId> = node.vars().iter().copied().collect();
 
             // §4: break up a multi-object flush set with identity writes.
@@ -562,7 +600,9 @@ impl Engine {
                 let m = self.oldest_minimal().ok_or_else(|| {
                     LlogError::CacheProtocol("no installable predecessor for broken-up node".into())
                 })?;
-                self.install_rw_node(m)?;
+                if let step @ InstallStep::NeedsStable(_) = self.install_rw_node_below(m, stable)? {
+                    return Ok(step);
+                }
                 current = self
                     .rw
                     .node_of_op(rep_op)
@@ -575,39 +615,45 @@ impl Engine {
             let notx: Vec<ObjectId> = node.notx().into_iter().collect();
             self.do_install(&ops, &vars, &notx)?;
             self.rw.remove_node(current);
-            return Ok(());
+            return Ok(InstallStep::Installed);
         }
     }
 
     /// W-mode: rebuild `W` from the live operations, install one minimal
-    /// node.
-    fn install_w_minimal(&mut self) -> Result<bool> {
+    /// node if its operations lie below `stable`.
+    fn install_w_minimal(&mut self, stable: Lsn) -> Result<InstallStep> {
         let ops_in_order: Vec<Operation> = self.live_ops.values().map(|l| l.op.clone()).collect();
         if ops_in_order.is_empty() {
-            return Ok(false);
+            return Ok(InstallStep::Idle);
         }
         let w = WriteGraph::build(&ops_in_order);
         let minimals = w.minimal_nodes();
         let &n = minimals.first().expect("nonempty W has a minimal node");
         let node = &w.nodes()[n];
+        if let Some(lsn) = self.unstable_op(&node.ops, stable) {
+            return Ok(InstallStep::NeedsStable(lsn));
+        }
         let ops = node.ops.clone();
         let vars: Vec<ObjectId> = node.vars.iter().copied().collect();
         // In W, vars(n) = Writes(n): nothing is unexposed.
         self.do_install(&ops, &vars, &[])?;
-        Ok(true)
+        Ok(InstallStep::Installed)
     }
 
-    /// The shared installation core: force the WAL (WAL protocol), flush
-    /// `vars` (atomically if multi-object), log the installation, advance
-    /// rSIs for `vars ∪ notx`, and retire the operations.
-    fn do_install(&mut self, ops: &[OpId], vars: &[ObjectId], notx: &[ObjectId]) -> Result<()> {
-        // WAL protocol: all involved operations must be stable first.
-        let max_lsn = ops
+    /// The LSN of the last of `ops` if the stable log, which ends at
+    /// `stable`, does not hold it yet.
+    fn unstable_op(&self, ops: &[OpId], stable: Lsn) -> Option<Lsn> {
+        let last = ops
             .iter()
-            .filter_map(|id| self.live_ops.get(id).map(|l| l.lsn))
-            .max()
-            .ok_or_else(|| LlogError::CacheProtocol("installing unknown ops".into()))?;
-        self.wal.force_through(max_lsn);
+            .filter_map(|id| self.live_ops.get(id))
+            .map(|l| l.lsn);
+        last.max().filter(|&lsn| lsn >= stable)
+    }
+
+    /// The shared installation core, for operations on the stable log:
+    /// flush `vars` (atomically if multi-object), log the installation,
+    /// advance rSIs for `vars ∪ notx`, and retire the operations.
+    fn do_install(&mut self, ops: &[OpId], vars: &[ObjectId], notx: &[ObjectId]) -> Result<()> {
         Metrics::bump(&self.metrics.install_vars_objects, vars.len() as u64);
         Metrics::bump(&self.metrics.install_notx_objects, notx.len() as u64);
 
@@ -1045,6 +1091,45 @@ mod tests {
         assert!(e.dirty_table().is_empty());
         assert_eq!(e.dirty_count(), 0);
         assert!(!e.install_one().unwrap());
+        e.audit_all().unwrap();
+    }
+
+    /// The WAL protocol as a precondition: a node with an operation at or
+    /// above the stable bound is neither installed nor broken up, and the
+    /// step names the operation the stable log must pass.
+    #[test]
+    fn install_below_an_unstable_op_installs_nothing_and_reports_its_lsn() {
+        let mut e = engine(FlushStrategy::IdentityWrites);
+        let (_, x_lsn) = exec_physical(&mut e, 1, "x0");
+        let stable = e.wal().forced_lsn();
+        assert_eq!(
+            e.install_one_below(stable).unwrap(),
+            InstallStep::NeedsStable(x_lsn)
+        );
+        assert!(e.store().peek(X).is_none());
+        e.wal_mut().force();
+        let stable = e.wal().forced_lsn();
+        assert_eq!(e.install_one_below(stable).unwrap(), InstallStep::Installed);
+        exec_physical(&mut e, 2, "y0");
+        e.install_all().unwrap();
+
+        // §4's cycle needs identity writes to install: none may be logged
+        // while its operations are not stable.
+        let stable = e.wal().forced_lsn();
+        exec_logical(&mut e, &[1, 2], &[2], 0);
+        exec_logical(&mut e, &[2], &[1], 1);
+        let (_, last) = exec_logical(&mut e, &[2], &[2], 2);
+        let (end, before) = (e.wal().end_lsn(), e.store().snapshot());
+        assert_eq!(
+            e.install_one_below(stable).unwrap(),
+            InstallStep::NeedsStable(last)
+        );
+        assert_eq!(e.wal().end_lsn(), end, "nothing logged");
+        assert_eq!(e.metrics().snapshot().identity_writes, 0);
+        assert_eq!(e.store().snapshot(), before);
+        assert_eq!(e.uninstalled_count(), 3);
+        e.install_all().unwrap();
+        assert!(e.metrics().snapshot().identity_writes >= 1);
         e.audit_all().unwrap();
     }
 

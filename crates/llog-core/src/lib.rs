@@ -39,7 +39,7 @@ pub mod shared;
 pub mod snapshot;
 pub mod wgraph;
 
-pub use cache::{Engine, EngineConfig, FlushStrategy, GraphKind};
+pub use cache::{Engine, EngineConfig, FlushStrategy, GraphKind, InstallStep};
 pub use igraph::{EdgeKind, InstallGraph};
 pub use media::{media_recover, media_recover_archived, Backup, BackupMode};
 pub use recover::{recover, recover_two_pass, RecoveryOutcome};

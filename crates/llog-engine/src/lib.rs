@@ -15,18 +15,18 @@
 //! - **Routing** ([`ShardRouter`]): an operation's read and write sets
 //!   must live on one shard (cross-shard operations are rejected — an rW
 //!   edge between engines would otherwise be unrepresentable).
-//! - **Group commit** ([`CommitPolicy::Group`]): `execute` appends the
+//! - **Group commit**: `execute` appends the
 //!   operation to the shard's WAL under the shard lock but *durability*
 //!   waits on a [`CommitTicket`]. A waiter asks the force barrier for a
 //!   force; the barrier advances a durable-LSN watermark that wakes waiters
 //!   via condvar, and whatever was appended while it synced rides the next
 //!   one — many commits, one force, no timer.
-//! - **One force barrier**: every force — ticket waits, `Sync` commits,
-//!   [`ShardedEngine::force_shard`], [`ShardedEngine::force_all`] — rides
+//! - **One force barrier**: every force — ticket waits, the installer's
+//!   asks, [`ShardedEngine::force_shard`], [`ShardedEngine::force_all`] — rides
 //!   one scheduler thread that covers every shard asked for with a single
 //!   device sync; with a backend attached the log tail is staged on the
 //!   device, and the watermark advances only to what the device reports
-//!   durable.
+//!   durable. Installs, shipping and snapshot reads all stop there.
 //! - **Snapshot reads**: each shard publishes immutable versions and
 //!   [`ShardedEngine::read_value_snapshot`] resolves reads at the durable
 //!   watermark without the engine mutex.
@@ -43,7 +43,7 @@
 //!   group-commit counters (batch sizes, flush-wait time, backpressure).
 //!
 //! ```
-//! use llog_engine::{CommitPolicy, ShardedConfig, ShardedEngine};
+//! use llog_engine::{ShardedConfig, ShardedEngine};
 //! use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 //! use llog_types::{ObjectId, Value};
 //!
@@ -76,7 +76,6 @@ mod snapshot;
 pub use router::ShardRouter;
 pub use shard::CommitTicket;
 pub use sharded::{
-    recover_sharded, recover_sharded_from_backends, CommitPolicy, ShardedConfig, ShardedEngine,
-    ShipManifest,
+    recover_sharded, recover_sharded_from_backends, ShardedConfig, ShardedEngine, ShipManifest,
 };
 pub use snapshot::{GroupCommitSnapshot, ShardedSnapshot};

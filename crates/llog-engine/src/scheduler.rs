@@ -1,7 +1,7 @@
 //! The force barrier: the only committer (DESIGN §14).
 //!
-//! Every force in this crate — a ticket waiter's demand, `Sync`-policy
-//! commits, `force_shard`, `force_all`/`drain` — rides the
+//! Every force in this crate — a ticket waiter's or the installer's
+//! demand, `force_shard`, `force_all`/`drain` — rides the
 //! [`ForceScheduler`], and nothing forces on a timer:
 //!
 //! 1. **Demand.** A waiter short of its target *wants* its shard
@@ -25,8 +25,8 @@
 //!    [`Wal::complete_force`] folds the in-flight slot into the stable
 //!    prefix; the scheduler publishes the watermark Phase A staged (the log
 //!    device's durable end; without a backend, the end of the swapped
-//!    batch), never `forced_lsn()`, into which an installer's
-//!    `force_through` may have folded later bytes during the sync.
+//!    batch), never `forced_lsn()`, which a checkpoint's force and a
+//!    failed barrier's fold-back move in memory.
 //!
 //! `Torn` kills the shard with only the pre-fault durable prefix
 //! acknowledged, as does a device that keeps less than it was handed.

@@ -11,8 +11,8 @@
 //! target it now covers. An operation is **acknowledged** exactly when its
 //! ticket's target is at or below the watermark — and only acknowledged
 //! operations are promised to survive a crash. An operation nobody waits
-//! for becomes durable with the next barrier someone asks for, or at a
-//! checkpoint.
+//! for becomes durable with the next barrier a waiter or the installer
+//! asks for, or at a checkpoint.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use llog_core::shared::lock;
 use llog_core::shared::WorkSignal;
 use llog_core::snapshot::{Snapshot, SnapshotRegistry};
-use llog_core::Engine;
+use llog_core::{Engine, InstallStep};
 use llog_storage::VersionStore;
 use llog_testkit::faults::{failpoint, FaultHost};
 use llog_types::{Lsn, ObjectId, OpId, Value};
@@ -209,12 +209,14 @@ impl Shard {
         Some(true)
     }
 
-    /// Advance the watermark to `to` (monotonic) and wake ticket waiters.
+    /// Advance the watermark to `to` (monotonic) and wake ticket waiters
+    /// and the installer.
     pub fn advance_durable(&self, to: Lsn) {
         let mut d = lock(&self.durable);
         if to > *d {
             *d = to;
             self.durable_cv.notify_all();
+            self.signal.notify();
         }
     }
 
@@ -286,45 +288,43 @@ impl Shard {
 
 /// The per-shard background installer: drains the write graph above a
 /// high-water mark, parks on the shard's [`WorkSignal`] when idle, and
-/// bumps the backpressure epoch after every install.
-pub(crate) fn installer_loop(shard: &Shard, high_water: usize) {
+/// bumps the backpressure epoch after every install. It installs only
+/// below the watermark: when the next node is not durable yet it asks the
+/// force barrier for a force and parks until the watermark moves. A
+/// failed barrier does not wake it, so a failing device is retried at the
+/// pace of new work, not in a loop.
+pub(crate) fn installer_loop(shard: &Arc<Shard>, high_water: usize) {
     let mut seen = shard.signal.epoch();
-    loop {
-        if shard.signal.is_stopped() {
-            return;
-        }
-        let worked = {
+    while !shard.signal.is_stopped() {
+        let step = {
             let mut g = shard.lock_engine();
-            // A dead shard's devices accept no writes: once a force has
-            // torn (death is latched under this lock), installing values
-            // into the stable store would leave it ahead of the log's
-            // recoverable prefix.
+            // A dead shard's watermark never moves again.
             if shard.is_dead() {
                 return;
             }
+            // An injected install fault models a stalled/failing store
+            // device: skip this round and park, exactly as a real installer
+            // would back off. Correctness must not depend on installs
+            // happening (redo covers them).
+            let stalled = || {
+                let faults = shard.faults.as_deref();
+                faults.is_some_and(|h| h.on_install(failpoint::INSTALL))
+            };
             match g.as_mut() {
                 None => return,
-                Some(e) if e.uninstalled_count() > high_water => {
-                    // An injected install fault models a stalled/failing
-                    // store device: skip this round and park, exactly as a
-                    // real installer would back off. Correctness must not
-                    // depend on installs happening (redo covers them).
-                    let stalled = shard
-                        .faults
-                        .as_deref()
-                        .is_some_and(|h| h.on_install(failpoint::INSTALL));
-                    if stalled {
-                        false
-                    } else {
-                        e.install_one().unwrap_or(false)
-                    }
-                }
-                Some(_) => false,
+                Some(e) if e.uninstalled_count() > high_water && !stalled() => e
+                    .install_one_below(shard.durable_lsn())
+                    .unwrap_or(InstallStep::Idle),
+                Some(_) => InstallStep::Idle,
             }
         };
-        if worked {
-            shard.note_installed();
-            continue;
+        match step {
+            InstallStep::Installed => {
+                shard.note_installed();
+                continue;
+            }
+            InstallStep::NeedsStable(lsn) => shard.sched.want(shard, lsn.advance(1)),
+            InstallStep::Idle => {}
         }
         let (epoch, stopped) = shard.signal.wait_past(seen);
         seen = epoch;
@@ -337,8 +337,7 @@ pub(crate) fn installer_loop(shard: &Shard, high_water: usize) {
 /// Receipt for one executed operation; redeemable for durability.
 ///
 /// The ticket is handed back by [`ShardedEngine::execute`] *before* the
-/// operation is on stable storage (under [`CommitPolicy::Group`]). The
-/// caller may:
+/// operation is on stable storage. The caller may:
 ///
 /// - [`wait`](CommitTicket::wait) — ask the force barrier for a force and
 ///   block until it has made the operation's log record durable (group
@@ -351,7 +350,6 @@ pub(crate) fn installer_loop(shard: &Shard, high_water: usize) {
 /// *acknowledged*; everything else may legitimately vanish in a crash.
 ///
 /// [`ShardedEngine::execute`]: crate::ShardedEngine::execute
-/// [`CommitPolicy::Group`]: crate::CommitPolicy::Group
 pub struct CommitTicket {
     pub(crate) shard: Arc<Shard>,
     pub(crate) op: OpId,

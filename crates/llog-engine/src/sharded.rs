@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use llog_core::shared::{lock, WorkSignal};
 use llog_core::snapshot::Snapshot;
-use llog_core::{recover, Engine, EngineConfig, RecoveryOutcome, RedoPolicy};
+use llog_core::{recover, Engine, EngineConfig, InstallStep, RecoveryOutcome, RedoPolicy};
 use llog_ops::{OpKind, Transform, TransformRegistry};
 use llog_storage::{Metrics, MetricsSnapshot, StableStore, VersionStore};
 use llog_testkit::faults::FaultHost;
@@ -20,20 +20,6 @@ use crate::scheduler::ForceScheduler;
 use crate::shard::{installer_loop, CommitTicket, Shard};
 use crate::snapshot::{GroupCommitSnapshot, ShardedSnapshot};
 
-/// How committed operations reach stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitPolicy {
-    /// Every `execute` forces the shard's log (one ride of the force
-    /// barrier) before returning; the ticket comes back already durable.
-    /// One force per operation — the baseline group commit is measured
-    /// against.
-    Sync,
-    /// Appends return immediately with a pending [`CommitTicket`]; a
-    /// waiter on it asks the force barrier for a force, which covers every
-    /// operation appended before it started — one force for many commits.
-    Group,
-}
-
 /// Configuration for a [`ShardedEngine`]. Every shard is built and
 /// recovered with [`EngineConfig::default()`]: the paper's strawmen
 /// (`GraphKind::W`, flush transactions, shadows) stay at the core
@@ -42,8 +28,6 @@ pub enum CommitPolicy {
 pub struct ShardedConfig {
     /// Number of shards (independent engines + WALs).
     pub shards: usize,
-    /// Durability pipeline.
-    pub commit: CommitPolicy,
     /// Backpressure: `execute` parks while a shard holds this many
     /// uninstalled operations (0 = unbounded). Bounds write-graph growth
     /// and post-crash redo work.
@@ -57,7 +41,6 @@ impl Default for ShardedConfig {
     fn default() -> Self {
         ShardedConfig {
             shards: 4,
-            commit: CommitPolicy::Group,
             max_uninstalled: 1024,
             install_high_water: 64,
         }
@@ -205,10 +188,10 @@ impl ShardedEngine {
     ///
     /// Routes by the operation's read/write sets (cross-shard sets are
     /// rejected — see [`ShardRouter::shard_of_op`]), applies backpressure
-    /// if the shard's uninstalled window is full, runs the operation
-    /// under the shard lock, and (under [`CommitPolicy::Sync`]) forces it.
-    /// The returned [`CommitTicket`] says when (and whether) the operation
-    /// became durable; waiting on it asks for the force.
+    /// if the shard's uninstalled window is full and runs the operation
+    /// under the shard lock. The returned [`CommitTicket`] says when (and
+    /// whether) the operation became durable; waiting on it asks the force
+    /// barrier for a force, which many commits share.
     pub fn execute(
         &self,
         kind: OpKind,
@@ -254,29 +237,10 @@ impl ShardedEngine {
             let (op, lsn) = e.execute(kind, reads, writes, transform)?;
             (op, lsn, e.wal().end_lsn())
         };
-        if self.config.commit == CommitPolicy::Group {
-            // Counted under the engine lock, where the barrier takes it.
-            shard.unforced_ops.fetch_add(1, Ordering::Relaxed);
-        }
+        // Counted under the engine lock, where the barrier takes it.
+        shard.unforced_ops.fetch_add(1, Ordering::Relaxed);
         // The force barrier takes the engine lock itself, per phase.
         drop(guard);
-
-        if self.config.commit == CommitPolicy::Sync {
-            // Near-simultaneous sync commits on different shards share one
-            // barrier (and one fsync).
-            let outcome = self.scheduler.force_many(std::slice::from_ref(shard))[0]
-                .ok_or_else(|| LlogError::CacheProtocol(format!("shard {idx} has crashed")))?;
-            if !matches!(outcome, ForceOutcome::Forced(_)) {
-                // Barrier failure or a torn device write: nothing was
-                // acknowledged (the watermark did not advance past the
-                // durable prefix); a tear killed the shard.
-                return Err(LlogError::Io {
-                    point: "force_barrier".into(),
-                    reason: "barrier failed on sync commit".into(),
-                });
-            }
-            shard.counters.sync_commits.fetch_add(1, Ordering::Relaxed);
-        }
         shard.signal.notify(); // new uninstalled work for the installer
 
         Ok(CommitTicket {
@@ -435,12 +399,15 @@ impl ShardedEngine {
             .sum()
     }
 
-    /// Drain every shard's write graph completely.
+    /// Install every shard's write graph as far as its durable watermark
+    /// allows; [`force_all`](Self::force_all) first to install everything
+    /// executed so far.
     pub fn install_all(&self) -> Result<()> {
         for s in &self.shards {
             let mut g = s.lock_engine();
             if let Some(e) = g.as_mut() {
-                e.install_all()?;
+                let stable = s.durable_lsn();
+                while e.install_one_below(stable)? == InstallStep::Installed {}
             }
             drop(g);
             s.note_installed();
@@ -525,7 +492,7 @@ impl ShardedEngine {
     /// the shard lock, so the store image, log base and durable cut are
     /// one instant of the shard — every record the image may reflect lies
     /// below `durable`, which is what makes the replica's blind replay of
-    /// later records sound.
+    /// later records sound. The cut is at most the shard's watermark.
     pub fn ship_manifest(&self, i: usize) -> Result<ShipManifest> {
         let s = &self.shards[i];
         let g = s.lock_engine();
@@ -535,14 +502,15 @@ impl ShardedEngine {
         Ok(ShipManifest {
             store: llog_storage::device::encode_image(e.store().iter()),
             base: e.wal().start_lsn(),
-            durable: e.wal().durable_end(),
+            durable: e.wal().durable_end().min(s.durable_lsn()),
             master: e.wal().master_checkpoint(),
         })
     }
 
     /// Ship up to `max` stable log bytes of shard `i` starting at `from`,
     /// clamped to the durable cut (the end of the last complete, valid
-    /// frame — bytes past a torn force are never shipped). Returns the
+    /// frame — bytes past a torn force are never shipped — and at most the
+    /// shard's watermark, what the log device synced). Returns the
     /// chunk and the durable cut. `from` is a raw byte cursor, not a
     /// frame boundary — after a chunk clamped at `max` it lands
     /// mid-frame, so the cut comes from the WAL's own frame walk
@@ -556,7 +524,7 @@ impl ShardedEngine {
         let Some(e) = g.as_ref() else {
             return Err(LlogError::CacheProtocol(format!("shard {i} has crashed")));
         };
-        let durable = e.wal().durable_end();
+        let durable = e.wal().durable_end().min(s.durable_lsn());
         let allowed = (durable.0.saturating_sub(from.0)) as usize;
         let bytes = e.wal().ship_tail(from, max.min(allowed))?.to_vec();
         if !bytes.is_empty() {
@@ -761,10 +729,10 @@ fn checkpoint_one(shard: &Shard, truncate: bool) -> Result<Lsn> {
         None => e
             .checkpoint(truncate)
             .map(|lsn| (lsn, e.wal().forced_lsn())),
-        // WAL protocol: the log device takes every record forced so far
-        // (the installer forces in memory) before the checkpoint may
-        // truncate it away, so the store checkpoint never holds an install
-        // whose record only memory had.
+        // Every record forced so far reaches the log device before the
+        // checkpoint may truncate it: a failed barrier's fold-back is forced
+        // in memory only, and Install, Flush and checkpoint records since
+        // the last barrier can lie below the truncation cut.
         Some(b) => b.persist_wal(e.wal(), faults).and_then(|_| {
             let lsn = e.checkpoint(truncate)?;
             Ok((lsn, b.persist(e.store(), e.wal(), faults)?.durable))
@@ -1000,17 +968,24 @@ mod tests {
         }
     }
 
-    fn config(shards: usize, commit: CommitPolicy) -> ShardedConfig {
+    /// The one-force-per-op baseline group commit is measured against:
+    /// execute, then wait, so every put asks for its own barrier.
+    fn put_sync(e: &ShardedEngine, x: ObjectId, v: &str) -> CommitTicket {
+        let t = put(e, x, v);
+        assert!(t.wait(), "put to {x:?} acked");
+        t
+    }
+
+    fn config(shards: usize) -> ShardedConfig {
         ShardedConfig {
             shards,
-            commit,
             ..ShardedConfig::default()
         }
     }
 
     /// One group-commit shard, wired to `faults`.
     fn one_shard(faults: Option<Arc<FaultHost>>) -> ShardedEngine {
-        ShardedEngine::new_with_faults(config(1, CommitPolicy::Group), &registry(), faults)
+        ShardedEngine::new_with_faults(config(1), &registry(), faults)
     }
 
     fn mem_backend() -> DurabilityBackend {
@@ -1032,7 +1007,7 @@ mod tests {
     #[test]
     fn group_commit_acknowledges_and_survives() {
         let reg = registry();
-        let cfg = config(4, CommitPolicy::Group);
+        let cfg = config(4);
         let e = ShardedEngine::new(cfg, &reg);
         let tickets: Vec<CommitTicket> = (0..64u64).map(|i| put(&e, ObjectId(i), "gc")).collect();
         for t in &tickets {
@@ -1055,16 +1030,15 @@ mod tests {
     #[test]
     fn sync_policy_forces_per_op() {
         let reg = registry();
-        let cfg = config(1, CommitPolicy::Sync);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..10u64 {
-            let t = put(&e, ObjectId(i), "sync");
-            assert!(t.is_durable(), "sync commits are durable on return");
+            put_sync(&e, ObjectId(i), "sync");
         }
         let snap = e.metrics_snapshot();
-        assert_eq!(snap.group_commit.sync_commits, 10);
         assert_eq!(snap.aggregate.log_forces, 10);
-        assert_eq!(snap.group_commit.batches, 0);
+        let gc = &snap.group_commit;
+        assert_eq!((gc.batches, gc.batched_ops, gc.waits), (10, 10, 10));
         drop(e);
     }
 
@@ -1158,37 +1132,9 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_bounds_the_uninstalled_window() {
-        let reg = registry();
-        let cfg = ShardedConfig {
-            shards: 1,
-            max_uninstalled: 8,
-            install_high_water: 0,
-            ..ShardedConfig::default()
-        };
-        let e = ShardedEngine::new(cfg, &reg);
-        for i in 0..256u64 {
-            put(&e, ObjectId(i), "bp");
-        }
-        // The window held: never more than max_uninstalled live ops at
-        // execute time (the installer may lag the last few).
-        assert!(
-            e.uninstalled_total() <= 8 + 1,
-            "window overflow: {} uninstalled",
-            e.uninstalled_total()
-        );
-        let snap = e.metrics_snapshot();
-        assert!(
-            snap.group_commit.backpressure_waits > 0,
-            "256 ops through a window of 8 must park at least once"
-        );
-        drop(e);
-    }
-
-    #[test]
     fn checkpoint_coordinator_truncates_round_robin() {
         let reg = registry();
-        let cfg = config(2, CommitPolicy::Group);
+        let cfg = config(2);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..64u64 {
             put(&e, ObjectId(i), "ck").wait();
@@ -1230,7 +1176,7 @@ mod tests {
     #[test]
     fn spawned_checkpointer_runs_and_stops() {
         let reg = registry();
-        let cfg = config(2, CommitPolicy::Group);
+        let cfg = config(2);
         let e = ShardedEngine::new(cfg, &reg);
         e.spawn_checkpointer(Duration::from_millis(1));
         for i in 0..128u64 {
@@ -1251,7 +1197,7 @@ mod tests {
     #[test]
     fn crash_wakes_parked_ticket_waiters() {
         let reg = registry();
-        let cfg = config(1, CommitPolicy::Group);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
         let gate = Arc::new(SyncGate::default());
         e.attach_backend(0, gated_backend(&gate));
@@ -1281,7 +1227,7 @@ mod tests {
     #[test]
     fn shutdown_drains_pending_batches() {
         let reg = registry();
-        let cfg = config(2, CommitPolicy::Group);
+        let cfg = config(2);
         let e = ShardedEngine::new(cfg, &reg);
         let tickets: Vec<CommitTicket> =
             (0..16u64).map(|i| put(&e, ObjectId(i), "drain")).collect();
@@ -1306,7 +1252,6 @@ mod tests {
 
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum Site {
-            SyncCommit,
             Waiter,
             ForceShard,
             Drain,
@@ -1359,7 +1304,6 @@ mod tests {
                 return (None, false);
             };
             let ok = match site {
-                Site::SyncCommit => true,
                 Site::Waiter => ticket.wait(),
                 Site::ForceShard => e.force_shard(0).is_ok(),
                 Site::Drain => e.drain().is_ok(),
@@ -1369,19 +1313,10 @@ mod tests {
 
         let reg = registry();
         let (pre, doomed, retry) = (ObjectId(0), ObjectId(1), ObjectId(2));
-        for site in [
-            Site::SyncCommit,
-            Site::Waiter,
-            Site::ForceShard,
-            Site::Drain,
-        ] {
+        for site in [Site::Waiter, Site::ForceShard, Site::Drain] {
             for &(fault, class) in &verdicts {
                 let case = format!("{site:?} x {fault:?}");
-                let commit = match site {
-                    Site::SyncCommit => CommitPolicy::Sync,
-                    Site::Waiter | Site::ForceShard | Site::Drain => CommitPolicy::Group,
-                };
-                let cfg = config(1, commit);
+                let cfg = config(1);
                 let host = Arc::new(FaultHost::new());
                 let e = ShardedEngine::new_with_faults(cfg, &reg, Some(host.clone()));
                 e.attach_backend(0, mem_backend());
@@ -1416,11 +1351,7 @@ mod tests {
                         // finally rides.
                         assert!(ticket.is_none() || acked(&ticket), "{case}");
                         let batched = e.metrics_snapshot().group_commit.batched_ops;
-                        assert_eq!(
-                            batched,
-                            3 * u64::from(commit == CommitPolicy::Group),
-                            "{case}"
-                        );
+                        assert_eq!(batched, 3, "{case}");
                     }
                     Class::Tear { .. } => {
                         assert!(!ok, "{case}: torn force reported success");
@@ -1520,7 +1451,7 @@ mod tests {
     #[test]
     fn parallel_recovery_matches_shard_count_and_state() {
         let reg = registry();
-        let cfg = config(8, CommitPolicy::Group);
+        let cfg = config(8);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..200u64 {
             put(&e, ObjectId(i), "par");
@@ -1541,15 +1472,15 @@ mod tests {
     #[test]
     fn device_backed_checkpoints_survive_reboot_from_devices() {
         let reg = registry();
-        let cfg = config(2, CommitPolicy::Sync);
+        let cfg = config(2);
         let e = ShardedEngine::new(cfg, &reg);
         e.attach_backends((0..2).map(|_| mem_backend()).collect());
         for i in 0..10u64 {
-            put(&e, ObjectId(i), "dev1");
+            put_sync(&e, ObjectId(i), "dev1");
         }
         e.checkpoint_all(true).unwrap();
         for i in 10..20u64 {
-            put(&e, ObjectId(i), "dev2");
+            put_sync(&e, ObjectId(i), "dev2");
         }
         e.checkpoint_all(true).unwrap();
         // The in-memory parts vanish; the devices survive the crash.
@@ -1585,7 +1516,7 @@ mod tests {
         let open = |i: usize| {
             DurabilityBackend::file(&dir.join(format!("shard-{i}")), Metrics::new(), &dev).unwrap()
         };
-        let cfg = config(3, CommitPolicy::Sync);
+        let cfg = config(3);
         let keys = 48u64;
         let e = ShardedEngine::new(cfg, &reg);
         e.attach_backends((0..3).map(open).collect());
@@ -1595,13 +1526,13 @@ mod tests {
             } else {
                 vec![]
             };
-            e.execute(
+            let t = e.execute(
                 kind,
                 reads,
                 vec![ObjectId(x)],
                 Transform::new(fn_id, params),
-            )
-            .unwrap();
+            );
+            assert!(t.unwrap().wait());
         };
         for round in 0..4u64 {
             for x in 0..keys {
@@ -1675,7 +1606,7 @@ mod tests {
     #[test]
     fn device_checkpoints_cost_o_dirty_not_o_store() {
         let reg = registry();
-        let cfg = config(1, CommitPolicy::Sync);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
         let dev_metrics = Metrics::new();
         e.attach_backend(
@@ -1683,7 +1614,7 @@ mod tests {
             DurabilityBackend::mem(dev_metrics.clone(), &DeviceConfig::small()),
         );
         for i in 0..8u64 {
-            put(&e, ObjectId(i), "full");
+            put_sync(&e, ObjectId(i), "full");
         }
         e.install_all().unwrap();
         e.checkpoint_all(true).unwrap();
@@ -1691,7 +1622,7 @@ mod tests {
         assert_eq!(first.ckpt_objects_written, 8, "first checkpoint is full");
         // One more object dirtied: the next device checkpoint writes only
         // that object and skips the clean eight.
-        put(&e, ObjectId(8), "dirty");
+        put_sync(&e, ObjectId(8), "dirty");
         e.install_all().unwrap();
         e.checkpoint_all(true).unwrap();
         let delta = dev_metrics.snapshot().since(&first);
@@ -1703,11 +1634,11 @@ mod tests {
     #[test]
     fn persist_all_makes_unforgotten_tail_device_durable() {
         let reg = registry();
-        let cfg = config(1, CommitPolicy::Sync);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
         e.attach_backend(0, mem_backend());
         for i in 0..6u64 {
-            put(&e, ObjectId(i), "tail");
+            put_sync(&e, ObjectId(i), "tail");
         }
         // No checkpoint: persist_all pushes the forced log tail to the
         // device so a device reboot still replays the committed ops.
@@ -1728,7 +1659,7 @@ mod tests {
     fn failed_store_persist_at_checkpoint_latches_the_shard_dead() {
         use llog_testkit::faults::{failpoint, FaultKind};
         let reg = registry();
-        let cfg = config(2, CommitPolicy::Sync);
+        let cfg = config(2);
         let host = Arc::new(FaultHost::new());
         let e = ShardedEngine::new_with_faults(cfg, &reg, Some(host.clone()));
         for i in 0..2 {
@@ -1737,7 +1668,7 @@ mod tests {
         e.persist_all().unwrap();
         let keys: Vec<ObjectId> = (0..16u64).map(ObjectId).collect();
         for &x in &keys {
-            assert!(put(&e, x, "acked").is_durable());
+            put_sync(&e, x, "acked");
         }
         e.install_all().unwrap();
         // Shard 0 checkpoints first and takes the single-shot fault.
@@ -1762,7 +1693,7 @@ mod tests {
             )
         };
         assert!(put_to(dead).is_err(), "the dead shard takes no more puts");
-        assert!(put_to(live).unwrap().is_durable(), "the other shard serves");
+        assert!(put_to(live).unwrap().wait(), "the other shard serves");
         let backends: Vec<DurabilityBackend> = e.take_backends().into_iter().flatten().collect();
         drop(e.crash());
         let (rec, _, _) = recover_sharded_from_backends(backends, &reg, cfg).unwrap();
@@ -1774,10 +1705,15 @@ mod tests {
 
     /// A log device whose sync keeps failing is retried only while someone
     /// waits: each failed barrier wakes the waiter, which wants again, and
-    /// once it gives up the barrier thread goes idle.
+    /// once it gives up the barrier thread goes idle. The installer, which
+    /// needs the put durable too, asks again only on new work.
     #[test]
     fn a_failing_device_is_retried_only_while_a_waiter_waits() {
-        let e = one_shard(None);
+        let cfg = ShardedConfig {
+            install_high_water: 0,
+            ..config(1)
+        };
+        let e = ShardedEngine::new(cfg, &registry());
         let gate = Arc::new(SyncGate::default());
         e.attach_backend(0, gated_backend(&gate));
         gate.set_failing(true);
@@ -1824,6 +1760,123 @@ mod tests {
         drop(e);
     }
 
+    /// A replica gets only what the primary's log device synced. Neither
+    /// an explicit `install_all`, nor the background installer, nor a
+    /// failed barrier's fold-back into the in-memory stable prefix may put
+    /// an unacked put's bytes or value into `ship_chunk` / `ship_manifest`.
+    #[test]
+    fn a_replica_is_never_shipped_bytes_the_log_device_has_not_synced() {
+        use llog_testkit::faults::{failpoint, FaultKind};
+        for case in ["install_all", "installer", "failed barrier"] {
+            let cfg = ShardedConfig {
+                install_high_water: if case == "installer" { 0 } else { 64 },
+                ..config(1)
+            };
+            let host = Arc::new(FaultHost::new());
+            let e = ShardedEngine::new_with_faults(cfg, &registry(), Some(host.clone()));
+            e.attach_backend(0, mem_backend());
+            let x = ObjectId(1);
+            assert!(put(&e, x, "a").wait());
+            let _b = put(&e, x, "b");
+            if case == "failed barrier" {
+                host.arm(failpoint::SCHED_SYNC, FaultKind::IoError);
+                assert!(e.force_shard(0).is_err());
+            }
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while case == "installer" && e.uninstalled_total() > 0 {
+                assert!(std::time::Instant::now() < deadline, "installer stalled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            e.install_all().unwrap();
+            let manifest = e.ship_manifest(0).unwrap();
+            let (_, cut) = e.ship_chunk(0, manifest.base, usize::MAX).unwrap();
+            let device_end = e.take_backends()[0].as_ref().unwrap().log().durable_end();
+            let synced = e.durable_lsn(0).min(device_end);
+            assert!(cut <= synced, "{case}: shipped to {cut}, synced {synced}");
+            assert!(
+                manifest.durable <= synced,
+                "{case}: manifest cut {}, synced {synced}",
+                manifest.durable
+            );
+            let image = llog_storage::device::decode_image(&manifest.store).unwrap();
+            for (obj, stored) in image {
+                assert!(
+                    stored.vsi < synced,
+                    "{case}: image holds {obj:?} at {}, synced {synced}",
+                    stored.vsi
+                );
+            }
+        }
+    }
+
+    /// Backpressure bounds the uninstalled window and does not deadlock
+    /// when nobody waits a ticket: the installer asks the force barrier
+    /// for the barriers its installs need, so every execute returns.
+    #[test]
+    fn backpressure_without_waiters_rides_barriers_the_installer_asks_for() {
+        let cfg = ShardedConfig {
+            max_uninstalled: 8,
+            install_high_water: 0,
+            ..config(1)
+        };
+        let e = ShardedEngine::new(cfg, &registry());
+        e.attach_backend(0, mem_backend());
+        let tickets: Vec<CommitTicket> = (0..200u64)
+            .map(|i| put(&e, ObjectId(i % 16), "bp"))
+            .collect();
+        let snap = e.metrics_snapshot();
+        let gc = &snap.group_commit;
+        assert_eq!(gc.waits, 0, "no ticket was waited");
+        assert!(gc.backpressure_waits > 0, "200 puts through a window of 8");
+        assert!(gc.batches > 0 && snap.aggregate.io_fsyncs > 0);
+        // The window held: never more than max_uninstalled live ops at
+        // execute time (the installer may lag the last few).
+        assert!(e.uninstalled_total() <= 8 + 1);
+        let acked = tickets.iter().filter(|t| t.is_durable()).count();
+        assert!(acked >= 200 - 8 - 1, "only {acked} puts rode a barrier");
+        drop(e);
+    }
+
+    /// An installer waiting for the barrier it asked for wakes when the
+    /// shard halts (drop) or crashes. That barrier is held in its sync and
+    /// resolves only after the shard is dead, so the watermark never moves:
+    /// only the kill can wake the installer, or the join hangs.
+    #[test]
+    fn halt_and_crash_wake_an_installer_waiting_for_a_barrier() {
+        for crash in [false, true] {
+            let cfg = ShardedConfig {
+                install_high_water: 0,
+                ..config(1)
+            };
+            let e = ShardedEngine::new(cfg, &registry());
+            let gate = Arc::new(SyncGate::default());
+            e.attach_backend(0, gated_backend(&gate));
+            gate.set(Some(0));
+            let ticket = put(&e, ObjectId(1), "v");
+            // Nobody waits the ticket: the parked sync is the installer's.
+            gate.wait_parked();
+            let shard = e.shards[0].clone();
+            let (done, stopped) = std::sync::mpsc::channel();
+            let stopper = std::thread::spawn(move || {
+                if crash {
+                    drop(e.crash());
+                } else {
+                    drop(e);
+                }
+                done.send(()).unwrap();
+            });
+            while !shard.is_dead() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            gate.set(None);
+            stopped
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("crash={crash}: the parked installer never woke"));
+            stopper.join().unwrap();
+            assert!(!ticket.is_durable());
+        }
+    }
+
     /// Walking the backlog in tiny chunks leaves the cursor mid-frame on
     /// every call; the durable cut must come from the log's own frame
     /// walk, so each chunk still makes progress and the reassembled bytes
@@ -1831,10 +1884,10 @@ mod tests {
     #[test]
     fn ship_chunk_progresses_from_mid_frame_cursors() {
         let reg = registry();
-        let cfg = config(1, CommitPolicy::Sync);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..8u64 {
-            put(&e, ObjectId(i), "a-payload-long-enough-to-span-chunks");
+            put_sync(&e, ObjectId(i), "a-payload-long-enough-to-span-chunks");
         }
         let manifest = e.ship_manifest(0).unwrap();
         let durable = manifest.durable;
@@ -1862,15 +1915,15 @@ mod tests {
     #[test]
     fn below_base_watermark_reports_full_backlog_lag() {
         let reg = registry();
-        let cfg = config(1, CommitPolicy::Sync);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..4u64 {
-            put(&e, ObjectId(i), "old");
+            put_sync(&e, ObjectId(i), "old");
         }
         e.install_all().unwrap();
         e.checkpoint_shard(0, true).unwrap();
         for i in 0..4u64 {
-            put(&e, ObjectId(i), "new");
+            put_sync(&e, ObjectId(i), "new");
         }
         let base = e.ship_manifest(0).unwrap().base;
         assert!(base > Lsn(1), "truncation must have advanced the base");
@@ -1882,23 +1935,22 @@ mod tests {
     #[test]
     fn concurrent_sync_commits_are_durable_on_return_and_survive() {
         let reg = registry();
-        let cfg = config(4, CommitPolicy::Sync);
+        let cfg = config(4);
         let e = ShardedEngine::new(cfg, &reg);
-        // Four committer threads: their sync commits ride the barrier
-        // while the others execute on their own shards.
+        // Four committer threads: each one-force-per-op commit rides the
+        // barrier while the others execute on their own shards.
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let e = &e;
                 s.spawn(move || {
                     for i in 0..8u64 {
-                        let ticket = put(e, ObjectId(t * 1000 + i), "co");
-                        assert!(ticket.is_durable(), "sync commits are durable on return");
+                        put_sync(e, ObjectId(t * 1000 + i), "co");
                     }
                 });
             }
         });
         let snap = e.metrics_snapshot();
-        assert_eq!(snap.group_commit.sync_commits, 32);
+        assert_eq!(snap.group_commit.waits, 32);
         let parts = e.crash();
         let (rec, _) = recover_sharded(parts, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
         for t in 0..4u64 {
@@ -1916,7 +1968,7 @@ mod tests {
     #[test]
     fn coalesced_forces_share_one_device_fsync() {
         let reg = registry();
-        let cfg = config(4, CommitPolicy::Group);
+        let cfg = config(4);
         let e = ShardedEngine::new(cfg, &reg);
         e.attach_backends((0..4).map(|_| mem_backend()).collect());
         let tickets: Vec<CommitTicket> = (0..4)
@@ -1950,10 +2002,10 @@ mod tests {
     #[test]
     fn snapshot_reads_never_take_the_engine_mutex() {
         let reg = registry();
-        let cfg = config(2, CommitPolicy::Sync);
+        let cfg = config(2);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..16u64 {
-            assert!(put(&e, ObjectId(i), "mvcc").is_durable());
+            put_sync(&e, ObjectId(i), "mvcc");
         }
         let before = locks_by_this_thread();
         for _ in 0..8 {
@@ -1979,10 +2031,10 @@ mod tests {
     #[test]
     fn snapshot_reads_complete_while_a_writer_holds_the_engine_lock() {
         let reg = registry();
-        let cfg = config(1, CommitPolicy::Sync);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
         let x = ObjectId(7);
-        assert!(put(&e, x, "held").is_durable());
+        put_sync(&e, x, "held");
         // Park a "writer" on the engine mutex; snapshot reads must not
         // block behind it.
         let guard = e.shards[0].lock_engine();
@@ -1997,7 +2049,7 @@ mod tests {
     #[test]
     fn snapshot_reads_observe_only_durable_state() {
         let reg = registry();
-        let cfg = config(1, CommitPolicy::Group);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
         let x = ObjectId(3);
         let t1 = put(&e, x, "v1");
@@ -2018,16 +2070,16 @@ mod tests {
     #[test]
     fn checkpoint_gc_bounds_retention_and_respects_open_snapshots() {
         let reg = registry();
-        let cfg = config(1, CommitPolicy::Sync);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
         let x = ObjectId(1);
         for i in 0..8 {
-            assert!(put(&e, x, &format!("v{i}")).is_durable());
+            put_sync(&e, x, &format!("v{i}"));
         }
         let pinned = e.open_snapshot(0).unwrap();
         let pinned_value = pinned.read(x);
         for i in 8..16 {
-            assert!(put(&e, x, &format!("v{i}")).is_durable());
+            put_sync(&e, x, &format!("v{i}"));
         }
         // Checkpoint runs the GC, but the open snapshot pins its floor:
         // the pinned read stays resolvable.
@@ -2048,10 +2100,10 @@ mod tests {
     #[test]
     fn snapshot_reads_survive_recovery() {
         let reg = registry();
-        let cfg = config(2, CommitPolicy::Sync);
+        let cfg = config(2);
         let e = ShardedEngine::new(cfg, &reg);
         for i in 0..32u64 {
-            assert!(put(&e, ObjectId(i), "pre").is_durable());
+            put_sync(&e, ObjectId(i), "pre");
         }
         let parts = e.crash();
         let (rec, _) = recover_sharded(parts, &reg, cfg, RedoPolicy::RsiExposed).unwrap();
@@ -2072,7 +2124,7 @@ mod tests {
         let reg = registry();
         // A fresh put is not durable until someone asks for a force: the
         // floored read must ask for one and wait.
-        let cfg = config(1, CommitPolicy::Group);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
         assert!(put(&e, ObjectId(1), "old").wait());
 
@@ -2096,10 +2148,9 @@ mod tests {
     #[test]
     fn floor_beyond_any_write_times_out() {
         let reg = registry();
-        let cfg = config(1, CommitPolicy::Sync);
+        let cfg = config(1);
         let e = ShardedEngine::new(cfg, &reg);
-        let t = put(&e, ObjectId(7), "v");
-        assert!(t.is_durable());
+        let t = put_sync(&e, ObjectId(7), "v");
         let unreachable = Lsn(t.target().0 + 1_000_000);
         let err = e
             .read_value_snapshot_at_least(ObjectId(7), unreachable, Duration::from_millis(50))

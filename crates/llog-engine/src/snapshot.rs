@@ -11,14 +11,12 @@ llog_storage::counters! {
     /// shards (or for one shard).
     pub struct GroupCommitSnapshot;
     /// Group-commit batches: force-barrier rides that made at least one
-    /// `CommitPolicy::Group` operation durable.
+    /// executed operation durable.
     batches: sum,
     /// Operations those batches covered.
     batched_ops: sum,
     /// Largest single batch observed on any shard.
     max_batch: max,
-    /// Synchronous one-op commits (under `CommitPolicy::Sync`).
-    sync_commits: sum,
     /// Completed `CommitTicket::wait` calls.
     waits: sum,
     /// Total nanoseconds ticket waiters spent blocked on durability.
@@ -94,10 +92,10 @@ mod tests {
 
     #[test]
     fn merged_sums_and_maxes() {
-        // batches, batched_ops, max_batch, sync_commits, waits,
-        // flush_wait_ns, backpressure_waits — in table order.
-        let a = GroupCommitSnapshot::from_values(&[2, 10, 6, 1, 3, 300, 1]).unwrap();
-        let b = GroupCommitSnapshot::from_values(&[1, 4, 4, 0, 1, 100, 0]).unwrap();
+        // batches, batched_ops, max_batch, waits, flush_wait_ns,
+        // backpressure_waits — in table order.
+        let a = GroupCommitSnapshot::from_values(&[2, 10, 6, 3, 300, 1]).unwrap();
+        let b = GroupCommitSnapshot::from_values(&[1, 4, 4, 1, 100, 0]).unwrap();
         let m = a.merged(&b);
         assert_eq!(m.batches, 3);
         assert_eq!(m.batched_ops, 14);
@@ -129,7 +127,7 @@ mod tests {
         }
         assert_eq!(json.matches("\"log_forces\"").count(), 3, "agg + 2 shards");
         assert!(json.contains(
-            "\"group_commit\":{\"batches\":0,\"batched_ops\":0,\"max_batch\":0,\"sync_commits\":0,\
+            "\"group_commit\":{\"batches\":0,\"batched_ops\":0,\"max_batch\":0,\
              \"waits\":0,\"flush_wait_ns\":0,\"backpressure_waits\":0,\"mean_batch\":0.00,\
              \"mean_wait_ns\":0.0},\"per_shard\""
         ));

@@ -86,13 +86,11 @@ mod tests {
     fn server_config_is_the_default_config_at_the_given_shard_count() {
         let ShardedConfig {
             shards,
-            commit,
             max_uninstalled,
             install_high_water,
         } = server_engine_config(3);
         let d = ShardedConfig::default();
         assert_eq!(shards, 3);
-        assert_eq!(commit, d.commit);
         assert_eq!(max_uninstalled, d.max_uninstalled);
         assert_eq!(install_high_water, d.install_high_water);
     }

@@ -306,11 +306,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `config.addr` and start serving `engine`. The engine should
-    /// be configured with `CommitPolicy::Group` (each connection's writer
-    /// waits its oldest ticket, which asks the force barrier for a force;
-    /// the puts pipelined behind it ride the same barrier or the next)
-    /// and, for process-kill durability, have backends attached.
+    /// Bind `config.addr` and start serving `engine`. Each connection's
+    /// writer waits its oldest ticket, which asks the force barrier for a
+    /// force; the puts pipelined behind it ride the same barrier or the
+    /// next. For process-kill durability the engine should have backends
+    /// attached.
     pub fn start(engine: ShardedEngine, config: ServerConfig) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr).map_err(|e| LlogError::Io {
             point: "server bind".into(),

@@ -339,13 +339,6 @@ impl Wal {
         &self.pending
     }
 
-    /// Force only if `lsn` is not yet stable (WAL-protocol helper).
-    pub fn force_through(&mut self, lsn: Lsn) {
-        if lsn >= self.forced_lsn() {
-            self.force();
-        }
-    }
-
     /// Crash: the volatile buffer — including any in-flight double-buffered
     /// batch whose sync never settled — is lost.
     pub fn crash(&mut self) {
@@ -732,18 +725,6 @@ mod tests {
         w.force();
         w.force(); // idempotent
         assert_eq!(w_metrics.snapshot().log_forces, 1);
-    }
-
-    #[test]
-    fn force_through_only_forces_when_needed() {
-        let m = Metrics::new();
-        let mut w = Wal::new(m.clone());
-        let a = w.append(&op_record(0));
-        w.force_through(a);
-        assert_eq!(m.snapshot().log_forces, 1);
-        // Already stable: no new force.
-        w.force_through(a);
-        assert_eq!(m.snapshot().log_forces, 1);
     }
 
     #[test]

@@ -306,9 +306,9 @@ fn acked_puts_survive_installs_the_store_device_never_saw() {
 
 /// A barrier acknowledges only what it staged and synced. While one
 /// waiter's barrier is parked in its device sync, K more puts are appended
-/// and `install_all` forces them into the WAL's stable prefix in memory
-/// (the WAL protocol's force before install). The log device never saw
-/// those bytes, so when the held sync returns, none of the K may be acked.
+/// and `install_all` runs, which installs only below the watermark and
+/// forces nothing. The log device never saw those bytes, so when the held
+/// sync returns, none of the K may be acked.
 #[test]
 fn a_barrier_acks_only_what_it_synced() {
     const K: u64 = 20;

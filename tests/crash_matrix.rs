@@ -1079,3 +1079,115 @@ fn recovery_over_recycled_segment_matches_in_memory_recovery() {
         );
     }
 }
+
+/// A kill inside `DurabilityBackend::persist`, in each of its steps and
+/// between each pair of them: (1) log tail sync, (2) store checkpoint,
+/// (3) master and truncation. A checkpoint's persist fails at a device
+/// failpoint and the shard dies there. The reboot through
+/// `recover_sharded_from_backends` must show every acked put and no value
+/// of an op the log device lacks, and its next op must not reuse an LSN.
+#[test]
+fn a_kill_between_persist_steps_keeps_acked_puts_and_reuses_no_lsn() {
+    use llog::engine::recover_sharded_from_backends;
+    use llog::testkit::faults::{failpoint, FaultHost, FaultKind};
+    use llog::types::Lsn;
+    use llog_storage::device::DeviceConfig;
+    use llog_storage::Metrics;
+    use llog_wal::DurabilityBackend;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    let reg = registry();
+    let config = ShardedConfig {
+        shards: 1,
+        ..ShardedConfig::default()
+    };
+    let reboot = |backends: Vec<DurabilityBackend>| {
+        let (e, _, backends) = recover_sharded_from_backends(backends, &reg, config).unwrap();
+        e.attach_backends(backends);
+        e
+    };
+    let detach = |e: ShardedEngine| -> Vec<DurabilityBackend> {
+        let backends = e.take_backends().into_iter().flatten().collect();
+        drop(e.crash());
+        backends
+    };
+    // (failpoint, the kill lands after step 1, after step 2)
+    let kills = [
+        (failpoint::DEV_LOG_APPEND, false, false),
+        (failpoint::DEV_STORE_DELTA, true, false),
+        (failpoint::DEV_STORE_MANIFEST, true, false),
+        (failpoint::DEV_LOG_MANIFEST, true, true),
+    ];
+    for (point, log_synced, store_checkpointed) in kills {
+        let host = Arc::new(FaultHost::new());
+        let e = ShardedEngine::new_with_faults(config, &reg, Some(host.clone()));
+        e.attach_backend(
+            0,
+            DurabilityBackend::mem(Metrics::new(), &DeviceConfig::default()),
+        );
+        let key = |i: u64| ObjectId(i % 6);
+        // Every put to each key in order: (value, LSN, acked).
+        let mut puts: BTreeMap<ObjectId, Vec<(String, Lsn, bool)>> = BTreeMap::new();
+        let mut put = |i: u64, tag: &str, wait: bool| {
+            let v = format!("{tag}{i}");
+            let t = sput(&e, key(i), &v).unwrap();
+            let acked = wait && t.wait();
+            assert_eq!(acked, wait, "{point}: put {v}");
+            puts.entry(key(i)).or_default().push((v, t.lsn(), acked));
+        };
+        // Acked and checkpointed; acked and installed; acked only; unacked.
+        // The acked-only puts hold the truncation cut below the log
+        // device's end, so all three steps have work to do.
+        for i in 0..12 {
+            put(i, "a", true);
+        }
+        e.install_all().unwrap();
+        e.checkpoint_shard(0, true).unwrap();
+        for i in 0..4 {
+            put(i, "b", true);
+        }
+        e.install_all().unwrap();
+        for i in 0..2 {
+            put(i, "c", true);
+        }
+        for i in 2..8 {
+            put(i, "u", false);
+        }
+        let synced_before = e.durable_lsn(0);
+
+        host.arm(point, FaultKind::IoError);
+        assert!(e.checkpoint_shard(0, true).is_err(), "{point}");
+        assert_eq!(host.fired().len(), 1, "{point}");
+        let backends = detach(e);
+        let log_end = backends[0].log().durable_end();
+        let (store, _) = backends[0].load(Metrics::new()).unwrap().unwrap();
+        assert_eq!(log_end > synced_before, log_synced, "{point}: log tail");
+        assert_eq!(
+            store.installed_through() == log_end,
+            store_checkpointed,
+            "{point}: store checkpoint"
+        );
+
+        let e = reboot(backends);
+        for (x, history) in &puts {
+            let got = e.read_value(*x).unwrap();
+            let last_acked = history.iter().rposition(|(_, _, acked)| *acked).unwrap();
+            let allowed = history[last_acked..]
+                .iter()
+                .enumerate()
+                .filter(|&(n, (_, lsn, _))| n == 0 || *lsn < log_end)
+                .any(|(_, (v, _, _))| got == Value::from(v.as_str()));
+            assert!(allowed, "{point}: {x} reads {got:?} of {history:?}");
+        }
+        let fresh = sput(&e, key(0), "c").unwrap();
+        assert!(fresh.wait(), "{point}: put after reboot");
+        assert!(
+            fresh.lsn() >= log_end && fresh.lsn() >= store.installed_through(),
+            "{point}: reused LSN {}",
+            fresh.lsn()
+        );
+        let e = reboot(detach(e));
+        assert_eq!(e.read_value(key(0)).unwrap(), Value::from("c"), "{point}");
+    }
+}

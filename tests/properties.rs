@@ -271,13 +271,12 @@ proptest! {
         policy_rsi in any::<bool>(),
     ) {
         use llog::core::{recover, recover_two_pass};
-        use llog::engine::{CommitPolicy, ShardedConfig, ShardedEngine};
+        use llog::engine::{ShardedConfig, ShardedEngine};
 
         let registry = TransformRegistry::with_builtins();
         let shards = 1 + (seed as usize % 3);
         let config = ShardedConfig {
             shards,
-            commit: CommitPolicy::Sync,
             // Never backpressure, never install: the stable image stays
             // initial, so the sealed log alone is a complete oracle.
             max_uninstalled: 4096,
@@ -306,7 +305,8 @@ proptest! {
                     Transform::new(builtin::HASH_MIX, salt),
                 )
             };
-            prop_assert!(t.unwrap().wait(), "sync commit must ack");
+            // Execute, then wait: one barrier per op.
+            prop_assert!(t.unwrap().wait(), "every op must ack");
             Ok(())
         };
 
