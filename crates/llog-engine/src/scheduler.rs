@@ -16,23 +16,28 @@
 //!    attached — stage the unsynced device write
 //!    ([`DurabilityBackend::stage_wal`]), keeping the durable end the log
 //!    device reports for it.
-//! 3. **Phase B** — *no engine locks held*: one shared sync barrier covers
+//! 3. **Phase B** — *no engine locks held*: the shared sync barrier syncs
 //!    every staged device ([`DurabilityBackend::sync_log`]), accounted as a
 //!    single `io_fsyncs`. New appends proceed into the now-empty WAL
 //!    buffers meanwhile — the double-buffer overlap, measured into
 //!    `double_buffer_overlap_ns`.
-//! 4. **Phase C** — per shard, engine lock again:
-//!    [`Wal::complete_force`] folds the in-flight slot into the stable
-//!    prefix; the scheduler publishes the watermark Phase A staged (the log
-//!    device's durable end; without a backend, the end of the swapped
-//!    batch), never `forced_lsn()`, which a checkpoint's force and a
-//!    failed barrier's fold-back move in memory.
+//! 4. **Phase C** — per shard, engine lock again: for a rider whose sync
+//!    succeeded, [`Wal::complete_force`] folds the in-flight slot into the
+//!    stable prefix; the scheduler publishes the watermark Phase A staged
+//!    (the log device's durable end; without a backend, the end of the
+//!    swapped batch), never `forced_lsn()`, which a checkpoint's force
+//!    moves in memory.
 //!
-//! `Torn` kills the shard with only the pre-fault durable prefix
-//! acknowledged, as does a device that keeps less than it was handed.
-//! `Failed` (a [`failpoint::SCHED_SYNC`] fault, a device that rejects the
-//! tail) acknowledges nothing and wakes the shard's waiters; each one still
-//! parked wants again, so the retry needs no timer.
+//! A log-device error kills the shard, as a tear does: an I/O error at a
+//! force failpoint or in staging, a rider's failed sync, a device that
+//! keeps less than it was handed, or a [`failpoint::SCHED_SYNC`] fault,
+//! which models the shared barrier itself failing and so kills every
+//! rider. Death is latched under the engine lock; the watermark never
+//! passes what the device synced before the fault, and the in-flight
+//! batch stays volatile.
+//! After a failed sync nothing in the process reads that device again
+//! (PostgreSQL's rule since fsyncgate), so every barrier ends in an ack or
+//! a death and no waiter ever retries.
 //!
 //! [`Wal::begin_force_with`]: llog_wal::Wal::begin_force_with
 //! [`Wal::complete_force`]: llog_wal::Wal::complete_force
@@ -52,8 +57,9 @@ use llog_wal::{BeginForce, ForceOutcome};
 
 use crate::shard::Shard;
 
-/// How one force resolved. `None` means the shard was dead or its engine
-/// gone (crashed/taken) before the barrier reached it.
+/// How one force resolved. `None` means the shard is dead: it was dead or
+/// its engine gone (crashed/taken) before the barrier reached it, or the
+/// barrier killed it without a tear to report.
 pub(crate) type SchedResult = Option<ForceOutcome>;
 
 /// One queued ask for a barrier: an explicit force, whose caller parks on
@@ -219,35 +225,36 @@ impl ForceScheduler {
 
         // Phase B: the shared barrier — no engine locks held, so appends on
         // every rider proceed into the now-empty WAL buffers while the
-        // devices sync. This window is the double-buffer overlap.
+        // devices sync. This window is the double-buffer overlap. Every
+        // staged device is synced even after one fails: only the rider
+        // whose own sync failed dies.
         let overlap = Instant::now();
         let syncing = staged.iter().any(|s| matches!(s, Staged::Sync { .. }));
         let faults = riders.iter().find_map(|r| r.shard.faults.as_deref());
-        let mut sync_ok = !(syncing && faults.is_some_and(|h| h.on_sync(failpoint::SCHED_SYNC)));
+        let barrier_ok = !(syncing && faults.is_some_and(|h| h.on_sync(failpoint::SCHED_SYNC)));
         let mut devices = 0;
-        for (r, s) in riders.iter().zip(&staged) {
-            let on_device = matches!(
-                s,
+        let synced: Vec<bool> = riders
+            .iter()
+            .zip(&staged)
+            .map(|(r, s)| match s {
                 Staged::Sync {
-                    device: Some(_),
-                    ..
+                    device: Some(_), ..
+                } if barrier_ok => {
+                    devices += 1;
+                    let mut backend = lock(&r.shard.backend);
+                    backend.as_mut().is_some_and(|b| b.sync_log().is_ok())
                 }
-            );
-            if sync_ok && on_device {
-                devices += 1;
-                if let Some(b) = lock(&r.shard.backend).as_mut() {
-                    sync_ok = b.sync_log().is_ok();
-                }
-            }
-        }
+                _ => barrier_ok,
+            })
+            .collect();
         let overlap_ns = overlap.elapsed().as_nanos() as u64;
 
-        // Phase C: fold each rider's in-flight slot into its stable prefix,
-        // publish its watermark and resolve its requesters. Barrier-wide
-        // accounting lands on the first rider's ledger (the per-shard
-        // ledgers are summed anyway).
+        // Phase C: fold each synced rider's in-flight slot into its stable
+        // prefix, publish its watermark and resolve its requesters.
+        // Barrier-wide accounting lands on the first acked rider's ledger
+        // (the per-shard ledgers are summed anyway).
         let mut accounted = false;
-        for (r, s) in riders.iter().zip(staged) {
+        for ((r, s), synced) in riders.iter().zip(staged).zip(synced) {
             let shard = &r.shard;
             let (result, ops) = match s {
                 Staged::Done(result) => (result, 0),
@@ -259,36 +266,38 @@ impl ForceScheduler {
                     let mut g = shard.lock_engine();
                     // A shard that died during the sync (a crash, or a
                     // checkpoint's failed persist) acknowledges nothing
-                    // more: its in-flight batch stays volatile.
+                    // more, and a failed sync kills its shard: either way
+                    // the in-flight batch stays volatile.
                     let live = g.as_mut().filter(|_| !shard.is_dead());
-                    let result = live.map(|e| {
-                        e.wal_mut().complete_force();
-                        if !accounted {
-                            let m = e.metrics();
-                            Metrics::bump(&m.forces_coalesced, riders.len() as u64 - 1);
-                            Metrics::bump(&m.double_buffer_overlap_ns, overlap_ns);
-                            if sync_ok && devices > 0 {
-                                Metrics::bump(&m.io_fsyncs, 1);
+                    let result = match live {
+                        Some(e) if synced => {
+                            e.wal_mut().complete_force();
+                            if !accounted {
+                                let m = e.metrics();
+                                Metrics::bump(&m.forces_coalesced, riders.len() as u64 - 1);
+                                Metrics::bump(&m.double_buffer_overlap_ns, overlap_ns);
+                                if devices > 0 {
+                                    Metrics::bump(&m.io_fsyncs, 1);
+                                }
+                                accounted = true;
                             }
-                            accounted = true;
+                            Some(match device {
+                                None => ForceOutcome::Forced(target),
+                                Some(end) if end >= target => ForceOutcome::Forced(end),
+                                Some(end) => {
+                                    // The device kept less than it was
+                                    // handed: latch death under the engine
+                                    // lock, as a torn force does.
+                                    shard.latch_dead();
+                                    ForceOutcome::Torn(end)
+                                }
+                            })
                         }
-                        match device {
-                            // The barrier failed: the in-flight bytes folded
-                            // back into the (in-memory) stable prefix but the
-                            // watermark must not move — the next force
-                            // re-stages the whole tail.
-                            _ if !sync_ok => ForceOutcome::Failed,
-                            None => ForceOutcome::Forced(target),
-                            Some(end) if end >= target => ForceOutcome::Forced(end),
-                            Some(end) => {
-                                // The device kept less than it was handed:
-                                // latch death under the engine lock, as a
-                                // torn force does.
-                                shard.latch_dead();
-                                ForceOutcome::Torn(end)
-                            }
+                        _ => {
+                            shard.latch_dead();
+                            None
                         }
-                    });
+                    };
                     (result, ops)
                 }
             };
@@ -303,21 +312,15 @@ impl ForceScheduler {
                     }
                     shard.advance_durable(lsn);
                 }
-                Some(ForceOutcome::Torn(lsn)) => {
-                    // The shard is crashed. The watermark advances at most
-                    // to the pre-fault durable prefix — nothing torn is
-                    // ever acknowledged.
-                    shard.advance_durable(lsn);
+                dead => {
+                    // The shard is dead. A tear advances the watermark at
+                    // most to the durable prefix the device reported;
+                    // nothing torn or unsynced is ever acknowledged.
+                    if let Some(ForceOutcome::Torn(lsn)) = dead {
+                        shard.advance_durable(lsn);
+                    }
                     shard.kill();
                 }
-                Some(ForceOutcome::Failed) => {
-                    // Nothing was acknowledged: the batch counts when a
-                    // later barrier carries it, and every waiter still
-                    // parked on the shard wants the retry itself.
-                    shard.unforced_ops.fetch_add(ops, Ordering::Relaxed);
-                    shard.wake_waiters();
-                }
-                None => {}
             }
             for reply in &r.replies {
                 let _ = reply.send(result);
@@ -331,7 +334,9 @@ impl ForceScheduler {
 /// group-commit batch torn mid-force), then [`Wal::begin_force_with`], which
 /// consults [`failpoint::WAL_FORCE`] (a fault in the device) — an armed fault
 /// matches exactly one of the two — then stage the unsynced device write.
-/// The only function in this crate that forces a shard's log.
+/// Any fault verdict, and a device that rejects the tail, latches the shard
+/// dead under the engine lock. The only function in this crate that forces
+/// a shard's log.
 ///
 /// [`Wal::begin_force_with`]: llog_wal::Wal::begin_force_with
 fn begin_one(shard: &Shard) -> Staged {
@@ -361,18 +366,21 @@ fn begin_one(shard: &Shard) -> Staged {
                     shard.latch_dead();
                     return Staged::Done(Some(ForceOutcome::Torn(durable)));
                 }
-                ForceVerdict::Fail => return Staged::Done(Some(ForceOutcome::Failed)),
+                ForceVerdict::Fail => {
+                    shard.latch_dead();
+                    return Staged::Done(None);
+                }
             }
         }
     }
     match e.wal_mut().begin_force_with(faults) {
         BeginForce::Done(outcome) => {
-            if matches!(outcome, ForceOutcome::Torn(_)) {
-                // Latch death under the engine lock (see `Shard::dead`): no
-                // other force site may touch the device after a tear.
-                shard.latch_dead();
-            }
-            Staged::Done(Some(outcome))
+            // Latch death under the engine lock (see `Shard::dead`): no
+            // other force site may touch the device after a fault. Only a
+            // tear reports a durable prefix to publish.
+            shard.latch_dead();
+            let torn = matches!(outcome, ForceOutcome::Torn(_));
+            Staged::Done(torn.then_some(outcome))
         }
         BeginForce::Begun(target) => {
             // Engine→backend lock order, as everywhere.
@@ -381,13 +389,11 @@ fn begin_one(shard: &Shard) -> Staged {
                 Some(b) => match b.stage_wal(e.wal(), faults) {
                     Ok(end) => Some(end),
                     Err(_) => {
-                        // The device rejected the tail: demote to a
-                        // retryable failure — nothing is acknowledged on the
-                        // strength of a force the device never saw. The
-                        // in-flight bytes fold back into the stable prefix;
-                        // a later force re-stages the whole tail.
-                        e.wal_mut().complete_force();
-                        return Staged::Done(Some(ForceOutcome::Failed));
+                        // The device rejected the tail: the shard dies with
+                        // the in-flight batch volatile — nothing is
+                        // acknowledged on a force the device never saw.
+                        shard.latch_dead();
+                        return Staged::Done(None);
                     }
                 },
             };

@@ -69,9 +69,10 @@ pub(crate) struct Shard {
     /// Raised by crash: parked ticket waiters wake and report
     /// not-durable instead of hanging on a watermark that will never
     /// advance. Also latched *under the engine lock* the instant a force
-    /// observes a torn/rotted write, so no later force (a barrier or a
-    /// checkpoint) can touch the dead device afterwards and advance the
-    /// WAL's tail guard over the rotted bytes — and when a checkpoint's
+    /// observes a log-device error — a torn/rotted write, a rejected tail,
+    /// a failed sync — so no later force (a barrier or a checkpoint) can
+    /// touch the dead device afterwards, advance the WAL's tail guard over
+    /// rotted bytes or ack bytes no sync covered — and when a checkpoint's
     /// store persist fails, so no later force carries its truncation and
     /// master to the log device.
     dead: AtomicBool,
@@ -181,8 +182,9 @@ impl Shard {
     /// Block until the durable watermark covers `to`, asking the force
     /// barrier for a force while it does not: `Some(true)` once covered,
     /// `Some(false)` if the shard died first, `None` once `timeout` (if
-    /// any) elapsed — the caller may poll again. Ticket waits and
-    /// read-your-writes sessions park here.
+    /// any) elapsed. Every barrier ends in an ack or the shard's death (a
+    /// log-device error kills the shard), so an untimed wait always
+    /// returns. Ticket waits and read-your-writes sessions park here.
     pub fn wait_durable(self: &Arc<Self>, to: Lsn, timeout: Option<Duration>) -> Option<bool> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut d = lock(&self.durable);
@@ -220,13 +222,6 @@ impl Shard {
         }
     }
 
-    /// Wake every ticket waiter without moving the watermark: a barrier
-    /// failed, and each waiter still parked wants the retry.
-    pub fn wake_waiters(&self) {
-        let _d = lock(&self.durable);
-        self.durable_cv.notify_all();
-    }
-
     /// Crash the shard: stop its installer, mark it dead and wake
     /// everything that could be parked on it. Holding each lock while
     /// notifying makes the wakeups race-free against waiters between their
@@ -251,10 +246,9 @@ impl Shard {
 
     /// Latch device death without the full [`Shard::kill`] wakeups —
     /// called **under the engine lock** the instant a force observes a
-    /// torn/rotted write, so no concurrent force site can slip in before
-    /// the shard is torn down and advance the WAL's tail guard over the
-    /// rotted bytes. The caller follows up with [`Shard::kill`] once the
-    /// lock is released.
+    /// log-device error, so no concurrent force site can slip in before
+    /// the shard is torn down and touch the dead device. The caller
+    /// follows up with [`Shard::kill`] once the lock is released.
     pub fn latch_dead(&self) {
         self.dead.store(true, Ordering::SeqCst);
     }
@@ -290,9 +284,8 @@ impl Shard {
 /// high-water mark, parks on the shard's [`WorkSignal`] when idle, and
 /// bumps the backpressure epoch after every install. It installs only
 /// below the watermark: when the next node is not durable yet it asks the
-/// force barrier for a force and parks until the watermark moves. A
-/// failed barrier does not wake it, so a failing device is retried at the
-/// pace of new work, not in a loop.
+/// force barrier for a force and parks until the watermark moves or the
+/// shard dies — a log-device error kills the shard, which stops it.
 pub(crate) fn installer_loop(shard: &Arc<Shard>, high_water: usize) {
     let mut seen = shard.signal.epoch();
     while !shard.signal.is_stopped() {
@@ -386,31 +379,19 @@ impl CommitTicket {
 
     /// Block until the operation is durable, asking the force barrier for
     /// a force if it is not. Returns `true` once the watermark covers it,
-    /// `false` if the shard crashed first — a `false` ticket was **never
-    /// acknowledged** and makes no survival promise.
+    /// `false` if the shard died first — a `false` ticket was **never
+    /// acknowledged** and makes no survival promise. Every barrier ends in
+    /// an ack or the shard's death, so the wait always returns.
     pub fn wait(&self) -> bool {
-        self.wait_for(None) == Some(true)
-    }
-
-    /// Like [`CommitTicket::wait`], but give up after `timeout`:
-    /// `Some(true)` durable, `Some(false)` shard crashed, `None` timed out
-    /// (the operation may still become durable later — poll again). Lets a
-    /// server's response writer park on a ticket while staying responsive
-    /// to its own shutdown flag.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<bool> {
-        self.wait_for(Some(timeout))
-    }
-
-    fn wait_for(&self, timeout: Option<Duration>) -> Option<bool> {
         let start = Instant::now();
-        let out = self.shard.wait_durable(self.target, timeout);
-        if out == Some(true) {
+        let durable = self.shard.wait_durable(self.target, None) == Some(true);
+        if durable {
             let c = &self.shard.counters;
             c.waits.fetch_add(1, Ordering::Relaxed);
             c.flush_wait_ns
                 .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
-        out
+        durable
     }
 }
 

@@ -729,14 +729,9 @@ fn checkpoint_one(shard: &Shard, truncate: bool) -> Result<Lsn> {
         None => e
             .checkpoint(truncate)
             .map(|lsn| (lsn, e.wal().forced_lsn())),
-        // Every record forced so far reaches the log device before the
-        // checkpoint may truncate it: a failed barrier's fold-back is forced
-        // in memory only, and Install, Flush and checkpoint records since
-        // the last barrier can lie below the truncation cut.
-        Some(b) => b.persist_wal(e.wal(), faults).and_then(|_| {
-            let lsn = e.checkpoint(truncate)?;
-            Ok((lsn, b.persist(e.store(), e.wal(), faults)?.durable))
-        }),
+        Some(b) => e
+            .checkpoint(truncate)
+            .and_then(|lsn| Ok((lsn, b.persist(e.store(), e.wal(), faults)?.durable))),
     };
     let (lsn, durable) = match persisted {
         Ok(done) => done,
@@ -928,6 +923,14 @@ mod tests {
             Transform::new(builtin::CONST, builtin::encode_values(&[Value::from(v)])),
         )
         .unwrap()
+    }
+
+    /// The first object the router puts on `shard`.
+    fn owned_by(e: &ShardedEngine, shard: usize) -> ObjectId {
+        (0..)
+            .map(ObjectId)
+            .find(|&x| e.router().shard_of(x) == shard)
+            .unwrap()
     }
 
     /// In-memory log blobs whose `sync` goes through a [`SyncGate`].
@@ -1243,9 +1246,9 @@ mod tests {
 
     /// The one force contract, checked at every site that can ask for a
     /// force and under every verdict the barrier can reach: nothing is
-    /// acknowledged past the pre-fault durable prefix, a tear latches the
-    /// shard dead before the site regains control, and a retryable failure
-    /// leaves everything intact so the next force acknowledges the lot.
+    /// acknowledged past the pre-fault durable prefix, and any fault — a
+    /// tear, a bit flip or an I/O error — latches the shard dead before the
+    /// site regains control.
     #[test]
     fn every_force_site_upholds_the_barrier_contract_under_every_verdict() {
         use llog_testkit::faults::{failpoint, FaultKind};
@@ -1259,9 +1262,8 @@ mod tests {
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum Class {
             Proceed,
-            Retryable,
-            /// `clean`: the tear leaves less than one frame behind.
-            Tear {
+            /// `clean`: the fault leaves less than one frame behind.
+            Dies {
                 clean: bool,
             },
         }
@@ -1270,18 +1272,21 @@ mod tests {
             (None, Class::Proceed),
             (
                 Some((failpoint::SCHED_SYNC, FaultKind::IoError)),
-                Class::Retryable,
+                Class::Dies { clean: true },
             ),
         ];
         for point in FORCE_POINTS {
-            verdicts.push((Some((point, FaultKind::IoError)), Class::Retryable));
+            verdicts.push((
+                Some((point, FaultKind::IoError)),
+                Class::Dies { clean: true },
+            ));
             verdicts.push((
                 Some((point, FaultKind::TornWrite { at_byte: 3 })),
-                Class::Tear { clean: true },
+                Class::Dies { clean: true },
             ));
             verdicts.push((
                 Some((point, FaultKind::BitFlip { offset: 77 })),
-                Class::Tear { clean: false },
+                Class::Dies { clean: false },
             ));
         }
 
@@ -1334,34 +1339,15 @@ mod tests {
 
                 match class {
                     Class::Proceed => assert!(ok && acked(&ticket), "{case}"),
-                    Class::Retryable => {
-                        if site == Site::Waiter {
-                            // The failed barrier wakes the waiter, which
-                            // wants again; the ticket waits out the retry.
-                            assert!(ok && acked(&ticket), "{case}: barrier retry");
-                        } else {
-                            assert!(!ok && !acked(&ticket), "{case}: failure acked");
-                            assert_eq!(e.durable_lsn(0), durable_before, "{case}");
-                        }
-                        assert!(!e.shards[0].is_dead(), "{case}: a failure is not a tear");
-                        let (t, ok) = attempt(&e, site, retry, "retry");
-                        assert!(ok && acked(&t), "{case}: retry must ack");
-                        // The retry's force covered the whole tail, and a
-                        // failed barrier's batch is counted once, when it
-                        // finally rides.
-                        assert!(ticket.is_none() || acked(&ticket), "{case}");
-                        let batched = e.metrics_snapshot().group_commit.batched_ops;
-                        assert_eq!(batched, 3, "{case}");
-                    }
-                    Class::Tear { .. } => {
-                        assert!(!ok, "{case}: torn force reported success");
+                    Class::Dies { .. } => {
+                        assert!(!ok, "{case}: failed force reported success");
                         if let Some(t) = &ticket {
-                            assert!(!t.wait() && !t.is_durable(), "{case}: torn op acked");
+                            assert!(!t.wait() && !t.is_durable(), "{case}: failed op acked");
                         }
                         assert_eq!(e.durable_lsn(0), durable_before, "{case}");
                         // Dead before the site regained control: nothing may
                         // touch the log again.
-                        assert!(e.shards[0].is_dead(), "{case}: tear must latch death");
+                        assert!(e.shards[0].is_dead(), "{case}: a fault must latch death");
                         let stable = |e: &ShardedEngine| {
                             let g = e.shards[0].lock_engine();
                             g.as_ref().unwrap().wal().stable_len()
@@ -1382,15 +1368,11 @@ mod tests {
                 assert_eq!(read(pre), Value::from("pre"), "{case}: acked op lost");
                 match class {
                     Class::Proceed => assert_eq!(read(doomed), Value::from("doomed"), "{case}"),
-                    Class::Retryable => {
-                        assert_eq!(read(doomed), Value::from("doomed"), "{case}");
-                        assert_eq!(read(retry), Value::from("retry"), "{case}");
-                    }
-                    Class::Tear { clean } => {
+                    Class::Dies { clean } => {
                         let got = read(doomed);
                         assert!(
                             got == Value::empty() || (!clean && got == Value::from("doomed")),
-                            "{case}: torn op recovered to {got:?}"
+                            "{case}: failed op recovered to {got:?}"
                         );
                         assert_eq!(read(retry), Value::empty(), "{case}");
                     }
@@ -1703,32 +1685,62 @@ mod tests {
         }
     }
 
-    /// A log device whose sync keeps failing is retried only while someone
-    /// waits: each failed barrier wakes the waiter, which wants again, and
-    /// once it gives up the barrier thread goes idle. The installer, which
-    /// needs the put durable too, asks again only on new work.
+    /// A log device whose sync fails kills its shard: the one barrier a
+    /// waiter asks for ends in the death, not in a retry loop against the
+    /// failing device, and nothing that sync covered is ever acked — not
+    /// even once the device heals. The other shard keeps acking meanwhile.
     #[test]
-    fn a_failing_device_is_retried_only_while_a_waiter_waits() {
-        let cfg = ShardedConfig {
-            install_high_water: 0,
-            ..config(1)
-        };
-        let e = ShardedEngine::new(cfg, &registry());
+    fn a_failed_sync_kills_the_shard_and_acks_nothing_it_covered() {
+        let e = ShardedEngine::new(config(2), &registry());
         let gate = Arc::new(SyncGate::default());
-        e.attach_backend(0, gated_backend(&gate));
+        e.attach_backend(0, mem_backend());
+        e.attach_backend(1, gated_backend(&gate));
+        let [x0, x1] = [0, 1].map(|shard| owned_by(&e, shard));
+        let durable_before = e.durable_lsn(1);
         gate.set_failing(true);
-        let t = put(&e, ObjectId(1), "v");
-        assert_eq!(t.wait_timeout(Duration::from_millis(20)), None);
-        assert!(gate.seen() > 0, "the waiter's barrier reached the device");
-        // An explicit force queues behind any want still in flight.
-        assert!(e.force_shard(0).is_err());
-        let seen = gate.seen();
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(gate.seen(), seen, "a want nobody waits for was retried");
-        assert!(!t.is_durable() && !e.shards[0].is_dead());
-        // The device heals: the next waiter's barrier acks the put.
+        let doomed = put(&e, x1, "doomed");
+        let waited = e.shards[1].wait_durable(doomed.target(), Some(Duration::from_millis(100)));
+        assert_eq!(waited, Some(false), "the failed sync killed the shard");
+        assert!(gate.seen() <= 2, "{} syncs for one waiter", gate.seen());
+        assert!(put(&e, x0, "live").wait(), "the other shard acks");
         gate.set_failing(false);
-        assert!(t.wait());
+        assert!(
+            !doomed.wait() && !doomed.is_durable(),
+            "a healed device acked"
+        );
+        assert_eq!(e.durable_lsn(1), durable_before);
+        let late = e.execute(
+            OpKind::Physical,
+            vec![],
+            vec![x1],
+            Transform::new(
+                builtin::CONST,
+                builtin::encode_values(&[Value::from("late")]),
+            ),
+        );
+        assert!(late.is_err(), "the dead shard takes no more puts");
+        assert!(e.force_shard(1).is_err() && e.checkpoint_shard(1, false).is_err());
+    }
+
+    /// In a barrier two shards ride, one device's failed sync kills only
+    /// that shard: the other rider's device is still synced and its put is
+    /// acked by the same barrier.
+    #[test]
+    fn a_failed_sync_kills_only_its_own_rider() {
+        let e = ShardedEngine::new(config(2), &registry());
+        let gates = [Arc::new(SyncGate::default()), Arc::new(SyncGate::default())];
+        for (i, gate) in gates.iter().enumerate() {
+            e.attach_backend(i, gated_backend(gate));
+        }
+        let [x0, x1] = [0, 1].map(|shard| owned_by(&e, shard));
+        let (doomed, live) = (put(&e, x0, "doomed"), put(&e, x1, "live"));
+        // `force_all` queues shard 0 first, so its sync fails first.
+        gates[0].set_failing(true);
+        assert!(e.force_all().is_err(), "the failed rider is reported");
+        assert_eq!(gates.each_ref().map(|g| g.seen()), [1, 1], "one barrier");
+        assert!(!doomed.is_durable() && e.shards[0].is_dead());
+        assert!(live.is_durable() && !e.shards[1].is_dead());
+        assert!(put(&e, x1, "after").wait(), "the live shard serves on");
     }
 
     /// A checkpoint advances the watermark only as far as the log device
@@ -1761,27 +1773,20 @@ mod tests {
     }
 
     /// A replica gets only what the primary's log device synced. Neither
-    /// an explicit `install_all`, nor the background installer, nor a
-    /// failed barrier's fold-back into the in-memory stable prefix may put
-    /// an unacked put's bytes or value into `ship_chunk` / `ship_manifest`.
+    /// an explicit `install_all` nor the background installer may put an
+    /// unacked put's bytes or value into `ship_chunk` / `ship_manifest`.
     #[test]
     fn a_replica_is_never_shipped_bytes_the_log_device_has_not_synced() {
-        use llog_testkit::faults::{failpoint, FaultKind};
-        for case in ["install_all", "installer", "failed barrier"] {
+        for case in ["install_all", "installer"] {
             let cfg = ShardedConfig {
                 install_high_water: if case == "installer" { 0 } else { 64 },
                 ..config(1)
             };
-            let host = Arc::new(FaultHost::new());
-            let e = ShardedEngine::new_with_faults(cfg, &registry(), Some(host.clone()));
+            let e = ShardedEngine::new(cfg, &registry());
             e.attach_backend(0, mem_backend());
             let x = ObjectId(1);
             assert!(put(&e, x, "a").wait());
             let _b = put(&e, x, "b");
-            if case == "failed barrier" {
-                host.arm(failpoint::SCHED_SYNC, FaultKind::IoError);
-                assert!(e.force_shard(0).is_err());
-            }
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
             while case == "installer" && e.uninstalled_total() > 0 {
                 assert!(std::time::Instant::now() < deadline, "installer stalled");

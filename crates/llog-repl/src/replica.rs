@@ -595,33 +595,16 @@ fn respond(state: &Arc<State>, req: Request) -> Response {
                     builtin::encode_values(&[Value::from(value.as_slice())]),
                 );
                 match engine.execute(OpKind::Physical, vec![], vec![object], transform) {
-                    Ok(ticket) => loop {
-                        // Poll-wait so a stop can reclaim this handler.
-                        match ticket.wait_timeout(Duration::from_millis(50)) {
-                            Some(true) => {
-                                break Response::Ack {
-                                    req_id,
-                                    lsn: ticket.lsn(),
-                                }
-                            }
-                            Some(false) => {
-                                break err(
-                                    req_id,
-                                    ErrCode::ShardDead,
-                                    "shard died before durability".into(),
-                                )
-                            }
-                            None => {
-                                if state.stop.load(Ordering::SeqCst) {
-                                    break err(
-                                        req_id,
-                                        ErrCode::Stopping,
-                                        "replica is stopping".into(),
-                                    );
-                                }
-                            }
-                        }
+                    // Every barrier ends in an ack or the shard's death.
+                    Ok(ticket) if ticket.wait() => Response::Ack {
+                        req_id,
+                        lsn: ticket.lsn(),
                     },
+                    Ok(_) => err(
+                        req_id,
+                        ErrCode::ShardDead,
+                        "shard died before durability".into(),
+                    ),
                     Err(e) => err(req_id, ErrCode::Engine, e.to_string()),
                 }
             }

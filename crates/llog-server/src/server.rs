@@ -126,10 +126,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// be in flight before the reader stops draining the socket.
 const QUEUE_DEPTH: usize = 256;
 
-/// How often a parked response writer re-checks the server's stop/abort
-/// flags while waiting a ticket durable.
-const TICKET_POLL: Duration = Duration::from_millis(50);
-
 /// Deployment settings for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -836,31 +832,21 @@ fn writer_loop(inner: &Arc<Inner>, queue: &ConnQueue, stream: TcpStream) {
                 if !ticket.is_durable() && out.flush().is_err() {
                     return;
                 }
-                loop {
-                    // Poll-wait so an abort can reclaim this thread even if
-                    // the shard's watermark never reaches the ticket.
-                    match ticket.wait_timeout(TICKET_POLL) {
-                        Some(true) => {
-                            if let Some(s) = &session {
-                                s.note_ack(ticket.shard(), ticket.lsn());
-                            }
-                            break Response::Ack {
-                                req_id,
-                                lsn: ticket.lsn(),
-                            };
-                        }
-                        Some(false) => {
-                            break Response::Err {
-                                req_id,
-                                code: ErrCode::ShardDead,
-                                message: format!("shard {} crashed", ticket.shard()),
-                            }
-                        }
-                        None => {
-                            if inner.aborting.load(Ordering::SeqCst) {
-                                return out.discard(); // crash path: drop unacknowledged work
-                            }
-                        }
+                // Every barrier ends in an ack or the shard's death, so the
+                // wait returns; an abort discards the response below.
+                if ticket.wait() {
+                    if let Some(s) = &session {
+                        s.note_ack(ticket.shard(), ticket.lsn());
+                    }
+                    Response::Ack {
+                        req_id,
+                        lsn: ticket.lsn(),
+                    }
+                } else {
+                    Response::Err {
+                        req_id,
+                        code: ErrCode::ShardDead,
+                        message: format!("shard {} crashed", ticket.shard()),
                     }
                 }
             }
@@ -1063,6 +1049,24 @@ mod tests {
             matches!(reader.recv().unwrap().unwrap(), Response::Ok { req_id } if req_id == ids[3])
         );
         drop((writer, reader));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_failing_log_device_answers_shard_dead_instead_of_hanging() {
+        let (server, gates, [x0, x1]) = gated_server();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        gates[1].set_failing(true);
+        let ids = pipeline_all(&server, &mut c, vec![put(x1, b"one"), put(x0, b"zero")]);
+        match recv_soon(&mut c) {
+            Response::Err { req_id, code, .. } => {
+                assert_eq!((req_id, code), (ids[0], ErrCode::ShardDead))
+            }
+            other => panic!("expected ShardDead, got {other:?}"),
+        }
+        assert!(matches!(recv_soon(&mut c), Response::Ack { req_id, .. } if req_id == ids[1]));
+        assert!(matches!(recv_soon(&mut c), Response::Ok { req_id } if req_id == ids[2]));
+        drop(c);
         server.shutdown();
     }
 

@@ -236,8 +236,9 @@ impl BlobStore for FileBlobs {
     }
 
     fn sync(&mut self) -> Result<()> {
-        let pending = std::mem::take(&mut self.pending_sync);
-        for name in &pending {
+        // A name leaves the pending list only once its own sync succeeded:
+        // after a failure it, and every name not tried yet, stay pending.
+        for (i, name) in self.pending_sync.iter().enumerate() {
             let path = self.path_of(name);
             let synced = match self.handles.get(name) {
                 Some(f) => f.sync_all(),
@@ -248,8 +249,12 @@ impl BlobStore for FileBlobs {
                     Err(e) => Err(e),
                 },
             };
-            synced.map_err(|e| io_err(&path, e))?;
+            if let Err(e) = synced {
+                self.pending_sync.drain(..i);
+                return Err(io_err(&path, e));
+            }
         }
+        let pending = std::mem::take(&mut self.pending_sync);
         self.handles.retain(|name, _| pending.contains(name));
         Ok(())
     }
@@ -343,6 +348,34 @@ mod tests {
         b.put("gone", b"bytes").unwrap();
         b.delete("gone").unwrap();
         b.sync().unwrap(); // must not error on the deleted pending path
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_blobs_keep_a_name_pending_until_its_own_sync_succeeds() {
+        let dir = std::env::temp_dir().join(format!(
+            "llog-fileblobs-failsync-{}-{:x}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .subsec_nanos()
+        ));
+        let mut b = FileBlobs::open(&dir).unwrap();
+        b.put("a", b"one").unwrap();
+        b.put("b", b"two").unwrap();
+        assert!(b.handles.is_empty(), "put leaves no open handle");
+        // A self-referencing symlink: opening `a` fails with ELOOP, even as
+        // root.
+        let a = dir.join("a");
+        std::fs::remove_file(&a).unwrap();
+        std::os::unix::fs::symlink("a", &a).unwrap();
+        assert!(b.sync().is_err());
+        assert_eq!(b.pending_sync, ["a", "b"], "both names still pending");
+        std::fs::remove_file(&a).unwrap();
+        std::fs::write(&a, b"one").unwrap();
+        b.sync().unwrap();
+        assert!(b.pending_sync.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -901,8 +901,8 @@ fn sput(e: &ShardedEngine, x: ObjectId, v: &str) -> Result<CommitTicket, llog::t
 
 /// Crash inside a coalesced barrier: two shards ride one shared fsync and
 /// the fsync dies. Neither rider may acknowledge — a shard must never ack
-/// on the strength of a barrier that did not reach stable storage — and
-/// after a crash the unacked operations are gone while the acked base
+/// on the strength of a barrier that did not reach stable storage — the
+/// failed barrier kills both riders, and after a crash the acked base
 /// state survives on both shards.
 #[test]
 fn crash_inside_coalesced_barrier_acks_nothing_past_the_shared_fsync() {
@@ -949,18 +949,24 @@ fn crash_inside_coalesced_barrier_acks_nothing_past_the_shared_fsync() {
         "both shards must have ridden ONE shared barrier"
     );
     assert!(!doomed_a.is_durable() && !doomed_b.is_durable());
+    // A failed sync kills every rider of the barrier: neither shard takes
+    // more work, and no later barrier may ack what the failed one staged.
+    for x in [a, b] {
+        assert!(sput(&engine, x, "late").is_err(), "{x}'s shard survived");
+    }
+    assert!(!doomed_a.wait() && !doomed_b.wait());
 
-    // Power off. A failed barrier leaves its riders in the commit-outcome-
-    // UNKNOWN state (the bytes may have reached the WAL's stable tier even
+    // Power off. The dead riders' batches are in the commit-outcome-
+    // UNKNOWN state (the staged bytes may have reached the device even
     // though no fsync covered them), so each object must recover to its
-    // acked base value or to the never-acked retry value — never to
+    // acked base value or to the never-acked doomed value — never to
     // anything else, and never with the acked base lost.
     let parts = engine.crash();
     let (recovered, _) = recover_sharded(parts, &reg, config, RedoPolicy::RsiExposed).unwrap();
-    for (x, base, retry) in [(a, "base-a", "doomed-a"), (b, "base-b", "doomed-b")] {
+    for (x, base, doomed) in [(a, "base-a", "doomed-a"), (b, "base-b", "doomed-b")] {
         let got = recovered.read_value(x).unwrap();
         assert!(
-            got == Value::from(base) || got == Value::from(retry),
+            got == Value::from(base) || got == Value::from(doomed),
             "object {x} recovered to {got:?}, neither its acked nor its unacked write"
         );
     }
