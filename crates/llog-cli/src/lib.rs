@@ -250,8 +250,7 @@ fn describe(rec: &LogRecord) -> String {
                 op.transform.params.len()
             )
         }
-        LogRecord::Install(ir) => format!("INSTALL  vars={:?} notx={:?}", ir.vars, ir.notx),
-        LogRecord::Flush { obj, vsi } => format!("FLUSH    {obj:?} vsi={vsi}"),
+        LogRecord::Install(ir) => format!("INSTALL  {:?}", ir.objs),
         LogRecord::FlushTxnBegin { objs } => format!("FTXN-BEG {objs:?}"),
         LogRecord::FlushTxnValue { obj, value, vsi } => {
             format!("FTXN-VAL {obj:?} {}B vsi={vsi}", value.len())
@@ -284,7 +283,6 @@ pub fn cmd_stats(dir: &Path) -> Result<()> {
                 (name, rec.encode().len() as u64)
             }
             LogRecord::Install(_) => ("install", rec.encode().len() as u64),
-            LogRecord::Flush { .. } => ("flush", rec.encode().len() as u64),
             LogRecord::FlushTxnBegin { .. }
             | LogRecord::FlushTxnValue { .. }
             | LogRecord::FlushTxnCommit => ("flush-txn", rec.encode().len() as u64),

@@ -538,7 +538,8 @@ impl Engine {
     /// must install first. Those predecessors are installed (recursively)
     /// before `n`; the recursion terminates because every step installs a
     /// node of an acyclic graph. `stable` is checked before every step, so
-    /// no identity write is logged for a node that cannot install yet.
+    /// no identity write is logged for a node that cannot install yet; the
+    /// flush then waits for the identity writes themselves to be stable.
     fn install_rw_node_below(&mut self, n: NodeId, stable: Lsn) -> Result<InstallStep> {
         let node = self
             .rw
@@ -613,6 +614,16 @@ impl Engine {
             let vars: Vec<ObjectId> = node.vars().iter().copied().collect();
             let ops: Vec<OpId> = node.ops().to_vec();
             let notx: Vec<ObjectId> = node.notx().into_iter().collect();
+            // Once the flush overwrites what redoing `n` would read, an
+            // unexposed object's value survives only in the record of the
+            // later write that unexposed it — a blind write, or an identity
+            // write the breakup above just logged. That record must be
+            // stable before the flush.
+            if !vars.is_empty() {
+                if let Some(lsn) = self.unstable_writer(&notx, stable) {
+                    return Ok(InstallStep::NeedsStable(lsn));
+                }
+            }
             self.do_install(&ops, &vars, &notx)?;
             self.rw.remove_node(current);
             return Ok(InstallStep::Installed);
@@ -640,6 +651,15 @@ impl Engine {
         Ok(InstallStep::Installed)
     }
 
+    /// The LSN of the last live write to any of `objs` if the stable log,
+    /// which ends at `stable`, does not hold it yet.
+    fn unstable_writer(&self, objs: &[ObjectId], stable: Lsn) -> Option<Lsn> {
+        let last = objs
+            .iter()
+            .filter_map(|x| self.writers.get(x)?.keys().next_back().copied());
+        last.max().filter(|&lsn| lsn >= stable)
+    }
+
     /// The LSN of the last of `ops` if the stable log, which ends at
     /// `stable`, does not hold it yet.
     fn unstable_op(&self, ops: &[OpId], stable: Lsn) -> Option<Lsn> {
@@ -651,11 +671,20 @@ impl Engine {
     }
 
     /// The shared installation core, for operations on the stable log:
-    /// flush `vars` (atomically if multi-object), log the installation,
-    /// advance rSIs for `vars ∪ notx`, and retire the operations.
+    /// flush `vars` (atomically if multi-object), advance rSIs for
+    /// `vars ∪ notx`, retire the operations, and log the installation of
+    /// the objects the store cannot vouch for.
     fn do_install(&mut self, ops: &[OpId], vars: &[ObjectId], notx: &[ObjectId]) -> Result<()> {
         Metrics::bump(&self.metrics.install_vars_objects, vars.len() as u64);
         Metrics::bump(&self.metrics.install_notx_objects, notx.len() as u64);
+
+        // A flush that removes an object leaves it no vSI to witness the
+        // installed updates, so the log must carry its rSI.
+        let removed: Vec<ObjectId> = vars
+            .iter()
+            .copied()
+            .filter(|x| self.cache.get(x).is_some_and(|e| e.deleted))
+            .collect();
 
         // Flush vars.
         match vars.len() {
@@ -691,7 +720,9 @@ impl Engine {
         let mut install = InstallRecord::default();
         for &x in vars {
             let rsi = new_rsi(self, x);
-            install.vars.push((x, rsi));
+            if removed.contains(&x) {
+                install.objs.push((x, rsi));
+            }
             if rsi == Lsn::MAX {
                 // Clean: flushed value is current; leaves the dirty table.
                 self.dirty_rsi.remove(&x);
@@ -706,16 +737,20 @@ impl Engine {
             // Unexposed: installed without flushing; stays dirty in cache
             // (the cached value belongs to a later, uninstalled writer).
             let rsi = new_rsi(self, x);
-            install.notx.push((x, rsi));
+            install.objs.push((x, rsi));
             if rsi == Lsn::MAX {
                 self.dirty_rsi.remove(&x);
             } else {
                 self.dirty_rsi.insert(x, rsi);
             }
         }
-        // Log the installation (§5). Lazy: not forced; the vSI test covers
-        // the window until the next force.
-        self.wal.append(&LogRecord::Install(install));
+        // Log the installation (§5) where the store cannot show it. A
+        // flushed object still in the store needs no record: its vSI makes
+        // the REDO test skip every update the flush installed. Lazy: not
+        // forced; the vSI test covers the window until the next force.
+        if !install.objs.is_empty() {
+            self.wal.append(&LogRecord::Install(install));
+        }
         Ok(())
     }
 
@@ -724,25 +759,13 @@ impl Engine {
         if let Some(b) = self.backup.as_mut() {
             b.before_overwrite(&self.store, x);
         }
-        let entry = self
-            .cache
-            .get(&x)
-            .expect("flushing uncached object")
-            .clone();
+        let entry = self.cache.get(&x).expect("flushing uncached object");
         if entry.deleted {
             self.store.remove(x);
             self.cache.remove(&x);
-            self.wal.append(&LogRecord::Flush {
-                obj: x,
-                vsi: entry.vsi,
-            });
-            return;
+        } else {
+            self.store.write(x, entry.value.clone(), entry.vsi);
         }
-        self.store.write(x, entry.value.clone(), entry.vsi);
-        self.wal.append(&LogRecord::Flush {
-            obj: x,
-            vsi: entry.vsi,
-        });
     }
 
     /// Flush several objects atomically via the configured §4 baseline.
@@ -1231,6 +1254,48 @@ mod tests {
         e.audit_all().unwrap();
     }
 
+    /// Every record appended from `from` on, once forced.
+    fn records_from(e: &mut Engine, from: Lsn) -> Vec<LogRecord> {
+        e.wal_mut().force();
+        e.wal().scan(from).map(|r| r.unwrap().1).collect()
+    }
+
+    #[test]
+    fn installing_a_blind_write_appends_no_record() {
+        let mut e = engine(FlushStrategy::IdentityWrites);
+        let (_, lsn) = exec_physical(&mut e, 1, "v1");
+        e.wal_mut().force();
+        let from = e.wal().end_lsn();
+        e.install_all().unwrap();
+        // The store's vSI shows the install; the log says nothing more.
+        assert_eq!(e.store().peek(X).unwrap().vsi, lsn);
+        assert!(e.dirty_table().is_empty());
+        assert_eq!(records_from(&mut e, from), vec![]);
+    }
+
+    #[test]
+    fn an_unexposed_install_logs_only_its_notx_objects() {
+        // Figure 7: A writes X,Y; B reads X; C blindly writes X.
+        let mut e = engine(FlushStrategy::IdentityWrites);
+        exec_logical(&mut e, &[9], &[1, 2], 0);
+        exec_logical(&mut e, &[1], &[3], 1);
+        let (_, c_lsn) = exec_physical(&mut e, 1, "blind");
+        e.wal_mut().force();
+        let from = e.wal().end_lsn();
+        assert!(e.install_one().unwrap()); // B: flushes B
+        assert!(e.install_one().unwrap()); // A: flushes Y, X unexposed
+        assert!(e.install_one().unwrap()); // C: flushes X
+        assert!(e.dirty_table().is_empty());
+        // Only A's unexposed X needs the log; Y and B are in the store.
+        assert_eq!(
+            records_from(&mut e, from),
+            vec![LogRecord::Install(InstallRecord {
+                objs: vec![(X, c_lsn)],
+            })]
+        );
+        e.audit_all().unwrap();
+    }
+
     #[test]
     fn delete_removes_object_at_install() {
         let mut e = engine(FlushStrategy::IdentityWrites);
@@ -1245,9 +1310,18 @@ mod tests {
             Transform::new(builtin::DELETE, Value::empty()),
         )
         .unwrap();
+        e.wal_mut().force();
+        let from = e.wal().end_lsn();
         e.install_all().unwrap();
         assert!(e.store().peek(X).is_none());
         assert!(e.dirty_table().is_empty());
+        // No vSI is left to show the delete installed: the log says it.
+        assert_eq!(
+            records_from(&mut e, from),
+            vec![LogRecord::Install(InstallRecord {
+                objs: vec![(X, Lsn::MAX)],
+            })]
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Recovery: the single-pass analysis/redo pipeline (`Recover`, Figure 2).
 //!
 //! Recovery reads the master record for the last stable checkpoint, rebuilds
-//! the dirty object table from checkpoint + installation + flush + operation
-//! records (*analysis*), completes any committed flush transactions, then
+//! the dirty object table from checkpoint + installation + operation records
+//! and starts the redo scan past what the store's vSIs witness
+//! (*analysis*), completes any committed flush transactions, then
 //! re-executes exactly the operations the configured [`RedoPolicy`] selects
 //! (*redo*). Redone operations are re-attached to a fresh [`Engine`] —
 //! cache, dirty table and write graph are rebuilt, so normal operation (and
@@ -22,6 +23,7 @@
 //! range — so the analysis state machine, the REDO test and the replay loop
 //! exist once.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
 
@@ -83,11 +85,19 @@ const PRUNE_INTERVAL: usize = 256;
 /// gap `[redo_start, ring_from)`. Without `retain` the ring covers nothing
 /// (`ring_from` is `Lsn::MAX`) and the gap is the whole redo range.
 ///
-/// `Install` and `Flush` records at or above `trust_below` — the store's
-/// [`installed_through`](StableStore::installed_through) bound — are
-/// ignored: they vouch for store writes the recovered store never received,
-/// so the operations they cover must stay dirty and be redone.
-struct Analyzer {
+/// `Install` records at or above the store's
+/// [`installed_through`](StableStore::installed_through) bound are
+/// ignored: they advance rSIs past installations the recovered store never
+/// received, so the operations they cover must stay dirty and be redone.
+///
+/// A flush logs nothing, so the dirty table cannot say which objects the
+/// store already holds. The store can: an update at or below an object's
+/// vSI is installed (installation follows write order), so the REDO test
+/// never selects an operation for it. The dirty table stays as the log
+/// says — the REDO test confirms its candidates against vSIs — but the
+/// redo scan starts at the lowest [`Analyzer::redo_bound`], kept per
+/// object in `pins`.
+struct Analyzer<'s> {
     a: Analysis,
     pending_ftxn: Vec<(ObjectId, Value, Lsn)>,
     retain: bool,
@@ -98,18 +108,25 @@ struct Analyzer {
     /// redo phase report `redo_scanned` without a second scan.
     lsns: Vec<Lsn>,
     since_prune: usize,
-    trust_below: Lsn,
+    store: &'s StableStore,
+    scan_from: Lsn,
+    /// The first update past the store's vSI, per object the scan saw
+    /// written with one.
+    first_past: BTreeMap<ObjectId, Lsn>,
+    /// [`Analyzer::redo_bound`] of every dirty object that has one.
+    pins: BTreeMap<ObjectId, Lsn>,
 }
 
-impl Analyzer {
+impl<'s> Analyzer<'s> {
     fn new(
         scan_from: Lsn,
         seeded_dirty: BTreeMap<ObjectId, Lsn>,
         retain: bool,
         prune: bool,
-        trust_below: Lsn,
-    ) -> Analyzer {
-        Analyzer {
+        store: &'s StableStore,
+    ) -> Analyzer<'s> {
+        let seeded: Vec<ObjectId> = seeded_dirty.keys().copied().collect();
+        let mut an = Analyzer {
             a: Analysis {
                 dirty: seeded_dirty,
                 ..Analysis::default()
@@ -121,8 +138,15 @@ impl Analyzer {
             ring_from: if retain { scan_from } else { Lsn::MAX },
             lsns: Vec::new(),
             since_prune: 0,
-            trust_below,
+            store,
+            scan_from,
+            first_past: BTreeMap::new(),
+            pins: BTreeMap::new(),
+        };
+        for x in seeded {
+            an.repin(x);
         }
+        an
     }
 
     fn step(&mut self, lsn: Lsn, rec: LogRecord) {
@@ -134,7 +158,27 @@ impl Analyzer {
             LogRecord::Op(op) => {
                 self.a.max_op_id = Some(self.a.max_op_id.map_or(op.id.0, |m| m.max(op.id.0)));
                 for &x in &op.writes {
-                    self.a.dirty.entry(x).or_insert(lsn);
+                    let newly_dirty = match self.a.dirty.entry(x) {
+                        Entry::Vacant(e) => {
+                            e.insert(lsn);
+                            true
+                        }
+                        Entry::Occupied(_) => false,
+                    };
+                    // Only an object with an update past its vSI can pin.
+                    let moved = match self.first_past.entry(x) {
+                        Entry::Occupied(_) => newly_dirty,
+                        Entry::Vacant(e) => {
+                            let past = lsn > self.store.read_vsi(x);
+                            if past {
+                                e.insert(lsn);
+                            }
+                            past
+                        }
+                    };
+                    if moved {
+                        self.repin(x);
+                    }
                 }
                 if self.retain {
                     self.ring.push_back((lsn, op));
@@ -145,18 +189,16 @@ impl Analyzer {
                     }
                 }
             }
-            LogRecord::Install(_) | LogRecord::Flush { .. } if lsn >= self.trust_below => {}
+            LogRecord::Install(_) if lsn >= self.store.installed_through() => {}
             LogRecord::Install(ir) => {
-                for (x, rsi) in ir.vars.into_iter().chain(ir.notx) {
+                for (x, rsi) in ir.objs {
                     if rsi == Lsn::MAX {
                         self.a.dirty.remove(&x);
                     } else {
                         self.a.dirty.insert(x, rsi);
                     }
+                    self.repin(x);
                 }
-            }
-            LogRecord::Flush { obj, .. } => {
-                self.a.dirty.remove(&obj);
             }
             LogRecord::FlushTxnBegin { .. } => self.pending_ftxn.clear(),
             LogRecord::FlushTxnValue { obj, value, vsi } => {
@@ -170,27 +212,57 @@ impl Analyzer {
                 // carried it to disk before the crash): adopt its table on
                 // top of what we've accumulated — it is a superset summary.
                 for (x, rsi) in cp.dirty {
-                    self.a.dirty.entry(x).or_insert(rsi);
+                    if let Entry::Vacant(e) = self.a.dirty.entry(x) {
+                        e.insert(rsi);
+                        self.repin(x);
+                    }
                 }
             }
         }
     }
 
-    /// Drop retained ops below the running min-dirty LSN: the final
-    /// `redo_start` is the minimum over the dirty table at scan end, and
-    /// entries only join the table at the (monotonically increasing)
-    /// current scan position or move forward via installs, so ops already
-    /// below today's minimum stay below tomorrow's. Even if a handcrafted
-    /// log violates that, the gap rescan keeps the result correct — this is
-    /// purely the memory-bound optimization.
+    /// Drop retained ops below the running minimum pin: the final
+    /// `redo_start` is the minimum pin at scan end, and pins only join at
+    /// the (monotonically increasing) current scan position or move
+    /// forward via installs, so ops already below today's minimum stay
+    /// below tomorrow's. Even if a handcrafted log violates that, the gap
+    /// rescan keeps the result correct — this is purely the memory-bound
+    /// optimization.
     fn prune_ring(&mut self, at: Lsn) {
-        // An empty dirty table means everything so far is installed: any
-        // future redo start is at or past the current position.
-        let m = self.a.dirty.values().copied().min().unwrap_or(at);
+        // No pin means nothing so far can be redone: any future redo start
+        // is at or past the current position.
+        let m = self.pins.values().copied().min().unwrap_or(at);
         while self.ring.front().is_some_and(|(l, _)| *l < m) {
             self.ring.pop_front();
         }
         self.ring_from = self.ring_from.max(m);
+    }
+
+    /// The lowest LSN at which the REDO test could select an operation
+    /// because of `x`: an update of `x` at or past its rSI that the store's
+    /// vSI does not witness. `None` if `x` is clean or has no such update.
+    ///
+    /// An rSI names the first update that was still uninstalled when a
+    /// record at or past the scan start was logged. A vSI at or past it
+    /// comes from a later flush, which wrote the object's last update of
+    /// that moment, so every update before the scan start is witnessed and
+    /// the scan saw the rest. Only a vSI below an rSI below the scan start
+    /// leaves unread updates that the REDO test may select.
+    fn redo_bound(&self, x: ObjectId) -> Option<Lsn> {
+        let rsi = *self.a.dirty.get(&x)?;
+        if rsi < self.scan_from && self.store.read_vsi(x) < rsi {
+            return Some(rsi);
+        }
+        self.first_past.get(&x).map(|&f| f.max(rsi))
+    }
+
+    /// Recompute `x`'s pin after its dirty entry or first update past the
+    /// store's vSI changed.
+    fn repin(&mut self, x: ObjectId) {
+        match self.redo_bound(x) {
+            Some(b) => self.pins.insert(x, b),
+            None => self.pins.remove(&x),
+        };
     }
 }
 
@@ -223,7 +295,12 @@ fn scan_log(
 }
 
 /// Run the analysis scan from the master checkpoint (or the log start).
-fn analyze(wal: &Wal, policy: RedoPolicy, retain: bool, trust_below: Lsn) -> Result<Analyzer> {
+fn analyze<'s>(
+    wal: &Wal,
+    store: &'s StableStore,
+    policy: RedoPolicy,
+    retain: bool,
+) -> Result<Analyzer<'s>> {
     let mut scan_from = wal.start_lsn();
     let mut seeded = BTreeMap::new();
 
@@ -244,15 +321,15 @@ fn analyze(wal: &Wal, policy: RedoPolicy, retain: bool, trust_below: Lsn) -> Res
     // Naive redo replays from the log start regardless of the dirty table,
     // so min-dirty pruning would only grow the gap rescan: keep everything.
     let prune = retain && policy != RedoPolicy::Naive;
-    let mut an = Analyzer::new(scan_from, seeded, retain, prune, trust_below);
+    let mut an = Analyzer::new(scan_from, seeded, retain, prune, store);
     an.a.torn_tail = scan_log(wal, scan_from, Lsn::MAX, |lsn, rec| an.step(lsn, rec))?;
 
-    an.a.redo_start =
-        an.a.dirty
-            .values()
-            .copied()
-            .min()
-            .unwrap_or_else(|| wal.forced_lsn());
+    an.a.redo_start = an
+        .pins
+        .values()
+        .copied()
+        .min()
+        .unwrap_or_else(|| wal.forced_lsn());
     Ok(an)
 }
 
@@ -298,7 +375,7 @@ fn run(
     let metrics = store.metrics().clone();
 
     let t_analysis = Instant::now();
-    let an = analyze(&wal, policy, retain_ops, store.installed_through())?;
+    let an = analyze(&wal, &store, policy, retain_ops)?;
     Metrics::bump(
         &metrics.recovery_analysis_ns,
         t_analysis.elapsed().as_nanos() as u64,
@@ -450,7 +527,8 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{FlushStrategy, GraphKind};
+    use crate::cache::{FlushStrategy, GraphKind, InstallStep};
+    use crate::invariant::check_engine_inv;
     use llog_ops::{builtin, Transform};
     use llog_types::{OpId, Value};
 
@@ -529,13 +607,36 @@ mod tests {
     #[test]
     fn installed_op_is_skipped_by_vsi() {
         let mut e = fresh_engine();
-        exec_physical(&mut e, 1, "v1");
-        e.install_all().unwrap();
+        exec_physical(&mut e, 2, "y"); // never installed: the redo scan starts here
+        let (x_op, _) = exec_physical(&mut e, 1, "v1");
+        let n = e.rw_graph().node_of_op(x_op).expect("X's op is live");
+        e.install_rw_node(n).unwrap();
         let (store, wal) = e.crash();
         let (mut recovered, out) = recover_parts(store, wal, RedoPolicy::Vsi);
-        assert_eq!(out.redone, 0);
+        assert_eq!(out.redone, 1);
         assert_eq!(out.skipped, 1);
         assert_eq!(recovered.read_value(X), Value::from("v1"));
+        assert_eq!(recovered.read_value(Y), Value::from("y"));
+    }
+
+    #[test]
+    fn analysis_starts_redo_past_what_the_store_witnesses() {
+        // A flush logs nothing; the store's vSI alone shows the installed
+        // prefix, and the redo scan starts after it.
+        let mut e = fresh_engine();
+        exec_physical(&mut e, 1, "x");
+        exec_physical(&mut e, 2, "y");
+        e.install_all().unwrap();
+        let (_, tail) = exec_physical(&mut e, 1, "x2");
+        e.wal_mut().force();
+        let (store, wal) = e.crash();
+        for policy in [RedoPolicy::Vsi, RedoPolicy::RsiExposed] {
+            let (mut r, o) = recover_both_ways(&store, &wal, config(), policy);
+            assert_eq!(o.redo_start, tail, "{policy:?}");
+            assert_eq!((o.redone, o.skipped), (1, 0), "{policy:?}");
+            assert_eq!(r.read_value(X), Value::from("x2"));
+            assert_eq!(r.read_value(Y), Value::from("y"));
+        }
     }
 
     #[test]
@@ -950,10 +1051,16 @@ mod tests {
 
     #[test]
     fn installs_above_the_store_bound_are_not_trusted() {
+        // A writes X, B reads it into Y, C blindly overwrites X. B's node
+        // installs first, then A's with X unexposed: an Install record
+        // advances X's rSI to C's lSI.
         let mut e = fresh_engine();
-        exec_physical(&mut e, 1, "v1");
+        exec_physical(&mut e, 1, "a");
+        exec_logical(&mut e, &[1], &[2], 7);
+        exec_physical(&mut e, 1, "c");
         e.wal_mut().force();
-        // The store as its device last saw it: before the install below.
+        let expected_y = e.read_value(Y);
+        // The store as its device last saw it: before the installs below.
         let mut device_store = e.store().clone();
         device_store.set_installed_through(e.wal().end_lsn());
         e.install_all().unwrap();
@@ -968,15 +1075,95 @@ mod tests {
                 RedoPolicy::Vsi,
             )
             .unwrap();
-            assert_eq!(o.redone, 1, "{name}");
-            assert_eq!(r.read_value(X), Value::from("v1"), "{name}");
+            assert_eq!(o.redone, 3, "{name}");
+            assert_eq!(r.read_value(X), Value::from("c"), "{name}");
+            assert_eq!(r.read_value(Y), expected_y, "{name}");
             assert_eq!(r.store().installed_through(), Lsn::MAX, "{name}");
         }
-        // Trusting the Install and Flush records loses the write.
+        // Trusting the Install record skips A, so B is redone over a store
+        // that never held A's X.
         device_store.set_installed_through(Lsn::MAX);
         let (mut r, o) = recover_parts(device_store, wal, RedoPolicy::Vsi);
-        assert_eq!(o.redone, 0);
+        assert_eq!(o.redone, 2);
+        assert_ne!(r.read_value(Y), expected_y);
+    }
+
+    /// A delete installed before the crash removes its object from the
+    /// store, so no vSI is left to witness the updates its flush
+    /// installed: the Install record must carry the object.
+    #[test]
+    fn a_flushed_delete_keeps_the_ops_before_it_installed() {
+        let audit = EngineConfig {
+            audit: true,
+            ..config()
+        };
+        let mut e = Engine::new(audit, TransformRegistry::with_builtins());
+        exec_physical(&mut e, 1, "a"); // A
+        exec_logical(&mut e, &[1], &[2], 7); // B reads X into Y
+        e.install_all().unwrap();
+        e.execute(
+            OpKind::Delete,
+            vec![],
+            vec![X],
+            Transform::new(builtin::DELETE, Value::empty()),
+        )
+        .unwrap(); // D
+        e.install_all().unwrap();
+        exec_physical(&mut e, 3, "t"); // T: stable, never installed
+        e.wal_mut().force();
+        check_engine_inv(&e).unwrap();
+        e.audit_all().unwrap();
+        let expected_y = e.read_value(Y);
+        // The model: redo exactly the operations live at the crash (T);
+        // skip every installed one the redo scan meets. Y's vSI witnesses
+        // B and D's record clears X, so the scan starts at T.
+        let live = e.live_op_ids().len() as u64;
+        let (store, wal) = e.crash();
+        assert!(store.peek(X).is_none(), "D's flush removed X");
+
+        let (mut r, o) = recover_both_ways(&store, &wal, audit, RedoPolicy::RsiExposed);
+        assert_eq!(live, 1);
+        assert_eq!(
+            (o.redone, o.deletes_applied, o.voided, o.skipped),
+            (live, 0, 0, 0),
+            "{o:?}"
+        );
+        check_engine_inv(&r).unwrap();
         assert!(r.read_value(X).is_empty());
+        assert_eq!(r.read_value(Y), expected_y);
+        assert_eq!(r.read_value(ObjectId(3)), Value::from("t"));
+    }
+
+    /// An identity write that breaks up a flush set is the only record of
+    /// the value it unexposes: the flush waits until it is stable, so a
+    /// crash that loses it leaves nothing installed that redo would need.
+    #[test]
+    fn a_broken_up_flush_waits_for_its_identity_writes() {
+        let mut e = fresh_engine();
+        exec_physical(&mut e, 1, "x0");
+        exec_physical(&mut e, 2, "y0");
+        e.install_all().unwrap();
+        // The §4 cycle: Y ← f(X,Y); X ← g(Y); Y ← h(Y).
+        exec_logical(&mut e, &[1, 2], &[2], 1);
+        exec_logical(&mut e, &[2], &[1], 2);
+        exec_logical(&mut e, &[2], &[2], 3);
+        e.wal_mut().force();
+        let want = (e.peek_value(X), e.peek_value(Y));
+        let stable = e.wal().forced_lsn();
+        let identity_writes = e.metrics().snapshot().identity_writes;
+        // One installer step below the stable end, then a crash that loses
+        // the unforced tail.
+        let step = e.install_one_below(stable).unwrap();
+        assert!(e.metrics().snapshot().identity_writes > identity_writes);
+        assert!(
+            matches!(step, InstallStep::NeedsStable(l) if l >= stable),
+            "{step:?}"
+        );
+        let (store, wal) = e.crash();
+        for policy in [RedoPolicy::Vsi, RedoPolicy::RsiExposed] {
+            let (mut r, _) = recover_both_ways(&store, &wal, config(), policy);
+            assert_eq!((r.read_value(X), r.read_value(Y)), want, "{policy:?}");
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! - Records past that cut are reflected in **no** shipped state, and the
 //!   replica's cache mirrors the primary's execution exactly (same ops,
 //!   same order, same inputs), so [`Engine::apply_logged`] replays them
-//!   verbatim. `Install`/`Flush`/`FlushTxn`/`Checkpoint` records describe
-//!   the *primary's* cache-manager activity and are skipped: the replica
+//!   verbatim. `Install`/`FlushTxn`/`Checkpoint` records describe the
+//!   *primary's* cache-manager activity and are skipped: the replica
 //!   keeps every replayed effect dirty in its own cache, so the visible
 //!   value of every object (cache over store) is identical at the cut.
 //!

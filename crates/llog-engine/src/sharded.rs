@@ -401,15 +401,27 @@ impl ShardedEngine {
 
     /// Install every shard's write graph as far as its durable watermark
     /// allows; [`force_all`](Self::force_all) first to install everything
-    /// executed so far.
+    /// executed so far. An identity write the installs log themselves is
+    /// waited for: the flush it enables needs it durable first.
     pub fn install_all(&self) -> Result<()> {
         for s in &self.shards {
-            let mut g = s.lock_engine();
-            if let Some(e) = g.as_mut() {
-                let stable = s.durable_lsn();
-                while e.install_one_below(stable)? == InstallStep::Installed {}
+            loop {
+                let mut g = s.lock_engine();
+                let Some(e) = g.as_mut() else { break };
+                let end = e.wal().end_lsn();
+                let step = loop {
+                    match e.install_one_below(s.durable_lsn())? {
+                        InstallStep::Installed => {}
+                        step => break step,
+                    }
+                };
+                drop(g);
+                match step {
+                    InstallStep::NeedsStable(lsn)
+                        if lsn >= end && s.wait_durable(lsn.advance(1), None) == Some(true) => {}
+                    _ => break,
+                }
             }
-            drop(g);
             s.note_installed();
         }
         Ok(())
@@ -1449,6 +1461,28 @@ mod tests {
         for i in 0..200u64 {
             assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("par"));
         }
+    }
+
+    /// A blind put is installed by flushing its object, whose vSI then
+    /// vouches for it: the log holds the put's operation record and
+    /// nothing else.
+    #[test]
+    fn a_waited_blind_put_logs_one_record_after_install_all() {
+        const N: u64 = 200;
+        let e = ShardedEngine::new(config(2), &registry());
+        e.attach_backends((0..2).map(|_| mem_backend()).collect());
+        let before = e.metrics_snapshot().aggregate;
+        for i in 0..N {
+            put_sync(&e, ObjectId(i), "v");
+        }
+        e.install_all().unwrap();
+        let after = e.metrics_snapshot().aggregate;
+        assert_eq!(
+            after.install_vars_objects - before.install_vars_objects,
+            N,
+            "every put was installed"
+        );
+        assert_eq!(after.log_records - before.log_records, N);
     }
 
     #[test]

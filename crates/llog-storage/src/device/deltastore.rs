@@ -12,7 +12,7 @@
 //!   `"LLOGSMF1" | next_epoch u64 | installed_through u64 | chain_len u64 |
 //!   chain × (epoch u64, len u64, crc u32) | crc32c u32`.
 //!   `installed_through` is the log end at the checkpoint: every `Install`
-//!   and `Flush` record below it has its effects in the chain, and recovery
+//!   record below it has its installation in the chain, and recovery
 //!   trusts none at or above it.
 //!
 //! The chain's image is named by `next_epoch` plus each delta's epoch,

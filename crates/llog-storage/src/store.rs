@@ -85,11 +85,11 @@ impl StableStore {
         }
     }
 
-    /// The log address below which every `Install` and `Flush` record's
-    /// effects are in this store. A store loaded from a device carries the
-    /// bound its last persist recorded, and recovery ignores those records
-    /// at or above it; an in-memory store holds every install it took, so
-    /// its bound is `Lsn::MAX`.
+    /// The log address below which every `Install` record's installation
+    /// is in this store. A store loaded from a device carries the bound its
+    /// last persist recorded, and recovery ignores those records at or
+    /// above it; an in-memory store holds every install it took, so its
+    /// bound is `Lsn::MAX`.
     pub fn installed_through(&self) -> Lsn {
         self.installed_through
     }

@@ -23,10 +23,12 @@
 //!   each delta once and reuses the log device's read, so a boot reads
 //!   every device byte once (DESIGN §11).
 //! - The store device is only as fresh as the last `persist`, while the
-//!   log device gets every force. `Install` and `Flush` records vouch for
-//!   store writes, so the store manifest records `installed_through`: the
-//!   log device's end once it holds the WAL captured with the store. Recovery
-//!   ignores `Install`/`Flush` records at or above it and redoes the
+//!   log device gets every force. An `Install` record advances the rSIs of
+//!   objects the store holds no vSI for — unexposed ones, and ones the
+//!   install removed — which is only true once the store device has the
+//!   install too. So the store manifest records `installed_through`: the
+//!   log device's end once it holds the WAL captured with the store.
+//!   Recovery ignores `Install` records at or above it and redoes the
 //!   operations they covered. A device with no store manifest trusts none.
 //!
 //! The file layout puts the two devices in `log/` and `store/`
@@ -149,13 +151,13 @@ impl DurabilityBackend {
     /// end, with the log device's master and base unchanged.
     ///
     /// A log device *fresher* than the store device is safe. Operation
-    /// records are replayed. `Install` and `Flush` records vouch for store
-    /// state — `vars(n)` written, an object clean at some vSI — that reaches
-    /// the store device only at the next [`DurabilityBackend::persist`];
-    /// the ones at or above the store's `installed_through` are ignored by
-    /// recovery, which redoes the operations they covered instead. Only
-    /// `persist` moves the master or truncates, once the store device
-    /// holds what they rely on.
+    /// records are replayed. An `Install` record advances rSIs past
+    /// operations whose installation — a flush that removed an object, or
+    /// the flush that made an object unexposed — reaches the store device
+    /// only at the next [`DurabilityBackend::persist`]; the ones at or
+    /// above the store's `installed_through` are ignored by recovery, which
+    /// redoes the operations they covered instead. Only `persist` moves the
+    /// master or truncates, once the store device holds what they rely on.
     pub fn persist_wal(&mut self, wal: &Wal, faults: Option<&FaultHost>) -> Result<Lsn> {
         wal.persist_tail_to(self.log.as_mut(), faults)
     }
@@ -179,7 +181,7 @@ impl DurabilityBackend {
     /// Reboot: load the persisted pair, or `None` when *neither* device
     /// holds a manifest (nothing was ever persisted). A missing store
     /// manifest with a present log means no `persist` ever completed — the
-    /// store loads empty and trusts no `Install`/`Flush` record.
+    /// store loads empty and trusts no `Install` record.
     pub fn load(&self, metrics: Arc<Metrics>) -> Result<Option<(StableStore, Wal)>> {
         let store = self.store.load_store(metrics.clone())?;
         let wal = Wal::load_from_device(self.log.as_ref(), metrics.clone())?;
@@ -198,7 +200,7 @@ impl DurabilityBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::LogRecord;
+    use crate::record::{InstallRecord, LogRecord};
     use llog_ops::Operation;
     use llog_testkit::faults::{failpoint, FaultKind};
     use llog_types::{ObjectId, Value};
@@ -276,10 +278,9 @@ mod tests {
         let mut b = DurabilityBackend::mem(Metrics::new(), &DeviceConfig::small());
         // An unforced record is not on the log device after persist, so
         // the store may not vouch through it.
-        wal.append(&LogRecord::Flush {
-            obj: ObjectId(1),
-            vsi: Lsn(10),
-        });
+        wal.append(&LogRecord::Install(InstallRecord {
+            objs: vec![(ObjectId(1), Lsn::MAX)],
+        }));
         b.persist(&store, &wal, None).unwrap();
         let bound = wal.forced_lsn();
         assert!(bound < wal.end_lsn());
@@ -287,7 +288,7 @@ mod tests {
         b.persist_wal(&wal, None).unwrap();
         let (s2, w2) = b.load(Metrics::new()).unwrap().unwrap();
         assert_eq!(s2.installed_through(), bound);
-        assert!(w2.end_lsn() > bound, "the Flush record is past the bound");
+        assert!(w2.end_lsn() > bound, "the Install record is past the bound");
     }
 
     #[test]

@@ -7,17 +7,20 @@
 use llog_ops::{OpKind, Operation, Transform};
 use llog_types::{ByteReader, ByteWriter, FnId, LlogError, Lsn, ObjectId, OpId, Result, Value};
 
-/// §5 installation record: node `n` of the write graph was installed by
-/// flushing `vars`; the objects of `notx` were installed *without* flushing
-/// (they are unexposed). Both lists carry the objects' new rSIs — the lSI of
-/// each object's first still-uninstalled update (or `Lsn::MAX` if none, in
-/// which case the object leaves the dirty object table).
+/// §5 installation record: the objects of an installed write-graph node
+/// whose installation the store cannot show, each with its new rSI — the
+/// lSI of the object's first still-uninstalled update (or `Lsn::MAX` if
+/// none, in which case the object leaves the dirty object table).
+///
+/// Those are the node's unexposed objects (`Notx(n)`, installed without
+/// flushing) and the objects its flush removed from the store: neither
+/// carries a vSI. A flushed object that stays in the store needs no entry,
+/// since its vSI already witnesses every installed update, so a node with
+/// neither kind logs no record at all.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InstallRecord {
-    /// Flushed objects and their new rSIs.
-    pub vars: Vec<(ObjectId, Lsn)>,
-    /// Unexposed objects installed without flushing, with new rSIs.
-    pub notx: Vec<(ObjectId, Lsn)>,
+    /// Objects without a store vSI for the installation, with new rSIs.
+    pub objs: Vec<(ObjectId, Lsn)>,
 }
 
 /// ARIES-style checkpoint: the dirty object table (object → rSI) and the
@@ -35,16 +38,9 @@ pub struct CheckpointRecord {
 pub enum LogRecord {
     /// An operation; its lSI is the record's LSN.
     Op(Operation),
-    /// Installation of a write-graph node (§5).
+    /// Installation of a write-graph node (§5), for the objects the store
+    /// cannot vouch for.
     Install(InstallRecord),
-    /// A completed single-object flush (physiological-style flush logging;
-    /// lets analysis remove the object from the dirty object table).
-    Flush {
-        /// The flushed object.
-        obj: ObjectId,
-        /// Its vSI at flush time.
-        vsi: Lsn,
-    },
     /// §4 flush-transaction baseline: begin, per-object logged values,
     /// commit. Values are replayed into the stable state if the commit
     /// record survives the crash.
@@ -69,7 +65,6 @@ pub enum LogRecord {
 
 const TAG_OP: u8 = 1;
 const TAG_INSTALL: u8 = 2;
-const TAG_FLUSH: u8 = 3;
 const TAG_FT_BEGIN: u8 = 4;
 const TAG_FT_VALUE: u8 = 5;
 const TAG_FT_COMMIT: u8 = 6;
@@ -129,13 +124,7 @@ impl LogRecord {
             }
             LogRecord::Install(ir) => {
                 out.put_u8(TAG_INSTALL);
-                put_obj_lsn_list(&mut out, &ir.vars);
-                put_obj_lsn_list(&mut out, &ir.notx);
-            }
-            LogRecord::Flush { obj, vsi } => {
-                out.put_u8(TAG_FLUSH);
-                out.put_u64_le(obj.0);
-                out.put_u64_le(vsi.0);
+                put_obj_lsn_list(&mut out, &ir.objs);
             }
             LogRecord::FlushTxnBegin { objs } => {
                 out.put_u8(TAG_FT_BEGIN);
@@ -207,18 +196,8 @@ impl LogRecord {
                 }))
             }
             TAG_INSTALL => {
-                let vars = get_obj_lsn_list(&mut buf)?;
-                let notx = get_obj_lsn_list(&mut buf)?;
-                Ok(LogRecord::Install(InstallRecord { vars, notx }))
-            }
-            TAG_FLUSH => {
-                if buf.remaining() < 16 {
-                    return Err(err("flush record truncated"));
-                }
-                Ok(LogRecord::Flush {
-                    obj: ObjectId(buf.get_u64_le()),
-                    vsi: Lsn(buf.get_u64_le()),
-                })
+                let objs = get_obj_lsn_list(&mut buf)?;
+                Ok(LogRecord::Install(InstallRecord { objs }))
             }
             TAG_FT_BEGIN => {
                 if buf.remaining() < 4 {
@@ -318,13 +297,8 @@ mod tests {
     #[test]
     fn bookkeeping_records_roundtrip() {
         roundtrip(LogRecord::Install(InstallRecord {
-            vars: vec![(ObjectId(1), Lsn(10))],
-            notx: vec![(ObjectId(2), Lsn(20)), (ObjectId(3), Lsn::MAX)],
+            objs: vec![(ObjectId(2), Lsn(20)), (ObjectId(3), Lsn::MAX)],
         }));
-        roundtrip(LogRecord::Flush {
-            obj: ObjectId(4),
-            vsi: Lsn(44),
-        });
         roundtrip(LogRecord::FlushTxnBegin {
             objs: vec![ObjectId(1), ObjectId(2)],
         });
@@ -349,9 +323,12 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_tag() {
-        // 8 and 9 were the retired hybrid-logging records.
-        for tag in [0, 8, 9, 99] {
+        // 3 was the retired single-object flush record, 8 and 9 the
+        // retired hybrid-logging records.
+        for tag in [0, 3, 8, 9, 99] {
             assert!(LogRecord::decode(&[tag, 1, 0, 0, 0]).is_err(), "tag {tag}");
+            // A body as long as a retired flush record's (object + vSI).
+            assert!(LogRecord::decode(&[tag; 17]).is_err(), "tag {tag}");
         }
         assert!(LogRecord::decode(&[]).is_err());
     }

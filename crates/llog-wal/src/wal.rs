@@ -673,7 +673,7 @@ impl Iterator for WalScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::CheckpointRecord;
+    use crate::record::{CheckpointRecord, InstallRecord};
     use llog_ops::Operation;
     use llog_types::{ObjectId, Value};
 
@@ -1279,10 +1279,9 @@ mod tests {
         let mut w = wal();
         let records = vec![
             op_record(0),
-            LogRecord::Flush {
-                obj: ObjectId(2),
-                vsi: Lsn(0),
-            },
+            LogRecord::Install(InstallRecord {
+                objs: vec![(ObjectId(2), Lsn::MAX)],
+            }),
             LogRecord::FlushTxnBegin {
                 objs: vec![ObjectId(1)],
             },

@@ -4,7 +4,7 @@
 //! manifests (and the log's segments, which `load` then reuses), `load` is
 //! the one reader of the store's delta chain. A shard whose image is rotten
 //! fails the whole boot with `Codec`, cleanly. A boot does not trust
-//! `Install`/`Flush` records the store device never saw, no force
+//! `Install` records the store device never saw, no force
 //! acknowledges log bytes the log device never synced, and no store
 //! checkpoint holds an install whose record the log device lacks.
 
@@ -256,10 +256,10 @@ fn rotten_delta_on_one_of_three_shards_fails_boot_with_codec() {
     }
 }
 
-/// Acked puts survive a kill whose log device holds `Install` and `Flush`
-/// records the store device never absorbed: the store device keeps the one
-/// `persist_all` below, while every force after `install_all` carries those
-/// records to the log device. Boot must redo what they claim installed.
+/// Acked puts survive a kill after installs the store device never
+/// absorbed: the store device keeps the one `persist_all` below, while the
+/// log device gets every force after `install_all`. A blind put's install
+/// logs no record, so boot finds each put dirty and must redo it.
 #[test]
 fn acked_puts_survive_installs_the_store_device_never_saw() {
     const N: u64 = 2_000;
@@ -283,8 +283,8 @@ fn acked_puts_survive_installs_the_store_device_never_saw() {
         put(i);
     }
     e.install_all().unwrap();
-    // One more waited put per shard: its force carries that shard's
-    // Install/Flush records to the log device.
+    // One more waited put per shard: its force carries whatever that
+    // shard's installs appended to the log device.
     for shard in 0..2 {
         put((N..)
             .find(|&i| e.router().shard_of(ObjectId(i)) == shard)
@@ -301,6 +301,65 @@ fn acked_puts_survive_installs_the_store_device_never_saw() {
         "{} acked puts lost, first {:?}",
         lost.len(),
         lost.first()
+    );
+}
+
+/// Acked deletes survive a kill after installs the store device never
+/// absorbed. A delete's install removes the object, so its `Install` record
+/// is the only witness, while the store device still holds the object from
+/// the last `persist_all`. Trusting that record past the store's
+/// `installed_through` would bring the deleted values back.
+#[test]
+fn acked_deletes_survive_installs_the_store_device_never_saw() {
+    const N: u64 = 200;
+    let d = TempDir::new("deleted-through");
+    let reg = TransformRegistry::with_builtins();
+    let e = open_served(d.path(), 2, &reg).unwrap();
+    let exec = |kind: OpKind, i: u64, transform: Transform| {
+        let t = e
+            .execute(kind, vec![], vec![ObjectId(i)], transform)
+            .unwrap();
+        assert!(t.wait(), "op on {i} acked");
+    };
+    let put = |i: u64| {
+        let v = builtin::encode_values(&[Value::from("v")]);
+        exec(OpKind::Physical, i, Transform::new(builtin::CONST, v));
+    };
+    for i in 0..N {
+        put(i);
+    }
+    e.install_all().unwrap();
+    e.persist_all().unwrap(); // the store device holds every key
+    for i in (0..N).step_by(2) {
+        let delete = Transform::new(builtin::DELETE, Value::empty());
+        exec(OpKind::Delete, i, delete);
+    }
+    e.install_all().unwrap();
+    // One more waited put per shard: its force carries that shard's
+    // Install records to the log device.
+    for shard in 0..2 {
+        put((N..)
+            .find(|&i| e.router().shard_of(ObjectId(i)) == shard)
+            .unwrap());
+    }
+    drop(e); // no persist: the store devices still hold every key
+
+    let e = open_served(d.path(), 2, &reg).unwrap();
+    let wrong: Vec<u64> = (0..N)
+        .filter(|&i| {
+            let v = e.read_value(ObjectId(i)).unwrap();
+            if i % 2 == 0 {
+                !v.is_empty()
+            } else {
+                v != Value::from("v")
+            }
+        })
+        .collect();
+    assert!(
+        wrong.is_empty(),
+        "{} acked ops lost, first on {:?}",
+        wrong.len(),
+        wrong.first()
     );
 }
 

@@ -63,7 +63,7 @@ fn lost_install_record_voids_trial_execution() {
     let reg = registry();
     let mut e = Engine::new(EngineConfig::default(), reg.clone());
 
-    // S = "good", flushed and clean; its flush record will reach the log.
+    // S = "good", flushed and clean; its vSI, not a log record, shows it.
     physical(&mut e, S, "good");
     e.install_all().unwrap();
 
