@@ -117,17 +117,6 @@ impl Operation {
             || other.writes.iter().any(|x| self.touches(*x))
     }
 
-    /// Bytes this operation's log record contributes beyond fixed framing:
-    /// object ids plus transform parameters. This is the quantity Figure 1
-    /// compares — a logical operation pays per *id*, a physical/physiological
-    /// one pays per *value* carried in `params`.
-    pub fn log_payload_len(&self) -> usize {
-        (self.reads.len() + self.writes.len()) * ObjectId::ENCODED_LEN
-            + 2 // fn id
-            + 4 // params length
-            + self.transform.params.len()
-    }
-
     /// Is this operation's log record free of data values? (True for
     /// logical/physiological records whose params are genuinely small; the
     /// check here is structural: physical and identity writes always carry
@@ -229,15 +218,14 @@ mod tests {
 
     #[test]
     fn log_payload_reflects_figure_one() {
-        // Logical: ids only — tiny regardless of object size.
+        // Logical: ids only, no values. The record's size is measured on
+        // the real encoding in `llog-wal`'s `record.rs`.
         let logical = Operation::logical(1, &[1, 2], &[2]);
-        assert!(logical.log_payload_len() < 64);
         assert!(!logical.carries_values());
 
         // Physical: carries the (large) value.
         let big = Value::filled(0, 64 * 1024);
         let physical = Operation::physical(2, 1, big);
-        assert!(physical.log_payload_len() > 64 * 1024);
         assert!(physical.carries_values());
     }
 

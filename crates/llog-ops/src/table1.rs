@@ -179,7 +179,7 @@ mod tests {
         let big = Value::filled(9, 128 * 1024);
         let wl = write_logical(OpId(0), A, X);
         let wp = write_physical(OpId(1), X, big);
-        assert!(wl.log_payload_len() < 64);
-        assert!(wp.log_payload_len() > 128 * 1024);
+        assert!(!wl.carries_values());
+        assert!(wp.carries_values());
     }
 }

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use llog_types::{FnId, LlogError, ObjectId, OpId, Result, Value};
+use llog_types::{ByteReader, ByteWriter, FnId, LlogError, ObjectId, OpId, Result, Value};
 
 /// A deterministic transformation of object values.
 ///
@@ -154,39 +154,29 @@ pub mod builtin {
     /// Produce tombstones (empty values).
     pub const DELETE: FnId = FnId(10);
 
-    /// Encode a list of values as CONST parameters.
+    /// Encode a list of values as CONST parameters:
+    /// `count varint | (len varint | bytes)*`.
     pub fn encode_values(values: &[Value]) -> Value {
-        let mut out = Vec::with_capacity(8 + values.iter().map(|v| 4 + v.len()).sum::<usize>());
-        out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        let mut out = Vec::with_capacity(10 + values.iter().map(|v| 10 + v.len()).sum::<usize>());
+        out.put_varint(values.len() as u64);
         for v in values {
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(v.as_bytes());
+            out.put_varint(v.len() as u64);
+            out.put_slice(v.as_bytes());
         }
         Value::from(out)
     }
 
-    /// Decode CONST parameters back into values.
-    pub fn decode_values(params: &[u8]) -> Result<Vec<Value>> {
-        let err = |reason: &str| LlogError::Codec {
-            reason: reason.to_string(),
-        };
-        if params.len() < 4 {
-            return Err(err("const params shorter than count header"));
-        }
-        let count = u32::from_le_bytes(params[0..4].try_into().unwrap()) as usize;
+    /// Decode CONST parameters back into values. A count or length the
+    /// params could not hold is a `Codec` error before anything is
+    /// allocated for it.
+    pub fn decode_values(mut params: &[u8]) -> Result<Vec<Value>> {
+        let count = params.get_count(1)?;
         let mut values = Vec::with_capacity(count);
-        let mut at = 4;
         for _ in 0..count {
-            if params.len() < at + 4 {
-                return Err(err("const params truncated at length header"));
-            }
-            let len = u32::from_le_bytes(params[at..at + 4].try_into().unwrap()) as usize;
-            at += 4;
-            if params.len() < at + len {
-                return Err(err("const params truncated in value body"));
-            }
-            values.push(Value::from_slice(&params[at..at + len]));
-            at += len;
+            let len = params.get_count(1)?;
+            let (bytes, rest) = params.split_at(len);
+            values.push(Value::from_slice(bytes));
+            params = rest;
         }
         Ok(values)
     }
@@ -461,9 +451,32 @@ mod tests {
     fn decode_rejects_truncated_params() {
         let params = encode_values(&[v("hello")]);
         let bytes = params.as_bytes();
-        for cut in [0, 2, 5, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             assert!(decode_values(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn const_params_for_one_value_cost_three_header_bytes_below_16k() {
+        // count (1 B) and a length below 2^14 (2 B).
+        for len in [128, 16 * 1024 - 1] {
+            let params = encode_values(&[Value::filled(7, len)]);
+            assert_eq!(params.len(), len + 3, "{len} B value");
+        }
+        assert_eq!(
+            encode_values(&[Value::filled(7, 16 * 1024)]).len(),
+            16 * 1024 + 4
+        );
+    }
+
+    #[test]
+    fn const_counts_past_the_params_are_refused_before_allocating() {
+        // count 2^60 in a 9-byte varint, then nothing to back it.
+        let mut huge = vec![0x80; 8];
+        huge.push(0x10);
+        assert!(decode_values(&huge).is_err());
+        // One value claiming 2^32 bytes.
+        assert!(decode_values(&[1, 0x80, 0x80, 0x80, 0x80, 0x10]).is_err());
     }
 
     #[test]

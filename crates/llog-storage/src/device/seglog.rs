@@ -19,9 +19,12 @@
 //! - `pool-{start:016x}.llog` — a retired segment parked for recycling
 //!   (`start` is from its previous life). Rotation adopts one by rename +
 //!   header re-stamp instead of creating a segment cold.
-//! - `wal-manifest.llog` — `"LLOGWMF1" | base u64 | master u64 |
+//! - `wal-manifest.llog` — `"LLOGWMF2" | base u64 | master u64 |
 //!   open_start u64 | sealed_count u64 | sealed × (start u64, len u64,
-//!   crc u32) | crc32c u32`.
+//!   crc u32) | crc32c u32`. The magic names the record format of the
+//!   frames: `2` is the varint one. A `"LLOGWMF1"` device holds
+//!   fixed-width records, which pass the frame CRC but would decode as
+//!   garbage, so `load` refuses it.
 //!
 //! Write ordering: segment bytes are appended first, the manifest is written
 //! at the force barrier; truncation writes the shrunk manifest *before*
@@ -36,7 +39,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use llog_testkit::faults::{failpoint, FaultHost, WriteVerdict};
-use llog_types::{crc32c, frame_crc, LlogError, Lsn, Result};
+use llog_types::{crc32c, frame_crc, LlogError, Lsn, Result, FRAME_HEADER};
 
 use super::blob::{BlobStore, FileBlobs, MemBlobs};
 use super::DeviceConfig;
@@ -44,15 +47,12 @@ use crate::metrics::Metrics;
 
 /// Manifest blob name for the segmented log.
 pub const WAL_MANIFEST: &str = "wal-manifest.llog";
-const MANIFEST_MAGIC: &[u8; 8] = b"LLOGWMF1";
+const MANIFEST_MAGIC: &[u8; 8] = b"LLOGWMF2";
+/// The magic of devices whose frames hold fixed-width records.
+const FIXED_WIDTH_MAGIC: &[u8; 8] = b"LLOGWMF1";
 const SEG_MAGIC: &[u8; 8] = b"LLOGSEG1";
 /// Physical header of a preallocated segment blob: magic + start LSN.
 pub const SEG_HEADER: usize = 16;
-/// WAL frame header (`len u32 | crc u32`) — mirrored here so the device can
-/// walk its own preallocated tail to find where real frames end and zero
-/// fill begins. The frame layout is owned by `llog-wal`; this is the one
-/// place below it that must understand it.
-const FRAME_HEADER: usize = 8;
 
 /// Blob name of the segment whose first byte is at absolute LSN `start`.
 pub fn segment_name(start: Lsn) -> String {
@@ -829,6 +829,11 @@ fn parse_manifest(raw: &[u8]) -> Result<ManifestState> {
     if crc32c(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
         return Err(err("checksum mismatch"));
     }
+    if &body[0..8] == FIXED_WIDTH_MAGIC {
+        return Err(err(
+            "written in the fixed-width record format (LLOGWMF1), which this build does not read",
+        ));
+    }
     if &body[0..8] != MANIFEST_MAGIC {
         return Err(err("bad magic"));
     }
@@ -975,6 +980,27 @@ mod tests {
         d.blobs.delete(&segment_name(Lsn(5))).unwrap();
         let err = d.load_parts().unwrap_err();
         assert!(matches!(err, LlogError::Codec { .. }), "got {err}");
+    }
+
+    #[test]
+    fn a_log_device_from_the_fixed_width_format_is_refused() {
+        let mut d = mem(64);
+        d.append(Lsn(1), &[1u8; 6], None).unwrap();
+        d.force(None).unwrap();
+        assert!(d.load_parts().unwrap().is_some());
+        // base 1 | master 0 | open_start 1 | no sealed segments | crc.
+        let mut v1 = b"LLOGWMF1".to_vec();
+        for field in [1u64, 0, 1, 0] {
+            v1.extend_from_slice(&field.to_le_bytes());
+        }
+        v1.extend_from_slice(&crc32c(&v1).to_le_bytes());
+        d.blobs.put(WAL_MANIFEST, &v1).unwrap();
+        match d.load_parts() {
+            Err(LlogError::Codec { reason }) => {
+                assert!(reason.contains("fixed-width record format"), "{reason}")
+            }
+            other => panic!("a v1 manifest loaded: {other:?}"),
+        }
     }
 
     #[test]

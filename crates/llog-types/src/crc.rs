@@ -61,6 +61,10 @@ pub fn crc32c_extend(crc: u32, data: &[u8]) -> u32 {
     !crc32c_update(!crc, data)
 }
 
+/// Bytes in a log frame's header, `[len: u32][crc: u32]`, which precedes
+/// the payload that [`frame_crc`] checksums.
+pub const FRAME_HEADER: usize = 8;
+
 /// Compute the CRC-32C of a log frame's payload bound to the frame's
 /// address: the checksum covers `lsn` (little-endian) followed by the
 /// payload bytes.

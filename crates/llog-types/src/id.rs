@@ -16,11 +16,6 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u64);
 
-impl ObjectId {
-    /// Encoded size on the log, in bytes.
-    pub const ENCODED_LEN: usize = 8;
-}
-
 impl fmt::Debug for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "obj:{}", self.0)

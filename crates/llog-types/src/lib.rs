@@ -13,7 +13,7 @@ mod id;
 mod value;
 
 pub use bytesio::{ByteReader, ByteWriter};
-pub use crc::{crc32c, crc32c_extend, frame_crc};
+pub use crc::{crc32c, crc32c_extend, frame_crc, FRAME_HEADER};
 pub use error::{LlogError, Result};
 pub use id::{FnId, Lsn, ObjectId, OpId, Si};
 pub use value::Value;

@@ -7,12 +7,10 @@
 //! [`LogArchive::scan_from`] stitches archived segments and the live log
 //! back into one record stream.
 
-use llog_types::{frame_crc, LlogError, Lsn, Result};
+use llog_types::{frame_crc, LlogError, Lsn, Result, FRAME_HEADER};
 
 use crate::record::LogRecord;
 use crate::wal::Wal;
-
-const FRAME_HEADER: usize = 8;
 
 /// Archived log segments, ordered and contiguous.
 #[derive(Debug, Clone, Default)]

@@ -5,11 +5,9 @@ use std::sync::Arc;
 
 use llog_storage::Metrics;
 use llog_testkit::faults::{failpoint, FaultHost, ForceVerdict};
-use llog_types::{frame_crc, LlogError, Lsn, Result};
+use llog_types::{frame_crc, LlogError, Lsn, Result, FRAME_HEADER};
 
 use crate::record::LogRecord;
-
-const FRAME_HEADER: usize = 8; // len u32 + crc u32
 
 /// How a double-buffered force begins ([`Wal::begin_force_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -342,7 +342,7 @@ fn delta_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// The open (unsealed) segment's start LSN, from the WAL manifest image
-/// (bytes 24..32 of `"LLOGWMF1" | base | master | open_start | ...`).
+/// (bytes 24..32 of `"LLOGWMF2" | base | master | open_start | ...`).
 fn manifest_open_start(dir: &Path) -> u64 {
     let raw = std::fs::read(dir.join(LOG_SUBDIR).join(WAL_MANIFEST)).unwrap();
     u64::from_le_bytes(raw[24..32].try_into().unwrap())
