@@ -675,10 +675,6 @@ fn fuzz_backend_diff(n_ops: usize, material: u64) -> Result<(), String> {
     let cfg = DeviceConfig {
         segment_bytes: rng.random_range(32usize..160),
         compact_chain: rng.random_range(2usize..5),
-        // Half the runs take the segment fast path (preallocated blobs,
-        // recycling pool) so recycled-ghost rejection and tail
-        // normalization face the same fault plans as the legacy layout.
-        preallocate: rng.random_range(0usize..2) == 1,
         recycle_pool: rng.random_range(0usize..3),
     };
     let dir =

@@ -53,9 +53,7 @@ pub fn open_served(
     } else {
         shards.max(1)
     };
-    // Served logs take the hot-path device shape: segments preallocated to
-    // their cap ahead of the append cursor, truncated ones recycled.
-    let cfg = DeviceConfig::default().with_fast_segments(2);
+    let cfg = DeviceConfig::default();
     let mut backends = Vec::with_capacity(shards);
     for i in 0..shards {
         backends.push(DurabilityBackend::file(

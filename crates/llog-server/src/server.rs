@@ -882,9 +882,6 @@ mod tests {
         fn put(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
             self.inner.put(name, bytes)
         }
-        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-            self.inner.append(name, bytes)
-        }
         fn write_at(&mut self, name: &str, offset: u64, bytes: &[u8]) -> Result<()> {
             self.inner.write_at(name, offset, bytes)
         }

@@ -1,7 +1,7 @@
 //! Blob substrate shared by both durability backends.
 //!
 //! A [`BlobStore`] is a flat namespace of named byte blobs with whole-blob
-//! `put`, byte-range `append`, `get`, `delete` and `sync`. The segmented log
+//! `put`, in-place `write_at`, `rename`, `get`, `delete` and `sync`. The segmented log
 //! and the incremental checkpoint store are written *once*, generically over
 //! `B: BlobStore`, so the in-memory backend ([`MemBlobs`]) and the real-file
 //! backend ([`FileBlobs`]) execute byte-for-byte identical logic — the
@@ -23,11 +23,9 @@ use llog_types::{LlogError, Result};
 pub trait BlobStore: Send + std::fmt::Debug {
     /// Replace the blob `name` with `bytes` (whole-blob write).
     fn put(&mut self, name: &str, bytes: &[u8]) -> Result<()>;
-    /// Append `bytes` to the blob `name`, creating it if absent.
-    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()>;
     /// Overwrite `bytes` at byte `offset` within the blob `name`, creating
     /// the blob (zero-filled up to `offset`) or extending it as needed. The
-    /// in-place write a preallocated segment needs: the file never grows in
+    /// in-place write a log segment needs: the file never grows in
     /// steady state, so no metadata update rides the hot path.
     fn write_at(&mut self, name: &str, offset: u64, bytes: &[u8]) -> Result<()>;
     /// Rename the blob `from` to `to`, replacing any blob already at `to`.
@@ -61,14 +59,6 @@ impl MemBlobs {
 impl BlobStore for MemBlobs {
     fn put(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
         self.blobs.insert(name.to_string(), bytes.to_vec());
-        Ok(())
-    }
-
-    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-        self.blobs
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(bytes);
         Ok(())
     }
 
@@ -121,7 +111,7 @@ pub struct FileBlobs {
     root: PathBuf,
     /// Blobs written since the last sync (each gets a `sync_all`).
     pending_sync: Vec<String>,
-    /// Write handles of blobs written in place (`write_at`, `append`) since
+    /// Write handles of blobs written in place (`write_at`) since
     /// they were materialized; `put`, `rename` and `delete` drop theirs. A
     /// sync keeps only the handles it covered a write to, so the open log
     /// segment is opened once per rotation while a sealed one closes.
@@ -149,6 +139,18 @@ impl FileBlobs {
     /// The directory this blob store lives in.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    /// Append `bytes` to the blob `name`, creating it if absent. No device
+    /// writes this way; it stays for the benchmark's device-floor probe
+    /// until that probe moves to `write_at` (ROADMAP 3).
+    pub fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+        use std::io::{Seek as _, SeekFrom, Write as _};
+        self.note_write(name);
+        let mut f = self.handle(name)?;
+        f.seek(SeekFrom::End(0))
+            .and_then(|_| f.write_all(bytes))
+            .map_err(|e| io_err(&self.path_of(name), e))
     }
 
     fn path_of(&self, name: &str) -> PathBuf {
@@ -184,15 +186,6 @@ impl BlobStore for FileBlobs {
         std::fs::write(&path, bytes).map_err(|e| io_err(&path, e))?;
         self.note_write(name);
         Ok(())
-    }
-
-    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-        use std::io::{Seek as _, SeekFrom, Write as _};
-        self.note_write(name);
-        let mut f = self.handle(name)?;
-        f.seek(SeekFrom::End(0))
-            .and_then(|_| f.write_all(bytes))
-            .map_err(|e| io_err(&self.path_of(name), e))
     }
 
     fn write_at(&mut self, name: &str, offset: u64, bytes: &[u8]) -> Result<()> {
@@ -282,9 +275,9 @@ mod tests {
     fn exercise<B: BlobStore>(b: &mut B) {
         assert_eq!(b.get("a").unwrap(), None);
         b.put("a", b"hello").unwrap();
-        b.append("a", b" world").unwrap();
+        b.write_at("a", 5, b" world").unwrap();
         assert_eq!(b.get("a").unwrap().unwrap(), b"hello world");
-        b.append("fresh", b"x").unwrap();
+        b.write_at("fresh", 0, b"x").unwrap();
         assert_eq!(b.get("fresh").unwrap().unwrap(), b"x");
         b.put("a", b"replaced").unwrap();
         assert_eq!(b.get("a").unwrap().unwrap(), b"replaced");
@@ -392,7 +385,7 @@ mod tests {
         let mut b = FileBlobs::open(&dir).unwrap();
         b.write_at("seg-1", 0, b"one").unwrap();
         b.sync().unwrap();
-        b.append("seg-1", b"+").unwrap();
+        b.write_at("seg-1", 3, b"+").unwrap();
         b.sync().unwrap();
         assert!(b.handles.contains_key("seg-1"), "written again: kept");
         b.write_at("seg-2", 0, b"two").unwrap();

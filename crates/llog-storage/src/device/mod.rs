@@ -41,14 +41,9 @@ pub struct DeviceConfig {
     /// Fold the checkpoint-manifest chain into one full image once it holds
     /// this many deltas.
     pub compact_chain: usize,
-    /// Preallocate each open WAL segment blob to its full size (header +
-    /// zero fill, one write) when it is first materialized, so steady-state
-    /// appends overwrite in place and never grow the file.
-    pub preallocate: bool,
     /// Retired segment blobs parked for recycling instead of deletion at
     /// truncation reclaim; rotation adopts one (rename + header re-stamp)
-    /// instead of creating a segment cold. `0` disables the pool; has no
-    /// effect unless `preallocate` is on.
+    /// instead of creating a segment cold. `0` disables the pool.
     pub recycle_pool: usize,
 }
 
@@ -57,8 +52,7 @@ impl Default for DeviceConfig {
         DeviceConfig {
             segment_bytes: 32 * 1024,
             compact_chain: 16,
-            preallocate: false,
-            recycle_pool: 0,
+            recycle_pool: 2,
         }
     }
 }
@@ -74,10 +68,10 @@ impl DeviceConfig {
         }
     }
 
-    /// Enable the segment fast path: preallocated open segments plus a
-    /// recycling pool of `pool` retired segments.
+    /// Set the recycling pool to `pool` retired segments. Stays until the
+    /// benchmark drivers stop calling it (ROADMAP 3(f)); every segment is
+    /// preallocated and headered whatever the pool.
     pub fn with_fast_segments(mut self, pool: usize) -> DeviceConfig {
-        self.preallocate = true;
         self.recycle_pool = pool;
         self
     }

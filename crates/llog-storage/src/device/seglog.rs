@@ -2,20 +2,19 @@
 //!
 //! Layout (blob names):
 //! - `seg-{start:016x}.llog` — WAL frame bytes whose first byte sits at
-//!   absolute LSN `start`. Two physical layouts, distinguished by an
-//!   8-byte magic sniff:
-//!   - *legacy*: raw frame bytes, file length == logical length;
-//!   - *preallocated*: `"LLOGSEG1" | start u64 | frames | zero fill`,
-//!     physical length fixed at `16 + segment_bytes` so steady-state
-//!     appends overwrite in place and never grow the file. The zero fill
-//!     (and any stale frames left by recycling) is rejected at load by the
-//!     address-bound frame CRC: a frame checksums only at the exact LSN it
-//!     was appended at, and `frame_crc(lsn, "") != 0`.
+//!   absolute LSN `start`, laid out as `"LLOGSEG1" | start u64 | frames |
+//!   zero fill`. Each blob is preallocated at `16 + segment_bytes` when its
+//!   segment opens, so steady-state appends overwrite in place and never
+//!   grow the file. The zero fill (and any stale frames left by recycling)
+//!   is rejected at load by the address-bound frame CRC: a frame checksums
+//!   only at the exact LSN it was appended at, and `frame_crc(lsn, "") != 0`.
 //!
 //!   The manifest carries length + CRC for every *sealed* segment (over the
-//!   logical frame bytes only). The open (tail) segment is unsealed: its
-//!   bytes are validated by the frame-level scan at recovery, exactly like
-//!   the in-memory WAL's unforced tail.
+//!   frame bytes behind the header). The open (tail) segment is unsealed:
+//!   load clips it where valid frames end, and the frame-level scan at
+//!   recovery validates what remains, exactly like the in-memory WAL's
+//!   unforced tail. A segment blob without the header (the unheadered
+//!   layout of earlier, unreleased builds) is a `Codec` error at load.
 //! - `pool-{start:016x}.llog` — a retired segment parked for recycling
 //!   (`start` is from its previous life). Rotation adopts one by rename +
 //!   header re-stamp instead of creating a segment cold.
@@ -51,7 +50,7 @@ const MANIFEST_MAGIC: &[u8; 8] = b"LLOGWMF2";
 /// The magic of devices whose frames hold fixed-width records.
 const FIXED_WIDTH_MAGIC: &[u8; 8] = b"LLOGWMF1";
 const SEG_MAGIC: &[u8; 8] = b"LLOGSEG1";
-/// Physical header of a preallocated segment blob: magic + start LSN.
+/// Physical header of a segment blob: magic + start LSN.
 pub const SEG_HEADER: usize = 16;
 
 /// Blob name of the segment whose first byte is at absolute LSN `start`.
@@ -65,7 +64,7 @@ fn pool_name(start: Lsn) -> String {
     format!("pool-{:016x}.llog", start.0)
 }
 
-/// `Some(previous start)` when `bytes` carries a preallocated-segment header.
+/// `Some(start)` when `bytes` carries a segment header.
 fn sniff_header(bytes: &[u8]) -> Option<u64> {
     if bytes.len() >= SEG_HEADER && &bytes[..8] == SEG_MAGIC {
         Some(u64::from_le_bytes(bytes[8..16].try_into().unwrap()))
@@ -165,18 +164,13 @@ pub struct SegLog<B: BlobStore> {
     /// bytes beyond the corruption.
     wounded: Option<Lsn>,
     dirty_manifest: bool,
-    /// Preallocate open segments to full size (see [`DeviceConfig`]).
-    preallocate: bool,
     /// Retired segments kept for recycling (0 disables the pool).
     recycle_cap: usize,
     /// Parked retired-segment blob names available for recycling.
     pool: Vec<String>,
     /// Whether the open segment's blob has been materialized this rotation
-    /// (recycled, preallocated, or — legacy — lazily created by append).
+    /// (recycled or preallocated) with this segment's header.
     open_blob_ready: bool,
-    /// Whether the open segment's blob carries the preallocated header, so
-    /// appends know to write in place past it rather than append.
-    open_headered: bool,
     /// The parts `attach` read, handed to the first `load_parts` so a boot
     /// reads every segment once. Dropped by the first write to the device,
     /// after which `load_parts` reads the blobs again.
@@ -188,9 +182,9 @@ pub struct SegLog<B: BlobStore> {
 struct Image {
     parts: LogParts,
     manifest: ManifestState,
-    /// The open segment blob's sniffed header: `None` when the blob is
-    /// absent, `Some(None)` for a legacy (unheadered) blob.
-    open_header: Option<Option<u64>>,
+    /// The start stamped in the open segment blob's header: `None` when the
+    /// blob is absent or holds no header yet.
+    open_header: Option<u64>,
 }
 
 /// In-memory log device (the fuzz-fast deterministic backend).
@@ -236,11 +230,9 @@ impl<B: BlobStore> SegLog<B> {
             open: Vec::new(),
             wounded: None,
             dirty_manifest: true,
-            preallocate: cfg.preallocate,
             recycle_cap: cfg.recycle_pool,
             pool: Vec::new(),
             open_blob_ready: false,
-            open_headered: false,
             primed: Mutex::new(None),
         }
     }
@@ -271,26 +263,14 @@ impl<B: BlobStore> SegLog<B> {
                 d.master = manifest.master;
                 d.sealed = manifest.sealed;
                 d.open_start = manifest.open_start;
-                // `read_image` normalizes a preallocated tail (clips zero
-                // fill and stale recycled frames), so the in-memory mirror
-                // tracks only real frame bytes.
+                // `read_image` normalizes the tail (clips zero fill and
+                // stale recycled frames), so the in-memory mirror tracks
+                // only real frame bytes.
                 let off = (d.open_start.0 - d.base.0) as usize;
                 d.open = parts.bytes.get(off..).unwrap_or_default().to_vec();
-                match open_header {
-                    Some(Some(start)) if start == d.open_start.0 => {
-                        d.open_headered = true;
-                        d.open_blob_ready = true;
-                    }
-                    // A stale header means a crash landed between the
-                    // recycle rename and the re-stamp: nothing from this
-                    // life was written, rebuild on next append.
-                    Some(Some(_)) => d.open_blob_ready = false,
-                    Some(None) => {
-                        d.open_headered = false;
-                        d.open_blob_ready = true;
-                    }
-                    None => d.open_blob_ready = false,
-                }
+                // A blob without this segment's header holds nothing from
+                // this life: the next append materializes it afresh.
+                d.open_blob_ready = open_header == Some(d.open_start.0);
                 d.dirty_manifest = false;
                 d.primed = Mutex::new(Some(parts));
             }
@@ -375,48 +355,38 @@ impl<B: BlobStore> SegLog<B> {
         // Sealing is pure bookkeeping — the sealed blob keeps its name; the
         // next append materializes the next open blob.
         self.open_blob_ready = false;
-        self.open_headered = false;
         self.dirty_manifest = true;
         Metrics::bump(&self.metrics.segments_rotated, 1);
     }
 
     /// Materialize the open segment's blob if this rotation has not yet:
     /// recycle a parked retired segment (rename + header re-stamp), or
-    /// preallocate a fresh one to full size, or — legacy mode — leave it to
-    /// `append` to create lazily.
+    /// preallocate a fresh one to full size. Either replaces whatever a
+    /// crash left at the name (a half-recycled or unwritten blob).
     fn ensure_open_blob(&mut self, name: &str) -> Result<()> {
         if self.open_blob_ready {
             return Ok(());
         }
-        if self.preallocate {
-            let hdr = seg_header(self.open_start);
-            match self.pool.pop() {
-                Some(parked) => {
-                    // Adopt the retired blob, then re-stamp its header with
-                    // the new start address. Its previous life's frames stay
-                    // beyond the header; the address-bound frame CRC rejects
-                    // them at load, so they can never resurrect.
-                    self.blobs.rename(&parked, name)?;
-                    self.blobs.write_at(name, 0, &hdr)?;
-                    Metrics::bump(&self.metrics.io_bytes_written, SEG_HEADER as u64);
-                    Metrics::bump(&self.metrics.segments_recycled, 1);
-                }
-                None => {
-                    // Pay the full-size write (and its metadata update) once
-                    // here so steady-state appends never grow the file.
-                    let mut img = vec![0u8; SEG_HEADER + self.segment_bytes];
-                    img[..SEG_HEADER].copy_from_slice(&hdr);
-                    Metrics::bump(&self.metrics.io_bytes_written, img.len() as u64);
-                    self.blobs.put(name, &img)?;
-                }
+        let hdr = seg_header(self.open_start);
+        match self.pool.pop() {
+            Some(parked) => {
+                // Adopt the retired blob, then re-stamp its header with the
+                // new start address. Its previous life's frames stay beyond
+                // the header; the address-bound frame CRC rejects them at
+                // load, so they can never resurrect.
+                self.blobs.rename(&parked, name)?;
+                self.blobs.write_at(name, 0, &hdr)?;
+                Metrics::bump(&self.metrics.io_bytes_written, SEG_HEADER as u64);
+                Metrics::bump(&self.metrics.segments_recycled, 1);
             }
-            self.open_headered = true;
-        } else {
-            // Legacy unheadered tail, created lazily by `append`. A
-            // half-recycled blob (stale header) may sit at this name after
-            // a crash; drop it so appends start clean.
-            self.blobs.delete(name)?;
-            self.open_headered = false;
+            None => {
+                // Pay the full-size write (and its metadata update) once
+                // here so steady-state appends never grow the file.
+                let mut img = vec![0u8; SEG_HEADER + self.segment_bytes];
+                img[..SEG_HEADER].copy_from_slice(&hdr);
+                Metrics::bump(&self.metrics.io_bytes_written, img.len() as u64);
+                self.blobs.put(name, &img)?;
+            }
         }
         self.open_blob_ready = true;
         Ok(())
@@ -499,12 +469,8 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
                 let (chunk, tail) = rest.split_at(take);
                 let name = segment_name(self.open_start);
                 self.ensure_open_blob(&name)?;
-                if self.open_headered {
-                    let at = (SEG_HEADER + self.open.len()) as u64;
-                    self.blobs.write_at(&name, at, chunk)?;
-                } else {
-                    self.blobs.append(&name, chunk)?;
-                }
+                let at = (SEG_HEADER + self.open.len()) as u64;
+                self.blobs.write_at(&name, at, chunk)?;
                 self.open.extend_from_slice(chunk);
                 rest = tail;
                 if self.open.len() >= self.segment_bytes {
@@ -561,13 +527,9 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
         Metrics::bump(&self.metrics.io_fsyncs, 1);
         for seg in &dropped {
             let name = segment_name(seg.start);
-            // Park headered retirees for recycling up to the pool cap;
-            // everything else is deleted as before. Only headered blobs are
-            // recyclable — adoption re-stamps a header in place.
-            let park = self.preallocate
-                && self.pool.len() < self.recycle_cap
-                && matches!(self.blobs.get(&name)?, Some(b) if sniff_header(&b).is_some());
-            if park {
+            // Park retirees for recycling up to the pool cap; delete the
+            // rest.
+            if self.pool.len() < self.recycle_cap {
                 let parked = pool_name(seg.start);
                 self.blobs.rename(&name, &parked)?;
                 self.pool.push(parked);
@@ -582,10 +544,10 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
     fn reset(&mut self, base: Lsn, faults: Option<&FaultHost>) -> Result<()> {
         self.unprime();
         // A reset retires segments just as a truncation reclaim does, so
-        // park headered (preallocated) blobs for recycling up to the pool
-        // cap instead of wasting them: a fully-truncating checkpoint (all
-        // work installed, the WAL base jumping past the device end) must
-        // not cost the next rotations their warm segments. Surviving
+        // park them for recycling up to the pool cap instead of wasting
+        // them: a fully-truncating checkpoint (all work installed, the WAL
+        // base jumping past the device end) must not cost the next
+        // rotations their warm segments. Surviving
         // parked blobs are kept first; the manifest written below never
         // names pool blobs, so a crash mid-reset leaves only harmless
         // orphans that `attach` re-pools.
@@ -594,10 +556,8 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
         for name in self.blobs.list()? {
             if let Some(rest) = name.strip_prefix("seg-") {
                 let parked = format!("pool-{rest}");
-                let park = self.preallocate
-                    && pool.len() + self.pool.len() < self.recycle_cap
-                    && !self.pool.contains(&parked)
-                    && matches!(self.blobs.get(&name)?, Some(b) if sniff_header(&b).is_some());
+                let park =
+                    pool.len() + self.pool.len() < self.recycle_cap && !self.pool.contains(&parked);
                 if park {
                     self.blobs.rename(&name, &parked)?;
                     pool.push(parked);
@@ -616,7 +576,6 @@ impl<B: BlobStore> LogDevice for SegLog<B> {
             }
         }
         self.open_blob_ready = false;
-        self.open_headered = false;
         // A reset over live segments reclaims their space just as a
         // truncation does; count it so "durable bytes dropped" is always
         // visible in the stats.
@@ -672,41 +631,35 @@ impl<B: BlobStore> SegLog<B> {
                     segment_name(seg.start)
                 )));
             };
-            // Manifest length and CRC cover the logical frame bytes only;
-            // a preallocated blob carries them behind its header.
-            let logical: &[u8] = match sniff_header(&content) {
+            // Manifest length and CRC cover the frame bytes behind the
+            // header.
+            match sniff_header(&content) {
+                Some(start) if start == seg.start.0 => {}
                 Some(start) => {
-                    if start != seg.start.0 {
-                        return Err(err(format!(
-                            "segment {}: header start {} != manifest {}",
-                            segment_name(seg.start),
-                            start,
-                            seg.start.0
-                        )));
-                    }
-                    let end = SEG_HEADER + seg.len as usize;
-                    if content.len() < end {
-                        return Err(err(format!(
-                            "segment {}: length {} < manifest {}",
-                            segment_name(seg.start),
-                            content.len().saturating_sub(SEG_HEADER),
-                            seg.len
-                        )));
-                    }
-                    &content[SEG_HEADER..end]
+                    return Err(err(format!(
+                        "segment {}: header start {} != manifest {}",
+                        segment_name(seg.start),
+                        start,
+                        seg.start.0
+                    )))
                 }
                 None => {
-                    if content.len() as u64 != seg.len {
-                        return Err(err(format!(
-                            "segment {}: length {} != manifest {}",
-                            segment_name(seg.start),
-                            content.len(),
-                            seg.len
-                        )));
-                    }
-                    &content
+                    return Err(err(format!(
+                        "segment {}: no segment header",
+                        segment_name(seg.start)
+                    )))
                 }
-            };
+            }
+            let end = SEG_HEADER + seg.len as usize;
+            if content.len() < end {
+                return Err(err(format!(
+                    "segment {}: length {} < manifest {}",
+                    segment_name(seg.start),
+                    content.len() - SEG_HEADER,
+                    seg.len
+                )));
+            }
+            let logical = &content[SEG_HEADER..end];
             if crc32c(logical) != seg.crc {
                 return Err(err(format!(
                     "segment {}: checksum mismatch",
@@ -722,25 +675,28 @@ impl<B: BlobStore> SegLog<B> {
                 m.open_start.0, expect.0
             )));
         }
-        // The open (tail) segment is unsealed. A legacy tail is read raw
-        // (the frame-level recovery scan validates it, torn tails clipped
-        // at-or-after `tail_guard`); a preallocated tail is normalized here
-        // — header stripped, then zero fill and stale recycled frames
-        // clipped by walking address-bound frame CRCs.
-        let tail = self.blobs.get(&segment_name(m.open_start))?;
-        let open_header = tail.as_deref().map(sniff_header);
-        match (&tail, open_header) {
-            // A header stamped with a different start is a half-recycled
-            // blob (crash between the adoption rename and the re-stamp):
-            // nothing from this life was written.
-            (Some(tail), Some(Some(start))) if start == m.open_start.0 => {
+        // The open (tail) segment is unsealed: its header is stripped, then
+        // zero fill and stale recycled frames are clipped by walking
+        // address-bound frame CRCs. A blob that is absent or all zero (a
+        // crash before its first write reached the disk) or stamped with
+        // another start (a crash between a recycle's rename and its
+        // re-stamp) holds nothing from this life: the tail is empty.
+        let name = segment_name(m.open_start);
+        let tail = self.blobs.get(&name)?.unwrap_or_default();
+        let open_header = sniff_header(&tail);
+        match open_header {
+            Some(start) if start == m.open_start.0 => {
                 bytes.extend_from_slice(&tail[SEG_HEADER..]);
+                clip_tail(m.base, m.master, m.open_start, &mut bytes);
             }
-            (Some(tail), Some(None)) => bytes.extend_from_slice(tail),
-            _ => {}
-        }
-        if matches!(open_header, Some(Some(_))) {
-            clip_preallocated_tail(m.base, m.master, m.open_start, &mut bytes);
+            Some(_) => {}
+            None if tail.iter().all(|&b| b == 0) => {}
+            None => {
+                return Err(err(format!(
+                    "segment {name}: open tail without a segment header \
+                     (the unheadered layout, which this build does not read)"
+                )))
+            }
         }
         if m.master != Lsn::ZERO && m.master < m.base {
             return Err(err(format!(
@@ -761,16 +717,15 @@ impl<B: BlobStore> SegLog<B> {
     }
 }
 
-/// Normalize a preallocated open tail: clip `bytes` where real frames end
-/// and zero fill (or a recycled segment's stale frames) begins.
+/// Normalize the open tail: clip `bytes` where real frames end and zero
+/// fill (or a recycled segment's stale frames) begins.
 ///
 /// Walks frame length fields from the anchor to the last frame boundary at
 /// or below the open segment's start (sealed bytes are CRC-verified, so the
 /// fields are trustworthy), then validates address-bound frame CRCs forward
 /// from there; the first invalid frame marks the cut. The cut never lands
 /// below `open_start` — an incomplete frame straddling the sealed/open
-/// boundary is left for the WAL's guarded scan to classify, exactly as with
-/// a legacy tail.
+/// boundary is left for the WAL's guarded scan to classify.
 ///
 /// The anchor is the master checkpoint when it sits above the base, not the
 /// base itself: segment reclaim is byte-granular, so when every sealed
@@ -779,7 +734,7 @@ impl<B: BlobStore> SegLog<B> {
 /// a base reads garbage length fields and would clip live frames; the
 /// master always names a real frame start at or above the WAL's logical
 /// start, and recovery's own scan never reads below it.
-fn clip_preallocated_tail(base: Lsn, master: Lsn, open_start: Lsn, bytes: &mut Vec<u8>) {
+fn clip_tail(base: Lsn, master: Lsn, open_start: Lsn, bytes: &mut Vec<u8>) {
     let target = (open_start.0 - base.0) as usize;
     let mut at = (master.0.saturating_sub(base.0)) as usize;
     while at < target {
@@ -880,17 +835,25 @@ mod tests {
 
     #[test]
     fn append_force_load_roundtrip() {
-        let mut d = mem(8);
-        assert_eq!(d.append(Lsn(1), b"abcde", None).unwrap(), 5);
-        assert_eq!(d.append(Lsn(6), b"fghij", None).unwrap(), 5);
+        let mut d = mem(16);
+        let stream = frames(1, &[b"abcde", b"fghij"]);
+        assert_eq!(d.append(Lsn(1), &stream[..13], None).unwrap(), 13);
+        assert_eq!(d.append(Lsn(14), &stream[13..], None).unwrap(), 13);
         d.force(None).unwrap();
-        assert_eq!(d.end(), Lsn(11));
+        assert_eq!(d.end(), Lsn(27));
         let parts = d.load_parts().unwrap().unwrap();
         assert_eq!(parts.base, Lsn(1));
-        assert_eq!(parts.bytes, b"abcdefghij");
-        // 10 bytes over 8-byte segments: one sealed [1,9), open at 9.
-        assert_eq!(parts.tail_guard, Lsn(9));
+        assert_eq!(parts.master, Lsn::ZERO);
+        assert_eq!(parts.bytes, stream);
+        // 26 bytes over 16-byte segments: one sealed [1,17), open at 17.
+        assert_eq!(parts.tail_guard, Lsn(17));
         assert_eq!(d.metrics.snapshot().segments_rotated, 1);
+        // Every segment blob is headered and preallocated to full size.
+        for start in [1, 17] {
+            let blob = d.blobs.get(&segment_name(Lsn(start))).unwrap().unwrap();
+            assert_eq!(blob.len(), SEG_HEADER + 16);
+            assert_eq!(sniff_header(&blob), Some(start));
+        }
     }
 
     #[test]
@@ -901,11 +864,13 @@ mod tests {
 
     #[test]
     fn attach_hands_its_read_to_the_first_load_only() {
-        let mut w = mem(4);
-        w.append(Lsn(1), &[7u8; 10], None).unwrap();
+        let mut w = mem(16);
+        let stream = frames(1, &[b"aaaa", b"bbbbbbbbbb"]);
+        w.append(Lsn(1), &stream, None).unwrap();
         w.force(None).unwrap();
         let want = w.load_parts().unwrap();
-        let attach = || SegLog::attach(w.blobs.clone(), Metrics::new(), &cfg(4), "mem", Lsn(1));
+        assert_eq!(want.as_ref().unwrap().bytes, stream);
+        let attach = || SegLog::attach(w.blobs.clone(), Metrics::new(), &cfg(16), "mem", Lsn(1));
         let mut d = attach().unwrap();
         assert_eq!(d.load_parts().unwrap(), want);
         assert!(
@@ -915,9 +880,13 @@ mod tests {
         assert_eq!(d.load_parts().unwrap(), want, "a second load reads again");
         // A write drops the primed parts: the load sees the current bytes.
         let mut d = attach().unwrap();
-        d.append(Lsn(11), &[8u8; 3], None).unwrap();
+        let more = frames(31, &[b"ccc"]);
+        d.append(Lsn(31), &more, None).unwrap();
         d.force(None).unwrap();
-        assert_eq!(d.load_parts().unwrap().unwrap().bytes.len(), 13);
+        assert_eq!(
+            d.load_parts().unwrap().unwrap().bytes,
+            [stream, more].concat()
+        );
     }
 
     #[test]
@@ -930,29 +899,32 @@ mod tests {
 
     #[test]
     fn rotation_splits_large_appends() {
-        let mut d = mem(4);
-        let payload: Vec<u8> = (0..23u8).collect();
-        assert_eq!(d.append(Lsn(1), &payload, None).unwrap(), 23);
+        let mut d = mem(16);
+        let stream = frames(1, &[&[1; 20], &[2; 15], &[3; 9], &[4; 11]]);
+        assert_eq!(stream.len(), 87);
+        assert_eq!(d.append(Lsn(1), &stream, None).unwrap(), 87);
         d.force(None).unwrap();
         let parts = d.load_parts().unwrap().unwrap();
-        assert_eq!(parts.bytes, payload);
-        // 23 bytes over 4-byte segments: 5 sealed, open holds 3.
+        assert_eq!(parts.bytes, stream);
+        // 87 bytes over 16-byte segments: 5 sealed, open holds 7.
         assert_eq!(d.metrics.snapshot().segments_rotated, 5);
-        assert_eq!(parts.tail_guard, Lsn(21));
+        assert_eq!(parts.tail_guard, Lsn(81));
+        assert_eq!(d.blobs.list().unwrap().len(), 7, "6 segments + manifest");
     }
 
     #[test]
     fn truncate_below_reclaims_whole_segments() {
-        let mut d = mem(4);
-        d.append(Lsn(1), &[7u8; 14], None).unwrap();
+        let mut d = mem(16);
+        let stream = frames(1, &[b"aaaaaaaa", b"bbbbbbbb", b"cccccccc", b"dddd"]);
+        d.append(Lsn(1), &stream, None).unwrap();
         d.force(None).unwrap();
-        // Segments: [1,5) [5,9) [9,13) sealed, open [13,15).
-        let reclaimed = d.truncate_below(Lsn(10), None).unwrap();
-        assert_eq!(reclaimed, 2, "only whole segments below 10 drop");
-        assert_eq!(d.start(), Lsn(9));
+        // Segments: [1,17) [17,33) [33,49) sealed, open [49,61).
+        let reclaimed = d.truncate_below(Lsn(40), None).unwrap();
+        assert_eq!(reclaimed, 2, "only whole segments below 40 drop");
+        assert_eq!(d.start(), Lsn(33));
         let parts = d.load_parts().unwrap().unwrap();
-        assert_eq!(parts.base, Lsn(9));
-        assert_eq!(parts.bytes.len(), 6);
+        assert_eq!(parts.base, Lsn(33));
+        assert_eq!(parts.bytes, &stream[32..]);
         assert_eq!(d.metrics.snapshot().segments_reclaimed, 2);
         // Truncating below the base is a no-op.
         assert_eq!(d.truncate_below(Lsn(3), None).unwrap(), 0);
@@ -963,10 +935,10 @@ mod tests {
         let mut d = mem(4);
         d.append(Lsn(1), &[9u8; 10], None).unwrap();
         d.force(None).unwrap();
-        // Corrupt the first sealed segment's blob directly.
+        // Corrupt a frame byte of the first sealed segment's blob directly.
         let name = segment_name(Lsn(1));
         let mut seg = d.blobs.get(&name).unwrap().unwrap();
-        seg[1] ^= 0x40;
+        seg[SEG_HEADER + 1] ^= 0x40;
         d.blobs.put(&name, &seg).unwrap();
         let err = d.load_parts().unwrap_err();
         assert!(matches!(err, LlogError::Codec { .. }), "got {err}");
@@ -980,6 +952,83 @@ mod tests {
         d.blobs.delete(&segment_name(Lsn(5))).unwrap();
         let err = d.load_parts().unwrap_err();
         assert!(matches!(err, LlogError::Codec { .. }), "got {err}");
+    }
+
+    /// A device over 16-byte segments holding one sealed segment [1,17) and
+    /// an open one [17,27), forced.
+    fn sealed_and_open() -> (MemLogDevice, Vec<u8>) {
+        let mut d = mem(16);
+        let stream = frames(1, &[b"aaaaaaaa", b"bb"]);
+        d.append(Lsn(1), &stream, None).unwrap();
+        d.force(None).unwrap();
+        assert_eq!(d.load_parts().unwrap().unwrap().tail_guard, Lsn(17));
+        (d, stream)
+    }
+
+    fn codec_reason(r: Result<Option<LogParts>>) -> String {
+        match r {
+            Err(LlogError::Codec { reason }) => reason,
+            other => panic!("expected a Codec error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_sealed_segment_without_its_header_is_codec() {
+        let (mut d, stream) = sealed_and_open();
+        let name = segment_name(Lsn(1));
+        // The unheadered layout: the frame bytes alone, CRC-valid.
+        d.blobs.put(&name, &stream[..16]).unwrap();
+        let reason = codec_reason(d.load_parts());
+        assert!(reason.contains("no segment header"), "{reason}");
+        // A header stamped with another start is refused too.
+        d.blobs
+            .put(&name, &[&seg_header(Lsn(2))[..], &stream[..16]].concat())
+            .unwrap();
+        let reason = codec_reason(d.load_parts());
+        assert!(reason.contains("header start 2 != manifest 1"), "{reason}");
+    }
+
+    #[test]
+    fn an_open_tail_with_nothing_from_this_life_loads_empty() {
+        let (d, stream) = sealed_and_open();
+        let name = segment_name(Lsn(17));
+        let full = SEG_HEADER + 16;
+        let stale = [&seg_header(Lsn(99))[..], &stream[16..], &[0; 6]].concat();
+        let tails: [Option<Vec<u8>>; 4] =
+            [None, Some(Vec::new()), Some(vec![0; full]), Some(stale)];
+        for tail in tails {
+            let mut blobs = d.blobs.clone();
+            match &tail {
+                None => blobs.delete(&name).unwrap(),
+                Some(bytes) => blobs.put(&name, bytes).unwrap(),
+            }
+            let mut r = SegLog::attach(blobs, Metrics::new(), &cfg(16), "mem", Lsn(1)).unwrap();
+            let parts = r.load_parts().unwrap().unwrap();
+            assert_eq!(parts.bytes, &stream[..16], "tail {tail:?}");
+            assert_eq!(r.end(), Lsn(17));
+            // The next append stamps a fresh blob over whatever was there.
+            let more = frames(17, &[b"cc"]);
+            r.append(Lsn(17), &more, None).unwrap();
+            r.force(None).unwrap();
+            let blob = r.blobs.get(&name).unwrap().unwrap();
+            assert_eq!(blob.len(), full);
+            assert_eq!(sniff_header(&blob), Some(17));
+            let parts = r.load_parts().unwrap().unwrap();
+            assert_eq!(parts.bytes, [&stream[..16], &more[..]].concat());
+        }
+    }
+
+    #[test]
+    fn an_unheadered_open_tail_is_codec_not_frames() {
+        let (mut d, stream) = sealed_and_open();
+        let name = segment_name(Lsn(17));
+        // Valid frames at the right address, but no header: never read as
+        // raw frames, never emptied.
+        d.blobs.put(&name, &stream[16..]).unwrap();
+        let reason = codec_reason(d.load_parts());
+        assert!(reason.contains("unheadered layout"), "{reason}");
+        let attached = SegLog::attach(d.blobs.clone(), Metrics::new(), &cfg(16), "mem", Lsn(1));
+        assert!(matches!(attached, Err(LlogError::Codec { .. })));
     }
 
     #[test]
@@ -1020,21 +1069,26 @@ mod tests {
     #[test]
     fn torn_append_persists_clean_prefix_only() {
         let mut d = mem(64);
+        let stream = frames(1, &[b"abcdef", b"ghij"]);
         let h = FaultHost::new();
         h.arm(
             failpoint::DEV_LOG_APPEND,
-            FaultKind::TornWrite { at_byte: 3 },
+            FaultKind::TornWrite { at_byte: 20 },
         );
-        assert_eq!(d.append(Lsn(1), b"abcdef", Some(&h)).unwrap(), 3);
+        assert_eq!(d.append(Lsn(1), &stream, Some(&h)).unwrap(), 20);
         d.force(None).unwrap();
+        // The load clips the torn second frame; a device attached to the
+        // image resumes after the first.
         let parts = d.load_parts().unwrap().unwrap();
-        assert_eq!(parts.bytes, b"abc");
+        assert_eq!(parts.bytes, &stream[..14]);
+        let resumed = SegLog::attach(d.blobs.clone(), Metrics::new(), &cfg(64), "mem", Lsn(1));
+        assert_eq!(resumed.unwrap().end(), Lsn(15));
         // The device is not wounded (its content is a clean prefix); the
         // caller re-appends the missing suffix on the next persist.
-        assert_eq!(d.durable_end(), Lsn(4));
-        assert_eq!(d.append(Lsn(4), b"def", None).unwrap(), 3);
+        assert_eq!(d.durable_end(), Lsn(21));
+        assert_eq!(d.append(Lsn(21), &stream[20..], None).unwrap(), 6);
         d.force(None).unwrap();
-        assert_eq!(d.load_parts().unwrap().unwrap().bytes, b"abcdef");
+        assert_eq!(d.load_parts().unwrap().unwrap().bytes, stream);
     }
 
     #[test]
@@ -1084,10 +1138,6 @@ mod tests {
             .all(|n| !n.starts_with("seg-")));
     }
 
-    fn fast_cfg(seg: usize, pool: usize) -> DeviceConfig {
-        cfg(seg).with_fast_segments(pool)
-    }
-
     /// One WAL frame (`len | crc | payload`) address-bound to `lsn`.
     fn frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
@@ -1110,7 +1160,7 @@ mod tests {
 
     #[test]
     fn preallocated_tail_clips_zero_fill_on_load() {
-        let mut d = MemLogDevice::mem(Metrics::new(), &fast_cfg(64, 0), Lsn(1));
+        let mut d = mem(64);
         let stream = frames(1, &[b"alpha", b"beta"]);
         d.append(Lsn(1), &stream, None).unwrap();
         d.force(None).unwrap();
@@ -1135,7 +1185,7 @@ mod tests {
     #[test]
     fn truncation_parks_and_rotation_recycles() {
         let m = Metrics::new();
-        let mut d = MemLogDevice::mem(m.clone(), &fast_cfg(16, 2), Lsn(1));
+        let mut d = MemLogDevice::mem(m.clone(), &cfg(16), Lsn(1));
         // Three exact-fit 16-byte frames: seals [1,17) [17,33) [33,49).
         let stream = frames(1, &[b"aaaaaaaa", b"bbbbbbbb", b"cccccccc"]);
         assert_eq!(stream.len(), 48);
@@ -1166,7 +1216,7 @@ mod tests {
         // device base becomes the open segment's start — mid-frame. The
         // clip must anchor its frame walk at the master checkpoint, not the
         // base, or the garbage prefix clips the live tail.
-        let mut d = MemLogDevice::mem(Metrics::new(), &fast_cfg(16, 2), Lsn(1));
+        let mut d = mem(16);
         // Frame A: 12-byte payload = 20 bytes at [1,21): seals [1,17),
         // 4 tail bytes land in the open segment [17,33).
         let a = frame(1, b"aaaaaaaaaaaa");
@@ -1194,7 +1244,7 @@ mod tests {
     #[test]
     fn reset_parks_headered_retirees_for_recycling() {
         let m = Metrics::new();
-        let mut d = MemLogDevice::mem(m.clone(), &fast_cfg(16, 2), Lsn(1));
+        let mut d = MemLogDevice::mem(m.clone(), &cfg(16), Lsn(1));
         // Three sealed-or-open headered segments, then a reset far past
         // them (the fully-truncating-checkpoint shape: every byte below
         // the new base).
@@ -1223,7 +1273,7 @@ mod tests {
     #[test]
     fn recycled_segment_ghosts_are_rejected_at_load() {
         let m = Metrics::new();
-        let mut d = MemLogDevice::mem(m.clone(), &fast_cfg(32, 2), Lsn(1));
+        let mut d = MemLogDevice::mem(m.clone(), &cfg(32), Lsn(1));
         // Fill one segment exactly with two frames and rotate it out.
         let life1 = frames(1, &[b"aaaaaaaa", b"bbbbbbbb"]);
         assert_eq!(life1.len(), 32);
@@ -1264,14 +1314,13 @@ mod tests {
         let metrics = Metrics::new();
         let stream = frames(1, &[b"one", b"two"]);
         {
-            let mut d =
-                FileLogDevice::file(&dir, metrics.clone(), &fast_cfg(64, 2), Lsn(1)).unwrap();
+            let mut d = FileLogDevice::file(&dir, metrics.clone(), &cfg(64), Lsn(1)).unwrap();
             d.append(Lsn(1), &stream, None).unwrap();
             d.force(None).unwrap();
         }
         // Reopen: the attach normalizes the preallocated tail, so the end
         // reflects real frames, not the zero fill.
-        let mut d = FileLogDevice::file(&dir, metrics, &fast_cfg(64, 2), Lsn(1)).unwrap();
+        let mut d = FileLogDevice::file(&dir, metrics, &cfg(64), Lsn(1)).unwrap();
         assert_eq!(d.end(), Lsn(1 + stream.len() as u64));
         let next = frames(d.end().0, &[b"three"]);
         d.append(d.end(), &next, None).unwrap();
@@ -1291,7 +1340,10 @@ mod tests {
                 .unwrap()
                 .subsec_nanos()
         ));
-        let cfg = fast_cfg(16, 1);
+        let cfg = DeviceConfig {
+            recycle_pool: 1,
+            ..cfg(16)
+        };
         let mut mem = MemLogDevice::mem(Metrics::new(), &cfg, Lsn(1));
         let mut file = FileLogDevice::file(&dir, Metrics::new(), &cfg, Lsn(1)).unwrap();
         let stream = frames(1, &[b"aaaaaaaa", b"bbbbbbbb", b"cccc"]);
@@ -1318,21 +1370,23 @@ mod tests {
                 .subsec_nanos()
         ));
         let metrics = Metrics::new();
+        let stream = frames(1, &[b"aaaa", b"bbbb"]);
         {
-            let mut d = FileLogDevice::file(&dir, metrics.clone(), &cfg(4), Lsn(1)).unwrap();
-            d.append(Lsn(1), &[8u8; 10], None).unwrap();
-            d.set_master(Lsn(5));
+            let mut d = FileLogDevice::file(&dir, metrics.clone(), &cfg(16), Lsn(1)).unwrap();
+            d.append(Lsn(1), &stream, None).unwrap();
+            d.set_master(Lsn(13));
             d.force(None).unwrap();
         }
         // Reopen: resumes from the manifest and keeps appending.
-        let mut d = FileLogDevice::file(&dir, metrics, &cfg(4), Lsn(1)).unwrap();
-        assert_eq!(d.end(), Lsn(11));
-        assert_eq!(d.master(), Lsn(5));
-        d.append(Lsn(11), &[9u8; 3], None).unwrap();
+        let mut d = FileLogDevice::file(&dir, metrics, &cfg(16), Lsn(1)).unwrap();
+        assert_eq!(d.end(), Lsn(25));
+        assert_eq!(d.master(), Lsn(13));
+        let more = frames(25, &[b"c"]);
+        d.append(Lsn(25), &more, None).unwrap();
         d.force(None).unwrap();
         let parts = d.load_parts().unwrap().unwrap();
-        assert_eq!(parts.bytes.len(), 13);
-        assert_eq!(parts.master, Lsn(5));
+        assert_eq!(parts.bytes, [stream, more].concat());
+        assert_eq!(parts.master, Lsn(13));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

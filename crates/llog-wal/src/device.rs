@@ -27,8 +27,8 @@ use llog_types::{Lsn, Result};
 use crate::wal::Wal;
 
 impl Wal {
-    /// Incrementally persist the forced prefix to `dev`:
-    /// truncation-reclaim, tail append, master update, force barrier.
+    /// Incrementally persist the forced prefix to `dev`: tail append,
+    /// master update, truncation-reclaim, force barrier.
     ///
     /// Returns the device's durable LSN — the highest LSN the caller may
     /// acknowledge as device-durable. A fault verdict can leave it below
@@ -43,18 +43,22 @@ impl Wal {
             // after truncation, or a reset WAL): start it over at our base.
             dev.reset(base, faults)?;
         }
-        if base > dev.start() {
-            // Checkpoint truncation: drop whole segments below our base.
-            // Segment-granular — the device may retain a sub-segment prefix
-            // below `base`, which recovery replays harmlessly (its ops fail
-            // the REDO test).
-            dev.truncate_below(base, faults)?;
-        }
         if dev.end() < forced {
             let offset = (dev.end().0 - base.0) as usize;
             dev.append(dev.end(), &self.stable_bytes()[offset..], faults)?;
         }
         dev.set_master(self.master_checkpoint().unwrap_or(Lsn::ZERO));
+        if base > dev.start() {
+            // Checkpoint truncation: drop whole segments below our base.
+            // Segment-granular — the device may retain a sub-segment prefix
+            // below `base`, which recovery replays harmlessly (its ops fail
+            // the REDO test). It runs after the master update, so the
+            // manifest it writes names the new master: were the old one
+            // still set, dropping its segment would reset it to none, and a
+            // crash before the barrier would leave a manifest whose base may
+            // sit mid-frame with no checkpoint to anchor the scan.
+            dev.truncate_below(base, faults)?;
+        }
         dev.force(faults)?;
         Ok(dev.durable_end())
     }
@@ -81,10 +85,11 @@ impl Wal {
     }
 
     /// Stage the forced prefix **plus the in-flight double-buffered batch**
-    /// onto `dev` without syncing: truncation-reclaim, tail append up to the
-    /// end of the in-flight slot, master update, manifest-if-stale — but the
-    /// blobs are left unsynced for the caller's shared barrier
-    /// ([`LogDevice::sync_uncounted`]).
+    /// onto `dev` without syncing: tail append up to the end of the
+    /// in-flight slot, master update, truncation-reclaim, manifest-if-stale
+    /// — but the blobs are left unsynced for the caller's shared barrier
+    /// ([`LogDevice::sync_uncounted`]), unless a truncation's own barrier
+    /// covered them.
     ///
     /// This is the cross-shard coalescing half of [`Wal::persist_to`]: the
     /// scheduler stages every participating shard under its engine lock, then
@@ -101,9 +106,6 @@ impl Wal {
         if dev.end() < base || dev.start() > target {
             dev.reset(base, faults)?;
         }
-        if base > dev.start() {
-            dev.truncate_below(base, faults)?;
-        }
         if dev.end() < forced {
             let offset = (dev.end().0 - base.0) as usize;
             dev.append(dev.end(), &self.stable_bytes()[offset..], faults)?;
@@ -113,6 +115,10 @@ impl Wal {
             dev.append(dev.end(), &self.inflight_bytes()[offset..], faults)?;
         }
         dev.set_master(self.master_checkpoint().unwrap_or(Lsn::ZERO));
+        if base > dev.start() {
+            // After the master update, as in `persist_to`.
+            dev.truncate_below(base, faults)?;
+        }
         dev.stage(faults)?;
         Ok(dev.durable_end())
     }
@@ -250,15 +256,19 @@ mod tests {
             Lsn(1),
         );
         let mut boundaries = Vec::new();
+        let mut keep_from = Lsn::ZERO;
         for i in 0..128 {
+            if i == 128 - 16 {
+                keep_from = w.append(&LogRecord::Checkpoint(CheckpointRecord::default()));
+            }
             boundaries.push(w.append(&op_record(i)));
         }
         w.force();
         w.persist_to(&mut dev, None).unwrap();
         assert!(metrics.snapshot().segments_rotated >= 2);
-        // A checkpoint truncated the log to its last eighth, so the
+        // A checkpoint truncated the log to itself, its last eighth, so the
         // survivors outweigh one manifest; persist: whole segments drop.
-        let keep_from = boundaries[128 - 16 - 1];
+        assert_eq!(w.master_checkpoint(), Some(keep_from));
         w.truncate_to(keep_from).unwrap();
         let before = metrics.snapshot();
         w.persist_to(&mut dev, None).unwrap();
@@ -277,12 +287,14 @@ mod tests {
         );
         assert!(dev.start() <= keep_from);
         // The device still loads; its segment-aligned base may sit mid-frame
-        // below the truncation point, which replays cleanly.
+        // below the truncation point, which replays cleanly from the master.
         let w2 = Wal::load_from_device(&dev, Metrics::new())
             .unwrap()
             .unwrap();
+        assert_eq!(w2.master_checkpoint(), Some(keep_from));
+        assert_eq!(w2.forced_lsn(), w.forced_lsn());
         let recs: Vec<_> = w2.scan(keep_from).collect::<Result<Vec<_>>>().unwrap();
-        assert!(!recs.is_empty());
+        assert_eq!(recs.len(), 17, "the checkpoint and the 16 ops after it");
         assert_eq!(recs.last().unwrap().0, boundaries[127]);
     }
 
@@ -386,13 +398,19 @@ mod tests {
         );
         let durable = w.persist_to(&mut dev, Some(&h)).unwrap();
         assert_eq!(durable, Lsn(8), "only the torn prefix is durable");
-        // The torn image loads: the partial frame is clipped as a torn tail.
+        assert_eq!(
+            dev.end(),
+            Lsn(8),
+            "the device resumes after the clean prefix"
+        );
+        // The torn image loads: the device clips the partial frame, so the
+        // WAL holds no bytes and the scan sees no corruption.
         let w2 = Wal::load_from_device(&dev, Metrics::new())
             .unwrap()
             .unwrap();
-        let mut scan = w2.scan(w2.start_lsn());
-        assert!(matches!(scan.next(), Some(Err(LlogError::Corrupt { .. }))));
-        assert!(w2.corruption_is_torn_tail(w2.start_lsn().0));
+        assert_eq!(w2.start_lsn(), Lsn(1));
+        assert_eq!(w2.forced_lsn(), Lsn(1));
+        assert!(w2.scan(w2.start_lsn()).next().is_none());
         // Re-persisting heals: the device re-appends the missing suffix.
         let durable = w.persist_to(&mut dev, None).unwrap();
         assert_eq!(durable, w.forced_lsn());
@@ -400,6 +418,64 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(w3.scan(w3.start_lsn()).count(), 2);
+    }
+
+    /// A persist that carries a checkpoint truncation and fails before its
+    /// barrier must leave a manifest that loads: the master it names still
+    /// anchors a frame-aligned scan over every op the device holds.
+    #[test]
+    fn a_persist_that_fails_mid_truncation_leaves_a_loadable_device() {
+        type Persist = fn(&Wal, &mut dyn LogDevice, Option<&FaultHost>) -> Result<Lsn>;
+        for persist in [Wal::persist_to as Persist, Wal::stage_to] {
+            let mut w = Wal::new(Metrics::new());
+            let mut dev = mem_dev();
+            let mut ops = Vec::new();
+            for i in 0..30 {
+                ops.push(w.append(&op_record(i)));
+            }
+            let cp1 = w.append(&LogRecord::Checkpoint(CheckpointRecord::default()));
+            for i in 30..60 {
+                ops.push(w.append(&op_record(i)));
+            }
+            w.force();
+            w.persist_to(&mut dev, None).unwrap();
+            let held = dev.end();
+            // A second checkpoint whose scan starts at op 45 truncates the
+            // log there; its tail is not on the device yet. Truncation drops
+            // the segment holding the first checkpoint.
+            let cp2 = w.append(&LogRecord::Checkpoint(CheckpointRecord::default()));
+            for i in 60..90 {
+                w.append(&op_record(i));
+            }
+            w.force();
+            w.truncate_to(ops[45]).unwrap();
+            assert_eq!(w.master_checkpoint(), Some(cp2));
+            let h = FaultHost::new();
+            h.arm(failpoint::DEV_LOG_APPEND, FaultKind::IoError);
+            let err = persist(&w, &mut dev, Some(&h)).unwrap_err();
+            assert!(matches!(err, LlogError::Io { .. }), "got {err}");
+            // The durable manifest loads and recovers every op it holds.
+            let w2 = Wal::load_from_device(&dev, Metrics::new())
+                .unwrap()
+                .unwrap();
+            assert_eq!(w2.master_checkpoint(), Some(cp1));
+            assert_eq!(w2.forced_lsn(), held);
+            let recs: Vec<_> = w2.scan(w2.start_lsn()).collect::<Result<_>>().unwrap();
+            let lsns: Vec<Lsn> = recs.iter().map(|r| r.0).collect();
+            let mut want = ops.clone();
+            want.insert(30, cp1);
+            assert_eq!(lsns, want, "every op and the first checkpoint");
+            // A retry without the fault truncates under the new master.
+            persist(&w, &mut dev, None).unwrap();
+            dev.force(None).unwrap();
+            let w3 = Wal::load_from_device(&dev, Metrics::new())
+                .unwrap()
+                .unwrap();
+            assert_eq!(w3.master_checkpoint(), Some(cp2));
+            assert!(w3.start_lsn() <= ops[45]);
+            assert_eq!(w3.forced_lsn(), w.forced_lsn());
+            assert_eq!(w3.scan(cp2).collect::<Result<Vec<_>>>().unwrap().len(), 31);
+        }
     }
 
     #[test]

@@ -82,9 +82,6 @@ impl<B: BlobStore> BlobStore for Counting<B> {
     fn put(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
         self.inner.lock().unwrap().put(name, bytes)
     }
-    fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-        self.inner.lock().unwrap().append(name, bytes)
-    }
     fn write_at(&mut self, name: &str, offset: u64, bytes: &[u8]) -> Result<()> {
         self.inner.lock().unwrap().write_at(name, offset, bytes)
     }

@@ -577,13 +577,16 @@ fn segmented_store_manifest_lies_are_codec() {
 #[test]
 fn segmented_torn_open_tail_clips_not_fatal() {
     use llog_core::{recover, RedoPolicy};
+    use llog_storage::device::SEG_HEADER;
 
-    let recover_dir = |dir: &Path, what: &str| {
+    let load_dir = |dir: &Path, what: &str| {
         let b = DurabilityBackend::file(dir, Metrics::new(), &seg_cfg(SEG_BYTES)).unwrap();
-        let (store, wal) = b
-            .load(Metrics::new())
+        b.load(Metrics::new())
             .unwrap_or_else(|e| panic!("{what}: load failed: {e}"))
-            .expect("fixture persisted");
+            .expect("fixture persisted")
+    };
+    let recover_dir = |dir: &Path, what: &str| {
+        let (store, wal) = load_dir(dir, what);
         recover(
             store,
             wal,
@@ -606,12 +609,21 @@ fn segmented_torn_open_tail_clips_not_fatal() {
         let Ok(orig) = std::fs::read(&tail) else {
             continue; // everything sealed exactly; try another size
         };
-        if orig.len() < 4 {
+        // The blob is preallocated: its live frames end well before the
+        // file does, so damage is placed relative to the live end.
+        let baseline = load_dir(d.path(), "pristine").1.forced_lsn().0;
+        let live = SEG_HEADER + (baseline - manifest_open_start(d.path())) as usize;
+        if live < SEG_HEADER + 4 {
             continue;
         }
-        // (a) Torn tail: drop trailing bytes.
-        for cut in [1usize, orig.len() / 2] {
-            std::fs::write(&tail, &orig[..orig.len() - cut]).unwrap();
+        // (a) Torn tail: drop trailing live bytes.
+        for cut in [1usize, (live - SEG_HEADER) / 2] {
+            std::fs::write(&tail, &orig[..live - cut]).unwrap();
+            let forced = load_dir(d.path(), "cut").1.forced_lsn().0;
+            assert!(
+                forced < baseline,
+                "tail cut {cut} must clip a frame ({forced} vs {baseline})"
+            );
             let (rec, _) = recover_dir(d.path(), &format!("tail cut {cut}"));
             // install_all ran before the crash, so every value survives in
             // the checkpointed store no matter how much tail clips.
@@ -621,7 +633,7 @@ fn segmented_torn_open_tail_clips_not_fatal() {
         }
         // (b) Bit rot mid-tail: breaks a frame CRC at-or-after the guard.
         let mut m = orig.clone();
-        m[orig.len() / 2] ^= 0x20;
+        m[(SEG_HEADER + live) / 2] ^= 0x20;
         std::fs::write(&tail, &m).unwrap();
         let (rec, outcome) = recover_dir(d.path(), "tail bit rot");
         assert!(
@@ -648,7 +660,7 @@ fn segmented_recycled_ghost_region_is_outside_the_trust_boundary() {
     use llog_storage::device::SEG_HEADER;
 
     let d = SegDir::new("recycle");
-    let cfg = seg_cfg(SEG_BYTES).with_fast_segments(2);
+    let cfg = seg_cfg(SEG_BYTES);
     let dm = Metrics::new();
     let mut e = Engine::new(EngineConfig::default(), TransformRegistry::with_builtins());
     let mut b = DurabilityBackend::file(d.path(), dm.clone(), &cfg).unwrap();

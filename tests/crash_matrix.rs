@@ -1017,8 +1017,8 @@ fn crash_between_double_buffer_swap_and_fsync_clips_torn_tail() {
 }
 
 /// Recovery over a recycled segment: run a workload across a truncating
-/// checkpoint on devices with the segment fast path on, so the tail of the
-/// log lands in a *recycled* blob that physically still holds its previous
+/// checkpoint on devices whose retired segments are recycled, so the tail
+/// of the log lands in a *recycled* blob that physically still holds its previous
 /// life's frames beyond the live bytes. Device recovery must clip the
 /// ghosts and agree exactly with recovery from the in-memory crash image,
 /// on both backends.
@@ -1031,7 +1031,7 @@ fn recovery_over_recycled_segment_matches_in_memory_recovery() {
 
     let reg = registry();
     let ops = Workload::new(7, 40, WorkloadKind::app_mix(), 1013).generate();
-    let cfg = DeviceConfig::small().with_fast_segments(2);
+    let cfg = DeviceConfig::small();
     let dir = BackendDir::new("recycle");
     let mem_metrics = Metrics::new();
     let file_metrics = Metrics::new();
