@@ -866,23 +866,31 @@ fn poisoned_recovery_thread() -> LlogError {
     LlogError::Unexplainable("shard recovery thread panicked".into())
 }
 
-/// Reboot from the device tier: each [`DurabilityBackend`] moves into the
-/// recovery pool, whose worker loads the shard's persisted `(store, wal)`
-/// pair, recovers it and seeds its version chains — so shards load in
-/// parallel. A backend that was never persisted to yields an empty shard
-/// (fresh store, fresh log). The backends are returned alongside so the
-/// caller can re-attach them ([`ShardedEngine::attach_backends`]) and keep
-/// checkpointing incrementally onto the same devices. Redo uses the
-/// paper's test, [`RedoPolicy::RsiExposed`]. A shard whose recovered log
-/// would resume below its store's `installed_through` is `Unexplainable`:
-/// the boot never reuses an LSN the store device already vouches for.
-pub fn recover_sharded_from_backends(
-    backends: Vec<DurabilityBackend>,
+/// Reboot from the device tier, one recovery-pool job per shard. The job
+/// calls its shard's opener — the device attach, which reads the store
+/// manifest and reads and CRC-checks the whole log — then loads the
+/// persisted `(store, wal)` pair, recovers it and seeds its version chains:
+/// shards attach, load and recover in parallel. A backend that was never
+/// persisted to yields an empty shard (fresh store, fresh log). The opened
+/// backends come back in shard order so the caller can re-attach them
+/// ([`ShardedEngine::attach_backends`]) and keep checkpointing
+/// incrementally onto the same devices. Redo uses the paper's test,
+/// [`RedoPolicy::RsiExposed`]. A shard whose recovered log would resume
+/// below its store's `installed_through` is `Unexplainable`: the boot never
+/// reuses an LSN the store device already vouches for. Any step failing on
+/// any shard, the open included, fails the boot with the first error in
+/// shard order, once every worker has joined.
+pub fn recover_sharded_from_backends<F>(
+    openers: Vec<F>,
     registry: &TransformRegistry,
     config: ShardedConfig,
-) -> Result<(ShardedEngine, Vec<RecoveryOutcome>, Vec<DurabilityBackend>)> {
-    assert!(!backends.is_empty(), "need at least one shard to recover");
-    let recovered = in_recovery_pool(backends, |backend| {
+) -> Result<(ShardedEngine, Vec<RecoveryOutcome>, Vec<DurabilityBackend>)>
+where
+    F: FnOnce() -> Result<DurabilityBackend> + Send,
+{
+    assert!(!openers.is_empty(), "need at least one shard to recover");
+    let recovered = in_recovery_pool(openers, |open| {
+        let backend = open()?;
         let metrics = Metrics::new();
         let (store, wal, vouched) = match backend.load(metrics.clone())? {
             Some((store, wal)) => {
@@ -943,6 +951,13 @@ mod tests {
             .map(ObjectId)
             .find(|&x| e.router().shard_of(x) == shard)
             .unwrap()
+    }
+
+    /// Boot openers for backends that are already open.
+    fn opened(
+        backends: Vec<DurabilityBackend>,
+    ) -> Vec<impl FnOnce() -> Result<DurabilityBackend> + Send> {
+        backends.into_iter().map(|b| move || Ok(b)).collect()
     }
 
     /// In-memory log blobs whose `sync` goes through a [`SyncGate`].
@@ -1501,7 +1516,7 @@ mod tests {
         assert_eq!(backends.len(), 2);
         drop(e.crash());
         let (rec, outcomes, _backends) =
-            recover_sharded_from_backends(backends, &reg, cfg).unwrap();
+            recover_sharded_from_backends(opened(backends), &reg, cfg).unwrap();
         assert_eq!(outcomes.len(), 2);
         for i in 0..10u64 {
             assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("dev1"));
@@ -1571,7 +1586,8 @@ mod tests {
         drop(e.crash());
 
         let (pooled, outcomes, _) =
-            recover_sharded_from_backends((0..3).map(open).collect(), &reg, cfg).unwrap();
+            recover_sharded_from_backends((0..3).map(|i| move || Ok(open(i))).collect(), &reg, cfg)
+                .unwrap();
         let mut redone = 0;
         for (i, outcome) in outcomes.iter().enumerate() {
             let (store, wal) = open(i).load(Metrics::new()).unwrap().unwrap();
@@ -1658,7 +1674,7 @@ mod tests {
         e.persist_all().unwrap();
         let backends: Vec<DurabilityBackend> = e.take_backends().into_iter().flatten().collect();
         drop(e.crash());
-        let (rec, _, _) = recover_sharded_from_backends(backends, &reg, cfg).unwrap();
+        let (rec, _, _) = recover_sharded_from_backends(opened(backends), &reg, cfg).unwrap();
         for i in 0..6u64 {
             assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("tail"));
         }
@@ -1709,7 +1725,7 @@ mod tests {
         assert!(put_to(live).unwrap().wait(), "the other shard serves");
         let backends: Vec<DurabilityBackend> = e.take_backends().into_iter().flatten().collect();
         drop(e.crash());
-        let (rec, _, _) = recover_sharded_from_backends(backends, &reg, cfg).unwrap();
+        let (rec, _, _) = recover_sharded_from_backends(opened(backends), &reg, cfg).unwrap();
         for &x in &keys {
             let want = if x == live { "late" } else { "acked" };
             assert_eq!(rec.read_value(x).unwrap(), Value::from(want), "{x:?}");

@@ -39,9 +39,12 @@ pub fn existing_shards(dir: &Path) -> usize {
 /// shard count wins over the argument — re-partitioning a populated
 /// database would strand objects on shards that no longer own them.
 ///
-/// Opening a shard's backend reads its manifests (and its log, once); the
-/// stores are loaded, recovered and version-seeded in parallel, one shard
-/// per recovery-pool worker ([`recover_sharded_from_backends`]).
+/// Each shard boots in its own recovery-pool job
+/// ([`recover_sharded_from_backends`]): the job opens the shard's backend,
+/// which reads its manifests and reads and CRC-checks its log once, then
+/// loads the store, recovers and seeds the version chains. Nothing of a
+/// shard's boot runs before the pool; the first error in shard order fails
+/// the open once every job has finished.
 pub fn open_served(
     dir: &Path,
     shards: usize,
@@ -54,16 +57,14 @@ pub fn open_served(
         shards.max(1)
     };
     let cfg = DeviceConfig::default();
-    let mut backends = Vec::with_capacity(shards);
-    for i in 0..shards {
-        backends.push(DurabilityBackend::file(
-            &dir.join(format!("shard-{i}")),
-            Metrics::new(),
-            &cfg,
-        )?);
-    }
+    let openers = (0..shards)
+        .map(|i| {
+            let shard = dir.join(format!("shard-{i}"));
+            move || DurabilityBackend::file(&shard, Metrics::new(), &cfg)
+        })
+        .collect();
     let (engine, outcomes, backends) =
-        recover_sharded_from_backends(backends, registry, server_engine_config(shards))?;
+        recover_sharded_from_backends(openers, registry, server_engine_config(shards))?;
     if outcomes.len() != shards {
         return Err(LlogError::Unexplainable(format!(
             "recovered {} shards, expected {shards}",

@@ -231,6 +231,23 @@ impl<B: BlobStore> DeltaStore<B> {
         Ok(d)
     }
 
+    /// Read, length-check and parse the chain delta `entry` names.
+    fn read_delta(&self, entry: &ChainEntry) -> Result<Vec<DeltaEntry>> {
+        let name = delta_name(entry.epoch);
+        let err = |reason: String| LlogError::Codec { reason };
+        let Some(raw) = self.blobs.get(&name)? else {
+            return Err(err(format!("store manifest: missing delta {name}")));
+        };
+        if raw.len() as u64 != entry.len {
+            return Err(err(format!(
+                "delta {name}: length {} != manifest {}",
+                raw.len(),
+                entry.len
+            )));
+        }
+        parse_delta(&raw, entry.epoch, Some(entry.crc))
+    }
+
     /// Dump every blob this device holds, sorted by name. The Mem↔File
     /// differential oracle compares these dumps for byte-identity.
     pub fn dump_blobs(&self) -> Result<Vec<(String, Vec<u8>)>> {
@@ -336,6 +353,27 @@ fn apply_delta(objects: &mut Objects, delta: Vec<DeltaEntry>) {
     }
 }
 
+/// The objects `delta` leaves in an empty store — [`apply_delta`] over an
+/// empty map, built in one bulk pass. A chain's first delta is a full
+/// image in id order, so the stable sort finds one run and the map is
+/// bulk-built from it, not grown by one insert per object. Any other
+/// order gives the same map: for a repeated id the last entry wins, and
+/// a tombstone leaves the id out.
+fn objects_of(mut delta: Vec<DeltaEntry>) -> Objects {
+    delta.sort_by_key(|(id, _)| *id);
+    let mut latest = Vec::with_capacity(delta.len());
+    let mut entries = delta.into_iter().peekable();
+    while let Some((id, obj)) = entries.next() {
+        if entries.peek().is_some_and(|(next, _)| *next == id) {
+            continue; // a later entry for `id` wins
+        }
+        if let Some(obj) = obj {
+            latest.push((id, obj));
+        }
+    }
+    latest.into_iter().collect()
+}
+
 fn full_entries<'a>(
     objects: impl IntoIterator<Item = (&'a ObjectId, &'a StoredObject)>,
 ) -> Vec<DeltaEntry> {
@@ -355,9 +393,7 @@ pub fn encode_image<'a>(
 
 /// Decode an image [`encode_image`] wrote; damage is a `Codec` error.
 pub fn decode_image(raw: &[u8]) -> Result<BTreeMap<ObjectId, StoredObject>> {
-    let mut objects = Objects::new();
-    apply_delta(&mut objects, parse_delta(raw, IMAGE_EPOCH, None)?);
-    Ok(objects)
+    Ok(objects_of(parse_delta(raw, IMAGE_EPOCH, None)?))
 }
 
 /// The delta blob for `entries`, plus the whole-blob CRC the manifest
@@ -589,24 +625,13 @@ impl<B: BlobStore> StoreDevice for DeltaStore<B> {
         let Some(manifest) = read_manifest(&self.blobs)? else {
             return Ok(None);
         };
-        let mut objects = Objects::new();
-        for entry in &manifest.chain {
-            let name = delta_name(entry.epoch);
-            let err = |reason: String| LlogError::Codec { reason };
-            let Some(raw) = self.blobs.get(&name)? else {
-                return Err(err(format!("store manifest: missing delta {name}")));
-            };
-            if raw.len() as u64 != entry.len {
-                return Err(err(format!(
-                    "delta {name}: length {} != manifest {}",
-                    raw.len(),
-                    entry.len
-                )));
-            }
-            apply_delta(
-                &mut objects,
-                parse_delta(&raw, entry.epoch, Some(entry.crc))?,
-            );
+        let mut deltas = manifest.chain.iter().map(|entry| self.read_delta(entry));
+        let mut objects = match deltas.next() {
+            Some(first) => objects_of(first?),
+            None => Objects::new(),
+        };
+        for delta in deltas {
+            apply_delta(&mut objects, delta?);
         }
         let mut store = StableStore::new(metrics);
         store.restore(objects);
@@ -939,6 +964,106 @@ mod tests {
             }
             image = s.snapshot();
         }
+    }
+
+    /// The insert-loop fold the bulk build replaced: `apply_delta` over an
+    /// empty map, delta by delta — the oracle for `objects_of`.
+    fn fold(deltas: impl IntoIterator<Item = Vec<DeltaEntry>>) -> Objects {
+        let mut objects = Objects::new();
+        for delta in deltas {
+            apply_delta(&mut objects, delta);
+        }
+        objects
+    }
+
+    /// Every delta of `d`'s chain, parsed, in chain order.
+    fn chain_deltas(d: &MemStoreDevice) -> Vec<Vec<DeltaEntry>> {
+        d.manifest
+            .chain
+            .iter()
+            .map(|e| d.read_delta(e).unwrap())
+            .collect()
+    }
+
+    /// `load_store` bulk-builds the chain's first delta, then applies the
+    /// rest. Over seeded random chains — tombstones, re-inserts of removed
+    /// ids, a compaction — it must equal the insert-loop fold.
+    #[test]
+    fn bulk_built_store_equals_the_insert_loop_fold() {
+        let mut rng = TestRng::seed_from_u64(0xB01C_B11D);
+        let mut d = MemStoreDevice::mem(Metrics::new(), &cfg(5));
+        let mut s = StableStore::new(Metrics::new());
+        let (mut vsi, mut compactions, mut tombstones) = (0u64, 0, 0);
+        for round in 0..24 {
+            for _ in 0..rng.random_range(1usize..16) {
+                let x = ObjectId(rng.random_range(0u64..32));
+                vsi += 1;
+                if rng.ratio(0.3) {
+                    s.remove(x);
+                } else {
+                    s.write(x, Value::from(format!("{vsi}").as_bytes()), Lsn(vsi));
+                }
+            }
+            compactions += usize::from(d.checkpoint(&s, END, None).unwrap().compacted);
+            let deltas = chain_deltas(&d);
+            tombstones += deltas.iter().flatten().filter(|(_, o)| o.is_none()).count();
+            let first = deltas[0].clone();
+            assert_eq!(objects_of(first.clone()), fold([first]), "round {round}");
+            let loaded = d.load_store(Metrics::new()).unwrap().unwrap();
+            assert_eq!(loaded.snapshot(), fold(deltas), "round {round}");
+            assert_eq!(loaded.snapshot(), s.snapshot(), "round {round}");
+        }
+        assert!(compactions >= 1, "the chain folded at least once");
+        assert!(tombstones >= 1, "the chains carried tombstones");
+    }
+
+    /// A delta that names one id several times, out of id order and with a
+    /// tombstone between its entries: the last entry wins on both paths,
+    /// through the standalone image codec and as a chain's first delta.
+    #[test]
+    fn a_repeated_id_in_one_delta_ends_at_its_last_entry_on_both_paths() {
+        let obj = |v: &str, vsi| {
+            Some(StoredObject {
+                value: Value::from(v),
+                vsi: Lsn(vsi),
+            })
+        };
+        let crafted: Vec<DeltaEntry> = vec![
+            (ObjectId(5), obj("a", 1)),
+            (ObjectId(3), obj("b", 2)),
+            (ObjectId(5), None),
+            (ObjectId(9), obj("c", 3)),
+            (ObjectId(5), obj("d", 4)),
+            (ObjectId(3), None),
+            (ObjectId(9), obj("e", 5)),
+        ];
+        let oracle = fold([crafted.clone()]);
+        let expect: Objects = [(ObjectId(5), obj("d", 4)), (ObjectId(9), obj("e", 5))]
+            .into_iter()
+            .map(|(id, o)| (id, o.unwrap()))
+            .collect();
+        assert_eq!(oracle, expect, "the insert loop: last entry wins");
+        assert_eq!(objects_of(crafted.clone()), oracle, "bulk build");
+
+        let (image, _) = serialize_delta(IMAGE_EPOCH, &crafted);
+        assert_eq!(decode_image(&image).unwrap(), oracle, "decode_image");
+
+        let (delta, crc) = serialize_delta(1, &crafted);
+        let manifest = Manifest {
+            next_epoch: 2,
+            installed_through: END,
+            chain: vec![ChainEntry {
+                epoch: 1,
+                len: delta.len() as u64,
+                crc,
+            }],
+        };
+        let mut blobs = MemBlobs::new();
+        blobs.put(&delta_name(1), &delta).unwrap();
+        blobs.put(STORE_MANIFEST, &manifest.image()).unwrap();
+        let d = DeltaStore::attach(blobs, Metrics::new(), &cfg(100), "mem").unwrap();
+        let loaded = d.load_store(Metrics::new()).unwrap().unwrap();
+        assert_eq!(loaded.snapshot(), oracle, "load_store");
     }
 
     /// A store whose changes are not relative to the device's image gets a

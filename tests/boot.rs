@@ -2,11 +2,11 @@
 //!
 //! A reboot reads every store and log byte once: attaching a device reads
 //! manifests (and the log's segments, which `load` then reuses), `load` is
-//! the one reader of the store's delta chain. A shard whose image is rotten
-//! fails the whole boot with `Codec`, cleanly. A boot does not trust
-//! `Install` records the store device never saw, no force
-//! acknowledges log bytes the log device never synced, and no store
-//! checkpoint holds an install whose record the log device lacks.
+//! the one reader of the store's delta chain. A shard whose store image or
+//! sealed log segment is rotten fails the whole boot with `Codec`,
+//! cleanly. A boot does not trust `Install` records the store device never
+//! saw, no force acknowledges log bytes the log device never synced, and
+//! no store checkpoint holds an install whose record the log device lacks.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -17,12 +17,14 @@ use llog_core::{Engine, EngineConfig};
 use llog_engine::{recover_sharded_from_backends, CommitTicket, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::boot::{open_served, server_engine_config};
-use llog_storage::device::{BlobStore, DeltaStore, DeviceConfig, FileBlobs, MemBlobs, SegLog};
+use llog_storage::device::{
+    BlobStore, DeltaStore, DeviceConfig, FileBlobs, MemBlobs, SegLog, SEG_HEADER,
+};
 use llog_storage::Metrics;
 use llog_testkit::faults::{failpoint, FaultHost, FaultKind};
 use llog_testkit::SyncGate;
-use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
-use llog_wal::{DurabilityBackend, STORE_SUBDIR};
+use llog_types::{LlogError, Lsn, ObjectId, Result, Value, FRAME_HEADER};
+use llog_wal::{DurabilityBackend, LOG_SUBDIR, STORE_SUBDIR};
 
 /// Unique per-test directory, removed on drop.
 struct TempDir(PathBuf);
@@ -198,47 +200,43 @@ fn open_and_load_read_each_delta_and_segment_once_file() {
     boot_reads_each_blob_once(log, store);
 }
 
-#[test]
-fn rotten_delta_on_one_of_three_shards_fails_boot_with_codec() {
-    let d = TempDir::new("rotten-delta");
-    let reg = TransformRegistry::with_builtins();
-    let e = open_served(d.path(), 3, &reg).unwrap();
-    for i in 0..90u64 {
-        let v = Value::from(format!("v{i}").as_str());
-        let t = e
-            .execute(
+/// Open three served shards at `dir` and ack `n` puts of `value(i)` to
+/// object `i`; the engine is returned with nothing checkpointed.
+fn three_shards_with_puts(dir: &Path, n: u64, value: impl Fn(u64) -> Value) -> ShardedEngine {
+    let e = open_served(dir, 3, &TransformRegistry::with_builtins()).unwrap();
+    let tickets: Vec<CommitTicket> = (0..n)
+        .map(|i| {
+            let v = builtin::encode_values(&[value(i)]);
+            e.execute(
                 OpKind::Physical,
                 vec![],
                 vec![ObjectId(i)],
-                Transform::new(builtin::CONST, builtin::encode_values(&[v])),
+                Transform::new(builtin::CONST, v),
             )
-            .unwrap();
-        assert!(t.wait());
-    }
-    e.install_all().unwrap();
-    e.checkpoint_all(false).unwrap();
-    drop(e);
+            .unwrap()
+        })
+        .collect();
+    assert!(tickets.iter().all(CommitTicket::wait), "every put acked");
+    e
+}
 
-    let store_dir = d.path().join("shard-1").join(STORE_SUBDIR);
-    let delta = std::fs::read_dir(&store_dir)
+/// The files under `dir` whose names start with `prefix`, sorted.
+fn files_named(dir: &Path, prefix: &str) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|f| f.unwrap().path())
-        .find(|p| {
-            p.file_name()
-                .unwrap()
-                .to_string_lossy()
-                .starts_with("ckpt-")
-        })
-        .expect("shard 1 checkpointed a delta");
-    let mut bytes = std::fs::read(&delta).unwrap();
-    let at = bytes.len() - 2; // inside the trailing CRC
-    bytes[at] ^= 0x20;
-    std::fs::write(&delta, &bytes).unwrap();
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with(prefix))
+        .collect();
+    found.sort();
+    found
+}
 
-    // Boot on a watchdog: a worker that panicked or never returned would
-    // show up as a missing answer, not as a hung test.
+/// Reopen the three-shard database at `dir` on a watchdog and expect a
+/// clean `Codec` checksum error: a worker that panicked or never returned
+/// would show up as a missing answer, not as a hung test.
+fn boot_fails_with_checksum_codec(dir: &Path, what: &str) {
     let (tx, rx) = mpsc::channel();
-    let dir = d.path().to_path_buf();
+    let dir = dir.to_path_buf();
     let boot = std::thread::spawn(move || {
         let r = open_served(&dir, 3, &TransformRegistry::with_builtins()).map(|e| e.shards());
         tx.send(r).unwrap();
@@ -249,8 +247,52 @@ fn rotten_delta_on_one_of_three_shards_fails_boot_with_codec() {
     boot.join().expect("boot did not panic");
     match r {
         Err(LlogError::Codec { reason }) => assert!(reason.contains("checksum"), "{reason}"),
-        other => panic!("expected Codec for a rotten delta, got {other:?}"),
+        other => panic!("expected Codec for {what}, got {other:?}"),
     }
+}
+
+#[test]
+fn rotten_delta_on_one_of_three_shards_fails_boot_with_codec() {
+    let d = TempDir::new("rotten-delta");
+    let e = three_shards_with_puts(d.path(), 90, |i| Value::from(format!("v{i}").as_str()));
+    e.install_all().unwrap();
+    e.checkpoint_all(false).unwrap();
+    drop(e);
+
+    let store_dir = d.path().join("shard-1").join(STORE_SUBDIR);
+    let delta = files_named(&store_dir, "ckpt-")
+        .pop()
+        .expect("shard 1 checkpointed a delta");
+    let mut bytes = std::fs::read(&delta).unwrap();
+    let at = bytes.len() - 2; // inside the trailing CRC
+    bytes[at] ^= 0x20;
+    std::fs::write(&delta, &bytes).unwrap();
+    boot_fails_with_checksum_codec(d.path(), "a rotten delta");
+}
+
+/// A sealed log segment that rotted on one shard fails the boot inside
+/// that shard's recovery-pool job, where the log device's attach reads and
+/// CRC-checks it, with the same clean `Codec` as a rotten store delta.
+#[test]
+fn rotten_sealed_segment_on_one_of_three_shards_fails_boot_with_codec() {
+    let d = TempDir::new("rotten-segment");
+    // 1 KiB values: each shard's log outgrows a 32 KiB segment, and no
+    // checkpoint truncates it.
+    drop(three_shards_with_puts(d.path(), 180, |i| {
+        Value::from(vec![i as u8; 1024])
+    }));
+
+    let log_dir = d.path().join("shard-1").join(LOG_SUBDIR);
+    let segments = files_named(&log_dir, "seg-");
+    assert!(
+        segments.len() >= 2,
+        "shard 1 sealed a segment: {segments:?}"
+    );
+    let sealed = &segments[0];
+    let mut bytes = std::fs::read(sealed).unwrap();
+    bytes[SEG_HEADER + FRAME_HEADER + 1] ^= 0x20; // inside the first frame
+    std::fs::write(sealed, &bytes).unwrap();
+    boot_fails_with_checksum_codec(d.path(), "a rotten sealed segment");
 }
 
 /// Acked puts survive a kill after installs the store device never
@@ -406,9 +448,9 @@ fn a_store_checkpoint_never_outruns_the_log_device() {
     );
     let x = ObjectId(7);
     let reboot = || {
-        let backend = backend_over(&log, &store, &cfg);
+        let open = || Ok(backend_over(&log, &store, &cfg));
         let (e, _, backends) =
-            recover_sharded_from_backends(vec![backend], &reg, server_engine_config(1)).unwrap();
+            recover_sharded_from_backends(vec![open], &reg, server_engine_config(1)).unwrap();
         e.attach_backends(backends);
         e
     };
@@ -455,8 +497,8 @@ fn a_boot_refuses_a_store_past_its_log_device() {
     drop(e);
 
     let blank_log = Counting::new(MemBlobs::new());
-    let backend = backend_over(&blank_log, &store, &cfg);
-    match recover_sharded_from_backends(vec![backend], &reg, server_engine_config(1)) {
+    let open = || Ok(backend_over(&blank_log, &store, &cfg));
+    match recover_sharded_from_backends(vec![open], &reg, server_engine_config(1)) {
         Err(LlogError::Unexplainable(msg)) => assert!(msg.contains("installed through"), "{msg}"),
         Err(other) => panic!("expected Unexplainable, got {other}"),
         Ok(_) => panic!("booted a store its log device cannot explain"),

@@ -1109,7 +1109,8 @@ fn a_kill_between_persist_steps_keeps_acked_puts_and_reuses_no_lsn() {
         ..ShardedConfig::default()
     };
     let reboot = |backends: Vec<DurabilityBackend>| {
-        let (e, _, backends) = recover_sharded_from_backends(backends, &reg, config).unwrap();
+        let openers = backends.into_iter().map(|b| move || Ok(b)).collect();
+        let (e, _, backends) = recover_sharded_from_backends(openers, &reg, config).unwrap();
         e.attach_backends(backends);
         e
     };

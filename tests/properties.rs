@@ -290,7 +290,7 @@ proptest! {
         let do_op = |i: usize| {
             let x = ObjectId((seed / 7 + i as u64) % N_OBJECTS);
             let salt = Value::from_slice(&(seed ^ i as u64).to_le_bytes());
-            let t = if i % 2 == 0 {
+            let t = if i.is_multiple_of(2) {
                 engine.execute(
                     OpKind::Physical,
                     vec![],
