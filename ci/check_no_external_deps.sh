@@ -98,13 +98,22 @@ else
     fi
 fi
 
-# 3. Lockfile sync: the committed Cargo.lock must exactly match the
-#    manifests. `--locked` makes cargo error out instead of rewriting the
+# 3. Lockfile sync: the committed Cargo.lock, and bench/Cargo.lock, must
+#    exactly match the manifests. `--locked` makes cargo error out instead of rewriting the
 #    lockfile, and `--offline` guarantees no registry is ever consulted.
 if command -v cargo >/dev/null 2>&1; then
     if ! cargo metadata --locked --offline --format-version 1 >/dev/null; then
         echo "ERROR: Cargo.lock is out of sync with the manifests" >&2
         echo "       (run 'cargo metadata' locally and commit the lockfile)" >&2
+        fail=1
+    fi
+    # bench/ is its own workspace and builds --locked against
+    # bench/Cargo.lock, so changing the dependency list of any crate it
+    # builds breaks the benchmark. Fail here, not in the benchmark.
+    if ! cargo metadata --locked --offline --format-version 1 \
+        --manifest-path bench/Cargo.toml >/dev/null; then
+        echo "ERROR: bench/Cargo.lock is out of sync with the crates bench/ builds" >&2
+        echo "       (their [dependencies] lists must match bench/Cargo.lock)" >&2
         fail=1
     fi
 else

@@ -51,6 +51,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use llog_bench::sim::{replay_stable_log, verify_against_log, OpSpec, Workload, WorkloadKind};
 use llog_core::{recover, recover_two_pass, Engine, EngineConfig, RecoveryOutcome, RedoPolicy};
 use llog_domains::app::{Application, WriteMode};
 use llog_domains::btree::BTree;
@@ -59,7 +60,6 @@ use llog_domains::register_domain_transforms;
 use llog_engine::{recover_sharded, CommitTicket, ShardedConfig, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::{proto, Client, Request, Response, Server, ServerConfig};
-use llog_sim::{replay_stable_log, verify_against_log, OpSpec, Workload, WorkloadKind};
 use llog_testkit::faults::{failpoint, FaultHost, FaultKind, FaultPlan};
 use llog_testkit::prop::{run_property_result, Config};
 use llog_testkit::rng::{SplitMix64, TestRng};
@@ -1248,7 +1248,7 @@ fn fuzz_server(n_ops: usize, material: u64) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 /// Crash a primary, then ship its stable log to a warm-standby
-/// [`RedoSession`](llog_core::RedoSession) through a hostile delivery
+/// [`RedoSession`](llog_server::replica::RedoSession) through a hostile delivery
 /// channel: chunks are lost, duplicated and reordered, and the replica
 /// itself crashes mid-redo (full re-attach from a fresh manifest). The
 /// shipment stops at a seeded cut and the session is promoted there.
@@ -1263,8 +1263,7 @@ fn fuzz_server(n_ops: usize, material: u64) -> Result<(), String> {
 ///   state at the same cut), and equals a second replica fed the same
 ///   bytes strictly in order with no chaos (delivery independence).
 fn fuzz_replication(n_ops: usize, material: u64) -> Result<(), String> {
-    use llog_core::RedoSession;
-    use llog_repl::visible_divergence;
+    use llog_server::replica::{visible_divergence, RedoSession};
     use llog_storage::{Metrics, StableStore};
     use llog_wal::Wal;
 
@@ -1339,7 +1338,7 @@ fn fuzz_replication(n_ops: usize, material: u64) -> Result<(), String> {
         )
     };
 
-    // Attach exactly the way `llog-repl` does: decode the manifest's store
+    // Attach exactly the way the replica does: decode the manifest's store
     // image, ship the log up to the manifest's durable cut into a fresh
     // shipped wal, and run real recovery over that prefix.
     let attach = || -> Result<RedoSession, String> {

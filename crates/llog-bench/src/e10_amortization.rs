@@ -10,8 +10,9 @@
 
 use llog_core::{Engine, EngineConfig, FlushStrategy, GraphKind};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_sim::{Table, Workload, WorkloadKind};
 use llog_types::{ObjectId, Value};
+
+use crate::sim::{Table, Workload, WorkloadKind};
 
 #[derive(Debug, Clone, Copy)]
 pub struct Row {

@@ -31,9 +31,10 @@ use std::time::{Duration, Instant};
 use llog_engine::ShardedEngine;
 use llog_ops::TransformRegistry;
 use llog_server::{boot, Request, Response, Server, ServerConfig};
-use llog_sim::Table;
 use llog_testkit::TestRng;
 use llog_types::ObjectId;
+
+use crate::sim::Table;
 
 /// Workload knobs.
 #[derive(Debug, Clone, Copy)]

@@ -25,12 +25,12 @@ use std::time::{Duration, Instant};
 
 use llog_engine::ShardedEngine;
 use llog_ops::TransformRegistry;
-use llog_repl::{Replica, ReplicaConfig};
+use llog_server::replica::{Replica, ReplicaConfig};
 use llog_server::{boot, Client, Server, ServerConfig};
-use llog_sim::Table;
 use llog_types::ObjectId;
 
 use crate::e14_server_load::{self, run_row};
+use crate::sim::Table;
 
 /// Workload knobs for both phases.
 #[derive(Debug, Clone, Copy)]

@@ -7,10 +7,10 @@
 
 use llog_core::Engine;
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_sim::{human_bytes, Table};
 use llog_types::{ObjectId, Value};
 
 use crate::default_config;
+use crate::sim::{human_bytes, Table};
 
 const X: ObjectId = ObjectId(1);
 const Y: ObjectId = ObjectId(2);

@@ -15,10 +15,10 @@ use llog_domains::btree::BTree;
 use llog_domains::fs::FileSystem;
 use llog_domains::register_domain_transforms;
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_sim::{human_bytes, Table};
 use llog_types::{ObjectId, Value};
 
 use crate::default_config;
+use crate::sim::{human_bytes, Table};
 
 fn registry() -> TransformRegistry {
     let mut r = TransformRegistry::with_builtins();

@@ -7,8 +7,9 @@
 
 use llog_core::{RWGraph, WriteGraph};
 use llog_ops::{OpKind, Operation};
-use llog_sim::{Table, Workload, WorkloadKind};
 use llog_types::OpId;
+
+use crate::sim::{Table, Workload, WorkloadKind};
 
 /// Figure 7's trace: A writes {X,Y}; B reads X; C blindly writes X.
 pub fn figure7_trace() -> Vec<Operation> {

@@ -7,9 +7,10 @@
 
 use llog_core::{Engine, EngineConfig, FlushStrategy, GraphKind};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_sim::{human_bytes, Table};
 use llog_storage::MetricsSnapshot;
 use llog_types::{ObjectId, Value};
+
+use crate::sim::{human_bytes, Table};
 
 /// Costs of installing one k-object flush set.
 #[derive(Debug, Clone, Copy)]

@@ -8,12 +8,12 @@
 
 use llog_core::{recover, Engine, RedoPolicy};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_sim::{run_workload, Table, Workload, WorkloadKind};
 use llog_storage::StableStore;
 use llog_types::{ObjectId, Value};
 use llog_wal::Wal;
 
 use crate::default_config;
+use crate::sim::{run_workload, Table, Workload, WorkloadKind};
 
 /// Outcome for one (transient-share, policy) cell.
 #[derive(Debug, Clone, Copy)]

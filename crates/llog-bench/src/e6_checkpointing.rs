@@ -8,10 +8,10 @@
 
 use llog_core::{recover, Engine, RedoPolicy};
 use llog_ops::TransformRegistry;
-use llog_sim::{human_bytes, replay_stable_log, Table, Workload, WorkloadKind};
 use llog_types::ObjectId;
 
 use crate::default_config;
+use crate::sim::{human_bytes, replay_stable_log, Table, Workload, WorkloadKind};
 
 #[derive(Debug, Clone, Copy)]
 pub struct Row {

@@ -12,9 +12,10 @@
 use llog_core::{Engine, EngineConfig, FlushStrategy, GraphKind};
 use llog_domains::app::{Application, WriteMode};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_sim::{human_bytes, Table};
 use llog_storage::MetricsSnapshot;
 use llog_types::{ObjectId, Value};
+
+use crate::sim::{human_bytes, Table};
 
 #[derive(Debug, Clone)]
 pub struct Row {

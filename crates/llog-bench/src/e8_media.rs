@@ -10,9 +10,9 @@
 
 use llog_core::{media_recover, BackupMode, Engine, RedoPolicy};
 use llog_ops::TransformRegistry;
-use llog_sim::{replay_stable_log, Table, Workload, WorkloadKind};
 
 use crate::default_config;
+use crate::sim::{replay_stable_log, Table, Workload, WorkloadKind};
 
 /// One backup run's outcome.
 #[derive(Debug, Clone, Copy)]

@@ -12,8 +12,9 @@
 
 use llog_core::{Engine, EngineConfig, FlushStrategy, GraphKind};
 use llog_ops::TransformRegistry;
-use llog_sim::{human_bytes, Table, Workload, WorkloadKind};
 use llog_storage::MetricsSnapshot;
+
+use crate::sim::{human_bytes, Table, Workload, WorkloadKind};
 
 #[derive(Debug, Clone, Copy)]
 pub struct Row {

@@ -20,6 +20,9 @@
 //! | [`e14_server_load`] | DESIGN §12: open-loop load against the TCP front end |
 //! | [`e15_replication`] | DESIGN §13: replica lag under load + failover fidelity |
 //!
+//! [`sim`] is the harness they (and `llog-fuzz`) drive: seeded workloads,
+//! crash injection, the replay oracle and table formatting.
+//!
 //! Shard scaling and group commit, the hot-path log device, snapshot reads
 //! and recovery speed (formerly E11, E16, E17 over a simulated device sleep
 //! and E12 over a sleeping transform) are measured on a real device by the
@@ -37,6 +40,7 @@ pub mod e6_checkpointing;
 pub mod e7_ablation;
 pub mod e8_media;
 pub mod e9_cache_pressure;
+pub mod sim;
 
 use llog_core::{EngineConfig, FlushStrategy, GraphKind};
 

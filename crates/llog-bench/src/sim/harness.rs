@@ -9,7 +9,7 @@ use llog_storage::{MetricsSnapshot, StableStore};
 use llog_types::{LlogError, ObjectId, Result, Value};
 use llog_wal::{LogRecord, Wal};
 
-use crate::workload::OpSpec;
+use super::workload::OpSpec;
 
 /// When (and how) to crash during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +141,7 @@ pub fn run_crash_recover_verify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{Workload, WorkloadKind};
+    use crate::sim::workload::{Workload, WorkloadKind};
     use llog_core::{FlushStrategy, GraphKind};
 
     fn registry() -> TransformRegistry {

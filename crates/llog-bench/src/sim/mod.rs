@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! Simulation harness: workload generation, crash injection, the recovery
 //! oracle and experiment table formatting.
 //!

@@ -29,11 +29,6 @@ impl Table {
         self.rows.push(cells);
         self
     }
-
-    /// Number of data rows so far.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 impl fmt::Display for Table {

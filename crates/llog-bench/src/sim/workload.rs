@@ -80,7 +80,7 @@ impl WorkloadKind {
 /// A generated-workload specification.
 ///
 /// ```
-/// use llog_sim::{Workload, WorkloadKind};
+/// use llog_bench::sim::{Workload, WorkloadKind};
 ///
 /// let specs = Workload::new(8, 50, WorkloadKind::app_mix(), 42)
 ///     .with_skew(0.8)

@@ -91,11 +91,6 @@ impl InstallGraph {
         &self.ops
     }
 
-    /// Outgoing edges of node `i` as `(target, kind)`.
-    pub fn edges_from(&self, i: usize) -> impl Iterator<Item = (usize, EdgeKind)> + '_ {
-        self.edges[i].iter().map(|&(j, k)| (j, kind_of(k)))
-    }
-
     /// Is there an edge `i → j`?
     pub fn has_edge(&self, i: usize, j: usize) -> bool {
         self.edges[i].contains(&(j, RW)) || self.edges[i].contains(&(j, WW))

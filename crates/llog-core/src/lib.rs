@@ -22,9 +22,6 @@
 //!   over one log scan (Figure 2) — and [`recover_two_pass`], the two-scan
 //!   reference tests compare it against.
 //! - [`invariant`]: the `Inv(I)` audit used by tests (§3).
-//! - [`replica`]: continuous redo for warm standbys — an incremental
-//!   [`RedoSession`] over a shipped log, with a replayed-LSN watermark
-//!   and promotion (recovery that never stops).
 
 pub mod cache;
 pub mod exposed;
@@ -33,7 +30,6 @@ pub mod invariant;
 pub mod media;
 pub mod recover;
 pub mod redo;
-pub mod replica;
 pub mod rwgraph;
 pub mod shared;
 pub mod snapshot;
@@ -44,7 +40,6 @@ pub use igraph::{EdgeKind, InstallGraph};
 pub use media::{media_recover, media_recover_archived, Backup, BackupMode};
 pub use recover::{recover, recover_two_pass, RecoveryOutcome};
 pub use redo::RedoPolicy;
-pub use replica::{RedoSession, ReplicaReader};
 pub use rwgraph::{NodeId, RWGraph};
 pub use snapshot::{Snapshot, SnapshotRegistry};
 pub use wgraph::WriteGraph;

@@ -49,11 +49,6 @@ impl Application {
         }
     }
 
-    /// The application's recoverable state object.
-    pub fn state_object(&self) -> ObjectId {
-        self.state
-    }
-
     /// `Ex(A)`: one execution step between recoverable events.
     pub fn step(&mut self, engine: &mut Engine) -> Result<(OpId, Lsn)> {
         let step = self.step;

@@ -425,11 +425,6 @@ impl RecoverableVm {
         RecoverableVm { state_obj }
     }
 
-    /// The recoverable state object.
-    pub fn state_object(&self) -> ObjectId {
-        self.state_obj
-    }
-
     /// `Ex(A)`: run up to `budget` instructions. Only the budget is logged.
     pub fn step(&self, engine: &mut Engine, budget: u32) -> Result<(OpId, Lsn)> {
         engine.execute(

@@ -49,7 +49,7 @@ impl Default for ShardedConfig {
 
 /// A consistent attach image for one shard, captured by
 /// [`ShardedEngine::ship_manifest`]: everything a replica needs to start
-/// a [`llog_core::RedoSession`] over shipped log bytes.
+/// a `llog_server::replica::RedoSession` over shipped log bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShipManifest {
     /// The shard's stable store as one standalone store image
@@ -500,7 +500,7 @@ impl ShardedEngine {
 
     /// Capture a consistent attach image of shard `i` for a new replica:
     /// the stable store's image plus the log addresses a
-    /// [`llog_core::RedoSession`] needs to start replaying. Taken under
+    /// `llog_server::replica::RedoSession` needs to start replaying. Taken under
     /// the shard lock, so the store image, log base and durable cut are
     /// one instant of the shard — every record the image may reflect lies
     /// below `durable`, which is what makes the replica's blind replay of

@@ -24,6 +24,9 @@
 //! - **[`Client`]** — a blocking client, lock-step or pipelined.
 //! - **[`boot`]** — open/recover a served database directory
 //!   (`shard-<i>/{log,store}` file backends per shard).
+//! - **[`replica`]** — log shipping (DESIGN §13): a warm standby that
+//!   replays the primary's shipped log, serves reads at its replayed-LSN
+//!   watermark and is promoted to primary on failover.
 //!
 //! ```
 //! use llog_ops::TransformRegistry;
@@ -48,6 +51,7 @@
 pub mod boot;
 mod client;
 pub mod proto;
+pub mod replica;
 mod server;
 
 pub use client::Client;

@@ -32,15 +32,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use llog_core::{recover, Engine, EngineConfig, RecoveryOutcome, RedoPolicy};
+use llog_core::{Snapshot, SnapshotRegistry};
 use llog_ops::TransformRegistry;
 use llog_storage::{StableStore, VersionStore};
 use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
 use llog_wal::{LogRecord, Wal};
-
-use crate::cache::{Engine, EngineConfig};
-use crate::recover::{recover, RecoveryOutcome};
-use crate::redo::RedoPolicy;
-use crate::snapshot::{Snapshot, SnapshotRegistry};
 
 /// An incremental redo session over a shipped log (see the module docs).
 pub struct RedoSession {
@@ -228,7 +225,7 @@ impl ReplicaReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{FlushStrategy, GraphKind};
+    use llog_core::{FlushStrategy, GraphKind};
     use llog_ops::{builtin, OpKind, Transform};
     use llog_storage::Metrics;
     use llog_types::ObjectId;

@@ -1,5 +1,5 @@
 //! The warm-standby replica: attach, continuous redo, read-at-watermark
-//! service, and promotion (see the crate docs for the protocol rules).
+//! service, and promotion (see the module docs for the protocol rules).
 //!
 //! ## Threading model
 //!
@@ -36,25 +36,24 @@ use std::io::{Read, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use llog_core::{recover, Engine, EngineConfig, RedoPolicy, RedoSession, ReplicaReader};
+use llog_core::shared::lock;
+use llog_core::{recover, Engine, EngineConfig, RedoPolicy};
 use llog_engine::{GroupCommitSnapshot, ShardRouter, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_server::proto::{
-    decode_request, encode_response, read_frame, write_frame, ErrCode, Request, Response, StatsBody,
-};
-use llog_server::Client;
 use llog_storage::device::{decode_image, DeviceConfig};
 use llog_storage::{Metrics, MetricsSnapshot, StableStore};
 use llog_types::{LlogError, Lsn, Result, Value};
 use llog_wal::{DurabilityBackend, Wal};
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use super::{RedoSession, ReplicaReader};
+use crate::proto::{
+    decode_request, encode_response, read_frame, write_frame, ErrCode, Request, Response, StatsBody,
+};
+use crate::Client;
 
 /// How long the poller sleeps when fully caught up.
 const POLL_INTERVAL: Duration = Duration::from_millis(2);
@@ -744,7 +743,7 @@ fn promote_sessions(
     }
     // The same configuration a booted primary serves with.
     Ok(ShardedEngine::from_engines(
-        llog_server::boot::server_engine_config(shards),
+        crate::boot::server_engine_config(shards),
         engines,
     ))
 }
@@ -799,7 +798,7 @@ fn device_catch_up(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llog_server::{boot, Server, ServerConfig};
+    use crate::{boot, Server, ServerConfig};
     use llog_types::ObjectId;
 
     fn start_primary(shards: usize) -> Server {
@@ -1084,7 +1083,7 @@ mod tests {
     /// it into a consistent attach.
     #[test]
     fn attach_assembles_multi_chunk_store_image() {
-        use llog_server::proto::MAX_FRAME;
+        use crate::proto::MAX_FRAME;
 
         let registry = TransformRegistry::with_builtins();
         let engine = ShardedEngine::new(boot::server_engine_config(1), &registry);

@@ -60,6 +60,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use llog_core::shared::lock;
 use llog_engine::{CommitTicket, ShardedEngine, ShipManifest};
 use llog_ops::{builtin, OpKind, Transform};
 use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
@@ -116,10 +117,6 @@ impl SessionFloors {
     fn floor(&self, i: usize) -> Lsn {
         Lsn(self.floors[i].load(Ordering::SeqCst))
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Per-connection completion-queue bound: at most this many responses may

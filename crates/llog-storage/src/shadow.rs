@@ -44,11 +44,6 @@ impl ShadowStore {
         self.staged.insert(x, StoredObject { value, vsi });
     }
 
-    /// How many objects are staged and not yet committed.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
     /// Atomically commit all staged writes into `base` by "swinging the
     /// pointer": one root write, after which every staged object is part of
     /// the official stable state. The staged values were already written to

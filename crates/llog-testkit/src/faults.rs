@@ -195,11 +195,6 @@ impl FaultHost {
         *lock(&self.armed) = Some((point.to_string(), kind));
     }
 
-    /// Disarm without firing.
-    pub fn disarm(&self) {
-        *lock(&self.armed) = None;
-    }
-
     /// True if a fault is currently armed (not yet fired).
     pub fn is_armed(&self) -> bool {
         lock(&self.armed).is_some()

@@ -153,15 +153,6 @@ impl TestRng {
         }
     }
 
-    /// A uniformly chosen element, or `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.below(slice.len() as u64) as usize])
-        }
-    }
-
     /// Derive an independent child generator (for per-case streams).
     pub fn fork(&mut self) -> TestRng {
         TestRng::seed_from_u64(self.next_u64())

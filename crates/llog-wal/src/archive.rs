@@ -30,11 +30,6 @@ impl LogArchive {
         self.segments.len()
     }
 
-    /// Total archived bytes.
-    pub fn archived_bytes(&self) -> usize {
-        self.segments.iter().map(|(_, b)| b.len()).sum()
-    }
-
     /// First archived LSN, if anything is archived.
     pub fn start_lsn(&self) -> Option<Lsn> {
         self.segments.first().map(|&(base, _)| Lsn(base))

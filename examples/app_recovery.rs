@@ -9,8 +9,8 @@
 use llog::core::{recover, Engine, EngineConfig, RedoPolicy};
 use llog::domains::app::{Application, WriteMode};
 use llog::ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog::sim::human_bytes;
 use llog::types::{ObjectId, Value};
+use llog_bench::sim::human_bytes;
 
 const APP: ObjectId = ObjectId(100);
 const INPUT: ObjectId = ObjectId(1);

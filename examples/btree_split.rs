@@ -9,8 +9,8 @@
 use llog::core::{recover, Engine, EngineConfig, RedoPolicy};
 use llog::domains::{btree::BTree, register_domain_transforms};
 use llog::ops::TransformRegistry;
-use llog::sim::human_bytes;
 use llog::types::ObjectId;
+use llog_bench::sim::human_bytes;
 
 const META: ObjectId = ObjectId(0x7000_0000_0000_0000);
 

@@ -9,7 +9,7 @@
 use llog::core::{recover, Engine, EngineConfig, RedoPolicy};
 use llog::domains::fs::FileSystem;
 use llog::ops::TransformRegistry;
-use llog::sim::human_bytes;
+use llog_bench::sim::human_bytes;
 
 fn main() {
     let registry = TransformRegistry::with_builtins();

@@ -10,7 +10,7 @@
 use llog::core::{recover, Engine, EngineConfig, RedoPolicy};
 use llog::domains::queue::Queue;
 use llog::ops::TransformRegistry;
-use llog::sim::human_bytes;
+use llog_bench::sim::human_bytes;
 
 fn main() {
     let registry = TransformRegistry::with_builtins();

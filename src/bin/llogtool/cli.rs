@@ -1,15 +1,15 @@
-//! Implementation of the `llogtool` commands (library form, so they are
-//! testable without spawning processes).
+//! Implementation of the `llogtool` commands (plain functions, so they
+//! are testable without spawning processes).
 
 use std::path::Path;
 use std::sync::Arc;
 
+use llog_bench::sim::{
+    human_bytes, replay_stable_log, run_workload, verify_against_log, Table, Workload, WorkloadKind,
+};
 use llog_core::{media_recover, recover, Backup, BackupMode, Engine, EngineConfig, RedoPolicy};
 use llog_engine::{recover_sharded, ShardedConfig, ShardedEngine};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog_sim::{
-    human_bytes, replay_stable_log, run_workload, verify_against_log, Table, Workload, WorkloadKind,
-};
 use llog_storage::device::{DeviceConfig, FileLogDevice, FileStoreDevice, WAL_MANIFEST};
 use llog_storage::{Metrics, StableStore};
 use llog_types::{LlogError, Lsn, Result};
@@ -644,10 +644,10 @@ pub fn cmd_load(addr: &str, ops: u64, seed: u64, conns: usize, check: bool) -> R
 /// `<dir>/server.addr` from `llogtool serve` so scripts can find it.
 pub fn cmd_replicate(dir: &Path, primary: &str, addr: &str) -> Result<()> {
     use std::io::Write as _;
-    let replica = llog_repl::Replica::start(
+    let replica = llog_server::replica::Replica::start(
         primary,
         registry(),
-        llog_repl::ReplicaConfig {
+        llog_server::replica::ReplicaConfig {
             addr: addr.to_string(),
         },
     )?;

@@ -25,7 +25,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use llog_cli::{
+mod cli;
+
+use cli::{
     cmd_backup, cmd_demo, cmd_dump, cmd_lag, cmd_load, cmd_media_recover, cmd_promote, cmd_recover,
     cmd_replicate, cmd_serve, cmd_server_stats, cmd_shard_demo, cmd_stats, cmd_stop, cmd_verify,
 };

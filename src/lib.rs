@@ -16,10 +16,10 @@
 //!   REDO tests and recovery
 //! - [`engine`]: N hash-sharded engines behind one handle, with a
 //!   group-commit durability pipeline, backpressure and parallel recovery
-//! - [`repl`]: log shipping — warm-standby replicas running continuous
-//!   redo, consistent reads at a replayed-LSN watermark, failover
+//! - [`server`]: the TCP front end over the sharded engine, and log
+//!   shipping — warm-standby replicas running continuous redo,
+//!   consistent reads at a replayed-LSN watermark, failover
 //! - [`domains`]: application recovery, file systems, B-trees
-//! - [`sim`]: workload generation, crash injection and the recovery oracle
 //! - [`testkit`]: deterministic PRNG, seeded property-test harness and
 //!   fault injection (the workspace has zero external dependencies)
 //!
@@ -55,8 +55,7 @@ pub use llog_core as core;
 pub use llog_domains as domains;
 pub use llog_engine as engine;
 pub use llog_ops as ops;
-pub use llog_repl as repl;
-pub use llog_sim as sim;
+pub use llog_server as server;
 pub use llog_storage as storage;
 pub use llog_testkit as testkit;
 pub use llog_types as types;

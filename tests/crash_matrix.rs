@@ -5,8 +5,8 @@
 use llog::core::{EngineConfig, FlushStrategy, GraphKind, RedoPolicy};
 use llog::engine::{recover_sharded, CommitTicket, ShardedConfig, ShardedEngine};
 use llog::ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog::sim::{run_crash_recover_verify, CrashPoint, Workload, WorkloadKind};
 use llog::types::{ObjectId, Value};
+use llog_bench::sim::{run_crash_recover_verify, CrashPoint, Workload, WorkloadKind};
 
 fn registry() -> TransformRegistry {
     TransformRegistry::with_builtins()
@@ -467,7 +467,7 @@ fn recovery_modes_agree_on_every_crash_point() {
     for cut in 0..=ops.len() {
         for policy in [RedoPolicy::Vsi, RedoPolicy::RsiExposed] {
             let mut engine = llog::core::Engine::new(rw_config(), reg.clone());
-            llog::sim::run_workload(&mut engine, &ops[..cut], 3, 0).unwrap();
+            llog_bench::sim::run_workload(&mut engine, &ops[..cut], 3, 0).unwrap();
             engine.wal_mut().force();
             let (store, wal) = engine.crash();
             assert_two_pass_agrees(&store, &wal, &reg, policy, &format!("cut {cut} {policy:?}"));
@@ -483,9 +483,9 @@ fn recovery_modes_agree_on_torn_tails() {
         let mut engine = llog::core::Engine::new(rw_config(), reg.clone());
         // Force mid-stream so the torn tail lands beyond a real redo
         // range, then leave the rest of the workload unforced.
-        llog::sim::run_workload(&mut engine, &ops[..20], 3, 0).unwrap();
+        llog_bench::sim::run_workload(&mut engine, &ops[..20], 3, 0).unwrap();
         engine.wal_mut().force();
-        llog::sim::run_workload(&mut engine, &ops[20..], 0, 0).unwrap();
+        llog_bench::sim::run_workload(&mut engine, &ops[20..], 0, 0).unwrap();
         let (store, wal) = engine.crash_torn(torn);
         assert_two_pass_agrees(
             &store,
@@ -557,7 +557,7 @@ fn wal_truncation_reclaims_device_space_and_recovery_agrees() {
     // devices (including the identity-write install records, so the
     // device's end reaches the future truncation point and the reclaim
     // runs as a truncation, not a window-gap reset).
-    llog::sim::run_workload(&mut engine, &ops[..25], 3, 0).unwrap();
+    llog_bench::sim::run_workload(&mut engine, &ops[..25], 3, 0).unwrap();
     engine.install_all().unwrap();
     engine.wal_mut().force();
 
@@ -584,7 +584,7 @@ fn wal_truncation_reclaims_device_space_and_recovery_agrees() {
     // Phase B, forced, persisted again: both devices must reclaim the
     // durable space below the new base (the bug this test pins down was
     // a file backend that kept every pre-truncation segment forever).
-    llog::sim::run_workload(&mut engine, &ops[25..], 0, 0).unwrap();
+    llog_bench::sim::run_workload(&mut engine, &ops[25..], 0, 0).unwrap();
     engine.wal_mut().force();
     mem.persist(engine.store(), engine.wal(), None).unwrap();
     file.persist(engine.store(), engine.wal(), None).unwrap();
@@ -678,11 +678,11 @@ fn post_truncation_recovery_equivalence_sweep() {
     let cfg = DeviceConfig::small();
     for cut in (5..30).step_by(5) {
         let mut engine = llog::core::Engine::new(rw_config(), reg.clone());
-        llog::sim::run_workload(&mut engine, &ops[..cut], 2, 0).unwrap();
+        llog_bench::sim::run_workload(&mut engine, &ops[..cut], 2, 0).unwrap();
         engine.wal_mut().force();
         engine.install_all().unwrap();
         engine.checkpoint(true).unwrap();
-        llog::sim::run_workload(&mut engine, &ops[cut..], 0, 0).unwrap();
+        llog_bench::sim::run_workload(&mut engine, &ops[cut..], 0, 0).unwrap();
         engine.wal_mut().force();
 
         let dir = BackendDir::new("sweep");
@@ -725,7 +725,7 @@ fn mem_and_file_devices_append_the_same_delta() {
     let mut file = DurabilityBackend::file(&dir.0, Metrics::new(), &cfg).expect("file backend");
 
     for (round, part) in [&ops[..20], &ops[20..]].into_iter().enumerate() {
-        llog::sim::run_workload(&mut engine, part, 3, 0).unwrap();
+        llog_bench::sim::run_workload(&mut engine, part, 3, 0).unwrap();
         engine.install_all().unwrap();
         engine.wal_mut().force();
         let m = mem.persist(engine.store(), engine.wal(), None).unwrap();
@@ -758,7 +758,7 @@ fn ship_and_promote(
     reg: &TransformRegistry,
     chunk: usize,
 ) -> llog::core::Engine {
-    use llog::core::RedoSession;
+    use llog::server::replica::RedoSession;
     use llog::storage::{Metrics, StableStore};
     use llog::wal::Wal;
 
@@ -796,7 +796,7 @@ fn ship_and_promote(
 #[test]
 fn failover_matrix_promoted_replica_keeps_acked_drops_unacked() {
     use llog::core::recover;
-    use llog::repl::visible_divergence;
+    use llog::server::replica::visible_divergence;
 
     let reg = registry();
     let config = ShardedConfig {
@@ -1042,7 +1042,7 @@ fn recovery_over_recycled_segment_matches_in_memory_recovery() {
 
     // Phase A on the devices, then a truncating checkpoint: the devices
     // reclaim the phase-A segments and park them for recycling.
-    llog::sim::run_workload(&mut engine, &ops[..25], 3, 0).unwrap();
+    llog_bench::sim::run_workload(&mut engine, &ops[..25], 3, 0).unwrap();
     engine.install_all().unwrap();
     engine.wal_mut().force();
     mem.persist(engine.store(), engine.wal(), None).unwrap();
@@ -1053,7 +1053,7 @@ fn recovery_over_recycled_segment_matches_in_memory_recovery() {
 
     // Phase B rotates into recycled blobs whose previous life's frames are
     // physically still there beyond the live tail.
-    llog::sim::run_workload(&mut engine, &ops[25..], 0, 0).unwrap();
+    llog_bench::sim::run_workload(&mut engine, &ops[25..], 0, 0).unwrap();
     engine.wal_mut().force();
     mem.persist(engine.store(), engine.wal(), None).unwrap();
     file.persist(engine.store(), engine.wal(), None).unwrap();

@@ -7,8 +7,8 @@ use llog::domains::btree::BTree;
 use llog::domains::fs::FileSystem;
 use llog::domains::register_domain_transforms;
 use llog::ops::TransformRegistry;
-use llog::sim::{replay_stable_log, verify_against_log, Workload, WorkloadKind};
 use llog::types::{ObjectId, Value};
+use llog_bench::sim::{replay_stable_log, verify_against_log, Workload, WorkloadKind};
 
 fn registry() -> TransformRegistry {
     let mut r = TransformRegistry::with_builtins();

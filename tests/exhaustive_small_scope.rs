@@ -11,8 +11,8 @@
 
 use llog::core::{recover, Engine, EngineConfig, FlushStrategy, GraphKind, RedoPolicy};
 use llog::ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog::sim::verify_against_log;
 use llog::types::{ObjectId, Value};
+use llog_bench::sim::verify_against_log;
 
 /// The shape grammar: X and Y are the interacting objects, S a seed source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,9 +8,9 @@ use llog::core::exposed::{expected_state, explains};
 use llog::core::igraph::InstallGraph;
 use llog::core::{EngineConfig, FlushStrategy, GraphKind, RWGraph, RedoPolicy, WriteGraph};
 use llog::ops::{builtin, OpKind, Operation, Transform, TransformRegistry};
-use llog::sim::{run_crash_recover_verify, CrashPoint, OpSpec, Workload, WorkloadKind};
 use llog::types::{ObjectId, OpId, Value};
 use llog::wal::LogRecord;
+use llog_bench::sim::{run_crash_recover_verify, CrashPoint, OpSpec, Workload, WorkloadKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 const N_OBJECTS: u64 = 6;

@@ -14,8 +14,8 @@ use llog::testkit::prop::*;
 
 use llog::core::{recover, Engine, EngineConfig, RWGraph, RedoPolicy};
 use llog::ops::{table1, OpKind, Operation, TransformRegistry};
-use llog::sim::{run_workload, OpSpec, Workload, WorkloadKind};
 use llog::types::{ObjectId, OpId, Value};
+use llog_bench::sim::{run_workload, OpSpec, Workload, WorkloadKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The pre-incremental algorithm, kept as the reference implementation.

@@ -11,9 +11,9 @@ use llog::domains::btree::BTree;
 use llog::domains::queue::Queue;
 use llog::domains::register_domain_transforms;
 use llog::ops::TransformRegistry;
-use llog::sim::{Workload, WorkloadKind};
 use llog::types::ObjectId;
 use llog::wal::LogArchive;
+use llog_bench::sim::{Workload, WorkloadKind};
 
 fn registry() -> TransformRegistry {
     let mut r = TransformRegistry::with_builtins();
