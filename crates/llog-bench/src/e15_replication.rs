@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use llog_engine::ShardedEngine;
 use llog_ops::TransformRegistry;
-use llog_server::replica::{Replica, ReplicaConfig};
+use llog_server::replica::Replica;
 use llog_server::{boot, Client, Server, ServerConfig};
 use llog_types::ObjectId;
 
@@ -263,7 +263,7 @@ fn run_lag_phase(p: &Params) -> LagPhase {
     let server = Server::start(engine, ServerConfig::default()).expect("start primary");
     let addr = server.local_addr();
 
-    let replica = Replica::start(&addr.to_string(), registry, ReplicaConfig::default())
+    let replica = Replica::start(&addr.to_string(), registry, ServerConfig::default())
         .expect("attach replica");
     let raddr = replica.local_addr();
 
@@ -329,7 +329,7 @@ fn run_failover_phase(p: &Params) -> FailoverPhase {
     let server = Server::start(engine, ServerConfig::default()).expect("start primary");
     let addr = server.local_addr();
 
-    let replica = Replica::start(&addr.to_string(), registry, ReplicaConfig::default())
+    let replica = Replica::start(&addr.to_string(), registry, ServerConfig::default())
         .expect("attach replica");
     let raddr = replica.local_addr();
 

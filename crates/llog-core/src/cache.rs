@@ -234,24 +234,31 @@ impl Engine {
     /// still need. From then on every executed or replayed update
     /// publishes its outputs as immutable versions keyed by its `lSI`.
     ///
-    /// The store image is seeded in bulk ([`VersionStore::seed`]); the
-    /// overlay ([`cached_versions`](Self::cached_versions)) is published on
-    /// top, one version per cached object.
+    /// The store image is seeded in bulk with the overlay
+    /// ([`cached_versions`](Self::cached_versions)) on top, in one
+    /// [`VersionStore::seed`].
     pub fn enable_versions(&mut self) -> Arc<VersionStore> {
         let vs = VersionStore::new(self.metrics.clone());
-        vs.seed(self.store.iter().map(|(&x, stored)| {
+        self.adopt_versions(vs.clone(), || {});
+        vs
+    }
+
+    /// [`enable_versions`](Self::enable_versions) into an existing store:
+    /// every chain `vs` held is replaced by this engine's state, and
+    /// `publish_cut` runs while readers of `vs` are excluded. A shard whose
+    /// engine is replaced wholesale keeps its store this way, so lock-free
+    /// readers see the old state or the new one, never a mix.
+    pub fn adopt_versions(&mut self, vs: Arc<VersionStore>, publish_cut: impl FnOnce()) {
+        let image = self.store.iter().map(|(&x, stored)| {
             let version = Version {
                 si: stored.vsi,
                 value: stored.value.clone(),
                 tombstone: false,
             };
             (x, version)
-        }));
-        for (x, v) in self.cached_versions() {
-            vs.publish(x, v.si, v.value, v.tombstone);
-        }
-        self.versions = Some(vs.clone());
-        vs
+        });
+        vs.seed(image, self.cached_versions(), publish_cut);
+        self.versions = Some(vs);
     }
 
     /// The cache overlay as versions: each cached object's value at its

@@ -41,5 +41,4 @@ pub use media::{media_recover, media_recover_archived, Backup, BackupMode};
 pub use recover::{recover, recover_two_pass, RecoveryOutcome};
 pub use redo::RedoPolicy;
 pub use rwgraph::{NodeId, RWGraph};
-pub use snapshot::{Snapshot, SnapshotRegistry};
 pub use wgraph::WriteGraph;

@@ -97,9 +97,9 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Wrap `engine` as shard `index`. The watermark starts at the WAL's
-    /// already-forced LSN so operations recovered from the log are born
-    /// durable.
+    /// Wrap `engine` as shard `index`, its watermark starting at `durable`:
+    /// a primary's already-forced LSN, so operations recovered from the log
+    /// are born durable; a standby's replayed end.
     ///
     /// `versions` are the engine's chains, already seeded from its state
     /// ([`Engine::enable_versions`]) — on the recovery path by the worker
@@ -107,11 +107,11 @@ impl Shard {
     pub fn new(
         index: usize,
         engine: Engine,
+        durable: Lsn,
         versions: Arc<VersionStore>,
         faults: Option<Arc<FaultHost>>,
         sched: Arc<ForceScheduler>,
     ) -> Shard {
-        let forced = engine.wal().forced_lsn();
         Shard {
             index,
             engine: Mutex::new(Some(engine)),
@@ -120,7 +120,7 @@ impl Shard {
             snapshots: SnapshotRegistry::new(),
             sched,
             unforced_ops: AtomicU64::new(0),
-            durable: Mutex::new(forced),
+            durable: Mutex::new(durable),
             durable_cv: Condvar::new(),
             dead: AtomicBool::new(false),
             bp_epoch: Mutex::new(0),

@@ -1,7 +1,7 @@
 //! The sharded engine: N hash-partitioned recovery engines behind one
 //! handle, committed through one on-demand force barrier.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -48,8 +48,8 @@ impl Default for ShardedConfig {
 }
 
 /// A consistent attach image for one shard, captured by
-/// [`ShardedEngine::ship_manifest`]: everything a replica needs to start
-/// a `llog_server::replica::RedoSession` over shipped log bytes.
+/// [`ShardedEngine::ship_manifest`]: everything a replica needs to recover
+/// the shard and replay shipped log bytes on top.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShipManifest {
     /// The shard's stable store as one standalone store image
@@ -72,8 +72,24 @@ pub struct ShipManifest {
 /// The handle is not `Clone`; share it across threads by reference
 /// (`std::thread::scope`) — every method takes `&self` except the
 /// consuming `crash`/`shutdown`.
+///
+/// A **standby** ([`ShardedEngine::standby`]) holds engines recovered from
+/// a primary's shipped attach images. It runs no installers; writes,
+/// installs, checkpoints and shipping are refused with
+/// [`LlogError::Standby`], and a force has nothing to do. A replica feeds each shard shipped log through
+/// [`replay_shard`](Self::replay_shard), which moves the shard's durable
+/// watermark — the cut snapshot reads serve — to the replayed end, until
+/// [`promote`](Self::promote) seals every log there and starts the
+/// installers.
 pub struct ShardedEngine {
     config: ShardedConfig,
+    /// A standby replays shipped log and refuses work (see the type docs).
+    /// Only ever cleared, by [`promote`](Self::promote), with a `Release`
+    /// store while it holds every engine lock: a check under an engine
+    /// lock is exact, and `execute`'s check is one relaxed load — a stale
+    /// `true` refuses one put, and the sealed log it would append to is
+    /// published by the engine lock `execute` takes next.
+    standby: AtomicBool,
     router: ShardRouter,
     shards: Vec<Arc<Shard>>,
     /// Installers + checkpointer, joined on halt.
@@ -107,39 +123,32 @@ impl ShardedEngine {
         let engines = (0..config.shards)
             .map(|_| Engine::new(EngineConfig::default(), registry.clone()))
             .collect();
-        ShardedEngine::from_engines_with_faults(config, engines, faults)
+        ShardedEngine::from_seeded(config, seed_versions(engines), faults, false)
     }
 
     /// Wrap existing engines (the recovery path); `engines.len()`
-    /// overrides `config.shards`.
+    /// overrides `config.shards`. Each engine's version chains are seeded
+    /// from its current state ([`Engine::enable_versions`]).
     pub fn from_engines(config: ShardedConfig, engines: Vec<Engine>) -> ShardedEngine {
-        ShardedEngine::from_engines_with_faults(config, engines, None)
+        ShardedEngine::from_seeded(config, seed_versions(engines), None, false)
     }
 
-    /// [`ShardedEngine::from_engines`] with a fault-injection host (see
-    /// [`ShardedEngine::new_with_faults`]). Each engine's version chains
-    /// are seeded from its current state ([`Engine::enable_versions`]).
-    pub fn from_engines_with_faults(
-        config: ShardedConfig,
-        engines: Vec<Engine>,
-        faults: Option<Arc<FaultHost>>,
-    ) -> ShardedEngine {
-        let seeded = engines
-            .into_iter()
-            .map(|mut e| {
-                let versions = e.enable_versions();
-                (e, versions)
-            })
-            .collect();
-        ShardedEngine::from_seeded(config, seeded, faults)
+    /// A standby over engines recovered from a primary's attach images
+    /// (see the type docs); `engines.len()` overrides `config.shards`. Each
+    /// shard's watermark starts at its log's replayed end: the end of the
+    /// last complete, valid frame.
+    pub fn standby(config: ShardedConfig, engines: Vec<Engine>) -> ShardedEngine {
+        ShardedEngine::from_seeded(config, seed_versions(engines), None, true)
     }
 
     /// Wrap engines whose version chains are already seeded — recovery
     /// seeds each shard inside its worker pool, so nothing is seeded here.
+    /// A standby starts no installers.
     fn from_seeded(
         mut config: ShardedConfig,
         seeded: Vec<(Engine, Arc<VersionStore>)>,
         faults: Option<Arc<FaultHost>>,
+        standby: bool,
     ) -> ShardedEngine {
         assert!(!seeded.is_empty(), "need at least one shard");
         config.shards = seeded.len();
@@ -147,26 +156,137 @@ impl ShardedEngine {
         let shards: Vec<Arc<Shard>> = seeded
             .into_iter()
             .enumerate()
-            .map(|(i, (e, v))| Arc::new(Shard::new(i, e, v, faults.clone(), scheduler.clone())))
+            .map(|(i, (e, v))| {
+                let durable = if standby {
+                    replayed_end(&e)
+                } else {
+                    e.wal().forced_lsn()
+                };
+                Arc::new(Shard::new(
+                    i,
+                    e,
+                    durable,
+                    v,
+                    faults.clone(),
+                    scheduler.clone(),
+                ))
+            })
             .collect();
-        let mut threads = Vec::new();
-        for shard in &shards {
-            let s = shard.clone();
-            let high_water = config.install_high_water;
-            threads.push(std::thread::spawn(move || {
-                installer_loop(&s, high_water);
-            }));
-        }
-        ShardedEngine {
+        let engine = ShardedEngine {
             config,
+            standby: AtomicBool::new(standby),
             router: ShardRouter::new(shards.len()),
             shards,
-            threads: Mutex::new(threads),
+            threads: Mutex::new(Vec::new()),
             rr: Arc::new(AtomicUsize::new(0)),
             ctl: Arc::new(WorkSignal::new()),
             scheduler,
             sched_thread: Mutex::new(Some(sched_thread)),
+        };
+        if !standby {
+            engine.spawn_installers();
         }
+        engine
+    }
+
+    fn spawn_installers(&self) {
+        let mut threads = lock(&self.threads);
+        for shard in &self.shards {
+            let s = shard.clone();
+            let high_water = self.config.install_high_water;
+            threads.push(std::thread::spawn(move || {
+                installer_loop(&s, high_water);
+            }));
+        }
+    }
+
+    /// Is this engine a standby (see the type docs)?
+    pub fn is_standby(&self) -> bool {
+        self.standby.load(Ordering::Acquire)
+    }
+
+    /// [`LlogError::Standby`] while this engine is a standby.
+    fn refuse_standby(&self) -> Result<()> {
+        if self.standby.load(Ordering::Relaxed) {
+            return Err(LlogError::Standby);
+        }
+        Ok(())
+    }
+
+    /// Shard `i`'s engine, if this is still a standby and the shard is
+    /// live. `g` is the held engine lock, under which promotion clears the
+    /// standby flag.
+    fn standby_engine<'g>(&self, i: usize, g: &'g mut Option<Engine>) -> Result<&'g mut Engine> {
+        if !self.standby.load(Ordering::Acquire) {
+            return Err(LlogError::CacheProtocol(
+                "the engine is not a standby".into(),
+            ));
+        }
+        g.as_mut()
+            .ok_or_else(|| LlogError::CacheProtocol(format!("shard {i} has crashed")))
+    }
+
+    /// Run one replay step on standby shard `i` under its engine lock.
+    /// `step` gets the engine and the shard's watermark; wherever it leaves
+    /// the watermark — also when it fails part-way — becomes the shard's
+    /// durable watermark, the cut
+    /// [`read_value_snapshot`](Self::read_value_snapshot) serves. Versions
+    /// no open snapshot needs below the new cut are then reclaimed.
+    pub fn replay_shard<R>(
+        &self,
+        i: usize,
+        step: impl FnOnce(&mut Engine, &mut Lsn) -> Result<R>,
+    ) -> Result<R> {
+        let shard = &self.shards[i];
+        let mut g = shard.lock_engine();
+        let e = self.standby_engine(i, &mut g)?;
+        let before = shard.durable_lsn();
+        let mut watermark = before;
+        let result = step(e, &mut watermark);
+        shard.advance_durable(watermark);
+        drop(g);
+        if watermark > before {
+            shard.gc_versions();
+        }
+        result
+    }
+
+    /// Replace standby shard `i`'s engine wholesale with the one `build`
+    /// makes from the current engine (whose metrics ledger and registry it
+    /// should reuse), under the shard's engine lock. The shard's version
+    /// chains are re-seeded in place and its watermark advanced to the new
+    /// engine's replayed end while lock-free readers are excluded
+    /// ([`Engine::adopt_versions`]), so a reader sees the old shard at the
+    /// old cut or the new one at the new cut, never a mix. The new engine
+    /// is a later cut of the same log, so the watermark never moves back.
+    pub fn replace_shard(
+        &self,
+        i: usize,
+        build: impl FnOnce(&Engine) -> Result<Engine>,
+    ) -> Result<()> {
+        let shard = &self.shards[i];
+        let mut g = shard.lock_engine();
+        let mut engine = build(self.standby_engine(i, &mut g)?)?;
+        let durable = replayed_end(&engine);
+        engine.adopt_versions(shard.versions.clone(), || shard.advance_durable(durable));
+        *g = Some(engine);
+        Ok(())
+    }
+
+    /// Leave the standby state: seal every shard's log at its watermark (a
+    /// torn or unreplayed suffix is discarded, so each engine's state
+    /// matches its log exactly), start the installers and accept writes.
+    /// Every engine lock is held throughout, so no replay step lands
+    /// between a seal and the switch, and a second promotion is refused.
+    pub fn promote(&self) -> Result<()> {
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock_engine()).collect();
+        for (s, g) in self.shards.iter().zip(&mut guards) {
+            let e = self.standby_engine(s.index, g)?;
+            e.wal_mut().seal_to(s.durable_lsn())?;
+        }
+        self.spawn_installers();
+        self.standby.store(false, Ordering::Release);
+        Ok(())
     }
 
     /// The engine's configuration (with `shards` reflecting reality).
@@ -199,6 +319,7 @@ impl ShardedEngine {
         writes: Vec<ObjectId>,
         transform: Transform,
     ) -> Result<CommitTicket> {
+        self.refuse_standby()?;
         let idx = self.router.shard_of_op(&reads, &writes)?;
         let shard = &self.shards[idx];
 
@@ -357,6 +478,11 @@ impl ShardedEngine {
     /// One barrier over `shards` (which publishes every rider's
     /// watermark); the first failure, if any, is reported.
     fn force_shards(&self, shards: &[Arc<Shard>]) -> Result<()> {
+        // A standby holds nothing volatile: its log is the primary's stable
+        // bytes, and its watermark is where replay got to.
+        if self.is_standby() {
+            return Ok(());
+        }
         let results = self.scheduler.force_many(shards);
         match shards
             .iter()
@@ -404,6 +530,7 @@ impl ShardedEngine {
     /// executed so far. An identity write the installs log themselves is
     /// waited for: the flush it enables needs it durable first.
     pub fn install_all(&self) -> Result<()> {
+        self.refuse_standby()?;
         for s in &self.shards {
             loop {
                 let mut g = s.lock_engine();
@@ -430,6 +557,7 @@ impl ShardedEngine {
     /// Checkpoint shard `i` (optionally truncating its log) and advance
     /// its watermark over the checkpoint's force.
     pub fn checkpoint_shard(&self, i: usize, truncate: bool) -> Result<Lsn> {
+        self.refuse_standby()?;
         checkpoint_one(&self.shards[i], truncate)
     }
 
@@ -499,13 +627,14 @@ impl ShardedEngine {
     }
 
     /// Capture a consistent attach image of shard `i` for a new replica:
-    /// the stable store's image plus the log addresses a
-    /// `llog_server::replica::RedoSession` needs to start replaying. Taken under
+    /// the stable store's image plus the log addresses it needs to start
+    /// replaying. Taken under
     /// the shard lock, so the store image, log base and durable cut are
     /// one instant of the shard — every record the image may reflect lies
     /// below `durable`, which is what makes the replica's blind replay of
     /// later records sound. The cut is at most the shard's watermark.
     pub fn ship_manifest(&self, i: usize) -> Result<ShipManifest> {
+        self.refuse_standby()?;
         let s = &self.shards[i];
         let g = s.lock_engine();
         let Some(e) = g.as_ref() else {
@@ -531,6 +660,7 @@ impl ShardedEngine {
     /// an `LsnOutOfRange` error: the replica must re-attach from a fresh
     /// manifest.
     pub fn ship_chunk(&self, i: usize, from: Lsn, max: usize) -> Result<(Vec<u8>, Lsn)> {
+        self.refuse_standby()?;
         let s = &self.shards[i];
         let g = s.lock_engine();
         let Some(e) = g.as_ref() else {
@@ -552,6 +682,7 @@ impl ShardedEngine {
     /// `repl_replay_lag_frames` (complete frames between the watermark and
     /// the shard's stable end).
     pub fn note_replica_watermark(&self, i: usize, lsn: Lsn) -> Result<()> {
+        self.refuse_standby()?;
         let s = &self.shards[i];
         let g = s.lock_engine();
         let Some(e) = g.as_ref() else {
@@ -713,6 +844,24 @@ impl Drop for ShardedEngine {
     }
 }
 
+/// Seed each engine's version chains from its current state
+/// ([`Engine::enable_versions`]).
+fn seed_versions(engines: Vec<Engine>) -> Vec<(Engine, Arc<VersionStore>)> {
+    engines
+        .into_iter()
+        .map(|mut e| {
+            let versions = e.enable_versions();
+            (e, versions)
+        })
+        .collect()
+}
+
+/// The end of the last complete, valid frame of `e`'s log: where replay of
+/// that log stops.
+fn replayed_end(e: &Engine) -> Lsn {
+    e.wal().contiguous_end(e.wal().start_lsn())
+}
+
 /// Checkpoint one shard and advance its watermark over the checkpoint's
 /// force (part of [`Engine::checkpoint`]) — with a backend attached, only
 /// as far as the log device reports durable.
@@ -859,7 +1008,10 @@ pub fn recover_sharded(
         recover_and_seed(store, wal, registry, policy)
     })?;
     let (seeded, outcomes) = recovered.into_iter().unzip();
-    Ok((ShardedEngine::from_seeded(config, seeded, None), outcomes))
+    Ok((
+        ShardedEngine::from_seeded(config, seeded, None, false),
+        outcomes,
+    ))
 }
 
 fn poisoned_recovery_thread() -> LlogError {
@@ -918,7 +1070,7 @@ where
     let (recovered, backends): (Vec<_>, _) = recovered.into_iter().unzip();
     let (seeded, outcomes) = recovered.into_iter().unzip();
     Ok((
-        ShardedEngine::from_seeded(config, seeded, None),
+        ShardedEngine::from_seeded(config, seeded, None, false),
         outcomes,
         backends,
     ))
@@ -1029,6 +1181,41 @@ mod tests {
         };
         let log = SegLog::attach(blobs, m.clone(), &cfg, "gated", Lsn(1)).unwrap();
         DurabilityBackend::over(Box::new(log), Box::new(MemStoreDevice::mem(m, &cfg)))
+    }
+
+    /// A standby refuses every call that would write to or ship from its
+    /// logs with the typed error and answers a force at once; promotion
+    /// ends that, once, and the engine then acks puts through the barrier.
+    #[test]
+    fn a_standby_refuses_work_until_promoted() {
+        let engines = (0..2)
+            .map(|_| Engine::new(EngineConfig::default(), registry()))
+            .collect();
+        let e = ShardedEngine::standby(config(2), engines);
+        assert!(e.is_standby());
+        let x = ObjectId(7);
+        let write = Transform::new(builtin::CONST, builtin::encode_values(&[Value::from("v")]));
+        let refused = [
+            e.execute(OpKind::Physical, vec![], vec![x], write)
+                .map(drop),
+            e.install_all(),
+            e.checkpoint_shard(0, true).map(drop),
+            e.ship_manifest(0).map(drop),
+            e.ship_chunk(0, Lsn::ZERO, 64).map(drop),
+            e.note_replica_watermark(0, Lsn::ZERO),
+        ];
+        for r in refused {
+            assert!(matches!(r, Err(LlogError::Standby)), "{r:?}");
+        }
+        e.force_all().unwrap();
+
+        e.promote().unwrap();
+        assert!(!e.is_standby());
+        assert!(e.promote().is_err(), "a second promotion is refused");
+        assert!(e.replay_shard(0, |_, _| Ok(())).is_err());
+        put_sync(&e, x, "v");
+        assert_eq!(e.read_value_snapshot(x).unwrap(), Value::from("v"));
+        e.shutdown().unwrap();
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! - **[`boot`]** — open/recover a served database directory
 //!   (`shard-<i>/{log,store}` file backends per shard).
 //! - **[`replica`]** — log shipping (DESIGN §13): a warm standby that
-//!   replays the primary's shipped log, serves reads at its replayed-LSN
-//!   watermark and is promoted to primary on failover.
+//!   replays the primary's shipped log into a standby engine, which the
+//!   same [`Server`] serves at its replayed-LSN watermark, and is promoted
+//!   to primary on failover.
 //!
 //! ```
 //! use llog_ops::TransformRegistry;

@@ -4,12 +4,14 @@
 //! — exactly the primitive replication needs. A [`Replica`] attaches to a
 //! running primary over the framed TCP protocol, pulls each shard's
 //! attach image (`SealManifest`) plus a stream of stable log chunks
-//! (`SegmentChunk`), and feeds them to per-shard
-//! [`RedoSession`]s: continuous single-pass redo with a
-//! **replayed-LSN watermark** per shard. The replica serves read-only
-//! `Get`/`Stats` at the watermark cut and, on primary failure, a
-//! `Promote` request seals each shard's log at its watermark and reopens
-//! the engine for writes — the standby *is* the recovered database.
+//! (`SegmentChunk`), recovers each shard from its image and feeds it the
+//! chunks: continuous single-pass redo with a **replayed-LSN watermark**
+//! per shard. The shards form a standby
+//! [`ShardedEngine`](llog_engine::ShardedEngine) served by the ordinary
+//! [`Server`](crate::Server), read-only at the watermark cut. On primary
+//! failure a `Promote` request seals each shard's log at its watermark and
+//! reopens the engine for writes — the standby *is* the recovered
+//! database. [`RedoSession`] runs the same replay over one engine.
 //!
 //! Watermark discipline (the recoverability rule the whole design hangs
 //! on): a replica only exposes state at-or-below a durable, contiguously
@@ -26,8 +28,9 @@
 mod session;
 mod standby;
 
-pub use session::{RedoSession, ReplicaReader};
-pub use standby::{Replica, ReplicaConfig, ReplicaCounters};
+pub use session::RedoSession;
+pub(crate) use standby::promote;
+pub use standby::{Replica, ReplicaCounters};
 
 use std::collections::BTreeSet;
 

@@ -1,19 +1,20 @@
 //! Continuous redo: a recovery that never stops.
 //!
-//! A [`RedoSession`] is the replica-side replay engine of log shipping. It
-//! begins with an ordinary single-pass recovery over the shipped `(store
-//! image, log prefix)` pair, then *keeps replaying* as further stable bytes
-//! arrive from the primary, maintaining a **replayed-LSN watermark**: the
-//! end of the last contiguously replayed frame. Reads are served at the
-//! watermark cut — the engine state *is* that cut, because replay is
-//! strictly in log order and stops at the first incomplete frame.
+//! [`replay`] is the standby's one replay step. It ingests shipped stable
+//! bytes into a recovered engine's log and replays every newly completed
+//! frame, advancing a **replayed-LSN watermark**: the end of the last
+//! contiguously replayed frame. The engine state *is* that cut, because
+//! replay is strictly in log order and stops at the first incomplete frame.
+//! A standby [`ShardedEngine`] runs it per shard under the shard's engine
+//! lock ([`ShardedEngine::replay_shard`]), whose durable watermark is the
+//! replayed one; a [`RedoSession`] runs it over one engine it owns.
 //!
 //! Soundness of the two-phase scheme:
 //!
 //! - Records up to the attach-time durable cut may already be reflected in
 //!   the shipped store image, so they go through the real recovery REDO
-//!   test in [`RedoSession::begin`] (never blindly re-applied — logical
-//!   operations are not idempotent).
+//!   test ([`recover`], never blindly re-applied — logical operations are
+//!   not idempotent).
 //! - Records past that cut are reflected in **no** shipped state, and the
 //!   replica's cache mirrors the primary's execution exactly (same ops,
 //!   same order, same inputs), so [`Engine::apply_logged`] replays them
@@ -22,34 +23,27 @@
 //!   keeps every replayed effect dirty in its own cache, so the visible
 //!   value of every object (cache over store) is identical at the cut.
 //!
-//! A session must not install, evict or checkpoint before promotion: those
+//! A standby must not install, evict or checkpoint before promotion: those
 //! would append the replica's own records to a log whose tail the primary
-//! still owns. [`RedoSession::promote`] ends the session — it seals the
-//! log at the watermark (discarding any torn or unreplayed suffix) and
-//! returns the engine, now writable and indistinguishable from a freshly
-//! recovered primary.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! still owns. Promotion seals the log at the watermark (discarding any
+//! torn or unreplayed suffix) and reopens the engine for writes.
+//!
+//! [`ShardedEngine`]: llog_engine::ShardedEngine
+//! [`ShardedEngine::replay_shard`]: llog_engine::ShardedEngine::replay_shard
 
 use llog_core::{recover, Engine, EngineConfig, RecoveryOutcome, RedoPolicy};
-use llog_core::{Snapshot, SnapshotRegistry};
 use llog_ops::TransformRegistry;
-use llog_storage::{StableStore, VersionStore};
+use llog_storage::StableStore;
 use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
 use llog_wal::{LogRecord, Wal};
 
-/// An incremental redo session over a shipped log (see the module docs).
+/// A single-shard redo session over a shipped log: [`recover`](fn@recover),
+/// then replay steps ([`extend`](Self::extend)), then a seal. The standby
+/// runs the same steps per shard inside a
+/// [`ShardedEngine`](llog_engine::ShardedEngine).
 pub struct RedoSession {
     engine: Engine,
     watermark: Lsn,
-    /// The watermark, shared with lock-free [`ReplicaReader`]s. Published
-    /// with `Release` only after every record at or below it has been
-    /// applied (and its versions published), so a reader that `Acquire`s it
-    /// sees a complete cut.
-    watermark_cell: Arc<AtomicU64>,
-    versions: Arc<VersionStore>,
-    registry: Arc<SnapshotRegistry>,
 }
 
 impl RedoSession {
@@ -64,23 +58,13 @@ impl RedoSession {
         config: EngineConfig,
         policy: RedoPolicy,
     ) -> Result<(RedoSession, RecoveryOutcome)> {
-        let (mut engine, outcome) = recover(store, wal, registry, config, policy)?;
+        let (engine, outcome) = recover(store, wal, registry, config, policy)?;
         let watermark = engine.wal().contiguous_end(engine.wal().start_lsn());
-        let versions = engine.enable_versions();
-        Ok((
-            RedoSession {
-                engine,
-                watermark,
-                watermark_cell: Arc::new(AtomicU64::new(watermark.0)),
-                versions,
-                registry: SnapshotRegistry::new(),
-            },
-            outcome,
-        ))
+        Ok((RedoSession { engine, watermark }, outcome))
     }
 
-    /// The replayed-LSN watermark: the consistent cut reads are served at,
-    /// and the address the replica reports back to the primary.
+    /// The replayed-LSN watermark: the consistent cut the session's state
+    /// is at.
     pub fn watermark(&self) -> Lsn {
         self.watermark
     }
@@ -92,95 +76,19 @@ impl RedoSession {
         self.engine.wal().forced_lsn()
     }
 
-    /// The underlying engine (read-only access; e.g. for fingerprinting in
-    /// divergence oracles).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// Read `x` at the watermark cut without disturbing cache state.
     pub fn read(&self, x: ObjectId) -> Value {
         self.engine.peek_value(x)
     }
 
-    /// A lock-free read handle over this session's version chains.
-    ///
-    /// The handle outlives borrows of the session: it reads at whatever
-    /// watermark the replay loop has published, without the caller holding
-    /// any lock that replay needs (see [`ReplicaReader`]).
-    pub fn reader(&self) -> ReplicaReader {
-        ReplicaReader {
-            versions: self.versions.clone(),
-            watermark: self.watermark_cell.clone(),
-        }
-    }
-
-    /// Open a pinned snapshot at the current watermark: a consistent cut
-    /// that GC will not reclaim under, even as replay advances.
-    pub fn open_snapshot(&self) -> Snapshot {
-        let cell = self.watermark_cell.clone();
-        self.registry.open(self.versions.clone(), move || {
-            Lsn(cell.load(Ordering::Acquire))
-        })
-    }
-
-    fn set_watermark(&mut self, w: Lsn) {
-        self.watermark = w;
-        self.watermark_cell.store(w.0, Ordering::Release);
-    }
-
-    /// Ingest shipped stable bytes starting at log address `at` and replay
-    /// every newly completed frame. Duplicate and overlapping delivery is
-    /// tolerated (the held prefix is skipped); a gap is rejected with
+    /// One replay step (see the module docs) over the session's engine:
+    /// ingest shipped stable bytes starting at log address `at` and
+    /// replay every newly completed frame. Returns the number of
+    /// operation records replayed; a gap is an
     /// [`LlogError::LsnOutOfRange`] and the caller refetches from
-    /// [`stable_end`](Self::stable_end). Returns the number of operation
-    /// records replayed.
+    /// [`stable_end`](Self::stable_end).
     pub fn extend(&mut self, at: Lsn, bytes: &[u8]) -> Result<u64> {
-        let end = self.engine.wal_mut().extend_stable(at, bytes)?;
-        // Collect the newly replayable records first (the scan borrows the
-        // wal; apply_logged needs the whole engine), stopping at the first
-        // torn or corrupt frame — a later extend may complete it.
-        let mut recs = Vec::new();
-        let mut stop = None;
-        for item in self.engine.wal().scan(self.watermark) {
-            match item {
-                Ok(r) => recs.push(r),
-                Err(LlogError::Corrupt { offset, .. }) => {
-                    stop = Some(Lsn(offset));
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let tail = stop.unwrap_or(end);
-        let mut applied = 0;
-        for (k, (lsn, rec)) in recs.iter().enumerate() {
-            if let LogRecord::Op(op) = rec {
-                if let Err(e) = self.engine.apply_logged(op, *lsn) {
-                    // Records before this frame are applied. Pin the
-                    // watermark at the failed frame's start so the
-                    // session's visible cut still matches its state as
-                    // the error propagates — a stale watermark would
-                    // make the next extend re-scan and re-apply those
-                    // non-idempotent records, silently diverging the
-                    // replica. (The record that failed may itself have
-                    // mutated state; callers that intend to keep the
-                    // session alive must rebuild it instead.)
-                    self.set_watermark(*lsn);
-                    return Err(e);
-                }
-                applied += 1;
-            }
-            // This frame is replayed (or skippable): the cut moves to
-            // its end, which is the next frame's start.
-            self.set_watermark(recs.get(k + 1).map_or(tail, |&(next, _)| next));
-        }
-        self.set_watermark(tail);
-        // Bounded retention: reclaim versions no open snapshot (and no
-        // reader at the new watermark) can still resolve.
-        self.versions
-            .gc(self.registry.floor_with(|| self.watermark));
-        Ok(applied)
+        replay(&mut self.engine, &mut self.watermark, at, bytes)
     }
 
     /// Promote the replica: seal the log at the watermark (the torn or
@@ -193,33 +101,53 @@ impl RedoSession {
     }
 }
 
-/// A lock-free consistent-read handle over a replica's version chains.
+/// Ingest shipped stable bytes starting at log address `at` into `engine`'s
+/// log and replay every newly completed frame past `watermark`, moving it
+/// to the end of the last replayed frame. Duplicate and overlapping
+/// delivery is tolerated (the held prefix is skipped); a gap is rejected
+/// with [`LlogError::LsnOutOfRange`] and the caller refetches from the
+/// log's stable end. Returns the number of operation records replayed.
 ///
-/// Reads resolve at the session's replayed-LSN watermark via
-/// [`VersionStore::read_coherent`]: the watermark is sampled under the
-/// chains read lock, so a read never observes a half-applied frame and
-/// never races the session's retention GC. Crucially, the handle shares no
-/// lock with the replay loop — serving reads can no longer stall redo, and
-/// redo can no longer stall reads.
-#[derive(Clone)]
-pub struct ReplicaReader {
-    versions: Arc<VersionStore>,
-    watermark: Arc<AtomicU64>,
-}
-
-impl ReplicaReader {
-    /// Read `x` at the current replayed watermark.
-    pub fn read(&self, x: ObjectId) -> Value {
-        let cell = &self.watermark;
-        self.versions
-            .read_coherent(x, || Lsn(cell.load(Ordering::Acquire)))
-            .0
+/// A record that fails to replay leaves `watermark` at its frame's start,
+/// so the visible cut still matches the state as the error propagates — a
+/// stale watermark would make the next step re-scan and re-apply those
+/// non-idempotent records, silently diverging the replica. (The failed
+/// record may itself have mutated state; a caller that keeps the shard
+/// alive must rebuild it.)
+pub(crate) fn replay(
+    engine: &mut Engine,
+    watermark: &mut Lsn,
+    at: Lsn,
+    bytes: &[u8],
+) -> Result<u64> {
+    let end = engine.wal_mut().extend_stable(at, bytes)?;
+    // Collect the newly replayable records first (the scan borrows the
+    // wal; apply_logged needs the whole engine), stopping at the first
+    // torn or corrupt frame — a later step may complete it.
+    let mut recs = Vec::new();
+    let mut stop = None;
+    for item in engine.wal().scan(*watermark) {
+        match item {
+            Ok(r) => recs.push(r),
+            Err(LlogError::Corrupt { offset, .. }) => {
+                stop = Some(Lsn(offset));
+                break;
+            }
+            Err(e) => return Err(e),
+        }
     }
-
-    /// The watermark this reader would currently resolve at.
-    pub fn watermark(&self) -> Lsn {
-        Lsn(self.watermark.load(Ordering::Acquire))
+    let mut applied = 0;
+    for (lsn, rec) in &recs {
+        if let LogRecord::Op(op) = rec {
+            if let Err(e) = engine.apply_logged(op, *lsn) {
+                *watermark = *lsn;
+                return Err(e);
+            }
+            applied += 1;
+        }
     }
+    *watermark = stop.unwrap_or(end);
+    Ok(applied)
 }
 
 #[cfg(test)]
@@ -389,11 +317,13 @@ mod tests {
         assert_eq!(session.read(ObjectId(1)), Value::from_slice(b"a"));
     }
 
-    /// Lock-free readers and pinned snapshots track the watermark: a
-    /// reader follows replay forward, a snapshot stays at its cut, and the
-    /// session's retention GC never reclaims under the pinned snapshot.
+    /// A standby's snapshot reads track its replayed watermark: a read
+    /// follows replay forward, a pinned snapshot stays at its cut, and the
+    /// replay step's retention GC never reclaims under the pinned snapshot.
     #[test]
-    fn readers_and_snapshots_follow_the_watermark() {
+    fn standby_reads_and_snapshots_follow_the_watermark() {
+        use llog_engine::{ShardedConfig, ShardedEngine};
+
         let mut primary = fresh_engine();
         put(&mut primary, 1, b"v1");
         primary.wal_mut().force();
@@ -401,7 +331,7 @@ mod tests {
 
         let metrics = Metrics::new();
         let wal = Wal::from_shipped(metrics.clone(), primary.wal().start_lsn().0, None);
-        let (mut session, _) = RedoSession::begin(
+        let (engine, _) = recover(
             StableStore::new(metrics),
             wal,
             TransformRegistry::with_builtins(),
@@ -409,36 +339,61 @@ mod tests {
             RedoPolicy::Vsi,
         )
         .unwrap();
-        let reader = session.reader();
-        let first = primary
-            .wal()
-            .ship_tail(primary.wal().start_lsn(), usize::MAX)
-            .unwrap()
-            .to_vec();
-        session.extend(session.stable_end(), &first).unwrap();
-        assert_eq!(reader.watermark(), cut1);
-        assert_eq!(reader.read(ObjectId(1)), Value::from_slice(b"v1"));
+        let config = ShardedConfig {
+            shards: 1,
+            ..ShardedConfig::default()
+        };
+        let standby = ShardedEngine::standby(config, vec![engine]);
+        let step = |at: Lsn, bytes: Vec<u8>| {
+            standby
+                .replay_shard(0, |e, wm| replay(e, wm, at, &bytes))
+                .unwrap()
+        };
+        let x = ObjectId(1);
+        let start = primary.wal().start_lsn();
+        step(
+            start,
+            primary.wal().ship_tail(start, usize::MAX).unwrap().to_vec(),
+        );
+        assert_eq!(standby.durable_lsn(0), cut1);
+        assert_eq!(
+            standby.read_value_snapshot(x).unwrap(),
+            Value::from_slice(b"v1")
+        );
 
         // Pin a snapshot at the current cut, then replay an overwrite.
-        let snap = session.open_snapshot();
+        let snap = standby.open_snapshot_for(x).unwrap();
         put(&mut primary, 1, b"v2");
         primary.wal_mut().force();
-        let tail = primary.wal().ship_tail(cut1, usize::MAX).unwrap().to_vec();
-        session.extend(cut1, &tail).unwrap();
+        step(
+            cut1,
+            primary.wal().ship_tail(cut1, usize::MAX).unwrap().to_vec(),
+        );
 
-        // The reader moved with replay; the snapshot did not — and the
-        // extend-time GC kept its version alive.
-        assert_eq!(reader.read(ObjectId(1)), Value::from_slice(b"v2"));
-        assert_eq!(snap.read(ObjectId(1)), Value::from_slice(b"v1"));
+        // The read moved with replay; the snapshot did not — and the
+        // step's GC kept its version alive.
+        assert_eq!(
+            standby.read_value_snapshot(x).unwrap(),
+            Value::from_slice(b"v2")
+        );
+        assert_eq!(snap.read(x), Value::from_slice(b"v1"));
+        let gced = || standby.metrics_snapshot().aggregate.versions_gced;
+        assert_eq!(gced(), 0, "v1 is pinned");
         drop(snap);
 
-        // With the pin gone, the next extend's GC may reclaim v1.
+        // With the pin gone, the next step's GC reclaims v1.
         put(&mut primary, 2, b"x");
         primary.wal_mut().force();
-        let at = session.stable_end();
-        let tail = primary.wal().ship_tail(at, usize::MAX).unwrap().to_vec();
-        session.extend(at, &tail).unwrap();
-        assert_eq!(reader.read(ObjectId(1)), Value::from_slice(b"v2"));
+        let at = standby.durable_lsn(0);
+        step(
+            at,
+            primary.wal().ship_tail(at, usize::MAX).unwrap().to_vec(),
+        );
+        assert_eq!(
+            standby.read_value_snapshot(x).unwrap(),
+            Value::from_slice(b"v2")
+        );
+        assert_eq!(gced(), 1, "v1 is reclaimed once unpinned");
     }
 
     /// A record the replica cannot replay must surface the error *and*

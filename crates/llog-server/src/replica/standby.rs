@@ -1,258 +1,228 @@
-//! The warm-standby replica: attach, continuous redo, read-at-watermark
-//! service, and promotion (see the module docs for the protocol rules).
+//! The warm-standby replica: attach, continuous redo and promotion (see
+//! the module docs for the protocol rules).
 //!
 //! ## Threading model
 //!
-//! - One **poller** thread owns the client connection to the primary. It
-//!   round-robins the shards: `Subscribe(shard, stable_end)` →
-//!   `SegmentChunk` → [`RedoSession::extend`], reporting each shard's
-//!   watermark back with `ReplayedLsn` whenever it advances. A
-//!   `SealManifest` answer mid-stream means the replica fell behind a
-//!   checkpoint truncation — the shard re-attaches from the fresh image.
-//!   A dead primary parks the poller in a reconnect loop; the replica
-//!   keeps serving reads at its last watermark.
-//! - One **acceptor** thread plus one lock-step handler thread per
-//!   connection serve the framed protocol: `Get`/`Stats`/`Ping` always,
-//!   `Put` only after promotion (rejected with `ErrCode::Engine` before),
-//!   `Promote` exactly once. A standby `Get` is lock-free against replay:
-//!   it resolves through the shard's [`ReplicaReader`] (MVCC version
-//!   chains at the replayed watermark, DESIGN §15), so reads never queue
-//!   behind the poller applying a chunk.
+//! A replica is a standby [`ShardedEngine`] served by the ordinary
+//! [`Server`]: every request takes the code path it takes on a primary.
+//! `Get` resolves through the shard's version chains at its durable
+//! watermark, which on a standby is the replayed one (DESIGN §15), so a
+//! read never waits for replay; `Put` gets `execute`'s
+//! [`LlogError::Standby`]; `Stats` is the engine's metrics snapshot;
+//! `Promote` runs [`promote`].
+//!
+//! Beside the server, one **poller** thread owns the client connection to
+//! the primary. It round-robins the shards: `Subscribe(shard,
+//! stable_end)` → `SegmentChunk` → one replay step under that shard's
+//! engine lock ([`ShardedEngine::replay_shard`]), which also bumps the
+//! shard's `repl_*` counters, and it reports each shard's watermark back
+//! with `ReplayedLsn` whenever it advances. A `SealManifest` answer
+//! mid-stream means the replica fell behind a checkpoint truncation: the
+//! shard is rebuilt from a fresh attach image and swapped in
+//! ([`ShardedEngine::replace_shard`]). A dead primary parks the poller in
+//! a reconnect loop; the replica keeps serving reads at its last
+//! watermark. Promotion ends the standby state, and with it the poller.
 //!
 //! ## Promotion
 //!
-//! `Promote{source_dir}` seals every shard at its watermark and rebuilds
-//! a writable [`ShardedEngine`] from the session engines. With a
+//! `Promote{source_dir}` turns the standby into a primary. With a
 //! non-empty `source_dir` — the crashed primary's data directory — each
 //! shard first catches up from the primary's on-disk log device: the
 //! primary stages forced bytes on the device *before* acknowledging
-//! (DESIGN §12), so feeding the device log's tail through the
-//! session guarantees every acknowledged write is replayed even if the
-//! primary was SIGKILLed mid-shipment. A shard whose device log was
-//! truncated past the session's stable end (the replica lagged a whole
-//! checkpoint) falls back to recovering the device pair wholesale.
+//! (DESIGN §12), so feeding the device log's tail through a replay step
+//! guarantees every acknowledged write is replayed even if the primary
+//! was SIGKILLed mid-shipment. A shard whose device log was truncated
+//! past the standby's stable end (the replica lagged a whole checkpoint)
+//! is replaced by a wholesale recovery of the device pair instead. Then
+//! [`ShardedEngine::promote`] seals every shard's log at its watermark,
+//! starts the installers and accepts writes.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use llog_core::shared::lock;
 use llog_core::{recover, Engine, EngineConfig, RedoPolicy};
-use llog_engine::{GroupCommitSnapshot, ShardRouter, ShardedEngine};
-use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
+use llog_engine::ShardedEngine;
+use llog_ops::TransformRegistry;
 use llog_storage::device::{decode_image, DeviceConfig};
-use llog_storage::{Metrics, MetricsSnapshot, StableStore};
-use llog_types::{LlogError, Lsn, Result, Value};
+use llog_storage::{Metrics, StableStore};
+use llog_types::{LlogError, Lsn, Result};
 use llog_wal::{DurabilityBackend, Wal};
 
-use super::{RedoSession, ReplicaReader};
-use crate::proto::{
-    decode_request, encode_response, read_frame, write_frame, ErrCode, Request, Response, StatsBody,
-};
-use crate::Client;
+use super::session::replay;
+use crate::proto::Response;
+use crate::{boot, Client, Server, ServerConfig};
 
 /// How long the poller sleeps when fully caught up.
 const POLL_INTERVAL: Duration = Duration::from_millis(2);
 /// How long the poller waits between attempts to reconnect to the primary.
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(20);
 
-/// Deployment settings for a [`Replica`].
-#[derive(Debug, Clone)]
-pub struct ReplicaConfig {
-    /// Address to bind the replica's own service socket
-    /// (`"127.0.0.1:0"` picks a free port).
-    pub addr: String,
-}
-
-impl Default for ReplicaConfig {
-    fn default() -> ReplicaConfig {
-        ReplicaConfig {
-            addr: "127.0.0.1:0".to_string(),
-        }
-    }
-}
-
-llog_storage::counters! {
-    /// The receive side of the primary's `repl_*` metrics.
-    struct Received;
-    /// Monotonic shipping counters (the receive side of the primary's
-    /// `repl_*` metrics).
-    pub struct ReplicaCounters;
-    /// Non-empty segment chunks received and applied.
-    chunks_received: sum,
+/// Shipping counters of a [`Replica`] (the receive side of the primary's
+/// `repl_*` metrics).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplicaCounters {
+    /// Non-empty segment chunks received and replayed.
+    pub chunks_received: u64,
     /// Stable log bytes received.
-    bytes_received: sum,
-    /// Times the replica fell behind a truncation and re-attached.
-    reattaches: sum,
+    pub bytes_received: u64,
+    /// Times a shard had to re-attach from a fresh attach image: it fell
+    /// behind a truncation, or a record failed to replay.
+    pub reattaches: u64,
 }
 
-/// The replica's role: a standby replaying shipped log, or a promoted
-/// primary serving writes.
-enum Role {
-    /// One redo session per primary shard, index-aligned.
-    Standby(Vec<RedoSession>),
-    /// Promotion finished; the engine serves reads and writes.
-    Promoted(Box<ShardedEngine>),
-    /// Transient placeholder while promotion or shutdown moves the state.
-    Draining,
-}
-
-/// Lock-free mirrors of [`Role`]'s discriminant (see [`State::role_tag`]).
-const TAG_STANDBY: u8 = 0;
-const TAG_PROMOTED: u8 = 1;
-const TAG_DRAINING: u8 = 2;
-
-struct State {
-    role: Mutex<Role>,
-    /// `role`'s discriminant, stored (under the role lock) at every
-    /// transition. `Get` handlers branch on this instead of locking
-    /// `role`, so a standby read never queues behind the poller replaying
-    /// a chunk — or behind a promotion in flight, during which reads keep
-    /// serving at the sealed watermark.
-    role_tag: AtomicU8,
-    /// One lock-free reader per shard ([`ReplicaReader`]: MVCC version
-    /// chains + the replayed-watermark cell), index-aligned with the
-    /// standby sessions and refreshed when a shard re-attaches. The lock
-    /// guards only the `Vec` — it is held for a clone, never across a
-    /// replay or a read. Lock order where both are taken: `role`, then
-    /// `readers`.
-    readers: Mutex<Vec<ReplicaReader>>,
-    router: ShardRouter,
-    registry: TransformRegistry,
+/// What the poller shares with the [`Replica`] handle.
+struct Feed {
+    engine: Arc<ShardedEngine>,
     primary: String,
     stop: AtomicBool,
-    shutdown_requested: AtomicBool,
-    received: Received,
+    reattaches: AtomicU64,
+}
+
+impl Feed {
+    fn new(engine: ShardedEngine, primary: &str) -> Arc<Feed> {
+        Arc::new(Feed {
+            engine: Arc::new(engine),
+            primary: primary.to_string(),
+            stop: AtomicBool::new(false),
+            reattaches: AtomicU64::new(0),
+        })
+    }
 }
 
 /// A warm-standby replica of one primary server (see the module docs).
 pub struct Replica {
-    state: Arc<State>,
-    addr: SocketAddr,
-    threads: Vec<JoinHandle<()>>,
+    feed: Arc<Feed>,
+    server: Server,
+    poller: JoinHandle<()>,
 }
 
 impl Replica {
     /// Attach to the primary at `primary_addr` (every shard's manifest +
     /// log prefix is pulled and recovered synchronously — when this
-    /// returns, the replica serves consistent reads), then start the
-    /// poller and the service socket.
+    /// returns, the replica serves consistent reads), then serve the
+    /// standby on `config.addr` and start the poller.
     pub fn start(
         primary_addr: &str,
         registry: TransformRegistry,
-        config: ReplicaConfig,
+        config: ServerConfig,
     ) -> Result<Replica> {
         let mut client = Client::connect(primary_addr)?;
-        // Shard 0's manifest tells us the fleet size.
-        let first = attach_shard(&mut client, 0, &registry)?;
-        let shards = first.1;
-        let mut sessions = vec![first.0];
-        for i in 1..shards {
-            sessions.push(attach_shard(&mut client, i as u32, &registry)?.0);
-        }
-
-        let listener = TcpListener::bind(&config.addr).map_err(|e| LlogError::Io {
-            point: "replica bind".into(),
-            reason: e.to_string(),
-        })?;
-        let addr = listener.local_addr().map_err(|e| LlogError::Io {
-            point: "replica local_addr".into(),
-            reason: e.to_string(),
-        })?;
-
-        let readers = sessions.iter().map(RedoSession::reader).collect();
-        let state = Arc::new(State {
-            role: Mutex::new(Role::Standby(sessions)),
-            role_tag: AtomicU8::new(TAG_STANDBY),
-            readers: Mutex::new(readers),
-            router: ShardRouter::new(shards),
-            registry,
-            primary: primary_addr.to_string(),
-            stop: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            received: Received::default(),
-        });
-
-        let mut threads = Vec::new();
-        {
-            let state = state.clone();
-            threads.push(std::thread::spawn(move || poller_loop(&state, client)));
-        }
-        {
-            let state = state.clone();
-            threads.push(std::thread::spawn(move || acceptor_loop(&state, listener)));
-        }
+        let feed = Feed::new(attach(&mut client, &registry)?, primary_addr);
+        let server = Server::serve(feed.engine.clone(), config)?;
+        let poller = Poller::new(feed.clone(), client);
         Ok(Replica {
-            state,
-            addr,
-            threads,
+            feed,
+            server,
+            poller: std::thread::spawn(move || poller.run()),
         })
     }
 
-    /// The address the replica's service socket is bound to.
+    /// The address the replica's server is bound to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Has a client asked this replica to shut down (`Request::Shutdown`)?
     pub fn shutdown_requested(&self) -> bool {
-        self.state.shutdown_requested.load(Ordering::SeqCst)
+        self.server.shutdown_requested()
     }
 
     /// Shipping counters.
     pub fn counters(&self) -> ReplicaCounters {
-        self.state.received.snapshot()
+        let a = self.feed.engine.metrics_snapshot().aggregate;
+        ReplicaCounters {
+            chunks_received: a.repl_segments_shipped,
+            bytes_received: a.repl_bytes_shipped,
+            reattaches: self.feed.reattaches.load(Ordering::Relaxed),
+        }
     }
 
-    /// Per-shard replayed-LSN watermarks (promoted replicas report their
-    /// durable watermarks instead).
+    /// Per-shard durable watermarks: the replayed ones while a standby.
     pub fn watermarks(&self) -> Vec<Lsn> {
-        match &*lock(&self.state.role) {
-            Role::Standby(sessions) => sessions.iter().map(|s| s.watermark()).collect(),
-            Role::Promoted(engine) => (0..engine.shards())
-                .map(|i| engine.durable_lsn(i))
-                .collect(),
-            Role::Draining => Vec::new(),
-        }
+        let engine = &self.feed.engine;
+        (0..engine.shards())
+            .map(|i| engine.durable_lsn(i))
+            .collect()
     }
 
-    /// Stop the replica: poller and acceptor exit, every connection
-    /// handler winds down, and a promoted engine is shut down cleanly.
-    pub fn stop(mut self) -> Result<()> {
-        self.state.stop.store(true, Ordering::SeqCst);
-        // Wake the acceptor with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
-        let role = {
-            let mut g = lock(&self.state.role);
-            self.state.role_tag.store(TAG_DRAINING, Ordering::SeqCst);
-            std::mem::replace(&mut *g, Role::Draining)
-        };
-        if let Role::Promoted(engine) = role {
+    /// Stop the replica: the poller exits, the server drains, and a
+    /// promoted engine is shut down cleanly (a standby holds nothing
+    /// volatile).
+    pub fn stop(self) -> Result<()> {
+        self.feed.stop.store(true, Ordering::SeqCst);
+        let _ = self.poller.join();
+        // The server must hold the engine's last handle to hand it back.
+        drop(self.feed);
+        let engine = self.server.shutdown();
+        if !engine.is_standby() {
             engine.shutdown()?;
         }
         Ok(())
     }
 }
 
-/// Pull one shard's attach image and log prefix, and start its redo
-/// session. Returns the session and the primary's shard count.
-fn attach_shard(
-    client: &mut Client,
-    shard: u32,
-    registry: &TransformRegistry,
-) -> Result<(RedoSession, usize)> {
+/// Pull every shard's attach image from the primary behind `client` and
+/// recover each into a standby engine.
+fn attach(client: &mut Client, registry: &TransformRegistry) -> Result<ShardedEngine> {
+    // Shard 0's manifest tells us the fleet size.
+    let first = fetch_attach(client, 0)?;
+    let shards = first.shards;
+    let mut engines = vec![first.recover(Metrics::new(), registry)?];
+    for i in 1..shards {
+        engines.push(fetch_attach(client, i as u32)?.recover(Metrics::new(), registry)?);
+    }
+    Ok(ShardedEngine::standby(
+        boot::server_engine_config(shards),
+        engines,
+    ))
+}
+
+/// One shard's attach image as shipped: the store image, the log's base
+/// address and master checkpoint, and the log prefix up to the durable cut
+/// the image was captured at.
+struct AttachImage {
+    shards: usize,
+    store: Vec<u8>,
+    base: Lsn,
+    master: Lsn,
+    log: Vec<u8>,
+}
+
+impl AttachImage {
+    /// Recover the shard from this image, reporting into `metrics`.
+    fn recover(self, metrics: Arc<Metrics>, registry: &TransformRegistry) -> Result<Engine> {
+        let mut store = StableStore::new(metrics.clone());
+        store.restore(decode_image(&self.store)?);
+        let master = (self.master != Lsn::ZERO).then_some(self.master);
+        let mut wal = Wal::from_shipped(metrics, self.base.0, master);
+        wal.extend_stable(self.base, &self.log)?;
+        recover_shard(store, wal, registry)
+    }
+}
+
+/// Recover a standby shard from a shipped or on-disk `(store, log)` pair
+/// and publish where its replay got to.
+fn recover_shard(store: StableStore, wal: Wal, registry: &TransformRegistry) -> Result<Engine> {
+    let (config, policy) = (EngineConfig::default(), RedoPolicy::RsiExposed);
+    let (engine, _) = recover(store, wal, registry.clone(), config, policy)?;
+    note_replayed(
+        &engine,
+        engine.wal().contiguous_end(engine.wal().start_lsn()),
+    );
+    Ok(engine)
+}
+
+/// Pull one shard's attach image and log prefix.
+fn fetch_attach(client: &mut Client, shard: u32) -> Result<AttachImage> {
     // A truncation can race the prefix fetch; each retry starts from a
     // fresh manifest, and the log can only be truncated finitely often
     // while we fetch a finite prefix, so a small budget suffices.
     'attempt: for _ in 0..8 {
-        let (shards, base, durable, master, mut store_image, store_total) =
+        let (shards, base, durable, master, mut store, store_total) =
             match client.subscribe(shard, Lsn::ZERO)? {
                 Response::SealManifest {
                     shards,
@@ -274,19 +244,19 @@ fn attach_shard(
         // defence: a mismatch means the primary's capture changed
         // underneath us, so the assembled image would be garbage —
         // restart the attach.
-        while (store_image.len() as u64) < store_total {
-            match client.fetch_store(shard, store_image.len() as u64)? {
+        while (store.len() as u64) < store_total {
+            match client.fetch_store(shard, store.len() as u64)? {
                 Response::SealManifest {
                     base: b,
                     durable: d,
                     store_off,
-                    store,
+                    store: chunk,
                     ..
                 } => {
-                    if b != base || d != durable || store_off != store_image.len() as u64 {
+                    if b != base || d != durable || store_off != store.len() as u64 {
                         continue 'attempt;
                     }
-                    store_image.extend_from_slice(&store);
+                    store.extend_from_slice(&chunk);
                 }
                 other => {
                     return Err(LlogError::CacheProtocol(format!(
@@ -295,24 +265,14 @@ fn attach_shard(
                 }
             }
         }
-        let metrics = Metrics::new();
-        let mut store = StableStore::new(metrics.clone());
-        store.restore(decode_image(&store_image)?);
-        let mut wal = Wal::from_shipped(metrics, base.0, (master != Lsn::ZERO).then_some(master));
-        let mut at = base;
-        let mut truncated = false;
-        while at < durable {
-            match client.subscribe(shard, at)? {
-                Response::SegmentChunk { at: got, bytes, .. } => {
-                    if bytes.is_empty() {
-                        break; // durable regressed (can't happen) — be safe
-                    }
-                    at = wal.extend_stable(got, &bytes)?;
-                }
-                Response::SealManifest { .. } => {
-                    truncated = true; // fell behind a truncation: re-attach
-                    break;
-                }
+        let mut log = Vec::new();
+        while base.0 + (log.len() as u64) < durable.0 {
+            match client.subscribe(shard, Lsn(base.0 + log.len() as u64))? {
+                // Durable regressed (can't happen) — be safe.
+                Response::SegmentChunk { bytes, .. } if bytes.is_empty() => break,
+                Response::SegmentChunk { bytes, .. } => log.extend_from_slice(&bytes),
+                // Fell behind a truncation: re-attach.
+                Response::SealManifest { .. } => continue 'attempt,
                 other => {
                     return Err(LlogError::CacheProtocol(format!(
                         "expected segment chunk, got {other:?}"
@@ -320,486 +280,194 @@ fn attach_shard(
                 }
             }
         }
-        if truncated {
-            continue;
-        }
-        let (session, _outcome) = RedoSession::begin(
+        return Ok(AttachImage {
+            shards: shards as usize,
             store,
-            wal,
-            registry.clone(),
-            EngineConfig::default(),
-            RedoPolicy::RsiExposed,
-        )?;
-        return Ok((session, shards as usize));
+            base,
+            master,
+            log,
+        });
     }
     Err(LlogError::Unexplainable(format!(
         "shard {shard}: attach kept racing log truncation"
     )))
 }
 
-/// The shipping loop: poll every shard, extend its session, report
-/// watermarks, re-attach shards that fell behind truncation, and survive
+/// One [`replay`] step, then the shard's replay position published in its
+/// `repl_*` gauges.
+fn replay_noted(e: &mut Engine, watermark: &mut Lsn, at: Lsn, bytes: &[u8]) -> Result<u64> {
+    let replayed = replay(e, watermark, at, bytes);
+    note_replayed(e, *watermark);
+    replayed
+}
+
+/// Publish a shard's replay position in its `repl_*` gauges: the
+/// watermark, and the complete frames held above it.
+fn note_replayed(e: &Engine, watermark: Lsn) {
+    let m = e.metrics();
+    Metrics::set_gauge(&m.repl_watermark_lsn, watermark.0);
+    Metrics::set_gauge(&m.repl_replay_lag_frames, e.wal().frames_from(watermark));
+}
+
+/// The shipping loop: poll every shard, replay what arrives, report
+/// watermarks, rebuild shards that fell behind a truncation, and survive
 /// primary restarts with a reconnect loop.
-fn poller_loop(state: &Arc<State>, mut client: Client) {
-    let mut reported: Vec<Lsn> = Vec::new();
-    'outer: while !state.stop.load(Ordering::SeqCst) {
-        let shards = {
-            match &*lock(&state.role) {
-                Role::Standby(sessions) => sessions.len(),
-                _ => return, // promoted (or stopping): shipping is over
-            }
-        };
-        if reported.len() != shards {
-            reported = vec![Lsn::ZERO; shards];
+struct Poller {
+    feed: Arc<Feed>,
+    client: Client,
+    /// The watermark last reported to the primary, per shard.
+    reported: Vec<Lsn>,
+}
+
+impl Poller {
+    fn new(feed: Arc<Feed>, client: Client) -> Poller {
+        let reported = vec![Lsn::ZERO; feed.engine.shards()];
+        Poller {
+            feed,
+            client,
+            reported,
         }
+    }
+
+    fn run(mut self) {
+        while let Some(progressed) = self.round() {
+            if !progressed {
+                std::thread::sleep(POLL_INTERVAL);
+            }
+        }
+    }
+
+    /// One pass over every shard. Returns whether any shard moved, or
+    /// `None` once shipping is over (the replica stopped or was promoted).
+    fn round(&mut self) -> Option<bool> {
+        let engine = self.feed.engine.clone();
         let mut progressed = false;
-        for i in 0..shards {
-            let from = {
-                match &*lock(&state.role) {
-                    Role::Standby(sessions) => sessions[i].stable_end(),
-                    _ => return,
-                }
-            };
-            let resp = match client.subscribe(i as u32, from) {
-                Ok(resp) => resp,
-                Err(_) => {
-                    // Primary unreachable: keep serving reads, retry.
-                    match reconnect(state) {
-                        Some(c) => {
-                            client = c;
-                            continue 'outer;
-                        }
-                        None => return,
-                    }
-                }
+        for i in 0..engine.shards() {
+            if self.feed.stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            // Refused once promoted: shipping is over.
+            let from = engine
+                .replay_shard(i, |e, _| Ok(e.wal().forced_lsn()))
+                .ok()?;
+            let Ok(resp) = self.client.subscribe(i as u32, from) else {
+                // Primary unreachable: keep serving reads, retry.
+                self.client = self.reconnect()?;
+                return Some(false);
             };
             match resp {
                 Response::SegmentChunk { at, bytes, .. } if !bytes.is_empty() => {
-                    let received = &state.received;
-                    received.chunks_received.fetch_add(1, Ordering::Relaxed);
-                    received
-                        .bytes_received
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    let extended = {
-                        let mut g = lock(&state.role);
-                        let Role::Standby(sessions) = &mut *g else {
-                            return;
-                        };
-                        sessions[i].extend(at, &bytes)
-                    };
-                    match extended {
+                    match engine.replay_shard(i, |e, wm| {
+                        let m = e.metrics().clone();
+                        Metrics::bump(&m.repl_segments_shipped, 1);
+                        Metrics::bump(&m.repl_bytes_shipped, bytes.len() as u64);
+                        replay_noted(e, wm, at, &bytes)
+                    }) {
                         Ok(_) => progressed = true,
-                        // A gap means this shard re-attached between our
-                        // poll and now — impossible single-threaded, but
-                        // a refetch next round heals it regardless.
+                        // A gap: refetch from the stable end next round.
                         Err(LlogError::LsnOutOfRange { .. }) => {}
-                        // Replay failed mid-batch: the session's state
-                        // may no longer match its watermark (a record
-                        // can fail after mutating), so continuing would
-                        // re-apply non-idempotent records and silently
-                        // diverge. Rebuild the shard from a fresh
-                        // manifest instead.
-                        Err(_) => {
-                            state.received.reattaches.fetch_add(1, Ordering::Relaxed);
-                            if let Ok((session, _)) =
-                                attach_shard(&mut client, i as u32, &state.registry)
-                            {
-                                let mut g = lock(&state.role);
-                                let Role::Standby(sessions) = &mut *g else {
-                                    return;
-                                };
-                                lock(&state.readers)[i] = session.reader();
-                                sessions[i] = session;
-                                reported[i] = Lsn::ZERO;
-                                progressed = true;
-                            }
-                        }
+                        // Replay failed mid-chunk: the shard's state may no
+                        // longer match its watermark (a record can fail
+                        // after mutating), so continuing would re-apply
+                        // non-idempotent records and silently diverge.
+                        Err(_) => progressed |= self.reattach(i),
                     }
                 }
-                Response::SealManifest { .. } => {
-                    // Fell behind a checkpoint truncation: rebuild this
-                    // shard's session from a fresh manifest.
-                    state.received.reattaches.fetch_add(1, Ordering::Relaxed);
-                    match attach_shard(&mut client, i as u32, &state.registry) {
-                        Ok((session, _)) => {
-                            let mut g = lock(&state.role);
-                            let Role::Standby(sessions) = &mut *g else {
-                                return;
-                            };
-                            lock(&state.readers)[i] = session.reader();
-                            sessions[i] = session;
-                            progressed = true;
-                        }
-                        Err(_) => continue,
-                    }
-                }
+                // Fell behind a checkpoint truncation.
+                Response::SealManifest { .. } => progressed |= self.reattach(i),
                 _ => {}
             }
-            let wm = {
-                match &*lock(&state.role) {
-                    Role::Standby(sessions) => sessions[i].watermark(),
-                    _ => return,
-                }
-            };
-            if wm > reported[i] && client.report_replayed(i as u32, wm).is_ok() {
-                reported[i] = wm;
+            let wm = engine.durable_lsn(i);
+            if wm > self.reported[i] && self.client.report_replayed(i as u32, wm).is_ok() {
+                self.reported[i] = wm;
             }
         }
-        if !progressed {
-            std::thread::sleep(POLL_INTERVAL);
-        }
+        Some(progressed)
     }
-}
 
-/// Reconnect to the primary with backoff until it answers, the replica
-/// stops, or promotion ends shipping. `None` means stop polling.
-fn reconnect(state: &Arc<State>) -> Option<Client> {
-    loop {
-        if state.stop.load(Ordering::SeqCst) {
-            return None;
+    /// Rebuild shard `i` from a fresh attach image: fetched outside the
+    /// engine lock, recovered under it into the shard's own metrics ledger
+    /// (so its counters carry across) and swapped in. Returns whether it
+    /// was.
+    fn reattach(&mut self, i: usize) -> bool {
+        if !self.feed.engine.is_standby() {
+            return false; // promoted: shipping is over
         }
-        if !matches!(&*lock(&state.role), Role::Standby(_)) {
-            return None;
-        }
-        if let Ok(c) = Client::connect(&state.primary) {
-            return Some(c);
-        }
-        std::thread::sleep(RECONNECT_BACKOFF);
-    }
-}
-
-fn acceptor_loop(state: &Arc<State>, listener: TcpListener) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => break,
+        self.feed.reattaches.fetch_add(1, Ordering::Relaxed);
+        let Ok(image) = fetch_attach(&mut self.client, i as u32) else {
+            return false;
         };
-        if state.stop.load(Ordering::SeqCst) {
-            let _ = stream.shutdown(NetShutdown::Both);
-            break;
-        }
-        let _ = stream.set_nodelay(true);
-        // Handlers poll this timeout so a stop can reclaim idle
-        // connections.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let state = state.clone();
-        conns.push(std::thread::spawn(move || handle_conn(&state, stream)));
+        let rebuilt = self.feed.engine.replace_shard(i, |old| {
+            image.recover(old.metrics().clone(), old.registry())
+        });
+        rebuilt.is_ok()
     }
-    for h in conns {
-        let _ = h.join();
-    }
-}
 
-/// `Read` adapter that retries timeouts while the replica is live and
-/// reports a clean EOF once it stops — so `read_frame` blocks patiently
-/// on idle connections yet winds down promptly at shutdown.
-struct PatientStream<'a> {
-    stream: &'a TcpStream,
-    stop: &'a AtomicBool,
-}
-
-impl Read for PatientStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            match (&mut &*self.stream).read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if self.stop.load(Ordering::SeqCst) {
-                        return Ok(0);
-                    }
-                }
-                other => return other,
+    /// Reconnect to the primary with backoff until it answers. `None` once
+    /// the replica stops or is promoted.
+    fn reconnect(&self) -> Option<Client> {
+        let feed = &self.feed;
+        while !feed.stop.load(Ordering::SeqCst) && feed.engine.is_standby() {
+            if let Ok(c) = Client::connect(&feed.primary) {
+                return Some(c);
             }
+            std::thread::sleep(RECONNECT_BACKOFF);
         }
+        None
     }
 }
 
-/// Lock-step connection handler: one request, one response, until EOF,
-/// a protocol violation, or replica stop.
-fn handle_conn(state: &Arc<State>, stream: TcpStream) {
-    let mut reader = PatientStream {
-        stream: &stream,
-        stop: &state.stop,
-    };
-    let mut writer = &stream;
-    while let Ok(Some(payload)) = read_frame(&mut reader) {
-        let req = match decode_request(&payload) {
-            Ok(req) => req,
-            Err(_) => break, // unsynchronized stream: close it
-        };
-        let resp = respond(state, req);
-        if write_frame(&mut writer, &encode_response(&resp)).is_err() {
-            break;
-        }
-        if writer.flush().is_err() {
-            break;
-        }
-    }
-    let _ = stream.shutdown(NetShutdown::Both);
-}
-
-fn respond(state: &Arc<State>, req: Request) -> Response {
-    match req {
-        Request::Ping { req_id } => Response::Ok { req_id },
-        Request::Shutdown { req_id } => {
-            state.shutdown_requested.store(true, Ordering::SeqCst);
-            Response::Ok { req_id }
-        }
-        // Reads branch on the lock-free role tag, not the role lock: a
-        // standby read clones its shard's [`ReplicaReader`] and resolves
-        // through the MVCC chains at the replayed watermark, so it never
-        // waits out the poller replaying a chunk. While a promotion is in
-        // flight (role already `Draining`, tag still standby) reads keep
-        // serving at the sealed watermark — the tag flips to promoted
-        // before any `Put` can be accepted, so no acknowledged write is
-        // ever invisible to a later read.
-        Request::Get { req_id, object } => match state.role_tag.load(Ordering::SeqCst) {
-            TAG_STANDBY => {
-                let reader = lock(&state.readers)[state.router.shard_of(object)].clone();
-                Response::Value {
-                    req_id,
-                    value: reader.read(object).as_bytes().to_vec(),
-                }
-            }
-            TAG_PROMOTED => match &*lock(&state.role) {
-                Role::Promoted(engine) => match engine.read_value_snapshot(object) {
-                    Ok(v) => Response::Value {
-                        req_id,
-                        value: v.as_bytes().to_vec(),
-                    },
-                    Err(e) => err(req_id, ErrCode::Engine, e.to_string()),
-                },
-                _ => err(req_id, ErrCode::Stopping, "replica is stopping".into()),
-            },
-            _ => err(req_id, ErrCode::Stopping, "replica is stopping".into()),
-        },
-        Request::Put {
-            req_id,
-            object,
-            value,
-        } => match &mut *lock(&state.role) {
-            Role::Standby(_) => err(
-                req_id,
-                ErrCode::Engine,
-                "replica is read-only until promoted".into(),
-            ),
-            Role::Promoted(engine) => {
-                let transform = Transform::new(
-                    builtin::CONST,
-                    builtin::encode_values(&[Value::from(value.as_slice())]),
-                );
-                match engine.execute(OpKind::Physical, vec![], vec![object], transform) {
-                    // Every barrier ends in an ack or the shard's death.
-                    Ok(ticket) if ticket.wait() => Response::Ack {
-                        req_id,
-                        lsn: ticket.lsn(),
-                    },
-                    Ok(_) => err(
-                        req_id,
-                        ErrCode::ShardDead,
-                        "shard died before durability".into(),
-                    ),
-                    Err(e) => err(req_id, ErrCode::Engine, e.to_string()),
-                }
-            }
-            Role::Draining => err(req_id, ErrCode::Stopping, "replica is stopping".into()),
-        },
-        Request::Flush { req_id } => match &mut *lock(&state.role) {
-            // Nothing of the standby's is volatile: replayed state is
-            // backed by shipped stable bytes.
-            Role::Standby(_) => Response::Ok { req_id },
-            Role::Promoted(engine) => match engine.force_all() {
-                Ok(()) => Response::Ok { req_id },
-                Err(e) => err(req_id, ErrCode::ShardDead, e.to_string()),
-            },
-            Role::Draining => err(req_id, ErrCode::Stopping, "replica is stopping".into()),
-        },
-        Request::Stats { req_id } => Response::Stats {
-            req_id,
-            body: Box::new(stats_body(state)),
-        },
-        Request::Promote { req_id, source_dir } => match promote(state, &source_dir) {
-            Ok(()) => Response::Ok { req_id },
-            Err(e) => err(req_id, ErrCode::Engine, e.to_string()),
-        },
-        // Session floors are a primary-side feature: a standby's reads
-        // already resolve at its replayed watermark and it accepts no
-        // puts, so there is no floor to track. Acknowledge and ignore.
-        Request::Session { req_id, .. } => Response::Ok { req_id },
-        Request::Subscribe { req_id, .. }
-        | Request::FetchStore { req_id, .. }
-        | Request::ReplayedLsn { req_id, .. } => err(
-            req_id,
-            ErrCode::Engine,
-            "replicas do not ship their log (no cascading replication)".into(),
-        ),
-    }
-}
-
-fn err(req_id: u64, code: ErrCode, message: String) -> Response {
-    Response::Err {
-        req_id,
-        code,
-        message,
-    }
-}
-
-/// A standby reports its redo sessions' ledgers merged; a promoted replica
-/// its engine's. Either way the four `repl_*` counters are the replica's
-/// own: what it received, and how far it has replayed.
-fn stats_body(state: &Arc<State>) -> StatsBody {
-    let received = state.received.snapshot();
-    let (mut body, lag_frames, watermark) = match &*lock(&state.role) {
-        Role::Standby(sessions) => (
-            StatsBody {
-                shards: sessions.len() as u32,
-                group_commit: GroupCommitSnapshot::default(),
-                aggregate: sessions.iter().fold(MetricsSnapshot::default(), |acc, s| {
-                    acc.merged(&s.engine().metrics().snapshot())
-                }),
-            },
-            // Frames held above the watermark (a partial tail frame
-            // awaiting completion counts zero).
-            sessions
-                .iter()
-                .map(|s| s.engine().wal().frames_from(s.watermark()))
-                .sum(),
-            sessions.iter().map(|s| s.watermark().0).max().unwrap_or(0),
-        ),
-        Role::Promoted(engine) => {
-            let snap = engine.metrics_snapshot();
-            let durable = (0..engine.shards()).map(|i| engine.durable_lsn(i).0);
-            (
-                StatsBody {
-                    shards: snap.shards as u32,
-                    group_commit: snap.group_commit,
-                    aggregate: snap.aggregate,
-                },
-                0,
-                durable.max().unwrap_or(0),
-            )
-        }
-        Role::Draining => return StatsBody::default(),
-    };
-    let a = &mut body.aggregate;
-    a.repl_segments_shipped = received.chunks_received;
-    a.repl_bytes_shipped = received.bytes_received;
-    a.repl_replay_lag_frames = lag_frames;
-    a.repl_watermark_lsn = watermark;
-    body
-}
-
-/// Promote this replica to primary (module docs: catch-up rules).
-fn promote(state: &Arc<State>, source_dir: &str) -> Result<()> {
-    let mut g = lock(&state.role);
-    let Role::Standby(_) = &*g else {
+/// Promote the standby `engine` to primary (module docs: catch-up rules):
+/// the server's answer to `Promote`.
+pub(crate) fn promote(engine: &ShardedEngine, source_dir: &str) -> Result<()> {
+    if !engine.is_standby() {
         return Err(LlogError::CacheProtocol(
-            "replica is not a standby (already promoted or stopping)".into(),
+            "not a standby: a primary, or a replica already promoted".into(),
         ));
-    };
-    let Role::Standby(sessions) = std::mem::replace(&mut *g, Role::Draining) else {
-        unreachable!("matched Standby above");
-    };
-    match promote_sessions(sessions, source_dir, &state.registry) {
-        Ok(engine) => {
-            *g = Role::Promoted(Box::new(engine));
-            // Tag stores happen under the role lock: a `Put` can only be
-            // accepted after this lock releases, so the promoted tag is
-            // visible to reads before any post-promotion write exists.
-            state.role_tag.store(TAG_PROMOTED, Ordering::SeqCst);
-            Ok(())
-        }
-        Err(e) => {
-            // Role stays Draining: state is torn, refuse work.
-            state.role_tag.store(TAG_DRAINING, Ordering::SeqCst);
-            Err(e)
+    }
+    if !source_dir.is_empty() {
+        for i in 0..engine.shards() {
+            device_catch_up(engine, Path::new(source_dir), i)?;
         }
     }
+    engine.promote()
 }
 
-fn promote_sessions(
-    sessions: Vec<RedoSession>,
-    source_dir: &str,
-    registry: &TransformRegistry,
-) -> Result<ShardedEngine> {
-    let shards = sessions.len();
-    let mut engines = Vec::with_capacity(shards);
-    for (i, mut session) in sessions.into_iter().enumerate() {
-        if !source_dir.is_empty() {
-            match device_catch_up(&mut session, Path::new(source_dir), i, registry)? {
-                CatchUp::Fed => {}
-                CatchUp::Replaced(engine) => {
-                    engines.push(*engine);
-                    continue;
-                }
-            }
-        }
-        engines.push(session.promote()?);
-    }
-    // The same configuration a booted primary serves with.
-    Ok(ShardedEngine::from_engines(
-        crate::boot::server_engine_config(shards),
-        engines,
-    ))
-}
-
-enum CatchUp {
-    /// The session absorbed the device log's tail (or there was nothing
-    /// to absorb); promote it normally.
-    Fed,
-    /// The device log was truncated past the session — the shard was
-    /// recovered wholesale from the device pair instead.
-    Replaced(Box<Engine>),
-}
-
-/// Feed the crashed primary's on-disk log tail for shard `i` through the
-/// session. The primary persists forced bytes before acknowledging, so
-/// after this every acknowledged write is replayed.
-fn device_catch_up(
-    session: &mut RedoSession,
-    source_dir: &Path,
-    shard: usize,
-    registry: &TransformRegistry,
-) -> Result<CatchUp> {
-    let dir = source_dir.join(format!("shard-{shard}"));
+/// Feed the crashed primary's on-disk log tail for shard `i` through a
+/// replay step. The primary persists forced bytes before acknowledging, so
+/// after this every acknowledged write is replayed. A device log that no
+/// longer reaches back to the shard's stable end replaces the shard with a
+/// wholesale recovery of the device pair, which is self-sufficient by the
+/// checkpoint-before-truncate discipline.
+fn device_catch_up(engine: &ShardedEngine, source_dir: &Path, i: usize) -> Result<()> {
+    let dir = source_dir.join(format!("shard-{i}"));
     if !dir.is_dir() {
-        return Ok(CatchUp::Fed); // no device state for this shard
+        return Ok(()); // no device state for this shard
     }
+    let (end, metrics) =
+        engine.replay_shard(i, |e, _| Ok((e.wal().forced_lsn(), e.metrics().clone())))?;
     let backend = DurabilityBackend::file(&dir, Metrics::new(), &DeviceConfig::default())?;
-    let Some((dstore, dwal)) = backend.load(Metrics::new())? else {
-        return Ok(CatchUp::Fed); // never persisted
+    let Some((dstore, dwal)) = backend.load(metrics)? else {
+        return Ok(()); // never persisted
     };
-    let end = session.stable_end();
     if dwal.start_lsn() > end {
-        // The device log no longer reaches back to the session: recover
-        // the device pair wholesale (it is self-sufficient by the
-        // checkpoint-before-truncate discipline).
-        let (engine, _) = recover(
-            dstore,
-            dwal,
-            registry.clone(),
-            EngineConfig::default(),
-            RedoPolicy::RsiExposed,
-        )?;
-        return Ok(CatchUp::Replaced(Box::new(engine)));
+        return engine.replace_shard(i, |old| recover_shard(dstore, dwal, old.registry()));
     }
     if dwal.forced_lsn() > end {
         let bytes = dwal.ship_tail(end, usize::MAX)?.to_vec();
-        session.extend(end, &bytes)?;
+        engine.replay_shard(i, |e, wm| replay_noted(e, wm, end, &bytes))?;
     }
-    Ok(CatchUp::Fed)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{boot, Server, ServerConfig};
-    use llog_types::ObjectId;
+    use crate::proto::{ErrCode, Request};
+    use llog_engine::GroupCommitSnapshot;
+    use llog_ops::{builtin, OpKind, Transform};
+    use llog_storage::MetricsSnapshot;
+    use llog_types::{ObjectId, Value};
 
     fn start_primary(shards: usize) -> Server {
         let registry = TransformRegistry::with_builtins();
@@ -856,7 +524,7 @@ mod tests {
         let replica = Replica::start(
             &addr,
             TransformRegistry::with_builtins(),
-            ReplicaConfig::default(),
+            ServerConfig::default(),
         )
         .unwrap();
         for i in 16..32u64 {
@@ -894,27 +562,39 @@ mod tests {
                 "object {i}"
             );
         }
-        // Replica rejects writes pre-promotion.
+        // Replica rejects writes pre-promotion, and shipping (no cascading
+        // replication); a refusal is the caller's error, not a dead shard.
         assert!(rc.put(ObjectId(99), b"nope").is_err());
+        let (shard, lsn) = (0, Lsn::ZERO);
+        let subscribe = Request::Subscribe {
+            req_id: rc.fresh_req_id(),
+            shard,
+            from: lsn,
+        };
+        let report = Request::ReplayedLsn {
+            req_id: rc.fresh_req_id(),
+            shard,
+            lsn,
+        };
+        for req in [subscribe, report] {
+            match rc.call(&req).unwrap() {
+                Response::Err { code, .. } => assert_eq!(code, ErrCode::Engine),
+                other => panic!("a standby shipped: {other:?}"),
+            }
+        }
         // Primary's shipping metrics moved.
         let stats = c.stats().unwrap();
         assert!(stats.aggregate.repl_segments_shipped > 0);
         assert!(stats.aggregate.repl_bytes_shipped > 0);
 
-        // A standby's Stats carries its sessions' ledgers merged, plus its
-        // own `repl_*` counters. The wire values are bracketed by direct
-        // reads taken before and after the request.
-        let merged_sessions = || match &*lock(&replica.state.role) {
-            Role::Standby(sessions) => {
-                sessions.iter().fold(MetricsSnapshot::default(), |acc, s| {
-                    acc.merged(&s.engine().metrics().snapshot())
-                })
-            }
-            _ => panic!("the replica is still a standby"),
-        };
-        let before = merged_sessions();
+        // A standby's Stats is its engine's metrics snapshot, `repl_*`
+        // counters included. The wire values are bracketed by direct reads
+        // taken before and after the request.
+        let engine = &replica.feed.engine;
+        assert!(engine.is_standby());
+        let before = engine.metrics_snapshot().aggregate;
         let rstats = rc.stats().unwrap();
-        let after = merged_sessions();
+        let after = engine.metrics_snapshot().aggregate;
         assert_eq!(rstats.shards, 2);
         assert_eq!(rstats.group_commit, GroupCommitSnapshot::default());
         let standby = [
@@ -954,7 +634,7 @@ mod tests {
         let replica = Replica::start(
             &addr,
             TransformRegistry::with_builtins(),
-            ReplicaConfig::default(),
+            ServerConfig::default(),
         )
         .unwrap();
 
@@ -977,6 +657,7 @@ mod tests {
         server.abort();
 
         rc.promote("").unwrap();
+        let sealed = replica.watermarks();
         // Every acked write survives on the promoted replica.
         for &i in &acked {
             assert_eq!(
@@ -992,23 +673,19 @@ mod tests {
         // That ack rode the force barrier (which bumps the overlap counter
         // once per barrier), like a booted primary's: which force code
         // acks a put does not depend on how the node became primary.
-        let promoted = || {
-            let role = lock(&replica.state.role);
-            let Role::Promoted(engine) = &*role else {
-                panic!("promotion must leave the replica promoted");
-            };
-            let durable = (0..engine.shards()).map(|i| engine.durable_lsn(i).0).max();
-            (engine.metrics_snapshot(), durable.unwrap_or(0))
-        };
-        let (before, _) = promoted();
+        let engine = &replica.feed.engine;
+        assert!(!engine.is_standby(), "promotion ends the standby state");
+        let promoted = || engine.metrics_snapshot();
+        let before = promoted();
         assert!(
             before.aggregate.double_buffer_overlap_ns > 0,
             "ack bypassed the barrier"
         );
         // A promoted replica's Stats carries the engine's aggregate and
-        // group-commit counters; its `repl_*` counters stay its own.
+        // group-commit counters; its `repl_*` counters stay where replay
+        // left them.
         let rstats = rc.stats().unwrap();
-        let (after, durable) = promoted();
+        let after = promoted();
         let engine_counters = [
             "log_records",
             "log_bytes",
@@ -1034,7 +711,11 @@ mod tests {
             "{waits:?}"
         );
         assert_eq!(rstats.aggregate.repl_replay_lag_frames, 0);
-        assert_eq!(rstats.aggregate.repl_watermark_lsn, durable);
+        assert_eq!(
+            Some(rstats.aggregate.repl_watermark_lsn),
+            sealed.iter().map(|w| w.0).max(),
+            "the replayed watermark is where promotion sealed"
+        );
         assert_eq!(
             rstats.aggregate.repl_bytes_shipped,
             replica.counters().bytes_received
@@ -1063,7 +744,7 @@ mod tests {
         let replica = Replica::start(
             &addr,
             TransformRegistry::with_builtins(),
-            ReplicaConfig::default(),
+            ServerConfig::default(),
         )
         .unwrap();
         let mut rc = Client::connect(replica.local_addr().to_string()).unwrap();
@@ -1131,7 +812,7 @@ mod tests {
         let replica = Replica::start(
             &addr,
             TransformRegistry::with_builtins(),
-            ReplicaConfig::default(),
+            ServerConfig::default(),
         )
         .unwrap();
         let mut rc = Client::connect(replica.local_addr().to_string()).unwrap();
@@ -1144,5 +825,186 @@ mod tests {
         }
         replica.stop().unwrap();
         server.shutdown();
+    }
+
+    /// Puts from concurrent connections to a promoted replica ride shared
+    /// force barriers: the replica's front end is the ordinary server, so
+    /// no lock is held across a put's durability wait.
+    #[test]
+    fn a_promoted_replica_batches_puts_from_concurrent_connections() {
+        let server = start_primary(2);
+        let addr = server.local_addr().to_string();
+        let replica = Replica::start(
+            &addr,
+            TransformRegistry::with_builtins(),
+            ServerConfig::default(),
+        )
+        .unwrap();
+        server.abort();
+        let raddr = replica.local_addr().to_string();
+        Client::connect(&raddr).unwrap().promote("").unwrap();
+
+        const WINDOW: u64 = 8;
+        let sent = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for conn in 0..4u64 {
+                let (raddr, sent) = (&raddr, &sent);
+                scope.spawn(move || {
+                    let mut c = Client::connect(raddr).unwrap();
+                    while c.stats().unwrap().group_commit.max_batch <= 1
+                        && sent.fetch_add(WINDOW, Ordering::Relaxed) < 2000
+                    {
+                        for k in 0..WINDOW {
+                            let req_id = c.fresh_req_id();
+                            let object = ObjectId(conn << 32 | k);
+                            let value = vec![k as u8];
+                            c.send(&crate::Request::Put {
+                                req_id,
+                                object,
+                                value,
+                            })
+                            .unwrap();
+                        }
+                        for _ in 0..WINDOW {
+                            let resp = c.recv().unwrap();
+                            assert!(matches!(resp, Some(Response::Ack { .. })), "{resp:?}");
+                        }
+                    }
+                });
+            }
+        });
+        let stats = Client::connect(&raddr).unwrap().stats().unwrap();
+        assert!(
+            stats.group_commit.max_batch > 1,
+            "every barrier carried one put: {:?}",
+            stats.group_commit
+        );
+        replica.stop().unwrap();
+    }
+
+    /// `count` objects, each put with a value tagged `tag`.
+    fn put_all(c: &mut Client, count: u64, tag: &str) {
+        for i in 0..count {
+            c.put(ObjectId(i), format!("{tag}-{i}").as_bytes()).unwrap();
+        }
+    }
+
+    fn shipped(engine: &ShardedEngine) -> (u64, u64) {
+        let a = engine.metrics_snapshot().aggregate;
+        (a.repl_segments_shipped, a.repl_bytes_shipped)
+    }
+
+    /// A standby that falls behind a checkpoint truncation rebuilds the
+    /// shard from a fresh attach image, swapped in place: its reads match
+    /// the primary's again and its shipping counters carry across the
+    /// swap. The poller runs by hand, one round at a time.
+    #[test]
+    fn a_standby_behind_a_truncation_reattaches_in_place() {
+        let registry = TransformRegistry::with_builtins();
+        let primary = Arc::new(ShardedEngine::new(boot::server_engine_config(1), &registry));
+        let server = Server::serve(primary.clone(), ServerConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let mut c = Client::connect(&addr).unwrap();
+        put_all(&mut c, 24, "attached");
+
+        let mut client = Client::connect(&addr).unwrap();
+        let feed = Feed::new(attach(&mut client, &registry).unwrap(), &addr);
+        let mut poller = Poller::new(feed.clone(), client);
+        let standby = &feed.engine;
+        put_all(&mut c, 24, "shipped");
+        assert_eq!(poller.round(), Some(true));
+        let before = shipped(standby);
+        assert!(before.0 > 0 && before.1 > 0, "{before:?}");
+
+        // Behind the standby's back: more puts, then a checkpoint that
+        // truncates the primary's log past the standby's stable end.
+        put_all(&mut c, 24, "truncated");
+        primary.install_all().unwrap();
+        primary.checkpoint_all(true).unwrap();
+        let base = primary.ship_manifest(0).unwrap().base;
+        assert!(
+            base > standby.durable_lsn(0),
+            "the log was not truncated past the standby"
+        );
+
+        assert_eq!(poller.round(), Some(true));
+        assert!(feed.reattaches.load(Ordering::Relaxed) >= 1);
+        assert_eq!(standby.durable_lsn(0), primary.durable_lsn(0));
+        for i in 0..24u64 {
+            let x = ObjectId(i);
+            let want = Value::from(format!("truncated-{i}").as_bytes());
+            assert_eq!(standby.read_value_snapshot(x).unwrap(), want, "object {i}");
+            assert_eq!(primary.read_value_snapshot(x).unwrap(), want, "object {i}");
+        }
+        let after = shipped(standby);
+        assert!(
+            after.0 >= before.0 && after.1 >= before.1,
+            "{before:?} -> {after:?}"
+        );
+
+        drop((poller, feed, primary));
+        server.shutdown();
+    }
+
+    /// Promotion from the dead primary's directory recovers a shard
+    /// wholesale from its device pair when the device log was truncated
+    /// past the standby's stable end, and every acked put reads back.
+    #[test]
+    fn promotion_recovers_a_shard_wholesale_past_a_device_truncation() {
+        let dir = std::env::temp_dir().join(format!("llog-wholesale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = TransformRegistry::with_builtins();
+        let primary = Arc::new(boot::open_served(&dir, 1, &registry).unwrap());
+        let server = Server::serve(primary.clone(), ServerConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let mut c = Client::connect(&addr).unwrap();
+        put_all(&mut c, 24, "attached");
+        let standby = attach(&mut Client::connect(&addr).unwrap(), &registry).unwrap();
+        let stable_end = standby.durable_lsn(0);
+
+        // The standby never polls: puts it never sees, a checkpoint that
+        // truncates the device log past its stable end, more acked puts,
+        // then the primary dies.
+        put_all(&mut c, 24, "checkpointed");
+        primary.install_all().unwrap();
+        primary.checkpoint_all(true).unwrap();
+        put_all(&mut c, 24, "acked");
+        drop((c, primary));
+        drop(server.abort().crash());
+        let device = DurabilityBackend::file(
+            &dir.join("shard-0"),
+            Metrics::new(),
+            &DeviceConfig::default(),
+        )
+        .unwrap()
+        .load(Metrics::new())
+        .unwrap()
+        .expect("the primary persisted");
+        assert!(
+            device.1.start_lsn() > stable_end,
+            "the device log still reaches the standby"
+        );
+
+        promote(&standby, dir.to_str().unwrap()).unwrap();
+        assert!(!standby.is_standby());
+        for i in 0..24u64 {
+            let want = Value::from(format!("acked-{i}").as_bytes());
+            assert_eq!(
+                standby.read_value_snapshot(ObjectId(i)).unwrap(),
+                want,
+                "object {i}"
+            );
+        }
+        // The recovered shard takes writes.
+        let transform = Transform::new(
+            builtin::CONST,
+            builtin::encode_values(&[Value::from("new")]),
+        );
+        let ticket = standby
+            .execute(OpKind::Physical, vec![], vec![ObjectId(99)], transform)
+            .unwrap();
+        assert!(ticket.wait());
+        standby.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,11 @@
 //! The TCP front end: accept loop, per-connection pipelining, admission
 //! control, graceful drain (DESIGN §12).
 //!
+//! The same server fronts a primary, a standby replica and a promoted one
+//! (DESIGN §13): a standby engine refuses puts and shipping itself, and
+//! `Promote` goes to the replica module, so nothing here branches on the
+//! node's role.
+//!
 //! ## Threading model
 //!
 //! One **acceptor** thread owns the listener. Each connection gets two
@@ -263,7 +268,7 @@ impl ConnQueue {
 }
 
 struct Inner {
-    engine: ShardedEngine,
+    engine: Arc<ShardedEngine>,
     /// Stop accepting connections and work; drain in flight.
     stopping: AtomicBool,
     /// Abandon in flight (crash path): writers drop queued completions.
@@ -305,6 +310,14 @@ impl Server {
     /// next. For process-kill durability the engine should have backends
     /// attached.
     pub fn start(engine: ShardedEngine, config: ServerConfig) -> Result<Server> {
+        Server::serve(Arc::new(engine), config)
+    }
+
+    /// [`Server::start`] over an engine shared with the caller — a
+    /// replica's poller replays into the standby engine it serves. The
+    /// caller drops its handles before [`shutdown`](Self::shutdown) or
+    /// [`abort`](Self::abort), which hand the engine back.
+    pub(crate) fn serve(engine: Arc<ShardedEngine>, config: ServerConfig) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr).map_err(|e| LlogError::Io {
             point: "server bind".into(),
             reason: format!("{}: {e}", config.addr),
@@ -400,9 +413,9 @@ impl Server {
     }
 
     fn take_engine(self) -> ShardedEngine {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => inner.engine,
-            Err(_) => unreachable!("all threads joined; no Inner clones remain"),
+        match Arc::try_unwrap(self.inner).map(|inner| Arc::try_unwrap(inner.engine)) {
+            Ok(Ok(engine)) => engine,
+            _ => unreachable!("all threads joined; no other engine handles remain"),
         }
     }
 }
@@ -538,11 +551,7 @@ fn execute_request(inner: &Arc<Inner>, shipping: &mut ShippingState, req: Reques
                 .execute(OpKind::Physical, vec![], vec![object], transform)
             {
                 Ok(ticket) => Pending::Ticket { req_id, ticket },
-                Err(e) => Pending::Ready(Response::Err {
-                    req_id,
-                    code: ErrCode::Engine,
-                    message: e.to_string(),
-                }),
+                Err(e) => Pending::Ready(engine_err(req_id, ErrCode::Engine, e)),
             }
         }
         // Gets are deferred to the writer thread (see [`Pending::Snapshot`]):
@@ -550,14 +559,9 @@ fn execute_request(inner: &Arc<Inner>, shipping: &mut ShippingState, req: Reques
         // batch, and the read runs on the lock-free snapshot path after
         // this connection's earlier tickets have gone durable.
         Request::Get { req_id, object } => Pending::Snapshot { req_id, object },
-        Request::Flush { req_id } => match inner.engine.force_all() {
-            Ok(()) => Pending::Ready(Response::Ok { req_id }),
-            Err(e) => Pending::Ready(Response::Err {
-                req_id,
-                code: ErrCode::ShardDead,
-                message: e.to_string(),
-            }),
-        },
+        Request::Flush { req_id } => {
+            Pending::Ready(answer(req_id, ErrCode::ShardDead, inner.engine.force_all()))
+        }
         Request::Stats { req_id } => {
             let snap = inner.engine.metrics_snapshot();
             Pending::Ready(Response::Stats {
@@ -605,24 +609,42 @@ fn execute_request(inner: &Arc<Inner>, shipping: &mut ShippingState, req: Reques
                     message: format!("no such shard {shard}"),
                 });
             }
-            match inner.engine.note_replica_watermark(i, lsn) {
-                Ok(()) => Pending::Ready(Response::Ok { req_id }),
-                Err(e) => Pending::Ready(Response::Err {
-                    req_id,
-                    code: ErrCode::ShardDead,
-                    message: e.to_string(),
-                }),
-            }
+            let noted = inner.engine.note_replica_watermark(i, lsn);
+            Pending::Ready(answer(req_id, ErrCode::ShardDead, noted))
         }
         Request::Session { req_id, session_id } => Pending::Bind {
             req_id,
             floors: (session_id != 0).then(|| inner.session_floors(session_id)),
         },
-        Request::Promote { req_id, .. } => Pending::Ready(Response::Err {
-            req_id,
-            code: ErrCode::Engine,
-            message: "this server is a primary; only a replica can be promoted".into(),
-        }),
+        Request::Promote { req_id, source_dir } => {
+            let promoted = crate::replica::promote(&inner.engine, &source_dir);
+            Pending::Ready(answer(req_id, ErrCode::Engine, promoted))
+        }
+    }
+}
+
+/// The response to an engine call that failed with `e`: `code`, except that
+/// a standby's refusal is the caller's error ([`ErrCode::Engine`]), never a
+/// dead shard.
+fn engine_err(req_id: u64, code: ErrCode, e: LlogError) -> Response {
+    let code = if matches!(e, LlogError::Standby) {
+        ErrCode::Engine
+    } else {
+        code
+    };
+    let message = e.to_string();
+    Response::Err {
+        req_id,
+        code,
+        message,
+    }
+}
+
+/// `Ok` for a request whose engine call succeeded, else [`engine_err`].
+fn answer(req_id: u64, code: ErrCode, result: Result<()>) -> Response {
+    match result {
+        Ok(()) => Response::Ok { req_id },
+        Err(e) => engine_err(req_id, code, e),
     }
 }
 
@@ -644,14 +666,9 @@ fn serve_subscribe(
             message: format!("no such shard {shard}"),
         };
     }
-    let err = |code: ErrCode, message: String| Response::Err {
-        req_id,
-        code,
-        message,
-    };
     let manifest = match engine.ship_manifest(i) {
         Ok(m) => m,
-        Err(e) => return err(ErrCode::ShardDead, e.to_string()),
+        Err(e) => return engine_err(req_id, ErrCode::ShardDead, e),
     };
     if from < manifest.base {
         // Attach (or the replica fell behind a checkpoint truncation):
@@ -670,7 +687,7 @@ fn serve_subscribe(
             bytes,
             durable,
         },
-        Err(e) => err(ErrCode::Engine, e.to_string()),
+        Err(e) => engine_err(req_id, ErrCode::Engine, e),
     }
 }
 
@@ -818,11 +835,7 @@ fn writer_loop(inner: &Arc<Inner>, queue: &ConnQueue, stream: TcpStream) {
                         req_id,
                         value: v.as_bytes().to_vec(),
                     },
-                    Err(e) => Response::Err {
-                        req_id,
-                        code: ErrCode::Engine,
-                        message: e.to_string(),
-                    },
+                    Err(e) => engine_err(req_id, ErrCode::Engine, e),
                 }
             }
             Pending::Ticket { req_id, ticket } => {

@@ -69,17 +69,32 @@ impl VersionStore {
         })
     }
 
-    /// Seed an empty store with one version per object from `image` in
-    /// ascending id order (a stable store's iteration order) — the bulk
-    /// form of one [`publish`](Self::publish) per object: one lock take,
-    /// the map built from the sorted run, the retained gauge set once.
-    pub fn seed(&self, image: impl IntoIterator<Item = (ObjectId, Version)>) {
+    /// Replace every chain with one version per object from `image` in
+    /// ascending id order (a stable store's iteration order), then publish
+    /// `overlay` on top — the bulk form of one [`publish`](Self::publish)
+    /// per version: one lock take, the map built from the sorted run, the
+    /// retained gauge set once. `publish_cut` runs before the lock drops:
+    /// a reader samples its cut under the read lock
+    /// ([`read_coherent`](Self::read_coherent)), so it sees the old chains
+    /// at the old cut or the new chains at the new cut, never a mix. A
+    /// shard whose engine is replaced wholesale re-seeds in place this way.
+    pub fn seed(
+        &self,
+        image: impl IntoIterator<Item = (ObjectId, Version)>,
+        overlay: impl IntoIterator<Item = (ObjectId, Version)>,
+        publish_cut: impl FnOnce(),
+    ) {
         let mut chains = self.chains.write().unwrap();
-        debug_assert!(chains.is_empty(), "seed fills an empty version store");
+        let dropped: usize = chains.values().map(Vec::len).sum();
         *chains = image.into_iter().map(|(x, v)| (x, vec![v])).collect();
-        let seeded = chains.len() as i64;
+        let mut delta = chains.len() as i64 - dropped as i64;
+        let floor = Lsn(self.floor.load(Ordering::Relaxed));
+        for (x, v) in overlay {
+            delta += push(chains.entry(x).or_default(), v, floor);
+        }
+        publish_cut();
         drop(chains);
-        self.note_retained(seeded);
+        self.note_retained(delta);
     }
 
     /// Publish the version of `x` produced by the update at `si`.
@@ -90,27 +105,16 @@ impl VersionStore {
     /// entry — replaces in place rather than growing the chain.
     pub fn publish(&self, x: ObjectId, si: Lsn, value: Value, tombstone: bool) {
         let mut chains = self.chains.write().unwrap();
-        let chain = chains.entry(x).or_default();
-        debug_assert!(chain.last().map(|v| v.si <= si).unwrap_or(true));
-        let mut delta: i64 = 0;
-        match chain.last_mut() {
-            Some(last) if last.si == si => {
-                last.value = value;
-                last.tombstone = tombstone;
-            }
-            _ => {
-                chain.push(Version {
-                    si,
-                    value,
-                    tombstone,
-                });
-                delta += 1;
-            }
-        }
-        // Amortized retention bound: each publish re-prunes its own chain
-        // against the last GC floor, so a hot object never accumulates more
-        // history than one GC interval's worth.
-        delta -= prune_chain(chain, Lsn(self.floor.load(Ordering::Relaxed))) as i64;
+        let version = Version {
+            si,
+            value,
+            tombstone,
+        };
+        let delta = push(
+            chains.entry(x).or_default(),
+            version,
+            Lsn(self.floor.load(Ordering::Relaxed)),
+        );
         drop(chains);
         self.note_retained(delta);
     }
@@ -214,6 +218,24 @@ impl VersionStore {
 /// `Lsn::ZERO`, pre-log initial state, which every cut contains.
 fn visible(v_si: Lsn, at: Lsn) -> bool {
     v_si == Lsn::ZERO || v_si < at
+}
+
+/// Append `v` to `chain` — or replace the newest version in place when
+/// `v` re-publishes its SI — then prune against `floor`: each publish
+/// re-prunes its own chain against the last GC floor, so a hot object never
+/// accumulates more history than one GC interval's worth. Returns the
+/// change in the chain's length.
+fn push(chain: &mut Vec<Version>, v: Version, floor: Lsn) -> i64 {
+    debug_assert!(chain.last().map(|last| last.si <= v.si).unwrap_or(true));
+    let mut delta: i64 = 0;
+    match chain.last_mut() {
+        Some(last) if last.si == v.si => *last = v,
+        _ => {
+            chain.push(v);
+            delta += 1;
+        }
+    }
+    delta - prune_chain(chain, floor) as i64
 }
 
 /// Drop every version strictly older than the newest one visible at
@@ -381,14 +403,9 @@ mod tests {
         ];
         let (mb, ml) = (Metrics::new(), Metrics::new());
         let (bulk, looped) = (VersionStore::new(mb.clone()), VersionStore::new(ml.clone()));
-        bulk.seed(image.iter().cloned());
-        for (x, v) in &image {
+        bulk.seed(image.iter().cloned(), overlay.iter().cloned(), || {});
+        for (x, v) in image.iter().chain(&overlay) {
             looped.publish(*x, v.si, v.value.clone(), v.tombstone);
-        }
-        for vs in [&bulk, &looped] {
-            for (x, v) in &overlay {
-                vs.publish(*x, v.si, v.value.clone(), v.tombstone);
-            }
         }
         assert_eq!(*bulk.chains.read().unwrap(), *looped.chains.read().unwrap());
         assert_eq!(bulk.retained(), looped.retained());
@@ -409,6 +426,22 @@ mod tests {
         // Both retire the same versions at the same floor.
         assert_eq!(bulk.gc(Lsn(63)), looped.gc(Lsn(63)));
         assert_eq!(*bulk.chains.read().unwrap(), *looped.chains.read().unwrap());
+
+        // Re-seeding replaces every chain, accounts for the dropped ones,
+        // and publishes the cut while readers are locked out.
+        let reseeded = [(ObjectId(1), version(5, 1, false))];
+        bulk.seed(
+            reseeded.iter().cloned(),
+            overlay[..1].iter().cloned(),
+            || {
+                assert!(bulk.chains.try_read().is_err(), "readers are excluded");
+            },
+        );
+        assert_eq!(bulk.retained(), 2);
+        assert_eq!(mb.snapshot().versions_retained, 2);
+        assert_eq!(bulk.read_at(ObjectId(1), Lsn(6)).0, val(1));
+        assert_eq!(bulk.read_at(ObjectId(3), Lsn(51)).0, val(500));
+        assert!(bulk.read_at(ObjectId(6), Lsn(99)).0.is_empty());
     }
 
     #[test]

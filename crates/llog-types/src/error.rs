@@ -78,6 +78,9 @@ pub enum LlogError {
     /// Recovery detected an unexplainable stable state (should only happen in
     /// fault-injection tests that deliberately violate the flush protocol).
     Unexplainable(String),
+    /// The engine is a standby: it replays a shipped log and refuses
+    /// writes, installs, checkpoints and shipping until it is promoted.
+    Standby,
 }
 
 /// Crate-wide result alias over [`LlogError`].
@@ -111,6 +114,7 @@ impl fmt::Display for LlogError {
                 "atomic flush of {objects} objects requested but store has no atomic multi-write"
             ),
             LlogError::Unexplainable(msg) => write!(f, "stable state unexplainable: {msg}"),
+            LlogError::Standby => write!(f, "the engine is a read-only standby until promoted"),
         }
     }
 }

@@ -647,7 +647,7 @@ pub fn cmd_replicate(dir: &Path, primary: &str, addr: &str) -> Result<()> {
     let replica = llog_server::replica::Replica::start(
         primary,
         registry(),
-        llog_server::replica::ReplicaConfig {
+        llog_server::ServerConfig {
             addr: addr.to_string(),
         },
     )?;
